@@ -12,10 +12,13 @@ single violated constraint already pushes its own term above 1.
 Arithmetic: per-edge conditional probabilities have denominators dividing
 k^2 (r^r for rainbow terms), so each term's quadratic is accumulated as a
 plain integer over a fixed power of k; only the final division by the
-term's real normalizer is floating point.  Incremental state makes one
-candidate evaluation O(deg(v) * k); `naive=True` switches to a from-scratch
-recompute of every moment, kept as the correctness oracle for the
-incremental bookkeeping.
+term's real normalizer is floating point.  Incremental state keeps the
+edge-pair correlations as per-vertex aggregates, so one candidate
+evaluation costs O(deg(v) * k) for a graph term and O(deg(v) * r^2) for a
+rainbow term, plus the hyperedge pairs at v that share two or more
+vertices (these alone keep per-pair state, in closed form).  `naive=True`
+switches to a from-scratch recompute of every moment, kept as the
+correctness oracle for the incremental bookkeeping.
 """
 
 from __future__ import annotations
@@ -257,11 +260,32 @@ class _GraphTerm:
 class _RainbowTerm:
     """Incremental penalty term for the rainbow statistic of one hypergraph.
 
-    Hyperedge pairs may share up to r-1 vertices, so pair corrections are
-    kept per overlapping pair instead of per vertex: pairval[p] is
-    (E[X_e X_e'] - p_e p_e') over r^(3r), nonzero only while the pair still
-    has an undecided shared vertex.  All integers; denominators divide
-    r^(3r).
+    Edge state: its undecided count u, the mask of its decided colours, and
+    P, the numerator over r^r of its conditional probability: u!*r^(r-u)
+    while the decided colours are distinct, 0 once the edge is dead.  When s
+    of its open vertices take s distinct colours that are free in it, an
+    edge keeps the numerator A(s) = (u-s)!*r^(r-u+s).  So a pair of edges
+    with s open shared vertices has, over r^(3r), the closed form
+
+      pairval = r^(r-s) * (f)_s * A_e(s) * A_e'(s) - r^r * P_e * P_e'
+
+    where f counts the colours free in both edges and (f)_s is the falling
+    factorial.  For s = 1 this is r^(r-1) * sum_c row_e[c]*row_e'[c] -
+    r^r * P_e*P_e', with row_e[c] = A_e(1) on the colours free in e and 0
+    elsewhere, so pairs meeting at one open vertex w fold into per-vertex
+    aggregates as in _GraphTerm:
+
+      T[w], Q[w]       sums of P and P^2 over edges at w
+      Tc[w][c]         sum of row[c] over edges at w; Qc[w][c] of row[c]^2
+      contrib[w]       r^(r-1) * sum_c(Tc^2 - Qc) - r^r * (T^2 - Q), the
+                       s = 1 value summed over ordered edge pairs at w;
+                       zero once w is decided
+
+    Only pairs sharing two or more vertices keep explicit state: corr[p] =
+    pairval - s * (its s = 1 value), what the per-vertex sums miss (zero
+    while s <= 1).  The doubled pair sum 2*jma = sum(contrib) + 2*sum(corr)
+    is one exact integer.  A candidate costs O(deg(v) * r^2) plus the
+    multi-shared pairs at v.
     """
 
     def __init__(self, edges, spec: EventSpec, labels, n):
@@ -275,117 +299,213 @@ class _RainbowTerm:
         self.labels = labels
         self.edges = [tuple(e) for e in edges]
         self.mu_rr = math.factorial(r) * len(edges)
-        self.fact = [math.factorial(i) for i in range(r + 1)]
         self.rpow = [r ** i for i in range(r + 1)]
+        # A[u][s] = (u-s)! * r^(r-u+s); ff[f][s] = f*(f-1)*...*(f-s+1)
+        self.A = [[math.factorial(u - s) * r ** (r - u + s) for s in range(u + 1)]
+                  for u in range(r + 1)]
+        self.ff = [[math.perm(f, s) for s in range(r + 1)] for f in range(r + 1)]
+        self._deltas: dict[tuple[int, int, int], tuple] = {}
         inc: list[list[int]] = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
             for x in e:
                 inc[x].append(eid)
         self.inc = inc
-        pairs = []
-        seen: set[tuple[int, int]] = set()
-        for ids in inc:
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    key = (ids[a], ids[b])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    shared = tuple(x for x in self.edges[key[0]] if x in self.edges[key[1]])
-                    pairs.append((key[0], key[1], shared))
-        self.pairs = pairs
-        touch: list[list[int]] = [[] for _ in range(n)]
-        for pid, (i, j, _) in enumerate(pairs):
-            for x in set(self.edges[i]) | set(self.edges[j]):
-                touch[x].append(pid)
-        self.touch = touch
+        # edge pairs sharing >= 2 vertices, found through the vertex pairs they share
+        by_vpair: dict[tuple[int, int], list[int]] = {}
+        for eid, e in enumerate(self.edges):
+            for a, b in itertools.combinations(sorted(e), 2):
+                by_vpair.setdefault((a, b), []).append(eid)
+        found = set()
+        for ids in by_vpair.values():
+            found.update(itertools.combinations(ids, 2))
+        self.multi = []
+        multi_at: list[list[tuple[int, bool, bool]]] = [[] for _ in range(n)]
+        for i, j in sorted(found):
+            ei, ej = self.edges[i], self.edges[j]
+            pid = len(self.multi)
+            self.multi.append((i, j, tuple(x for x in ei if x in ej)))
+            for x in set(ei) | set(ej):
+                multi_at[x].append((pid, x in ei, x in ej))
+        self.multi_at = multi_at
         self.reset()
 
-    def _pnum(self, e, ov) -> int:
-        labels = self.labels
-        seen = 0
-        undecided = 0
-        for x in e:
-            lab = labels[x]
-            if ov is not None and x in ov:
-                lab = ov[x]
-            if lab == UNDECIDED:
-                undecided += 1
-            else:
-                bit = 1 << lab
-                if seen & bit:
-                    return 0
-                seen |= bit
-        return self.fact[undecided] * self.rpow[self.r - undecided]
-
-    def _pairval(self, pid, ov) -> int:
-        i, j, shared = self.pairs[pid]
-        labels = self.labels
-        open_shared = []
-        for w in shared:
-            lab = labels[w]
-            if ov is not None and w in ov:
-                lab = ov[w]
-            if lab == UNDECIDED:
-                open_shared.append(w)
-        if not open_shared:
-            return 0
-        ei, ej = self.edges[i], self.edges[j]
-        pi = self._pnum(ei, ov)
-        pj = self._pnum(ej, ov)
-        sub = dict(ov) if ov is not None else {}
-        total = 0
-        for combo in itertools.product(range(self.r), repeat=len(open_shared)):
-            for w, cc in zip(open_shared, combo):
-                sub[w] = cc
-            total += self._pnum(ei, sub) * self._pnum(ej, sub)
-        joint = total * self.rpow[self.r - len(open_shared)]
-        return joint - pi * pj * self.D1
-
     def reset(self):
-        self.P = [self._pnum(e, None) for e in self.edges]
-        self.sumP = sum(self.P)
-        self.sumP2 = sum(p * p for p in self.P)
-        self.pairvals = [self._pairval(pid, None) for pid in range(len(self.pairs))]
-        self.jma = sum(self.pairvals)
+        labels = self.labels
+        r = self.r
+        A = self.A
+        U = []
+        M = []
+        P = []
+        for e in self.edges:
+            u = 0
+            mask = 0
+            alive = True
+            for x in e:
+                lab = labels[x]
+                if lab == UNDECIDED:
+                    u += 1
+                elif mask >> lab & 1:
+                    alive = False
+                else:
+                    mask |= 1 << lab
+            U.append(u)
+            M.append(mask)
+            P.append(A[u][0] if alive else 0)
+        self.U, self.M, self.P = U, M, P
+        self.sumP = sum(P)
+        self.sumP2 = sum(p * p for p in P)
+        n = len(labels)
+        self.T = [0] * n
+        self.Q = [0] * n
+        self.Tc = [[0] * r for _ in range(n)]
+        self.Qc = [[0] * r for _ in range(n)]
+        self.contrib = [0] * n
+        for w in range(n):
+            if labels[w] != UNDECIDED:
+                continue
+            trow = self.Tc[w]
+            qrow = self.Qc[w]
+            for eid in self.inc[w]:
+                p = P[eid]
+                if not p:
+                    continue
+                self.T[w] += p
+                self.Q[w] += p * p
+                a1 = A[U[eid]][1]
+                mask = M[eid]
+                for c in range(r):
+                    if not mask >> c & 1:
+                        trow[c] += a1
+                        qrow[c] += a1 * a1
+            self.contrib[w] = self._contrib(self.T[w], self.Q[w], trow, qrow)
+        self.open_shared = [sum(1 for x in shared if labels[x] == UNDECIDED)
+                            for _, _, shared in self.multi]
+        self.corr = [self._corr(U[i], M[i], P[i], U[j], M[j], P[j], s)
+                     for (i, j, _), s in zip(self.multi, self.open_shared)]
+        self.jma2 = sum(self.contrib) + 2 * sum(self.corr)
 
-    def _quad_num(self, sumP, sumP2, jma) -> int:
-        ex2 = sumP * self.D2 + (sumP * sumP - sumP2) * self.D1 + 2 * jma
+    def _contrib(self, t, q, trow, qrow) -> int:
+        s = 0
+        for c in range(self.r):
+            s += trow[c] * trow[c] - qrow[c]
+        return self.rpow[self.r - 1] * s - self.D1 * (t * t - q)
+
+    def _corr(self, ui, mi, pi, uj, mj, pj, s) -> int:
+        if s < 2 or not pi or not pj:
+            return 0
+        r = self.r
+        f = r - (mi | mj).bit_count()
+        ai, aj = self.A[ui], self.A[uj]
+        pair = self.rpow[r - s] * self.ff[f][s] * ai[s] * aj[s]
+        single = self.rpow[r - 1] * f * ai[1] * aj[1]
+        return pair - s * single + (s - 1) * self.D1 * pi * pj
+
+    def _edge_delta(self, u, mask, c):
+        """Shift of P, P^2, row and row^2 that the other open vertices of a
+        live edge (u >= 2, mask) see when one of its open vertices takes c."""
+        key = (u, mask, c)
+        d = self._deltas.get(key)
+        if d is None:
+            r = self.r
+            a0 = self.A[u][0]
+            a1 = self.A[u][1]
+            old = [0 if mask >> cc & 1 else a1 for cc in range(r)]
+            if mask >> c & 1:
+                newp = 0
+                new = [0] * r
+            else:
+                newp = a1
+                a2 = self.A[u][2]
+                new = [0 if (mask >> cc & 1 or cc == c) else a2 for cc in range(r)]
+            d = (newp - a0, newp * newp - a0 * a0,
+                 tuple(x - y for x, y in zip(new, old)),
+                 tuple(x * x - y * y for x, y in zip(new, old)))
+            self._deltas[key] = d
+        return d
+
+    def _step(self, v, c):
+        """Totals after v -> c, with the per-vertex and per-pair updates."""
+        labels = self.labels
+        U, M, P = self.U, self.M, self.P
+        sumP = self.sumP + self.Tc[v][c] - self.T[v]
+        sumP2 = self.sumP2 + self.Qc[v][c] - self.Q[v]
+        jma2 = self.jma2 - self.contrib[v]
+        shift: dict[int, list] = {}
+        for eid in self.inc[v]:
+            if not P[eid] or U[eid] == 1:
+                continue
+            dp, dp2, dt, dq = self._edge_delta(U[eid], M[eid], c)
+            for w in self.edges[eid]:
+                if w == v or labels[w] != UNDECIDED:
+                    continue
+                acc = shift.get(w)
+                if acc is None:
+                    shift[w] = [dp, dp2, dt, dq]
+                else:
+                    acc[0] += dp
+                    acc[1] += dp2
+                    acc[2] = [x + y for x, y in zip(acc[2], dt)]
+                    acc[3] = [x + y for x, y in zip(acc[3], dq)]
+        covertex = []
+        for w, (dp, dp2, dt, dq) in shift.items():
+            t = self.T[w] + dp
+            q = self.Q[w] + dp2
+            trow = [x + y for x, y in zip(self.Tc[w], dt)]
+            qrow = [x + y for x, y in zip(self.Qc[w], dq)]
+            cw = self._contrib(t, q, trow, qrow)
+            jma2 += cw - self.contrib[w]
+            covertex.append((w, t, q, trow, qrow, cw))
+        pairs = []
+        for pid, in_i, in_j in self.multi_at[v]:
+            old = self.corr[pid]
+            i, j, _ = self.multi[pid]
+            s = self.open_shared[pid]
+            ui, mi, pi = U[i], M[i], P[i]
+            uj, mj, pj = U[j], M[j], P[j]
+            if in_i:
+                pi = self.A[ui][1] if pi and not mi >> c & 1 else 0
+                ui -= 1
+                mi |= 1 << c
+            if in_j:
+                pj = self.A[uj][1] if pj and not mj >> c & 1 else 0
+                uj -= 1
+                mj |= 1 << c
+            if in_i and in_j:
+                s -= 1
+            new = self._corr(ui, mi, pi, uj, mj, pj, s)
+            if new != old or s != self.open_shared[pid]:
+                jma2 += 2 * (new - old)
+                pairs.append((pid, new, s))
+        return sumP, sumP2, jma2, covertex, pairs
+
+    def _quad_num(self, sumP, sumP2, jma2) -> int:
+        ex2 = sumP * self.D2 + (sumP * sumP - sumP2) * self.D1 + jma2
         return (self.mu_rr * self.mu_rr - 2 * self.mu_rr * sumP) * self.D1 + ex2
 
     def exact_quadratic(self) -> Fraction:
-        return Fraction(self._quad_num(self.sumP, self.sumP2, self.jma), self.D3)
+        return Fraction(self._quad_num(self.sumP, self.sumP2, self.jma2), self.D3)
 
     def current_value(self) -> float:
         return float(self.exact_quadratic()) / self.norm
 
     def candidate_value(self, v, c) -> float:
-        ov = {v: c}
-        dsumP = 0
-        dsumP2 = 0
-        for eid in self.inc[v]:
-            old = self.P[eid]
-            new = self._pnum(self.edges[eid], ov)
-            dsumP += new - old
-            dsumP2 += new * new - old * old
-        djma = 0
-        for pid in self.touch[v]:
-            djma += self._pairval(pid, ov) - self.pairvals[pid]
-        quad = self._quad_num(self.sumP + dsumP, self.sumP2 + dsumP2, self.jma + djma)
-        return float(Fraction(quad, self.D3)) / self.norm
+        sumP, sumP2, jma2, _, _ = self._step(v, c)
+        return float(Fraction(self._quad_num(sumP, sumP2, jma2), self.D3)) / self.norm
 
     def commit(self, v, c):
-        ov = {v: c}
+        self.sumP, self.sumP2, self.jma2, covertex, pairs = self._step(v, c)
+        for w, t, q, trow, qrow, cw in covertex:
+            self.T[w], self.Q[w], self.Tc[w], self.Qc[w], self.contrib[w] = t, q, trow, qrow, cw
+        for pid, new, s in pairs:
+            self.corr[pid] = new
+            self.open_shared[pid] = s
+        self.contrib[v] = 0
         for eid in self.inc[v]:
-            old = self.P[eid]
-            new = self._pnum(self.edges[eid], ov)
-            self.sumP += new - old
-            self.sumP2 += new * new - old * old
-            self.P[eid] = new
-        for pid in self.touch[v]:
-            nv = self._pairval(pid, ov)
-            self.jma += nv - self.pairvals[pid]
-            self.pairvals[pid] = nv
+            u = self.U[eid]
+            if self.P[eid]:
+                self.P[eid] = 0 if self.M[eid] >> c & 1 else self.A[u][1]
+            self.U[eid] = u - 1
+            self.M[eid] |= 1 << c
 
 
 class _NaiveTerm:

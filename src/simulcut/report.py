@@ -112,6 +112,17 @@ class ReportParseError(ValueError):
     pass
 
 
+_REQUIRED_FIELDS = ("instance-sha256", "kind", "n", "ell", "method", "theorem", "k",
+                    "assignment")
+_CONSTRAINT_KEYS = ("graph", "stat", "count", "threshold", "margin", "pass")
+
+
+def _require(table: dict[str, str], keys: tuple[str, ...], where: str) -> None:
+    for key in keys:
+        if key not in table:
+            raise ReportParseError(f"{where} has no {key!r}")
+
+
 def parse_report(text: str) -> RunReport:
     fields: dict[str, str] = {}
     class_sizes: list[int] = []
@@ -133,7 +144,8 @@ def parse_report(text: str) -> RunReport:
                 raise ReportParseError(f"member lines out of order at {ln!r}")
             member_counts.append(int(count))
         elif key == "constraint":
-            kv = dict(tok.split("=", 1) for tok in rest.split())
+            kv = dict(tok.partition("=")[::2] for tok in rest.split())
+            _require(kv, _CONSTRAINT_KEYS, f"constraint line {ln!r}")
             constraints.append(Constraint(
                 graph=int(kv["graph"]), stat=kv["stat"], count=int(kv["count"]),
                 threshold=float(kv["threshold"]), margin=float(kv["margin"]),
@@ -144,6 +156,7 @@ def parse_report(text: str) -> RunReport:
     def opt(key, conv):
         return conv(fields[key]) if key in fields else None
 
+    _require(fields, _REQUIRED_FIELDS, "report")
     kind = fields["kind"]
     if kind == "hypergraphs":
         crossing: tuple[int, ...] = ()

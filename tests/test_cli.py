@@ -123,6 +123,30 @@ def test_verify_detects_tamper(c5_file, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+REQUIRED_FIELDS = ("instance-sha256", "kind", "n", "ell", "method", "theorem", "k",
+                   "assignment")
+CONSTRAINT_KEYS = ("graph", "stat", "count", "threshold", "margin", "pass")
+
+
+@pytest.mark.parametrize("dropped", REQUIRED_FIELDS + tuple(f"{k}=" for k in CONSTRAINT_KEYS))
+def test_verify_missing_field_exit_2(c5_file, tmp_path, capsys, dropped):
+    rep = tmp_path / "v.report"
+    assert main(["partition", str(c5_file), "--theorem", "1", "--out", str(rep)]) == 0
+    lines = rep.read_text().splitlines()
+    if dropped.endswith("="):
+        kept = [" ".join(tok for tok in ln.split() if not tok.startswith(dropped))
+                for ln in lines]
+    else:
+        kept = [ln for ln in lines if ln.split(" ", 1)[0] != dropped]
+    assert kept != lines
+    bad = tmp_path / "bad.report"
+    bad.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(c5_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(dropped.rstrip("=")) in err
+
+
 def test_verify_detects_wrong_instance(c5_file, tmp_path):
     rep = tmp_path / "v.report"
     assert main(["partition", str(c5_file), "--theorem", "1", "--out", str(rep)]) == 0

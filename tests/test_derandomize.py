@@ -1,5 +1,6 @@
 """Conditional-expectation descent: guarantees, invariants, engine equality."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,19 +8,22 @@ from fractions import Fraction
 import pytest
 
 from simulcut import (
+    UNDECIDED,
     EstimatorBudgetError,
     EventSpec,
     GraphFamily,
+    HypergraphFamily,
     crossing_count,
     derandomize,
     max_cut,
     specs_for,
     threshold_for,
 )
-from simulcut.derandomize import resolve_order
+from simulcut.derandomize import _RainbowTerm, resolve_order
+from simulcut.estimator import _quadratic, stat_mean
 from simulcut.instances import generate
 
-from helpers import c5_pair, cycle_edges, random_family, random_hyperfamily
+from helpers import c5_pair, cycle_edges, random_family, random_hyperfamily, random_partial
 
 
 def assert_descent_health(result, slack=1e-9):
@@ -152,6 +156,9 @@ class TestEngineEquality:
             assert all(a.candidates == b.candidates
                        for a, b in zip(fast.trace, slow.trace))
 
+    # member sizes keep the naive path's r^s completion enumeration cheap
+    RAINBOW_CAPS = {2: 15, 3: 16, 4: 10, 5: 7}
+
     def test_incremental_equals_naive_rainbow(self):
         rng = random.Random(8)
         for trial in range(8):
@@ -164,6 +171,71 @@ class TestEngineEquality:
             slow = derandomize(hf, specs, naive=True)
             assert fast.assignment == slow.assignment
             assert all(a.candidates == b.candidates for a, b in zip(fast.trace, slow.trace))
+        # dense members on at most r+5 vertices, where edge pairs share 2..r-1
+        # vertices; a loose normalizer admits any delta2
+        for r in (2, 3, 4, 5):
+            shared = set()
+            for trial in range(3):
+                n = rng.randint(r + 1, r + 5)
+                cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
+                hf = random_hyperfamily(n, r, [rng.randint(1, cap) for _ in range(2)],
+                                        100 * r + trial)
+                shared.update(len(set(a) & set(b)) for edges in hf.hypergraphs
+                              for a, b in itertools.combinations(edges, 2))
+                specs = [_loose_rainbow(hf, i) for i in range(2)]
+                for order in ("natural", "degree"):
+                    fast = derandomize(hf, specs, order=order)
+                    slow = derandomize(hf, specs, order=order, naive=True)
+                    assert fast.assignment == slow.assignment
+                    assert fast.initial_value == slow.initial_value
+                    assert len(fast.trace) == len(slow.trace)
+                    assert all(a.candidates == b.candidates
+                               for a, b in zip(fast.trace, slow.trace))
+            assert set(range(2, r)) <= shared
+
+    def test_rainbow_candidates_from_partial_state(self):
+        rng = random.Random(21)
+        for r in (2, 3, 4):
+            for trial in range(3):
+                n = rng.randint(r + 2, r + 5)
+                cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
+                hf = random_hyperfamily(n, r, [rng.randint(1, cap)], 200 * r + trial)
+                spec = _loose_rainbow(hf, 0)
+                edges = hf.hypergraphs[0]
+                labels = list(random_partial(n, r, trial, p_undecided=0.6).labels)
+                term = _RainbowTerm(edges, spec, labels, n)
+                assert term.exact_quadratic() == _quadratic(labels, edges, spec)
+                for v in range(n):
+                    if labels[v] != UNDECIDED:
+                        continue
+                    for c in range(r):
+                        labels[v] = c
+                        want = float(_quadratic(labels, edges, spec)) / spec.normalizer
+                        labels[v] = UNDECIDED
+                        assert term.candidate_value(v, c) == want, (r, trial, v, c)
+
+    def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
+        # a linear hypergraph (delta2 == 1): every overlapping pair shares one vertex
+        fano = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+        hf = HypergraphFamily(n=7, r=3, hypergraphs=(fano,))
+        assert hf.delta2 == (1,)
+        term = _RainbowTerm(fano, _loose_rainbow(hf, 0), [UNDECIDED] * 7, 7)
+        assert term.multi == []
+        rng = random.Random(22)
+        for r in (2, 3, 4, 5):
+            for trial in range(4):
+                n = rng.randint(r + 1, r + 6)
+                hf = random_hyperfamily(n, r, [rng.randint(1, math.comb(n, r))], trial)
+                term = _RainbowTerm(hf.hypergraphs[0], _loose_rainbow(hf, 0),
+                                    [UNDECIDED] * n, n)
+                bound = hf.m[0] * math.comb(r, 2) * (hf.delta2[0] - 1) / 2
+                assert len(term.multi) <= bound
+
+
+def _loose_rainbow(hf, i):
+    m = hf.m[i]
+    return EventSpec(graph=i, kind="rainbow", k=hf.r, mu=stat_mean("rainbow", m, hf.r),
+                     normalizer=float(50 * hf.r ** hf.r * m * m))
 
 
 class TestContracts:
