@@ -637,23 +637,22 @@ def derandomize(family, specs, order=None, naive: bool = False) -> DerandResult:
 
 
 def _report_from_specs(family, assignment, specs, is_hyper: bool) -> CutReport:
+    if is_hyper:
+        rainbow = tuple(rainbow_count(rows, assignment, family.r) for rows in family.arrays)
+        crossing, pairs, within = (), (), ()
+    else:
+        rainbow = ()
+        per_graph = [partition_counts(rows, assignment) for rows in family.arrays]
+        pairs = tuple(p for p, _, _ in per_graph)
+        within = tuple(w for _, w, _ in per_graph)
+        crossing = tuple(c for _, _, c in per_graph)
     constraints = []
     for spec in specs:
-        count = stat_count(_member_edges(family, spec), assignment, spec)
+        count = stat_count(spec, crossing, pairs, within, rainbow)
         thr = spec.threshold
         constraints.append(Constraint(
             graph=spec.graph, stat=spec.stat, count=count,
             threshold=thr, margin=count - thr, passed=count >= thr))
-    if is_hyper:
-        rainbow = tuple(rainbow_count(family.hypergraphs[i], assignment, family.r)
-                        for i in range(family.ell))
-        crossing, pairs, within = (), (), ()
-    else:
-        rainbow = ()
-        per_graph = [partition_counts(g, assignment) for g in family.graphs]
-        pairs = tuple(p for p, _, _ in per_graph)
-        within = tuple(w for _, w, _ in per_graph)
-        crossing = tuple(c for _, _, c in per_graph)
     return CutReport(
         kind="hypergraphs" if is_hyper else "graphs",
         class_sizes=assignment.class_sizes(),

@@ -29,8 +29,6 @@ from .model import (
     HypergraphFamily,
     epsilon_cap,
     _check_epsilon,
-    partition_counts,
-    rainbow_count,
 )
 
 STAT_KINDS = ("crossing", "pair", "within", "rainbow")
@@ -105,16 +103,15 @@ def stat_mean(kind: str, m: int, k: int, s: int | None = None, t: int | None = N
     raise ValueError(f"unknown statistic kind {kind!r}")
 
 
-def stat_count(edges, a: Assignment, spec: EventSpec) -> int:
-    """Realized value of the statistic on a total assignment."""
+def stat_count(spec: EventSpec, crossing, pairs, within, rainbow) -> int:
+    """Realized value of the statistic, read from per-member counts of a total assignment."""
     if spec.kind == "rainbow":
-        return rainbow_count(edges, a, spec.k)
-    pairs, within, crossing = partition_counts(edges, a)
+        return rainbow[spec.graph]
     if spec.kind == "crossing":
-        return crossing
+        return crossing[spec.graph]
     if spec.kind == "pair":
-        return pairs[(spec.s, spec.t)]
-    return within[spec.s]
+        return pairs[spec.graph][(spec.s, spec.t)]
+    return within[spec.graph][spec.s]
 
 
 def _edge_prob(labels, edge, spec: EventSpec) -> Fraction:

@@ -17,11 +17,21 @@ blank lines ignored):
 
 Anything structurally wrong raises InstanceFormatError naming the line and
 the violation; loaders never repair an instance.
+
+Canonical text -- the format exactly as serialize_instance writes it, with
+single spaces, no comments and no blank lines -- takes a fast path: each
+``edges <m>`` block is checked against the line grammar with one regex and
+converted to an integer array in one call.  Any other text, and any instance
+that fails validation, is read by the line-by-line scan, which gives the
+line-numbered diagnostic.
 """
 
 from __future__ import annotations
 
 import math
+import re
+
+import numpy as np
 
 from .model import GraphFamily, HypergraphFamily, InstanceError
 from .mc import substream
@@ -54,13 +64,88 @@ def _int_token(tok: str, lineno: int, what: str) -> int:
 
 
 def parse_instance(text: str):
-    """Parse instance text into a GraphFamily or HypergraphFamily."""
+    """Parse instance text into a GraphFamily or HypergraphFamily.
+
+    Canonical text (what serialize_instance writes) is converted one block
+    at a time; anything else, and any instance the family rejects, goes
+    through the line-by-line scan, which names the offending line.
+    """
+    canonical = _canonical_members(text)
+    if canonical is not None:
+        try:
+            return _family(*canonical)
+        except InstanceError:
+            pass        # out of range, repeated vertex or duplicate: the scan names the line
+    n, r, members = _scan_members(text)
+    try:
+        return _family(n, r, members)
+    except InstanceError as exc:
+        raise InstanceFormatError(None, str(exc)) from exc
+
+
+def _family(n: int, r: int | None, members):
+    if r is None:
+        return GraphFamily(n=n, graphs=tuple(members))
+    return HypergraphFamily(n=n, r=r, hypergraphs=tuple(members))
+
+
+_GRAPHS_HEADER = re.compile(r"graphs ([0-9]+) vertices ([0-9]+)\n")
+_HYPERGRAPHS_HEADER = re.compile(r"hypergraphs ([0-9]+) vertices ([0-9]+) uniformity ([0-9]+)\n")
+_BLOCK_HEADER = re.compile(r"edges ([0-9]+)\n")
+#: a vertex index in the canonical grammar; 18 digits always fit in int64
+_INDEX = "[0-9]{1,18}"
+
+
+def _canonical_members(text: str):
+    """``(n, r, member arrays)`` if every line is canonical, else None.
+
+    Canonical means: the header first, then each ``edges <m>`` line followed
+    by exactly m rows of single-space-separated decimal indices, every line
+    LF-terminated, and nothing else (no comments, blank lines or extra
+    spaces).  Each block is checked with one regex match and converted with
+    one numpy call; range, repeated-vertex and duplicate checks are left to
+    the family.
+    """
+    head = _GRAPHS_HEADER.match(text)
+    if head is not None:
+        ell, n = map(int, head.groups())
+        r = None
+    else:
+        head = _HYPERGRAPHS_HEADER.match(text)
+        if head is None:
+            return None
+        ell, n, r = map(int, head.groups())
+        if r < 2:
+            return None
+    if ell < 1:
+        return None
+    width = 2 if r is None else r
+    rows = re.compile("(?:" + " ".join([_INDEX] * width) + "\n)*")
+    pos = head.end()
+    members = []
+    for _ in range(ell):
+        block = _BLOCK_HEADER.match(text, pos)
+        if block is None:
+            return None
+        m = int(block.group(1))
+        body = rows.match(text, block.end())
+        pos = body.end()
+        if text.count("\n", body.start(), pos) != m:
+            return None
+        members.append(np.fromstring(body.group(), dtype=np.int64, sep=" ").reshape(m, width))
+    return (n, r, members) if pos == len(text) else None
+
+
+def _scan_members(text: str):
+    """``(n, r, members)`` by a line-by-line scan that accepts comments and blank lines.
+
+    Raises InstanceFormatError naming the first offending line.
+    """
     lines = _content_lines(text)
     try:
         lineno, header = next(lines)
     except StopIteration:
         raise InstanceFormatError(None, "empty instance: missing header") from None
-
     tokens = header.split()
     if tokens[0] == "graphs":
         if len(tokens) != 4 or tokens[2] != "vertices":
@@ -138,28 +223,21 @@ def parse_instance(text: str):
     else:
         raise InstanceFormatError(lineno, f"trailing content {line!r} after the last member")
 
-    try:
-        if r is None:
-            return GraphFamily(n=n, graphs=tuple(members))
-        return HypergraphFamily(n=n, r=r, hypergraphs=tuple(members))
-    except InstanceError as exc:
-        raise InstanceFormatError(None, str(exc)) from exc
+    return n, r, members
 
 
 def serialize_instance(family) -> str:
     """Canonical text for an instance; parse(serialize(x)) reproduces x."""
-    out = []
     if isinstance(family, HypergraphFamily):
-        out.append(f"hypergraphs {family.ell} vertices {family.n} uniformity {family.r}")
-        members = family.hypergraphs
+        out = [f"hypergraphs {family.ell} vertices {family.n} uniformity {family.r}\n"]
     else:
-        out.append(f"graphs {family.ell} vertices {family.n}")
-        members = family.graphs
-    for edges in members:
-        out.append(f"edges {len(edges)}")
-        for e in edges:
-            out.append(" ".join(str(x) for x in e))
-    return "\n".join(out) + "\n"
+        out = [f"graphs {family.ell} vertices {family.n}\n"]
+    for rows in family.arrays:
+        m, width = rows.shape
+        row = " ".join(["%d"] * width) + "\n"
+        out.append(f"edges {m}\n")
+        out.append(row * m % tuple(rows.ravel().tolist()))
+    return "".join(out)
 
 
 def _pair_from_index(x: int, n: int) -> tuple[int, int]:

@@ -151,8 +151,7 @@ def check_report(family, a: Assignment, cfg: McConfig) -> CutReport:
     constraints: list[Constraint] = []
 
     if isinstance(family, HypergraphFamily):
-        rainbow = tuple(rainbow_count(family.hypergraphs[i], a, family.r)
-                        for i in range(ell))
+        rainbow = tuple(rainbow_count(rows, a, family.r) for rows in family.arrays)
         for i in range(ell):
             thr = threshold_for("hyp", m=family.m[i], ell=ell,
                                 r=family.r, delta2=family.delta2[i])
@@ -162,7 +161,7 @@ def check_report(family, a: Assignment, cfg: McConfig) -> CutReport:
         within = ()
     else:
         rainbow = ()
-        per_graph = [partition_counts(g, a) for g in family.graphs]
+        per_graph = [partition_counts(rows, a) for rows in family.arrays]
         pairs = tuple(p for p, _, _ in per_graph)
         within = tuple(w for _, w, _ in per_graph)
         crossing = tuple(c for _, _, c in per_graph)

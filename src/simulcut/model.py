@@ -6,13 +6,23 @@ assignment, and a report of cut statistics against their thresholds.  All
 counting operations are pure functions of (instance, assignment), so they
 double as the ground truth that the samplers and the derandomizer are
 checked against.
+
+Each member is held once as an integer array of shape (m, width) with the
+endpoints of every row sorted.  Validation (range, repeated vertices,
+duplicate edges), degrees, pair degrees and the counts are vectorized over
+that array, so checking one assignment costs one pass over the edges; the
+oracle keeps its own pure-Python count as the independent reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 #: Label value marking a vertex whose class has not been decided yet.
 UNDECIDED = -1
@@ -32,17 +42,63 @@ class EpsilonRangeError(ValueError):
     """Epsilon outside the admissible range for the pairwise guarantee."""
 
 
-def _normalize_edge(e, n: int, where: str) -> Edge:
+def _as_rows(edges, width: int) -> np.ndarray:
+    """Edges as an (m, width) int64 array; no copy when they already are one."""
     try:
-        u, v = e
-    except (TypeError, ValueError):
-        raise InstanceError(f"{where}: edge {e!r} is not a vertex pair") from None
-    u, v = int(u), int(v)
-    if not (0 <= u < n and 0 <= v < n):
-        raise InstanceError(f"{where}: endpoint out of range in edge ({u}, {v}), n={n}")
-    if u == v:
-        raise InstanceError(f"{where}: self-loop ({u}, {v})")
-    return (u, v) if u < v else (v, u)
+        rows = np.asarray(edges, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is not None and rows.shape == (0,):
+        return rows.reshape(0, width)
+    if rows is None or rows.ndim != 2 or rows.shape[1] != width:
+        raise InstanceError(f"every edge must be {width} integer vertex indices below 2**63")
+    return rows
+
+
+def _member_rows(edges, n: int, width: int, where: str) -> np.ndarray:
+    """Validate one member; returns its read-only array with each row sorted.
+
+    Raises InstanceError naming the first edge, in input order, that is out
+    of range, repeats a vertex, or repeats an earlier edge.
+    """
+    try:
+        rows = np.sort(_as_rows(edges, width), axis=1)
+    except InstanceError as exc:
+        raise InstanceError(f"{where}: {exc}") from None
+    out_of_range = (rows[:, 0] < 0) | (rows[:, -1] >= n)
+    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    order, same = _lexicographic_runs(rows)
+    duplicate = np.zeros(len(rows), dtype=bool)
+    duplicate[order[1:][same]] = True
+    bad = out_of_range | repeated | duplicate
+    if bad.any():
+        j = int(bad.argmax())
+        e = tuple(rows[j].tolist())
+        if out_of_range[j]:
+            raise InstanceError(f"{where}: endpoint out of range in edge {e}, n={n}")
+        if repeated[j]:
+            if width == 2:
+                raise InstanceError(f"{where}: self-loop {e}")
+            raise InstanceError(
+                f"{where}: edge {e} does not have exactly {width} distinct vertices")
+        raise InstanceError(f"{where}: duplicate edge {e}")
+    rows.flags.writeable = False
+    return rows
+
+
+def _lexicographic_runs(rows: np.ndarray):
+    """Stable lexicographic order of the rows, and which rows in it equal their predecessor.
+
+    Stability puts every later copy of a row right after an earlier one.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    return order, (ranked[1:] == ranked[:-1]).all(axis=1)
+
+
+def _as_tuples(rows: np.ndarray) -> tuple:
+    """The rows as a tuple of tuples of Python ints."""
+    return tuple(zip(*rows.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -52,6 +108,11 @@ class GraphFamily:
     Edges are stored as sorted pairs; each member graph must be simple,
     but different members may repeat each other's edges.  Isolated
     vertices are fine: every guarantee depends only on edges.
+
+    Each member is validated and stored once as a read-only ``(m, 2)``
+    int64 array in ``arrays`` (rows sorted, input order kept), which the
+    counting and serialization code reads; ``graphs`` holds the same edges
+    as tuples of Python ints for the estimator, the descent and the oracle.
     """
 
     n: int
@@ -59,33 +120,21 @@ class GraphFamily:
     m: tuple[int, ...] = field(init=False, compare=False)
     degrees: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     max_degree: tuple[int, ...] = field(init=False, compare=False)
+    arrays: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise InstanceError(f"negative vertex count {self.n}")
         if len(self.graphs) < 1:
             raise InstanceError("a family needs at least one graph")
-        norm = []
-        degrees = []
-        for i, edges in enumerate(self.graphs):
-            where = f"graph {i}"
-            seen: set[Edge] = set()
-            out = []
-            deg = [0] * self.n
-            for e in edges:
-                e = _normalize_edge(e, self.n, where)
-                if e in seen:
-                    raise InstanceError(f"{where}: duplicate edge {e}")
-                seen.add(e)
-                out.append(e)
-                deg[e[0]] += 1
-                deg[e[1]] += 1
-            norm.append(tuple(out))
-            degrees.append(tuple(deg))
-        object.__setattr__(self, "graphs", tuple(norm))
-        object.__setattr__(self, "m", tuple(len(g) for g in self.graphs))
-        object.__setattr__(self, "degrees", tuple(degrees))
-        object.__setattr__(self, "max_degree", tuple(max(d, default=0) for d in degrees))
+        arrays = tuple(_member_rows(edges, self.n, 2, f"graph {i}")
+                       for i, edges in enumerate(self.graphs))
+        degrees = [np.bincount(rows.ravel(), minlength=self.n) for rows in arrays]
+        object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "graphs", tuple(_as_tuples(rows) for rows in arrays))
+        object.__setattr__(self, "m", tuple(len(rows) for rows in arrays))
+        object.__setattr__(self, "degrees", tuple(tuple(d.tolist()) for d in degrees))
+        object.__setattr__(self, "max_degree", tuple(int(d.max(initial=0)) for d in degrees))
 
     @property
     def ell(self) -> int:
@@ -98,7 +147,8 @@ class HypergraphFamily:
 
     Besides edge counts, each member carries its pair degree
     ``delta2 = max over vertex pairs x != y of #{edges containing both}``,
-    which controls the derived rainbow-count guarantee.
+    which controls the derived rainbow-count guarantee.  Members are stored
+    once as read-only ``(m, r)`` int64 arrays, as in GraphFamily.
     """
 
     n: int
@@ -106,6 +156,7 @@ class HypergraphFamily:
     hypergraphs: tuple[tuple[tuple[int, ...], ...], ...]
     m: tuple[int, ...] = field(init=False, compare=False)
     delta2: tuple[int, ...] = field(init=False, compare=False)
+    arrays: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -114,34 +165,12 @@ class HypergraphFamily:
             raise InstanceError(f"uniformity must be >= 2, got {self.r}")
         if len(self.hypergraphs) < 1:
             raise InstanceError("a family needs at least one hypergraph")
-        norm = []
-        d2 = []
-        for i, edges in enumerate(self.hypergraphs):
-            where = f"hypergraph {i}"
-            seen: set[tuple[int, ...]] = set()
-            out = []
-            pair_incidence: dict[Edge, int] = {}
-            for e in edges:
-                e = tuple(sorted(int(x) for x in e))
-                if len(set(e)) != self.r or len(e) != self.r:
-                    raise InstanceError(
-                        f"{where}: edge {e} does not have exactly {self.r} distinct vertices"
-                    )
-                if not all(0 <= x < self.n for x in e):
-                    raise InstanceError(f"{where}: endpoint out of range in edge {e}, n={self.n}")
-                if e in seen:
-                    raise InstanceError(f"{where}: duplicate edge {e}")
-                seen.add(e)
-                out.append(e)
-                for a in range(self.r):
-                    for b in range(a + 1, self.r):
-                        key = (e[a], e[b])
-                        pair_incidence[key] = pair_incidence.get(key, 0) + 1
-            norm.append(tuple(out))
-            d2.append(max(pair_incidence.values(), default=0))
-        object.__setattr__(self, "hypergraphs", tuple(norm))
-        object.__setattr__(self, "m", tuple(len(h) for h in self.hypergraphs))
-        object.__setattr__(self, "delta2", tuple(d2))
+        arrays = tuple(_member_rows(edges, self.n, self.r, f"hypergraph {i}")
+                       for i, edges in enumerate(self.hypergraphs))
+        object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "hypergraphs", tuple(_as_tuples(rows) for rows in arrays))
+        object.__setattr__(self, "m", tuple(len(rows) for rows in arrays))
+        object.__setattr__(self, "delta2", tuple(_pair_degree(rows) for rows in arrays))
 
     @property
     def ell(self) -> int:
@@ -152,6 +181,17 @@ class HypergraphFamily:
         if x == y:
             raise ValueError("pair_count needs two distinct vertices")
         return sum(1 for e in self.hypergraphs[i] if x in e and y in e)
+
+
+def _pair_degree(rows: np.ndarray) -> int:
+    """Most edges sharing one vertex pair, over the C(r,2) pair columns of sorted rows."""
+    if len(rows) == 0:
+        return 0
+    pairs = np.concatenate([rows[:, [a, b]]
+                            for a, b in itertools.combinations(range(rows.shape[1]), 2)])
+    _, same = _lexicographic_runs(pairs)
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    return int(np.diff(starts, append=len(pairs)).max())
 
 
 @dataclass(frozen=True)
@@ -188,6 +228,13 @@ class Assignment:
                 sizes[lab] += 1
         return tuple(sizes)
 
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """The labels as a read-only integer array, built on first use."""
+        labels = np.array(self.labels, dtype=np.intp)
+        labels.flags.writeable = False
+        return labels
+
     def with_label(self, v: int, c: int) -> "Assignment":
         labels = list(self.labels)
         labels[v] = c
@@ -210,9 +257,7 @@ def crossing_count(edges, a: Assignment) -> int:
     """Number of edges with one endpoint on each side of a bipartition."""
     if a.k != 2:
         raise ValueError(f"crossing_count needs a 2-class assignment, got k={a.k}")
-    _require_total(a)
-    lab = a.labels
-    return sum(1 for u, v in edges if lab[u] != lab[v])
+    return partition_counts(edges, a)[2]
 
 
 def partition_counts(edges, a: Assignment):
@@ -221,23 +266,19 @@ def partition_counts(edges, a: Assignment):
     Returns ``(pairs, within, crossing)`` where ``pairs[(s, t)]`` counts
     edges between classes s < t, ``within[s]`` counts edges inside class s,
     and ``crossing`` is the number of edges whose endpoints differ.  Always
-    ``sum(pairs) + sum(within) == len(edges)``.
+    ``sum(pairs) + sum(within) == len(edges)``.  ``edges`` is a member's
+    array or any sequence of pairs; every count is a Python int.
     """
     _require_total(a)
-    lab = a.labels
+    rows = _as_rows(edges, 2)
+    lab = a.label_array
     k = a.k
-    pairs = {(s, t): 0 for s in range(k) for t in range(s + 1, k)}
-    within = [0] * k
-    for u, v in edges:
-        cu, cv = lab[u], lab[v]
-        if cu == cv:
-            within[cu] += 1
-        elif cu < cv:
-            pairs[(cu, cv)] += 1
-        else:
-            pairs[(cv, cu)] += 1
-    crossing = len(edges) - sum(within)
-    return pairs, tuple(within), crossing
+    cells = np.bincount(lab[rows[:, 0]] * k + lab[rows[:, 1]], minlength=k * k)
+    cells = cells.reshape(k, k).tolist()
+    pairs = {(s, t): cells[s][t] + cells[t][s] for s in range(k) for t in range(s + 1, k)}
+    within = tuple(cells[s][s] for s in range(k))
+    crossing = len(rows) - sum(within)
+    return pairs, within, crossing
 
 
 def rainbow_count(edges, a: Assignment, r: int) -> int:
@@ -245,12 +286,8 @@ def rainbow_count(edges, a: Assignment, r: int) -> int:
     if a.k != r:
         raise ValueError(f"rainbow count needs k == r, got k={a.k}, r={r}")
     _require_total(a)
-    lab = a.labels
-    count = 0
-    for e in edges:
-        if len({lab[x] for x in e}) == r:
-            count += 1
-    return count
+    colors = np.sort(a.label_array[_as_rows(edges, r)], axis=1)
+    return int((colors[:, 1:] != colors[:, :-1]).all(axis=1).sum())
 
 
 def edwards_bound(m: int) -> float:

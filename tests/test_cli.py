@@ -1,9 +1,14 @@
 """Command-line driver: flows, report round-trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import simulcut
 from simulcut.cli import main
 from simulcut.report import parse_report
 
@@ -277,3 +282,13 @@ def test_bench_jobs_parallel_same_totals(tmp_path, capsys):
     assert main(["bench", str(path), "--jobs", "3"]) == 0
     out = capsys.readouterr().out
     assert "total runs 4" in out and "failed constraint rows 0" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(simulcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "simulcut", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "partition" in done.stdout

@@ -1,5 +1,6 @@
 """Instance text format round-trips and seeded generators."""
 
+import itertools
 import math
 import random
 
@@ -9,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from simulcut import GraphFamily, HypergraphFamily
 from simulcut.instances import (
     InstanceFormatError,
+    _canonical_members,
+    _family,
+    _scan_members,
     generate,
     parse_instance,
     serialize_instance,
@@ -90,6 +94,12 @@ class TestParse:
             parse_instance("widgets 1 vertices 3\n")
         with pytest.raises(InstanceFormatError, match="empty"):
             parse_instance("# nothing here\n")
+
+    def test_index_beyond_int64_is_rejected_not_clamped(self):
+        text = ("hypergraphs 1 vertices 100000000000000000000 uniformity 3\n"
+                "edges 1\n99999999999999999999 1 2\n")
+        with pytest.raises(InstanceFormatError, match="integer vertex indices"):
+            parse_instance(text)
 
     def test_wrong_arity_line(self):
         text = "hypergraphs 1 vertices 6 uniformity 3\nedges 1\n0 1\n"
@@ -186,10 +196,109 @@ class TestGenerators:
             generate("mystery", n=5)
 
 
-@settings(max_examples=30)
-@given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=3),
-       st.randoms(use_true_random=False))
-def test_round_trip_property(n, ell, rnd):
-    cap = n * (n - 1) // 2
-    fam = random_family(n, [rnd.randint(0, cap) for _ in range(ell)], rnd.randint(0, 10 ** 6))
-    assert parse_instance(serialize_instance(fam)) == fam
+@st.composite
+def families(draw):
+    """Graph or r-uniform families with n up to 9, empty members and isolated vertices."""
+    r = draw(st.sampled_from([None, 2, 3, 4]))
+    width = 2 if r is None else r
+    n = draw(st.integers(min_value=0, max_value=9))
+    pool = list(itertools.combinations(range(n), width))
+    ell = draw(st.integers(min_value=1, max_value=3))
+    members = tuple(
+        tuple(draw(st.lists(st.sampled_from(pool), unique=True, max_size=36)) if pool else ())
+        for _ in range(ell))
+    return _family(n, r, members)
+
+
+def _derived(fam):
+    return (fam.m, fam.delta2) if isinstance(fam, HypergraphFamily) else (
+        fam.m, fam.degrees, fam.max_degree)
+
+
+def _line_by_line(text):
+    return _family(*_scan_members(text))
+
+
+@settings(max_examples=60)
+@given(families())
+def test_round_trip_property(fam):
+    text = serialize_instance(fam)
+    back = parse_instance(text)
+    assert back == fam and _derived(back) == _derived(fam)
+    assert serialize_instance(back) == text
+
+
+def _decorate(text, rnd):
+    """The same rows with comments, blank lines, extra spaces and shuffled endpoints."""
+    out = ["# a comment before the header"]
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[0].isdigit():
+            rnd.shuffle(tokens)
+        out.append(" " * rnd.randint(0, 2) + (" " * rnd.randint(1, 3)).join(tokens)
+                   + " " * rnd.randint(0, 2))
+        if rnd.random() < 0.3:
+            out.append(rnd.choice(["", "   ", "# comment", "\t# indented comment"]))
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=60)
+@given(families(), st.randoms(use_true_random=False))
+def test_fast_path_equals_line_by_line(fam, rnd):
+    text = serialize_instance(fam)
+    assert _canonical_members(text) is not None
+    slow = _line_by_line(text)
+    assert parse_instance(text) == slow == fam and _derived(slow) == _derived(fam)
+
+    # unsorted endpoints stay inside the canonical grammar and take the fast path
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line[0].isdigit():
+            lines[i] = " ".join(reversed(line.split()))
+    swapped = "\n".join(lines) + "\n"
+    assert _canonical_members(swapped) is not None
+    assert parse_instance(swapped) == _line_by_line(swapped) == fam
+
+    messy = _decorate(text, rnd)
+    assert _canonical_members(messy) is None
+    got = parse_instance(messy)
+    assert got == _line_by_line(messy) == fam and _derived(got) == _derived(fam)
+
+
+def _corruptions(lines, n):
+    """(kind, line index, new line) for one-line corruptions of canonical instance text."""
+    rows = [i for i, line in enumerate(lines) if line[0].isdigit()]
+    blocks = [i for i, line in enumerate(lines) if line.startswith("edges ")]
+    for i in rows:
+        tokens = lines[i].split()
+        yield "out of range", i, " ".join([str(n)] + tokens[1:])
+        yield "repeated vertex", i, " ".join([tokens[1]] + tokens[1:])
+        yield "wrong arity", i, " ".join(tokens[:-1])
+        yield "wrong arity", i, " ".join(tokens + ["0"])
+        yield "non-integer", i, " ".join(tokens[:-1] + ["x"])
+        yield "non-integer", i, " ".join(tokens[:-1] + ["1.5"])
+        if i - 1 in rows:
+            yield "duplicate", i, " ".join(reversed(lines[i - 1].split()))
+    for i in blocks:
+        m = int(lines[i].split()[1])
+        yield "bad count", i, f"edges {m + 1}"
+        if m:
+            yield "bad count", i, f"edges {m - 1}"
+        yield "bad count", i, "edges -1"
+
+
+@settings(max_examples=40)
+@given(families())
+def test_corrupted_line_diagnostic_equals_line_by_line(fam):
+    text = serialize_instance(fam)
+    lines = text.splitlines()
+    for kind, i, line in _corruptions(lines, fam.n):
+        bad = "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+        with pytest.raises(InstanceFormatError) as slow:
+            _line_by_line(bad)
+        with pytest.raises(InstanceFormatError) as fast:
+            parse_instance(bad)
+        assert str(fast.value) == str(slow.value), kind
+        assert fast.value.line == slow.value.line, kind
+        if kind != "bad count":
+            assert fast.value.line == i + 1, kind

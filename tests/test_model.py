@@ -1,10 +1,11 @@
 """Core instance types, counting operations, and threshold formulas."""
 
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from simulcut import (
     Assignment,
@@ -76,6 +77,42 @@ class TestInstanceValidation:
             assert all(d <= m for d, m in zip(fam.max_degree, fam.m))
         hf = random_hyperfamily(8, 3, [10], 3)
         assert all(d <= m for d, m in zip(hf.delta2, hf.m))
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=2, max_value=5), st.randoms(use_true_random=False))
+def test_vectorized_validation_matches_python_loops(r, rnd):
+    n = rnd.randint(r, r + 5)
+    hf = random_hyperfamily(n, r, [rnd.randint(0, min(20, math.comb(n, r)))],
+                            rnd.randrange(10 ** 6))
+    incidence = {}
+    for e in hf.hypergraphs[0]:
+        for x, y in itertools.combinations(e, 2):
+            incidence[(x, y)] = incidence.get((x, y), 0) + 1
+    assert hf.delta2 == (max(incidence.values(), default=0),)
+    # unsorted endpoints are normalized; degrees count both endpoints of every edge
+    simple = random_family(n, [rnd.randint(0, min(10, n * (n - 1) // 2))], 0).graphs[0]
+    edges = [tuple(rnd.sample(e, 2)) for e in simple]
+    fam = GraphFamily(n=n, graphs=(tuple(edges),))
+    assert fam.graphs == (tuple(tuple(sorted(e)) for e in edges),)
+    assert fam.degrees == (tuple(sum(v in e for e in edges) for v in range(n)),)
+    assert fam.max_degree == (max(fam.degrees[0], default=0),)
+    assert all(type(x) is int for e in fam.graphs[0] for x in e)
+
+
+def test_validation_names_first_bad_edge_in_input_order():
+    with pytest.raises(InstanceError, match=r"graph 1: duplicate edge \(0, 2\)"):
+        GraphFamily(n=4, graphs=(((0, 1),), ((0, 2), (2, 3), (2, 0), (1, 3), (3, 2))))
+    with pytest.raises(InstanceError, match=r"self-loop \(1, 1\)"):
+        GraphFamily(n=4, graphs=(((0, 1), (1, 1), (0, 1), (0, 9)),))
+    with pytest.raises(InstanceError, match=r"out of range in edge \(0, 9\)"):
+        GraphFamily(n=4, graphs=(((0, 1), (0, 9), (1, 1)),))
+    with pytest.raises(InstanceError, match="every edge must be 2 integer vertex indices"):
+        GraphFamily(n=4, graphs=(((0, 1), (1, 2, 3)),))
+    with pytest.raises(InstanceError, match="every edge must be 2"):
+        GraphFamily(n=4, graphs=(((),),))
+    with pytest.raises(InstanceError, match="hypergraph 0: duplicate edge"):
+        HypergraphFamily(n=5, r=3, hypergraphs=(((0, 1, 2), (2, 0, 1)),))
 
 
 class TestAssignment:
@@ -176,6 +213,56 @@ class TestCounting:
             a = Assignment(tuple(rng.randrange(3) for _ in range(8)), 3)
             missing = sum(1 for e in edges if len({a.labels[x] for x in e}) < 3)
             assert rainbow_count(edges, a, 3) == len(edges) - missing
+
+
+def _loop_partition_counts(edges, labels, k):
+    pairs = {(s, t): 0 for s in range(k) for t in range(s + 1, k)}
+    within = [0] * k
+    for u, v in edges:
+        cu, cv = sorted((labels[u], labels[v]))
+        if cu == cv:
+            within[cu] += 1
+        else:
+            pairs[(cu, cv)] += 1
+    return pairs, tuple(within), len(edges) - sum(within)
+
+
+def _assert_python_counts(pairs, within, crossing):
+    assert type(pairs) is dict and type(within) is tuple and type(crossing) is int
+    assert all(type(x) is int for x in (*pairs.values(), *within))
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=10),
+       st.randoms(use_true_random=False))
+def test_array_partition_counts_match_python_loop(k, n, rnd):
+    # m = 0 is drawn often enough: randint's lower end on small n
+    m = rnd.randint(0, min(12, n * (n - 1) // 2))
+    fam = random_family(n, [m, rnd.randint(0, n * (n - 1) // 2)], rnd.randrange(10 ** 6))
+    a = Assignment(tuple(rnd.randrange(k) for _ in range(n)), k)
+    for i in range(fam.ell):
+        want = _loop_partition_counts(fam.graphs[i], a.labels, k)
+        for edges in (fam.arrays[i], fam.graphs[i]):
+            got = partition_counts(edges, a)
+            _assert_python_counts(*got)
+            assert got == want
+    empty = partition_counts((), a)
+    _assert_python_counts(*empty)
+    assert empty == _loop_partition_counts((), a.labels, k)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=2, max_value=5), st.randoms(use_true_random=False))
+def test_array_rainbow_count_matches_python_loop(r, rnd):
+    n = rnd.randint(r, r + 5)
+    ms = [0, rnd.randint(0, min(15, math.comb(n, r)))]
+    hf = random_hyperfamily(n, r, ms, rnd.randrange(10 ** 6))
+    a = Assignment(tuple(rnd.randrange(r) for _ in range(n)), r)
+    for i in range(hf.ell):
+        want = sum(1 for e in hf.hypergraphs[i] if len({a.labels[x] for x in e}) == r)
+        for edges in (hf.arrays[i], hf.hypergraphs[i]):
+            got = rainbow_count(edges, a, r)
+            assert type(got) is int and got == want
 
 
 class TestEdwardsBound:
