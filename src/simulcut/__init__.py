@@ -32,17 +32,9 @@ from .estimator import (
     conditional_joint_prob,
     conditional_moments,
     estimator_value,
-    specs_for,
 )
-from .mc import (
-    McConfig,
-    McExhausted,
-    McResult,
-    check_report,
-    mc_partition,
-    random_assignment,
-    substream,
-)
+from .guarantee import Guarantee, evaluate, resolve
+from .mc import McExhausted, McResult, mc_partition, random_assignment, substream
 from .derandomize import DerandResult, DescentStep, derandomize
 from .oracle import (
     SizeLimitError,

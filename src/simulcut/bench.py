@@ -19,7 +19,9 @@ generator, a method, a guarantee, and a repetition count:
     }
 
 Rep j generates its instance with seed+j and, for mc, samples with the
-same seed+j, so a suite is a pure function of its file.  Runs are
+same seed+j, so a suite is a pure function of its file.  `execute_run`
+resolves the guarantee once per run and reports what the engine's own
+`evaluate` returned, so each assignment is counted once.  Runs are
 independent and may execute concurrently (--jobs); aggregation order is
 fixed by (run, rep) index either way.  A derandomized run that fails its
 guarantee aborts the whole suite and serializes the offending instance
@@ -35,9 +37,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import HypergraphFamily
-from .estimator import specs_for
 from .derandomize import derandomize
-from .mc import McConfig, McExhausted, check_report, mc_partition, _resolve
+from .guarantee import resolve
+from .mc import McExhausted, mc_partition
 from .instances import generate, serialize_instance
 from .report import RunReport, instance_digest, render_report
 
@@ -80,10 +82,8 @@ class RunOutcome:
 def execute_run(family, opts: RunOptions) -> RunOutcome:
     """Run one method on one instance and assemble its report."""
     theorem = THEOREM_TOKENS[opts.theorem]
-    cfg = McConfig(kind=theorem, k=opts.k, eps=opts.epsilon,
-                   balanced=opts.balanced, balance_slack=opts.slack,
-                   max_tries=opts.max_tries, seed=opts.seed)
-    k_eff, eps_eff, slack_eff = _resolve(family, cfg)
+    guarantee = resolve(family, theorem, k=opts.k, eps=opts.epsilon, balanced=opts.balanced,
+                        slack=opts.slack, max_tries=opts.max_tries)
     is_hyper = isinstance(family, HypergraphFamily)
     common = dict(
         digest=instance_digest(family),
@@ -92,16 +92,16 @@ def execute_run(family, opts: RunOptions) -> RunOutcome:
         ell=family.ell,
         r=family.r if is_hyper else None,
         theorem=theorem,
-        k=k_eff,
-        epsilon=float(eps_eff) if eps_eff is not None else None,
+        k=guarantee.k,
+        epsilon=float(guarantee.eps) if guarantee.eps is not None else None,
         balanced=opts.balanced,
-        balance_slack=float(slack_eff) if slack_eff is not None else None,
+        balance_slack=float(guarantee.slack) if guarantee.slack is not None else None,
     )
 
     if opts.method == "mc":
         start = time.perf_counter()
         try:
-            result = mc_partition(family, cfg)
+            result = mc_partition(family, guarantee, seed=opts.seed, max_tries=opts.max_tries)
             assignment, cut_report, tries = result.assignment, result.report, result.tries_used
             exhausted = False
         except McExhausted as exc:
@@ -114,12 +114,10 @@ def execute_run(family, opts: RunOptions) -> RunOutcome:
         return RunOutcome(run_report=rr, exhausted=exhausted, tries=tries)
 
     start = time.perf_counter()
-    specs = specs_for(family, theorem, k=opts.k if theorem != "thm1" else None, eps=eps_eff)
-    result = derandomize(family, specs, order=opts.order)
+    result = derandomize(family, guarantee, order=opts.order)
     wall = (time.perf_counter() - start) * 1000
-    cut_report = check_report(family, result.assignment, cfg)
     rr = RunReport(method="derand", assignment=result.assignment.labels,
-                   cut_report=cut_report, order=opts.order,
+                   cut_report=result.report, order=opts.order,
                    descent_steps=len(result.trace),
                    initial_estimator=result.initial_value,
                    final_estimator=result.final_value,
@@ -149,10 +147,16 @@ def load_suite(path) -> list[SuiteRun]:
 
 
 def suite_from_dict(data: dict) -> list[SuiteRun]:
+    if not isinstance(data, dict):
+        raise ValueError('a suite must be a JSON object with a "runs" list')
     runs = []
     for i, entry in enumerate(data.get("runs", [])):
+        if not isinstance(entry, dict):
+            raise ValueError(f"suite run {i}: not a JSON object")
+        gen = entry.get("generator")
+        if not isinstance(gen, dict) or "kind" not in gen:
+            raise ValueError(f'suite run {i}: "generator" must be a JSON object with a "kind"')
         try:
-            gen = dict(entry["generator"])
             opts = RunOptions(
                 method=entry["method"],
                 theorem=str(entry["theorem"]),
@@ -169,7 +173,7 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
         runs.append(SuiteRun(
             name=entry.get("name", f"run{i}"),
             reps=int(entry.get("reps", 1)),
-            generator=gen,
+            generator=dict(gen),
             options=opts,
         ))
     if not runs:

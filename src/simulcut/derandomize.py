@@ -28,24 +28,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    UNDECIDED,
-    Assignment,
-    Constraint,
-    CutReport,
-    GraphFamily,
-    HypergraphFamily,
-    partition_counts,
-    rainbow_count,
-)
+from .model import UNDECIDED, Assignment, CutReport, HypergraphFamily
 from .estimator import (
     EstimatorBudgetError,
     EventSpec,
     _member_edges,
     _quadratic,
-    stat_count,
     validate_specs,
 )
+from .guarantee import Guarantee, evaluate
 
 
 @dataclass(frozen=True)
@@ -576,25 +567,25 @@ def _build_terms(family, specs, labels, naive: bool):
     return terms
 
 
-def derandomize(family, specs, order=None, naive: bool = False) -> DerandResult:
-    """Deterministic partition meeting every spec's threshold.
+def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -> DerandResult:
+    """Deterministic partition meeting every row of a resolved guarantee.
 
-    Processes vertices in `order`; at each one evaluates the estimator for
-    all k classes and commits the minimizer (ties break to the lowest
-    class).  Requires the initial estimator to be below 1, which specs_for
-    guarantees by construction; given that, the result always satisfies
-    count >= mu - sqrt(normalizer) for every spec.
+    Descends on ``guarantee.specs``: processes vertices in `order`; at each
+    one evaluates the estimator for all k classes and commits the minimizer
+    (ties break to the lowest class).  Requires the initial estimator to be
+    below 1, which `resolve` guarantees by construction; given that, every
+    statistic ends at or above mu - sqrt(normalizer), and the returned
+    report is `evaluate` of the result against ``guarantee.rows``.
     """
-    specs = tuple(specs)
+    specs = guarantee.specs
     validate_specs(family, specs)
-    is_hyper = isinstance(family, HypergraphFamily)
-    if specs:
-        ks = {s.k for s in specs}
-        if len(ks) != 1:
-            raise ValueError(f"specs mix class counts {sorted(ks)}")
-        k = ks.pop()
-    else:
-        k = family.r if is_hyper else 2
+    k = guarantee.k
+    ks = {s.k for s in specs} | {k}
+    if len(ks) != 1:
+        raise ValueError(f"specs mix class counts {sorted(ks)}")
+    if any(graph < 0 for graph, _, _ in guarantee.rows):
+        raise ValueError("balancing is a Monte-Carlo feature; "
+                         "the descent does not track class sizes")
     order = resolve_order(family, order)
     labels = [UNDECIDED] * family.n
     terms = _build_terms(family, specs, labels, naive)
@@ -626,7 +617,7 @@ def derandomize(family, specs, order=None, naive: bool = False) -> DerandResult:
         trace.append(DescentStep(v, chosen, candidates[chosen], tuple(candidates)))
 
     assignment = Assignment(tuple(labels), k)
-    report = _report_from_specs(family, assignment, specs, is_hyper)
+    report = evaluate(family, assignment, guarantee)
     if not report.all_pass:
         raise AssertionError(
             "descent finished above a threshold; estimator bookkeeping is broken"
@@ -634,31 +625,3 @@ def derandomize(family, specs, order=None, naive: bool = False) -> DerandResult:
     final = trace[-1].value if trace else initial
     return DerandResult(assignment=assignment, report=report, trace=tuple(trace),
                         initial_value=initial, final_value=final)
-
-
-def _report_from_specs(family, assignment, specs, is_hyper: bool) -> CutReport:
-    if is_hyper:
-        rainbow = tuple(rainbow_count(rows, assignment, family.r) for rows in family.arrays)
-        crossing, pairs, within = (), (), ()
-    else:
-        rainbow = ()
-        per_graph = [partition_counts(rows, assignment) for rows in family.arrays]
-        pairs = tuple(p for p, _, _ in per_graph)
-        within = tuple(w for _, w, _ in per_graph)
-        crossing = tuple(c for _, _, c in per_graph)
-    constraints = []
-    for spec in specs:
-        count = stat_count(spec, crossing, pairs, within, rainbow)
-        thr = spec.threshold
-        constraints.append(Constraint(
-            graph=spec.graph, stat=spec.stat, count=count,
-            threshold=thr, margin=count - thr, passed=count >= thr))
-    return CutReport(
-        kind="hypergraphs" if is_hyper else "graphs",
-        class_sizes=assignment.class_sizes(),
-        crossing=crossing,
-        pairs=pairs,
-        within=within,
-        rainbow=rainbow,
-        constraints=tuple(constraints),
-    )

@@ -22,14 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    UNDECIDED,
-    Assignment,
-    GraphFamily,
-    HypergraphFamily,
-    epsilon_cap,
-    _check_epsilon,
-)
+from .model import UNDECIDED, Assignment
 
 STAT_KINDS = ("crossing", "pair", "within", "rainbow")
 
@@ -49,7 +42,8 @@ class EventSpec:
     ``mu`` must be the unconditional mean of the statistic and
     ``var_bound`` an upper bound on its variance; a list of specs is only
     usable when sum(var_bound / normalizer) < 1, which is what forces the
-    greedy descent to end below every threshold mu - sqrt(normalizer).
+    greedy descent to end with every statistic above mu - sqrt(normalizer),
+    the guarantee's threshold (`resolve` takes it from `threshold_for`).
     """
 
     graph: int
@@ -84,11 +78,6 @@ class EventSpec:
             return f"within({self.s})"
         return self.kind
 
-    @property
-    def threshold(self) -> float:
-        """The certified lower bound mu - sqrt(normalizer)."""
-        return float(self.mu) - math.sqrt(self.normalizer)
-
 
 def stat_mean(kind: str, m: int, k: int, s: int | None = None, t: int | None = None) -> Fraction:
     """Unconditional mean of a statistic on an m-edge member under uniform labels."""
@@ -101,17 +90,6 @@ def stat_mean(kind: str, m: int, k: int, s: int | None = None, t: int | None = N
     if kind == "rainbow":
         return Fraction(math.factorial(k) * m, k ** k)
     raise ValueError(f"unknown statistic kind {kind!r}")
-
-
-def stat_count(spec: EventSpec, crossing, pairs, within, rainbow) -> int:
-    """Realized value of the statistic, read from per-member counts of a total assignment."""
-    if spec.kind == "rainbow":
-        return rainbow[spec.graph]
-    if spec.kind == "crossing":
-        return crossing[spec.graph]
-    if spec.kind == "pair":
-        return pairs[spec.graph][(spec.s, spec.t)]
-    return within[spec.graph][spec.s]
 
 
 def _edge_prob(labels, edge, spec: EventSpec) -> Fraction:
@@ -310,85 +288,3 @@ def validate_specs(family, specs) -> None:
             "these terms cannot certify a partition"
         )
 
-
-def specs_for(family, theorem: str, k: int | None = None, eps=None) -> tuple[EventSpec, ...]:
-    """Build the standard penalty terms for one guarantee over a family.
-
-    thm1: one bipartition-crossing term per graph, normalizer ell*m/2.
-    thm2: one k-way crossing term per graph, normalizer 2*ell*m.
-    thm3: one term per (graph, class pair) and (graph, class), normalizer
-          sqrt(eps)*m^2; requires max_degree <= eps*m per graph and
-          eps <= 1/(9*ell^2*k^4).
-    hyp:  one rainbow term per hypergraph, normalizer
-          2*ell*(1 + r*(r-1)*delta2)*m.
-
-    Members with no edges contribute nothing (their thresholds are <= 0).
-    """
-    specs: list[EventSpec] = []
-    if theorem in ("thm1", "thm2", "thm3"):
-        if not isinstance(family, GraphFamily):
-            raise TypeError(f"{theorem} applies to graph families, got {type(family).__name__}")
-        ell = family.ell
-        if theorem == "thm1":
-            if k not in (None, 2):
-                raise ValueError(f"thm1 partitions into exactly 2 classes, got k={k}")
-            k = 2
-        elif k is None:
-            k = 2
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        if theorem == "thm3":
-            if eps is None:
-                eps = epsilon_cap(ell, k)
-            _check_epsilon(eps, ell, k)
-            for i in range(ell):
-                if family.max_degree[i] > eps * family.m[i]:
-                    raise DegreePreconditionError(
-                        f"graph {i}: max degree {family.max_degree[i]} exceeds "
-                        f"eps*m = {float(eps) * family.m[i]:.6g}"
-                    )
-        for i in range(ell):
-            m = family.m[i]
-            if m == 0:
-                continue
-            if theorem == "thm1":
-                specs.append(EventSpec(
-                    graph=i, kind="crossing", k=2, mu=Fraction(m, 2),
-                    normalizer=ell * m / 2, var_bound=Fraction(m, 4)))
-            elif theorem == "thm2":
-                specs.append(EventSpec(
-                    graph=i, kind="crossing", k=k, mu=Fraction((k - 1) * m, k),
-                    normalizer=2 * ell * m, var_bound=Fraction(m)))
-            else:
-                norm = math.sqrt(float(eps)) * m * m
-                var = Fraction(3 * family.max_degree[i] * m)
-                for s in range(k):
-                    for t in range(s + 1, k):
-                        specs.append(EventSpec(
-                            graph=i, kind="pair", k=k, s=s, t=t,
-                            mu=Fraction(2 * m, k * k), normalizer=norm, var_bound=var))
-                for s in range(k):
-                    specs.append(EventSpec(
-                        graph=i, kind="within", k=k, s=s,
-                        mu=Fraction(m, k * k), normalizer=norm, var_bound=var))
-    elif theorem == "hyp":
-        if not isinstance(family, HypergraphFamily):
-            raise TypeError(f"hyp applies to hypergraph families, got {type(family).__name__}")
-        r = family.r
-        if k not in (None, r):
-            raise ValueError(f"rainbow partitions use k == r == {r}, got k={k}")
-        ell = family.ell
-        for i in range(ell):
-            m = family.m[i]
-            if m == 0:
-                continue
-            weight = 1 + r * (r - 1) * family.delta2[i]
-            specs.append(EventSpec(
-                graph=i, kind="rainbow", k=r,
-                mu=Fraction(math.factorial(r) * m, r ** r),
-                normalizer=2 * ell * weight * m, var_bound=Fraction(weight * m)))
-    else:
-        raise ValueError(f"unknown guarantee {theorem!r}; expected thm1, thm2, thm3 or hyp")
-    out = tuple(specs)
-    validate_specs(family, out)
-    return out

@@ -176,12 +176,6 @@ class HypergraphFamily:
     def ell(self) -> int:
         return len(self.hypergraphs)
 
-    def pair_count(self, i: int, x: int, y: int) -> int:
-        """Number of edges of member ``i`` containing both ``x`` and ``y``."""
-        if x == y:
-            raise ValueError("pair_count needs two distinct vertices")
-        return sum(1 for e in self.hypergraphs[i] if x in e and y in e)
-
 
 def _pair_degree(rows: np.ndarray) -> int:
     """Most edges sharing one vertex pair, over the C(r,2) pair columns of sorted rows."""
@@ -234,11 +228,6 @@ class Assignment:
         labels = np.array(self.labels, dtype=np.intp)
         labels.flags.writeable = False
         return labels
-
-    def with_label(self, v: int, c: int) -> "Assignment":
-        labels = list(self.labels)
-        labels[v] = c
-        return Assignment(tuple(labels), self.k)
 
     @classmethod
     def from_side(cls, n: int, side: set[int] | frozenset[int]) -> "Assignment":

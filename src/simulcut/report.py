@@ -3,7 +3,9 @@
 A run report is a stable-order `key value` document carrying everything
 needed to audit a partitioning run: instance digest, config echo, the full
 assignment, and one constraint row per guarantee.  Every count is
-re-derivable from (instance, assignment), which is what `recheck` does.
+re-derivable from (instance, assignment): `recheck` resolves the echoed
+guarantee and evaluates the assignment with the same `resolve` and
+`evaluate` the engines use, so it recomputes the very same thresholds.
 Floats are rendered with repr (shortest round-trip), so re-rendering
 recomputed values is an exact string comparison.
 """
@@ -14,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .model import Assignment, Constraint, CutReport, UNDECIDED
-from .mc import McConfig, check_report
+from .guarantee import evaluate, resolve
 from .instances import serialize_instance
 
 
@@ -211,11 +213,9 @@ def recheck(rr: RunReport, family) -> list[str]:
     if len(rr.assignment) != family.n:
         problems.append(f"assignment length {len(rr.assignment)} != n {family.n}")
         return problems
-    cfg = McConfig(kind=rr.theorem, k=rr.k, eps=rr.epsilon,
-                   balanced=rr.balanced, balance_slack=rr.balance_slack,
-                   max_tries=rr.max_tries or 64, seed=rr.seed or 0)
-    a = Assignment(rr.assignment, rr.k)
-    fresh = check_report(family, a, cfg)
+    guarantee = resolve(family, rr.theorem, k=rr.k, eps=rr.epsilon, balanced=rr.balanced,
+                        slack=rr.balance_slack, max_tries=rr.max_tries or 64)
+    fresh = evaluate(family, Assignment(rr.assignment, rr.k), guarantee)
     if fresh.class_sizes != rr.cut_report.class_sizes:
         problems.append(f"class sizes differ: report {rr.cut_report.class_sizes}, "
                         f"recomputed {fresh.class_sizes}")

@@ -15,9 +15,7 @@ import pytest
 from simulcut import (
     Assignment,
     GraphFamily,
-    McConfig,
     UNDECIDED,
-    check_report,
     conditional_moments,
     crossing_count,
     derandomize,
@@ -25,11 +23,12 @@ from simulcut import (
     enumerate_best,
     epsilon_cap,
     estimator_value,
+    evaluate,
     max_cut,
     mc_partition,
     moments_by_completion,
     random_assignment,
-    specs_for,
+    resolve,
     substream,
     threshold_for,
 )
@@ -83,7 +82,7 @@ def test_criterion_01_thm1_guarantee(corpus500):
     start = time.perf_counter()
     checked = 0
     for fam in corpus500:
-        result = derandomize(fam, specs_for(fam, "thm1"))
+        result = derandomize(fam, resolve(fam, "thm1"))
         _check_descent(result)
         for i in range(fam.ell):
             thr = threshold_for("thm1", m=fam.m[i], ell=fam.ell)
@@ -103,7 +102,7 @@ def test_criterion_02_thm2_guarantee(corpus500):
     for i, fam in enumerate(corpus500):
         k = 2 + i % 4
         per_k[k] += 1
-        result = derandomize(fam, specs_for(fam, "thm2", k=k))
+        result = derandomize(fam, resolve(fam, "thm2", k=k))
         _check_descent(result)
         for g in range(fam.ell):
             thr = threshold_for("thm2", m=fam.m[g], ell=fam.ell, k=k)
@@ -134,7 +133,7 @@ def test_criterion_03_thm3_guarantee():
         for seed in seeds:
             fam = generate("bounded-degree", n=n, degree=degree, ell=ell, seed=seed)
             assert all(fam.max_degree[i] <= eps * fam.m[i] for i in range(ell))
-            result = derandomize(fam, specs_for(fam, "thm3", k=k, eps=eps))
+            result = derandomize(fam, resolve(fam, "thm3", k=k, eps=eps))
             _check_descent(result)
             for i in range(ell):
                 thr_pair = threshold_for("thm3_pair", m=fam.m[i], ell=ell, k=k, eps=eps)
@@ -244,15 +243,15 @@ def test_criterion_06_descent_invariants():
 def test_criterion_07_k5_counterexample():
     fam = generate("disjoint-cycles", n=5)
     assert fam.m == (5, 5)
-    specs = specs_for(fam, "thm1")
+    guarantee = resolve(fam, "thm1")
     # warm caches, then time the two core calls
     enumerate_best(fam, 2, "feasible", thresholds=[3, 3])
-    derandomize(fam, specs)
+    derandomize(fam, guarantee)
     best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
         witness, feasible = enumerate_best(fam, 2, "feasible", thresholds=[3, 3])
-        result = derandomize(fam, specs)
+        result = derandomize(fam, guarantee)
         best = min(best, time.perf_counter() - t0)
     assert not feasible and witness is None
     cuts = [crossing_count(g, result.assignment) for g in fam.graphs]
@@ -281,11 +280,11 @@ def test_criterion_08_edwards_cross_check():
 def test_criterion_09_mc_failure_rate():
     fam = generate("gnm", n=40, m=200, ell=2, seed=99)
     trials = 400
-    cfg = McConfig(kind="thm1")
+    guarantee = resolve(fam, "thm1")
     fails = 0
     for seed in range(trials):
         a = random_assignment(fam.n, 2, substream(seed, 0))
-        if not check_report(fam, a, cfg).all_pass:
+        if not evaluate(fam, a, guarantee).all_pass:
             fails += 1
     bound = 0.5 + 3 * math.sqrt(0.25 / trials)
     assert fails / trials <= bound
@@ -306,11 +305,12 @@ def test_criterion_10_hypergraph_rainbow():
             thresholds = [threshold_for("hyp", m=hf.m[i], ell=ell, r=r,
                                         delta2=hf.delta2[i])
                           for i in range(ell)]
-            result = derandomize(hf, specs_for(hf, "hyp"))
+            guarantee = resolve(hf, "hyp")
+            result = derandomize(hf, guarantee)
             _check_descent(result)
             for i in range(ell):
                 assert result.report.rainbow[i] >= thresholds[i], (r, trial, i)
-            mc = mc_partition(hf, McConfig(kind="hyp", seed=trial))
+            mc = mc_partition(hf, guarantee, seed=trial)
             for i in range(ell):
                 assert mc.report.rainbow[i] >= thresholds[i]
             runs += 1

@@ -292,3 +292,15 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "partition" in done.stdout
+
+
+@pytest.mark.parametrize("suite", [
+    [],
+    {"runs": [{"generator": {"n": 8, "m": 10}, "method": "mc", "theorem": "1"}]},
+    {"runs": [["gnm", 8, 10]]},
+], ids=["top-level-list", "generator-without-kind", "run-not-object"])
+def test_bench_malformed_suite_exit_2(tmp_path, capsys, suite):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["bench", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -12,11 +12,12 @@ from simulcut import (
     EstimatorBudgetError,
     EventSpec,
     GraphFamily,
+    Guarantee,
     HypergraphFamily,
     crossing_count,
     derandomize,
     max_cut,
-    specs_for,
+    resolve,
     threshold_for,
 )
 from simulcut.derandomize import _RainbowTerm, resolve_order
@@ -41,14 +42,14 @@ def assert_descent_health(result, slack=1e-9):
 class TestGuarantees:
     def test_c5_pair(self):
         fam = c5_pair()
-        result = derandomize(fam, specs_for(fam, "thm1"))
+        result = derandomize(fam, resolve(fam, "thm1"))
         assert result.report.all_pass
         for i, edges in enumerate(fam.graphs):
             assert crossing_count(edges, result.assignment) >= 1
 
     def test_single_c4_beats_bound_oracle_confirms(self):
         fam = GraphFamily(n=4, graphs=(cycle_edges(4),))
-        result = derandomize(fam, specs_for(fam, "thm1"))
+        result = derandomize(fam, resolve(fam, "thm1"))
         cut = crossing_count(fam.graphs[0], result.assignment)
         assert cut >= 2 - math.sqrt(2)
         assert cut >= 1
@@ -56,11 +57,12 @@ class TestGuarantees:
 
     def test_empty_graphs_trivial(self):
         fam = GraphFamily(n=6, graphs=((), ()))
-        result = derandomize(fam, specs_for(fam, "thm1"))
+        result = derandomize(fam, resolve(fam, "thm1"))
         assert result.assignment.is_total
         assert result.initial_value == 0.0
         assert result.final_value == 0.0
-        assert result.report.constraints == ()
+        assert [(c.graph, c.count, c.threshold, c.passed) for c in result.report.constraints] \
+            == [(0, 0, 0.0, True), (1, 0, 0.0, True)]
 
     def test_thm1_random_families(self):
         rng = random.Random(2)
@@ -69,7 +71,7 @@ class TestGuarantees:
             cap = n * (n - 1) // 2
             ell = rng.randint(1, 3)
             fam = random_family(n, [rng.randint(1, min(80, cap)) for _ in range(ell)], trial)
-            result = derandomize(fam, specs_for(fam, "thm1"))
+            result = derandomize(fam, resolve(fam, "thm1"))
             assert_descent_health(result)
             for i in range(ell):
                 thr = threshold_for("thm1", m=fam.m[i], ell=ell)
@@ -83,7 +85,7 @@ class TestGuarantees:
             ell = rng.randint(1, 2)
             k = rng.randint(2, 5)
             fam = random_family(n, [rng.randint(1, min(60, cap)) for _ in range(ell)], trial)
-            result = derandomize(fam, specs_for(fam, "thm2", k=k))
+            result = derandomize(fam, resolve(fam, "thm2", k=k))
             assert_descent_health(result)
             for i in range(ell):
                 thr = threshold_for("thm2", m=fam.m[i], ell=ell, k=k)
@@ -91,8 +93,7 @@ class TestGuarantees:
 
     def test_thm3_cycle_instance(self):
         fam = generate("bounded-degree", n=300, degree=2, ell=1, seed=9)
-        specs = specs_for(fam, "thm3", k=2)
-        result = derandomize(fam, specs)
+        result = derandomize(fam, resolve(fam, "thm3", k=2))
         assert_descent_health(result)
         thr_pair = threshold_for("thm3_pair", m=300, ell=1, k=2, eps=1 / 144)
         thr_within = threshold_for("thm3_within", m=300, ell=1, k=2, eps=1 / 144)
@@ -107,7 +108,7 @@ class TestGuarantees:
             r = rng.choice([2, 3])
             cap = min(30, math.comb(n, r))
             hf = random_hyperfamily(n, r, [rng.randint(1, cap)], trial)
-            result = derandomize(hf, specs_for(hf, "hyp"))
+            result = derandomize(hf, resolve(hf, "hyp"))
             assert_descent_health(result)
             thr = threshold_for("hyp", m=hf.m[0], ell=1, r=r, delta2=hf.delta2[0])
             assert result.report.rainbow[0] >= thr
@@ -123,9 +124,9 @@ class TestEngineEquality:
             fam = random_family(n, [rng.randint(0, min(30, cap)) for _ in range(ell)], trial)
             theorem = rng.choice(["thm1", "thm2"])
             k = None if theorem == "thm1" else rng.randint(2, 5)
-            specs = specs_for(fam, theorem, k=k)
-            fast = derandomize(fam, specs)
-            slow = derandomize(fam, specs, naive=True)
+            guarantee = resolve(fam, theorem, k=k)
+            fast = derandomize(fam, guarantee)
+            slow = derandomize(fam, guarantee, naive=True)
             assert fast.assignment == slow.assignment
             assert fast.initial_value == slow.initial_value
             for a, b in zip(fast.trace, slow.trace):
@@ -150,8 +151,9 @@ class TestEngineEquality:
             for s in range(k):
                 specs.append(EventSpec(graph=0, kind="within", k=k, s=s,
                                        mu=Fraction(m, k * k), normalizer=norm))
-            fast = derandomize(fam, specs)
-            slow = derandomize(fam, specs, naive=True)
+            guarantee = Guarantee(k=k, specs=tuple(specs), rows=())
+            fast = derandomize(fam, guarantee)
+            slow = derandomize(fam, guarantee, naive=True)
             assert fast.assignment == slow.assignment
             assert all(a.candidates == b.candidates
                        for a, b in zip(fast.trace, slow.trace))
@@ -166,9 +168,9 @@ class TestEngineEquality:
             r = rng.choice([2, 3])
             cap = min(16, math.comb(n, r))
             hf = random_hyperfamily(n, r, [rng.randint(1, cap)], trial)
-            specs = specs_for(hf, "hyp")
-            fast = derandomize(hf, specs)
-            slow = derandomize(hf, specs, naive=True)
+            guarantee = resolve(hf, "hyp")
+            fast = derandomize(hf, guarantee)
+            slow = derandomize(hf, guarantee, naive=True)
             assert fast.assignment == slow.assignment
             assert all(a.candidates == b.candidates for a, b in zip(fast.trace, slow.trace))
         # dense members on at most r+5 vertices, where edge pairs share 2..r-1
@@ -182,10 +184,11 @@ class TestEngineEquality:
                                         100 * r + trial)
                 shared.update(len(set(a) & set(b)) for edges in hf.hypergraphs
                               for a, b in itertools.combinations(edges, 2))
-                specs = [_loose_rainbow(hf, i) for i in range(2)]
+                guarantee = Guarantee(k=r, specs=tuple(_loose_rainbow(hf, i) for i in range(2)),
+                                      rows=())
                 for order in ("natural", "degree"):
-                    fast = derandomize(hf, specs, order=order)
-                    slow = derandomize(hf, specs, order=order, naive=True)
+                    fast = derandomize(hf, guarantee, order=order)
+                    slow = derandomize(hf, guarantee, order=order, naive=True)
                     assert fast.assignment == slow.assignment
                     assert fast.initial_value == slow.initial_value
                     assert len(fast.trace) == len(slow.trace)
@@ -242,32 +245,37 @@ class TestContracts:
     def test_initial_budget_enforced_at_runtime(self):
         fam = random_family(8, [16], 5)
         # normalizer m/8 makes E[Z] = (m/4)/(m/8) = 2 at the start
-        specs = [EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(8),
-                           normalizer=2.0)]
+        specs = (EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(8),
+                           normalizer=2.0),)
         with pytest.raises(EstimatorBudgetError, match="initial estimator"):
-            derandomize(fam, specs)
+            derandomize(fam, Guarantee(k=2, specs=specs, rows=()))
 
     def test_mixed_k_rejected(self):
         fam = random_family(6, [5, 5], 6)
-        specs = [
+        specs = (
             EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(5, 2), normalizer=50.0),
             EventSpec(graph=1, kind="crossing", k=3, mu=Fraction(10, 3), normalizer=50.0),
-        ]
+        )
         with pytest.raises(ValueError, match="mix"):
-            derandomize(fam, specs)
+            derandomize(fam, Guarantee(k=2, specs=specs, rows=()))
+
+    def test_balanced_guarantee_rejected(self):
+        fam = random_family(6, [5], 6)
+        with pytest.raises(ValueError, match="Monte-Carlo"):
+            derandomize(fam, resolve(fam, "thm1", balanced=True))
 
     def test_determinism(self):
         fam = random_family(15, [30, 20], 9)
-        specs = specs_for(fam, "thm1")
-        r1 = derandomize(fam, specs)
-        r2 = derandomize(fam, specs)
+        guarantee = resolve(fam, "thm1")
+        r1 = derandomize(fam, guarantee)
+        r2 = derandomize(fam, guarantee)
         assert r1.assignment == r2.assignment
         assert r1.trace == r2.trace
 
     def test_ties_break_to_lowest_class(self):
         # a single isolated edge: both classes for vertex 0 give equal value
         fam = GraphFamily(n=2, graphs=(((0, 1),),))
-        result = derandomize(fam, specs_for(fam, "thm1"))
+        result = derandomize(fam, resolve(fam, "thm1"))
         first = result.trace[0]
         assert first.candidates[0] == first.candidates[1]
         assert first.chosen == 0
@@ -276,9 +284,9 @@ class TestContracts:
 class TestVertexOrder:
     def test_orders_all_satisfy(self):
         fam = random_family(18, [40, 30], 10)
-        specs = specs_for(fam, "thm1")
+        guarantee = resolve(fam, "thm1")
         for order in (None, "natural", "degree", tuple(reversed(range(18)))):
-            result = derandomize(fam, specs, order=order)
+            result = derandomize(fam, guarantee, order=order)
             assert result.report.all_pass
 
     def test_degree_order_sorts_by_total_degree(self):
@@ -291,9 +299,9 @@ class TestVertexOrder:
     def test_bad_order_rejected(self):
         fam = random_family(5, [4], 11)
         with pytest.raises(ValueError, match="permutation"):
-            derandomize(fam, specs_for(fam, "thm1"), order=(0, 1, 2, 3, 3))
+            derandomize(fam, resolve(fam, "thm1"), order=(0, 1, 2, 3, 3))
 
     def test_trace_records_every_vertex_once(self):
         fam = random_family(9, [12], 12)
-        result = derandomize(fam, specs_for(fam, "thm1"), order="degree")
+        result = derandomize(fam, resolve(fam, "thm1"), order="degree")
         assert sorted(s.vertex for s in result.trace) == list(range(9))

@@ -17,7 +17,7 @@ from simulcut import (
     conditional_joint_prob,
     conditional_moments,
     estimator_value,
-    specs_for,
+    resolve,
     threshold_for,
 )
 from simulcut.estimator import stat_mean, term_quadratic, validate_specs
@@ -228,14 +228,14 @@ class TestEstimatorValue:
     def test_thm1_initial_half_any_ell(self):
         for ell, seed in ((1, 3), (2, 4), (3, 5)):
             fam = random_family(10, [12] * ell, seed)
-            specs = specs_for(fam, "thm1")
+            specs = resolve(fam, "thm1").specs
             a = Assignment((UNDECIDED,) * 10, 2)
             assert estimator_value(fam, a, specs) == pytest.approx(0.5, abs=1e-12)
 
     def test_thm1_initial_matches_monte_carlo(self):
         # E[(mu - X)^2]/norm estimated by sampling matches the exact value
         fam = random_family(12, [30], 71)
-        specs = specs_for(fam, "thm1")
+        specs = resolve(fam, "thm1").specs
         a0 = Assignment((UNDECIDED,) * 12, 2)
         exact = estimator_value(fam, a0, specs)
         rng = substream(99, 0)
@@ -252,7 +252,7 @@ class TestEstimatorValue:
     def test_total_at_center_is_zero(self):
         edges = ((0, 1), (1, 2), (2, 3), (0, 3))
         fam = GraphFamily(n=4, graphs=(edges,))
-        specs = specs_for(fam, "thm1")
+        specs = resolve(fam, "thm1").specs
         a = Assignment((0, 0, 1, 1), 2)  # crossing = 2 = mu
         assert estimator_value(fam, a, specs) == 0.0
 
@@ -281,32 +281,31 @@ class TestEventSpec:
             validate_specs(fam, bad)
 
     def test_threshold_equals_mu_minus_sqrt_norm(self):
+        # every term's bound mu - sqrt(normalizer) is reported as one float,
+        # threshold_for's, bit for bit; for thm3 on 294 edges the spec-side
+        # float mu - sqrt(sqrt(eps)*m^2) differs from it in the last bit
         fam = random_family(9, [14, 7], 8)
-        for theorem, k in (("thm1", None), ("thm2", 3), ("thm3", None)):
-            if theorem == "thm3":
-                fam2 = GraphFamily(n=300, graphs=(tuple((i, (i + 1) % 300) for i in range(300)),))
-                specs = specs_for(fam2, "thm3", k=2)
-                for spec in specs:
-                    kind = "thm3_pair" if spec.kind == "pair" else "thm3_within"
-                    want = threshold_for(kind, m=300, ell=1, k=2,
-                                         eps=spec.normalizer ** 2 / 300 ** 4)
-                    assert spec.threshold == pytest.approx(want, abs=1e-9)
-            else:
-                specs = specs_for(fam, theorem, k=k)
-                for spec in specs:
-                    m = fam.m[spec.graph]
-                    want = threshold_for(theorem, m=m, ell=fam.ell, k=spec.k)
-                    assert spec.threshold == pytest.approx(want, abs=1e-12)
+        cycle = GraphFamily(n=294, graphs=(tuple((i, (i + 1) % 294) for i in range(294)),))
+        for family, theorem, k in ((fam, "thm1", None), (fam, "thm2", 3), (cycle, "thm3", 2)):
+            guarantee = resolve(family, theorem, k=k)
+            assert {(s.graph, s.stat) for s in guarantee.specs} == \
+                {(g, stat) for g, stat, _ in guarantee.rows}
+            for g, stat, thr in guarantee.rows:
+                kind = theorem if theorem != "thm3" else "thm3_" + stat.split("(")[0]
+                want = threshold_for(kind, m=family.m[g], ell=family.ell, k=guarantee.k,
+                                     eps=guarantee.eps)
+                assert repr(thr) == repr(want)
 
     def test_hyp_threshold_matches(self):
         hf = random_hyperfamily(12, 3, [20, 15], 5)
-        specs = specs_for(hf, "hyp")
-        for spec in specs:
-            want = threshold_for("hyp", m=hf.m[spec.graph], ell=2, r=3,
-                                 delta2=hf.delta2[spec.graph])
-            assert spec.threshold == pytest.approx(want, abs=1e-12)
+        guarantee = resolve(hf, "hyp")
+        assert [s.graph for s in guarantee.specs] == [g for g, _, _ in guarantee.rows]
+        for g, stat, thr in guarantee.rows:
+            want = threshold_for("hyp", m=hf.m[g], ell=2, r=3, delta2=hf.delta2[g])
+            assert stat == "rainbow" and repr(thr) == repr(want)
 
     def test_empty_members_skipped(self):
         fam = GraphFamily(n=4, graphs=(((0, 1),), ()))
-        specs = specs_for(fam, "thm1")
-        assert [s.graph for s in specs] == [0]
+        guarantee = resolve(fam, "thm1")
+        assert [s.graph for s in guarantee.specs] == [0]
+        assert [g for g, _, _ in guarantee.rows] == [0, 1]

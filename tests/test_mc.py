@@ -9,12 +9,12 @@ from simulcut import (
     Assignment,
     DegreePreconditionError,
     GraphFamily,
-    McConfig,
     McExhausted,
-    check_report,
     crossing_count,
+    evaluate,
     mc_partition,
     random_assignment,
+    resolve,
     substream,
     threshold_for,
 )
@@ -49,39 +49,37 @@ class TestRandomAssignment:
 class TestConfig:
     def test_bad_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):
-            McConfig(kind="thm7")
+            resolve(random_family(6, [4], 0), "thm7")
 
     def test_max_tries_positive(self):
+        fam = random_family(6, [4], 0)
         with pytest.raises(ValueError):
-            McConfig(kind="thm1", max_tries=0)
+            resolve(fam, "thm1", max_tries=0)
+        with pytest.raises(ValueError):
+            mc_partition(fam, resolve(fam, "thm1"), max_tries=0)
 
     def test_slack_positive(self):
         with pytest.raises(ValueError):
-            McConfig(kind="thm1", balanced=True, balance_slack=0.0)
-
-    def test_ell_must_match_instance(self):
-        fam = random_family(6, [4, 4], 0)
-        with pytest.raises(ValueError, match="ell"):
-            mc_partition(fam, McConfig(kind="thm1", ell=3))
+            resolve(random_family(6, [4], 0), "thm1", balanced=True, slack=0.0)
 
     def test_thm1_forces_k2(self):
         fam = random_family(6, [4], 0)
         with pytest.raises(ValueError, match="exactly 2"):
-            mc_partition(fam, McConfig(kind="thm1", k=3))
+            resolve(fam, "thm1", k=3)
 
     def test_kind_instance_mismatch(self):
         hf = random_hyperfamily(8, 3, [6], 1)
         with pytest.raises(TypeError):
-            mc_partition(hf, McConfig(kind="thm1"))
+            resolve(hf, "thm1")
         fam = random_family(6, [4], 0)
         with pytest.raises(TypeError):
-            mc_partition(fam, McConfig(kind="hyp"))
+            resolve(fam, "hyp")
 
 
 class TestMcPartition:
     def test_c5_pair_both_cuts_hold(self):
         fam = c5_pair()
-        result = mc_partition(fam, McConfig(kind="thm1", seed=11))
+        result = mc_partition(fam, resolve(fam, "thm1"), seed=11)
         thr = threshold_for("thm1", m=5, ell=2)
         assert thr == pytest.approx(2.5 - math.sqrt(5), abs=1e-12)
         for i, edges in enumerate(fam.graphs):
@@ -92,15 +90,15 @@ class TestMcPartition:
     def test_empty_graph_first_try(self):
         fam = GraphFamily(n=4, graphs=((),))
         for kind in ("thm1", "thm2"):
-            result = mc_partition(fam, McConfig(kind=kind, seed=0))
+            result = mc_partition(fam, resolve(fam, kind), seed=0)
             assert result.tries_used == 1
             assert result.report.all_pass
 
     def test_deterministic_output(self):
         fam = random_family(20, [40, 40], 3)
-        cfg = McConfig(kind="thm1", seed=42)
-        r1 = mc_partition(fam, cfg)
-        r2 = mc_partition(fam, cfg)
+        guarantee = resolve(fam, "thm1")
+        r1 = mc_partition(fam, guarantee, seed=42)
+        r2 = mc_partition(fam, guarantee, seed=42)
         assert r1.assignment == r2.assignment
         assert r1.tries_used == r2.tries_used
 
@@ -112,7 +110,7 @@ class TestMcPartition:
             fam = random_family(n,
                                 [rng.randint(1, min(30, cap)) for _ in range(rng.randint(1, 3))],
                                 trial)
-            result = mc_partition(fam, McConfig(kind="thm1", seed=trial))
+            result = mc_partition(fam, resolve(fam, "thm1"), seed=trial)
             for c in result.report.constraints:
                 assert c.count >= c.threshold
             assert result.tries_used <= 64
@@ -122,16 +120,17 @@ class TestMcPartition:
         fam = generate("gnm", n=40, m=200, ell=1, seed=5)
         trials = 200
         fails = 0
+        guarantee = resolve(fam, "thm1")
         for seed in range(trials):
             a = random_assignment(40, 2, substream(seed, 0))
-            report = check_report(fam, a, McConfig(kind="thm1", seed=seed))
+            report = evaluate(fam, a, guarantee)
             fails += 0 if report.all_pass else 1
         assert fails / trials <= 0.5 + 3 * math.sqrt(0.25 / trials)
 
     def test_thm2_multiway(self):
         fam = random_family(15, [35, 20], 7)
         for k in (2, 3, 5):
-            result = mc_partition(fam, McConfig(kind="thm2", k=k, seed=k))
+            result = mc_partition(fam, resolve(fam, "thm2", k=k), seed=k)
             for i in range(2):
                 thr = threshold_for("thm2", m=fam.m[i], ell=2, k=k)
                 assert result.report.crossing[i] >= thr
@@ -139,26 +138,25 @@ class TestMcPartition:
     def test_thm3_degree_precondition_names_graph(self):
         star = generate("star", n=11)
         with pytest.raises(DegreePreconditionError, match="graph 0"):
-            mc_partition(star, McConfig(kind="thm3", k=2))
+            mc_partition(star, resolve(star, "thm3", k=2))
 
     def test_thm3_on_long_cycle(self):
         fam = generate("bounded-degree", n=300, degree=2, ell=1, seed=2)
-        result = mc_partition(fam, McConfig(kind="thm3", k=2, seed=1))
+        result = mc_partition(fam, resolve(fam, "thm3", k=2), seed=1)
         assert result.report.all_pass
 
     def test_hyp_rainbow(self):
         hf = random_hyperfamily(15, 3, [25], 13)
-        result = mc_partition(hf, McConfig(kind="hyp", seed=0))
+        result = mc_partition(hf, resolve(hf, "hyp"), seed=0)
         thr = threshold_for("hyp", m=25, ell=1, r=3, delta2=hf.delta2[0])
         assert result.report.rainbow[0] >= thr
 
     def test_exhaustion_carries_best_attempt(self):
         # impossible balance demand: odd class sizes can never hit n/k exactly
         fam = random_family(5, [4], 1)
-        cfg = McConfig(kind="thm1", balanced=True, balance_slack=1e-9,
-                       max_tries=5, seed=0)
+        guarantee = resolve(fam, "thm1", balanced=True, slack=1e-9, max_tries=5)
         with pytest.raises(McExhausted) as exc_info:
-            mc_partition(fam, cfg)
+            mc_partition(fam, guarantee, seed=0, max_tries=5)
         exc = exc_info.value
         assert exc.tries == 5
         assert exc.best_assignment.is_total
@@ -168,7 +166,7 @@ class TestMcPartition:
 
     def test_balanced_succeeds_with_default_slack(self):
         fam = random_family(40, [60], 4)
-        result = mc_partition(fam, McConfig(kind="thm1", balanced=True, seed=6))
+        result = mc_partition(fam, resolve(fam, "thm1", balanced=True), seed=6)
         stats = [c.stat for c in result.report.constraints]
         assert "balance(0)" in stats and "balance(1)" in stats
         assert result.report.all_pass
@@ -177,23 +175,22 @@ class TestMcPartition:
 class TestCheckReport:
     def test_agrees_with_mc_result(self):
         fam = random_family(12, [20, 25], 21)
-        cfg = McConfig(kind="thm1", seed=3)
-        result = mc_partition(fam, cfg)
-        fresh = check_report(fam, result.assignment, cfg)
+        guarantee = resolve(fam, "thm1")
+        result = mc_partition(fam, guarantee, seed=3)
+        fresh = evaluate(fam, result.assignment, guarantee)
         assert fresh == result.report
 
     def test_k5_pair_counts_match_crossing_oracle(self):
         fam = c5_pair()
         a = Assignment.from_side(5, {0, 1})
-        report = check_report(fam, a, McConfig(kind="thm1"))
+        report = evaluate(fam, a, resolve(fam, "thm1"))
         for i, edges in enumerate(fam.graphs):
             assert report.crossing[i] == crossing_count(edges, a)
 
     def test_balance_violation_flagged(self):
         fam = random_family(10, [5], 2)
         a = Assignment((0,) * 9 + (1,), 2)
-        cfg = McConfig(kind="thm1", balanced=True, balance_slack=2.0)
-        report = check_report(fam, a, cfg)
+        report = evaluate(fam, a, resolve(fam, "thm1", balanced=True, slack=2.0))
         balance = [c for c in report.constraints if c.stat.startswith("balance")]
         assert len(balance) == 2
         assert not any(c.passed for c in balance)  # 9 and 1 are both 4 off from 5
@@ -205,6 +202,6 @@ class TestCheckReport:
             fam = random_family(n, [rng.randint(0, min(20, n * (n - 1) // 2))], trial)
             k = rng.randint(2, 4)
             a = Assignment(tuple(rng.randrange(k) for _ in range(fam.n)), k)
-            report = check_report(fam, a, McConfig(kind="thm2", k=k))
+            report = evaluate(fam, a, resolve(fam, "thm2", k=k))
             assert sum(report.pairs[0].values()) + sum(report.within[0]) == fam.m[0]
             assert report.crossing[0] == fam.m[0] - sum(report.within[0])

