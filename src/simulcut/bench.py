@@ -101,7 +101,7 @@ def execute_run(family, opts: RunOptions) -> RunOutcome:
     if opts.method == "mc":
         start = time.perf_counter()
         try:
-            result = mc_partition(family, guarantee, seed=opts.seed, max_tries=opts.max_tries)
+            result = mc_partition(family, guarantee, seed=opts.seed)
             assignment, cut_report, tries = result.assignment, result.report, result.tries_used
             exhausted = False
         except McExhausted as exc:
@@ -153,7 +153,9 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
     for i, entry in enumerate(data.get("runs", [])):
         if not isinstance(entry, dict):
             raise ValueError(f"suite run {i}: not a JSON object")
-        gen = entry.get("generator")
+        if "generator" not in entry:
+            raise ValueError(f"suite run {i}: missing field 'generator'")
+        gen = entry["generator"]
         if not isinstance(gen, dict) or "kind" not in gen:
             raise ValueError(f'suite run {i}: "generator" must be a JSON object with a "kind"')
         try:

@@ -38,6 +38,7 @@ class Guarantee:
     ``specs`` are the descent's penalty terms (members with edges only);
     ``rows`` hold ``(graph, stat, threshold)`` for every member, then
     ``(-1, "balance(c)", n/k - slack)`` per class when balanced.
+    ``max_tries`` bounds the Monte-Carlo tries the slack is sized for.
     """
 
     k: int
@@ -45,6 +46,7 @@ class Guarantee:
     rows: tuple[tuple[int, str, float], ...]
     eps: float | Fraction | None = None
     slack: float | None = None
+    max_tries: int = 64
 
     def __len__(self) -> int:
         """Number of penalty terms, the descent's work per vertex and class."""
@@ -143,7 +145,8 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
                 normalizer=2 * ell * weight * m, var_bound=Fraction(weight * m)))
     if balanced:
         rows += [(-1, f"balance({c})", family.n / k - slack) for c in range(k)]
-    return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), eps=eps, slack=slack)
+    return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), eps=eps, slack=slack,
+                     max_tries=max_tries)
 
 
 def evaluate(family, a, guarantee: Guarantee) -> CutReport:

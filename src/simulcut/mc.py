@@ -61,18 +61,16 @@ class McResult:
     tries_used: int
 
 
-def mc_partition(family, guarantee: Guarantee, seed: int = 0, max_tries: int = 64) -> McResult:
+def mc_partition(family, guarantee: Guarantee, seed: int = 0) -> McResult:
     """Sample uniform partitions until every constraint of `guarantee` holds.
 
     Deterministic given (instance, guarantee, seed): try t uses substream
-    (seed, t).  Raises McExhausted after max_tries rejected tries, carrying
-    the attempt with the fewest violated constraints.
+    (seed, t).  Raises McExhausted after ``guarantee.max_tries`` rejected
+    tries, carrying the attempt with the fewest violated constraints.
     """
-    if max_tries < 1:
-        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     best = None
     best_failed = None
-    for t in range(max_tries):
+    for t in range(guarantee.max_tries):
         a = random_assignment(family.n, guarantee.k, substream(seed, t))
         report = evaluate(family, a, guarantee)
         if report.all_pass:
@@ -81,4 +79,4 @@ def mc_partition(family, guarantee: Guarantee, seed: int = 0, max_tries: int = 6
         if best_failed is None or failed < best_failed:
             best = (a, report)
             best_failed = failed
-    raise McExhausted(max_tries, best[0], best[1])
+    raise McExhausted(guarantee.max_tries, best[0], best[1])

@@ -294,13 +294,15 @@ def test_python_dash_m_runs_the_cli():
     assert "partition" in done.stdout
 
 
-@pytest.mark.parametrize("suite", [
-    [],
-    {"runs": [{"generator": {"n": 8, "m": 10}, "method": "mc", "theorem": "1"}]},
-    {"runs": [["gnm", 8, 10]]},
-], ids=["top-level-list", "generator-without-kind", "run-not-object"])
-def test_bench_malformed_suite_exit_2(tmp_path, capsys, suite):
+@pytest.mark.parametrize("suite,message", [
+    ([], "a suite must be a JSON object"),
+    ({"runs": [{"generator": {"n": 8, "m": 10}, "method": "mc", "theorem": "1"}]},
+     'suite run 0: "generator" must be a JSON object with a "kind"'),
+    ({"runs": [["gnm", 8, 10]]}, "suite run 0: not a JSON object"),
+    ({"runs": [{"method": "mc", "theorem": "1"}]}, "suite run 0: missing field 'generator'"),
+], ids=["top-level-list", "generator-without-kind", "run-not-object", "run-without-generator"])
+def test_bench_malformed_suite_exit_2(tmp_path, capsys, suite, message):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
     assert main(["bench", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -151,7 +151,7 @@ class TestEngineEquality:
             for s in range(k):
                 specs.append(EventSpec(graph=0, kind="within", k=k, s=s,
                                        mu=Fraction(m, k * k), normalizer=norm))
-            guarantee = Guarantee(k=k, specs=tuple(specs), rows=())
+            guarantee = Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(specs))
             fast = derandomize(fam, guarantee)
             slow = derandomize(fam, guarantee, naive=True)
             assert fast.assignment == slow.assignment
@@ -184,8 +184,8 @@ class TestEngineEquality:
                                         100 * r + trial)
                 shared.update(len(set(a) & set(b)) for edges in hf.hypergraphs
                               for a, b in itertools.combinations(edges, 2))
-                guarantee = Guarantee(k=r, specs=tuple(_loose_rainbow(hf, i) for i in range(2)),
-                                      rows=())
+                specs = tuple(_loose_rainbow(hf, i) for i in range(2))
+                guarantee = Guarantee(k=r, specs=specs, rows=_bound_rows(specs))
                 for order in ("natural", "degree"):
                     fast = derandomize(hf, guarantee, order=order)
                     slow = derandomize(hf, guarantee, order=order, naive=True)
@@ -233,6 +233,11 @@ class TestEngineEquality:
                                     [UNDECIDED] * n, n)
                 bound = hf.m[0] * math.comb(r, 2) * (hf.delta2[0] - 1) / 2
                 assert len(term.multi) <= bound
+
+
+def _bound_rows(specs):
+    """One row per hand-built term at its certified bound mu - sqrt(normalizer)."""
+    return tuple((s.graph, s.stat, float(s.mu) - math.sqrt(s.normalizer)) for s in specs)
 
 
 def _loose_rainbow(hf, i):

@@ -281,16 +281,20 @@ class TestEventSpec:
             validate_specs(fam, bad)
 
     def test_threshold_equals_mu_minus_sqrt_norm(self):
-        # every term's bound mu - sqrt(normalizer) is reported as one float,
-        # threshold_for's, bit for bit; for thm3 on 294 edges the spec-side
-        # float mu - sqrt(sqrt(eps)*m^2) differs from it in the last bit
+        # the bound mu - sqrt(normalizer) that each term certifies is the
+        # row's threshold up to rounding; the row itself is threshold_for's
+        # float bit for bit (for thm3 on 294 edges the spec-side float
+        # mu - sqrt(sqrt(eps)*m^2) differs from it in the last bit)
         fam = random_family(9, [14, 7], 8)
         cycle = GraphFamily(n=294, graphs=(tuple((i, (i + 1) % 294) for i in range(294)),))
         for family, theorem, k in ((fam, "thm1", None), (fam, "thm2", 3), (cycle, "thm3", 2)):
             guarantee = resolve(family, theorem, k=k)
-            assert {(s.graph, s.stat) for s in guarantee.specs} == \
-                {(g, stat) for g, stat, _ in guarantee.rows}
-            for g, stat, thr in guarantee.rows:
+            rows = {(g, stat): thr for g, stat, thr in guarantee.rows}
+            assert {(s.graph, s.stat) for s in guarantee.specs} == set(rows)
+            for s in guarantee.specs:
+                assert math.isclose(float(s.mu) - math.sqrt(s.normalizer),
+                                    rows[s.graph, s.stat], rel_tol=1e-12)
+            for (g, stat), thr in rows.items():
                 kind = theorem if theorem != "thm3" else "thm3_" + stat.split("(")[0]
                 want = threshold_for(kind, m=family.m[g], ell=family.ell, k=guarantee.k,
                                      eps=guarantee.eps)
@@ -300,7 +304,8 @@ class TestEventSpec:
         hf = random_hyperfamily(12, 3, [20, 15], 5)
         guarantee = resolve(hf, "hyp")
         assert [s.graph for s in guarantee.specs] == [g for g, _, _ in guarantee.rows]
-        for g, stat, thr in guarantee.rows:
+        for s, (g, stat, thr) in zip(guarantee.specs, guarantee.rows):
+            assert math.isclose(float(s.mu) - math.sqrt(s.normalizer), thr, rel_tol=1e-12)
             want = threshold_for("hyp", m=hf.m[g], ell=2, r=3, delta2=hf.delta2[g])
             assert stat == "rainbow" and repr(thr) == repr(want)
 
