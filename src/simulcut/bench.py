@@ -21,19 +21,17 @@ generator, a method, a guarantee, and a repetition count:
 Rep j generates its instance with seed+j and, for mc, samples with the
 same seed+j, so a suite is a pure function of its file.  `execute_run`
 resolves the guarantee once per run and reports what the engine's own
-`evaluate` returned, so each assignment is counted once.  Runs are
-independent and may execute concurrently (--jobs); aggregation order is
-fixed by (run, rep) index either way.  A derandomized run that fails its
-guarantee aborts the whole suite and serializes the offending instance
-for replay.
+`evaluate` returned, so each assignment is counted once.  Reps run
+serially and are folded in (run, rep) order.  A derandomized run that
+fails its guarantee aborts the whole suite and serializes the offending
+instance for replay.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .model import HypergraphFamily
@@ -261,21 +259,15 @@ def _one_rep(run: SuiteRun, rep: int):
     kind = gen.pop("kind")
     seed = run.options.seed + rep
     family = generate(kind, seed=seed, **gen)
-    opts = RunOptions(
-        method=run.options.method, theorem=run.options.theorem, k=run.options.k,
-        epsilon=run.options.epsilon, balanced=run.options.balanced,
-        slack=run.options.slack, seed=seed, order=run.options.order,
-        max_tries=run.options.max_tries)
-    return family, execute_run(family, opts)
+    return family, execute_run(family, replace(run.options, seed=seed))
 
 
-def run_bench(suite, out_dir=None, jobs: int = 1, echo=None) -> BenchResult:
-    """Execute a suite and aggregate margins, failures, and timings.
+def run_bench(suite, out_dir=None, echo=None) -> BenchResult:
+    """Execute a suite serially and aggregate margins, failures, and timings.
 
-    Rep results are folded in (run, rep) order regardless of `jobs`.  A
-    derand rep whose report is not all-pass aborts everything: the instance
-    is written next to the reports (or the working directory) and BenchAbort
-    is raised.
+    Rep results are folded in (run, rep) order.  A derand rep whose report
+    is not all-pass aborts everything: the instance is written next to the
+    reports (or the working directory) and BenchAbort is raised.
     """
     result = BenchResult()
     out_path = Path(out_dir) if out_dir else None
@@ -283,14 +275,8 @@ def run_bench(suite, out_dir=None, jobs: int = 1, echo=None) -> BenchResult:
         out_path.mkdir(parents=True, exist_ok=True)
 
     for run in suite:
-        reps = range(run.reps)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(lambda rep: _one_rep(run, rep), reps))
-        else:
-            outcomes = [_one_rep(run, rep) for rep in reps]
-
-        for rep, (family, outcome) in zip(reps, outcomes):
+        for rep in range(run.reps):
+            family, outcome = _one_rep(run, rep)
             rr = outcome.run_report
             result.runs += 1
             if out_path:

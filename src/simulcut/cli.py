@@ -150,7 +150,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     suite = load_suite(args.suite)
     echo = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
-    result = run_bench(suite, out_dir=args.out_dir, jobs=args.jobs, echo=echo)
+    result = run_bench(suite, out_dir=args.out_dir, echo=echo)
     print(result.render())
     return 1 if result.exhausted else 0
 
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a JSON suite and print the margin table")
     b.add_argument("suite")
     b.add_argument("--out-dir", help="write per-run reports here")
-    b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: suites run serially")
     b.add_argument("--verbose", action="store_true")
     b.set_defaults(func=_cmd_bench)
     return parser

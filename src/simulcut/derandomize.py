@@ -16,9 +16,11 @@ term's real normalizer is floating point.  Incremental state keeps the
 edge-pair correlations as per-vertex aggregates, so one candidate
 evaluation costs O(deg(v) * k) for a graph term and O(deg(v) * r^2) for a
 rainbow term, plus the hyperedge pairs at v that share two or more
-vertices (these alone keep per-pair state, in closed form).  `naive=True`
-switches to a from-scratch recompute of every moment, kept as the
-correctness oracle for the incremental bookkeeping.
+vertices (these alone keep per-pair state, in closed form).  Terms loop
+over their member's edges as Python ints: `_build_terms` takes `.tolist()`
+of each member's array once and shares it among that member's terms.
+`naive=True` switches to a from-scratch recompute of every moment, kept as
+the correctness oracle for the incremental bookkeeping.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import UNDECIDED, Assignment, CutReport, HypergraphFamily
+import numpy as np
+
+from .model import UNDECIDED, Assignment, CutReport
 from .estimator import (
     EstimatorBudgetError,
     EventSpec,
@@ -526,20 +530,17 @@ class _NaiveTerm:
 
 
 def resolve_order(family, order) -> tuple[int, ...]:
-    """Vertex processing order: None/'natural', 'degree', or a permutation."""
+    """Vertex processing order: None/'natural', 'degree', or a permutation.
+
+    'degree' sorts by total degree over all members, highest first, ties
+    by vertex index.
+    """
     n = family.n
     if order is None or order == "natural":
         return tuple(range(n))
     if order == "degree":
-        if isinstance(family, HypergraphFamily):
-            deg = [0] * n
-            for edges in family.hypergraphs:
-                for e in edges:
-                    for x in e:
-                        deg[x] += 1
-        else:
-            deg = [sum(d[v] for d in family.degrees) for v in range(n)]
-        return tuple(sorted(range(n), key=lambda v: (-deg[v], v)))
+        deg = sum(np.bincount(rows.ravel(), minlength=n) for rows in family.arrays)
+        return tuple(np.argsort(-deg, kind="stable").tolist())
     order = tuple(int(v) for v in order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all vertices")
@@ -547,23 +548,25 @@ def resolve_order(family, order) -> tuple[int, ...]:
 
 
 def _build_terms(family, specs, labels, naive: bool):
-    terms = []
     if naive:
         return [_NaiveTerm(_member_edges(family, s), s, labels) for s in specs]
-    adj_cache: dict[int, list] = {}
     n = family.n
+    edges_of = {gi: family.arrays[gi].tolist() for gi in {s.graph for s in specs}}
+    adj_of: dict[int, list] = {}
+    terms = []
     for spec in specs:
+        gi = spec.graph
+        edges = edges_of[gi]
         if spec.kind == "rainbow":
-            terms.append(_RainbowTerm(family.hypergraphs[spec.graph], spec, labels, n))
-        else:
-            gi = spec.graph
-            if gi not in adj_cache:
-                rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-                for eid, (u, v) in enumerate(family.graphs[gi]):
-                    rows[u].append((eid, v))
-                    rows[v].append((eid, u))
-                adj_cache[gi] = [tuple(r) for r in rows]
-            terms.append(_GraphTerm(family.graphs[gi], spec, labels, adj_cache[gi]))
+            terms.append(_RainbowTerm(edges, spec, labels, n))
+            continue
+        if gi not in adj_of:
+            rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            for eid, (u, v) in enumerate(edges):
+                rows[u].append((eid, v))
+                rows[v].append((eid, u))
+            adj_of[gi] = [tuple(r) for r in rows]
+        terms.append(_GraphTerm(edges, spec, labels, adj_of[gi]))
     return terms
 
 

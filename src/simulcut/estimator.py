@@ -253,10 +253,9 @@ def _quadratic(labels, edges, spec: EventSpec) -> Fraction:
     return spec.mu * spec.mu - 2 * spec.mu * s1 + ex2
 
 
-def _member_edges(family, spec: EventSpec):
-    if spec.kind == "rainbow":
-        return family.hypergraphs[spec.graph]
-    return family.graphs[spec.graph]
+def _member_edges(family, spec: EventSpec) -> list:
+    """The spec's member as a list of edges, each a list of Python ints."""
+    return family.arrays[spec.graph].tolist()
 
 
 def estimator_value(family, a: Assignment, specs) -> float:
@@ -272,9 +271,7 @@ def validate_specs(family, specs) -> None:
     """Check means against their closed forms and the combined variance budget."""
     budget = 0.0
     for spec in specs:
-        edges = _member_edges(family, spec)
-        m = len(edges)
-        expected = stat_mean(spec.kind, m, spec.k)
+        expected = stat_mean(spec.kind, family.m[spec.graph], spec.k)
         if spec.mu != expected:
             raise ValueError(
                 f"spec for member {spec.graph} ({spec.stat}): mu={spec.mu} "

@@ -21,9 +21,12 @@ the violation; loaders never repair an instance.
 Canonical text -- the format exactly as serialize_instance writes it, with
 single spaces, no comments and no blank lines -- takes a fast path: each
 ``edges <m>`` block is checked against the line grammar with one regex and
-converted to an integer array in one call.  Any other text, and any instance
-that fails validation, is read by the line-by-line scan, which gives the
-line-numbered diagnostic.
+converted to an integer array in one call.  Other text goes through a
+line-by-line scan, which checks only the grammar and records each row's
+line.  The family constructor alone checks the edges (range, repeated
+vertices, duplicates); its first invalid edge is reported at that row's
+line.  So grammar errors come first, then the first invalid edge in file
+order.
 """
 
 from __future__ import annotations
@@ -67,26 +70,25 @@ def parse_instance(text: str):
     """Parse instance text into a GraphFamily or HypergraphFamily.
 
     Canonical text (what serialize_instance writes) is converted one block
-    at a time; anything else, and any instance the family rejects, goes
-    through the line-by-line scan, which names the offending line.
+    at a time, anything else by the line-by-line scan; the family then
+    validates the edges, and its first invalid edge is reported at its line.
     """
-    canonical = _canonical_members(text)
-    if canonical is not None:
-        try:
-            return _family(*canonical)
-        except InstanceError:
-            pass        # out of range, repeated vertex or duplicate: the scan names the line
-    n, r, members = _scan_members(text)
-    try:
-        return _family(n, r, members)
-    except InstanceError as exc:
-        raise InstanceFormatError(None, str(exc)) from exc
+    return _located_family(*(_canonical_members(text) or _scan_members(text)))
 
 
 def _family(n: int, r: int | None, members):
     if r is None:
         return GraphFamily(n=n, graphs=tuple(members))
     return HypergraphFamily(n=n, r=r, hypergraphs=tuple(members))
+
+
+def _located_family(n: int, r: int | None, members, lines):
+    """The family of parsed members; ``lines[g][j]`` is the line of row j of member g."""
+    try:
+        return _family(n, r, members)
+    except InstanceError as exc:
+        line = None if exc.row is None else lines[exc.member][exc.row]
+        raise InstanceFormatError(line, str(exc)) from exc
 
 
 _GRAPHS_HEADER = re.compile(r"graphs ([0-9]+) vertices ([0-9]+)\n")
@@ -97,7 +99,7 @@ _INDEX = "[0-9]{1,18}"
 
 
 def _canonical_members(text: str):
-    """``(n, r, member arrays)`` if every line is canonical, else None.
+    """``(n, r, member arrays, row lines)`` if every line is canonical, else None.
 
     Canonical means: the header first, then each ``edges <m>`` line followed
     by exactly m rows of single-space-separated decimal indices, every line
@@ -122,7 +124,9 @@ def _canonical_members(text: str):
     width = 2 if r is None else r
     rows = re.compile("(?:" + " ".join([_INDEX] * width) + "\n)*")
     pos = head.end()
+    line = 2        # of the block's `edges <m>` line
     members = []
+    lines = []
     for _ in range(ell):
         block = _BLOCK_HEADER.match(text, pos)
         if block is None:
@@ -133,17 +137,20 @@ def _canonical_members(text: str):
         if text.count("\n", body.start(), pos) != m:
             return None
         members.append(np.fromstring(body.group(), dtype=np.int64, sep=" ").reshape(m, width))
-    return (n, r, members) if pos == len(text) else None
+        lines.append(range(line + 1, line + 1 + m))
+        line += m + 1
+    return (n, r, members, lines) if pos == len(text) else None
 
 
 def _scan_members(text: str):
-    """``(n, r, members)`` by a line-by-line scan that accepts comments and blank lines.
+    """``(n, r, members, row lines)`` by a line-by-line scan that accepts comments and blank lines.
 
+    Checks the grammar only; the edges themselves are left to the family.
     Raises InstanceFormatError naming the first offending line.
     """
-    lines = _content_lines(text)
+    content = _content_lines(text)
     try:
-        lineno, header = next(lines)
+        lineno, header = next(content)
     except StopIteration:
         raise InstanceFormatError(None, "empty instance: missing header") from None
     tokens = header.split()
@@ -171,9 +178,10 @@ def _scan_members(text: str):
 
     width = 2 if r is None else r
     members = []
+    lines = []
     for g in range(ell):
         try:
-            lineno, line = next(lines)
+            lineno, line = next(content)
         except StopIteration:
             raise InstanceFormatError(
                 None, f"member {g}: expected 'edges <m>' but the file ended") from None
@@ -184,10 +192,10 @@ def _scan_members(text: str):
         if m < 0:
             raise InstanceFormatError(lineno, f"member {g}: edge count must be >= 0")
         edges = []
-        seen: set[tuple[int, ...]] = set()
+        where = []
         for j in range(m):
             try:
-                lineno, line = next(lines)
+                lineno, line = next(content)
             except StopIteration:
                 raise InstanceFormatError(
                     None,
@@ -200,30 +208,18 @@ def _scan_members(text: str):
             if len(tokens) != width:
                 raise InstanceFormatError(
                     lineno, f"member {g}: expected {width} vertex indices, got {len(tokens)}")
-            verts = tuple(_int_token(t, lineno, "vertex index") for t in tokens)
-            for x in verts:
-                if not 0 <= x < n:
-                    raise InstanceFormatError(
-                        lineno, f"member {g}: vertex index {x} out of range [0, {n})")
-            if len(set(verts)) != width:
-                kindword = "self-loop" if width == 2 else "repeated vertex"
-                raise InstanceFormatError(
-                    lineno, f"member {g}: {kindword} in edge {' '.join(tokens)}")
-            key = tuple(sorted(verts))
-            if key in seen:
-                raise InstanceFormatError(
-                    lineno, f"member {g}: duplicate edge {' '.join(tokens)}")
-            seen.add(key)
-            edges.append(key)
-        members.append(tuple(edges))
+            edges.append([_int_token(t, lineno, "vertex index") for t in tokens])
+            where.append(lineno)
+        members.append(edges)
+        lines.append(where)
     try:
-        lineno, line = next(lines)
+        lineno, line = next(content)
     except StopIteration:
         pass
     else:
         raise InstanceFormatError(lineno, f"trailing content {line!r} after the last member")
 
-    return n, r, members
+    return n, r, members, lines
 
 
 def serialize_instance(family) -> str:

@@ -7,11 +7,14 @@ counting operations are pure functions of (instance, assignment), so they
 double as the ground truth that the samplers and the derandomizer are
 checked against.
 
-Each member is held once as an integer array of shape (m, width) with the
-endpoints of every row sorted.  Validation (range, repeated vertices,
-duplicate edges), degrees, pair degrees and the counts are vectorized over
-that array, so checking one assignment costs one pass over the edges; the
-oracle keeps its own pure-Python count as the independent reference.
+Each member is validated and stored once, as a read-only int64 array of
+shape (m, width) with the endpoints of every row sorted; there is no other
+copy.  Validation (range, repeated vertices, duplicate edges), degrees, pair
+degrees and the counts are vectorized over that array, so checking one
+assignment costs one pass over the edges.  Code that loops over edges in
+Python (the descent's terms, the naive estimator, the oracle) takes
+``.tolist()`` of a member itself; the oracle keeps its own pure-Python count
+as the independent reference.
 """
 
 from __future__ import annotations
@@ -27,11 +30,14 @@ import numpy as np
 #: Label value marking a vertex whose class has not been decided yet.
 UNDECIDED = -1
 
-Edge = tuple[int, int]
-
 
 class InstanceError(ValueError):
-    """An instance violates a structural invariant (loaders never repair)."""
+    """An instance violates a structural invariant; ``member`` and ``row`` locate the bad edge."""
+
+    def __init__(self, message: str, member: int | None = None, row: int | None = None):
+        super().__init__(message)
+        self.member = member
+        self.row = row
 
 
 class PartialAssignmentError(ValueError):
@@ -55,16 +61,17 @@ def _as_rows(edges, width: int) -> np.ndarray:
     return rows
 
 
-def _member_rows(edges, n: int, width: int, where: str) -> np.ndarray:
+def _member_rows(edges, n: int, width: int, where: str, member: int) -> np.ndarray:
     """Validate one member; returns its read-only array with each row sorted.
 
-    Raises InstanceError naming the first edge, in input order, that is out
-    of range, repeats a vertex, or repeats an earlier edge.
+    This is the only check of edge validity.  Raises InstanceError naming
+    the first edge, in input order, that is out of range, repeats a vertex,
+    or repeats an earlier edge, with ``member`` and that edge's ``row``.
     """
     try:
         rows = np.sort(_as_rows(edges, width), axis=1)
     except InstanceError as exc:
-        raise InstanceError(f"{where}: {exc}") from None
+        raise InstanceError(f"{where}: {exc}", member) from None
     out_of_range = (rows[:, 0] < 0) | (rows[:, -1] >= n)
     repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     order, same = _lexicographic_runs(rows)
@@ -75,13 +82,14 @@ def _member_rows(edges, n: int, width: int, where: str) -> np.ndarray:
         j = int(bad.argmax())
         e = tuple(rows[j].tolist())
         if out_of_range[j]:
-            raise InstanceError(f"{where}: endpoint out of range in edge {e}, n={n}")
-        if repeated[j]:
-            if width == 2:
-                raise InstanceError(f"{where}: self-loop {e}")
-            raise InstanceError(
-                f"{where}: edge {e} does not have exactly {width} distinct vertices")
-        raise InstanceError(f"{where}: duplicate edge {e}")
+            message = f"endpoint out of range in edge {e}, n={n}"
+        elif repeated[j] and width == 2:
+            message = f"self-loop {e}"
+        elif repeated[j]:
+            message = f"edge {e} does not have exactly {width} distinct vertices"
+        else:
+            message = f"duplicate edge {e}"
+        raise InstanceError(f"{where}: {message}", member, j)
     rows.flags.writeable = False
     return rows
 
@@ -96,67 +104,70 @@ def _lexicographic_runs(rows: np.ndarray):
     return order, (ranked[1:] == ranked[:-1]).all(axis=1)
 
 
-def _as_tuples(rows: np.ndarray) -> tuple:
-    """The rows as a tuple of tuples of Python ints."""
-    return tuple(zip(*rows.T.tolist()))
+def _family_eq(a, b):
+    """Families are equal when their kind, n, r and member rows are."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return (a.n == b.n and getattr(a, "r", None) == getattr(b, "r", None) and a.ell == b.ell
+            and all(np.array_equal(x, y) for x, y in zip(a.arrays, b.arrays)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphFamily:
     """Simple graphs G_1..G_ell on a shared vertex set {0, .., n-1}.
 
-    Edges are stored as sorted pairs; each member graph must be simple,
-    but different members may repeat each other's edges.  Isolated
-    vertices are fine: every guarantee depends only on edges.
+    Each member must be simple, but different members may repeat each
+    other's edges.  Isolated vertices are fine: every guarantee depends
+    only on edges.
 
-    Each member is validated and stored once as a read-only ``(m, 2)``
-    int64 array in ``arrays`` (rows sorted, input order kept), which the
-    counting and serialization code reads; ``graphs`` holds the same edges
-    as tuples of Python ints for the estimator, the descent and the oracle.
+    ``graphs`` holds each member once, validated, as a read-only ``(m, 2)``
+    int64 array (endpoints sorted within each row, input order kept);
+    ``arrays`` is the same tuple under the name both family kinds share.
     """
 
     n: int
-    graphs: tuple[tuple[Edge, ...], ...]
-    m: tuple[int, ...] = field(init=False, compare=False)
-    degrees: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
-    max_degree: tuple[int, ...] = field(init=False, compare=False)
-    arrays: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
+    graphs: tuple[np.ndarray, ...]
+    m: tuple[int, ...] = field(init=False)
+    max_degree: tuple[int, ...] = field(init=False)
+    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise InstanceError(f"negative vertex count {self.n}")
         if len(self.graphs) < 1:
             raise InstanceError("a family needs at least one graph")
-        arrays = tuple(_member_rows(edges, self.n, 2, f"graph {i}")
+        arrays = tuple(_member_rows(edges, self.n, 2, f"graph {i}", i)
                        for i, edges in enumerate(self.graphs))
-        degrees = [np.bincount(rows.ravel(), minlength=self.n) for rows in arrays]
+        object.__setattr__(self, "graphs", arrays)
         object.__setattr__(self, "arrays", arrays)
-        object.__setattr__(self, "graphs", tuple(_as_tuples(rows) for rows in arrays))
         object.__setattr__(self, "m", tuple(len(rows) for rows in arrays))
-        object.__setattr__(self, "degrees", tuple(tuple(d.tolist()) for d in degrees))
-        object.__setattr__(self, "max_degree", tuple(int(d.max(initial=0)) for d in degrees))
+        object.__setattr__(self, "max_degree", tuple(
+            int(np.bincount(rows.ravel()).max(initial=0)) for rows in arrays))
+
+    __eq__ = _family_eq
 
     @property
     def ell(self) -> int:
         return len(self.graphs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypergraphFamily:
     """r-uniform hypergraphs H_1..H_ell on a shared vertex set {0, .., n-1}.
 
     Besides edge counts, each member carries its pair degree
     ``delta2 = max over vertex pairs x != y of #{edges containing both}``,
-    which controls the derived rainbow-count guarantee.  Members are stored
-    once as read-only ``(m, r)`` int64 arrays, as in GraphFamily.
+    which controls the derived rainbow-count guarantee.  ``hypergraphs``
+    holds each member once as a read-only ``(m, r)`` int64 array, and
+    ``arrays`` is the same tuple, as in GraphFamily.
     """
 
     n: int
     r: int
-    hypergraphs: tuple[tuple[tuple[int, ...], ...], ...]
-    m: tuple[int, ...] = field(init=False, compare=False)
-    delta2: tuple[int, ...] = field(init=False, compare=False)
-    arrays: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
+    hypergraphs: tuple[np.ndarray, ...]
+    m: tuple[int, ...] = field(init=False)
+    delta2: tuple[int, ...] = field(init=False)
+    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -165,12 +176,14 @@ class HypergraphFamily:
             raise InstanceError(f"uniformity must be >= 2, got {self.r}")
         if len(self.hypergraphs) < 1:
             raise InstanceError("a family needs at least one hypergraph")
-        arrays = tuple(_member_rows(edges, self.n, self.r, f"hypergraph {i}")
+        arrays = tuple(_member_rows(edges, self.n, self.r, f"hypergraph {i}", i)
                        for i, edges in enumerate(self.hypergraphs))
+        object.__setattr__(self, "hypergraphs", arrays)
         object.__setattr__(self, "arrays", arrays)
-        object.__setattr__(self, "hypergraphs", tuple(_as_tuples(rows) for rows in arrays))
         object.__setattr__(self, "m", tuple(len(rows) for rows in arrays))
         object.__setattr__(self, "delta2", tuple(_pair_degree(rows) for rows in arrays))
+
+    __eq__ = _family_eq
 
     @property
     def ell(self) -> int:

@@ -65,7 +65,7 @@ def _enumerate_partitions(family: GraphFamily, k: int, visit):
     adj = []
     for edges in family.graphs:
         rows: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for u, v in edges.tolist():
             rows[u].append(v)
             rows[v].append(u)
         adj.append(rows)

@@ -298,8 +298,11 @@ class TestVertexOrder:
         fam = GraphFamily(n=4, graphs=(((0, 1), (0, 2), (0, 3), (1, 2)),))
         order = resolve_order(fam, "degree")
         assert order[0] == 0  # degree 3 first
-        deg = [sum(d[v] for d in fam.degrees) for v in range(4)]
+        deg = [3, 2, 2, 1]
         assert all(deg[order[i]] >= deg[order[i + 1]] for i in range(3))
+        # incidences summed over both members: 0:2, 1:1+1, 2:1, 3:1+1, 4:1+1; ties by index
+        hf = HypergraphFamily(n=5, r=3, hypergraphs=(((0, 1, 2), (0, 3, 4)), ((3, 1, 4),)))
+        assert resolve_order(hf, "degree") == (0, 1, 3, 4, 2)
 
     def test_bad_order_rejected(self):
         fam = random_family(5, [4], 11)

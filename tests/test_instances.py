@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from simulcut.instances import (
     InstanceFormatError,
     _canonical_members,
     _family,
+    _located_family,
     _scan_members,
     generate,
     parse_instance,
@@ -101,6 +103,16 @@ class TestParse:
         with pytest.raises(InstanceFormatError, match="integer vertex indices"):
             parse_instance(text)
 
+    def test_grammar_error_reported_before_invalid_edge(self):
+        text = "graphs 1 vertices 5\nedges 3\n3 3\n0 1\n0 x\n"
+        with pytest.raises(InstanceFormatError, match=r"^line 5: .*integer") as exc:
+            parse_instance(text)
+        assert exc.value.line == 5
+        text = "graphs 2 vertices 5\nedges 1\n0 1\n# c\nedges 2\n1 0\n0 9\n"
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == "line 7: graph 1: endpoint out of range in edge (0, 9), n=5"
+
     def test_wrong_arity_line(self):
         text = "hypergraphs 1 vertices 6 uniformity 3\nedges 1\n0 1\n"
         with pytest.raises(InstanceFormatError, match="expected 3"):
@@ -136,14 +148,14 @@ class TestGenerators:
     def test_disjoint_cycles_is_k5(self):
         fam = generate("disjoint-cycles", n=5)
         assert fam.ell == 2 and fam.m == (5, 5)
-        union = set(fam.graphs[0]) | set(fam.graphs[1])
-        assert union == set(all_pairs(5))
-        assert not set(fam.graphs[0]) & set(fam.graphs[1])
+        first, second = (_edge_set(rows) for rows in fam.graphs)
+        assert first | second == set(all_pairs(5))
+        assert not first & second
 
     def test_disjoint_cycles_larger_odd(self):
         fam = generate("disjoint-cycles", n=9)
         assert fam.m == (9, 9)
-        assert not set(fam.graphs[0]) & set(fam.graphs[1])
+        assert not _edge_set(fam.graphs[0]) & _edge_set(fam.graphs[1])
         assert fam.max_degree == (2, 2)
 
     def test_disjoint_cycles_rejects_even(self):
@@ -174,7 +186,7 @@ class TestGenerators:
         fam = generate("bounded-degree", n=50, degree=4, ell=2, seed=3)
         assert fam.m == (100, 100)
         assert fam.max_degree == (4, 4)
-        assert all(d == 4 for deg in fam.degrees for d in deg)
+        assert all((np.bincount(rows.ravel(), minlength=50) == 4).all() for rows in fam.graphs)
 
     def test_bounded_degree_needs_even(self):
         with pytest.raises(ValueError, match="even"):
@@ -196,6 +208,34 @@ class TestGenerators:
             generate("mystery", n=5)
 
 
+def _edge_set(rows):
+    return set(map(tuple, rows.tolist()))
+
+
+def _assert_stored_once(fam):
+    members = fam.hypergraphs if isinstance(fam, HypergraphFamily) else fam.graphs
+    width = fam.r if isinstance(fam, HypergraphFamily) else 2
+    assert len(members) == len(fam.arrays) == fam.ell
+    for rows, same in zip(members, fam.arrays):
+        assert rows is same
+        assert type(rows) is np.ndarray and rows.dtype == np.int64
+        assert rows.ndim == 2 and rows.shape[1] == width and not rows.flags.writeable
+
+
+def test_members_are_stored_once():
+    rnd = random.Random(5)
+    for fam in (generate("gnm", n=20, m=40, ell=2, seed=1),
+                generate("gnm", n=6, m=0, seed=1),
+                generate("runiform", n=12, m=20, r=3, ell=2, seed=4),
+                generate("disjoint-cycles", n=7)):
+        _assert_stored_once(fam)
+        text = serialize_instance(fam)
+        for source in (text, _decorate(text, rnd)[0]):
+            back = parse_instance(source)
+            _assert_stored_once(back)
+            assert back == fam
+
+
 @st.composite
 def families(draw):
     """Graph or r-uniform families with n up to 9, empty members and isolated vertices."""
@@ -211,12 +251,12 @@ def families(draw):
 
 
 def _derived(fam):
-    return (fam.m, fam.delta2) if isinstance(fam, HypergraphFamily) else (
-        fam.m, fam.degrees, fam.max_degree)
+    return (fam.m, fam.delta2) if isinstance(fam, HypergraphFamily) else (fam.m, fam.max_degree)
 
 
 def _line_by_line(text):
-    return _family(*_scan_members(text))
+    """Parse through the scan even when the text is canonical."""
+    return _located_family(*_scan_members(text))
 
 
 @settings(max_examples=60)
@@ -229,17 +269,22 @@ def test_round_trip_property(fam):
 
 
 def _decorate(text, rnd):
-    """The same rows with comments, blank lines, extra spaces and shuffled endpoints."""
+    """The same rows with comments, blank lines, extra spaces and shuffled endpoints.
+
+    Returns the new text and, for each line of ``text``, its 1-based line number there.
+    """
     out = ["# a comment before the header"]
+    where = []
     for line in text.splitlines():
         tokens = line.split()
         if tokens[0].isdigit():
             rnd.shuffle(tokens)
         out.append(" " * rnd.randint(0, 2) + (" " * rnd.randint(1, 3)).join(tokens)
                    + " " * rnd.randint(0, 2))
+        where.append(len(out))
         if rnd.random() < 0.3:
             out.append(rnd.choice(["", "   ", "# comment", "\t# indented comment"]))
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n", where
 
 
 @settings(max_examples=60)
@@ -259,7 +304,7 @@ def test_fast_path_equals_line_by_line(fam, rnd):
     assert _canonical_members(swapped) is not None
     assert parse_instance(swapped) == _line_by_line(swapped) == fam
 
-    messy = _decorate(text, rnd)
+    messy, _ = _decorate(text, rnd)
     assert _canonical_members(messy) is None
     got = parse_instance(messy)
     assert got == _line_by_line(messy) == fam and _derived(got) == _derived(fam)
@@ -287,18 +332,31 @@ def _corruptions(lines, n):
         yield "bad count", i, "edges -1"
 
 
+def _format_error(parse, text) -> InstanceFormatError:
+    with pytest.raises(InstanceFormatError) as exc:
+        parse(text)
+    return exc.value
+
+
+def _without_line(exc: InstanceFormatError) -> str:
+    return str(exc).removeprefix(f"line {exc.line}: ")
+
+
 @settings(max_examples=40)
-@given(families())
-def test_corrupted_line_diagnostic_equals_line_by_line(fam):
+@given(families(), st.randoms(use_true_random=False))
+def test_corrupted_line_diagnostic_equals_line_by_line(fam, rnd):
     text = serialize_instance(fam)
     lines = text.splitlines()
     for kind, i, line in _corruptions(lines, fam.n):
         bad = "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
-        with pytest.raises(InstanceFormatError) as slow:
-            _line_by_line(bad)
-        with pytest.raises(InstanceFormatError) as fast:
-            parse_instance(bad)
-        assert str(fast.value) == str(slow.value), kind
-        assert fast.value.line == slow.value.line, kind
+        fast = _format_error(parse_instance, bad)
+        slow = _format_error(_line_by_line, bad)
+        assert str(fast) == str(slow) and fast.line == slow.line, kind
+        # with comments, blank lines and spacing the text goes through the scan
+        messy, where = _decorate(bad, rnd)
+        assert _canonical_members(messy) is None
+        scanned = _format_error(parse_instance, messy)
+        assert scanned.line == (None if fast.line is None else where[fast.line - 1]), kind
         if kind != "bad count":
-            assert fast.value.line == i + 1, kind
+            assert fast.line == i + 1 and scanned.line == where[i], kind
+            assert _without_line(scanned) == _without_line(fast), kind

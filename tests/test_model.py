@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,10 +47,12 @@ class TestInstanceValidation:
     def test_graphs_may_share_edges(self):
         fam = GraphFamily(n=3, graphs=(((0, 1),), ((0, 1), (1, 2))))
         assert fam.m == (1, 2)
+        assert fam == GraphFamily(n=3, graphs=(((1, 0),), ((0, 1), (2, 1))))
+        assert fam != GraphFamily(n=3, graphs=(((0, 1),), ((0, 1), (0, 2))))
 
     def test_isolated_vertices_allowed(self):
         fam = GraphFamily(n=10, graphs=(((0, 1),),))
-        assert fam.degrees[0][9] == 0
+        assert fam.max_degree == (1,) and not (fam.graphs[0] == 9).any()
 
     def test_derived_stats(self):
         fam = c5_pair()
@@ -57,9 +60,9 @@ class TestInstanceValidation:
         assert fam.m == (5, 5)
         assert fam.max_degree == (2, 2)
         # union of the two cycles is complete on 5 vertices
-        union = set(fam.graphs[0]) | set(fam.graphs[1])
-        assert union == set(all_pairs(5))
-        assert not set(fam.graphs[0]) & set(fam.graphs[1])
+        first, second = (set(map(tuple, rows.tolist())) for rows in fam.graphs)
+        assert first | second == set(all_pairs(5))
+        assert not first & second
 
     def test_hypergraph_uniformity_enforced(self):
         with pytest.raises(InstanceError, match="distinct"):
@@ -68,6 +71,7 @@ class TestInstanceValidation:
     def test_hypergraph_delta2(self):
         hf = HypergraphFamily(n=5, r=3, hypergraphs=(((0, 1, 2), (0, 1, 3), (2, 3, 4)),))
         assert hf.delta2 == (2,)
+        assert hf != HypergraphFamily(n=5, r=3, hypergraphs=(((0, 1, 2), (0, 1, 4), (2, 3, 4)),))
 
     def test_degree_bounded_by_m(self):
         for seed in range(5):
@@ -84,29 +88,33 @@ def test_vectorized_validation_matches_python_loops(r, rnd):
     hf = random_hyperfamily(n, r, [rnd.randint(0, min(20, math.comb(n, r)))],
                             rnd.randrange(10 ** 6))
     incidence = {}
-    for e in hf.hypergraphs[0]:
+    for e in hf.hypergraphs[0].tolist():
         for x, y in itertools.combinations(e, 2):
             incidence[(x, y)] = incidence.get((x, y), 0) + 1
     assert hf.delta2 == (max(incidence.values(), default=0),)
     # unsorted endpoints are normalized; degrees count both endpoints of every edge
     simple = random_family(n, [rnd.randint(0, min(10, n * (n - 1) // 2))], 0).graphs[0]
-    edges = [tuple(rnd.sample(e, 2)) for e in simple]
+    edges = [tuple(rnd.sample(e, 2)) for e in simple.tolist()]
     fam = GraphFamily(n=n, graphs=(tuple(edges),))
-    assert fam.graphs == (tuple(tuple(sorted(e)) for e in edges),)
-    assert fam.degrees == (tuple(sum(v in e for e in edges) for v in range(n)),)
-    assert fam.max_degree == (max(fam.degrees[0], default=0),)
-    assert all(type(x) is int for e in fam.graphs[0] for x in e)
+    rows = fam.graphs[0]
+    assert type(rows) is np.ndarray and rows.dtype == np.int64 and not rows.flags.writeable
+    assert rows.shape == (len(edges), 2)
+    assert rows.tolist() == [sorted(e) for e in edges]
+    degrees = [sum(v in e for e in edges) for v in range(n)]
+    assert fam.max_degree == (max(degrees, default=0),)
 
 
 def test_validation_names_first_bad_edge_in_input_order():
-    with pytest.raises(InstanceError, match=r"graph 1: duplicate edge \(0, 2\)"):
+    with pytest.raises(InstanceError, match=r"graph 1: duplicate edge \(0, 2\)") as exc:
         GraphFamily(n=4, graphs=(((0, 1),), ((0, 2), (2, 3), (2, 0), (1, 3), (3, 2))))
+    assert (exc.value.member, exc.value.row) == (1, 2)
     with pytest.raises(InstanceError, match=r"self-loop \(1, 1\)"):
         GraphFamily(n=4, graphs=(((0, 1), (1, 1), (0, 1), (0, 9)),))
     with pytest.raises(InstanceError, match=r"out of range in edge \(0, 9\)"):
         GraphFamily(n=4, graphs=(((0, 1), (0, 9), (1, 1)),))
-    with pytest.raises(InstanceError, match="every edge must be 2 integer vertex indices"):
+    with pytest.raises(InstanceError, match="every edge must be 2 integer vertex indices") as exc:
         GraphFamily(n=4, graphs=(((0, 1), (1, 2, 3)),))
+    assert (exc.value.member, exc.value.row) == (0, None)
     with pytest.raises(InstanceError, match="every edge must be 2"):
         GraphFamily(n=4, graphs=(((),),))
     with pytest.raises(InstanceError, match="hypergraph 0: duplicate edge"):
