@@ -10,21 +10,26 @@ is below 1, no statistic can finish under mu - sqrt(normalizer), because a
 single violated constraint already pushes its own term above 1.
 
 Arithmetic: per-edge conditional probabilities have denominators dividing
-k^2 (r^r for rainbow terms), so each term's quadratic is accumulated as a
-plain integer over a fixed power of k; only the final division by the
-term's real normalizer is floating point.  Incremental state keeps the
-edge-pair correlations as per-vertex aggregates, so one candidate
-evaluation costs O(deg(v) * k) for a graph term and O(deg(v) * r^2) for a
-rainbow term, plus the hyperedge pairs at v that share two or more
-vertices (these alone keep per-pair state, in closed form).  Terms loop
-over their member's edges as Python ints: `_build_terms` takes `.tolist()`
-of each member's array once and shares it among that member's terms.
-`naive=True` switches to a from-scratch recompute of every moment, kept as
-the correctness oracle for the incremental bookkeeping.
+k^2 (r^r for rainbow terms), so each statistic's quadratic is accumulated
+as a plain integer over a fixed power of k; only the final divisions, by
+that power and by the statistic's real normalizer, are floating point.
+
+Cost: one term per graph member tracks all of its statistics (the
+crossing one, or every pair and within one) on per-vertex histograms of
+neighbour labels, from which each statistic's edge-pair correlations
+follow in closed form.  One walk over v's neighbours yields every
+statistic's k candidates: deg(v) additions of packed histograms, then O(k)
+per statistic.  A commit costs O(1) per open neighbour.  A rainbow term
+costs O(deg(v) * r^2) per candidate, plus the hyperedge pairs at v that
+share two or more vertices (these alone keep per-pair state, in closed
+form).  The descent adds the candidates' floats in spec order.
+`naive=True` switches to a from-scratch recompute of every moment, kept
+as the correctness oracle for the incremental bookkeeping.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,194 +67,170 @@ class DerandResult:
     final_value: float
 
 
-class _GraphTerm:
-    """Incremental penalty term for a crossing/pair/within statistic.
+class _MemberTerm:
+    """Incremental penalty terms for every crossing/pair/within statistic of
+    one graph member, kept on its vertices' neighbour-label histograms.
 
-    Stores, per edge, the integer numerator P of its conditional probability
-    over k^2, plus per-vertex aggregates that make the pair-correlation
-    correction for edges through each undecided vertex O(1) to look up:
+    A vertex u's histogram counts its open neighbours a[u] and its
+    neighbours decided as c, b[u][c] (B[u] their total).  While u is open,
+    its edges' aggregates follow from it in closed form, for every
+    statistic (P is an edge's conditional probability numerator over k^2):
 
-      sumP, sumP2      sums of P and P^2
-      Tw[w], Qw[w]     sums of P and P^2 over edges at w
-      Twc[w][c]        sum over edges at w of the numerator (over k) of the
-                       edge probability given w -> c
-      contrib[w]       k * sum_c(Twc^2 - Qwc) - (Tw^2 - Qw), the correction
-                       (over k^4) for ordered edge pairs meeting at w; zero
-                       once w is decided
+      Tw, Qw            sums of P and P^2 over the edges at u
+      trow[c], qrow[c]  sums over those edges of the numerator (over k) of
+                        the edge's probability given u -> c, and of squares
+      contrib           k * sum_c(trow^2 - qrow) - (Tw^2 - Qw), the
+                        correction (over k^4) for edge pairs meeting at u
 
-    The exact quadratic is then an integer over k^4:
-      mu_k2^2 - 2*mu_k2*sumP + k^2*sumP + sumP^2 - sumP2 + sum(contrib).
+      crossing   Tw = k(k-1)(a+B), Qw = k(k-1)Tw, trow[c] = (k-1)a + k(B-b[c]),
+                 qrow[c] = (k-1)^2 a + k^2 (B-b[c])
+      pair(s,t)  trow[s] = a + k b[t], trow[t] = a + k b[s], qrow alike with
+                 k^2, other classes 0; Tw = trow[s] + trow[t],
+                 Qw = qrow[s] + qrow[t] + 2a
+      within(s)  Tw = trow[s] = a + k b[s], Qw = qrow[s] = a + k^2 b[s]
+
+    Each statistic keeps sumP and rest = sum(contrib) - sumP2, and its
+    quadratic over k^4 is mu_k2^2 - 2*mu_k2*sumP + k^2*sumP + sumP^2 + rest.
+    Deciding v -> c moves sumP by k*trow_v[c] - Tw_v and sumP2 by
+    k^2*qrow_v[c] - Qw_v, drops contrib_v, and moves one count of every open
+    neighbour's histogram from a to b[c].  That move shifts contrib linearly
+    in the neighbour's histogram, so the shift summed over v's open
+    neighbours needs only their summed histogram less v (alpha open,
+    beta[c] decided as c):
+
+      crossing   2k^2 (k beta[c] - sum(beta))
+      within(s)  2(k-1)^2 W if c == s, else -2(k-1) W;  W = alpha + k beta[s]
+      pair(s,t)  c = s: 2((k-1)^2 + 1) Y - 4(k-1) X;  c = t: X, Y swapped;
+                 else -2(k-2)(X + Y);  X = alpha + k beta[t], Y = alpha + k beta[s]
+
+    Histograms are packed, h[u] = a[u] + sum_c b[u][c] << (width * (c+1)),
+    with fields of (2m).bit_length() bits: a field summed over any vertex's
+    neighbours stays at most 2m, so sums never carry between fields.  h[u]
+    is 0 once u is decided.  So one sum over adj[v] yields all k candidates
+    of every statistic, and a commit adds one constant to each open
+    neighbour.  Labels must all be undecided at construction.
     """
 
-    def __init__(self, edges, spec: EventSpec, labels, adj):
-        k = spec.k
+    def __init__(self, edges, specs, n):
+        k = specs[0].k
         self.k = k
         self.k2 = k * k
         self.k4 = self.k2 * self.k2
-        self.spec = spec
-        self.norm = spec.normalizer
-        self.edges = edges
-        self.labels = labels
+        self.stats = []
+        for spec in specs:
+            if spec.kind not in ("crossing", "pair", "within"):
+                raise ValueError(f"graph term cannot track {spec.kind!r}")
+            mu_k2 = spec.mu * self.k2
+            if mu_k2.denominator != 1:
+                raise ValueError(f"mean {spec.mu} is not a multiple of 1/k^2")
+            self.stats.append((spec.kind, spec.s, spec.t, int(mu_k2), spec.normalizer))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         self.adj = adj
-        mu_k2 = spec.mu * self.k2
-        if mu_k2.denominator != 1:
-            raise ValueError(f"mean {spec.mu} is not a multiple of 1/k^2")
-        self.mu_k2 = int(mu_k2)
+        self.h = [len(nbrs) for nbrs in adj]
+        width = (2 * len(edges)).bit_length()
+        self.mask = (1 << width) - 1
+        self.offsets = [width * (c + 1) for c in range(k)]
+        self._pending = None
+        # all vertices open: every edge has P = p_uu, and contrib depends on degree alone
+        m = len(edges)
+        zeros = [0] * k
+        degrees = collections.Counter(self.h)
+        self.sumP = []
+        self.rest = []
+        for kind, s, t, _, _ in self.stats:
+            p_uu = {"crossing": k * (k - 1), "pair": 2, "within": 1}[kind]
+            contrib = sum(count * self._stat_shifts(kind, s, t, d, zeros, 0, zeros)[0]
+                          for d, count in degrees.items())
+            self.sumP.append(m * p_uu)
+            self.rest.append(contrib - m * p_uu * p_uu)
 
-        kind = spec.kind
+    def _stat_shifts(self, kind, s, t, a, b, alpha, beta):
+        """contrib of open v with histogram (a, b), and per class c the shifts
+        of sumP and rest for v -> c, given its open neighbours' summed
+        histogram less v (alpha, beta)."""
+        k, k2 = self.k, self.k2
         if kind == "crossing":
-            p_uu = k * (k - 1)
-            p_du = [k * (k - 1)] * k
-            p_dd = [[0 if c1 == c2 else self.k2 for c2 in range(k)] for c1 in range(k)]
-        elif kind == "pair":
-            s, t = spec.s, spec.t
-            p_uu = 2
-            p_du = [k if c in (s, t) else 0 for c in range(k)]
-            p_dd = [[self.k2 if (c1, c2) in ((s, t), (t, s)) else 0
-                     for c2 in range(k)] for c1 in range(k)]
-        elif kind == "within":
-            s = spec.s
-            p_uu = 1
-            p_du = [k if c == s else 0 for c in range(k)]
-            p_dd = [[self.k2 if c1 == c2 == s else 0 for c2 in range(k)] for c1 in range(k)]
-        else:
-            raise ValueError(f"graph term cannot track {kind!r}")
-        self.p_uu = p_uu
-        self.p_du = p_du
-        self.p_dd = p_dd
-        adu = [x // k for x in p_du]
-        add = [[x // k for x in row] for row in p_dd]
-        # Committing a neighbor of w to class c shifts w's hypothesis row by
-        # these per-class deltas (entry c2: edge prob numerator given w -> c2).
-        self.d_a = [[add[c2][c] - adu[c2] for c2 in range(k)] for c in range(k)]
-        self.d_a2 = [[add[c2][c] ** 2 - adu[c2] ** 2 for c2 in range(k)] for c in range(k)]
-        self.adu = adu
-        self.add = add
-        self.reset()
+            B = sum(b)
+            tw = k * (k - 1) * (a + B)
+            qw = k * (k - 1) * tw
+            trow = [(k - 1) * a + k * (B - x) for x in b]
+            qsum = k * (k - 1) ** 2 * a + k2 * (k - 1) * B        # sum_c qrow[c]
+            cv = k * (sum([tc * tc for tc in trow]) - qsum) - (tw * tw - qw)
+            # k*trow[c] - Tw = k(B - k b[c]), k^2*qrow[c] - Qw = k^2((2k-1)B - k^2 b[c])
+            base = 2 * k2 * sum(beta) + cv + k2 * (2 * k - 1) * B
+            return cv, [k * B - k2 * x for x in b], [
+                k * k2 * (2 * y + k * x) - base for x, y in zip(b, beta)]
+        if kind == "within":
+            tw, qw = a + k * b[s], a + k2 * b[s]
+            cv = (k - 1) * (tw * tw - qw)
+            w2 = 2 * (k - 1) * (alpha + k * beta[s])
+            dp = [-tw] * k
+            dr = [qw - w2 - cv] * k
+            dp[s] = (k - 1) * tw
+            dr[s] = (k - 1) * w2 - cv - (k2 - 1) * qw
+            return cv, dp, dr
+        ts, tt = a + k * b[t], a + k * b[s]
+        qs, qt = a + k2 * b[t], a + k2 * b[s]
+        tw, qw = ts + tt, qs + qt + 2 * a
+        cv = k * (ts * ts - qs + tt * tt - qt) - (tw * tw - qw)
+        x, y = alpha + k * beta[t], alpha + k * beta[s]
+        z = 2 * ((k - 1) ** 2 + 1)
+        dp = [-tw] * k
+        dr = [qw - 2 * (k - 2) * (x + y) - cv] * k
+        dp[s], dp[t] = k * ts - tw, k * tt - tw
+        dr[s] = z * y - 4 * (k - 1) * x - cv - (k2 * qs - qw)
+        dr[t] = z * x - 4 * (k - 1) * y - cv - (k2 * qt - qw)
+        return cv, dp, dr
 
-    def _pnum(self, lu, lv) -> int:
-        if lu == UNDECIDED:
-            return self.p_uu if lv == UNDECIDED else self.p_du[lv]
-        if lv == UNDECIDED:
-            return self.p_du[lu]
-        return self.p_dd[lu][lv]
+    def _shifts(self, v):
+        """Per statistic, (shifts of sumP, shifts of rest) for v -> each class."""
+        mask, offsets = self.mask, self.offsets
+        h = self.h
+        own = h[v]
+        near = sum(map(h.__getitem__, self.adj[v]))    # decided neighbours add 0
+        a = own & mask
+        b = [own >> o & mask for o in offsets]
+        alpha = (near & mask) - a                      # each open neighbour counts v once
+        beta = [near >> o & mask for o in offsets]
+        return [self._stat_shifts(kind, s, t, a, b, alpha, beta)[1:]
+                for kind, s, t, _, _ in self.stats]
 
-    def reset(self):
-        labels = self.labels
-        k = self.k
-        n = len(labels)
-        P = [self._pnum(labels[u], labels[v]) for u, v in self.edges]
-        self.P = P
-        Tw = [0] * n
-        Qw = [0] * n
-        for eid, (u, v) in enumerate(self.edges):
-            p = P[eid]
-            Tw[u] += p
-            Qw[u] += p * p
-            Tw[v] += p
-            Qw[v] += p * p
-        self.Tw = Tw
-        self.Qw = Qw
-        Twc = [None] * n
-        Qwc = [None] * n
-        contrib = [0] * n
-        total = 0
-        adu, add = self.adu, self.add
-        for w in range(n):
-            if labels[w] != UNDECIDED:
-                Twc[w] = [0] * k
-                Qwc[w] = [0] * k
-                continue
-            trow = [0] * k
-            qrow = [0] * k
-            for eid, u in self.adj[w]:
-                lu = labels[u]
-                row = adu if lu == UNDECIDED else [add[c][lu] for c in range(k)]
-                for c in range(k):
-                    a = row[c]
-                    trow[c] += a
-                    qrow[c] += a * a
-            Twc[w] = trow
-            Qwc[w] = qrow
-            s = 0
-            for c in range(k):
-                s += trow[c] * trow[c] - qrow[c]
-            cw = k * s - (Tw[w] * Tw[w] - Qw[w])
-            contrib[w] = cw
-            total += cw
-        self.Twc = Twc
-        self.Qwc = Qwc
-        self.contrib = contrib
-        self.total_contrib = total
-        self.sumP = sum(P)
-        self.sumP2 = sum(p * p for p in P)
+    def _floats(self, shifts) -> list[tuple[float, ...]]:
+        k2, k4 = self.k2, self.k4
+        out = []
+        for (_, _, _, mu, norm), sum_p, rest, (dps, drs) in zip(
+                self.stats, self.sumP, self.rest, shifts):
+            row = []
+            for dp, dr in zip(dps, drs):
+                p = sum_p + dp
+                row.append((mu * mu - 2 * mu * p + k2 * p + p * p + rest + dr) / k4 / norm)
+            out.append(tuple(row))
+        return out
 
-    def _quad_num(self, sumP, sumP2, total_contrib) -> int:
-        ex2 = self.k2 * sumP + sumP * sumP - sumP2 + total_contrib
-        return self.mu_k2 * self.mu_k2 - 2 * self.mu_k2 * sumP + ex2
+    def values(self) -> list[float]:
+        return [row[0] for row in self._floats([([0], [0])] * len(self.stats))]
 
-    def exact_quadratic(self) -> Fraction:
-        return Fraction(self._quad_num(self.sumP, self.sumP2, self.total_contrib), self.k4)
-
-    def current_value(self) -> float:
-        return float(self.exact_quadratic()) / self.norm
-
-    def candidate_value(self, v, c) -> float:
-        labels = self.labels
-        k = self.k
-        nsumP = self.sumP + k * self.Twc[v][c] - self.Tw[v]
-        nsumP2 = self.sumP2 + self.k2 * self.Qwc[v][c] - self.Qw[v]
-        ncontrib = self.total_contrib - self.contrib[v]
-        da = self.d_a[c]
-        da2 = self.d_a2[c]
-        newP = self.p_du[c]
-        for eid, u in self.adj[v]:
-            if labels[u] != UNDECIDED:
-                continue
-            oldP = self.P[eid]
-            tU = self.Tw[u] + newP - oldP
-            qU = self.Qw[u] + newP * newP - oldP * oldP
-            trow = self.Twc[u]
-            qrow = self.Qwc[u]
-            s = 0
-            for c2 in range(k):
-                t2 = trow[c2] + da[c2]
-                s += t2 * t2 - qrow[c2] - da2[c2]
-            ncontrib += k * s - (tU * tU - qU) - self.contrib[u]
-        return float(Fraction(self._quad_num(nsumP, nsumP2, ncontrib), self.k4)) / self.norm
+    def candidates(self, v) -> list[tuple[float, ...]]:
+        shifts = self._shifts(v)
+        self._pending = (v, shifts)
+        return self._floats(shifts)
 
     def commit(self, v, c):
-        labels = self.labels
-        k = self.k
-        self.sumP += k * self.Twc[v][c] - self.Tw[v]
-        self.sumP2 += self.k2 * self.Qwc[v][c] - self.Qw[v]
-        self.total_contrib -= self.contrib[v]
-        self.contrib[v] = 0
-        da = self.d_a[c]
-        da2 = self.d_a2[c]
-        p_new_open = self.p_du[c]
-        pdd_c = self.p_dd[c]
-        for eid, u in self.adj[v]:
-            lu = labels[u]
-            oldP = self.P[eid]
-            if lu == UNDECIDED:
-                self.P[eid] = p_new_open
-                self.Tw[u] += p_new_open - oldP
-                self.Qw[u] += p_new_open * p_new_open - oldP * oldP
-                trow = self.Twc[u]
-                qrow = self.Qwc[u]
-                s = 0
-                for c2 in range(k):
-                    trow[c2] += da[c2]
-                    qrow[c2] += da2[c2]
-                    s += trow[c2] * trow[c2] - qrow[c2]
-                cw = k * s - (self.Tw[u] * self.Tw[u] - self.Qw[u])
-                self.total_contrib += cw - self.contrib[u]
-                self.contrib[u] = cw
-            else:
-                self.P[eid] = pdd_c[lu]
-        self.Tw[v] = k * self.Twc[v][c]
-        self.Qw[v] = self.k2 * self.Qwc[v][c]
+        # the descent commits the vertex whose candidates it has just taken
+        pending, self._pending = self._pending, None
+        shifts = pending[1] if pending and pending[0] == v else self._shifts(v)
+        for i, (dps, drs) in enumerate(shifts):
+            self.sumP[i] += dps[c]
+            self.rest[i] += drs[c]
+        h = self.h
+        step = (1 << self.offsets[c]) - 1
+        for u in self.adj[v]:
+            if h[u]:
+                h[u] += step
+        h[v] = 0
 
 
 class _RainbowTerm:
@@ -268,7 +249,7 @@ class _RainbowTerm:
     factorial.  For s = 1 this is r^(r-1) * sum_c row_e[c]*row_e'[c] -
     r^r * P_e*P_e', with row_e[c] = A_e(1) on the colours free in e and 0
     elsewhere, so pairs meeting at one open vertex w fold into per-vertex
-    aggregates as in _GraphTerm:
+    aggregates, like the Tw and trow sums of _MemberTerm:
 
       T[w], Q[w]       sums of P and P^2 over edges at w
       Tc[w][c]         sum of row[c] over edges at w; Qc[w][c] of row[c]^2
@@ -480,12 +461,12 @@ class _RainbowTerm:
     def exact_quadratic(self) -> Fraction:
         return Fraction(self._quad_num(self.sumP, self.sumP2, self.jma2), self.D3)
 
-    def current_value(self) -> float:
-        return float(self.exact_quadratic()) / self.norm
+    def values(self) -> list[float]:
+        return [self._quad_num(self.sumP, self.sumP2, self.jma2) / self.D3 / self.norm]
 
-    def candidate_value(self, v, c) -> float:
-        sumP, sumP2, jma2, _, _ = self._step(v, c)
-        return float(Fraction(self._quad_num(sumP, sumP2, jma2), self.D3)) / self.norm
+    def candidates(self, v) -> list[tuple[float, ...]]:
+        return [tuple(self._quad_num(*self._step(v, c)[:3]) / self.D3 / self.norm
+                      for c in range(self.r))]
 
     def commit(self, v, c):
         self.sumP, self.sumP2, self.jma2, covertex, pairs = self._step(v, c)
@@ -512,18 +493,17 @@ class _NaiveTerm:
         self.labels = labels
         self.norm = spec.normalizer
 
-    def exact_quadratic(self) -> Fraction:
-        return _quadratic(self.labels, self.edges, self.spec)
+    def values(self) -> list[float]:
+        return [float(_quadratic(self.labels, self.edges, self.spec)) / self.norm]
 
-    def current_value(self) -> float:
-        return float(self.exact_quadratic()) / self.norm
-
-    def candidate_value(self, v, c) -> float:
+    def candidates(self, v) -> list[tuple[float, ...]]:
         labels = self.labels
-        labels[v] = c
-        quad = _quadratic(labels, self.edges, self.spec)
+        row = []
+        for c in range(self.spec.k):
+            labels[v] = c
+            row.append(float(_quadratic(labels, self.edges, self.spec)) / self.norm)
         labels[v] = UNDECIDED
-        return float(quad) / self.norm
+        return [tuple(row)]
 
     def commit(self, v, c):
         pass
@@ -548,25 +528,19 @@ def resolve_order(family, order) -> tuple[int, ...]:
 
 
 def _build_terms(family, specs, labels, naive: bool):
+    """Penalty terms in spec order: one per graph member's consecutive specs,
+    one per rainbow spec."""
     if naive:
         return [_NaiveTerm(_member_edges(family, s), s, labels) for s in specs]
     n = family.n
-    edges_of = {gi: family.arrays[gi].tolist() for gi in {s.graph for s in specs}}
-    adj_of: dict[int, list] = {}
     terms = []
-    for spec in specs:
-        gi = spec.graph
-        edges = edges_of[gi]
-        if spec.kind == "rainbow":
-            terms.append(_RainbowTerm(edges, spec, labels, n))
-            continue
-        if gi not in adj_of:
-            rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            for eid, (u, v) in enumerate(edges):
-                rows[u].append((eid, v))
-                rows[v].append((eid, u))
-            adj_of[gi] = [tuple(r) for r in rows]
-        terms.append(_GraphTerm(edges, spec, labels, adj_of[gi]))
+    for (gi, rainbow), group in itertools.groupby(
+            specs, key=lambda s: (s.graph, s.kind == "rainbow")):
+        edges = family.arrays[gi].tolist()
+        if rainbow:
+            terms += [_RainbowTerm(edges, spec, labels, n) for spec in group]
+        else:
+            terms.append(_MemberTerm(edges, tuple(group), n))
     return terms
 
 
@@ -595,7 +569,8 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
 
     initial = 0.0
     for term in terms:
-        initial += term.current_value()
+        for value in term.values():
+            initial += value
     if initial >= 1.0:
         raise EstimatorBudgetError(
             f"initial estimator {initial:.6g} >= 1: these penalty terms cannot certify "
@@ -604,11 +579,13 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
 
     trace: list[DescentStep] = []
     for v in order:
+        # one row of k floats per statistic, added up in spec order
+        rows = [row for term in terms for row in term.candidates(v)]
         candidates = []
         for c in range(k):
             val = 0.0
-            for term in terms:
-                val += term.candidate_value(v, c)
+            for row in rows:
+                val += row[c]
             candidates.append(val)
         chosen = 0
         for c in range(1, k):

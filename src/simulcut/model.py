@@ -61,17 +61,27 @@ def _as_rows(edges, width: int) -> np.ndarray:
     return rows
 
 
+def _first_overflow(edges) -> int | None:
+    """Index of the first edge holding an integer outside int64, if there is one."""
+    try:
+        return next(j for j, e in enumerate(edges)
+                    if any(isinstance(x, int) and not -2**63 <= x < 2**63 for x in e))
+    except (StopIteration, TypeError):
+        return None
+
+
 def _member_rows(edges, n: int, width: int, where: str, member: int) -> np.ndarray:
     """Validate one member; returns its read-only array with each row sorted.
 
     This is the only check of edge validity.  Raises InstanceError naming
     the first edge, in input order, that is out of range, repeats a vertex,
-    or repeats an earlier edge, with ``member`` and that edge's ``row``.
+    or repeats an earlier edge, with ``member`` and that edge's ``row``; an
+    edge holding an index outside int64 is named the same way.
     """
     try:
         rows = np.sort(_as_rows(edges, width), axis=1)
     except InstanceError as exc:
-        raise InstanceError(f"{where}: {exc}", member) from None
+        raise InstanceError(f"{where}: {exc}", member, _first_overflow(edges)) from None
     out_of_range = (rows[:, 0] < 0) | (rows[:, -1] >= n)
     repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     order, same = _lexicographic_runs(rows)

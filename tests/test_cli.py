@@ -152,6 +152,27 @@ def test_verify_missing_field_exit_2(c5_file, tmp_path, capsys, dropped):
     assert err.startswith("error: ") and repr(dropped.rstrip("=")) in err
 
 
+BIG = 99999999999999999999     # a vertex index beyond int64
+
+
+@pytest.mark.parametrize("text", [
+    f"graphs 1 vertices {BIG + 1}\nedges 2\n0 1\n0 {BIG}\n",
+    f"graphs 1 vertices {BIG + 1}\nedges 2\n0  1\n0 {BIG}  \n",     # not canonical
+    f"hypergraphs 1 vertices {BIG + 1} uniformity 3\nedges 2\n0 1 2\n0 1 {BIG}\n",
+])
+def test_index_beyond_int64_names_its_line(c5_file, tmp_path, capsys, text):
+    inst = tmp_path / "big.instance"
+    inst.write_text(text)
+    rep = tmp_path / "c5.report"
+    assert main(["partition", str(c5_file), "--theorem", "1", "--out", str(rep)]) == 0
+    for argv in (["partition", str(inst), "--theorem", "1"],
+                 ["verify", str(rep), "--instance", str(inst)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: ") and "Traceback" not in err, err
+
+
 def test_verify_detects_wrong_instance(c5_file, tmp_path):
     rep = tmp_path / "v.report"
     assert main(["partition", str(c5_file), "--theorem", "1", "--out", str(rep)]) == 0

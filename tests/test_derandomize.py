@@ -1,5 +1,6 @@
 """Conditional-expectation descent: guarantees, invariants, engine equality."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -20,7 +21,7 @@ from simulcut import (
     resolve,
     threshold_for,
 )
-from simulcut.derandomize import _RainbowTerm, resolve_order
+from simulcut.derandomize import _MemberTerm, _NaiveTerm, _RainbowTerm, resolve_order
 from simulcut.estimator import _quadratic, stat_mean
 from simulcut.instances import generate
 
@@ -211,11 +212,50 @@ class TestEngineEquality:
                 for v in range(n):
                     if labels[v] != UNDECIDED:
                         continue
+                    want = []
                     for c in range(r):
                         labels[v] = c
-                        want = float(_quadratic(labels, edges, spec)) / spec.normalizer
+                        want.append(float(_quadratic(labels, edges, spec)) / spec.normalizer)
                         labels[v] = UNDECIDED
-                        assert term.candidate_value(v, c) == want, (r, trial, v, c)
+                    assert term.candidates(v) == [tuple(want)], (r, trial, v)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_member_candidates_from_partial_state(self, k):
+        # one term tracks crossing, every pair and every within statistic of a
+        # member; vertices n and n + 1 are isolated, one decided and one open
+        rng = random.Random(40 + k)
+        for trial in range(4):
+            n = rng.randint(4, 12)
+            m = rng.randint(1, min(30, n * (n - 1) // 2))
+            edges = tuple(sorted(rng.sample(list(itertools.combinations(range(n), 2)), m)))
+            norm = float(12 * m * m)
+            specs = [EventSpec(graph=0, kind="crossing", k=k,
+                               mu=stat_mean("crossing", m, k), normalizer=norm)]
+            specs += [EventSpec(graph=0, kind="pair", k=k, s=s, t=t,
+                                mu=stat_mean("pair", m, k), normalizer=norm)
+                      for s, t in itertools.combinations(range(k), 2)]
+            specs += [EventSpec(graph=0, kind="within", k=k, s=s,
+                                mu=stat_mean("within", m, k), normalizer=norm)
+                      for s in range(k)]
+            labels = [UNDECIDED] * (n + 2)
+            term = _MemberTerm(edges, specs, n + 2)
+            naive = [_NaiveTerm(edges, spec, labels) for spec in specs]
+            prefix = rng.sample(range(n), rng.randint(0, n - 1)) + [n]
+            for i, v in enumerate(prefix):
+                # a commit may follow the candidates of its own vertex, of an
+                # open one, or of the next one to commit
+                for u in (v, n + 1, prefix[min(i + 1, len(prefix) - 1)]):
+                    if rng.random() < 0.4:
+                        term.candidates(u)
+                c = rng.randrange(k)
+                term.commit(v, c)
+                labels[v] = c
+            assert term.values() == [x for t in naive for x in t.values()]
+            for v in range(n + 2):
+                if labels[v] != UNDECIDED:
+                    continue
+                want = [row for t in naive for row in t.candidates(v)]
+                assert term.candidates(v) == want, (k, trial, v)
 
     def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
         # a linear hypergraph (delta2 == 1): every overlapping pair shares one vertex
@@ -244,6 +284,54 @@ def _loose_rainbow(hf, i):
     m = hf.m[i]
     return EventSpec(graph=i, kind="rainbow", k=hf.r, mu=stat_mean("rainbow", m, hf.r),
                      normalizer=float(50 * hf.r ** hf.r * m * m))
+
+
+class TestPinnedTraces:
+    """Digests of whole descents, recorded with the one-term-per-statistic
+    graph engine that `_MemberTerm` replaced.
+
+    Engine equality alone cannot catch a change that moves the incremental
+    and the naive paths together; these pin every candidate float.
+    """
+
+    CASES = {
+        "thm1": (("gnm", dict(n=60, m=200, ell=3, seed=1)), "thm1", None),
+        "thm2": (("gnm", dict(n=50, m=150, ell=2, seed=2)), "thm2", 4),
+        "thm3": (("bounded-degree", dict(n=1460, degree=2, ell=1, seed=3)), "thm3", 3),
+        "pair-within": (("gnm", dict(n=40, m=120, ell=2, seed=4)), None, 3),
+        "hyp": (("runiform", dict(n=30, m=60, r=3, ell=2, seed=5)), "hyp", None),
+    }
+    DIGESTS = {
+        "thm1": "12225044636d6894cd709dbfabe329051b2b9a07d8fad19f878aa56d6128b5df",
+        "thm2": "03d0660d3f0fb69dc0ba2c2e1f02f71ea9223594036ce0da595d25173250ded0",
+        "thm3": "75ddd649f1c0431866ae5e6d2400aa9b3c04304d7fb6babe50491df45c6264da",
+        "pair-within": "a9e828a2333de198204fd9e4497307ef1d968b31d95613d7a021a264360020c7",
+        "hyp": "16ddefcc622f81aa5be53f3adc21320a72baa4f43f37bc40b1a87f3875669ed3",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trace_digest(self, case):
+        (kind, params), theorem, k = self.CASES[case]
+        fam = generate(kind, **params)
+        # pair-within: every graph's pair and within terms, degrees not bounded
+        guarantee = (resolve(fam, theorem, k=k) if theorem else
+                     _loose_pair_within(fam, k))
+        result = derandomize(fam, guarantee)
+        trace = [(s.vertex, s.chosen, s.candidates) for s in result.trace]
+        text = repr((result.initial_value, result.final_value, trace))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case]
+
+
+def _loose_pair_within(fam, k):
+    specs = []
+    for i, m in enumerate(fam.m):
+        norm = float(12 * m * m)
+        specs += [EventSpec(graph=i, kind="pair", k=k, s=s, t=t,
+                            mu=Fraction(2 * m, k * k), normalizer=norm)
+                  for s, t in itertools.combinations(range(k), 2)]
+        specs += [EventSpec(graph=i, kind="within", k=k, s=s,
+                            mu=Fraction(m, k * k), normalizer=norm) for s in range(k)]
+    return Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(specs))
 
 
 class TestContracts:

@@ -115,6 +115,9 @@ def test_validation_names_first_bad_edge_in_input_order():
     with pytest.raises(InstanceError, match="every edge must be 2 integer vertex indices") as exc:
         GraphFamily(n=4, graphs=(((0, 1), (1, 2, 3)),))
     assert (exc.value.member, exc.value.row) == (0, None)
+    with pytest.raises(InstanceError, match=r"graph 1: .* below 2\*\*63") as exc:
+        GraphFamily(n=2**70, graphs=(((0, 1),), ((0, 1), (0, 2**64), (1, -2**64))))
+    assert (exc.value.member, exc.value.row) == (1, 1)
     with pytest.raises(InstanceError, match="every edge must be 2"):
         GraphFamily(n=4, graphs=(((),),))
     with pytest.raises(InstanceError, match="hypergraph 0: duplicate edge"):
