@@ -73,7 +73,6 @@ class RunOptions:
 class RunOutcome:
     run_report: RunReport
     exhausted: bool = False
-    tries: int | None = None
     derand_result: object = None
 
 
@@ -109,7 +108,7 @@ def execute_run(family, opts: RunOptions) -> RunOutcome:
         rr = RunReport(method="mc", assignment=assignment.labels, cut_report=cut_report,
                        seed=opts.seed, max_tries=opts.max_tries, tries=tries,
                        wall_ms=wall, **common)
-        return RunOutcome(run_report=rr, exhausted=exhausted, tries=tries)
+        return RunOutcome(run_report=rr, exhausted=exhausted)
 
     start = time.perf_counter()
     result = derandomize(family, guarantee, order=opts.order)

@@ -14,17 +14,24 @@ k^2 (r^r for rainbow terms), so each statistic's quadratic is accumulated
 as a plain integer over a fixed power of k; only the final divisions, by
 that power and by the statistic's real normalizer, are floating point.
 
-Cost: one term per graph member tracks all of its statistics (the
-crossing one, or every pair and within one) on per-vertex histograms of
-neighbour labels, from which each statistic's edge-pair correlations
-follow in closed form.  One walk over v's neighbours yields every
-statistic's k candidates: deg(v) additions of packed histograms, then O(k)
-per statistic.  A commit costs O(1) per open neighbour.  A rainbow term
-costs O(deg(v) * r^2) per candidate, plus the hyperedge pairs at v that
-share two or more vertices (these alone keep per-pair state, in closed
-form).  The descent adds the candidates' floats in spec order.
-`naive=True` switches to a from-scratch recompute of every moment, kept
-as the correctness oracle for the incremental bookkeeping.
+Terms: one per run of consecutive specs on one member, built from the
+member's edges, those specs and n; each gives one row of k floats per
+spec.  Every term starts with all vertices open (the incremental ones in
+closed form) and learns of decided vertices only through its own
+`commit(v, c)`, which reuses what `candidates(v)` has just computed for v.
+The descent adds the rows in spec order.
+
+Cost: a graph member's term tracks all of its statistics (the crossing
+one, or every pair and within one) on per-vertex histograms of neighbour
+labels, from which each statistic's edge-pair correlations follow in
+closed form.  One walk over v's neighbours yields every statistic's k
+candidates: deg(v) additions of packed histograms, then O(k) per
+statistic.  A commit costs O(1) per open neighbour.  A hypergraph
+member's rainbow term costs O(deg(v) * r^2) per candidate, plus the
+hyperedge pairs at v that share two or more vertices (these alone keep
+per-pair state, in closed form).  `naive=True` builds terms that recompute
+every moment from scratch, kept as the correctness oracle for the
+incremental bookkeeping.
 """
 
 from __future__ import annotations
@@ -33,18 +40,11 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .model import UNDECIDED, Assignment, CutReport
-from .estimator import (
-    EstimatorBudgetError,
-    EventSpec,
-    _member_edges,
-    _quadratic,
-    validate_specs,
-)
+from .estimator import EstimatorBudgetError, _quadratic, validate_specs
 from .guarantee import Guarantee, evaluate
 
 
@@ -108,7 +108,7 @@ class _MemberTerm:
     neighbours stays at most 2m, so sums never carry between fields.  h[u]
     is 0 once u is decided.  So one sum over adj[v] yields all k candidates
     of every statistic, and a commit adds one constant to each open
-    neighbour.  Labels must all be undecided at construction.
+    neighbour.  The term starts with every vertex open.
     """
 
     def __init__(self, edges, specs, n):
@@ -118,12 +118,7 @@ class _MemberTerm:
         self.k4 = self.k2 * self.k2
         self.stats = []
         for spec in specs:
-            if spec.kind not in ("crossing", "pair", "within"):
-                raise ValueError(f"graph term cannot track {spec.kind!r}")
-            mu_k2 = spec.mu * self.k2
-            if mu_k2.denominator != 1:
-                raise ValueError(f"mean {spec.mu} is not a multiple of 1/k^2")
-            self.stats.append((spec.kind, spec.s, spec.t, int(mu_k2), spec.normalizer))
+            self.stats.append((spec.kind, spec.s, spec.t, int(spec.mu * self.k2), spec.normalizer))
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             adj[u].append(v)
@@ -234,7 +229,8 @@ class _MemberTerm:
 
 
 class _RainbowTerm:
-    """Incremental penalty term for the rainbow statistic of one hypergraph.
+    """Incremental penalty terms for the rainbow statistic of one hypergraph,
+    one row per spec on it (the specs differ only in their normalizer).
 
     Edge state: its undecided count u, the mask of its decided colours, and
     P, the numerator over r^r of its conditional probability: u!*r^(r-u)
@@ -262,17 +258,21 @@ class _RainbowTerm:
     while s <= 1).  The doubled pair sum 2*jma = sum(contrib) + 2*sum(corr)
     is one exact integer.  A candidate costs O(deg(v) * r^2) plus the
     multi-shared pairs at v.
+
+    The term starts with every vertex open, where every edge has u = r, an
+    empty mask and P = A_r(0) = A_r(1) = r!: T, Q, Tc and Qc are a vertex's
+    degree times r! or r!^2, and every contrib is 0.  It marks the vertices
+    committed to it as decided itself, and `commit` reuses the step that
+    `candidates` has just computed for the class.
     """
 
-    def __init__(self, edges, spec: EventSpec, labels, n):
-        r = spec.k
+    def __init__(self, edges, specs, n):
+        r = specs[0].k
         self.r = r
         self.D1 = r ** r
         self.D2 = self.D1 * self.D1
         self.D3 = self.D2 * self.D1
-        self.spec = spec
-        self.norm = spec.normalizer
-        self.labels = labels
+        self.norms = [spec.normalizer for spec in specs]
         self.edges = [tuple(e) for e in edges]
         self.mu_rr = math.factorial(r) * len(edges)
         self.rpow = [r ** i for i in range(r + 1)]
@@ -281,6 +281,7 @@ class _RainbowTerm:
                   for u in range(r + 1)]
         self.ff = [[math.perm(f, s) for s in range(r + 1)] for f in range(r + 1)]
         self._deltas: dict[tuple[int, int, int], tuple] = {}
+        self._pending = None
         inc: list[list[int]] = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
             for x in e:
@@ -303,61 +304,21 @@ class _RainbowTerm:
             for x in set(ei) | set(ej):
                 multi_at[x].append((pid, x in ei, x in ej))
         self.multi_at = multi_at
-        self.reset()
-
-    def reset(self):
-        labels = self.labels
-        r = self.r
-        A = self.A
-        U = []
-        M = []
-        P = []
-        for e in self.edges:
-            u = 0
-            mask = 0
-            alive = True
-            for x in e:
-                lab = labels[x]
-                if lab == UNDECIDED:
-                    u += 1
-                elif mask >> lab & 1:
-                    alive = False
-                else:
-                    mask |= 1 << lab
-            U.append(u)
-            M.append(mask)
-            P.append(A[u][0] if alive else 0)
-        self.U, self.M, self.P = U, M, P
-        self.sumP = sum(P)
-        self.sumP2 = sum(p * p for p in P)
-        n = len(labels)
-        self.T = [0] * n
-        self.Q = [0] * n
-        self.Tc = [[0] * r for _ in range(n)]
-        self.Qc = [[0] * r for _ in range(n)]
+        # all vertices open: every edge has P = A[r][0] = A[r][1] = r!, so the
+        # rows equal P and edges meeting at one open vertex are uncorrelated
+        m = len(self.edges)
+        a0 = self.A[r][0]
+        self.open = [True] * n
+        self.U, self.M, self.P = [r] * m, [0] * m, [a0] * m
+        self.sumP = m * a0
+        self.sumP2 = m * a0 * a0
+        self.T = [len(ids) * a0 for ids in inc]
+        self.Q = [t * a0 for t in self.T]
+        self.Tc = [[t] * r for t in self.T]
+        self.Qc = [[q] * r for q in self.Q]
         self.contrib = [0] * n
-        for w in range(n):
-            if labels[w] != UNDECIDED:
-                continue
-            trow = self.Tc[w]
-            qrow = self.Qc[w]
-            for eid in self.inc[w]:
-                p = P[eid]
-                if not p:
-                    continue
-                self.T[w] += p
-                self.Q[w] += p * p
-                a1 = A[U[eid]][1]
-                mask = M[eid]
-                for c in range(r):
-                    if not mask >> c & 1:
-                        trow[c] += a1
-                        qrow[c] += a1 * a1
-            self.contrib[w] = self._contrib(self.T[w], self.Q[w], trow, qrow)
-        self.open_shared = [sum(1 for x in shared if labels[x] == UNDECIDED)
-                            for _, _, shared in self.multi]
-        self.corr = [self._corr(U[i], M[i], P[i], U[j], M[j], P[j], s)
-                     for (i, j, _), s in zip(self.multi, self.open_shared)]
+        self.open_shared = [len(shared) for _, _, shared in self.multi]
+        self.corr = [self._corr(r, 0, a0, r, 0, a0, s) for s in self.open_shared]
         self.jma2 = sum(self.contrib) + 2 * sum(self.corr)
 
     def _contrib(self, t, q, trow, qrow) -> int:
@@ -401,7 +362,7 @@ class _RainbowTerm:
 
     def _step(self, v, c):
         """Totals after v -> c, with the per-vertex and per-pair updates."""
-        labels = self.labels
+        is_open = self.open
         U, M, P = self.U, self.M, self.P
         sumP = self.sumP + self.Tc[v][c] - self.T[v]
         sumP2 = self.sumP2 + self.Qc[v][c] - self.Q[v]
@@ -412,7 +373,7 @@ class _RainbowTerm:
                 continue
             dp, dp2, dt, dq = self._edge_delta(U[eid], M[eid], c)
             for w in self.edges[eid]:
-                if w == v or labels[w] != UNDECIDED:
+                if w == v or not is_open[w]:
                     continue
                 acc = shift.get(w)
                 if acc is None:
@@ -458,24 +419,28 @@ class _RainbowTerm:
         ex2 = sumP * self.D2 + (sumP * sumP - sumP2) * self.D1 + jma2
         return (self.mu_rr * self.mu_rr - 2 * self.mu_rr * sumP) * self.D1 + ex2
 
-    def exact_quadratic(self) -> Fraction:
-        return Fraction(self._quad_num(self.sumP, self.sumP2, self.jma2), self.D3)
-
     def values(self) -> list[float]:
-        return [self._quad_num(self.sumP, self.sumP2, self.jma2) / self.D3 / self.norm]
+        num = self._quad_num(self.sumP, self.sumP2, self.jma2)
+        return [num / self.D3 / norm for norm in self.norms]
 
     def candidates(self, v) -> list[tuple[float, ...]]:
-        return [tuple(self._quad_num(*self._step(v, c)[:3]) / self.D3 / self.norm
-                      for c in range(self.r))]
+        steps = [self._step(v, c) for c in range(self.r)]
+        self._pending = (v, steps)
+        nums = [self._quad_num(*step[:3]) for step in steps]
+        return [tuple(num / self.D3 / norm for num in nums) for norm in self.norms]
 
     def commit(self, v, c):
-        self.sumP, self.sumP2, self.jma2, covertex, pairs = self._step(v, c)
+        # the descent commits the vertex whose candidates it has just taken
+        pending, self._pending = self._pending, None
+        step = pending[1][c] if pending and pending[0] == v else self._step(v, c)
+        self.sumP, self.sumP2, self.jma2, covertex, pairs = step
         for w, t, q, trow, qrow, cw in covertex:
             self.T[w], self.Q[w], self.Tc[w], self.Qc[w], self.contrib[w] = t, q, trow, qrow, cw
         for pid, new, s in pairs:
             self.corr[pid] = new
             self.open_shared[pid] = s
         self.contrib[v] = 0
+        self.open[v] = False
         for eid in self.inc[v]:
             u = self.U[eid]
             if self.P[eid]:
@@ -485,28 +450,31 @@ class _RainbowTerm:
 
 
 class _NaiveTerm:
-    """From-scratch recompute of one term; the incremental engines' oracle."""
+    """From-scratch recompute of one member's terms; the incremental oracle."""
 
-    def __init__(self, edges, spec: EventSpec, labels):
+    def __init__(self, edges, specs, n):
         self.edges = edges
-        self.spec = spec
-        self.labels = labels
-        self.norm = spec.normalizer
+        self.specs = specs
+        self.labels = [UNDECIDED] * n
 
     def values(self) -> list[float]:
-        return [float(_quadratic(self.labels, self.edges, self.spec)) / self.norm]
+        return [float(_quadratic(self.labels, self.edges, spec)) / spec.normalizer
+                for spec in self.specs]
 
     def candidates(self, v) -> list[tuple[float, ...]]:
         labels = self.labels
-        row = []
-        for c in range(self.spec.k):
-            labels[v] = c
-            row.append(float(_quadratic(labels, self.edges, self.spec)) / self.norm)
+        rows = []
+        for spec in self.specs:
+            row = []
+            for c in range(spec.k):
+                labels[v] = c
+                row.append(float(_quadratic(labels, self.edges, spec)) / spec.normalizer)
+            rows.append(tuple(row))
         labels[v] = UNDECIDED
-        return [tuple(row)]
+        return rows
 
     def commit(self, v, c):
-        pass
+        self.labels[v] = c
 
 
 def resolve_order(family, order) -> tuple[int, ...]:
@@ -527,20 +495,13 @@ def resolve_order(family, order) -> tuple[int, ...]:
     return order
 
 
-def _build_terms(family, specs, labels, naive: bool):
-    """Penalty terms in spec order: one per graph member's consecutive specs,
-    one per rainbow spec."""
-    if naive:
-        return [_NaiveTerm(_member_edges(family, s), s, labels) for s in specs]
-    n = family.n
+def _build_terms(family, specs, naive: bool):
+    """Penalty terms in spec order, one per run of consecutive specs on one member."""
     terms = []
     for (gi, rainbow), group in itertools.groupby(
             specs, key=lambda s: (s.graph, s.kind == "rainbow")):
-        edges = family.arrays[gi].tolist()
-        if rainbow:
-            terms += [_RainbowTerm(edges, spec, labels, n) for spec in group]
-        else:
-            terms.append(_MemberTerm(edges, tuple(group), n))
+        cls = _NaiveTerm if naive else _RainbowTerm if rainbow else _MemberTerm
+        terms.append(cls(family.arrays[gi].tolist(), tuple(group), family.n))
     return terms
 
 
@@ -565,7 +526,7 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
                          "the descent does not track class sizes")
     order = resolve_order(family, order)
     labels = [UNDECIDED] * family.n
-    terms = _build_terms(family, specs, labels, naive)
+    terms = _build_terms(family, specs, naive)
 
     initial = 0.0
     for term in terms:

@@ -39,11 +39,11 @@ class DegreePreconditionError(ValueError):
 class EventSpec:
     """One quadratic penalty term ((mu - X)^2 / normalizer) over a statistic.
 
-    ``mu`` must be the unconditional mean of the statistic and
-    ``var_bound`` an upper bound on its variance; a list of specs is only
-    usable when sum(var_bound / normalizer) < 1, which is what forces the
-    greedy descent to end with every statistic above mu - sqrt(normalizer),
-    the guarantee's threshold (`resolve` takes it from `threshold_for`).
+    ``mu`` must be the unconditional mean of the statistic.  A list of
+    specs is usable when its initial estimator, sum(Var X / normalizer), is
+    below 1, which forces the greedy descent to end with every statistic
+    above mu - sqrt(normalizer), the guarantee's threshold (`resolve` takes
+    it from `threshold_for`); `derandomize` checks that sum exactly.
     """
 
     graph: int
@@ -51,7 +51,6 @@ class EventSpec:
     k: int
     mu: Fraction
     normalizer: float
-    var_bound: Fraction | None = None
     s: int | None = None
     t: int | None = None
 
@@ -253,23 +252,17 @@ def _quadratic(labels, edges, spec: EventSpec) -> Fraction:
     return spec.mu * spec.mu - 2 * spec.mu * s1 + ex2
 
 
-def _member_edges(family, spec: EventSpec) -> list:
-    """The spec's member as a list of edges, each a list of Python ints."""
-    return family.arrays[spec.graph].tolist()
-
-
 def estimator_value(family, a: Assignment, specs) -> float:
     """Sum over specs of the penalty terms, each exact until the final division."""
     total = 0.0
     for spec in specs:
-        quad = term_quadratic(_member_edges(family, spec), a, spec)
+        quad = term_quadratic(family.arrays[spec.graph].tolist(), a, spec)
         total += float(quad) / spec.normalizer
     return total
 
 
 def validate_specs(family, specs) -> None:
-    """Check means against their closed forms and the combined variance budget."""
-    budget = 0.0
+    """Check every spec's mean against its statistic's closed form."""
     for spec in specs:
         expected = stat_mean(spec.kind, family.m[spec.graph], spec.k)
         if spec.mu != expected:
@@ -277,11 +270,4 @@ def validate_specs(family, specs) -> None:
                 f"spec for member {spec.graph} ({spec.stat}): mu={spec.mu} "
                 f"but the statistic's mean is {expected}"
             )
-        if spec.var_bound is not None:
-            budget += float(spec.var_bound) / spec.normalizer
-    if budget >= 1.0:
-        raise EstimatorBudgetError(
-            f"variance budget sum(var_bound/normalizer) = {budget:.6g} >= 1; "
-            "these terms cannot certify a partition"
-        )
 

@@ -62,11 +62,16 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     None under ``balanced`` means sqrt(n * ln(2*k*ell*max_tries)), which keeps
     the combined per-try probability of any class drifting off n/k below 1/2.
 
-    Penalty terms, each (mu - X)^2 / normalizer with variance bound var:
-      thm1  crossing per graph, normalizer ell*m/2
-      thm2  k-way crossing per graph, normalizer 2*ell*m
-      thm3  per (graph, class pair) and (graph, class), normalizer sqrt(eps)*m^2
-      hyp   rainbow per hypergraph, normalizer 2*ell*(1 + r*(r-1)*delta2)*m
+    Penalty terms, each (mu - X)^2 / normalizer, with Var X bounded by var:
+      thm1  crossing per graph, normalizer ell*m/2, var m/4
+      thm2  k-way crossing per graph, normalizer 2*ell*m, var m
+      thm3  per (graph, class pair) and (graph, class), normalizer
+            sqrt(eps)*m^2, var 3*max_degree*m <= 3*eps*m^2
+      hyp   rainbow per hypergraph, normalizer 2*ell*w*m, var w*m with
+            w = 1 + r*(r-1)*delta2
+    The initial estimator is sum(Var X / normalizer), so these budgets keep
+    it below 1: 1/2 for thm1, thm2 and hyp, and ell*k(k+1)/2 terms of at
+    most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown kind {theorem!r}; expected one of {THEOREMS}")
@@ -122,27 +127,26 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
         if theorem == "thm1":
             specs.append(EventSpec(
                 graph=i, kind="crossing", k=2, mu=Fraction(m, 2),
-                normalizer=ell * m / 2, var_bound=Fraction(m, 4)))
+                normalizer=ell * m / 2))
         elif theorem == "thm2":
             specs.append(EventSpec(
                 graph=i, kind="crossing", k=k, mu=Fraction((k - 1) * m, k),
-                normalizer=2 * ell * m, var_bound=Fraction(m)))
+                normalizer=2 * ell * m))
         elif theorem == "thm3":
             norm = math.sqrt(float(eps)) * m * m
-            var = Fraction(3 * family.max_degree[i] * m)
             for s, t in itertools.combinations(range(k), 2):
                 specs.append(EventSpec(
                     graph=i, kind="pair", k=k, s=s, t=t,
-                    mu=Fraction(2 * m, k * k), normalizer=norm, var_bound=var))
+                    mu=Fraction(2 * m, k * k), normalizer=norm))
             for s in range(k):
                 specs.append(EventSpec(
                     graph=i, kind="within", k=k, s=s,
-                    mu=Fraction(m, k * k), normalizer=norm, var_bound=var))
+                    mu=Fraction(m, k * k), normalizer=norm))
         else:
             weight = 1 + k * (k - 1) * family.delta2[i]
             specs.append(EventSpec(
                 graph=i, kind="rainbow", k=k, mu=Fraction(math.factorial(k) * m, k ** k),
-                normalizer=2 * ell * weight * m, var_bound=Fraction(weight * m)))
+                normalizer=2 * ell * weight * m))
     if balanced:
         rows += [(-1, f"balance({c})", family.n / k - slack) for c in range(k)]
     return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), eps=eps, slack=slack,

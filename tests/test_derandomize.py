@@ -1,5 +1,7 @@
 """Conditional-expectation descent: guarantees, invariants, engine equality."""
 
+import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -9,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from simulcut import (
-    UNDECIDED,
     EstimatorBudgetError,
     EventSpec,
     GraphFamily,
@@ -22,10 +23,10 @@ from simulcut import (
     threshold_for,
 )
 from simulcut.derandomize import _MemberTerm, _NaiveTerm, _RainbowTerm, resolve_order
-from simulcut.estimator import _quadratic, stat_mean
+from simulcut.estimator import stat_mean
 from simulcut.instances import generate
 
-from helpers import c5_pair, cycle_edges, random_family, random_hyperfamily, random_partial
+from helpers import c5_pair, cycle_edges, random_family, random_hyperfamily
 
 
 def assert_descent_health(result, slack=1e-9):
@@ -204,20 +205,60 @@ class TestEngineEquality:
                 n = rng.randint(r + 2, r + 5)
                 cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
                 hf = random_hyperfamily(n, r, [rng.randint(1, cap)], 200 * r + trial)
-                spec = _loose_rainbow(hf, 0)
+                specs = (_loose_rainbow(hf, 0),)
                 edges = hf.hypergraphs[0]
-                labels = list(random_partial(n, r, trial, p_undecided=0.6).labels)
-                term = _RainbowTerm(edges, spec, labels, n)
-                assert term.exact_quadratic() == _quadratic(labels, edges, spec)
-                for v in range(n):
-                    if labels[v] != UNDECIDED:
-                        continue
-                    want = []
-                    for c in range(r):
-                        labels[v] = c
-                        want.append(float(_quadratic(labels, edges, spec)) / spec.normalizer)
-                        labels[v] = UNDECIDED
-                    assert term.candidates(v) == [tuple(want)], (r, trial, v)
+                term = _RainbowTerm(edges, specs, n)
+                naive = _NaiveTerm(edges, specs, n)
+                assert term.values() == naive.values()
+                prefix = rng.sample(range(n), rng.randint(0, n - 1))
+                spare = min(set(range(n)) - set(prefix))
+                for i, v in enumerate(prefix):
+                    # a commit may follow the candidates of its own vertex, of an
+                    # open one, or of the next one to commit
+                    for u in (v, spare, prefix[min(i + 1, len(prefix) - 1)]):
+                        if rng.random() < 0.4:
+                            term.candidates(u)
+                    c = rng.randrange(r)
+                    term.commit(v, c)
+                    naive.commit(v, c)
+                    assert term.values() == naive.values(), (r, trial, v)
+                for v in set(range(n)) - set(prefix):
+                    assert term.candidates(v) == naive.candidates(v), (r, trial, v)
+
+    def test_rainbow_rows_per_spec(self):
+        # two specs on one member that differ only in their normalizer: one
+        # term, two rows, each equal to the naive row
+        rng = random.Random(23)
+        for r in (2, 3, 4):
+            n = r + 4
+            hf = random_hyperfamily(n, r, [min(self.RAINBOW_CAPS[r], math.comb(n, r))], 300 + r)
+            spec = _loose_rainbow(hf, 0)
+            specs = (spec, dataclasses.replace(spec, normalizer=3 * spec.normalizer))
+            edges = hf.hypergraphs[0]
+            term = _RainbowTerm(edges, specs, n)
+            naive = _NaiveTerm(edges, specs, n)
+            for v in rng.sample(range(n), n):
+                rows = term.candidates(v)
+                assert len(rows) == 2 and rows[0] != rows[1]
+                assert rows == naive.candidates(v), (r, v)
+                c = min(range(r), key=lambda c: rows[0][c] + rows[1][c])
+                term.commit(v, c)
+                naive.commit(v, c)
+                assert term.values() == naive.values(), (r, v)
+
+    def test_rainbow_step_runs_r_times_per_vertex(self, monkeypatch):
+        # commit reuses the step that candidates computed for the chosen class
+        calls = collections.Counter()
+        step = _RainbowTerm._step
+
+        def counted(self, v, c):
+            calls[v] += 1
+            return step(self, v, c)
+
+        monkeypatch.setattr(_RainbowTerm, "_step", counted)
+        hf = generate("runiform", n=30, m=60, r=3, ell=2, seed=5)
+        derandomize(hf, resolve(hf, "hyp"))
+        assert calls == {v: 3 * 2 for v in range(30)}
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_member_candidates_from_partial_state(self, k):
@@ -237,9 +278,8 @@ class TestEngineEquality:
             specs += [EventSpec(graph=0, kind="within", k=k, s=s,
                                 mu=stat_mean("within", m, k), normalizer=norm)
                       for s in range(k)]
-            labels = [UNDECIDED] * (n + 2)
             term = _MemberTerm(edges, specs, n + 2)
-            naive = [_NaiveTerm(edges, spec, labels) for spec in specs]
+            naive = _NaiveTerm(edges, specs, n + 2)
             prefix = rng.sample(range(n), rng.randint(0, n - 1)) + [n]
             for i, v in enumerate(prefix):
                 # a commit may follow the candidates of its own vertex, of an
@@ -249,28 +289,24 @@ class TestEngineEquality:
                         term.candidates(u)
                 c = rng.randrange(k)
                 term.commit(v, c)
-                labels[v] = c
-            assert term.values() == [x for t in naive for x in t.values()]
-            for v in range(n + 2):
-                if labels[v] != UNDECIDED:
-                    continue
-                want = [row for t in naive for row in t.candidates(v)]
-                assert term.candidates(v) == want, (k, trial, v)
+                naive.commit(v, c)
+            assert term.values() == naive.values()
+            for v in set(range(n + 2)) - set(prefix):
+                assert term.candidates(v) == naive.candidates(v), (k, trial, v)
 
     def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
         # a linear hypergraph (delta2 == 1): every overlapping pair shares one vertex
         fano = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
         hf = HypergraphFamily(n=7, r=3, hypergraphs=(fano,))
         assert hf.delta2 == (1,)
-        term = _RainbowTerm(fano, _loose_rainbow(hf, 0), [UNDECIDED] * 7, 7)
+        term = _RainbowTerm(fano, (_loose_rainbow(hf, 0),), 7)
         assert term.multi == []
         rng = random.Random(22)
         for r in (2, 3, 4, 5):
             for trial in range(4):
                 n = rng.randint(r + 1, r + 6)
                 hf = random_hyperfamily(n, r, [rng.randint(1, math.comb(n, r))], trial)
-                term = _RainbowTerm(hf.hypergraphs[0], _loose_rainbow(hf, 0),
-                                    [UNDECIDED] * n, n)
+                term = _RainbowTerm(hf.hypergraphs[0], (_loose_rainbow(hf, 0),), n)
                 bound = hf.m[0] * math.comb(r, 2) * (hf.delta2[0] - 1) / 2
                 assert len(term.multi) <= bound
 

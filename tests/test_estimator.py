@@ -12,10 +12,12 @@ from simulcut import (
     EstimatorBudgetError,
     EventSpec,
     GraphFamily,
+    Guarantee,
     UNDECIDED,
     conditional_edge_prob,
     conditional_joint_prob,
     conditional_moments,
+    derandomize,
     estimator_value,
     resolve,
     threshold_for,
@@ -274,11 +276,10 @@ class TestEventSpec:
 
     def test_variance_budget_enforced(self):
         fam = random_family(6, [8], 2)
-        # normalizer below the variance bound m/4 per graph would break the descent
-        bad = [EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(4),
-                         normalizer=1.5, var_bound=Fraction(2))]
-        with pytest.raises(EstimatorBudgetError):
-            validate_specs(fam, bad)
+        # a normalizer below the variance m/4 starts the descent at 2/1.5 >= 1
+        bad = (EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(4), normalizer=1.5),)
+        with pytest.raises(EstimatorBudgetError, match="initial estimator"):
+            derandomize(fam, Guarantee(k=2, specs=bad, rows=()))
 
     def test_threshold_equals_mu_minus_sqrt_norm(self):
         # the bound mu - sqrt(normalizer) that each term certifies is the
