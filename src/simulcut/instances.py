@@ -27,10 +27,16 @@ line.  The family constructor alone checks the edges (range, repeated
 vertices, duplicates); its first invalid edge is reported at that row's
 line.  So grammar errors come first, then the first invalid edge in file
 order.
+
+Canonical text whose rows are already ascending and whose numbers have no
+leading zeros is byte-equal to serialize_instance of its family.  For such
+text the family records the sha256 of the text itself (``source_sha256``),
+so the report digest needs no second serialization.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 
@@ -72,8 +78,22 @@ def parse_instance(text: str):
     Canonical text (what serialize_instance writes) is converted one block
     at a time, anything else by the line-by-line scan; the family then
     validates the edges, and its first invalid edge is reported at its line.
+    When the text is byte-equal to serialize_instance of the family, the
+    family records ``text_sha256(text)`` as its ``source_sha256``.
     """
-    return _located_family(*(_canonical_members(text) or _scan_members(text)))
+    canonical = _canonical_members(text)
+    if canonical is None:
+        return _located_family(*_scan_members(text))
+    *parsed, serialized = canonical
+    family = _located_family(*parsed)
+    if serialized:
+        object.__setattr__(family, "source_sha256", text_sha256(text))
+    return family
+
+
+def text_sha256(text: str) -> str:
+    """Hex sha256 of the UTF-8 text; an instance's digest is this of its serialized text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _family(n: int, r: int | None, members):
@@ -98,15 +118,35 @@ _BLOCK_HEADER = re.compile(r"edges ([0-9]+)\n")
 _INDEX = "[0-9]{1,18}"
 
 
+def _no_leading_zero(match) -> bool:
+    return all(len(g) == 1 or g[0] != "0" for g in match.groups())
+
+
+def _serialized_length(rows: np.ndarray) -> int:
+    """Characters serialize_instance writes for these non-negative rows.
+
+    Every index's decimal digits plus the space or newline after it.
+    """
+    length = 2 * rows.size
+    bound = 10
+    top = int(rows.max(initial=0))
+    while bound <= top:
+        length += int(np.count_nonzero(rows >= bound))
+        bound *= 10
+    return length
+
+
 def _canonical_members(text: str):
-    """``(n, r, member arrays, row lines)`` if every line is canonical, else None.
+    """``(n, r, member arrays, row lines, serialized)`` if every line is canonical, else None.
 
     Canonical means: the header first, then each ``edges <m>`` line followed
     by exactly m rows of single-space-separated decimal indices, every line
     LF-terminated, and nothing else (no comments, blank lines or extra
     spaces).  Each block is checked with one regex match and converted with
     one numpy call; range, repeated-vertex and duplicate checks are left to
-    the family.
+    the family.  ``serialized`` says that, besides, every row is ascending
+    and no number has a leading zero: then serialize_instance of the family
+    gives back the text byte for byte.
     """
     head = _GRAPHS_HEADER.match(text)
     if head is not None:
@@ -121,6 +161,7 @@ def _canonical_members(text: str):
             return None
     if ell < 1:
         return None
+    serialized = _no_leading_zero(head)
     width = 2 if r is None else r
     rows = re.compile("(?:" + " ".join([_INDEX] * width) + "\n)*")
     pos = head.end()
@@ -136,10 +177,14 @@ def _canonical_members(text: str):
         pos = body.end()
         if text.count("\n", body.start(), pos) != m:
             return None
-        members.append(np.fromstring(body.group(), dtype=np.int64, sep=" ").reshape(m, width))
+        member = np.fromstring(body.group(), dtype=np.int64, sep=" ").reshape(m, width)
+        serialized = (serialized and _no_leading_zero(block)
+                      and bool((member[:, 1:] > member[:, :-1]).all())
+                      and pos - body.start() == _serialized_length(member))
+        members.append(member)
         lines.append(range(line + 1, line + 1 + m))
         line += m + 1
-    return (n, r, members, lines) if pos == len(text) else None
+    return (n, r, members, lines, serialized) if pos == len(text) else None
 
 
 def _scan_members(text: str):

@@ -50,8 +50,7 @@ def random_assignment(n: int, k: int, rng) -> Assignment:
         raise ValueError(f"k must be >= 2, got {k}")
     if not isinstance(rng, np.random.Generator):
         rng = substream(int(rng), 0)
-    labels = rng.integers(0, k, size=n)
-    return Assignment(tuple(int(x) for x in labels), k)
+    return Assignment(rng.integers(0, k, size=n), k)
 
 
 @dataclass(frozen=True)

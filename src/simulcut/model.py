@@ -11,7 +11,12 @@ Each member is validated and stored once, as a read-only int64 array of
 shape (m, width) with the endpoints of every row sorted; there is no other
 copy.  Validation (range, repeated vertices, duplicate edges), degrees, pair
 degrees and the counts are vectorized over that array, so checking one
-assignment costs one pass over the edges.  Code that loops over edges in
+assignment costs one pass over the edges.  Duplicate edges and pair degrees
+are found by sorting one int64 key per row (the row read as a number in base
+max index + 1); a stable lexicographic sort of the rows runs only to locate
+a duplicate once the keys show one, or when the keys could overflow int64.
+An Assignment keeps its labels both as a tuple and as a read-only array and
+checks them in one vectorized range test.  Code that loops over edges in
 Python (the descent's terms, the naive estimator, the oracle) takes
 ``.tolist()`` of a member itself; the oracle keeps its own pure-Python count
 as the independent reference.
@@ -84,10 +89,7 @@ def _member_rows(edges, n: int, width: int, where: str, member: int) -> np.ndarr
         raise InstanceError(f"{where}: {exc}", member, _first_overflow(edges)) from None
     out_of_range = (rows[:, 0] < 0) | (rows[:, -1] >= n)
     repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-    order, same = _lexicographic_runs(rows)
-    duplicate = np.zeros(len(rows), dtype=bool)
-    duplicate[order[1:][same]] = True
-    bad = out_of_range | repeated | duplicate
+    bad = out_of_range | repeated | _repeats_earlier_row(rows)
     if bad.any():
         j = int(bad.argmax())
         e = tuple(rows[j].tolist())
@@ -102,6 +104,39 @@ def _member_rows(edges, n: int, width: int, where: str, member: int) -> np.ndarr
         raise InstanceError(f"{where}: {message}", member, j)
     rows.flags.writeable = False
     return rows
+
+
+#: Rows are encoded as int64 keys only while base ** width stays below this.
+_KEY_LIMIT = 2**63
+
+
+def _row_keys(columns, base: int) -> np.ndarray:
+    """Each row, given as its columns, read as one number in ``base``; equal rows give equal keys."""
+    keys = columns[0]
+    for column in columns[1:]:
+        keys = keys * base + column
+    return keys
+
+
+def _repeats_earlier_row(rows: np.ndarray) -> np.ndarray:
+    """Which rows equal an earlier row, in input order.
+
+    Equal rows always get equal keys, so one sort of the row keys with no
+    two alike proves there is no repeat.  Only when two keys are alike, or
+    when base-(max + 1) keys could overflow int64, does the stable
+    lexicographic sort locate the repeats.
+    """
+    duplicate = np.zeros(len(rows), dtype=bool)
+    if len(rows) < 2:
+        return duplicate
+    base = int(rows.max()) + 1
+    if base ** rows.shape[1] < _KEY_LIMIT:
+        keys = np.sort(_row_keys(rows.T, base))
+        if not (keys[1:] == keys[:-1]).any():
+            return duplicate
+    order, same = _lexicographic_runs(rows)
+    duplicate[order[1:][same]] = True
+    return duplicate
 
 
 def _lexicographic_runs(rows: np.ndarray):
@@ -133,6 +168,8 @@ class GraphFamily:
     ``graphs`` holds each member once, validated, as a read-only ``(m, 2)``
     int64 array (endpoints sorted within each row, input order kept);
     ``arrays`` is the same tuple under the name both family kinds share.
+    ``source_sha256`` is set by parse_instance when the family was parsed
+    from text in serialized form: that text's sha256, else None.
     """
 
     n: int
@@ -140,6 +177,7 @@ class GraphFamily:
     m: tuple[int, ...] = field(init=False)
     max_degree: tuple[int, ...] = field(init=False)
     arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    source_sha256: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -169,7 +207,7 @@ class HypergraphFamily:
     ``delta2 = max over vertex pairs x != y of #{edges containing both}``,
     which controls the derived rainbow-count guarantee.  ``hypergraphs``
     holds each member once as a read-only ``(m, r)`` int64 array, and
-    ``arrays`` is the same tuple, as in GraphFamily.
+    ``arrays`` and ``source_sha256`` are as in GraphFamily.
     """
 
     n: int
@@ -178,6 +216,7 @@ class HypergraphFamily:
     m: tuple[int, ...] = field(init=False)
     delta2: tuple[int, ...] = field(init=False)
     arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    source_sha256: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -201,56 +240,86 @@ class HypergraphFamily:
 
 
 def _pair_degree(rows: np.ndarray) -> int:
-    """Most edges sharing one vertex pair, over the C(r,2) pair columns of sorted rows."""
+    """Most edges sharing one vertex pair, over the C(r,2) pair columns of sorted rows.
+
+    The longest run of equal pair keys in sorted order; the pairs are
+    sorted lexicographically instead when base-(max + 1) keys could
+    overflow int64.
+    """
     if len(rows) == 0:
         return 0
-    pairs = np.concatenate([rows[:, [a, b]]
-                            for a, b in itertools.combinations(range(rows.shape[1]), 2)])
-    _, same = _lexicographic_runs(pairs)
+    pair_columns = list(itertools.combinations(range(rows.shape[1]), 2))
+    base = int(rows[:, -1].max()) + 1
+    if base ** 2 < _KEY_LIMIT:
+        keys = np.sort(np.concatenate([_row_keys((rows[:, a], rows[:, b]), base)
+                                       for a, b in pair_columns]))
+        same = keys[1:] == keys[:-1]
+    else:
+        pairs = np.concatenate([rows[:, [a, b]] for a, b in pair_columns])
+        _, same = _lexicographic_runs(pairs)
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    return int(np.diff(starts, append=len(pairs)).max())
+    return int(np.diff(starts, append=len(same) + 1).max())
+
+
+def _label_array(labels, k: int) -> np.ndarray:
+    """Labels as a read-only integer array, after one vectorized range test.
+
+    Raises ValueError naming the first vertex whose label is neither
+    UNDECIDED nor in 0..k-1.
+    """
+    try:
+        array = np.array(labels, dtype=np.intp)
+    except OverflowError:
+        array = None
+    if array is None or array.ndim != 1:
+        # a label beyond intp, or not one label per vertex: the int loop names it
+        for v, lab in enumerate(int(x) for x in labels):
+            if lab != UNDECIDED and not 0 <= lab < k:
+                raise ValueError(f"vertex {v}: label {lab} outside 0..{k - 1}")
+        raise TypeError(f"labels must be one integer per vertex, got {labels!r}")
+    # UNDECIDED is -1, so the admissible labels are the one range -1..k-1
+    bad = (array < UNDECIDED) | (array >= k)
+    if bad.any():
+        v = int(bad.argmax())
+        raise ValueError(f"vertex {v}: label {int(array[v])} outside 0..{k - 1}")
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-vertex class labels in {0..k-1}, or UNDECIDED for open vertices."""
+    """Per-vertex class labels in {0..k-1}, or UNDECIDED for open vertices.
+
+    ``labels`` may be given as any integer sequence or array; it is kept as
+    a tuple of ints, and ``label_array`` holds the same labels as a
+    read-only integer array.
+    """
 
     labels: tuple[int, ...]
     k: int
+    label_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"class count must be >= 2, got {self.k}")
-        labels = tuple(int(x) for x in self.labels)
-        for v, lab in enumerate(labels):
-            if lab != UNDECIDED and not (0 <= lab < self.k):
-                raise ValueError(f"vertex {v}: label {lab} outside 0..{self.k - 1}")
-        object.__setattr__(self, "labels", labels)
+        array = _label_array(self.labels, self.k)
+        object.__setattr__(self, "labels", tuple(array.tolist()))
+        object.__setattr__(self, "label_array", array)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def is_total(self) -> bool:
-        return UNDECIDED not in self.labels
+        return bool((self.label_array != UNDECIDED).all())
 
     def undecided_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, lab in enumerate(self.labels) if lab == UNDECIDED)
+        return tuple(np.flatnonzero(self.label_array == UNDECIDED).tolist())
 
     def class_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.k
-        for lab in self.labels:
-            if lab != UNDECIDED:
-                sizes[lab] += 1
-        return tuple(sizes)
-
-    @cached_property
-    def label_array(self) -> np.ndarray:
-        """The labels as a read-only integer array, built on first use."""
-        labels = np.array(self.labels, dtype=np.intp)
-        labels.flags.writeable = False
-        return labels
+        # shifted by one, so that UNDECIDED vertices fall in bin 0
+        return tuple(np.bincount(self.label_array + 1, minlength=self.k + 1)[1:].tolist())
 
     @classmethod
     def from_side(cls, n: int, side: set[int] | frozenset[int]) -> "Assignment":

@@ -12,16 +12,21 @@ recomputed values is an exact string comparison.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .model import Assignment, Constraint, CutReport, UNDECIDED
 from .guarantee import evaluate, resolve
-from .instances import serialize_instance
+from .instances import serialize_instance, text_sha256
 
 
 def instance_digest(family) -> str:
-    return hashlib.sha256(serialize_instance(family).encode("utf-8")).hexdigest()
+    """sha256 of the family's serialized text, the ``instance-sha256`` of its reports.
+
+    A family parsed from text that was already in serialized form recorded
+    that text's sha256 (``source_sha256``), which is the same digest; any
+    other family is serialized and hashed here.
+    """
+    return family.source_sha256 or text_sha256(serialize_instance(family))
 
 
 def _fmt(x) -> str:

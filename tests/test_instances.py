@@ -1,5 +1,6 @@
 """Instance text format round-trips and seeded generators."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from simulcut.instances import (
     parse_instance,
     serialize_instance,
 )
+from simulcut.report import instance_digest
 
 from helpers import all_pairs, random_family, random_hyperfamily
 
@@ -360,3 +362,33 @@ def test_corrupted_line_diagnostic_equals_line_by_line(fam, rnd):
         if kind != "bad count":
             assert fast.line == i + 1 and scanned.line == where[i], kind
             assert _without_line(scanned) == _without_line(fast), kind
+
+
+def _digest_variants(text, rnd):
+    """``text`` itself and copies that parse to the same family but are not its serialized form."""
+    lines = text.splitlines()
+    header = lines[0].split()
+    yield "serialized", text
+    yield "decorated", _decorate(text, rnd)[0]
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "swapped", "".join(" ".join(reversed(line.split())) + "\n" if line[0].isdigit()
+                             else line + "\n" for line in lines)
+    yield "zero in header", " ".join([header[0], "0" + header[1], *header[2:]]) + "\n" \
+        + "".join(line + "\n" for line in lines[1:])
+    yield "zero in edges", "".join("edges 0" + line[6:] + "\n" if line.startswith("edges ")
+                                   else line + "\n" for line in lines)
+    yield "zero in indices", "".join("0" + line + "\n" if line[0].isdigit() else line + "\n"
+                                     for line in lines)
+
+
+@settings(max_examples=60)
+@given(families(), st.randoms(use_true_random=False))
+def test_digest_is_sha256_of_serialized_text(fam, rnd):
+    text = serialize_instance(fam)
+    want = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    for name, variant in _digest_variants(text, rnd):
+        back = parse_instance(variant)
+        assert back == fam and instance_digest(back) == want, name
+        # only text that is byte-equal to the serialized form records its own digest
+        assert (back.source_sha256 is not None) == (variant == text), name
+    assert fam.source_sha256 is None and instance_digest(fam) == want

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simulcut import model
 from simulcut import (
     Assignment,
     EpsilonRangeError,
@@ -124,6 +125,74 @@ def test_validation_names_first_bad_edge_in_input_order():
         HypergraphFamily(n=5, r=3, hypergraphs=(((0, 1, 2), (2, 0, 1)),))
 
 
+def _incidence_delta2(rows):
+    """Pair degree from a dict of vertex-pair incidences, the reference for delta2."""
+    incidence = {}
+    for e in rows.tolist():
+        for x, y in itertools.combinations(e, 2):
+            incidence[(x, y)] = incidence.get((x, y), 0) + 1
+    return max(incidence.values(), default=0)
+
+
+def _first_bad(edges, n, width):
+    """``(row, message)`` of the InstanceError for one member, or None when it is valid."""
+    try:
+        model._member_rows(edges, n, width, "member 0", 0)
+    except InstanceError as exc:
+        return exc.row, str(exc)
+    return None
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=2, max_value=5), st.randoms(use_true_random=False))
+def test_key_sort_and_lexsort_fallback_agree(r, rnd):
+    n = rnd.randint(r, r + 5)
+    rows = random_hyperfamily(n, r, [rnd.randint(1, min(20, math.comb(n, r)))],
+                              rnd.randrange(10 ** 6)).hypergraphs[0]
+    edges = [rnd.sample(e, r) for e in rows.tolist()]
+    for _ in range(rnd.randint(0, 2)):      # copies of earlier rows, endpoints reordered
+        j = rnd.randrange(len(edges) + 1)
+        edges.insert(j, rnd.sample(rnd.choice(edges[:j] or edges), r))
+    with_keys = (_first_bad(edges, n, r), model._pair_degree(rows))
+    limit = model._KEY_LIMIT
+    try:
+        model._KEY_LIMIT = 0            # every row and pair now takes the lexsort path
+        fallback = (_first_bad(edges, n, r), model._pair_degree(rows))
+    finally:
+        model._KEY_LIMIT = limit
+    assert with_keys == fallback
+    assert with_keys[1] == _incidence_delta2(rows)
+
+
+def test_large_indices_take_the_lexsort_fallback(monkeypatch):
+    calls = []
+    lexsort = model._lexicographic_runs
+    monkeypatch.setattr(model, "_lexicographic_runs", lambda rows: calls.append(1) or lexsort(rows))
+    # (2**32 + 3) ** 2 >= 2**63: graph rows no longer fit one int64 key
+    big = 2 ** 32
+    assert _first_bad([(0, 1), (1, 2)], 3, 2) is None and not calls
+    assert _first_bad([(big, big + 1), (big + 1, big + 2)], big + 3, 2) is None and calls
+    assert _first_bad([(big, big + 1), (big + 2, big), (big + 1, big), (big, big + 2)],
+                      big + 3, 2) == (2, f"member 0: duplicate edge ({big}, {big + 1})")
+    # 7005 ** 5 >= 2**63 for r=5 rows, while their pair keys still fit
+    calls.clear()
+    low = [(0, 1, 2, 3, 4), (0, 1, 2, 3, 5), (1, 2, 3, 4, 5), (0, 2, 3, 4, 5)]
+    high = [tuple(7000 + x for x in e) for e in low]
+    assert HypergraphFamily(n=6, r=5, hypergraphs=(low,)).delta2 == (4,) and not calls
+    assert HypergraphFamily(n=7006, r=5, hypergraphs=(high,)).delta2 == (4,)
+    assert len(calls) == 1
+    with pytest.raises(InstanceError) as exc:
+        HypergraphFamily(n=7006, r=5, hypergraphs=(high + [high[1][::-1], high[0]],))
+    assert (exc.value.member, exc.value.row) == (0, 4)
+    assert str(exc.value) == "hypergraph 0: duplicate edge (7000, 7001, 7002, 7003, 7005)"
+    # pair keys past 2**63 too: both sorts fall back, delta2 still matches the reference
+    calls.clear()
+    huge = [tuple(big + x for x in e) for e in low]
+    family = HypergraphFamily(n=big + 6, r=5, hypergraphs=(huge,))
+    assert family.delta2 == (_incidence_delta2(family.hypergraphs[0]),) == (4,)
+    assert len(calls) == 2
+
+
 class TestAssignment:
     def test_total_and_partial(self):
         a = Assignment((0, 1, UNDECIDED), 2)
@@ -138,6 +207,34 @@ class TestAssignment:
             Assignment((0, 2), 2)
         with pytest.raises(ValueError):
             Assignment((0,), 1)
+
+    @pytest.mark.parametrize("labels, message", [
+        ((0, 1, 2, 1), "vertex 2: label 2 outside 0..1"),
+        ((1, 0, -2), "vertex 2: label -2 outside 0..1"),
+        ((UNDECIDED, 0, UNDECIDED, 5, -2), "vertex 3: label 5 outside 0..1"),
+        ((UNDECIDED, 1, -7, 3), "vertex 2: label -7 outside 0..1"),
+        ((0, 2 ** 70, 9), "vertex 1: label 1180591620717411303424 outside 0..1"),
+    ])
+    def test_first_bad_vertex_named(self, labels, message):
+        for given_as in (labels, list(labels), np.array(labels, dtype=object)):
+            with pytest.raises(ValueError) as exc:
+                Assignment(given_as, 2)
+            assert str(exc.value) == message
+
+    def test_labels_kept_as_ints_and_array(self):
+        a = Assignment(np.array([2, UNDECIDED, 0, 2, UNDECIDED, 1]), 4)
+        assert a.labels == (2, UNDECIDED, 0, 2, UNDECIDED, 1)
+        assert all(type(x) is int for x in a.labels)
+        assert not a.label_array.flags.writeable
+        assert a.label_array.tolist() == list(a.labels)
+        assert a.class_sizes() == (1, 1, 2, 0)
+        assert type(a.class_sizes()[0]) is int
+        assert not a.is_total and a.undecided_vertices() == (1, 4)
+        assert a == Assignment((2, UNDECIDED, 0, 2, UNDECIDED, 1), 4)
+        assert Assignment((), 3).class_sizes() == (0, 0, 0) and Assignment((), 3).is_total
+        assert Assignment((UNDECIDED,) * 3, 2).class_sizes() == (0, 0)
+        with pytest.raises(TypeError):
+            Assignment(((0, 1), (1, 0)), 2)
 
 
 class TestCounting:
