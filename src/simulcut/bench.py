@@ -18,11 +18,12 @@ generator, a method, a guarantee, and a repetition count:
       "seed": 1000                   // rep j uses seed + j
     }
 
-Rep j generates its instance with seed+j and, for mc, samples with the
-same seed+j, so a suite is a pure function of its file.  `execute_run`
-resolves the guarantee once per run and reports what the engine's own
-`evaluate` returned, so each assignment is counted once.  Reps run
-serially and are folded in (run, rep) order.  A derandomized run that
+Every field's type is checked before any run starts.  Rep j generates its
+instance with seed+j and, for mc, samples with the same seed+j, so a suite
+is a pure function of its file.  `execute_run` resolves the guarantee once
+per run and reports what the engine's own `evaluate` returned, so each
+assignment is counted once.  Reps run serially and are folded in (run,
+rep) order.  A derandomized run that
 fails its guarantee aborts the whole suite and serializes the offending
 instance for replay.
 """
@@ -138,6 +139,19 @@ class SuiteRun:
     options: RunOptions
 
 
+# field -> (check, what it must be); JSON booleans are not integers here
+_FIELD_TYPES = {
+    "reps": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "max_tries": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "k": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "epsilon": (lambda v: v is None or type(v) in (int, float), "a number or null"),
+    "slack": (lambda v: v is None or type(v) in (int, float), "a number or null"),
+    "balanced": (lambda v: type(v) is bool, "true or false"),
+    "order": (lambda v: v in ("natural", "degree"), "'natural' or 'degree'"),
+}
+
+
 def load_suite(path) -> list[SuiteRun]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     return suite_from_dict(data)
@@ -155,23 +169,27 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
         gen = entry["generator"]
         if not isinstance(gen, dict) or "kind" not in gen:
             raise ValueError(f'suite run {i}: "generator" must be a JSON object with a "kind"')
+        for name, (ok, what) in _FIELD_TYPES.items():
+            if name in entry and not ok(entry[name]):
+                raise ValueError(f"suite run {i}: field {name!r} must be {what}, "
+                                 f"got {entry[name]!r}")
         try:
             opts = RunOptions(
                 method=entry["method"],
                 theorem=str(entry["theorem"]),
                 k=entry.get("k"),
                 epsilon=entry.get("epsilon"),
-                balanced=bool(entry.get("balanced", False)),
+                balanced=entry.get("balanced", False),
                 slack=entry.get("slack"),
-                seed=int(entry.get("seed", 0)),
+                seed=entry.get("seed", 0),
                 order=entry.get("order", "natural"),
-                max_tries=int(entry.get("max_tries", 64)),
+                max_tries=entry.get("max_tries", 64),
             )
         except KeyError as exc:
             raise ValueError(f"suite run {i}: missing field {exc}") from None
         runs.append(SuiteRun(
             name=entry.get("name", f"run{i}"),
-            reps=int(entry.get("reps", 1)),
+            reps=entry.get("reps", 1),
             generator=dict(gen),
             options=opts,
         ))
@@ -242,17 +260,6 @@ def _percentile(sorted_vals, q: float) -> float:
     return float(sorted_vals[idx])
 
 
-def _stat_class(stat: str) -> str:
-    # constraint rows group by shape, not by class indices
-    if stat.startswith("pair("):
-        return "pair"
-    if stat.startswith("within("):
-        return "within"
-    if stat.startswith("balance("):
-        return "balance"
-    return stat
-
-
 def _one_rep(run: SuiteRun, rep: int):
     gen = dict(run.generator)
     kind = gen.pop("kind")
@@ -290,7 +297,7 @@ def run_bench(suite, out_dir=None, echo=None) -> BenchResult:
             if outcome.exhausted:
                 result.exhausted += 1
             for c in rr.cut_report.constraints:
-                key = (run.name, _stat_class(c.stat))
+                key = (run.name, c.stat.split("(")[0])   # rows group by shape, not by class
                 agg = result.stats.setdefault(key, StatAggregate())
                 agg.add(c.margin, c.passed)
             result.timings.setdefault(run.name, []).append(rr.wall_ms)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import UNDECIDED, Assignment, CutReport
-from .estimator import EstimatorBudgetError, _quadratic, validate_specs
+from .estimator import EstimatorBudgetError, _quadratic, stat_mean
 from .guarantee import Guarantee, evaluate
 
 
@@ -90,7 +90,8 @@ class _MemberTerm:
       within(s)  Tw = trow[s] = a + k b[s], Qw = qrow[s] = a + k^2 b[s]
 
     Each statistic keeps sumP and rest = sum(contrib) - sumP2, and its
-    quadratic over k^4 is mu_k2^2 - 2*mu_k2*sumP + k^2*sumP + sumP^2 + rest.
+    quadratic over k^4 is mu_k2^2 - 2*mu_k2*sumP + k^2*sumP + sumP^2 + rest,
+    where mu_k2 = stat_mean(kind, m, k) * k^2, the initial sumP.
     Deciding v -> c moves sumP by k*trow_v[c] - Tw_v and sumP2 by
     k^2*qrow_v[c] - Qw_v, drops contrib_v, and moves one count of every open
     neighbour's histogram from a to b[c].  That move shifts contrib linearly
@@ -113,12 +114,13 @@ class _MemberTerm:
 
     def __init__(self, edges, specs, n):
         k = specs[0].k
+        m = len(edges)
         self.k = k
         self.k2 = k * k
         self.k4 = self.k2 * self.k2
-        self.stats = []
-        for spec in specs:
-            self.stats.append((spec.kind, spec.s, spec.t, int(spec.mu * self.k2), spec.normalizer))
+        # mu_k2 is an integer: every mean's denominator divides k^2
+        self.stats = [(spec.kind, spec.s, spec.t, int(stat_mean(spec.kind, m, k) * self.k2),
+                       spec.normalizer) for spec in specs]
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             adj[u].append(v)
@@ -129,18 +131,17 @@ class _MemberTerm:
         self.mask = (1 << width) - 1
         self.offsets = [width * (c + 1) for c in range(k)]
         self._pending = None
-        # all vertices open: every edge has P = p_uu, and contrib depends on degree alone
-        m = len(edges)
+        # all vertices open: every edge has P = mu_k2/m, so sumP = mu_k2 and
+        # sumP2 = mu_k2^2/m, and contrib depends on degree alone
         zeros = [0] * k
         degrees = collections.Counter(self.h)
         self.sumP = []
         self.rest = []
-        for kind, s, t, _, _ in self.stats:
-            p_uu = {"crossing": k * (k - 1), "pair": 2, "within": 1}[kind]
+        for kind, s, t, mu_k2, _ in self.stats:
             contrib = sum(count * self._stat_shifts(kind, s, t, d, zeros, 0, zeros)[0]
                           for d, count in degrees.items())
-            self.sumP.append(m * p_uu)
-            self.rest.append(contrib - m * p_uu * p_uu)
+            self.sumP.append(mu_k2)
+            self.rest.append(contrib - (mu_k2 * mu_k2 // m if m else 0))
 
     def _stat_shifts(self, kind, s, t, a, b, alpha, beta):
         """contrib of open v with histogram (a, b), and per class c the shifts
@@ -516,7 +517,6 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
     report is `evaluate` of the result against ``guarantee.rows``.
     """
     specs = guarantee.specs
-    validate_specs(family, specs)
     k = guarantee.k
     ks = {s.k for s in specs} | {k}
     if len(ks) != 1:

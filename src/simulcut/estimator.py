@@ -13,6 +13,9 @@ are independent, and edges sharing vertices become independent once the
 shared labels are fixed, so first and second moments have exact closed
 forms.  All probabilities are Fractions; only the final division by a
 term's normalizer happens in floating point.
+
+The mean mu of a statistic on an m-edge member is `stat_mean(kind, m, k)`,
+computed where a penalty term needs it and never stored.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ class DegreePreconditionError(ValueError):
 class EventSpec:
     """One quadratic penalty term ((mu - X)^2 / normalizer) over a statistic.
 
-    ``mu`` must be the unconditional mean of the statistic.  A list of
-    specs is usable when its initial estimator, sum(Var X / normalizer), is
-    below 1, which forces the greedy descent to end with every statistic
+    The mean is `stat_mean(kind, m, k)` for the member's m edges.  A list
+    of specs is usable when its initial estimator, sum(Var X / normalizer),
+    is below 1, which forces the greedy descent to end with every statistic
     above mu - sqrt(normalizer), the guarantee's threshold (`resolve` takes
     it from `threshold_for`); `derandomize` checks that sum exactly.
     """
@@ -49,7 +52,6 @@ class EventSpec:
     graph: int
     kind: str
     k: int
-    mu: Fraction
     normalizer: float
     s: int | None = None
     t: int | None = None
@@ -67,18 +69,22 @@ class EventSpec:
         elif self.kind == "within":
             if self.s is None or not 0 <= self.s < self.k:
                 raise ValueError(f"within statistic needs a class s < k, got {self.s}")
-        object.__setattr__(self, "mu", Fraction(self.mu))
 
     @property
     def stat(self) -> str:
-        if self.kind == "pair":
-            return f"pair({self.s},{self.t})"
-        if self.kind == "within":
-            return f"within({self.s})"
-        return self.kind
+        return stat_name(self.kind, self.s, self.t)
 
 
-def stat_mean(kind: str, m: int, k: int, s: int | None = None, t: int | None = None) -> Fraction:
+def stat_name(kind: str, s: int | None = None, t: int | None = None) -> str:
+    """A statistic's name in constraint rows: crossing, pair(s,t), within(s) or rainbow."""
+    if kind == "pair":
+        return f"pair({s},{t})"
+    if kind == "within":
+        return f"within({s})"
+    return kind
+
+
+def stat_mean(kind: str, m: int, k: int) -> Fraction:
     """Unconditional mean of a statistic on an m-edge member under uniform labels."""
     if kind == "crossing":
         return Fraction((k - 1) * m, k)
@@ -243,13 +249,13 @@ def _moments(labels, edges, spec: EventSpec):
 
 def term_quadratic(edges, a: Assignment, spec: EventSpec) -> Fraction:
     """Exact mu^2 - 2*mu*E[X|U] + E[X^2|U] for one penalty term."""
-    s1, ex2 = conditional_moments(edges, a, spec)
-    return spec.mu * spec.mu - 2 * spec.mu * s1 + ex2
+    return _quadratic(a.labels, edges, spec)
 
 
 def _quadratic(labels, edges, spec: EventSpec) -> Fraction:
+    mu = stat_mean(spec.kind, len(edges), spec.k)
     s1, ex2 = _moments(labels, edges, spec)
-    return spec.mu * spec.mu - 2 * spec.mu * s1 + ex2
+    return mu * mu - 2 * mu * s1 + ex2
 
 
 def estimator_value(family, a: Assignment, specs) -> float:
@@ -259,15 +265,3 @@ def estimator_value(family, a: Assignment, specs) -> float:
         quad = term_quadratic(family.arrays[spec.graph].tolist(), a, spec)
         total += float(quad) / spec.normalizer
     return total
-
-
-def validate_specs(family, specs) -> None:
-    """Check every spec's mean against its statistic's closed form."""
-    for spec in specs:
-        expected = stat_mean(spec.kind, family.m[spec.graph], spec.k)
-        if spec.mu != expected:
-            raise ValueError(
-                f"spec for member {spec.graph} ({spec.stat}): mu={spec.mu} "
-                f"but the statistic's mean is {expected}"
-            )
-

@@ -1,12 +1,13 @@
 """One guarantee resolved against one family, and the one evaluator of it.
 
 `resolve` checks a guarantee's settings against an instance and fixes its
-effective k, epsilon and balance slack.  It builds the penalty terms the
-descent minimizes and one ``(graph, stat, threshold)`` row per reported
-constraint, each threshold computed once by `threshold_for`.  `evaluate`
-counts every member of an assignment once and checks it against those
-rows, so the engines, the reports and `verify` compare against the same
-floats.
+effective k, epsilon and balance slack.  Per member, one branch per theorem
+gives the normalizer and each statistic with its threshold, computed once
+by `threshold_for`.  Each statistic yields one ``(graph, stat, threshold)``
+row and, on a member with edges, one penalty term for the descent; a
+term's mean follows from its statistic (`stat_mean`).  `evaluate` counts
+every member of an assignment once and checks it against those rows, so
+the engines, the reports and `verify` compare against the same floats.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import (
     rainbow_count,
     threshold_for,
 )
-from .estimator import DegreePreconditionError, EventSpec
+from .estimator import DegreePreconditionError, EventSpec, stat_name
 
 THEOREMS = ("thm1", "thm2", "thm3", "hyp")
 
@@ -112,41 +113,25 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     specs: list[EventSpec] = []
     rows: list[tuple[int, str, float]] = []
     for i, m in enumerate(family.m):
-        if theorem == "thm3":
-            pair = threshold_for("thm3_pair", m=m, ell=ell, k=k, eps=eps)
-            within = threshold_for("thm3_within", m=m, ell=ell, k=k, eps=eps)
-            rows += [(i, f"pair({s},{t})", pair) for s, t in itertools.combinations(range(k), 2)]
-            rows += [(i, f"within({s})", within) for s in range(k)]
-        elif theorem == "hyp":
-            rows.append((i, "rainbow", threshold_for("hyp", m=m, ell=ell, r=k,
-                                                     delta2=family.delta2[i])))
-        else:
-            rows.append((i, "crossing", threshold_for(theorem, m=m, ell=ell, k=k)))
-        if m == 0:
-            continue        # no penalty term: the thresholds are <= 0
-        if theorem == "thm1":
-            specs.append(EventSpec(
-                graph=i, kind="crossing", k=2, mu=Fraction(m, 2),
-                normalizer=ell * m / 2))
-        elif theorem == "thm2":
-            specs.append(EventSpec(
-                graph=i, kind="crossing", k=k, mu=Fraction((k - 1) * m, k),
-                normalizer=2 * ell * m))
+        # the member's normalizer and (kind, s, t, threshold) of each statistic
+        if theorem in ("thm1", "thm2"):
+            norm = ell * m / 2 if theorem == "thm1" else 2 * ell * m
+            stats = [("crossing", None, None, threshold_for(theorem, m=m, ell=ell, k=k))]
         elif theorem == "thm3":
             norm = math.sqrt(float(eps)) * m * m
-            for s, t in itertools.combinations(range(k), 2):
-                specs.append(EventSpec(
-                    graph=i, kind="pair", k=k, s=s, t=t,
-                    mu=Fraction(2 * m, k * k), normalizer=norm))
-            for s in range(k):
-                specs.append(EventSpec(
-                    graph=i, kind="within", k=k, s=s,
-                    mu=Fraction(m, k * k), normalizer=norm))
+            pair = threshold_for("thm3_pair", m=m, ell=ell, k=k, eps=eps)
+            within = threshold_for("thm3_within", m=m, ell=ell, k=k, eps=eps)
+            stats = [("pair", s, t, pair) for s, t in itertools.combinations(range(k), 2)]
+            stats += [("within", s, None, within) for s in range(k)]
         else:
-            weight = 1 + k * (k - 1) * family.delta2[i]
-            specs.append(EventSpec(
-                graph=i, kind="rainbow", k=k, mu=Fraction(math.factorial(k) * m, k ** k),
-                normalizer=2 * ell * weight * m))
+            delta2 = family.delta2[i]
+            norm = 2 * ell * (1 + k * (k - 1) * delta2) * m
+            stats = [("rainbow", None, None,
+                      threshold_for("hyp", m=m, ell=ell, r=k, delta2=delta2))]
+        for kind, s, t, threshold in stats:
+            rows.append((i, stat_name(kind, s, t), threshold))
+            if m:           # no penalty term on an empty member: its thresholds are <= 0
+                specs.append(EventSpec(graph=i, kind=kind, k=k, normalizer=norm, s=s, t=t))
     if balanced:
         rows += [(-1, f"balance({c})", family.n / k - slack) for c in range(k)]
     return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), eps=eps, slack=slack,

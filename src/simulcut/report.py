@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Assignment, Constraint, CutReport, UNDECIDED
+from .model import Assignment, Constraint, CutReport, HypergraphFamily, UNDECIDED
 from .guarantee import evaluate, resolve
 from .instances import serialize_instance, text_sha256
 
@@ -203,8 +203,9 @@ def recheck(rr: RunReport, family) -> list[str]:
     """Re-derive every checkable line of a report; returns mismatch messages.
 
     Counts, thresholds, margins, pass flags, class sizes and the digest are
-    recomputed from (instance, assignment); run metadata (tries, timing,
-    estimator values) is not checkable without re-running and is ignored.
+    recomputed from (instance, assignment), and the n, ell and r lines are
+    compared with the instance; run metadata (tries, timing, estimator
+    values) is not checkable without re-running and is ignored.
     """
     problems: list[str] = []
     digest = instance_digest(family)
@@ -212,6 +213,10 @@ def recheck(rr: RunReport, family) -> list[str]:
         problems.append(f"instance digest mismatch: report says {rr.digest[:12]}.., "
                         f"instance is {digest[:12]}..")
         return problems
+    r = family.r if isinstance(family, HypergraphFamily) else None
+    for key, said, actual in (("n", rr.n, family.n), ("ell", rr.ell, family.ell), ("r", rr.r, r)):
+        if said != actual:
+            problems.append(f"{key} differs: report {said}, instance {actual}")
     if UNDECIDED in rr.assignment:
         problems.append("report assignment is not total")
         return problems

@@ -32,7 +32,7 @@ from simulcut import (
     substream,
     threshold_for,
 )
-from simulcut.estimator import EventSpec, stat_mean
+from simulcut.estimator import EventSpec
 from simulcut.instances import generate
 
 from helpers import (
@@ -156,8 +156,7 @@ def test_criterion_04_moment_anchor():
         n = rng.randint(2, 40)
         m = rng.randint(0, min(200, n * (n - 1) // 2))
         edges = random_edges(n, m, rng)
-        spec = EventSpec(graph=0, kind="crossing", k=2,
-                         mu=stat_mean("crossing", m, 2), normalizer=1.0)
+        spec = EventSpec(graph=0, kind="crossing", k=2, normalizer=1.0)
         a = Assignment((UNDECIDED,) * n, 2)
         s1, ex2 = conditional_moments(edges, a, spec)
         assert s1 == Fraction(m, 2)
@@ -168,8 +167,7 @@ def test_criterion_04_moment_anchor():
         cap = n * (n - 1) // 2
         fam = random_family(n, [rng.randint(1, min(150, cap)) for _ in range(2)],
                             seed=5000 + trial)
-        specs = [EventSpec(graph=i, kind="crossing", k=2,
-                           mu=Fraction(fam.m[i], 2), normalizer=float(fam.m[i]))
+        specs = [EventSpec(graph=i, kind="crossing", k=2, normalizer=float(fam.m[i]))
                  for i in range(2)]
         value = estimator_value(fam, Assignment((UNDECIDED,) * n, 2), specs)
         assert abs(value - 0.5) <= 1e-12
@@ -193,22 +191,18 @@ def test_criterion_05_oracle_equivalence():
             if kind == "pair":
                 s = rng.randrange(k - 1)
                 spec = EventSpec(graph=0, kind="pair", k=k, s=s,
-                                 t=rng.randint(s + 1, k - 1),
-                                 mu=stat_mean("pair", m, k), normalizer=1.0)
+                                 t=rng.randint(s + 1, k - 1), normalizer=1.0)
             elif kind == "within":
-                spec = EventSpec(graph=0, kind="within", k=k, s=rng.randrange(k),
-                                 mu=stat_mean("within", m, k), normalizer=1.0)
+                spec = EventSpec(graph=0, kind="within", k=k, s=rng.randrange(k), normalizer=1.0)
             else:
-                spec = EventSpec(graph=0, kind="crossing", k=k,
-                                 mu=stat_mean("crossing", m, k), normalizer=1.0)
+                spec = EventSpec(graph=0, kind="crossing", k=k, normalizer=1.0)
         else:  # rainbow statistics
             n = rng.randint(3, 12)
             k = rng.choice([2, 3])
             m = rng.randint(0, min(16, math.comb(n, k)))
             hf = random_hyperfamily(n, k, [m], rng.randrange(10 ** 6))
             edges = hf.hypergraphs[0]
-            spec = EventSpec(graph=0, kind="rainbow", k=k,
-                             mu=stat_mean("rainbow", m, k), normalizer=1.0)
+            spec = EventSpec(graph=0, kind="rainbow", k=k, normalizer=1.0)
         u = rng.randint(0, min(n, u_max[k] if k in u_max else 4))
         open_set = set(rng.sample(range(n), u))
         labels = tuple(UNDECIDED if v in open_set else rng.randrange(k)
@@ -220,8 +214,7 @@ def test_criterion_05_oracle_equivalence():
     for trial in range(5):
         n = 12
         edges = random_edges(n, 18, rng)
-        spec = EventSpec(graph=0, kind="crossing", k=2,
-                         mu=stat_mean("crossing", 18, 2), normalizer=1.0)
+        spec = EventSpec(graph=0, kind="crossing", k=2, normalizer=1.0)
         a = Assignment((UNDECIDED,) * 12, 2)
         assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
         cases += 1

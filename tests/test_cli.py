@@ -128,6 +128,34 @@ def test_verify_detects_tamper(c5_file, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [("n 5", "n 999"), ("ell 2", "ell 7"),
+                                      ("r 3", "r 4"), ("r 3", None), (None, "r 2")])
+def test_verify_checks_n_ell_r_lines(c5_file, tmp_path, capsys, old, new):
+    # each line that contradicts the instance is one mismatch; the graph
+    # report has no r line, the hypergraph report one
+    hyper = "r 3" in (old, new)
+    inst = c5_file
+    if hyper:
+        inst = tmp_path / "h.instance"
+        assert main(["gen", "runiform", "--n", "5", "--m", "4", "--r", "3", "--ell", "2",
+                     "--out", str(inst)]) == 0
+    rep = tmp_path / "v.report"
+    assert main(["partition", str(inst), "--theorem", "hyp" if hyper else "1",
+                 "--out", str(rep)]) == 0
+    lines = rep.read_text().splitlines()
+    if old is None:
+        lines.insert(lines.index("ell 2") + 1, new)
+    else:
+        lines[lines.index(old)] = new
+    bad = tmp_path / "bad.report"
+    bad.write_text("\n".join(ln for ln in lines if ln is not None) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    key = (new or old).split()[0]
+    assert len(err) == 1 and err[0].startswith(f"mismatch: {key} differs: report "), err
+
+
 REQUIRED_FIELDS = ("instance-sha256", "kind", "n", "ell", "method", "theorem", "k",
                    "assignment")
 CONSTRAINT_KEYS = ("graph", "stat", "count", "threshold", "margin", "pass")
@@ -315,15 +343,42 @@ def test_python_dash_m_runs_the_cli():
     assert "partition" in done.stdout
 
 
+def _one_run(**fields):
+    """A suite whose second run is a valid one with these fields changed."""
+    run = {"generator": {"kind": "gnm", "n": 8, "m": 10}, "method": "mc", "theorem": "1"}
+    return {"runs": [dict(run), {**run, **fields}]}
+
+
+BAD_FIELDS = [
+    (dict(balanced="no"), "field 'balanced' must be true or false, got 'no'"),
+    (dict(balanced=1), "field 'balanced' must be true or false, got 1"),
+    (dict(seed=1.5), "field 'seed' must be an integer >= 0, got 1.5"),
+    (dict(seed=True), "field 'seed' must be an integer >= 0, got True"),
+    (dict(seed=-1), "field 'seed' must be an integer >= 0, got -1"),
+    (dict(k="3"), "field 'k' must be an integer or null, got '3'"),
+    (dict(slack="2"), "field 'slack' must be a number or null, got '2'"),
+    (dict(epsilon=[0.1]), "field 'epsilon' must be a number or null, got [0.1]"),
+    (dict(method="derand", order="sideways"),
+     "field 'order' must be 'natural' or 'degree', got 'sideways'"),
+    (dict(reps="x"), "field 'reps' must be an integer >= 1, got 'x'"),
+    (dict(reps=0), "field 'reps' must be an integer >= 1, got 0"),
+    (dict(max_tries=None), "field 'max_tries' must be an integer >= 1, got None"),
+    (dict(max_tries=0), "field 'max_tries' must be an integer >= 1, got 0"),
+]
+
+
 @pytest.mark.parametrize("suite,message", [
     ([], "a suite must be a JSON object"),
     ({"runs": [{"generator": {"n": 8, "m": 10}, "method": "mc", "theorem": "1"}]},
      'suite run 0: "generator" must be a JSON object with a "kind"'),
     ({"runs": [["gnm", 8, 10]]}, "suite run 0: not a JSON object"),
     ({"runs": [{"method": "mc", "theorem": "1"}]}, "suite run 0: missing field 'generator'"),
-], ids=["top-level-list", "generator-without-kind", "run-not-object", "run-without-generator"])
+] + [(_one_run(**fields), "suite run 1: " + message) for fields, message in BAD_FIELDS],
+    ids=["top-level-list", "generator-without-kind", "run-not-object", "run-without-generator"]
+    + ["-".join(f"{k}={v!r}" for k, v in fields.items()) for fields, _ in BAD_FIELDS])
 def test_bench_malformed_suite_exit_2(tmp_path, capsys, suite, message):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
-    assert main(["bench", str(path)]) == 2
+    # --verbose echoes every rep: the error must come before any run
+    assert main(["bench", str(path), "--verbose"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")

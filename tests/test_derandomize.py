@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -148,12 +147,10 @@ class TestEngineEquality:
             specs = []
             for s in range(k):
                 for t in range(s + 1, k):
-                    specs.append(EventSpec(graph=0, kind="pair", k=k, s=s, t=t,
-                                           mu=Fraction(2 * m, k * k), normalizer=norm))
+                    specs.append(EventSpec(graph=0, kind="pair", k=k, s=s, t=t, normalizer=norm))
             for s in range(k):
-                specs.append(EventSpec(graph=0, kind="within", k=k, s=s,
-                                       mu=Fraction(m, k * k), normalizer=norm))
-            guarantee = Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(specs))
+                specs.append(EventSpec(graph=0, kind="within", k=k, s=s, normalizer=norm))
+            guarantee = Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
             fast = derandomize(fam, guarantee)
             slow = derandomize(fam, guarantee, naive=True)
             assert fast.assignment == slow.assignment
@@ -187,7 +184,7 @@ class TestEngineEquality:
                 shared.update(len(set(a) & set(b)) for edges in hf.hypergraphs
                               for a, b in itertools.combinations(edges, 2))
                 specs = tuple(_loose_rainbow(hf, i) for i in range(2))
-                guarantee = Guarantee(k=r, specs=specs, rows=_bound_rows(specs))
+                guarantee = Guarantee(k=r, specs=specs, rows=_bound_rows(hf, specs))
                 for order in ("natural", "degree"):
                     fast = derandomize(hf, guarantee, order=order)
                     slow = derandomize(hf, guarantee, order=order, naive=True)
@@ -270,13 +267,10 @@ class TestEngineEquality:
             m = rng.randint(1, min(30, n * (n - 1) // 2))
             edges = tuple(sorted(rng.sample(list(itertools.combinations(range(n), 2)), m)))
             norm = float(12 * m * m)
-            specs = [EventSpec(graph=0, kind="crossing", k=k,
-                               mu=stat_mean("crossing", m, k), normalizer=norm)]
-            specs += [EventSpec(graph=0, kind="pair", k=k, s=s, t=t,
-                                mu=stat_mean("pair", m, k), normalizer=norm)
+            specs = [EventSpec(graph=0, kind="crossing", k=k, normalizer=norm)]
+            specs += [EventSpec(graph=0, kind="pair", k=k, s=s, t=t, normalizer=norm)
                       for s, t in itertools.combinations(range(k), 2)]
-            specs += [EventSpec(graph=0, kind="within", k=k, s=s,
-                                mu=stat_mean("within", m, k), normalizer=norm)
+            specs += [EventSpec(graph=0, kind="within", k=k, s=s, normalizer=norm)
                       for s in range(k)]
             term = _MemberTerm(edges, specs, n + 2)
             naive = _NaiveTerm(edges, specs, n + 2)
@@ -311,15 +305,16 @@ class TestEngineEquality:
                 assert len(term.multi) <= bound
 
 
-def _bound_rows(specs):
+def _bound_rows(fam, specs):
     """One row per hand-built term at its certified bound mu - sqrt(normalizer)."""
-    return tuple((s.graph, s.stat, float(s.mu) - math.sqrt(s.normalizer)) for s in specs)
+    return tuple((s.graph, s.stat,
+                  float(stat_mean(s.kind, fam.m[s.graph], s.k)) - math.sqrt(s.normalizer))
+                 for s in specs)
 
 
 def _loose_rainbow(hf, i):
     m = hf.m[i]
-    return EventSpec(graph=i, kind="rainbow", k=hf.r, mu=stat_mean("rainbow", m, hf.r),
-                     normalizer=float(50 * hf.r ** hf.r * m * m))
+    return EventSpec(graph=i, kind="rainbow", k=hf.r, normalizer=float(50 * hf.r ** hf.r * m * m))
 
 
 class TestPinnedTraces:
@@ -362,28 +357,25 @@ def _loose_pair_within(fam, k):
     specs = []
     for i, m in enumerate(fam.m):
         norm = float(12 * m * m)
-        specs += [EventSpec(graph=i, kind="pair", k=k, s=s, t=t,
-                            mu=Fraction(2 * m, k * k), normalizer=norm)
+        specs += [EventSpec(graph=i, kind="pair", k=k, s=s, t=t, normalizer=norm)
                   for s, t in itertools.combinations(range(k), 2)]
-        specs += [EventSpec(graph=i, kind="within", k=k, s=s,
-                            mu=Fraction(m, k * k), normalizer=norm) for s in range(k)]
-    return Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(specs))
+        specs += [EventSpec(graph=i, kind="within", k=k, s=s, normalizer=norm) for s in range(k)]
+    return Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
 
 
 class TestContracts:
     def test_initial_budget_enforced_at_runtime(self):
         fam = random_family(8, [16], 5)
         # normalizer m/8 makes E[Z] = (m/4)/(m/8) = 2 at the start
-        specs = (EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(8),
-                           normalizer=2.0),)
+        specs = (EventSpec(graph=0, kind="crossing", k=2, normalizer=2.0),)
         with pytest.raises(EstimatorBudgetError, match="initial estimator"):
             derandomize(fam, Guarantee(k=2, specs=specs, rows=()))
 
     def test_mixed_k_rejected(self):
         fam = random_family(6, [5, 5], 6)
         specs = (
-            EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(5, 2), normalizer=50.0),
-            EventSpec(graph=1, kind="crossing", k=3, mu=Fraction(10, 3), normalizer=50.0),
+            EventSpec(graph=0, kind="crossing", k=2, normalizer=50.0),
+            EventSpec(graph=1, kind="crossing", k=3, normalizer=50.0),
         )
         with pytest.raises(ValueError, match="mix"):
             derandomize(fam, Guarantee(k=2, specs=specs, rows=()))

@@ -22,7 +22,7 @@ from simulcut import (
     resolve,
     threshold_for,
 )
-from simulcut.estimator import stat_mean, term_quadratic, validate_specs
+from simulcut.estimator import stat_mean, term_quadratic
 from simulcut.mc import random_assignment, substream
 from simulcut.oracle import moments_by_completion
 
@@ -35,44 +35,40 @@ from helpers import (
 )
 
 
-def crossing_spec(m, k=2, normalizer=1.0):
-    return EventSpec(graph=0, kind="crossing", k=k, mu=stat_mean("crossing", m, k),
-                     normalizer=normalizer)
+def crossing_spec(k=2):
+    return EventSpec(graph=0, kind="crossing", k=k, normalizer=1.0)
 
 
-def pair_spec(m, k, s, t, normalizer=1.0):
-    return EventSpec(graph=0, kind="pair", k=k, s=s, t=t,
-                     mu=stat_mean("pair", m, k), normalizer=normalizer)
+def pair_spec(k, s, t):
+    return EventSpec(graph=0, kind="pair", k=k, s=s, t=t, normalizer=1.0)
 
 
-def within_spec(m, k, s, normalizer=1.0):
-    return EventSpec(graph=0, kind="within", k=k, s=s,
-                     mu=stat_mean("within", m, k), normalizer=normalizer)
+def within_spec(k, s):
+    return EventSpec(graph=0, kind="within", k=k, s=s, normalizer=1.0)
 
 
-def rainbow_spec(m, r, normalizer=1.0):
-    return EventSpec(graph=0, kind="rainbow", k=r, mu=stat_mean("rainbow", m, r),
-                     normalizer=normalizer)
+def rainbow_spec(r):
+    return EventSpec(graph=0, kind="rainbow", k=r, normalizer=1.0)
 
 
 class TestEdgeProb:
     def test_crossing_both_undecided(self):
         a = Assignment((UNDECIDED, UNDECIDED), 2)
-        assert conditional_edge_prob((0, 1), a, crossing_spec(1)) == Fraction(1, 2)
+        assert conditional_edge_prob((0, 1), a, crossing_spec()) == Fraction(1, 2)
 
     def test_pair_one_decided(self):
         a = Assignment((0, UNDECIDED, UNDECIDED), 3)
-        spec = pair_spec(1, 3, 0, 1)
+        spec = pair_spec(3, 0, 1)
         assert conditional_edge_prob((0, 1), a, spec) == Fraction(1, 3)
 
     def test_pair_one_decided_outside(self):
         a = Assignment((2, UNDECIDED, UNDECIDED), 3)
-        spec = pair_spec(1, 3, 0, 1)
+        spec = pair_spec(3, 0, 1)
         assert conditional_edge_prob((0, 1), a, spec) == 0
 
     def test_crossing_same_class(self):
         a = Assignment((1, 1), 4)
-        assert conditional_edge_prob((0, 1), a, crossing_spec(1, k=4)) == 0
+        assert conditional_edge_prob((0, 1), a, crossing_spec(k=4)) == 0
 
     def test_exhaustive_against_enumeration(self):
         # average the realized indicator over all completions of the two endpoints
@@ -82,18 +78,18 @@ class TestEdgeProb:
                 for lu in [UNDECIDED] + list(range(k)):
                     for lv in [UNDECIDED] + list(range(k)):
                         if kind == "pair":
-                            spec = pair_spec(1, k, 0, min(1, k - 1))
+                            spec = pair_spec(k, 0, min(1, k - 1))
                         elif kind == "within":
-                            spec = within_spec(1, k, rng.randrange(k))
+                            spec = within_spec(k, rng.randrange(k))
                         else:
-                            spec = crossing_spec(1, k=k)
+                            spec = crossing_spec(k=k)
                         a = Assignment((lu, lv), k)
                         got = conditional_edge_prob((0, 1), a, spec)
                         want = moments_by_completion(((0, 1),), a, spec)[0]
                         assert got == want, (kind, k, lu, lv)
 
     def test_rainbow_probabilities(self):
-        spec = rainbow_spec(1, 3)
+        spec = rainbow_spec(3)
         a = Assignment((UNDECIDED,) * 3, 3)
         assert conditional_edge_prob((0, 1, 2), a, spec) == Fraction(6, 27)
         a = Assignment((0, UNDECIDED, UNDECIDED), 3)
@@ -105,13 +101,13 @@ class TestEdgeProb:
 class TestJointProb:
     def test_shared_vertex_all_undecided_quarter(self):
         a = Assignment((UNDECIDED,) * 3, 2)
-        spec = crossing_spec(2)
+        spec = crossing_spec()
         assert conditional_joint_prob((0, 1), (1, 2), a, spec) == Fraction(1, 4)
 
     def test_disjoint_edges_k_crossing(self):
         for k in (2, 3, 5):
             a = Assignment((UNDECIDED,) * 4, k)
-            spec = crossing_spec(2, k=k)
+            spec = crossing_spec(k=k)
             got = conditional_joint_prob((0, 1), (2, 3), a, spec)
             assert got == Fraction((k - 1) ** 2, k * k)
 
@@ -119,7 +115,7 @@ class TestJointProb:
         # shared vertex decided, other two undecided: enumerate the 4 completions
         for c in (0, 1):
             a = Assignment((UNDECIDED, c, UNDECIDED), 2)
-            spec = crossing_spec(2)
+            spec = crossing_spec()
             got = conditional_joint_prob((0, 1), (1, 2), a, spec)
             total = Fraction(0)
             for l0, l2 in itertools.product(range(2), repeat=2):
@@ -129,7 +125,7 @@ class TestJointProb:
     def test_identical_edges_rejected(self):
         a = Assignment((UNDECIDED,) * 2, 2)
         with pytest.raises(ValueError):
-            conditional_joint_prob((0, 1), (1, 0), a, crossing_spec(1))
+            conditional_joint_prob((0, 1), (1, 0), a, crossing_spec())
 
     def test_randomized_against_completion(self):
         rng = random.Random(17)
@@ -142,11 +138,11 @@ class TestJointProb:
                 continue
             kind = rng.choice(["crossing", "pair", "within"])
             if kind == "pair":
-                spec = pair_spec(2, k, 0, 1)
+                spec = pair_spec(k, 0, 1)
             elif kind == "within":
-                spec = within_spec(2, k, rng.randrange(k))
+                spec = within_spec(k, rng.randrange(k))
             else:
-                spec = crossing_spec(2, k=k)
+                spec = crossing_spec(k=k)
             a = random_partial(n, k, rng.randrange(10 ** 6))
             got = conditional_joint_prob(e1, e2, a, spec)
             # oracle: enumerate completions, average the product of indicators
@@ -171,7 +167,7 @@ class TestConditionalMoments:
             m = rng.randint(0, n * (n - 1) // 2)
             edges = random_edges(n, m, rng)
             a = Assignment((UNDECIDED,) * n, 2)
-            s1, ex2 = conditional_moments(edges, a, crossing_spec(m))
+            s1, ex2 = conditional_moments(edges, a, crossing_spec())
             assert s1 == Fraction(m, 2)
             assert ex2 == Fraction(m * (m + 1), 4)
 
@@ -183,7 +179,7 @@ class TestConditionalMoments:
             edges = random_edges(n, m, rng)
             k = rng.randint(2, 4)
             a = Assignment(tuple(rng.randrange(k) for _ in range(n)), k)
-            spec = crossing_spec(m, k=k)
+            spec = crossing_spec(k=k)
             s1, ex2 = conditional_moments(edges, a, spec)
             x = sum(1 for u, v in edges if a.labels[u] != a.labels[v])
             assert s1 == x and ex2 == x * x
@@ -197,11 +193,11 @@ class TestConditionalMoments:
             k = rng.choice([2, 2, 3])
             kind = rng.choice(["crossing", "pair", "within"])
             if kind == "pair":
-                spec = pair_spec(m, k, 0, 1)
+                spec = pair_spec(k, 0, 1)
             elif kind == "within":
-                spec = within_spec(m, k, rng.randrange(k))
+                spec = within_spec(k, rng.randrange(k))
             else:
-                spec = crossing_spec(m, k=k)
+                spec = crossing_spec(k=k)
             a = random_partial(n, k, rng.randrange(10 ** 6))
             assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
 
@@ -213,7 +209,7 @@ class TestConditionalMoments:
             cap = min(12, math.comb(n, r))
             hf = random_hyperfamily(n, r, [rng.randint(0, cap)], rng.randrange(10 ** 6))
             edges = hf.hypergraphs[0]
-            spec = rainbow_spec(len(edges), r)
+            spec = rainbow_spec(r)
             a = random_partial(n, r, rng.randrange(10 ** 6))
             assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
 
@@ -222,7 +218,7 @@ class TestEstimatorValue:
     def test_two_graph_anchor_half(self):
         fam = c5_pair()
         # normalizer m_i: for two graphs this is the standard bipartition config
-        specs = [EventSpec(graph=i, kind="crossing", k=2, mu=Fraction(5, 2), normalizer=5.0)
+        specs = [EventSpec(graph=i, kind="crossing", k=2, normalizer=5.0)
                  for i in range(2)]
         a = Assignment((UNDECIDED,) * 5, 2)
         assert estimator_value(fam, a, specs) == pytest.approx(0.5, abs=1e-12)
@@ -262,22 +258,16 @@ class TestEstimatorValue:
 class TestEventSpec:
     def test_normalizer_positive(self):
         with pytest.raises(ValueError):
-            EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(1), normalizer=0.0)
+            EventSpec(graph=0, kind="crossing", k=2, normalizer=0.0)
 
     def test_pair_needs_ordered_classes(self):
         with pytest.raises(ValueError):
-            EventSpec(graph=0, kind="pair", k=3, mu=Fraction(1), normalizer=1.0, s=2, t=1)
-
-    def test_mu_validated_against_closed_form(self):
-        fam = random_family(6, [5], 1)
-        bad = [EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(7, 3), normalizer=10.0)]
-        with pytest.raises(ValueError, match="mean"):
-            validate_specs(fam, bad)
+            EventSpec(graph=0, kind="pair", k=3, normalizer=1.0, s=2, t=1)
 
     def test_variance_budget_enforced(self):
         fam = random_family(6, [8], 2)
         # a normalizer below the variance m/4 starts the descent at 2/1.5 >= 1
-        bad = (EventSpec(graph=0, kind="crossing", k=2, mu=Fraction(4), normalizer=1.5),)
+        bad = (EventSpec(graph=0, kind="crossing", k=2, normalizer=1.5),)
         with pytest.raises(EstimatorBudgetError, match="initial estimator"):
             derandomize(fam, Guarantee(k=2, specs=bad, rows=()))
 
@@ -293,7 +283,8 @@ class TestEventSpec:
             rows = {(g, stat): thr for g, stat, thr in guarantee.rows}
             assert {(s.graph, s.stat) for s in guarantee.specs} == set(rows)
             for s in guarantee.specs:
-                assert math.isclose(float(s.mu) - math.sqrt(s.normalizer),
+                mu = stat_mean(s.kind, family.m[s.graph], s.k)
+                assert math.isclose(float(mu) - math.sqrt(s.normalizer),
                                     rows[s.graph, s.stat], rel_tol=1e-12)
             for (g, stat), thr in rows.items():
                 kind = theorem if theorem != "thm3" else "thm3_" + stat.split("(")[0]
@@ -306,7 +297,8 @@ class TestEventSpec:
         guarantee = resolve(hf, "hyp")
         assert [s.graph for s in guarantee.specs] == [g for g, _, _ in guarantee.rows]
         for s, (g, stat, thr) in zip(guarantee.specs, guarantee.rows):
-            assert math.isclose(float(s.mu) - math.sqrt(s.normalizer), thr, rel_tol=1e-12)
+            mu = stat_mean("rainbow", hf.m[g], 3)
+            assert math.isclose(float(mu) - math.sqrt(s.normalizer), thr, rel_tol=1e-12)
             want = threshold_for("hyp", m=hf.m[g], ell=2, r=3, delta2=hf.delta2[g])
             assert stat == "rainbow" and repr(thr) == repr(want)
 

@@ -1,10 +1,13 @@
 """Run-report text: render and parse are inverse on every kind of report,
-thresholds agree bit for bit, and `verify` survives corrupted reports."""
+thresholds agree bit for bit, whole reports and resolved guarantees are
+pinned by digest, and `verify` survives corrupted reports."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simulcut import epsilon_cap, resolve, threshold_for
+from simulcut import GraphFamily, epsilon_cap, resolve, threshold_for
 from simulcut.bench import THEOREM_TOKENS, RunOptions, execute_run
 from simulcut.cli import main
 from simulcut.instances import generate, serialize_instance
@@ -116,3 +119,113 @@ def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, 
     bad = where / "mutant.report"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(bad), "--instance", str(inst)]) in (0, 2)
+
+
+def _empty_member_family():
+    base = generate("gnm", n=20, m=40, ell=1, seed=7)
+    return GraphFamily(n=20, graphs=(base.graphs[0], ()))
+
+
+PIN_FAMILIES = {
+    "gnm": lambda: generate("gnm", n=30, m=80, ell=2, seed=5),
+    "bd": lambda: generate("bounded-degree", n=300, degree=2, ell=1, seed=5),
+    "bd1460": lambda: generate("bounded-degree", n=1460, degree=2, ell=1, seed=5),
+    "ru": lambda: generate("runiform", n=20, m=40, r=3, ell=2, seed=5),
+    "empty": _empty_member_family,
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (family, method, theorem, k, balanced): sha256 of the rendered report
+# without its wall-ms line
+REPORT_PINS = [
+    (("gnm", "mc", "1", None, False),
+     "d68d2c1e839d8b34b029b41dbbf748ad3b6c5bc57a8c375af084fee7937f02d8"),
+    (("gnm", "derand", "1", None, False),
+     "be12398e0ec8b0679c9d74da91bf54f8fed279d5e2b4c9f194767f42fcd476b9"),
+    (("gnm", "mc", "2", 3, False),
+     "c2fcfa242822deab28a3d1e9e80e454d0083bb3a65e7e9dae22500af5d176259"),
+    (("gnm", "derand", "2", 3, False),
+     "ac17b92bee380f3d3d2737ed222e1d85da460140f5d239ec68a5f4c07c560c8f"),
+    (("bd", "mc", "3", 2, False),
+     "0bd41dc664ec8bb329a3decada05b6e2a9b79fae8b052088be5d3047c66a7b2f"),
+    (("bd", "derand", "3", 2, False),
+     "17409661f3cc62ca23861dfb525e7d2a913230822272ae0fdab4ad5d6292efdb"),
+    (("ru", "mc", "hyp", None, False),
+     "10680ef3c76461094b3149538da34702d4aafe6e91123fb39dcb21e4da5289bf"),
+    (("ru", "derand", "hyp", None, False),
+     "da499d756412aa5c16408762e07d1439e43fe45898bb4e465894afed6d627f8b"),
+    (("gnm", "mc", "1", None, True),
+     "cec153b8f446126b649d262ce0ffabe6dab39d4f6d8f39427b5a288200c6b380"),
+    (("empty", "mc", "1", None, False),
+     "2c98564df09c2244ac296dce9149e5237ab77ddf74b5cf02fcb726a067f211a0"),
+    (("empty", "derand", "1", None, False),
+     "aa66f6474397031730acb88d6dbfb6f5eba713f7db02183b550fe673b031ce0a"),
+    (("empty", "mc", "2", 3, False),
+     "42d8743b701982d137e04e1da252e88bc25e14744a11720a46e942941cd4ad0a"),
+    (("empty", "derand", "2", 3, False),
+     "2eca64fd80d730a0a9512956bde8066b85b56db9448bb21b01390c3664dcef32"),
+]
+
+
+def _pinned_report(family, method, theorem, k, balanced) -> str:
+    opts = RunOptions(method=method, theorem=theorem, k=k, balanced=balanced, seed=3)
+    text = render_report(execute_run(PIN_FAMILIES[family](), opts).run_report)
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("wall-ms "))
+
+
+def _pin_ids(pins):
+    return ["-".join(map(str, case)) for case, *_ in pins]
+
+
+@pytest.mark.parametrize("case, digest", REPORT_PINS, ids=_pin_ids(REPORT_PINS))
+def test_report_digest_pinned(case, digest):
+    assert _sha(_pinned_report(*case)) == digest
+
+
+# (family, theorem, k, balanced): sha256 of the resolved penalty terms
+# (graph, stat, k, repr and type of the normalizer), and of the effective
+# settings with every (graph, stat, threshold) row
+RESOLVE_PINS = [
+    (("gnm", "thm1", None, False),
+     "ec7bbaf9d02f5f3085b57d88f26a0c7d2ebba571792ce1630c124e7559d9f793",
+     "13d00a06dce6c48cfcc14c57bf1bd51200c369f0e62238119337069cb7f18e6d"),
+    (("gnm", "thm2", 3, False),
+     "f11ee85ed09a38822afd11e875afc4fc84fd1f43cfc24438e2fe2e87d7d2bce5",
+     "dd1fcf805bc67d48e986dada9220110cb4ff7c4ebec6fc98766053819b5b7e1a"),
+    (("gnm", "thm2", 4, True),
+     "e5189b0aee8e288997d9ee517a4da982362ccf6e393b2894a7b90aed88fe7d7f",
+     "7bb31f0505042c01b749a25c6329864fa8655ad51f7a03252de9e6addbe7e9f6"),
+    (("bd", "thm3", 2, False),
+     "9a9cb2b323b2e302902d59ffdbb774af5609bc2c6d6a9bd6e019329384345e87",
+     "cd886639e69f646f2503385d52986e008173f51b05e639e610912df5a7474cd4"),
+    (("bd1460", "thm3", 3, False),
+     "19daf30bd156bcbf11815381b9eeaf19fcafdb1fbd770ce6c74c5adf3a0b24bd",
+     "ecdfbde118dd9501cff33940604008d12335ad39c906288bfa79a4ec30784d9e"),
+    (("ru", "hyp", None, False),
+     "abe20e1d9c35b88c84b93e63e4e76800bbc7e6d832414e34a9ddf02c3049fff8",
+     "25c89871d8cebc136cbabd67d428884c75196f62e54fda43918dd31b2c8b1882"),
+    (("empty", "thm1", None, False),
+     "072a2a1f1e762fe49f8ed7a0166f9c2a26480202e7935127dacf53f1c263df9d",
+     "c251054bac8180f201263a918e1521cf30eba94dfdf632246341b87c7dc45b64"),
+    (("empty", "thm2", 3, False),
+     "cc2763e7d25279906572369d7566f4a23053093fa2a9bc4b51f950121f0b5058",
+     "31ff447289a66dbc36c4c00af7218ad49f7fce3569013ad563f4b1a8ffddbc6f"),
+]
+
+
+def _pinned_resolve(family, theorem, k, balanced) -> tuple[str, str]:
+    g = resolve(PIN_FAMILIES[family](), theorem, k=k, balanced=balanced)
+    specs = [(s.graph, s.stat, s.k, repr(s.normalizer), type(s.normalizer).__name__)
+             for s in g.specs]
+    rows = [(graph, stat, repr(thr)) for graph, stat, thr in g.rows]
+    return repr(specs), repr((g.k, repr(g.eps), repr(g.slack), g.max_tries, rows))
+
+
+@pytest.mark.parametrize("case, specs, rows", RESOLVE_PINS, ids=_pin_ids(RESOLVE_PINS))
+def test_resolve_digest_pinned(case, specs, rows):
+    got = _pinned_resolve(*case)
+    assert (_sha(got[0]), _sha(got[1])) == (specs, rows)
