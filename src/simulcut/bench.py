@@ -18,26 +18,28 @@ generator, a method, a guarantee, and a repetition count:
       "seed": 1000                   // rep j uses seed + j
     }
 
-Every field's type is checked before any run starts.  Rep j generates its
-instance with seed+j and, for mc, samples with the same seed+j, so a suite
-is a pure function of its file.  `execute_run` resolves the guarantee once
-per run and reports what the engine's own `evaluate` returned, so each
-assignment is counted once.  Reps run serially and are folded in (run,
-rep) order.  A derandomized run that
-fails its guarantee aborts the whole suite and serializes the offending
-instance for replay.
+The entry's option fields are passed to `RunOptions` by name, so an
+omitted one takes `RunOptions`' default.  Every field's type, and every
+setting that is wrong on any instance (`check_settings`), is checked
+before any run starts.  Rep j generates its instance with seed+j and, for
+mc, samples with the same seed+j, so a suite is a pure function of its
+file.  `execute_run` resolves the guarantee once per run and reports what
+the engine's own `evaluate` returned, so each assignment is counted once.
+Reps run serially and are folded in (run, rep) order.  An mc rep whose
+report fails counts as exhausted; a derandomized run that fails its
+guarantee aborts the whole suite and serializes the offending instance for
+replay.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-from .model import HypergraphFamily
 from .derandomize import derandomize
-from .guarantee import resolve
+from .guarantee import check_settings, resolve
 from .mc import McExhausted, mc_partition
 from .instances import generate, serialize_instance
 from .report import RunReport, instance_digest, render_report
@@ -68,12 +70,13 @@ class RunOptions:
         if self.balanced and self.method == "derand":
             raise ValueError("balancing is a Monte-Carlo feature; "
                              "the descent does not track class sizes")
+        check_settings(THEOREM_TOKENS[self.theorem], k=self.k, slack=self.slack,
+                       max_tries=self.max_tries)
 
 
 @dataclass
 class RunOutcome:
     run_report: RunReport
-    exhausted: bool = False
     derand_result: object = None
 
 
@@ -82,45 +85,32 @@ def execute_run(family, opts: RunOptions) -> RunOutcome:
     theorem = THEOREM_TOKENS[opts.theorem]
     guarantee = resolve(family, theorem, k=opts.k, eps=opts.epsilon, balanced=opts.balanced,
                         slack=opts.slack, max_tries=opts.max_tries)
-    is_hyper = isinstance(family, HypergraphFamily)
-    common = dict(
-        digest=instance_digest(family),
-        kind="hypergraphs" if is_hyper else "graphs",
-        n=family.n,
-        ell=family.ell,
-        r=family.r if is_hyper else None,
-        theorem=theorem,
-        k=guarantee.k,
-        epsilon=float(guarantee.eps) if guarantee.eps is not None else None,
-        balanced=opts.balanced,
-        balance_slack=float(guarantee.slack) if guarantee.slack is not None else None,
-    )
-
+    digest = instance_digest(family)
+    derand_result = None
+    start = time.perf_counter()
     if opts.method == "mc":
-        start = time.perf_counter()
         try:
             result = mc_partition(family, guarantee, seed=opts.seed)
             assignment, cut_report, tries = result.assignment, result.report, result.tries_used
-            exhausted = False
         except McExhausted as exc:
             assignment, cut_report, tries = exc.best_assignment, exc.best_report, exc.tries
-            exhausted = True
-        wall = (time.perf_counter() - start) * 1000
-        rr = RunReport(method="mc", assignment=assignment.labels, cut_report=cut_report,
-                       seed=opts.seed, max_tries=opts.max_tries, tries=tries,
-                       wall_ms=wall, **common)
-        return RunOutcome(run_report=rr, exhausted=exhausted)
-
-    start = time.perf_counter()
-    result = derandomize(family, guarantee, order=opts.order)
-    wall = (time.perf_counter() - start) * 1000
-    rr = RunReport(method="derand", assignment=result.assignment.labels,
-                   cut_report=result.report, order=opts.order,
-                   descent_steps=len(result.trace),
-                   initial_estimator=result.initial_value,
-                   final_estimator=result.final_value,
-                   wall_ms=wall, **common)
-    return RunOutcome(run_report=rr, derand_result=result)
+        engine = dict(seed=opts.seed, max_tries=opts.max_tries, tries=tries)
+    else:
+        derand_result = derandomize(family, guarantee, order=opts.order)
+        assignment, cut_report = derand_result.assignment, derand_result.report
+        engine = dict(order=opts.order, descent_steps=len(derand_result.trace),
+                      initial_estimator=derand_result.initial_value,
+                      final_estimator=derand_result.final_value)
+    wall_ms = (time.perf_counter() - start) * 1000
+    rr = RunReport(
+        digest=digest, kind=cut_report.kind, n=family.n, ell=family.ell,
+        r=getattr(family, "r", None),
+        method=opts.method, theorem=theorem, k=guarantee.k,
+        epsilon=None if guarantee.eps is None else float(guarantee.eps),
+        balanced=opts.balanced,
+        balance_slack=None if guarantee.slack is None else float(guarantee.slack),
+        assignment=assignment.labels, cut_report=cut_report, wall_ms=wall_ms, **engine)
+    return RunOutcome(run_report=rr, derand_result=derand_result)
 
 
 class BenchAbort(RuntimeError):
@@ -173,20 +163,17 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
             if name in entry and not ok(entry[name]):
                 raise ValueError(f"suite run {i}: field {name!r} must be {what}, "
                                  f"got {entry[name]!r}")
+        options = {}
+        for f in fields(RunOptions):
+            if f.name in entry:
+                options[f.name] = entry[f.name]
+            elif f.default is MISSING:
+                raise ValueError(f"suite run {i}: missing field {f.name!r}")
+        options["theorem"] = str(options["theorem"])
         try:
-            opts = RunOptions(
-                method=entry["method"],
-                theorem=str(entry["theorem"]),
-                k=entry.get("k"),
-                epsilon=entry.get("epsilon"),
-                balanced=entry.get("balanced", False),
-                slack=entry.get("slack"),
-                seed=entry.get("seed", 0),
-                order=entry.get("order", "natural"),
-                max_tries=entry.get("max_tries", 64),
-            )
-        except KeyError as exc:
-            raise ValueError(f"suite run {i}: missing field {exc}") from None
+            opts = RunOptions(**options)
+        except ValueError as exc:
+            raise ValueError(f"suite run {i}: {exc}") from None
         runs.append(SuiteRun(
             name=entry.get("name", f"run{i}"),
             reps=entry.get("reps", 1),
@@ -294,7 +281,7 @@ def run_bench(suite, out_dir=None, echo=None) -> BenchResult:
                 path.write_text(serialize_instance(family), encoding="utf-8", newline="\n")
                 raise BenchAbort(
                     f"derandomized run {run.name} rep {rep} failed its guarantee", str(path))
-            if outcome.exhausted:
+            if rr.method == "mc" and not rr.passed:     # an mc run fails only when exhausted
                 result.exhausted += 1
             for c in rr.cut_report.constraints:
                 key = (run.name, c.stat.split("(")[0])   # rows group by shape, not by class

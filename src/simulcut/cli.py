@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .model import (
@@ -77,17 +78,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_partition(args) -> int:
     family = parse_instance(_read_text(args.instance))
-    opts = RunOptions(
-        method=args.method,
-        theorem=args.theorem,
-        k=args.k,
-        epsilon=args.epsilon,
-        balanced=args.balanced,
-        slack=args.slack,
-        seed=args.seed,
-        order=args.order,
-        max_tries=args.max_tries,
-    )
+    # every RunOptions field is a flag of the same name; an omitted one takes its default
+    given = {f.name: getattr(args, f.name) for f in fields(RunOptions)}
+    opts = RunOptions(**{name: value for name, value in given.items() if value is not None})
     outcome = execute_run(family, opts)
     _write_text(args.out, render_report(outcome.run_report))
     if args.trace and outcome.derand_result is not None:
@@ -184,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balanced", action="store_true",
                    help="also require near-equal class sizes (mc only)")
     p.add_argument("--slack", type=float, help="allowed class-size deviation from n/k")
-    p.add_argument("--seed", type=int, default=0, help="mc stream seed")
-    p.add_argument("--max-tries", type=int, default=64)
-    p.add_argument("--order", choices=["natural", "degree"], default="natural",
+    p.add_argument("--seed", type=int, help="mc stream seed")
+    p.add_argument("--max-tries", type=int)
+    p.add_argument("--order", choices=["natural", "degree"],
                    help="derand vertex processing order")
     p.add_argument("--trace", action="store_true", help="print the descent steps")
     p.add_argument("--out", help="report file (default stdout)")

@@ -1,13 +1,15 @@
 """One guarantee resolved against one family, and the one evaluator of it.
 
 `resolve` checks a guarantee's settings against an instance and fixes its
-effective k, epsilon and balance slack.  Per member, one branch per theorem
-gives the normalizer and each statistic with its threshold, computed once
-by `threshold_for`.  Each statistic yields one ``(graph, stat, threshold)``
-row and, on a member with edges, one penalty term for the descent; a
-term's mean follows from its statistic (`stat_mean`).  `evaluate` counts
-every member of an assignment once and checks it against those rows, so
-the engines, the reports and `verify` compare against the same floats.
+effective k, epsilon and balance slack; `check_settings` holds the checks
+that need no instance, so run options are rejected before any run.  Per
+member, one branch per theorem gives the normalizer and each statistic
+with its threshold, computed once by `threshold_for`.  Each statistic
+yields one ``(graph, stat, threshold)`` row and, on a member with edges,
+one penalty term for the descent; a term's mean follows from its statistic
+(`stat_mean`).  `evaluate` counts every member of an assignment once and
+checks it against those rows, so the engines, the reports and `verify`
+compare against the same floats.
 """
 
 from __future__ import annotations
@@ -54,6 +56,19 @@ class Guarantee:
         return len(self.specs)
 
 
+def check_settings(theorem: str, k: int | None = None, slack: float | None = None,
+                   max_tries: int = 64) -> None:
+    """Reject the settings of a guarantee that are wrong on any instance."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown kind {theorem!r}; expected one of {THEOREMS}")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
+    if k is not None and k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if slack is not None and not slack > 0:
+        raise ValueError(f"balance_slack must be > 0, got {slack}")
+
+
 def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool = False,
             slack: float | None = None, max_tries: int = 64) -> Guarantee:
     """Check a guarantee against a family and fix everything it needs.
@@ -74,14 +89,7 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     it below 1: 1/2 for thm1, thm2 and hyp, and ell*k(k+1)/2 terms of at
     most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown kind {theorem!r}; expected one of {THEOREMS}")
-    if max_tries < 1:
-        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
-    if k is not None and k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if slack is not None and not slack > 0:
-        raise ValueError(f"balance_slack must be > 0, got {slack}")
+    check_settings(theorem, k=k, slack=slack, max_tries=max_tries)
     if theorem == "hyp":
         if not isinstance(family, HypergraphFamily):
             raise TypeError("kind 'hyp' needs a hypergraph family")

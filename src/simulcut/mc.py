@@ -37,6 +37,8 @@ class McExhausted(RuntimeError):
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent generator number `index` of the stream named by `seed`."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )

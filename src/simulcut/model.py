@@ -466,9 +466,3 @@ class CutReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.constraints)
-
-    def constraint(self, graph: int, stat: str) -> Constraint:
-        for c in self.constraints:
-            if c.graph == graph and c.stat == stat:
-                return c
-        raise KeyError((graph, stat))

@@ -2,7 +2,11 @@
 
 A run report is a stable-order `key value` document carrying everything
 needed to audit a partitioning run: instance digest, config echo, the full
-assignment, and one constraint row per guarantee.  Every count is
+assignment, and one constraint row per guarantee.  One table, `_FIELDS`,
+names each leading line's key, its `RunReport` attribute and its parser;
+`render_report` writes from it, `parse_report` reads with it, and a key is
+required when its attribute has no default.  Lines with a key the table
+does not know are ignored, so new lines are additive.  Every count is
 re-derivable from (instance, assignment): `recheck` resolves the echoed
 guarantee and evaluates the assignment with the same `resolve` and
 `evaluate` the engines use, so it recomputes the very same thresholds.
@@ -12,7 +16,7 @@ recomputed values is an exact string comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .model import Assignment, Constraint, CutReport, HypergraphFamily, UNDECIDED
 from .guarantee import evaluate, resolve
@@ -30,6 +34,8 @@ def instance_digest(family) -> str:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return "yes" if x else "no"
     if isinstance(x, float):
         return repr(x)
     return str(x)
@@ -66,50 +72,69 @@ class RunReport:
         return self.cut_report.all_pass
 
 
+def _yes(text: str) -> bool:
+    return text == "yes"
+
+
+# (report key, RunReport attribute, parser) of the leading `key value`
+# lines, in render order; None values are not written
+_FIELDS = (
+    ("instance-sha256", "digest", str),
+    ("kind", "kind", str),
+    ("n", "n", int),
+    ("ell", "ell", int),
+    ("r", "r", int),
+    ("method", "method", str),
+    ("theorem", "theorem", str),
+    ("k", "k", int),
+    ("epsilon", "epsilon", float),
+    ("balanced", "balanced", _yes),
+    ("balance-slack", "balance_slack", float),
+    ("order", "order", str),
+    ("seed", "seed", int),
+    ("max-tries", "max_tries", int),
+    ("tries", "tries", int),
+    ("descent-steps", "descent_steps", int),
+    ("initial-estimator", "initial_estimator", float),
+    ("final-estimator", "final_estimator", float),
+)
+# the `key value` lines written after the table's, around the per-class,
+# per-member and constraint lines
+_TRAILING = (("assignment", "assignment", lambda text: tuple(int(x) for x in text.split())),
+             ("wall-ms", "wall_ms", float))
+# the `key=value` tokens of a constraint line, in render order
+_CONSTRAINT_FIELDS = (("graph", "graph", int), ("stat", "stat", str), ("count", "count", int),
+                      ("threshold", "threshold", float), ("margin", "margin", float),
+                      ("pass", "passed", _yes))
+_PARSERS = {key: (attr, parse) for key, attr, parse in _FIELDS + _TRAILING}
+# a key is required when its RunReport attribute has no default
+_OPTIONAL = {f.name for f in fields(RunReport) if f.default is not MISSING}
+_REQUIRED = tuple(key for key, (attr, _) in _PARSERS.items() if attr not in _OPTIONAL)
+
+
+def _member_stat(kind: str) -> str:
+    """The CutReport field, and word of the `member` lines, of a report's kind."""
+    return "rainbow" if kind == "hypergraphs" else "crossing"
+
+
 def render_report(rr: RunReport) -> str:
     lines = ["simulcut-report 1"]
     add = lines.append
-    add(f"instance-sha256 {rr.digest}")
-    add(f"kind {rr.kind}")
-    add(f"n {rr.n}")
-    add(f"ell {rr.ell}")
-    if rr.r is not None:
-        add(f"r {rr.r}")
-    add(f"method {rr.method}")
-    add(f"theorem {rr.theorem}")
-    add(f"k {rr.k}")
-    if rr.epsilon is not None:
-        add(f"epsilon {_fmt(float(rr.epsilon))}")
-    add(f"balanced {'yes' if rr.balanced else 'no'}")
-    if rr.balanced and rr.balance_slack is not None:
-        add(f"balance-slack {_fmt(float(rr.balance_slack))}")
-    if rr.order is not None:
-        add(f"order {rr.order}")
-    if rr.seed is not None:
-        add(f"seed {rr.seed}")
-    if rr.max_tries is not None:
-        add(f"max-tries {rr.max_tries}")
-    if rr.tries is not None:
-        add(f"tries {rr.tries}")
-    if rr.descent_steps is not None:
-        add(f"descent-steps {rr.descent_steps}")
-    if rr.initial_estimator is not None:
-        add(f"initial-estimator {_fmt(rr.initial_estimator)}")
-    if rr.final_estimator is not None:
-        add(f"final-estimator {_fmt(rr.final_estimator)}")
+    for key, attr, parse in _FIELDS:
+        value = getattr(rr, attr)
+        if value is None or (attr == "balance_slack" and not rr.balanced):
+            continue
+        # a float field is written as a float whatever number type it holds
+        add(f"{key} {_fmt(float(value) if parse is float else value)}")
     add("assignment " + " ".join(str(x) for x in rr.assignment))
     for c, size in enumerate(rr.cut_report.class_sizes):
         add(f"class-size {c} {size}")
-    if rr.kind == "hypergraphs":
-        for i, count in enumerate(rr.cut_report.rainbow):
-            add(f"member {i} rainbow {count}")
-    else:
-        for i, count in enumerate(rr.cut_report.crossing):
-            add(f"member {i} crossing {count}")
+    stat = _member_stat(rr.kind)
+    for i, count in enumerate(getattr(rr.cut_report, stat)):
+        add(f"member {i} {stat} {count}")
     for c in rr.cut_report.constraints:
-        add(f"constraint graph={c.graph} stat={c.stat} count={c.count} "
-            f"threshold={_fmt(c.threshold)} margin={_fmt(c.margin)} "
-            f"pass={'yes' if c.passed else 'no'}")
+        add(" ".join(["constraint"] + [f"{key}={_fmt(getattr(c, attr))}"
+                                       for key, attr, _ in _CONSTRAINT_FIELDS]))
     add(f"wall-ms {_fmt(round(rr.wall_ms, 3))}")
     add(f"result {'pass' if rr.passed else 'fail'}")
     return "\n".join(lines) + "\n"
@@ -119,19 +144,15 @@ class ReportParseError(ValueError):
     pass
 
 
-_REQUIRED_FIELDS = ("instance-sha256", "kind", "n", "ell", "method", "theorem", "k",
-                    "assignment")
-_CONSTRAINT_KEYS = ("graph", "stat", "count", "threshold", "margin", "pass")
-
-
-def _require(table: dict[str, str], keys: tuple[str, ...], where: str) -> None:
+def _require(table: dict, keys, where: str) -> None:
     for key in keys:
         if key not in table:
             raise ReportParseError(f"{where} has no {key!r}")
 
 
 def parse_report(text: str) -> RunReport:
-    fields: dict[str, str] = {}
+    """Parse report text; lines with a key the report does not know are ignored."""
+    values: dict[str, object] = {}
     class_sizes: list[int] = []
     member_counts: list[int] = []
     constraints: list[Constraint] = []
@@ -140,63 +161,36 @@ def parse_report(text: str) -> RunReport:
         raise ReportParseError("not a simulcut report (bad first line)")
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
-        if key == "class-size":
-            c, size = rest.split()
-            if int(c) != len(class_sizes):
-                raise ReportParseError(f"class-size lines out of order at {ln!r}")
-            class_sizes.append(int(size))
-        elif key == "member":
-            idx, _stat, count = rest.split()
-            if int(idx) != len(member_counts):
-                raise ReportParseError(f"member lines out of order at {ln!r}")
-            member_counts.append(int(count))
-        elif key == "constraint":
-            kv = dict(tok.partition("=")[::2] for tok in rest.split())
-            _require(kv, _CONSTRAINT_KEYS, f"constraint line {ln!r}")
-            constraints.append(Constraint(
-                graph=int(kv["graph"]), stat=kv["stat"], count=int(kv["count"]),
-                threshold=float(kv["threshold"]), margin=float(kv["margin"]),
-                passed=kv["pass"] == "yes"))
-        else:
-            fields[key] = rest
+        try:
+            if key == "class-size":
+                c, size = rest.split()
+                if int(c) != len(class_sizes):
+                    raise ReportParseError(f"class-size lines out of order at {ln!r}")
+                class_sizes.append(int(size))
+            elif key == "member":
+                idx, _stat, count = rest.split()
+                if int(idx) != len(member_counts):
+                    raise ReportParseError(f"member lines out of order at {ln!r}")
+                member_counts.append(int(count))
+            elif key == "constraint":
+                kv = dict(tok.partition("=")[::2] for tok in rest.split())
+                _require(kv, [name for name, _, _ in _CONSTRAINT_FIELDS],
+                         f"constraint line {ln!r}")
+                constraints.append(Constraint(
+                    **{attr: parse(kv[key]) for key, attr, parse in _CONSTRAINT_FIELDS}))
+            elif key in _PARSERS:
+                values[key] = _PARSERS[key][1](rest)
+        except ReportParseError:
+            raise
+        except ValueError as exc:
+            raise ReportParseError(f"report line {ln!r}: {exc}") from None
 
-    def opt(key, conv):
-        return conv(fields[key]) if key in fields else None
-
-    _require(fields, _REQUIRED_FIELDS, "report")
-    kind = fields["kind"]
-    if kind == "hypergraphs":
-        crossing: tuple[int, ...] = ()
-        rainbow = tuple(member_counts)
-    else:
-        crossing = tuple(member_counts)
-        rainbow = ()
-    cut_report = CutReport(
-        kind=kind, class_sizes=tuple(class_sizes), crossing=crossing,
-        pairs=(), within=(), rainbow=rainbow, constraints=tuple(constraints))
-    return RunReport(
-        digest=fields["instance-sha256"],
-        kind=kind,
-        n=int(fields["n"]),
-        ell=int(fields["ell"]),
-        r=opt("r", int),
-        method=fields["method"],
-        theorem=fields["theorem"],
-        k=int(fields["k"]),
-        epsilon=opt("epsilon", float),
-        balanced=fields.get("balanced") == "yes",
-        balance_slack=opt("balance-slack", float),
-        seed=opt("seed", int),
-        max_tries=opt("max-tries", int),
-        tries=opt("tries", int),
-        order=fields.get("order"),
-        descent_steps=opt("descent-steps", int),
-        initial_estimator=opt("initial-estimator", float),
-        final_estimator=opt("final-estimator", float),
-        assignment=tuple(int(x) for x in fields["assignment"].split()),
-        cut_report=cut_report,
-        wall_ms=float(fields.get("wall-ms", "0")),
-    )
+    _require(values, _REQUIRED, "report")
+    counts = {"crossing": (), "rainbow": (), _member_stat(values["kind"]): tuple(member_counts)}
+    cut_report = CutReport(kind=values["kind"], class_sizes=tuple(class_sizes), pairs=(),
+                           within=(), constraints=tuple(constraints), **counts)
+    return RunReport(cut_report=cut_report,
+                     **{_PARSERS[key][0]: value for key, value in values.items()})
 
 
 def recheck(rr: RunReport, family) -> list[str]:
@@ -229,14 +223,10 @@ def recheck(rr: RunReport, family) -> list[str]:
     if fresh.class_sizes != rr.cut_report.class_sizes:
         problems.append(f"class sizes differ: report {rr.cut_report.class_sizes}, "
                         f"recomputed {fresh.class_sizes}")
-    if rr.kind == "hypergraphs":
-        if fresh.rainbow != rr.cut_report.rainbow:
-            problems.append(f"rainbow counts differ: report {rr.cut_report.rainbow}, "
-                            f"recomputed {fresh.rainbow}")
-    else:
-        if fresh.crossing != rr.cut_report.crossing:
-            problems.append(f"crossing counts differ: report {rr.cut_report.crossing}, "
-                            f"recomputed {fresh.crossing}")
+    stat = _member_stat(rr.kind)
+    said, actual = getattr(rr.cut_report, stat), getattr(fresh, stat)
+    if said != actual:
+        problems.append(f"{stat} counts differ: report {said}, recomputed {actual}")
     want = {(c.graph, c.stat): c for c in fresh.constraints}
     got = {(c.graph, c.stat): c for c in rr.cut_report.constraints}
     if set(want) != set(got):

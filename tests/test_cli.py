@@ -97,6 +97,16 @@ def test_partition_contract_errors_exit_2(c5_file, capsys, tmp_path):
     assert main(["partition", str(c5_file), "--theorem", "hyp"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["partition", "C5", "--theorem", "1", "--method", "mc", "--seed", "-1"],
+    ["gen", "gnm", "--n", "8", "--m", "10", "--seed", "-1"],
+], ids=["partition-mc", "gen-gnm"])
+def test_negative_seed_exit_2(c5_file, capsys, argv):
+    argv = [str(c5_file) if arg == "C5" else arg for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_partition_hypergraph(tmp_path):
     inst = tmp_path / "h.instance"
     assert main(["gen", "runiform", "--n", "15", "--m", "25", "--r", "3",
@@ -364,6 +374,9 @@ BAD_FIELDS = [
     (dict(reps=0), "field 'reps' must be an integer >= 1, got 0"),
     (dict(max_tries=None), "field 'max_tries' must be an integer >= 1, got None"),
     (dict(max_tries=0), "field 'max_tries' must be an integer >= 1, got 0"),
+    # settings that are wrong on any instance are caught before the first run
+    (dict(k=1), "k must be >= 2, got 1"),
+    (dict(slack=0), "balance_slack must be > 0, got 0"),
 ]
 
 

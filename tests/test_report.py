@@ -3,6 +3,8 @@ thresholds agree bit for bit, whole reports and resolved guarantees are
 pinned by digest, and `verify` survives corrupted reports."""
 
 import hashlib
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,18 @@ def test_render_parse_render_is_identity(theorem, method, seed, balanced, k):
     rr = execute_run(family, opts).run_report
     text = render_report(rr)
     assert render_report(parse_report(text)) == text
+
+
+def test_balance_slack_and_epsilon_lines():
+    # balance-slack is written only for a balanced run, and both it and
+    # epsilon are written as floats whatever number type the report holds
+    family = generate(**INSTANCES["1"], seed=1)
+    for balanced in (False, True):
+        opts = RunOptions(method="mc", theorem="1", slack=50.0, balanced=balanced)
+        rr = execute_run(family, opts).run_report
+        assert ("\nbalance-slack 50.0\n" in render_report(rr)) == balanced
+    text = render_report(replace(rr, epsilon=Fraction(1, 4), balance_slack=50))
+    assert "\nepsilon 0.25\n" in text and "\nbalance-slack 50.0\n" in text
 
 
 def _closed_form(family, theorem, k, graph, stat):
@@ -119,6 +133,45 @@ def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, 
     bad = where / "mutant.report"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(bad), "--instance", str(inst)]) in (0, 2)
+
+
+# (line prefix, token after which an "x" is inserted): one value of each
+# line shape in the thm3 mc report that no parser takes
+BAD_VALUES = [("n ", "n "), ("k ", "k "), ("seed ", "seed "), ("epsilon ", "epsilon "),
+              ("class-size 1 ", "class-size 1 "), ("member 0 ", "crossing "),
+              ("constraint ", "count=")]
+
+
+@pytest.mark.parametrize("prefix, token", BAD_VALUES, ids=[p.split()[0] for p, _ in BAD_VALUES])
+def test_verify_bad_value_names_its_line(rendered_reports, capsys, prefix, token):
+    where, reports = rendered_reports
+    inst, lines = reports[2]
+    lines = list(lines)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[i] = lines[i].replace(token, token + "x", 1)
+    bad = where / "bad-value.report"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report line {lines[i]!r}: ") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("at", ["appended", "after-k"])
+def test_unknown_report_line_is_ignored(rendered_reports, capsys, at):
+    # report lines are additive: a key parse_report does not know changes
+    # nothing it reads, and verify passes
+    where, reports = rendered_reports
+    for inst, lines in reports:
+        text = "\n".join(lines) + "\n"
+        extended = list(lines)
+        k_line = next(i for i, ln in enumerate(lines) if ln.startswith("k "))
+        extended.insert(len(lines) if at == "appended" else k_line + 1, "descent-ties 3")
+        extended_text = "\n".join(extended) + "\n"
+        assert render_report(parse_report(extended_text)) == text
+        report = where / "extended.report"
+        report.write_text(extended_text)
+        assert main(["verify", str(report), "--instance", str(inst)]) == 0
 
 
 def _empty_member_family():
