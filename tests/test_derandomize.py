@@ -326,11 +326,15 @@ class TestPinnedTraces:
     """
 
     CASES = {
-        "thm1": (("gnm", dict(n=60, m=200, ell=3, seed=1)), "thm1", None),
-        "thm2": (("gnm", dict(n=50, m=150, ell=2, seed=2)), "thm2", 4),
-        "thm3": (("bounded-degree", dict(n=1460, degree=2, ell=1, seed=3)), "thm3", 3),
-        "pair-within": (("gnm", dict(n=40, m=120, ell=2, seed=4)), None, 3),
-        "hyp": (("runiform", dict(n=30, m=60, r=3, ell=2, seed=5)), "hyp", None),
+        "thm1": (("gnm", dict(n=60, m=200, ell=3, seed=1)), "thm1", None, None),
+        "thm2": (("gnm", dict(n=50, m=150, ell=2, seed=2)), "thm2", 4, None),
+        "thm3": (("bounded-degree", dict(n=1460, degree=2, ell=1, seed=3)), "thm3", 3, None),
+        "pair-within": (("gnm", dict(n=40, m=120, ell=2, seed=4)), None, 3, None),
+        "hyp": (("runiform", dict(n=30, m=60, r=3, ell=2, seed=5)), "hyp", None, None),
+        # most co-vertices share two or more of v's edges: the cross terms run
+        "hyp-dense": (("runiform", dict(n=22, m=110, r=3, ell=2, seed=1001)), "hyp", None,
+                      "degree"),
+        "hyp-r5": (("runiform", dict(n=40, m=120, r=5, ell=1, seed=6)), "hyp", None, None),
     }
     DIGESTS = {
         "thm1": "12225044636d6894cd709dbfabe329051b2b9a07d8fad19f878aa56d6128b5df",
@@ -338,16 +342,18 @@ class TestPinnedTraces:
         "thm3": "75ddd649f1c0431866ae5e6d2400aa9b3c04304d7fb6babe50491df45c6264da",
         "pair-within": "a9e828a2333de198204fd9e4497307ef1d968b31d95613d7a021a264360020c7",
         "hyp": "16ddefcc622f81aa5be53f3adc21320a72baa4f43f37bc40b1a87f3875669ed3",
+        "hyp-dense": "9bcdaa9f27d3f58183bbbeeb29135e4b0a68322c462fed21992b8e54992f8f83",
+        "hyp-r5": "e01bea6b2ba038c4c726330bdfc6ad177481860e2e5654a762c70554288fa401",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_trace_digest(self, case):
-        (kind, params), theorem, k = self.CASES[case]
+        (kind, params), theorem, k, order = self.CASES[case]
         fam = generate(kind, **params)
         # pair-within: every graph's pair and within terms, degrees not bounded
         guarantee = (resolve(fam, theorem, k=k) if theorem else
                      _loose_pair_within(fam, k))
-        result = derandomize(fam, guarantee)
+        result = derandomize(fam, guarantee, order=order)
         trace = [(s.vertex, s.chosen, s.candidates) for s in result.trace]
         text = repr((result.initial_value, result.final_value, trace))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case]
