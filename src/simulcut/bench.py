@@ -19,12 +19,14 @@ generator, a method, a guarantee, and a repetition count:
     }
 
 The entry's option fields are passed to `RunOptions` by name, so an
-omitted one takes `RunOptions`' default.  Every field's type, and every
-setting that is wrong on any instance (`check_settings`), is checked
-before any run starts.  Rep j generates its instance with seed+j and, for
-mc, samples with the same seed+j, so a suite is a pure function of its
-file.  `execute_run` resolves the guarantee once per run and reports what
-the engine's own `evaluate` returned, so each assignment is counted once.
+omitted one takes `RunOptions`' default.  Every field's type, every
+setting that is wrong on any instance (`check_settings`), and every one
+that the generator's member count and uniformity rule out (`settle`: k
+under thm1 and hyp, thm3's epsilon) are checked before any run starts.
+Rep j generates its instance with seed+j and, for mc, samples with the
+same seed+j, so a suite is a pure function of its file.  `execute_run`
+resolves the guarantee once per run and reports what the engine's own
+`evaluate` returned, so each assignment is counted once.
 Reps run serially and are folded in (run, rep) order.  An mc rep whose
 report fails counts as exhausted; a derandomized run that fails its
 guarantee aborts the whole suite and serializes the offending instance for
@@ -39,9 +41,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .derandomize import derandomize
-from .guarantee import check_settings, resolve
+from .guarantee import check_settings, resolve, settle
 from .mc import McExhausted, mc_partition
-from .instances import generate, serialize_instance
+from .instances import generate, generated_shape, serialize_instance
 from .report import RunReport, instance_digest, render_report
 
 THEOREM_TOKENS = {"1": "thm1", "2": "thm2", "3": "thm3", "hyp": "hyp",
@@ -170,9 +172,13 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
             elif f.default is MISSING:
                 raise ValueError(f"suite run {i}: missing field {f.name!r}")
         options["theorem"] = str(options["theorem"])
+        shape = generated_shape(gen["kind"], gen.get("ell", 1), gen.get("r"))
         try:
             opts = RunOptions(**options)
-        except ValueError as exc:
+            if shape:
+                settle(THEOREM_TOKENS[opts.theorem], opts.k, opts.epsilon,
+                       ell=shape[0], r=shape[1])
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"suite run {i}: {exc}") from None
         runs.append(SuiteRun(
             name=entry.get("name", f"run{i}"),

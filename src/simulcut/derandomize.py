@@ -18,20 +18,22 @@ Terms: one per run of consecutive specs on one member, built from the
 member's edges, those specs and n; each gives one row of k floats per
 spec.  Every term starts with all vertices open (the incremental ones in
 closed form) and learns of decided vertices only through its own
-`commit(v, c)`, which reuses what `candidates(v)` has just computed for v.
-The descent adds the rows in spec order.
+`commit(v, c)`.  The descent adds the rows in spec order.
 
 Cost: a graph member's term tracks all of its statistics (the crossing
 one, or every pair and within one) on per-vertex histograms of neighbour
 labels, from which each statistic's edge-pair correlations follow in
 closed form.  One walk over v's neighbours yields every statistic's k
 candidates: deg(v) additions of packed histograms, then O(k) per
-statistic.  A commit costs O(1) per open neighbour.  A hypergraph
-member's rainbow term costs O(deg(v) * r^2) per candidate, plus the
-hyperedge pairs at v that share two or more vertices (these alone keep
-per-pair state, in closed form).  `naive=True` builds terms that recompute
-every moment from scratch, kept as the correctness oracle for the
-incremental bookkeeping.
+statistic.  A commit reuses that walk and costs O(1) per open neighbour.
+A hypergraph member's rainbow term yields its r candidates from one walk
+over v's live hyperedges: O(r) per (live hyperedge, open co-vertex) pair,
+then O(1) per class, plus O(1) per class for each live hyperedge pair at
+v that shares two or more vertices (these alone keep per-pair state, in
+closed form; dead ones are skipped).  A commit costs O(r) per touched
+co-vertex, for the chosen class alone.  `naive=True` builds terms that
+recompute every moment from scratch, kept as the correctness oracle for
+the incremental bookkeeping.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
@@ -122,7 +125,7 @@ class _MemberTerm:
         self.stats = [(spec.kind, spec.s, spec.t, int(stat_mean(spec.kind, m, k) * self.k2),
                        spec.normalizer) for spec in specs]
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for u, v in np.asarray(edges).tolist():
             adj[u].append(v)
             adj[v].append(u)
         self.adj = adj
@@ -255,16 +258,37 @@ class _RainbowTerm:
                        zero once w is decided
 
     Only pairs sharing two or more vertices keep explicit state: corr[p] =
-    pairval - s * (its s = 1 value), what the per-vertex sums miss (zero
-    while s <= 1).  The doubled pair sum 2*jma = sum(contrib) + 2*sum(corr)
-    is one exact integer.  A candidate costs O(deg(v) * r^2) plus the
-    multi-shared pairs at v.
+    pairval - s * (its s = 1 value), what the per-vertex sums miss.  The
+    doubled pair sum 2*jma = sum(contrib) + 2*sum(corr) is one exact
+    integer.  open_shared[p] counts the pair's open shared vertices, and is
+    set to 0 once either edge is dead; below 2 the pair is dead for good:
+    its corr is 0, and `candidates` and `commit` skip it.
+
+    Candidates: when v takes c, a live edge at v (u >= 2 undecided, so u
+    free colours, a_i = A[u][i]) moves the contrib of each of its open
+    co-vertices w by a closed form in T[w] and TF, the sum of Tc[w] over
+    the edge's free colours:
+
+      c taken   r^(r-1) * (2u*a1^2 - 2a1*TF) - r^r * (2a0^2 - 2a0*T[w])
+      c free    r^(r-1) * (2(a2-a1)*TF + 2(u-1)*a1*(a1-a2) + 2a1^2)
+                - 2r^(r-1) * a2*Tc[w][c] - 2r^r * (a1-a0)*(T[w]-a0)
+
+    These are linear in T[w] and Tc[w], so one walk over v's live edges
+    sums them over each edge's open co-vertices and yields all r classes.
+    A co-vertex on two of v's edges adds 2r^(r-1) * (dt . dt') -
+    2r^r * dp*dp', from the shifts of P and of the row that it sees from
+    each edge.  Such co-vertices are the open shared vertices other than v
+    of the live pairs with v in both edges, and the product depends on c
+    only through whether c is taken in each edge.  `commit` recomputes
+    contrib of the touched co-vertices for the chosen class alone.
+
+    The incidence lists and the multi-shared pairs come from one sort of
+    the member array's vertex-pair keys (`_multi_shared`).
 
     The term starts with every vertex open, where every edge has u = r, an
     empty mask and P = A_r(0) = A_r(1) = r!: T, Q, Tc and Qc are a vertex's
     degree times r! or r!^2, and every contrib is 0.  It marks the vertices
-    committed to it as decided itself, and `commit` reuses the step that
-    `candidates` has just computed for the class.
+    committed to it as decided itself.
     """
 
     def __init__(self, edges, specs, n):
@@ -274,59 +298,48 @@ class _RainbowTerm:
         self.D2 = self.D1 * self.D1
         self.D3 = self.D2 * self.D1
         self.norms = [spec.normalizer for spec in specs]
-        self.edges = [tuple(e) for e in edges]
-        self.mu_rr = math.factorial(r) * len(edges)
+        rows = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, r), axis=1)
+        m = len(rows)
+        self.edges = rows.tolist()
+        self.mu_rr = math.factorial(r) * m
         self.rpow = [r ** i for i in range(r + 1)]
         # A[u][s] = (u-s)! * r^(r-u+s); ff[f][s] = f*(f-1)*...*(f-s+1)
         self.A = [[math.factorial(u - s) * r ** (r - u + s) for s in range(u + 1)]
                   for u in range(r + 1)]
         self.ff = [[math.perm(f, s) for s in range(r + 1)] for f in range(r + 1)]
-        self._deltas: dict[tuple[int, int, int], tuple] = {}
-        self._pending = None
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for eid, e in enumerate(self.edges):
-            for x in e:
-                inc[x].append(eid)
-        self.inc = inc
-        # edge pairs sharing >= 2 vertices, found through the vertex pairs they share
-        by_vpair: dict[tuple[int, int], list[int]] = {}
-        for eid, e in enumerate(self.edges):
-            for a, b in itertools.combinations(sorted(e), 2):
-                by_vpair.setdefault((a, b), []).append(eid)
-        found = set()
-        for ids in by_vpair.values():
-            found.update(itertools.combinations(ids, 2))
-        self.multi = []
-        multi_at: list[list[tuple[int, bool, bool]]] = [[] for _ in range(n)]
-        for i, j in sorted(found):
-            ei, ej = self.edges[i], self.edges[j]
-            pid = len(self.multi)
-            self.multi.append((i, j, tuple(x for x in ei if x in ej)))
-            for x in set(ei) | set(ej):
-                multi_at[x].append((pid, x in ei, x in ej))
-        self.multi_at = multi_at
+        self._deltas: dict[tuple[int, int], tuple] = {}
+        self._coefs: dict[int, tuple] = {}
+        # per undecided count u of a live edge, when one of its open vertices
+        # takes a class free in it, or taken: the shift of its row on the other
+        # free classes and on that class, and of its P, that its other open
+        # vertices see
+        self._sides = [None] * 2 + [
+            ((a[2] - a[1], -a[1], a[1] - a[0]), (-a[1], 0, -a[0])) for a in self.A[2:]]
+        self._r1x2, self._d1x2 = 2 * self.rpow[r - 1], 2 * self.D1
+        flat = rows.ravel()
+        degrees = np.bincount(flat, minlength=n)
+        self.inc = _split((np.argsort(flat, kind="stable") // r).tolist(), degrees)
+        self.multi, self.multi_at, shared = _multi_shared(rows, n)
         # all vertices open: every edge has P = A[r][0] = A[r][1] = r!, so the
         # rows equal P and edges meeting at one open vertex are uncorrelated
-        m = len(self.edges)
         a0 = self.A[r][0]
         self.open = [True] * n
         self.U, self.M, self.P = [r] * m, [0] * m, [a0] * m
         self.sumP = m * a0
         self.sumP2 = m * a0 * a0
-        self.T = [len(ids) * a0 for ids in inc]
+        self.T = [d * a0 for d in degrees.tolist()]
         self.Q = [t * a0 for t in self.T]
         self.Tc = [[t] * r for t in self.T]
         self.Qc = [[q] * r for q in self.Q]
         self.contrib = [0] * n
-        self.open_shared = [len(shared) for _, _, shared in self.multi]
-        self.corr = [self._corr(r, 0, a0, r, 0, a0, s) for s in self.open_shared]
-        self.jma2 = sum(self.contrib) + 2 * sum(self.corr)
+        self.open_shared = shared
+        corr_at = {s: self._corr(r, 0, a0, r, 0, a0, s) for s in set(shared)}
+        self.corr = [corr_at[s] for s in shared]
+        self.jma2 = 2 * sum(self.corr)
 
     def _contrib(self, t, q, trow, qrow) -> int:
-        s = 0
-        for c in range(self.r):
-            s += trow[c] * trow[c] - qrow[c]
-        return self.rpow[self.r - 1] * s - self.D1 * (t * t - q)
+        return (self.rpow[self.r - 1] * (sum(map(mul, trow, trow)) - sum(qrow))
+                - self.D1 * (t * t - q))
 
     def _corr(self, ui, mi, pi, uj, mj, pj, s) -> int:
         if s < 2 or not pi or not pj:
@@ -338,83 +351,61 @@ class _RainbowTerm:
         single = self.rpow[r - 1] * f * ai[1] * aj[1]
         return pair - s * single + (s - 1) * self.D1 * pi * pj
 
-    def _edge_delta(self, u, mask, c):
+    def _edge_delta(self, mask, c):
         """Shift of P, P^2, row and row^2 that the other open vertices of a
-        live edge (u >= 2, mask) see when one of its open vertices takes c."""
-        key = (u, mask, c)
-        d = self._deltas.get(key)
-        if d is None:
-            r = self.r
-            a0 = self.A[u][0]
-            a1 = self.A[u][1]
-            old = [0 if mask >> cc & 1 else a1 for cc in range(r)]
-            if mask >> c & 1:
-                newp = 0
-                new = [0] * r
-            else:
-                newp = a1
-                a2 = self.A[u][2]
-                new = [0 if (mask >> cc & 1 or cc == c) else a2 for cc in range(r)]
-            d = (newp - a0, newp * newp - a0 * a0,
-                 tuple(x - y for x, y in zip(new, old)),
-                 tuple(x * x - y * y for x, y in zip(new, old)))
-            self._deltas[key] = d
+        live edge with decided colours `mask` see when one of its open
+        vertices takes c; kept in self._deltas."""
+        r = self.r
+        u = r - mask.bit_count()
+        a0, a1 = self.A[u][0], self.A[u][1]
+        x, y, dp = self._sides[u][mask >> c & 1]
+        dt = tuple(0 if mask >> cc & 1 else y if cc == c else x for cc in range(r))
+        d = self._deltas[mask, c] = (
+            dp, (a0 + dp) ** 2 - a0 * a0, dt,
+            tuple(0 if mask >> cc & 1 else (a1 + t) ** 2 - a1 * a1 for cc, t in enumerate(dt)))
         return d
 
-    def _step(self, v, c):
-        """Totals after v -> c, with the per-vertex and per-pair updates."""
-        is_open = self.open
-        U, M, P = self.U, self.M, self.P
-        sumP = self.sumP + self.Tc[v][c] - self.T[v]
-        sumP2 = self.sumP2 + self.Qc[v][c] - self.Q[v]
-        jma2 = self.jma2 - self.contrib[v]
-        shift: dict[int, list] = {}
-        for eid in self.inc[v]:
-            if not P[eid] or U[eid] == 1:
-                continue
-            dp, dp2, dt, dq = self._edge_delta(U[eid], M[eid], c)
-            for w in self.edges[eid]:
-                if w == v or not is_open[w]:
-                    continue
-                acc = shift.get(w)
-                if acc is None:
-                    shift[w] = [dp, dp2, dt, dq]
-                else:
-                    acc[0] += dp
-                    acc[1] += dp2
-                    acc[2] = [x + y for x, y in zip(acc[2], dt)]
-                    acc[3] = [x + y for x, y in zip(acc[3], dq)]
-        covertex = []
-        for w, (dp, dp2, dt, dq) in shift.items():
-            t = self.T[w] + dp
-            q = self.Q[w] + dp2
-            trow = [x + y for x, y in zip(self.Tc[w], dt)]
-            qrow = [x + y for x, y in zip(self.Qc[w], dq)]
-            cw = self._contrib(t, q, trow, qrow)
-            jma2 += cw - self.contrib[w]
-            covertex.append((w, t, q, trow, qrow, cw))
-        pairs = []
-        for pid, in_i, in_j in self.multi_at[v]:
-            old = self.corr[pid]
-            i, j, _ = self.multi[pid]
-            s = self.open_shared[pid]
-            ui, mi, pi = U[i], M[i], P[i]
-            uj, mj, pj = U[j], M[j], P[j]
-            if in_i:
-                pi = self.A[ui][1] if pi and not mi >> c & 1 else 0
-                ui -= 1
-                mi |= 1 << c
-            if in_j:
-                pj = self.A[uj][1] if pj and not mj >> c & 1 else 0
-                uj -= 1
-                mj |= 1 << c
-            if in_i and in_j:
-                s -= 1
-            new = self._corr(ui, mi, pi, uj, mj, pj, s)
-            if new != old or s != self.open_shared[pid]:
-                jma2 += 2 * (new - old)
-                pairs.append((pid, new, s))
-        return sumP, sumP2, jma2, covertex, pairs
+    def _edge_coefs(self, mask):
+        """Taken and free classes of a live edge with decided colours `mask`,
+        and its co-vertices' contrib shift (the class docstring's closed
+        forms) summed over its u - 1 open co-vertices, as coefficients: for a
+        taken class of (1, sum TF, sum T), for a free class of (1, sum TF,
+        sum T, sum Tc[c]); kept in self._coefs."""
+        r, r1, d1 = self.r, self.rpow[self.r - 1], self.D1
+        taken = [c for c in range(r) if mask >> c & 1]
+        free = [c for c in range(r) if not mask >> c & 1]
+        u = len(free)
+        a0, a1, a2 = self.A[u][:3]
+        co = self._coefs[mask] = (
+            taken, free,
+            (u - 1) * (2 * r1 * u * a1 * a1 - 2 * d1 * a0 * a0), -2 * r1 * a1, 2 * d1 * a0,
+            (u - 1) * (r1 * (2 * (u - 1) * a1 * (a1 - a2) + 2 * a1 * a1)
+                       + 2 * d1 * (a1 - a0) * a0),
+            2 * r1 * (a2 - a1), -2 * d1 * (a1 - a0), -2 * r1 * a2)
+        return co
+
+    def _pair_shift(self, pid, in_i, in_j, c) -> int:
+        """Shift of 2*jma from the live multi-shared pair pid when v, a vertex
+        of edge i, edge j or both, takes c: twice the change of its corr,
+        plus the cross terms of its other open shared vertices."""
+        i, j = self.multi[pid]
+        U, M, A = self.U, self.M, self.A
+        ui, mi, uj, mj = U[i], M[i], U[j], M[j]
+        bit = 1 << c
+        taken_i, taken_j = mi & bit, mj & bit
+        s = self.open_shared[pid]
+        shift = -2 * self.corr[pid]
+        if not (in_i and taken_i or in_j and taken_j):     # else an edge dies, and corr with it
+            shift += 2 * self._corr(ui - in_i, mi | bit if in_i else mi,
+                                    A[ui][1] if in_i else self.P[i],
+                                    uj - in_j, mj | bit if in_j else mj,
+                                    A[uj][1] if in_j else self.P[j], s - (in_i and in_j))
+        if in_i and in_j:
+            xi, yi, dpi = self._sides[ui][taken_i > 0]
+            xj, yj, dpj = self._sides[uj][taken_j > 0]
+            g = self.r - (mi | mj | bit).bit_count()       # free in both, other than c
+            shift += (s - 1) * (self._r1x2 * (xi * xj * g + yi * yj) - self._d1x2 * dpi * dpj)
+        return shift
 
     def _quad_num(self, sumP, sumP2, jma2) -> int:
         ex2 = sumP * self.D2 + (sumP * sumP - sumP2) * self.D1 + jma2
@@ -425,36 +416,147 @@ class _RainbowTerm:
         return [num / self.D3 / norm for norm in self.norms]
 
     def candidates(self, v) -> list[tuple[float, ...]]:
-        steps = [self._step(v, c) for c in range(self.r)]
-        self._pending = (v, steps)
-        nums = [self._quad_num(*step[:3]) for step in steps]
+        r = self.r
+        T, Tc, is_open, edges = self.T, self.Tc, self.open, self.edges
+        U, M, P, coefs = self.U, self.M, self.P, self._coefs
+        jma2 = [self.jma2 - self.contrib[v]] * r
+        for eid in self.inc[v]:
+            if U[eid] == 1 or not P[eid]:
+                continue
+            mask = M[eid]
+            taken, free, x0, xf, xt, k0, kf, kt, kc = coefs.get(mask) or self._edge_coefs(mask)
+            sum_t = 0
+            sum_tc = None
+            for w in edges[eid]:
+                if w != v and is_open[w]:
+                    sum_t += T[w]
+                    sum_tc = Tc[w] if sum_tc is None else list(map(add, sum_tc, Tc[w]))
+            tf = sum([sum_tc[c] for c in free]) if mask else sum(sum_tc)
+            x = x0 + xf * tf + xt * sum_t
+            for c in taken:
+                jma2[c] += x
+            x = k0 + kf * tf + kt * sum_t
+            for c in free:
+                jma2[c] += x + kc * sum_tc[c]
+        open_shared, multi = self.open_shared, self.multi
+        for pid, in_i, in_j in self.multi_at[v]:
+            if open_shared[pid] < 2:
+                continue
+            i, j = multi[pid]
+            mi, mj = M[i], M[j]
+            # the shift depends on c only through whether c is taken in each edge
+            shifts = [None] * 4
+            for c in range(r):
+                case = (mi >> c & 1) | (mj >> c & 1) << 1
+                shift = shifts[case]
+                if shift is None:
+                    shift = shifts[case] = self._pair_shift(pid, in_i, in_j, c)
+                jma2[c] += shift
+        t, q, trow, qrow = T[v], self.Q[v], Tc[v], self.Qc[v]
+        nums = [self._quad_num(self.sumP + trow[c] - t, self.sumP2 + qrow[c] - q, jma2[c])
+                for c in range(r)]
         return [tuple(num / self.D3 / norm for num in nums) for norm in self.norms]
 
     def commit(self, v, c):
-        # the descent commits the vertex whose candidates it has just taken
-        pending, self._pending = self._pending, None
-        step = pending[1][c] if pending and pending[0] == v else self._step(v, c)
-        self.sumP, self.sumP2, self.jma2, covertex, pairs = step
-        for w, t, q, trow, qrow, cw in covertex:
-            self.T[w], self.Q[w], self.Tc[w], self.Qc[w], self.contrib[w] = t, q, trow, qrow, cw
-        for pid, new, s in pairs:
-            self.corr[pid] = new
-            self.open_shared[pid] = s
-        self.contrib[v] = 0
-        self.open[v] = False
+        T, Q, Tc, Qc, contrib, is_open = self.T, self.Q, self.Tc, self.Qc, self.contrib, self.open
+        U, M, P, A, deltas = self.U, self.M, self.P, self.A, self._deltas
+        bit = 1 << c
+        self.sumP += Tc[v][c] - T[v]
+        self.sumP2 += Qc[v][c] - Q[v]
+        jma2 = self.jma2 - contrib[v]
+        contrib[v] = 0
+        is_open[v] = False
+        touched = set()
         for eid in self.inc[v]:
-            u = self.U[eid]
-            if self.P[eid]:
-                self.P[eid] = 0 if self.M[eid] >> c & 1 else self.A[u][1]
-            self.U[eid] = u - 1
-            self.M[eid] |= 1 << c
+            u, mask, p = U[eid], M[eid], P[eid]
+            if p:
+                if u > 1:
+                    dp, dp2, dt, dq = deltas.get((mask, c)) or self._edge_delta(mask, c)
+                    for w in self.edges[eid]:
+                        if is_open[w]:
+                            T[w] += dp
+                            Q[w] += dp2
+                            Tc[w] = list(map(add, Tc[w], dt))
+                            Qc[w] = list(map(add, Qc[w], dq))
+                            touched.add(w)
+                P[eid] = 0 if mask & bit else A[u][1]
+            U[eid] = u - 1
+            M[eid] = mask | bit
+        for w in touched:
+            cw = self._contrib(T[w], Q[w], Tc[w], Qc[w])
+            jma2 += cw - contrib[w]
+            contrib[w] = cw
+        corr, open_shared = self.corr, self.open_shared
+        for pid, in_i, in_j in self.multi_at[v]:
+            s = open_shared[pid]
+            if s < 2:
+                continue
+            i, j = self.multi[pid]
+            pi, pj = P[i], P[j]
+            s = s - 1 if in_i and in_j else s
+            if not pi or not pj:
+                s = 0
+            new = self._corr(U[i], M[i], pi, U[j], M[j], pj, s)
+            jma2 += 2 * (new - corr[pid])
+            corr[pid] = new
+            open_shared[pid] = s
+        self.jma2 = jma2
+
+
+def _split(items: list, counts) -> list[list]:
+    """`items` cut into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [items[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _multi_shared(rows, n):
+    """Edge pairs of a member that share two or more vertices, from one
+    stable sort of the vertex-pair keys of its row-sorted edges.
+
+    Returns the pairs (i, j), i < j, in lexicographic order; per vertex, the
+    (pair id, in edge i, in edge j) of every pair whose union holds it; and
+    each pair's shared vertex count.
+    """
+    m, r = rows.shape
+    # a term keeps lists of n entries, so any n it is built for has n * n < 2**63
+    keys = np.concatenate([rows[:, a] * n + rows[:, b]
+                           for a, b in itertools.combinations(range(r), 2)])
+    order = np.argsort(keys, kind="stable")
+    keys, owner = keys[order], order % m
+    # entries d apart in key order meet on one vertex pair when their keys are equal
+    firsts, seconds = [], []
+    for d in range(1, len(keys)):
+        same = keys[d:] == keys[:-d]
+        if not same.any():
+            break
+        firsts.append(owner[:-d][same])
+        seconds.append(owner[d:][same])
+    if not firsts:
+        return [], [[] for _ in range(n)], []
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    codes = np.sort(np.minimum(a, b) * m + np.maximum(a, b))
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]   # each pair once
+    first, second = codes // m, codes % m
+    ei, ej = rows[first], rows[second]
+    equal = ei[:, :, None] == ej[:, None, :]
+    i_in_j = equal.any(axis=2)
+    j_pid, j_col = np.nonzero(~equal.any(axis=1))
+    # every vertex of edge i, then the vertices of edge j outside edge i
+    xs = np.concatenate([ei.ravel(), ej[j_pid, j_col]])
+    by = np.argsort(xs, kind="stable")
+    pids = np.concatenate([np.arange(ei.size) // r, j_pid])[by]
+    in_j = np.concatenate([i_in_j.ravel(), np.ones(len(j_pid), dtype=bool)])[by]
+    entries = list(zip(pids.tolist(), (by < ei.size).tolist(), in_j.tolist()))
+    multi_at = _split(entries, np.bincount(xs, minlength=n))
+    return (list(zip(first.tolist(), second.tolist())), multi_at,
+            i_in_j.sum(axis=1).tolist())
 
 
 class _NaiveTerm:
     """From-scratch recompute of one member's terms; the incremental oracle."""
 
     def __init__(self, edges, specs, n):
-        self.edges = edges
+        self.edges = np.asarray(edges).tolist()
         self.specs = specs
         self.labels = [UNDECIDED] * n
 
@@ -502,7 +604,7 @@ def _build_terms(family, specs, naive: bool):
     for (gi, rainbow), group in itertools.groupby(
             specs, key=lambda s: (s.graph, s.kind == "rainbow")):
         cls = _NaiveTerm if naive else _RainbowTerm if rainbow else _MemberTerm
-        terms.append(cls(family.arrays[gi].tolist(), tuple(group), family.n))
+        terms.append(cls(family.arrays[gi], tuple(group), family.n))
     return terms
 
 

@@ -1,8 +1,9 @@
 """One guarantee resolved against one family, and the one evaluator of it.
 
 `resolve` checks a guarantee's settings against an instance and fixes its
-effective k, epsilon and balance slack; `check_settings` holds the checks
-that need no instance, so run options are rejected before any run.  Per
+effective k, epsilon and balance slack.  `check_settings` holds the checks
+that need no instance, and `settle` those that need only its member count
+and uniformity, so run options are rejected before any run.  Per
 member, one branch per theorem gives the normalizer and each statistic
 with its threshold, computed once by `threshold_for`.  Each statistic
 yields one ``(graph, stat, threshold)`` row and, on a member with edges,
@@ -69,14 +70,42 @@ def check_settings(theorem: str, k: int | None = None, slack: float | None = Non
         raise ValueError(f"balance_slack must be > 0, got {slack}")
 
 
+def settle(theorem: str, k: int | None, eps, *, ell: int, r: int | None):
+    """Effective k and epsilon on ell members, r-uniform hypergraphs or
+    graphs (r None): the checks that need the family's shape, not its edges.
+
+    k defaults to 2; thm1 allows only 2, hyp only r.  thm3's eps defaults to
+    1/(9*ell^2*k^4), and any eps must lie in (0, that cap].
+    """
+    if theorem == "hyp":
+        if r is None:
+            raise TypeError("kind 'hyp' needs a hypergraph family")
+        if k not in (None, r):
+            raise ValueError(f"rainbow partitions use k == r == {r}, got k={k}")
+        k = r
+    elif r is not None:
+        raise TypeError(f"kind {theorem!r} needs a graph family")
+    elif theorem == "thm1":
+        if k not in (None, 2):
+            raise ValueError(f"thm1 partitions into exactly 2 classes, got k={k}")
+        k = 2
+    elif k is None:
+        k = 2
+    if theorem == "thm3":
+        if eps is None:
+            eps = epsilon_cap(ell, k)
+        _check_epsilon(eps, ell, k)
+    return k, eps
+
+
 def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool = False,
             slack: float | None = None, max_tries: int = 64) -> Guarantee:
     """Check a guarantee against a family and fix everything it needs.
 
-    k defaults to 2 (thm1 allows only 2, hyp only r); thm3's eps defaults to
-    1/(9*ell^2*k^4) and needs max_degree <= eps*m on every graph.  A slack of
-    None under ``balanced`` means sqrt(n * ln(2*k*ell*max_tries)), which keeps
-    the combined per-try probability of any class drifting off n/k below 1/2.
+    k and eps are fixed by `settle`; thm3 needs max_degree <= eps*m on every
+    graph.  A slack of None under ``balanced`` means
+    sqrt(n * ln(2*k*ell*max_tries)), which keeps the combined per-try
+    probability of any class drifting off n/k below 1/2.
 
     Penalty terms, each (mu - X)^2 / normalizer, with Var X bounded by var:
       thm1  crossing per graph, normalizer ell*m/2, var m/4
@@ -90,25 +119,10 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.
     """
     check_settings(theorem, k=k, slack=slack, max_tries=max_tries)
-    if theorem == "hyp":
-        if not isinstance(family, HypergraphFamily):
-            raise TypeError("kind 'hyp' needs a hypergraph family")
-        if k not in (None, family.r):
-            raise ValueError(f"rainbow partitions use k == r == {family.r}, got k={k}")
-        k = family.r
-    elif isinstance(family, HypergraphFamily):
-        raise TypeError(f"kind {theorem!r} needs a graph family")
-    elif theorem == "thm1":
-        if k not in (None, 2):
-            raise ValueError(f"thm1 partitions into exactly 2 classes, got k={k}")
-        k = 2
-    elif k is None:
-        k = 2
     ell = family.ell
+    k, eps = settle(theorem, k, eps, ell=ell,
+                    r=family.r if isinstance(family, HypergraphFamily) else None)
     if theorem == "thm3":
-        if eps is None:
-            eps = epsilon_cap(ell, k)
-        _check_epsilon(eps, ell, k)
         for i in range(ell):
             if family.max_degree[i] > eps * family.m[i]:
                 raise DegreePreconditionError(

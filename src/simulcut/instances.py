@@ -335,6 +335,19 @@ def _runiform_edges(n: int, m: int, r: int, rng) -> tuple:
     return tuple(sorted(edges))
 
 
+def generated_shape(kind: str, ell=1, r=None) -> tuple[int, int | None] | None:
+    """Member count and uniformity (None for graphs) of what `generate`
+    returns for these parameters; None when they do not fix it, because
+    `generate` rejects them."""
+    if type(ell) is not int or ell < 1:
+        return None
+    if kind == "runiform":
+        return (ell, r) if type(r) is int and r >= 2 else None
+    if kind not in GENERATOR_KINDS:
+        return None
+    return {"disjoint-cycles": 2, "star": 1}.get(kind, ell), None
+
+
 def generate(kind: str, *, n: int, m: int | None = None, ell: int = 1,
              r: int | None = None, degree: int | None = None, seed: int = 0):
     """Deterministic seeded instance generators.

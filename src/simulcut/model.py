@@ -189,8 +189,11 @@ class GraphFamily:
         object.__setattr__(self, "graphs", arrays)
         object.__setattr__(self, "arrays", arrays)
         object.__setattr__(self, "m", tuple(len(rows) for rows in arrays))
+        # one counter per index below n, unless n is over 4x the entry count:
+        # then counts of the distinct indices, so that memory follows the edges
         object.__setattr__(self, "max_degree", tuple(
-            int(np.bincount(rows.ravel()).max(initial=0)) for rows in arrays))
+            int((np.unique(rows, return_counts=True)[1] if self.n > 4 * rows.size
+                 else np.bincount(rows.ravel())).max(initial=0)) for rows in arrays))
 
     __eq__ = _family_eq
 

@@ -377,6 +377,15 @@ BAD_FIELDS = [
     # settings that are wrong on any instance are caught before the first run
     (dict(k=1), "k must be >= 2, got 1"),
     (dict(slack=0), "balance_slack must be > 0, got 0"),
+    # and so are those that only the generator's member count and r rule out
+    (dict(k=3), "thm1 partitions into exactly 2 classes, got k=3"),
+    (dict(generator={"kind": "runiform", "n": 8, "m": 10, "r": 3}, theorem="hyp", k=4),
+     "rainbow partitions use k == r == 3, got k=4"),
+    (dict(theorem="hyp"), "kind 'hyp' needs a hypergraph family"),
+    (dict(theorem="3", epsilon=0.5),
+     "epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = 0.00694444 (ell=1, k=2); got 0.5"),
+    (dict(generator={"kind": "disjoint-cycles", "n": 7}, theorem="3", k=2, epsilon=0.002),
+     "epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = 0.00173611 (ell=2, k=2); got 0.002"),
 ]
 
 

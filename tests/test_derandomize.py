@@ -197,7 +197,7 @@ class TestEngineEquality:
 
     def test_rainbow_candidates_from_partial_state(self):
         rng = random.Random(21)
-        for r in (2, 3, 4):
+        for r in (2, 3, 4, 5):
             for trial in range(3):
                 n = rng.randint(r + 2, r + 5)
                 cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
@@ -243,19 +243,56 @@ class TestEngineEquality:
                 naive.commit(v, c)
                 assert term.values() == naive.values(), (r, v)
 
-    def test_rainbow_step_runs_r_times_per_vertex(self, monkeypatch):
-        # commit reuses the step that candidates computed for the chosen class
-        calls = collections.Counter()
-        step = _RainbowTerm._step
+    def test_rainbow_candidates_walk_once_per_vertex(self, monkeypatch):
+        # one class-independent walk per (vertex, rainbow term) yields all r
+        # candidates; commit updates the chosen class without walking again
+        walks = collections.Counter()
+        in_commit = []
+        candidates, commit = _RainbowTerm.candidates, _RainbowTerm.commit
+        pair_shift = _RainbowTerm._pair_shift
 
-        def counted(self, v, c):
-            calls[v] += 1
-            return step(self, v, c)
+        def counted(self, v):
+            walks[v] += 1
+            return candidates(self, v)
 
-        monkeypatch.setattr(_RainbowTerm, "_step", counted)
-        hf = generate("runiform", n=30, m=60, r=3, ell=2, seed=5)
+        def committing(self, v, c):
+            in_commit.append(v)
+            commit(self, v, c)
+            in_commit.remove(v)
+
+        def candidate_only(self, *args):
+            assert not in_commit, in_commit
+            return pair_shift(self, *args)
+
+        monkeypatch.setattr(_RainbowTerm, "candidates", counted)
+        monkeypatch.setattr(_RainbowTerm, "commit", committing)
+        monkeypatch.setattr(_RainbowTerm, "_pair_shift", candidate_only)
+        hf = generate("runiform", n=22, m=110, r=3, ell=2, seed=1001)
         derandomize(hf, resolve(hf, "hyp"))
-        assert calls == {v: 3 * 2 for v in range(30)}
+        assert walks == {v: 2 for v in range(22)}
+
+    def test_rainbow_pair_sum_after_every_commit(self):
+        # 2*jma == sum(contrib) + 2*sum(corr), the per-vertex sums follow the
+        # edge states, and the committed value is the candidate of its class,
+        # on dense members where edge pairs share 2..r-1 vertices
+        rng = random.Random(24)
+        for r in (2, 3, 4, 5):
+            shared = set()
+            for trial in range(3):
+                n = rng.randint(r + 1, r + 5)
+                cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
+                hf = random_hyperfamily(n, r, [rng.randint(cap // 2 + 1, cap)], 400 * r + trial)
+                edges = hf.hypergraphs[0]
+                shared.update(len(set(a) & set(b)) for a, b in itertools.combinations(edges, 2))
+                term = _RainbowTerm(edges, (_loose_rainbow(hf, 0),), n)
+                for v in rng.sample(range(n), n):
+                    rows = term.candidates(v)
+                    c = rng.randrange(r)
+                    term.commit(v, c)
+                    assert term.values() == [rows[0][c]], (r, trial, v)
+                    assert term.jma2 == sum(term.contrib) + 2 * sum(term.corr), (r, trial, v)
+                    _assert_vertex_sums(term)
+            assert set(range(2, r)) <= shared
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_member_candidates_from_partial_state(self, k):
@@ -305,6 +342,25 @@ class TestEngineEquality:
                 assert len(term.multi) <= bound
 
 
+def _assert_vertex_sums(term):
+    """T, Q, Tc, Qc and contrib of every open vertex, recounted from the edge states."""
+    r, A = term.r, term.A
+    for w in range(len(term.open)):
+        if not term.open[w]:
+            assert term.contrib[w] == 0
+            continue
+        ids = [eid for eid, e in enumerate(term.edges) if w in e]
+        rows = [[A[term.U[eid]][1] if term.P[eid] and not term.M[eid] >> c & 1 else 0
+                 for c in range(r)] for eid in ids]
+        assert term.T[w] == sum(term.P[eid] for eid in ids)
+        assert term.Q[w] == sum(term.P[eid] ** 2 for eid in ids)
+        assert term.Tc[w] == [sum(row[c] for row in rows) for c in range(r)]
+        assert term.Qc[w] == [sum(row[c] ** 2 for row in rows) for c in range(r)]
+        tc, qc = term.Tc[w], term.Qc[w]
+        assert term.contrib[w] == (r ** (r - 1) * sum(t * t - q for t, q in zip(tc, qc))
+                                   - r ** r * (term.T[w] ** 2 - term.Q[w]))
+
+
 def _bound_rows(fam, specs):
     """One row per hand-built term at its certified bound mu - sqrt(normalizer)."""
     return tuple((s.graph, s.stat,
@@ -319,7 +375,8 @@ def _loose_rainbow(hf, i):
 
 class TestPinnedTraces:
     """Digests of whole descents, recorded with the one-term-per-statistic
-    graph engine that `_MemberTerm` replaced.
+    graph engine that `_MemberTerm` replaced; those of hyp-dense and hyp-r5
+    with the per-class rainbow step that the one-walk candidates replaced.
 
     Engine equality alone cannot catch a change that moves the incremental
     and the naive paths together; these pin every candidate float.

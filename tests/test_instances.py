@@ -16,7 +16,9 @@ from simulcut.instances import (
     _family,
     _located_family,
     _scan_members,
+    GENERATOR_KINDS,
     generate,
+    generated_shape,
     parse_instance,
     serialize_instance,
 )
@@ -392,3 +394,24 @@ def test_digest_is_sha256_of_serialized_text(fam, rnd):
         # only text that is byte-equal to the serialized form records its own digest
         assert (back.source_sha256 is not None) == (variant == text), name
     assert fam.source_sha256 is None and instance_digest(fam) == want
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("gnm", dict(n=8, m=5, ell=3)),
+    ("disjoint-cycles", dict(n=7, ell=3)),
+    ("star", dict(n=5, ell=3)),
+    ("bounded-degree", dict(n=7, degree=2, ell=2)),
+    ("runiform", dict(n=8, m=5, r=3, ell=2)),
+])
+def test_generated_shape_matches_generate(kind, params):
+    fam = generate(kind, **params)
+    shape = generated_shape(kind, params["ell"], params.get("r"))
+    assert shape == (fam.ell, getattr(fam, "r", None))
+
+
+def test_generated_shape_none_when_generate_rejects():
+    graph_kinds = set(GENERATOR_KINDS) - {"runiform"}
+    assert {kind for kind in GENERATOR_KINDS if generated_shape(kind)} == graph_kinds
+    for ell, r in ((0, 3), ("2", 3), (2, None), (2, 1), (2, "3")):
+        assert generated_shape("runiform", ell, r) is None
+    assert generated_shape("grid", 1, None) is None

@@ -55,6 +55,20 @@ class TestInstanceValidation:
         fam = GraphFamily(n=10, graphs=(((0, 1),),))
         assert fam.max_degree == (1,) and not (fam.graphs[0] == 9).any()
 
+    def test_max_degree_counts_distinct_indices_when_sparse(self, monkeypatch):
+        # one counter per index up to 2*10**7 - 1 would take 160 MB for one edge
+        bincount = np.bincount
+
+        def dense_only(x, *args, **kwargs):
+            assert len(x) == 0 or x.max() < 10 ** 6, "bincount over a sparse index range"
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", dense_only)
+        n = 2 * 10 ** 7
+        fam = GraphFamily(n=n, graphs=(((0, n - 1),), ((0, 1), (1, 2), (2, 5)), ()))
+        assert fam.max_degree == (1, 2, 0)
+        assert GraphFamily(n=n, graphs=(((0, n - 1), (7, n - 1)),)).max_degree == (2,)
+
     def test_derived_stats(self):
         fam = c5_pair()
         assert fam.ell == 2
