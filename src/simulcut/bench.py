@@ -19,10 +19,11 @@ generator, a method, a guarantee, and a repetition count:
     }
 
 The entry's option fields are passed to `RunOptions` by name, so an
-omitted one takes `RunOptions`' default.  Every field's type, every
-setting that is wrong on any instance (`check_settings`), and every one
-that the generator's member count and uniformity rule out (`settle`: k
-under thm1 and hyp, thm3's epsilon) are checked before any run starts.
+omitted one takes `RunOptions`' default.  Every field's type, the
+generator's parameters (`check_generator`), every setting that is wrong
+on any instance (`check_settings`), and every one that the generator's
+member count and uniformity rule out (`settle`: k under thm1 and hyp,
+thm3's epsilon) are checked before any run starts.
 Rep j generates its instance with seed+j and, for mc, samples with the
 same seed+j, so a suite is a pure function of its file.  `execute_run`
 resolves the guarantee once per run and reports what the engine's own
@@ -43,7 +44,7 @@ from pathlib import Path
 from .derandomize import derandomize
 from .guarantee import check_settings, resolve, settle
 from .mc import McExhausted, mc_partition
-from .instances import generate, generated_shape, serialize_instance
+from .instances import check_generator, generate, generated_shape, serialize_instance
 from .report import RunReport, instance_digest, render_report
 
 THEOREM_TOKENS = {"1": "thm1", "2": "thm2", "3": "thm3", "hyp": "hyp",
@@ -174,6 +175,7 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
         options["theorem"] = str(options["theorem"])
         shape = generated_shape(gen["kind"], gen.get("ell", 1), gen.get("r"))
         try:
+            check_generator(**gen)
             opts = RunOptions(**options)
             if shape:
                 settle(THEOREM_TOKENS[opts.theorem], opts.k, opts.epsilon,

@@ -177,11 +177,16 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
         rainbow = tuple(rainbow_count(rows, a, family.r) for rows in family.arrays)
         counts.update(((i, "rainbow"), x) for i, x in enumerate(rainbow))
     else:
-        pairs, within, crossing = zip(*(partition_counts(rows, a) for rows in family.arrays))
+        # every class pair only when rows read them (thm3), so thm1 and thm2
+        # cost O(m + k) whatever the k
+        every_pair = any(stat.startswith("pair(") for _, stat, _ in guarantee.rows)
+        pairs, within, crossing = zip(*(partition_counts(rows, a, every_pair)
+                                        for rows in family.arrays))
         for i in range(family.ell):
             counts[i, "crossing"] = crossing[i]
-            counts.update(((i, f"pair({s},{t})"), x) for (s, t), x in pairs[i].items())
-            counts.update(((i, f"within({s})"), x) for s, x in enumerate(within[i]))
+            if every_pair:
+                counts.update(((i, f"pair({s},{t})"), x) for (s, t), x in pairs[i].items())
+                counts.update(((i, f"within({s})"), x) for s, x in enumerate(within[i]))
     constraints = []
     for graph, stat, threshold in guarantee.rows:
         count = counts[graph, stat]

@@ -18,15 +18,16 @@ blank lines ignored):
 Anything structurally wrong raises InstanceFormatError naming the line and
 the violation; loaders never repair an instance.
 
-Canonical text -- the format exactly as serialize_instance writes it, with
-single spaces, no comments and no blank lines -- takes a fast path: each
-``edges <m>`` block is checked against the line grammar with one regex and
-converted to an integer array in one call.  Other text goes through a
-line-by-line scan, which checks only the grammar and records each row's
-line.  The family constructor alone checks the edges (range, repeated
-vertices, duplicates); its first invalid edge is reported at that row's
-line.  So grammar errors come first, then the first invalid edge in file
-order.
+Canonical text -- the format exactly as serialize_instance writes it, in
+ASCII, with single spaces, no comments and no blank lines -- takes a fast
+path: one byte-level scan finds every non-digit byte, vectorized tests
+check each ``edges <m>`` block's separators and digit runs against the
+line grammar, and each block is converted to an integer array in one call.
+Other text goes through a line-by-line scan, which checks only the grammar
+and records each row's line.  The family constructor alone checks the
+edges (range, repeated vertices, duplicates); its first invalid edge is
+reported at that row's line.  So grammar errors come first, then the first
+invalid edge in file order.
 
 Canonical text whose rows are already ascending and whose numbers have no
 leading zeros is byte-equal to serialize_instance of its family.  For such
@@ -114,40 +115,34 @@ def _located_family(n: int, r: int | None, members, lines):
 _GRAPHS_HEADER = re.compile(r"graphs ([0-9]+) vertices ([0-9]+)\n")
 _HYPERGRAPHS_HEADER = re.compile(r"hypergraphs ([0-9]+) vertices ([0-9]+) uniformity ([0-9]+)\n")
 _BLOCK_HEADER = re.compile(r"edges ([0-9]+)\n")
-#: a vertex index in the canonical grammar; 18 digits always fit in int64
-_INDEX = "[0-9]{1,18}"
+#: non-digit bytes of an ``edges <m>`` line: the six of ``edges `` and its LF
+_BLOCK_HEADER_STOPS = 7
+#: most digits of a vertex index in the canonical grammar; 18 always fit in int64
+_INDEX_DIGITS = 18
 
 
 def _no_leading_zero(match) -> bool:
     return all(len(g) == 1 or g[0] != "0" for g in match.groups())
 
 
-def _serialized_length(rows: np.ndarray) -> int:
-    """Characters serialize_instance writes for these non-negative rows.
-
-    Every index's decimal digits plus the space or newline after it.
-    """
-    length = 2 * rows.size
-    bound = 10
-    top = int(rows.max(initial=0))
-    while bound <= top:
-        length += int(np.count_nonzero(rows >= bound))
-        bound *= 10
-    return length
-
-
 def _canonical_members(text: str):
     """``(n, r, member arrays, row lines, serialized)`` if every line is canonical, else None.
 
-    Canonical means: the header first, then each ``edges <m>`` line followed
-    by exactly m rows of single-space-separated decimal indices, every line
-    LF-terminated, and nothing else (no comments, blank lines or extra
-    spaces).  Each block is checked with one regex match and converted with
-    one numpy call; range, repeated-vertex and duplicate checks are left to
-    the family.  ``serialized`` says that, besides, every row is ascending
-    and no number has a leading zero: then serialize_instance of the family
-    gives back the text byte for byte.
+    Canonical means: ASCII, the header first, then each ``edges <m>`` line
+    followed by exactly m rows of single-space-separated decimal indices of
+    1 to 18 digits, every line LF-terminated, and nothing else (no comments,
+    blank lines or extra spaces).  One pass over the bytes finds every
+    non-digit; the separators of a block are the next ``m * width`` of
+    them, and vectorized tests check them all against the row template
+    (spaces, then LF) and the digit runs between them against the length
+    limit.  Each block is converted with one numpy call; range,
+    repeated-vertex and duplicate checks are left to the family.
+    ``serialized`` says that, besides, every row is ascending and no number
+    has a leading zero: then serialize_instance of the family gives back
+    the text byte for byte.
     """
+    if not text.isascii():
+        return None
     head = _GRAPHS_HEADER.match(text)
     if head is not None:
         ell, n = map(int, head.groups())
@@ -157,34 +152,55 @@ def _canonical_members(text: str):
         if head is None:
             return None
         ell, n, r = map(int, head.groups())
-        if r < 2:
+        if not 2 <= r <= len(text):     # a row of r indices takes 2r bytes
             return None
     if ell < 1:
         return None
     serialized = _no_leading_zero(head)
     width = 2 if r is None else r
-    rows = re.compile("(?:" + " ".join([_INDEX] * width) + "\n)*")
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # positions of the bytes that are not digits; uint8 wraps, so those below b"0" too
+    stops = np.flatnonzero(buf - 48 >= 10)
+    # from the first `edges` line on, the stops are each block's seven header
+    # stops, then its rows' m * width separators
     pos = head.end()
-    line = 2        # of the block's `edges <m>` line
-    members = []
-    lines = []
+    stops = stops[np.searchsorted(stops, pos):]
+    j = 0
+    blocks = []     # (start, end, m) of each block's rows
     for _ in range(ell):
         block = _BLOCK_HEADER.match(text, pos)
         if block is None:
             return None
         m = int(block.group(1))
-        body = rows.match(text, block.end())
-        pos = body.end()
-        if text.count("\n", body.start(), pos) != m:
+        serialized = serialized and _no_leading_zero(block)
+        j += _BLOCK_HEADER_STOPS + m * width
+        if j > len(stops):
             return None
-        member = np.fromstring(body.group(), dtype=np.int64, sep=" ").reshape(m, width)
-        serialized = (serialized and _no_leading_zero(block)
-                      and bool((member[:, 1:] > member[:, :-1]).all())
-                      and pos - body.start() == _serialized_length(member))
+        pos = int(stops[j - 1]) + 1       # after the block's last separator
+        blocks.append((block.end(), pos, m))
+    if pos != len(text):
+        return None
+    row = b" " * (width - 1) + b"\n"
+    if buf[stops].tobytes() != b"".join(b"edges \n" + row * m for _, _, m in blocks):
+        return None
+    # gap - 1 digits lie between consecutive stops.  Only the letters of
+    # `edges ` and each block's last stop with the next `e` are adjacent,
+    # 6 * ell - 1 pairs; any other gap holds an m or an index of 1..18 digits
+    gaps = np.diff(stops)
+    if np.count_nonzero(gaps == 1) != 6 * ell - 1 or gaps.max() > _INDEX_DIGITS + 1:
+        return None
+    zeros = np.flatnonzero(buf[1:][stops[:-1]] == 48)
+    serialized = serialized and not (gaps[zeros] > 2).any()
+    members = []
+    lines = []
+    line = 2        # of the block's `edges <m>` line
+    for body, end, m in blocks:
+        member = np.fromstring(text[body:end], dtype=np.int64, sep=" ").reshape(m, width)
+        serialized = serialized and bool((member[:, 1:] > member[:, :-1]).all())
         members.append(member)
         lines.append(range(line + 1, line + 1 + m))
         line += m + 1
-    return (n, r, members, lines, serialized) if pos == len(text) else None
+    return n, r, members, lines, serialized
 
 
 def _scan_members(text: str):
@@ -325,9 +341,6 @@ def _hamilton_union(n: int, cycles: int, rng) -> tuple:
 
 
 def _runiform_edges(n: int, m: int, r: int, rng) -> tuple:
-    total = math.comb(n, r)
-    if m > total:
-        raise ValueError(f"m={m} exceeds the {total} distinct {r}-subsets of {n} vertices")
     edges: set[tuple[int, ...]] = set()
     while len(edges) < m:
         e = tuple(sorted(int(x) for x in rng.choice(n, size=r, replace=False)))
@@ -364,39 +377,67 @@ def generate(kind: str, *, n: int, m: int | None = None, ell: int = 1,
     Member g of the instance is drawn from substream (seed, g), so output
     is a pure function of the parameters.
     """
+    check_generator(kind, n=n, m=m, ell=ell, r=r, degree=degree)
     if kind == "gnm":
-        if m is None:
-            raise ValueError("gnm needs m")
-        if not 0 <= m <= n * (n - 1) // 2:
-            raise ValueError(f"gnm needs 0 <= m <= n(n-1)/2 = {n * (n - 1) // 2}, got m={m}")
         graphs = tuple(_gnm_edges(n, m, substream(seed, g)) for g in range(ell))
         return GraphFamily(n=n, graphs=graphs)
     if kind == "disjoint-cycles":
-        if n < 5 or n % 2 == 0:
-            raise ValueError(f"disjoint-cycles needs odd n >= 5, got {n}")
         step1 = tuple(sorted((i, (i + 1) % n) if i < (i + 1) % n else ((i + 1) % n, i)
                              for i in range(n)))
         step2 = tuple(sorted((i, (i + 2) % n) if i < (i + 2) % n else ((i + 2) % n, i)
                              for i in range(n)))
         return GraphFamily(n=n, graphs=(step1, step2))
     if kind == "star":
-        if n < 2:
-            raise ValueError(f"star needs n >= 2, got {n}")
         return GraphFamily(n=n, graphs=(tuple((0, i) for i in range(1, n)),))
     if kind == "bounded-degree":
+        graphs = tuple(_hamilton_union(n, degree // 2, substream(seed, g))
+                       for g in range(ell))
+        return GraphFamily(n=n, graphs=graphs)
+    hypergraphs = tuple(_runiform_edges(n, m, r, substream(seed, g)) for g in range(ell))
+    return HypergraphFamily(n=n, r=r, hypergraphs=hypergraphs)
+
+
+def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
+                    r: int | None = None, degree: int | None = None) -> None:
+    """Reject the parameters `generate` cannot build an instance from.
+
+    Raises ValueError with the message `generate` gives, before anything
+    is drawn; a suite checks every run's generator with it before the
+    first run starts.
+    """
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
+    for name, value in (("n", n), ("m", m), ("ell", ell), ("r", r), ("degree", degree)):
+        if value is not None and type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if kind in ("gnm", "bounded-degree", "runiform") and ell < 1:
+        member = "hypergraph" if kind == "runiform" else "graph"
+        raise ValueError(f"a family needs at least one {member}")
+    if kind == "gnm":
+        if m is None:
+            raise ValueError("gnm needs m")
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
+        if not 0 <= m <= n * (n - 1) // 2:
+            raise ValueError(f"gnm needs 0 <= m <= n(n-1)/2 = {n * (n - 1) // 2}, got m={m}")
+    elif kind == "disjoint-cycles":
+        if n < 5 or n % 2 == 0:
+            raise ValueError(f"disjoint-cycles needs odd n >= 5, got {n}")
+    elif kind == "star":
+        if n < 2:
+            raise ValueError(f"star needs n >= 2, got {n}")
+    elif kind == "bounded-degree":
         if degree is None or degree < 2 or degree % 2 != 0:
             raise ValueError(f"bounded-degree needs an even degree >= 2, got {degree}")
         if degree >= n:
             raise ValueError(f"degree {degree} does not fit on {n} vertices")
         if n < 5:
             raise ValueError(f"bounded-degree needs n >= 5, got {n}")
-        graphs = tuple(_hamilton_union(n, degree // 2, substream(seed, g))
-                       for g in range(ell))
-        return GraphFamily(n=n, graphs=graphs)
-    if kind == "runiform":
+    else:
         if r is None or m is None:
             raise ValueError("runiform needs r and m")
-        hypergraphs = tuple(_runiform_edges(n, m, r, substream(seed, g))
-                            for g in range(ell))
-        return HypergraphFamily(n=n, r=r, hypergraphs=hypergraphs)
-    raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
+        if r < 2:
+            raise ValueError(f"uniformity must be >= 2, got {r}")
+        total = math.comb(n, r)
+        if m > total:
+            raise ValueError(f"m={m} exceeds the {total} distinct {r}-subsets of {n} vertices")

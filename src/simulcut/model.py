@@ -8,8 +8,9 @@ double as the ground truth that the samplers and the derandomizer are
 checked against.
 
 Each member is validated and stored once, as a read-only int64 array of
-shape (m, width) with the endpoints of every row sorted; there is no other
-copy.  Validation (range, repeated vertices, duplicate edges), degrees, pair
+shape (m, width) with the endpoints of every row sorted (a sort runs only
+when some row is not ascending already); there is no other copy.
+Validation (range, repeated vertices, duplicate edges), degrees, pair
 degrees and the counts are vectorized over that array, so checking one
 assignment costs one pass over the edges.  Duplicate edges and pair degrees
 are found by sorting one int64 key per row (the row read as a number in base
@@ -78,26 +79,35 @@ def _first_overflow(edges) -> int | None:
 def _member_rows(edges, n: int, width: int, where: str, member: int) -> np.ndarray:
     """Validate one member; returns its read-only array with each row sorted.
 
-    This is the only check of edge validity.  Raises InstanceError naming
-    the first edge, in input order, that is out of range, repeats a vertex,
-    or repeats an earlier edge, with ``member`` and that edge's ``row``; an
-    edge holding an index outside int64 is named the same way.
+    This is the only check of edge validity.  Rows are sorted only when
+    some row is not strictly ascending, as canonical and generated rows
+    always are; strict ascent already rules out a repeated vertex.  A
+    caller's own array is copied, never made read-only.  Raises
+    InstanceError naming the first edge, in input order, that is out of
+    range, repeats a vertex, or repeats an earlier edge, with ``member``
+    and that edge's ``row``; an edge holding an index outside int64 is
+    named the same way.
     """
     try:
-        rows = np.sort(_as_rows(edges, width), axis=1)
+        rows = _as_rows(edges, width)
     except InstanceError as exc:
         raise InstanceError(f"{where}: {exc}", member, _first_overflow(edges)) from None
-    out_of_range = (rows[:, 0] < 0) | (rows[:, -1] >= n)
-    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-    bad = out_of_range | repeated | _repeats_earlier_row(rows)
+    ascending = (rows[:, 1:] > rows[:, :-1]).all()
+    if not ascending:
+        rows = np.sort(rows, axis=1)
+    elif rows is edges:
+        rows = rows.copy()
+    bad = (rows[:, 0] < 0) | (rows[:, -1] >= n) | _repeats_earlier_row(rows)
+    if not ascending:
+        bad |= (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     if bad.any():
         j = int(bad.argmax())
         e = tuple(rows[j].tolist())
-        if out_of_range[j]:
+        if not (0 <= e[0] and e[-1] < n):
             message = f"endpoint out of range in edge {e}, n={n}"
-        elif repeated[j] and width == 2:
+        elif len(set(e)) < width and width == 2:
             message = f"self-loop {e}"
-        elif repeated[j]:
+        elif len(set(e)) < width:
             message = f"edge {e} does not have exactly {width} distinct vertices"
         else:
             message = f"duplicate edge {e}"
@@ -344,7 +354,7 @@ def crossing_count(edges, a: Assignment) -> int:
     return partition_counts(edges, a)[2]
 
 
-def partition_counts(edges, a: Assignment):
+def partition_counts(edges, a: Assignment, every_pair: bool = True):
     """Classify every edge of one graph under a total k-assignment.
 
     Returns ``(pairs, within, crossing)`` where ``pairs[(s, t)]`` counts
@@ -352,25 +362,54 @@ def partition_counts(edges, a: Assignment):
     and ``crossing`` is the number of edges whose endpoints differ.  Always
     ``sum(pairs) + sum(within) == len(edges)``.  ``edges`` is a member's
     array or any sequence of pairs; every count is a Python int.
+
+    One bincount over the k*k label cells counts the edges when k*k <= m.
+    Beyond that only the cells that edges land in are counted, with
+    np.unique of the cell codes, and with ``every_pair`` false ``pairs``
+    leaves out the class pairs that no edge joins: then the cost is
+    O(m + k) however large k is.
     """
     _require_total(a)
     rows = _as_rows(edges, 2)
     lab = a.label_array
     k = a.k
-    cells = np.bincount(lab[rows[:, 0]] * k + lab[rows[:, 1]], minlength=k * k)
-    cells = cells.reshape(k, k).tolist()
-    pairs = {(s, t): cells[s][t] + cells[t][s] for s in range(k) for t in range(s + 1, k)}
-    within = tuple(cells[s][s] for s in range(k))
+    first, second = lab[rows[:, 0]], lab[rows[:, 1]]
+    if k * k <= len(rows):
+        cells = np.bincount(first * k + second, minlength=k * k).reshape(k, k).tolist()
+        pairs = {(s, t): cells[s][t] + cells[t][s] for s in range(k) for t in range(s + 1, k)}
+        within = tuple(cells[s][s] for s in range(k))
+    else:
+        codes = np.minimum(first, second) * k + np.maximum(first, second)
+        occupied, counts = np.unique(codes, return_counts=True)
+        joined = {divmod(code, k): x for code, x in zip(occupied.tolist(), counts.tolist())}
+        within = tuple(joined.pop((s, s), 0) for s in range(k))
+        pairs = ({(s, t): joined.get((s, t), 0) for s in range(k) for t in range(s + 1, k)}
+                 if every_pair else joined)
     crossing = len(rows) - sum(within)
     return pairs, within, crossing
 
 
+#: Most classes whose label bits rainbow_count ORs into one int64 mask.
+_MASK_CLASSES = 62
+
+
 def rainbow_count(edges, a: Assignment, r: int) -> int:
-    """Number of r-uniform edges meeting all r classes (one vertex per class)."""
+    """Number of r-uniform edges meeting all r classes (one vertex per class).
+
+    With r <= 62 an edge is rainbow when the OR of ``1 << label`` over its
+    vertices sets all r low bits; beyond that the mask would overflow
+    int64, and each edge's labels are sorted and compared instead.
+    """
     if a.k != r:
         raise ValueError(f"rainbow count needs k == r, got k={a.k}, r={r}")
     _require_total(a)
-    colors = np.sort(a.label_array[_as_rows(edges, r)], axis=1)
+    colors = a.label_array[_as_rows(edges, r)]
+    if r <= _MASK_CLASSES:
+        seen = np.zeros(len(colors), dtype=np.int64)
+        for column in colors.T:
+            seen |= 1 << column
+        return int(np.count_nonzero(seen == (1 << r) - 1))
+    colors.sort(axis=1)
     return int((colors[:, 1:] != colors[:, :-1]).all(axis=1).sum())
 
 
@@ -453,9 +492,11 @@ class CutReport:
     """All cut statistics of one assignment, with pass/fail per constraint.
 
     ``pairs[i][(s, t)]`` and ``within[i][s]`` are per-member edge
-    classifications (graph families only); ``rainbow[i]`` the rainbow edge
-    counts (hypergraph families only).  Every number here is re-derivable
-    from (instance, assignment).
+    classifications (graph families only); ``pairs[i]`` holds every class
+    pair when the guarantee has pair rows, and may otherwise leave out the
+    pairs no edge joins (see partition_counts).  ``rainbow[i]`` are the
+    rainbow edge counts (hypergraph families only).  Every number here is
+    re-derivable from (instance, assignment).
     """
 
     kind: str

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,28 @@ def test_verify_detects_wrong_instance(c5_file, tmp_path):
     assert main(["verify", str(rep), "--instance", str(other)]) == 2
 
 
+def test_verify_large_k_line_is_rejected_without_k_squared_work(tmp_path, capsys):
+    # a thm2 report whose k line says 500: counting its assignment must not
+    # touch all 500**2 label cells (that took 75 MB), only those edges land in
+    inst, rep = tmp_path / "g.instance", tmp_path / "g.report"
+    assert main(["gen", "gnm", "--n", "30", "--m", "100", "--ell", "2",
+                 "--out", str(inst)]) == 0
+    assert main(["partition", str(inst), "--theorem", "2", "--out", str(rep)]) == 0
+    text = rep.read_text()
+    assert "\nk 2\n" in text
+    rep.write_text(text.replace("\nk 2\n", "\nk 500\n"))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(rep), "--instance", str(inst)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    err = capsys.readouterr().err
+    assert err.startswith("mismatch: class sizes differ") and "Traceback" not in err
+
+
 def test_verify_mc_balanced_report(c5_file, tmp_path):
     rep = tmp_path / "b.report"
     assert main(["partition", str(c5_file), "--theorem", "1", "--method", "mc",
@@ -386,6 +409,18 @@ BAD_FIELDS = [
      "epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = 0.00694444 (ell=1, k=2); got 0.5"),
     (dict(generator={"kind": "disjoint-cycles", "n": 7}, theorem="3", k=2, epsilon=0.002),
      "epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = 0.00173611 (ell=2, k=2); got 0.002"),
+    # and so are the generator's own parameters, with generate's messages
+    (dict(generator={"kind": "gnm", "n": 8, "m": 29}),
+     "gnm needs 0 <= m <= n(n-1)/2 = 28, got m=29"),
+    (dict(generator={"kind": "bounded-degree", "n": 9}),
+     "bounded-degree needs an even degree >= 2, got None"),
+    (dict(generator={"kind": "bounded-degree", "n": 9, "degree": 3}),
+     "bounded-degree needs an even degree >= 2, got 3"),
+    (dict(generator={"kind": "runiform", "n": 8, "m": 10}, theorem="hyp"),
+     "runiform needs r and m"),
+    (dict(generator={"kind": "runiform", "n": 6, "m": 21, "r": 3}, theorem="hyp"),
+     "m=21 exceeds the 20 distinct 3-subsets of 6 vertices"),
+    (dict(generator={"kind": "gnm", "n": "8", "m": 10}), "n must be an integer, got '8'"),
 ]
 
 

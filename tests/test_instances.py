@@ -313,27 +313,77 @@ def test_fast_path_equals_line_by_line(fam, rnd):
     got = parse_instance(messy)
     assert got == _line_by_line(messy) == fam and _derived(got) == _derived(fam)
 
+    # the same rows in text that only the scan accepts
+    for name, variant in _scan_only_variants(text, rnd):
+        assert _canonical_members(variant) is None, name
+        got = parse_instance(variant)
+        assert got == _line_by_line(variant) == fam, name
+        assert got.source_sha256 is None, name
+
+    # one more, empty, member stays canonical
+    header, rest = text.split("\n", 1)
+    tokens = header.split()
+    tokens[1] = str(fam.ell + 1)
+    grown = " ".join(tokens) + "\n" + rest + "edges 0\n"
+    want = _family(fam.n, getattr(fam, "r", None), (*fam.arrays, ()))
+    assert _canonical_members(grown) is not None
+    assert parse_instance(grown) == _line_by_line(grown) == want
+
+
+#: Arabic-Indic digits, which int() reads as 0..9
+_NON_ASCII_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _scan_only_variants(text, rnd):
+    """(name, copy) of canonical ``text`` with the same rows, that only the scan accepts."""
+    lines = text.splitlines()
+    i = rnd.randrange(len(lines))
+
+    def with_line(line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+
+    yield "non-ASCII digits", with_line(lines[i].translate(_NON_ASCII_DIGITS))
+    yield "tab", with_line(lines[i].replace(" ", "\t", 1))
+    yield "CR", with_line(lines[i] + "\r")
+    yield "trailing space", with_line(lines[i] + " ")
+    yield "missing final LF", text[:-1]
+
 
 def _corruptions(lines, n):
-    """(kind, line index, new line) for one-line corruptions of canonical instance text."""
+    """(kind, line index, new lines) for corruptions of canonical instance text.
+
+    The new lines replace as many lines from that index on.
+    """
     rows = [i for i, line in enumerate(lines) if line[0].isdigit()]
     blocks = [i for i, line in enumerate(lines) if line.startswith("edges ")]
     for i in rows:
         tokens = lines[i].split()
-        yield "out of range", i, " ".join([str(n)] + tokens[1:])
-        yield "repeated vertex", i, " ".join([tokens[1]] + tokens[1:])
-        yield "wrong arity", i, " ".join(tokens[:-1])
-        yield "wrong arity", i, " ".join(tokens + ["0"])
-        yield "non-integer", i, " ".join(tokens[:-1] + ["x"])
-        yield "non-integer", i, " ".join(tokens[:-1] + ["1.5"])
+        yield "out of range", i, [" ".join([str(n)] + tokens[1:])]
+        yield "out of range", i, [" ".join(["1" + "0" * 18] + tokens[1:])]     # 19 digits
+        yield "out of range", i, [" ".join([str(n).translate(_NON_ASCII_DIGITS)] + tokens[1:])]
+        yield "beyond int64", i, [" ".join(["9" * 19] + tokens[1:])]
+        yield "repeated vertex", i, [" ".join([tokens[1]] + tokens[1:])]
+        yield "wrong arity", i, [" ".join(tokens[:-1])]
+        yield "wrong arity", i, [" ".join(tokens + ["0"])]
+        # an empty index between the row's usual separators
+        yield "wrong arity", i, [" ".join(tokens[:-1] + [""])]
+        yield "wrong arity", i, [" ".join([""] + tokens[1:])]
+        yield "non-integer", i, [" ".join(tokens[:-1] + ["x"])]
+        yield "non-integer", i, [" ".join(tokens[:-1] + ["1.5"])]
+        yield "edges line in a block", i, ["edges 1"]
         if i - 1 in rows:
-            yield "duplicate", i, " ".join(reversed(lines[i - 1].split()))
+            yield "duplicate", i, [" ".join(reversed(lines[i - 1].split()))]
+        if i + 1 in rows:
+            # a short row then a long one: the file's separator count is unchanged
+            yield "wrong arity", i, [" ".join(tokens[:-1]),
+                                     " ".join(lines[i + 1].split() + tokens[-1:])]
     for i in blocks:
         m = int(lines[i].split()[1])
-        yield "bad count", i, f"edges {m + 1}"
+        yield "bad count", i, [f"edges {m + 1}"]
         if m:
-            yield "bad count", i, f"edges {m - 1}"
-        yield "bad count", i, "edges -1"
+            yield "bad count", i, [f"edges {m - 1}"]
+        yield "bad count", i, ["edges -1"]
 
 
 def _format_error(parse, text) -> InstanceFormatError:
@@ -351,8 +401,8 @@ def _without_line(exc: InstanceFormatError) -> str:
 def test_corrupted_line_diagnostic_equals_line_by_line(fam, rnd):
     text = serialize_instance(fam)
     lines = text.splitlines()
-    for kind, i, line in _corruptions(lines, fam.n):
-        bad = "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+    for kind, i, new in _corruptions(lines, fam.n):
+        bad = "\n".join(lines[:i] + new + lines[i + len(new):]) + "\n"
         fast = _format_error(parse_instance, bad)
         slow = _format_error(_line_by_line, bad)
         assert str(fast) == str(slow) and fast.line == slow.line, kind
@@ -364,6 +414,11 @@ def test_corrupted_line_diagnostic_equals_line_by_line(fam, rnd):
         if kind != "bad count":
             assert fast.line == i + 1 and scanned.line == where[i], kind
             assert _without_line(scanned) == _without_line(fast), kind
+    # digits after the last LF: no separator for the byte scan to count
+    bad = text + "7"
+    fast = _format_error(parse_instance, bad)
+    assert str(fast) == str(_format_error(_line_by_line, bad))
+    assert fast.line == len(lines) + 1 and "trailing content" in str(fast)
 
 
 def _digest_variants(text, rnd):

@@ -366,6 +366,11 @@ def test_array_partition_counts_match_python_loop(k, n, rnd):
             got = partition_counts(edges, a)
             _assert_python_counts(*got)
             assert got == want
+        # without every_pair, pairs may leave out only the pairs no edge joins
+        pairs, *rest = partition_counts(fam.arrays[i], a, every_pair=False)
+        _assert_python_counts(pairs, *rest)
+        assert rest == list(want[1:]) and set(pairs) <= set(want[0])
+        assert {st: x for st, x in pairs.items() if x} == {st: x for st, x in want[0].items() if x}
     empty = partition_counts((), a)
     _assert_python_counts(*empty)
     assert empty == _loop_partition_counts((), a.labels, k)
@@ -383,6 +388,75 @@ def test_array_rainbow_count_matches_python_loop(r, rnd):
         for edges in (hf.arrays[i], hf.hypergraphs[i]):
             got = rainbow_count(edges, a, r)
             assert type(got) is int and got == want
+
+
+def _sorted_rainbow_count(edges, a, r):
+    """rainbow_count through its per-row sort, the path it keeps for r >= 63."""
+    limit = model._MASK_CLASSES
+    try:
+        model._MASK_CLASSES = 0
+        return rainbow_count(edges, a, r)
+    finally:
+        model._MASK_CLASSES = limit
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
+def test_rainbow_mask_equals_sort(r, rnd):
+    # half the edges take one vertex per class, so rainbow and other edges both occur
+    n = 2 * r
+    labels = [v % r for v in range(n)]
+    rnd.shuffle(labels)
+    by_class = [[v for v in range(n) if labels[v] == c] for c in range(r)]
+    edges = set()
+    for _ in range(rnd.randint(0, 30)):
+        if rnd.random() < 0.5:
+            edges.add(tuple(sorted(rnd.choice(vs) for vs in by_class)))
+        else:
+            edges.add(tuple(sorted(rnd.sample(range(n), r))))
+    edges = sorted(edges)
+    a = Assignment(tuple(labels), r)
+    want = sum(1 for e in edges if len({labels[x] for x in e}) == r)
+    assert rainbow_count(edges, a, r) == _sorted_rainbow_count(edges, a, r) == want
+
+
+def test_rainbow_count_at_and_past_the_mask_width():
+    for r in (62, 63):
+        n = 2 * r
+        a = Assignment(tuple(v % r for v in range(n)), r)
+        edges = [tuple(range(r)),                           # classes 0..r-1: rainbow
+                 tuple(range(r, n)),                        # rainbow again
+                 tuple(range(r - 1)) + (r,),                # class 0 twice
+                 tuple(range(1, r)) + (n - 1,)]             # class r-1 twice
+        assert rainbow_count(edges, a, r) == _sorted_rainbow_count(edges, a, r) == 2
+
+
+def test_unsorted_rows_give_the_first_bad_edge_messages():
+    cases = [
+        ([(1, 0), (2, 2)], 3, 2, (1, "member 0: self-loop (2, 2)")),
+        ([(5, 0), (1, 0)], 3, 2, (0, "member 0: endpoint out of range in edge (0, 5), n=3")),
+        ([(0, 2), (2, 1), (2, 0)], 3, 2, (2, "member 0: duplicate edge (0, 2)")),
+        ([(0, 1, 2), (3, 1, 3)], 4, 3,
+         (1, "member 0: edge (1, 3, 3) does not have exactly 3 distinct vertices")),
+        ([(2, 1, 0), (0, 2, 1)], 3, 3, (1, "member 0: duplicate edge (0, 1, 2)")),
+        ([(0, 1), (-1, 2)], 3, 2, (1, "member 0: endpoint out of range in edge (-1, 2), n=3")),
+    ]
+    for edges, n, width, want in cases:
+        # ascending, descending and mixed copies of the rows name the same edge
+        for order in (sorted, lambda e: sorted(e, reverse=True), tuple):
+            rows = np.array([order(e) for e in edges], dtype=np.int64)
+            assert _first_bad(rows, n, width) == want
+            assert rows.flags.writeable
+
+
+def test_callers_array_is_copied_not_frozen():
+    for edges in (np.array([[0, 1], [1, 2]]), np.array([[1, 0], [1, 2]])):
+        before = edges.tolist()
+        rows = model._member_rows(edges, 3, 2, "member 0", 0)
+        assert rows.tolist() == [[0, 1], [1, 2]] and not rows.flags.writeable
+        assert edges.flags.writeable and not np.shares_memory(rows, edges)
+        edges[0, 0] = 2
+        assert rows.tolist() == [[0, 1], [1, 2]] and edges[0, 0] == 2 != before[0][0]
 
 
 class TestEdwardsBound:
