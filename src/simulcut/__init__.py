@@ -33,7 +33,7 @@ from .estimator import (
     conditional_moments,
     estimator_value,
 )
-from .guarantee import Guarantee, evaluate, resolve
+from .guarantee import Bound, Guarantee, evaluate, resolve
 from .mc import McExhausted, McResult, mc_partition, random_assignment, substream
 from .derandomize import DerandResult, DescentStep, derandomize
 from .oracle import (

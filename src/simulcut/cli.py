@@ -85,9 +85,8 @@ def _cmd_partition(args) -> int:
     _write_text(args.out, render_report(outcome.run_report))
     if args.trace and outcome.derand_result is not None:
         for step in outcome.derand_result.trace:
-            cands = ",".join(repr(c) for c in step.candidates)
             print(f"step v={step.vertex} class={step.chosen} "
-                  f"value={step.value!r} candidates={cands}")
+                  f"keys={','.join(map(str, step.keys))}")
     return 0 if outcome.run_report.passed else 1
 
 

@@ -10,23 +10,28 @@ is below 1, no statistic can finish under mu - sqrt(normalizer), because a
 single violated constraint already pushes its own term above 1.
 
 Arithmetic: per-edge conditional probabilities have denominators dividing
-k^2 (r^r for rainbow terms), so each statistic's quadratic is accumulated
-as a plain integer over a fixed power of k; only the final divisions, by
-that power and by the statistic's real normalizer, are floating point.
+k^2 (r^r for rainbow terms), so each statistic's quadratic is a plain
+integer over k^4 (r^(3r)).  Every spec's normalizer is one factor that
+all specs share times the spec's integer ``part``; with L the lcm of the
+parts, weighing each quadratic by L // part makes the estimator, times one
+positive constant, an integer.  At each vertex every term adds its
+weighted integer key per class into one shared list of k, leaving out
+what no class changes, which cannot move the argmin; so every decision is
+exact, and ties break to the lowest class.  Floats appear only in the
+initial and final estimator values, which are for display.
 
 Terms: one per run of consecutive specs on one member, built from the
-member's edges, those specs and n; each gives one row of k floats per
-spec.  Every term starts with all vertices open (the incremental ones in
-closed form) and learns of decided vertices only through its own
-`commit(v, c)`.  The descent adds the rows in spec order.
+member's edges, those specs, n and the specs' weights.  Every term starts
+with all vertices open (the incremental ones in closed form) and learns of
+decided vertices only through its own `commit(v, c)`.
 
 Cost: a graph member's term tracks all of its statistics (the crossing
 one, or every pair and within one) on per-vertex histograms of neighbour
 labels, from which each statistic's edge-pair correlations follow in
 closed form.  One walk over v's neighbours yields every statistic's k
-candidates: deg(v) additions of packed histograms, then O(k) per
-statistic.  A commit reuses that walk and costs O(1) per open neighbour.
-A hypergraph member's rainbow term yields its r candidates from one walk
+keys: deg(v) additions of packed histograms, then O(k) per statistic.
+A commit costs O(k) per statistic and O(1) per open neighbour.
+A hypergraph member's rainbow term yields its r keys from one walk
 over v's live hyperedges: O(r) per (live hyperedge, open co-vertex) pair,
 then O(1) per class, plus O(1) per class for each live hyperedge pair at
 v that shares two or more vertices (these alone keep per-pair state, in
@@ -38,7 +43,6 @@ the incremental bookkeeping.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,12 +57,17 @@ from .guarantee import Guarantee, evaluate
 
 @dataclass(frozen=True)
 class DescentStep:
-    """Audit record for one vertex decision."""
+    """Audit record for one vertex decision.
+
+    ``keys[c]`` is the key of class c less the chosen class's: an exact
+    integer, 0 at the chosen class and never negative.  It is the estimator
+    after v -> c less that after v -> chosen, times L * k^4 (L * r^(3r) for
+    rainbow terms) and times the factor that all normalizers share.
+    """
 
     vertex: int
     chosen: int
-    value: float
-    candidates: tuple[float, ...]
+    keys: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,8 @@ class DerandResult:
 
 
 class _MemberTerm:
-    """Incremental penalty terms for every crossing/pair/within statistic of
-    one graph member, kept on its vertices' neighbour-label histograms.
+    """Incremental keys for every crossing/pair/within statistic of one graph
+    member, kept on its vertices' neighbour-label histograms.
 
     A vertex u's histogram counts its open neighbours a[u] and its
     neighbours decided as c, b[u][c] (B[u] their total).  While u is open,
@@ -92,149 +101,135 @@ class _MemberTerm:
                  Qw = qrow[s] + qrow[t] + 2a
       within(s)  Tw = trow[s] = a + k b[s], Qw = qrow[s] = a + k^2 b[s]
 
-    Each statistic keeps sumP and rest = sum(contrib) - sumP2, and its
-    quadratic over k^4 is mu_k2^2 - 2*mu_k2*sumP + k^2*sumP + sumP^2 + rest,
-    where mu_k2 = stat_mean(kind, m, k) * k^2, the initial sumP.
-    Deciding v -> c moves sumP by k*trow_v[c] - Tw_v and sumP2 by
-    k^2*qrow_v[c] - Qw_v, drops contrib_v, and moves one count of every open
-    neighbour's histogram from a to b[c].  That move shifts contrib linearly
-    in the neighbour's histogram, so the shift summed over v's open
-    neighbours needs only their summed histogram less v (alpha open,
-    beta[c] decided as c):
+    A statistic's quadratic over k^4 is mu_k2^2 - 2*mu_k2*sumP + k^2*sumP +
+    sumP^2 - sumP2 + sum(contrib), where mu_k2 = stat_mean(kind, m, k) * k^2,
+    the initial sumP.  Deciding v -> c moves sumP by dp[c] = k*trow_v[c] -
+    Tw_v and sumP2 by k^2*qrow_v[c] - Qw_v, drops contrib_v, and moves one
+    count of every open neighbour's histogram from a to b[c].  That move
+    shifts contrib linearly in the neighbour's histogram, so the shift summed
+    over v's open neighbours needs only their summed histogram less v (alpha
+    open, beta[c] decided as c; W[c] = alpha + k beta[c]):
 
       crossing   2k^2 (k beta[c] - sum(beta))
-      within(s)  2(k-1)^2 W if c == s, else -2(k-1) W;  W = alpha + k beta[s]
-      pair(s,t)  c = s: 2((k-1)^2 + 1) Y - 4(k-1) X;  c = t: X, Y swapped;
-                 else -2(k-2)(X + Y);  X = alpha + k beta[t], Y = alpha + k beta[s]
+      within(s)  2(k-1)^2 W[s] if c == s, else -2(k-1) W[s]
+      pair(s,t)  c = s: 2((k-1)^2 + 1) W[s] - 4(k-1) W[t];  c = t: s, t swapped;
+                 else -2(k-2)(W[s] + W[t])
+
+    Leaving out every part that no class changes, the quadratic after
+    v -> c is the key
+
+      dp[c] * (g + dp[c]) + (the class-dependent part of the other shifts)
+
+    with g = k^2 - 2*mu_k2 + 2*sumP.  With T[c] = a + k b[c] and Q[c] = a +
+    k^2 b[c] of v, that is
+
+      crossing   k^2 (b[c] (k^2 b[c] + 2(mu_k2 - sumP - k B)) + 2k beta[c])
+      within(s)  k (T[s] (g + (k-2) T[s]) + 2(k-1) W[s] - k Q[s]) at c = s, 0 elsewhere
+      pair(s,t)  k (T[t] (g + k T[t] - 2Tw) + 2(k-1) W[s] - 2 W[t] - k Q[t]) at
+                 c = s, the same with s and t swapped at c = t, 0 elsewhere
+
+    So each statistic keeps sumP alone; sumP2 and contrib enter the keys
+    only through parts that no class changes, and are not kept.
 
     Histograms are packed, h[u] = a[u] + sum_c b[u][c] << (width * (c+1)),
     with fields of (2m).bit_length() bits: a field summed over any vertex's
     neighbours stays at most 2m, so sums never carry between fields.  h[u]
-    is 0 once u is decided.  So one sum over adj[v] yields all k candidates
-    of every statistic, and a commit adds one constant to each open
-    neighbour.  The term starts with every vertex open.
+    is 0 once u is decided.  So one sum over adj[v] yields all k keys of
+    every statistic, and a commit adds one constant to each open neighbour.
+    The term starts with every vertex open.
     """
 
-    def __init__(self, edges, specs, n):
+    def __init__(self, edges, specs, n, weights=None):
         k = specs[0].k
         m = len(edges)
         self.k = k
         self.k2 = k * k
-        self.k4 = self.k2 * self.k2
-        # mu_k2 is an integer: every mean's denominator divides k^2
-        self.stats = [(spec.kind, spec.s, spec.t, int(stat_mean(spec.kind, m, k) * self.k2),
-                       spec.normalizer) for spec in specs]
+        weights = weights or [1] * len(specs)
+        # per statistic: kind, s, t, its weight times the common factor of its
+        # keys (k^2 for crossing, k otherwise), and mu_k2, an integer since
+        # every mean's denominator divides k^2
+        self.stats = [(spec.kind, spec.s, spec.t, w * (self.k2 if spec.kind == "crossing" else k),
+                       int(stat_mean(spec.kind, m, k) * self.k2))
+                      for spec, w in zip(specs, weights)]
+        self.sumP = [mu for *_, mu in self.stats]
+        self.classwise = any(spec.kind != "crossing" for spec in specs)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in np.asarray(edges).tolist():
             adj[u].append(v)
             adj[v].append(u)
         self.adj = adj
         self.h = [len(nbrs) for nbrs in adj]
-        width = (2 * len(edges)).bit_length()
+        width = (2 * m).bit_length()
         self.mask = (1 << width) - 1
         self.offsets = [width * (c + 1) for c in range(k)]
-        self._pending = None
-        # all vertices open: every edge has P = mu_k2/m, so sumP = mu_k2 and
-        # sumP2 = mu_k2^2/m, and contrib depends on degree alone
-        zeros = [0] * k
-        degrees = collections.Counter(self.h)
-        self.sumP = []
-        self.rest = []
-        for kind, s, t, mu_k2, _ in self.stats:
-            contrib = sum(count * self._stat_shifts(kind, s, t, d, zeros, 0, zeros)[0]
-                          for d, count in degrees.items())
-            self.sumP.append(mu_k2)
-            self.rest.append(contrib - (mu_k2 * mu_k2 // m if m else 0))
+        # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m,
+        # and contrib of a degree-d vertex is d(d-1) times 0 (crossing), k-1
+        # (within) or 2(k-2) (pair)
+        pairs_at = sum(d * (d - 1) for d in self.h)
+        k4 = self.k2 * self.k2
+        self.initial = []
+        for spec, (kind, _, _, _, mu) in zip(specs, self.stats):
+            contrib = {"crossing": 0, "within": k - 1, "pair": 2 * (k - 2)}[kind] * pairs_at
+            quad = self.k2 * mu + contrib - (mu * mu // m if m else 0)
+            self.initial.append(quad / k4 / spec.normalizer)
 
-    def _stat_shifts(self, kind, s, t, a, b, alpha, beta):
-        """contrib of open v with histogram (a, b), and per class c the shifts
-        of sumP and rest for v -> c, given its open neighbours' summed
-        histogram less v (alpha, beta)."""
-        k, k2 = self.k, self.k2
-        if kind == "crossing":
-            B = sum(b)
-            tw = k * (k - 1) * (a + B)
-            qw = k * (k - 1) * tw
-            trow = [(k - 1) * a + k * (B - x) for x in b]
-            qsum = k * (k - 1) ** 2 * a + k2 * (k - 1) * B        # sum_c qrow[c]
-            cv = k * (sum([tc * tc for tc in trow]) - qsum) - (tw * tw - qw)
-            # k*trow[c] - Tw = k(B - k b[c]), k^2*qrow[c] - Qw = k^2((2k-1)B - k^2 b[c])
-            base = 2 * k2 * sum(beta) + cv + k2 * (2 * k - 1) * B
-            return cv, [k * B - k2 * x for x in b], [
-                k * k2 * (2 * y + k * x) - base for x, y in zip(b, beta)]
-        if kind == "within":
-            tw, qw = a + k * b[s], a + k2 * b[s]
-            cv = (k - 1) * (tw * tw - qw)
-            w2 = 2 * (k - 1) * (alpha + k * beta[s])
-            dp = [-tw] * k
-            dr = [qw - w2 - cv] * k
-            dp[s] = (k - 1) * tw
-            dr[s] = (k - 1) * w2 - cv - (k2 - 1) * qw
-            return cv, dp, dr
-        ts, tt = a + k * b[t], a + k * b[s]
-        qs, qt = a + k2 * b[t], a + k2 * b[s]
-        tw, qw = ts + tt, qs + qt + 2 * a
-        cv = k * (ts * ts - qs + tt * tt - qt) - (tw * tw - qw)
-        x, y = alpha + k * beta[t], alpha + k * beta[s]
-        z = 2 * ((k - 1) ** 2 + 1)
-        dp = [-tw] * k
-        dr = [qw - 2 * (k - 2) * (x + y) - cv] * k
-        dp[s], dp[t] = k * ts - tw, k * tt - tw
-        dr[s] = z * y - 4 * (k - 1) * x - cv - (k2 * qs - qw)
-        dr[t] = z * x - 4 * (k - 1) * y - cv - (k2 * qt - qw)
-        return cv, dp, dr
-
-    def _shifts(self, v):
-        """Per statistic, (shifts of sumP, shifts of rest) for v -> each class."""
-        mask, offsets = self.mask, self.offsets
-        h = self.h
+    def add_keys(self, v, keys):
+        h, k, k2, mask, offsets = self.h, self.k, self.k2, self.mask, self.offsets
+        nbrs = self.adj[v]
         own = h[v]
-        near = sum(map(h.__getitem__, self.adj[v]))    # decided neighbours add 0
+        near = sum(map(h.__getitem__, nbrs))           # decided neighbours add 0
         a = own & mask
         b = [own >> o & mask for o in offsets]
-        alpha = (near & mask) - a                      # each open neighbour counts v once
         beta = [near >> o & mask for o in offsets]
-        return [self._stat_shifts(kind, s, t, a, b, alpha, beta)[1:]
-                for kind, s, t, _, _ in self.stats]
-
-    def _floats(self, shifts) -> list[tuple[float, ...]]:
-        k2, k4 = self.k2, self.k4
-        out = []
-        for (_, _, _, mu, norm), sum_p, rest, (dps, drs) in zip(
-                self.stats, self.sumP, self.rest, shifts):
-            row = []
-            for dp, dr in zip(dps, drs):
-                p = sum_p + dp
-                row.append((mu * mu - 2 * mu * p + k2 * p + p * p + rest + dr) / k4 / norm)
-            out.append(tuple(row))
-        return out
-
-    def values(self) -> list[float]:
-        return [row[0] for row in self._floats([([0], [0])] * len(self.stats))]
-
-    def candidates(self, v) -> list[tuple[float, ...]]:
-        shifts = self._shifts(v)
-        self._pending = (v, shifts)
-        return self._floats(shifts)
+        if self.classwise:
+            alpha = (near & mask) - a                  # each open neighbour counts v once
+            T = [a + k * x for x in b]
+            Q = [a + k2 * x for x in b]
+            W = [alpha + k * y for y in beta]
+            k1x2 = 2 * (k - 1)
+        for (kind, s, t, w, mu), sum_p in zip(self.stats, self.sumP):
+            if kind == "crossing":
+                lin = 2 * (mu - sum_p - k * (len(nbrs) - a))    # B = decided neighbours
+                for c, x in enumerate(b):
+                    keys[c] += w * (x * (k2 * x + lin) + 2 * k * beta[c])
+                continue
+            g = k2 - 2 * mu + 2 * sum_p
+            Ts = T[s]
+            if kind == "within":
+                keys[s] += w * (Ts * (g + (k - 2) * Ts) + k1x2 * W[s] - k * Q[s])
+                continue
+            Tt = T[t]
+            g -= 2 * (Ts + Tt)                          # g - 2Tw
+            keys[s] += w * (Tt * (g + k * Tt) + k1x2 * W[s] - 2 * W[t] - k * Q[t])
+            keys[t] += w * (Ts * (g + k * Ts) + k1x2 * W[t] - 2 * W[s] - k * Q[s])
 
     def commit(self, v, c):
-        # the descent commits the vertex whose candidates it has just taken
-        pending, self._pending = self._pending, None
-        shifts = pending[1] if pending and pending[0] == v else self._shifts(v)
-        for i, (dps, drs) in enumerate(shifts):
-            self.sumP[i] += dps[c]
-            self.rest[i] += drs[c]
-        h = self.h
-        step = (1 << self.offsets[c]) - 1
-        for u in self.adj[v]:
+        h, k, mask, offsets = self.h, self.k, self.mask, self.offsets
+        nbrs = self.adj[v]
+        own = h[v]
+        a = own & mask
+        for i, (kind, s, t, _, _) in enumerate(self.stats):
+            if kind == "crossing":
+                dp = k * (len(nbrs) - a - k * (own >> offsets[c] & mask))
+            elif kind == "within":
+                Ts = a + k * (own >> offsets[s] & mask)
+                dp = (k - 1) * Ts if c == s else -Ts
+            else:
+                Ts = a + k * (own >> offsets[s] & mask)
+                Tt = a + k * (own >> offsets[t] & mask)
+                dp = (k * Tt if c == s else k * Ts if c == t else 0) - Ts - Tt
+            self.sumP[i] += dp
+        step = (1 << offsets[c]) - 1
+        for u in nbrs:
             if h[u]:
                 h[u] += step
         h[v] = 0
 
 
 class _RainbowTerm:
-    """Incremental penalty terms for the rainbow statistic of one hypergraph,
-    one row per spec on it (the specs differ only in their normalizer).
+    """Incremental keys for the rainbow statistic of one hypergraph.  The
+    specs on it differ only in their normalizer, so the key of a class is
+    its quadratic over r^(3r), `_quad_num`, times the sum of their weights.
 
     Edge state: its undecided count u, the mask of its decided colours, and
     P, the numerator over r^r of its conditional probability: u!*r^(r-u)
@@ -262,9 +257,9 @@ class _RainbowTerm:
     doubled pair sum 2*jma = sum(contrib) + 2*sum(corr) is one exact
     integer.  open_shared[p] counts the pair's open shared vertices, and is
     set to 0 once either edge is dead; below 2 the pair is dead for good:
-    its corr is 0, and `candidates` and `commit` skip it.
+    its corr is 0, and `add_keys` and `commit` skip it.
 
-    Candidates: when v takes c, a live edge at v (u >= 2 undecided, so u
+    Keys: when v takes c, a live edge at v (u >= 2 undecided, so u
     free colours, a_i = A[u][i]) moves the contrib of each of its open
     co-vertices w by a closed form in T[w] and TF, the sum of Tc[w] over
     the edge's free colours:
@@ -291,13 +286,13 @@ class _RainbowTerm:
     committed to it as decided itself.
     """
 
-    def __init__(self, edges, specs, n):
+    def __init__(self, edges, specs, n, weights=None):
         r = specs[0].k
         self.r = r
         self.D1 = r ** r
         self.D2 = self.D1 * self.D1
         self.D3 = self.D2 * self.D1
-        self.norms = [spec.normalizer for spec in specs]
+        self.weight = sum(weights or [1] * len(specs))
         rows = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, r), axis=1)
         m = len(rows)
         self.edges = rows.tolist()
@@ -336,6 +331,8 @@ class _RainbowTerm:
         corr_at = {s: self._corr(r, 0, a0, r, 0, a0, s) for s in set(shared)}
         self.corr = [corr_at[s] for s in shared]
         self.jma2 = 2 * sum(self.corr)
+        num = self.quad_num()
+        self.initial = [num / self.D3 / spec.normalizer for spec in specs]
 
     def _contrib(self, t, q, trow, qrow) -> int:
         return (self.rpow[self.r - 1] * (sum(map(mul, trow, trow)) - sum(qrow))
@@ -411,11 +408,11 @@ class _RainbowTerm:
         ex2 = sumP * self.D2 + (sumP * sumP - sumP2) * self.D1 + jma2
         return (self.mu_rr * self.mu_rr - 2 * self.mu_rr * sumP) * self.D1 + ex2
 
-    def values(self) -> list[float]:
-        num = self._quad_num(self.sumP, self.sumP2, self.jma2)
-        return [num / self.D3 / norm for norm in self.norms]
+    def quad_num(self) -> int:
+        """The quadratic over r^(3r) at the committed labels."""
+        return self._quad_num(self.sumP, self.sumP2, self.jma2)
 
-    def candidates(self, v) -> list[tuple[float, ...]]:
+    def add_keys(self, v, keys):
         r = self.r
         T, Tc, is_open, edges = self.T, self.Tc, self.open, self.edges
         U, M, P, coefs = self.U, self.M, self.P, self._coefs
@@ -452,10 +449,10 @@ class _RainbowTerm:
                 if shift is None:
                     shift = shifts[case] = self._pair_shift(pid, in_i, in_j, c)
                 jma2[c] += shift
-        t, q, trow, qrow = T[v], self.Q[v], Tc[v], self.Qc[v]
-        nums = [self._quad_num(self.sumP + trow[c] - t, self.sumP2 + qrow[c] - q, jma2[c])
-                for c in range(r)]
-        return [tuple(num / self.D3 / norm for num in nums) for norm in self.norms]
+        t, q, trow, qrow, w = T[v], self.Q[v], Tc[v], self.Qc[v], self.weight
+        for c in range(r):
+            keys[c] += w * self._quad_num(self.sumP + trow[c] - t, self.sumP2 + qrow[c] - q,
+                                          jma2[c])
 
     def commit(self, v, c):
         T, Q, Tc, Qc, contrib, is_open = self.T, self.Q, self.Tc, self.Qc, self.contrib, self.open
@@ -553,28 +550,32 @@ def _multi_shared(rows, n):
 
 
 class _NaiveTerm:
-    """From-scratch recompute of one member's terms; the incremental oracle."""
+    """From-scratch recompute of one member's terms; the incremental oracle.
 
-    def __init__(self, edges, specs, n):
+    A key is the weight times the exact quadratic over k^4 (r^(3r) for
+    rainbow), the denominators that the incremental terms clear.
+    """
+
+    def __init__(self, edges, specs, n, weights=None):
         self.edges = np.asarray(edges).tolist()
         self.specs = specs
+        self.weights = weights or [1] * len(specs)
         self.labels = [UNDECIDED] * n
+        self.initial = [float(_quadratic(self.labels, self.edges, spec)) / spec.normalizer
+                        for spec in specs]
 
-    def values(self) -> list[float]:
-        return [float(_quadratic(self.labels, self.edges, spec)) / spec.normalizer
-                for spec in self.specs]
-
-    def candidates(self, v) -> list[tuple[float, ...]]:
+    def add_keys(self, v, keys):
         labels = self.labels
-        rows = []
-        for spec in self.specs:
-            row = []
-            for c in range(spec.k):
+        for spec, w in zip(self.specs, self.weights):
+            k = spec.k
+            scale = k ** (3 * k) if spec.kind == "rainbow" else k ** 4
+            for c in range(k):
                 labels[v] = c
-                row.append(float(_quadratic(labels, self.edges, spec)) / spec.normalizer)
-            rows.append(tuple(row))
+                num = _quadratic(labels, self.edges, spec) * scale
+                if num.denominator != 1:
+                    raise AssertionError(f"quadratic {num} / {scale} has another denominator")
+                keys[c] += w * num.numerator
         labels[v] = UNDECIDED
-        return rows
 
     def commit(self, v, c):
         self.labels[v] = c
@@ -599,12 +600,19 @@ def resolve_order(family, order) -> tuple[int, ...]:
 
 
 def _build_terms(family, specs, naive: bool):
-    """Penalty terms in spec order, one per run of consecutive specs on one member."""
+    """Penalty terms in spec order, one per run of consecutive specs on one
+    member, each spec weighed by lcm(parts) // its part."""
+    shared = [spec.normalizer / spec.part for spec in specs]
+    if not all(math.isclose(x, shared[0], rel_tol=1e-9) for x in shared):
+        raise ValueError("spec normalizers must be one shared factor times their part")
+    lcm = math.lcm(*(spec.part for spec in specs))
     terms = []
     for (gi, rainbow), group in itertools.groupby(
             specs, key=lambda s: (s.graph, s.kind == "rainbow")):
+        group = tuple(group)
         cls = _NaiveTerm if naive else _RainbowTerm if rainbow else _MemberTerm
-        terms.append(cls(family.arrays[gi], tuple(group), family.n))
+        terms.append(cls(family.arrays[gi], group, family.n,
+                         [lcm // spec.part for spec in group]))
     return terms
 
 
@@ -612,18 +620,19 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
     """Deterministic partition meeting every row of a resolved guarantee.
 
     Descends on ``guarantee.specs``: processes vertices in `order`; at each
-    one evaluates the estimator for all k classes and commits the minimizer
-    (ties break to the lowest class).  Requires the initial estimator to be
-    below 1, which `resolve` guarantees by construction; given that, every
-    statistic ends at or above mu - sqrt(normalizer), and the returned
-    report is `evaluate` of the result against ``guarantee.rows``.
+    one adds every term's integer keys for all k classes and commits the
+    minimizer (ties break to the lowest class).  Requires the initial
+    estimator to be below 1, which `resolve` guarantees by construction;
+    given that, every statistic ends at or above mu - sqrt(normalizer), and
+    the returned report is `evaluate` of the result against
+    ``guarantee.rows``.
     """
     specs = guarantee.specs
     k = guarantee.k
     ks = {s.k for s in specs} | {k}
     if len(ks) != 1:
         raise ValueError(f"specs mix class counts {sorted(ks)}")
-    if any(graph < 0 for graph, _, _ in guarantee.rows):
+    if any(row[0] < 0 for row in guarantee.rows):
         raise ValueError("balancing is a Monte-Carlo feature; "
                          "the descent does not track class sizes")
     order = resolve_order(family, order)
@@ -632,7 +641,7 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
 
     initial = 0.0
     for term in terms:
-        for value in term.values():
+        for value in term.initial:
             initial += value
     if initial >= 1.0:
         raise EstimatorBudgetError(
@@ -642,22 +651,15 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
 
     trace: list[DescentStep] = []
     for v in order:
-        # one row of k floats per statistic, added up in spec order
-        rows = [row for term in terms for row in term.candidates(v)]
-        candidates = []
-        for c in range(k):
-            val = 0.0
-            for row in rows:
-                val += row[c]
-            candidates.append(val)
-        chosen = 0
-        for c in range(1, k):
-            if candidates[c] < candidates[chosen]:
-                chosen = c
+        keys = [0] * k
+        for term in terms:
+            term.add_keys(v, keys)
+        best = min(keys)
+        chosen = keys.index(best)       # the lowest class on ties
         for term in terms:
             term.commit(v, chosen)
         labels[v] = chosen
-        trace.append(DescentStep(v, chosen, candidates[chosen], tuple(candidates)))
+        trace.append(DescentStep(v, chosen, tuple([x - best for x in keys])))
 
     assignment = Assignment(tuple(labels), k)
     report = evaluate(family, assignment, guarantee)
@@ -665,6 +667,9 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
         raise AssertionError(
             "descent finished above a threshold; estimator bookkeeping is broken"
         )
-    final = trace[-1].value if trace else initial
+    # every vertex is decided: each term is exactly (mu - count)^2 / normalizer
+    counts = {(row.graph, row.stat): row.count for row in report.constraints}
+    final = sum((float((stat_mean(s.kind, family.m[s.graph], k) - counts[s.graph, s.stat]) ** 2)
+                 / s.normalizer for s in specs), 0.0)
     return DerandResult(assignment=assignment, report=report, trace=tuple(trace),
                         initial_value=initial, final_value=final)

@@ -46,7 +46,12 @@ class EventSpec:
     of specs is usable when its initial estimator, sum(Var X / normalizer),
     is below 1, which forces the greedy descent to end with every statistic
     above mu - sqrt(normalizer), the guarantee's threshold (`resolve` takes
-    it from `threshold_for`); `derandomize` checks that sum exactly.
+    it from `threshold_for`); `derandomize` checks that sum.
+
+    ``part`` is the integer part of the normalizer that depends on the
+    member: the specs of one descent have normalizer = (a factor they all
+    share) * part, so the descent can weigh them by lcm(parts) // part and
+    decide on exact integers.
     """
 
     graph: int
@@ -55,6 +60,7 @@ class EventSpec:
     normalizer: float
     s: int | None = None
     t: int | None = None
+    part: int = 1
 
     def __post_init__(self):
         if self.kind not in STAT_KINDS:
@@ -63,6 +69,8 @@ class EventSpec:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if not self.normalizer > 0:
             raise ValueError(f"normalizer must be > 0, got {self.normalizer}")
+        if not self.part >= 1:
+            raise ValueError(f"part must be >= 1, got {self.part}")
         if self.kind == "pair":
             if self.s is None or self.t is None or not 0 <= self.s < self.t < self.k:
                 raise ValueError(f"pair statistic needs classes s < t < k, got {self.s}, {self.t}")

@@ -6,11 +6,12 @@ that need no instance, and `settle` those that need only its member count
 and uniformity, so run options are rejected before any run.  Per
 member, one branch per theorem gives the normalizer and each statistic
 with its threshold, computed once by `threshold_for`.  Each statistic
-yields one ``(graph, stat, threshold)`` row and, on a member with edges,
-one penalty term for the descent; a term's mean follows from its statistic
-(`stat_mean`).  `evaluate` counts every member of an assignment once and
-checks it against those rows, so the engines, the reports and `verify`
-compare against the same floats.
+yields one ``(graph, stat, threshold, bound)`` row and, on a member with
+edges, one penalty term for the descent; a term's mean follows from its
+statistic (`stat_mean`).  `evaluate` counts every member of an assignment
+once and decides each row by its exact `Bound`, so the engines, the reports
+and `verify` agree on every pass and fail; the float threshold and margin
+are for display.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     Constraint,
@@ -30,9 +32,25 @@ from .model import (
     rainbow_count,
     threshold_for,
 )
-from .estimator import DegreePreconditionError, EventSpec, stat_name
+from .estimator import DegreePreconditionError, EventSpec, stat_mean, stat_name
 
 THEOREMS = ("thm1", "thm2", "thm3", "hyp")
+
+
+class Bound(NamedTuple):
+    """The exact pass rule of a statistic row: a count passes when it is at
+    least ``mean``, or when (mean - count)**power <= spread.  That is
+    count >= mean - spread**(1/power), the row's threshold, without rounding."""
+
+    mean: Fraction
+    power: int
+    spread: Fraction
+
+    def admits(self, count: int) -> bool:
+        den = self.mean.denominator
+        gap = self.mean.numerator - den * count         # (mean - count) * den
+        return gap <= 0 or (gap ** self.power * self.spread.denominator
+                            <= self.spread.numerator * den ** self.power)
 
 
 @dataclass(frozen=True)
@@ -40,14 +58,14 @@ class Guarantee:
     """Effective settings, penalty terms and constraint rows of one guarantee.
 
     ``specs`` are the descent's penalty terms (members with edges only);
-    ``rows`` hold ``(graph, stat, threshold)`` for every member, then
-    ``(-1, "balance(c)", n/k - slack)`` per class when balanced.
+    ``rows`` hold ``(graph, stat, threshold, bound)`` for every member, then
+    ``(-1, "balance(c)", n/k - slack, None)`` per class when balanced.
     ``max_tries`` bounds the Monte-Carlo tries the slack is sized for.
     """
 
     k: int
     specs: tuple[EventSpec, ...]
-    rows: tuple[tuple[int, str, float], ...]
+    rows: tuple[tuple[int, str, float, Bound | None], ...]
     eps: float | Fraction | None = None
     slack: float | None = None
     max_tries: int = 64
@@ -107,16 +125,19 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     sqrt(n * ln(2*k*ell*max_tries)), which keeps the combined per-try
     probability of any class drifting off n/k below 1/2.
 
-    Penalty terms, each (mu - X)^2 / normalizer, with Var X bounded by var:
-      thm1  crossing per graph, normalizer ell*m/2, var m/4
-      thm2  k-way crossing per graph, normalizer 2*ell*m, var m
+    Penalty terms, each (mu - X)^2 / normalizer, with Var X bounded by var
+    (the normalizer's member-dependent part, the spec's ``part``, in brackets):
+      thm1  crossing per graph, normalizer ell/2*[m], var m/4
+      thm2  k-way crossing per graph, normalizer 2*ell*[m], var m
       thm3  per (graph, class pair) and (graph, class), normalizer
-            sqrt(eps)*m^2, var 3*max_degree*m <= 3*eps*m^2
-      hyp   rainbow per hypergraph, normalizer 2*ell*w*m, var w*m with
+            sqrt(eps)*[m^2], var 3*max_degree*m <= 3*eps*m^2
+      hyp   rainbow per hypergraph, normalizer 2*ell*[w*m], var w*m with
             w = 1 + r*(r-1)*delta2
     The initial estimator is sum(Var X / normalizer), so these budgets keep
     it below 1: 1/2 for thm1, thm2 and hyp, and ell*k(k+1)/2 terms of at
-    most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.
+    most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.  A row's
+    bound is mu - sqrt(normalizer): `Bound` with power 2 and spread the
+    normalizer, or for thm3 power 4 and spread eps*m^4.
     """
     check_settings(theorem, k=k, slack=slack, max_tries=max_tries)
     ell = family.ell
@@ -133,29 +154,40 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
         slack = math.sqrt(family.n * math.log(2 * k * ell * max_tries))
 
     specs: list[EventSpec] = []
-    rows: list[tuple[int, str, float]] = []
+    rows: list[tuple[int, str, float, Bound | None]] = []
     for i, m in enumerate(family.m):
-        # the member's normalizer and (kind, s, t, threshold) of each statistic
+        # the member's normalizer and its part, and (kind, s, t, threshold,
+        # bound) of each statistic
         if theorem in ("thm1", "thm2"):
             norm = ell * m / 2 if theorem == "thm1" else 2 * ell * m
-            stats = [("crossing", None, None, threshold_for(theorem, m=m, ell=ell, k=k))]
+            part = m
+            spread = Fraction(ell * m, 2) if theorem == "thm1" else Fraction(norm)
+            stats = [("crossing", None, None, threshold_for(theorem, m=m, ell=ell, k=k),
+                      Bound(stat_mean("crossing", m, k), 2, spread))]
         elif theorem == "thm3":
             norm = math.sqrt(float(eps)) * m * m
-            pair = threshold_for("thm3_pair", m=m, ell=ell, k=k, eps=eps)
-            within = threshold_for("thm3_within", m=m, ell=ell, k=k, eps=eps)
-            stats = [("pair", s, t, pair) for s, t in itertools.combinations(range(k), 2)]
-            stats += [("within", s, None, within) for s in range(k)]
+            part = m * m
+            spread = Fraction(eps) * m ** 4
+            pair = (threshold_for("thm3_pair", m=m, ell=ell, k=k, eps=eps),
+                    Bound(stat_mean("pair", m, k), 4, spread))
+            within = (threshold_for("thm3_within", m=m, ell=ell, k=k, eps=eps),
+                      Bound(stat_mean("within", m, k), 4, spread))
+            stats = [("pair", s, t, *pair) for s, t in itertools.combinations(range(k), 2)]
+            stats += [("within", s, None, *within) for s in range(k)]
         else:
             delta2 = family.delta2[i]
-            norm = 2 * ell * (1 + k * (k - 1) * delta2) * m
+            part = (1 + k * (k - 1) * delta2) * m
+            norm = 2 * ell * part
             stats = [("rainbow", None, None,
-                      threshold_for("hyp", m=m, ell=ell, r=k, delta2=delta2))]
-        for kind, s, t, threshold in stats:
-            rows.append((i, stat_name(kind, s, t), threshold))
+                      threshold_for("hyp", m=m, ell=ell, r=k, delta2=delta2),
+                      Bound(stat_mean("rainbow", m, k), 2, Fraction(norm)))]
+        for kind, s, t, threshold, bound in stats:
+            rows.append((i, stat_name(kind, s, t), threshold, bound))
             if m:           # no penalty term on an empty member: its thresholds are <= 0
-                specs.append(EventSpec(graph=i, kind=kind, k=k, normalizer=norm, s=s, t=t))
+                specs.append(EventSpec(graph=i, kind=kind, k=k, normalizer=norm, s=s, t=t,
+                                       part=part))
     if balanced:
-        rows += [(-1, f"balance({c})", family.n / k - slack) for c in range(k)]
+        rows += [(-1, f"balance({c})", family.n / k - slack, None) for c in range(k)]
     return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), eps=eps, slack=slack,
                      max_tries=max_tries)
 
@@ -163,8 +195,9 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
 def evaluate(family, a, guarantee: Guarantee) -> CutReport:
     """Count every member under a total assignment once and check each row.
 
-    Pure in its inputs.  A statistic row passes when count >= threshold; a
-    balance row when its class size is within the slack of n/k.
+    Pure in its inputs.  A statistic row passes when its `Bound` admits the
+    count, which is count >= threshold decided exactly; a balance row when
+    its class size is within the slack of n/k.
     """
     k = guarantee.k
     if a.k != k:
@@ -179,7 +212,7 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
     else:
         # every class pair only when rows read them (thm3), so thm1 and thm2
         # cost O(m + k) whatever the k
-        every_pair = any(stat.startswith("pair(") for _, stat, _ in guarantee.rows)
+        every_pair = any(row[1].startswith("pair(") for row in guarantee.rows)
         pairs, within, crossing = zip(*(partition_counts(rows, a, every_pair)
                                         for rows in family.arrays))
         for i in range(family.ell):
@@ -188,14 +221,14 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
                 counts.update(((i, f"pair({s},{t})"), x) for (s, t), x in pairs[i].items())
                 counts.update(((i, f"within({s})"), x) for s, x in enumerate(within[i]))
     constraints = []
-    for graph, stat, threshold in guarantee.rows:
+    for graph, stat, threshold, bound in guarantee.rows:
         count = counts[graph, stat]
         if graph < 0:
             margin = guarantee.slack - abs(count - family.n / k)
             passed = margin >= 0
         else:
             margin = count - threshold
-            passed = count >= threshold
+            passed = bound.admits(count)
         constraints.append(Constraint(graph=graph, stat=stat, count=count,
                                       threshold=threshold, margin=margin, passed=passed))
     return CutReport(

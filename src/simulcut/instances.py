@@ -152,7 +152,8 @@ def _canonical_members(text: str):
         if head is None:
             return None
         ell, n, r = map(int, head.groups())
-        if not 2 <= r <= len(text):     # a row of r indices takes 2r bytes
+        # the scan names a uniformity off 2..n; a row of r indices takes 2r bytes
+        if not 2 <= r <= min(n, len(text)):
             return None
     if ell < 1:
         return None
@@ -234,8 +235,8 @@ def _scan_members(text: str):
         raise InstanceFormatError(lineno, f"ell must be >= 1, got {ell}")
     if n < 0:
         raise InstanceFormatError(lineno, f"n must be >= 0, got {n}")
-    if r is not None and r < 2:
-        raise InstanceFormatError(lineno, f"uniformity must be >= 2, got {r}")
+    if r is not None and not 2 <= r <= n:
+        raise InstanceFormatError(lineno, f"uniformity must be in 2..n = {n}, got {r}")
 
     width = 2 if r is None else r
     members = []

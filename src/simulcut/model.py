@@ -234,8 +234,8 @@ class HypergraphFamily:
     def __post_init__(self):
         if self.n < 0:
             raise InstanceError(f"negative vertex count {self.n}")
-        if self.r < 2:
-            raise InstanceError(f"uniformity must be >= 2, got {self.r}")
+        if not 2 <= self.r <= self.n:
+            raise InstanceError(f"uniformity must be in 2..n = {self.n}, got {self.r}")
         if len(self.hypergraphs) < 1:
             raise InstanceError("a family needs at least one hypergraph")
         arrays = tuple(_member_rows(edges, self.n, self.r, f"hypergraph {i}", i)

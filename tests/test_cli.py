@@ -68,7 +68,12 @@ def test_partition_trace(c5_file, capsys):
     out = capsys.readouterr().out
     steps = [ln for ln in out.splitlines() if ln.startswith("step ")]
     assert len(steps) == 5
-    assert "candidates=" in steps[0]
+    for line in steps:
+        # step v=<vertex> class=<c> keys=<k0>,<k1>: the chosen class's key is 0
+        _, vertex, chosen, keys = line.split()
+        keys = [int(x) for x in keys.removeprefix("keys=").split(",")]
+        assert vertex.startswith("v=") and len(keys) == 2 and min(keys) == 0
+        assert keys[int(chosen.removeprefix("class="))] == 0
 
 
 def test_partition_mc_exhaustion_exit_1(c5_file, tmp_path):
@@ -240,7 +245,21 @@ def test_verify_large_k_line_is_rejected_without_k_squared_work(tmp_path, capsys
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
     err = capsys.readouterr().err
-    assert err.startswith("mismatch: class sizes differ") and "Traceback" not in err
+    assert err == "mismatch: report has 2 class-size lines for k 500\n"
+
+
+@pytest.mark.parametrize("r", ["99999999999999999999", "3000000000", "4", "1"])
+def test_uniformity_off_2_to_n_names_line_1(c5_file, tmp_path, capsys, r):
+    inst = tmp_path / "wide.instance"
+    inst.write_text(f"hypergraphs 1 vertices 3 uniformity {r}\nedges 0\n")
+    rep = tmp_path / "c5.report"
+    assert main(["partition", str(c5_file), "--theorem", "1", "--out", str(rep)]) == 0
+    for argv in (["partition", str(inst), "--theorem", "hyp"],
+                 ["verify", str(rep), "--instance", str(inst)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 1: uniformity must be in 2..n = 3, got {r}\n", err
 
 
 def test_verify_mc_balanced_report(c5_file, tmp_path):

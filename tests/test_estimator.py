@@ -280,7 +280,7 @@ class TestEventSpec:
         cycle = GraphFamily(n=294, graphs=(tuple((i, (i + 1) % 294) for i in range(294)),))
         for family, theorem, k in ((fam, "thm1", None), (fam, "thm2", 3), (cycle, "thm3", 2)):
             guarantee = resolve(family, theorem, k=k)
-            rows = {(g, stat): thr for g, stat, thr in guarantee.rows}
+            rows = {(g, stat): thr for g, stat, thr, _ in guarantee.rows}
             assert {(s.graph, s.stat) for s in guarantee.specs} == set(rows)
             for s in guarantee.specs:
                 mu = stat_mean(s.kind, family.m[s.graph], s.k)
@@ -295,8 +295,8 @@ class TestEventSpec:
     def test_hyp_threshold_matches(self):
         hf = random_hyperfamily(12, 3, [20, 15], 5)
         guarantee = resolve(hf, "hyp")
-        assert [s.graph for s in guarantee.specs] == [g for g, _, _ in guarantee.rows]
-        for s, (g, stat, thr) in zip(guarantee.specs, guarantee.rows):
+        assert [s.graph for s in guarantee.specs] == [row[0] for row in guarantee.rows]
+        for s, (g, stat, thr, _) in zip(guarantee.specs, guarantee.rows):
             mu = stat_mean("rainbow", hf.m[g], 3)
             assert math.isclose(float(mu) - math.sqrt(s.normalizer), thr, rel_tol=1e-12)
             want = threshold_for("hyp", m=hf.m[g], ell=2, r=3, delta2=hf.delta2[g])
@@ -306,4 +306,4 @@ class TestEventSpec:
         fam = GraphFamily(n=4, graphs=(((0, 1),), ()))
         guarantee = resolve(fam, "thm1")
         assert [s.graph for s in guarantee.specs] == [0]
-        assert [g for g, _, _ in guarantee.rows] == [0, 1]
+        assert [row[0] for row in guarantee.rows] == [0, 1]

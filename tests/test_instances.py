@@ -117,6 +117,17 @@ class TestParse:
             parse_instance(text)
         assert str(exc.value) == "line 7: graph 1: endpoint out of range in edge (0, 9), n=5"
 
+    def test_uniformity_bounded_by_n(self):
+        # canonical, and with a comment the line-by-line scan: both name line 1
+        for r in (4, 3000000000, 99999999999999999999):
+            for text in (f"hypergraphs 1 vertices 3 uniformity {r}\nedges 0\n",
+                         f"hypergraphs 1 vertices 3 uniformity {r}\n# c\nedges 0\n"):
+                with pytest.raises(InstanceFormatError, match=r"^line 1: uniformity must be "
+                                                              r"in 2\.\.n = 3, got \d+$"):
+                    parse_instance(text)
+        fam = parse_instance("hypergraphs 1 vertices 3 uniformity 3\nedges 1\n0 1 2\n")
+        assert (fam.r, fam.m) == (3, (1,))
+
     def test_wrong_arity_line(self):
         text = "hypergraphs 1 vertices 6 uniformity 3\nedges 1\n0 1\n"
         with pytest.raises(InstanceFormatError, match="expected 3"):
@@ -242,10 +253,11 @@ def test_members_are_stored_once():
 
 @st.composite
 def families(draw):
-    """Graph or r-uniform families with n up to 9, empty members and isolated vertices."""
+    """Graph or r-uniform families with n up to 9 (at least r), empty members
+    and isolated vertices."""
     r = draw(st.sampled_from([None, 2, 3, 4]))
     width = 2 if r is None else r
-    n = draw(st.integers(min_value=0, max_value=9))
+    n = draw(st.integers(min_value=0 if r is None else r, max_value=9))
     pool = list(itertools.combinations(range(n), width))
     ell = draw(st.integers(min_value=1, max_value=3))
     members = tuple(

@@ -2,11 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from simulcut import (
     Assignment,
+    Bound,
     DegreePreconditionError,
     GraphFamily,
     McExhausted,
@@ -193,6 +195,37 @@ class TestCheckReport:
         balance = [c for c in report.constraints if c.stat.startswith("balance")]
         assert len(balance) == 2
         assert not any(c.passed for c in balance)  # 9 and 1 are both 4 off from 5
+
+    def test_count_at_an_exact_integer_threshold_passes(self):
+        # ell=3, k=3 and the default eps = 1/6561: thm3_within is m/9 - m/9 = 0
+        # exactly, yet its float at m = 6564 is 1.1e-13; a class with no inner
+        # edge meets it
+        m = 6564
+        matching = tuple((2 * i, 2 * i + 1) for i in range(m))
+        fam = GraphFamily(n=2 * m, graphs=(matching,) * 3)
+        a = Assignment(tuple(v % 2 for v in range(2 * m)), 3)
+        report = evaluate(fam, a, resolve(fam, "thm3", k=3))
+        within = [c for c in report.constraints if c.stat.startswith("within")]
+        assert len(within) == 9
+        assert all(c.count == 0 and 0 < c.threshold < 1e-12 and c.passed for c in within)
+        pairs = {c.stat: c.passed for c in report.constraints if c.graph == 0}
+        assert pairs == {"pair(0,1)": True, "pair(0,2)": False, "pair(1,2)": False,
+                         "within(0)": True, "within(1)": True, "within(2)": True}
+
+    def test_bound_admits_exactly(self):
+        # thresholds 5/2 - 3/2 = 1 and 1 - (1/16)^(1/4) = 1/2
+        square = Bound(Fraction(5, 2), 2, Fraction(9, 4))
+        fourth = Bound(Fraction(1), 4, Fraction(1, 16))
+        assert [square.admits(c) for c in range(4)] == [False, True, True, True]
+        assert [fourth.admits(c) for c in range(3)] == [False, True, True]
+        rng = random.Random(34)
+        for _ in range(300):
+            mean = Fraction(rng.randrange(200), rng.choice([1, 2, 4, 9, 16, 27]))
+            spread = Fraction(rng.randrange(500), rng.randrange(1, 30))
+            bound = Bound(mean, rng.choice([2, 4]), spread)
+            for count in range(int(mean) + 2):
+                want = count >= mean or (mean - count) ** bound.power <= bound.spread
+                assert bound.admits(count) == want
 
     def test_counts_sum_invariant(self):
         rng = random.Random(33)

@@ -3,6 +3,7 @@ thresholds agree bit for bit, whole reports and resolved guarantees are
 pinned by digest, and `verify` survives corrupted reports."""
 
 import hashlib
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -77,8 +78,8 @@ def test_thresholds_agree_bit_for_bit(gen, theorem, k, method):
     name = THEOREM_TOKENS[theorem]
     guarantee = resolve(family, name, k=k)
     want = [repr(_closed_form(family, name, guarantee.k, g, stat))
-            for g, stat, _ in guarantee.rows]
-    assert [repr(thr) for _, _, thr in guarantee.rows] == want
+            for g, stat, _, _ in guarantee.rows]
+    assert [repr(row[2]) for row in guarantee.rows] == want
     outcome = execute_run(family, RunOptions(method=method, theorem=theorem, k=k))
     engine = (outcome.derand_result.report if method == "derand"
               else outcome.run_report.cut_report)
@@ -133,6 +134,22 @@ def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, 
     bad = where / "mutant.report"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(bad), "--instance", str(inst)]) in (0, 2)
+
+
+@pytest.mark.parametrize("k", [4, 1_000_000])
+def test_verify_rejects_a_k_its_class_sizes_do_not_match(rendered_reports, capsys, k):
+    # the 30-vertex thm2 report has 3 class-size lines; nothing is counted
+    # for the k line's classes, and the message does not list k sizes
+    where, reports = rendered_reports
+    inst, lines = reports[1]
+    lines = [f"k {k}" if ln.startswith("k ") else ln for ln in lines]
+    bad = where / "bad-k.report"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == f"mismatch: report has 3 class-size lines for k {k}\n"
 
 
 # (line prefix, token after which an "x" is inserted): one value of each
@@ -206,7 +223,7 @@ REPORT_PINS = [
     (("bd", "mc", "3", 2, False),
      "0bd41dc664ec8bb329a3decada05b6e2a9b79fae8b052088be5d3047c66a7b2f"),
     (("bd", "derand", "3", 2, False),
-     "17409661f3cc62ca23861dfb525e7d2a913230822272ae0fdab4ad5d6292efdb"),
+     "8b891bd3afe002c14327c56b44200d670c51b5b2f5e70d2f4c4a6469857d66a3"),
     (("ru", "mc", "hyp", None, False),
      "10680ef3c76461094b3149538da34702d4aafe6e91123fb39dcb21e4da5289bf"),
     (("ru", "derand", "hyp", None, False),
@@ -240,41 +257,41 @@ def test_report_digest_pinned(case, digest):
 
 
 # (family, theorem, k, balanced): sha256 of the resolved penalty terms
-# (graph, stat, k, repr and type of the normalizer), and of the effective
-# settings with every (graph, stat, threshold) row
+# (graph, stat, k, repr and type of the normalizer, part), and of the
+# effective settings with every (graph, stat, threshold, bound) row
 RESOLVE_PINS = [
     (("gnm", "thm1", None, False),
-     "ec7bbaf9d02f5f3085b57d88f26a0c7d2ebba571792ce1630c124e7559d9f793",
-     "13d00a06dce6c48cfcc14c57bf1bd51200c369f0e62238119337069cb7f18e6d"),
+     "838d4c804a2e194adcbb8d22acfa0caf6d9d78e5b28e7b74e06b2322e92d8dda",
+     "8428c3aa646ec193ae631b2a3acfa99f2727d5552e9699f7f515e01ce1aee9c0"),
     (("gnm", "thm2", 3, False),
-     "f11ee85ed09a38822afd11e875afc4fc84fd1f43cfc24438e2fe2e87d7d2bce5",
-     "dd1fcf805bc67d48e986dada9220110cb4ff7c4ebec6fc98766053819b5b7e1a"),
+     "c544b66157b0697b5526f11c553308f84a58bad68a43b43ce5ab975b5d04e96b",
+     "7e59dbc704d4895e760f89dfb76bb079ebb9c13c98020196ade2acadfa9b78ad"),
     (("gnm", "thm2", 4, True),
-     "e5189b0aee8e288997d9ee517a4da982362ccf6e393b2894a7b90aed88fe7d7f",
-     "7bb31f0505042c01b749a25c6329864fa8655ad51f7a03252de9e6addbe7e9f6"),
+     "59a7a13f975211bef6b4145eb1033bc622d52f0ac84f33b9ebc1a7c190f09a4d",
+     "83b19ed1b0c1a176d0c08b44191cb74d2bd83726525d1aca523a1d6dad637352"),
     (("bd", "thm3", 2, False),
-     "9a9cb2b323b2e302902d59ffdbb774af5609bc2c6d6a9bd6e019329384345e87",
-     "cd886639e69f646f2503385d52986e008173f51b05e639e610912df5a7474cd4"),
+     "fe5c1e9c3fc07e5bfa065641131c89d7cdebacbe9a360a90eb98c5d389d8eb4f",
+     "839355bc32238b2d4fedb6cb9394662c0cb54b6ea48c95b81db8224457e3fc28"),
     (("bd1460", "thm3", 3, False),
-     "19daf30bd156bcbf11815381b9eeaf19fcafdb1fbd770ce6c74c5adf3a0b24bd",
-     "ecdfbde118dd9501cff33940604008d12335ad39c906288bfa79a4ec30784d9e"),
+     "870c485f008a0a0c2320d182f8decb353b3882a584856f331c6e08c9710332d9",
+     "5f89424d5a266ba966baaac082cdb9185195a303f1a27cdf1069510d1fd83c71"),
     (("ru", "hyp", None, False),
-     "abe20e1d9c35b88c84b93e63e4e76800bbc7e6d832414e34a9ddf02c3049fff8",
-     "25c89871d8cebc136cbabd67d428884c75196f62e54fda43918dd31b2c8b1882"),
+     "7b78c140a696541ed4768ff5435cb390e2711bb09bee75db4fa1065ddcb58acd",
+     "70c9231204894e86ea6dcb0a43d8a63baeea87853e83b1317e9d1887b66c0ea1"),
     (("empty", "thm1", None, False),
-     "072a2a1f1e762fe49f8ed7a0166f9c2a26480202e7935127dacf53f1c263df9d",
-     "c251054bac8180f201263a918e1521cf30eba94dfdf632246341b87c7dc45b64"),
+     "b141bacf075044be701c9784a326cb84eb8ac1a6f08a0bb20c997e36ec7cf164",
+     "96470b96a833946e090933abbc3f768db0a3fd1fccfb126b71ac74a6fc676a19"),
     (("empty", "thm2", 3, False),
-     "cc2763e7d25279906572369d7566f4a23053093fa2a9bc4b51f950121f0b5058",
-     "31ff447289a66dbc36c4c00af7218ad49f7fce3569013ad563f4b1a8ffddbc6f"),
+     "1e6a5ec1ed97e53fa0e69989fd5232e29a622a367eaa18706596b5318e2beff7",
+     "80f7161d07744265def493e5a0ef5a35dfe885a5f00ae25f20ce1f404a97358b"),
 ]
 
 
 def _pinned_resolve(family, theorem, k, balanced) -> tuple[str, str]:
     g = resolve(PIN_FAMILIES[family](), theorem, k=k, balanced=balanced)
-    specs = [(s.graph, s.stat, s.k, repr(s.normalizer), type(s.normalizer).__name__)
+    specs = [(s.graph, s.stat, s.k, repr(s.normalizer), type(s.normalizer).__name__, s.part)
              for s in g.specs]
-    rows = [(graph, stat, repr(thr)) for graph, stat, thr in g.rows]
+    rows = [(graph, stat, repr(thr), repr(bound)) for graph, stat, thr, bound in g.rows]
     return repr(specs), repr((g.k, repr(g.eps), repr(g.slack), g.max_tries, rows))
 
 
