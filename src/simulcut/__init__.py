@@ -10,6 +10,7 @@ exhaustive oracle that validates the guarantees at small scale.
 from .model import (
     UNDECIDED,
     Assignment,
+    Bound,
     Constraint,
     CutReport,
     EpsilonRangeError,
@@ -23,6 +24,7 @@ from .model import (
     partition_counts,
     rainbow_count,
     threshold_for,
+    threshold_rule,
 )
 from .estimator import (
     DegreePreconditionError,
@@ -33,7 +35,7 @@ from .estimator import (
     conditional_moments,
     estimator_value,
 )
-from .guarantee import Bound, Guarantee, evaluate, resolve
+from .guarantee import Guarantee, evaluate, resolve
 from .mc import McExhausted, McResult, mc_partition, random_assignment, substream
 from .derandomize import DerandResult, DescentStep, derandomize
 from .oracle import (

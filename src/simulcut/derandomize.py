@@ -50,8 +50,8 @@ from operator import add, mul
 
 import numpy as np
 
-from .model import UNDECIDED, Assignment, CutReport
-from .estimator import EstimatorBudgetError, _quadratic, stat_mean
+from .model import UNDECIDED, Assignment, CutReport, stat_mean
+from .estimator import EstimatorBudgetError, _quadratic
 from .guarantee import Guarantee, evaluate
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import UNDECIDED, Assignment
+from .model import UNDECIDED, Assignment, stat_mean
 
 STAT_KINDS = ("crossing", "pair", "within", "rainbow")
 
@@ -90,19 +90,6 @@ def stat_name(kind: str, s: int | None = None, t: int | None = None) -> str:
     if kind == "within":
         return f"within({s})"
     return kind
-
-
-def stat_mean(kind: str, m: int, k: int) -> Fraction:
-    """Unconditional mean of a statistic on an m-edge member under uniform labels."""
-    if kind == "crossing":
-        return Fraction((k - 1) * m, k)
-    if kind == "pair":
-        return Fraction(2 * m, k * k)
-    if kind == "within":
-        return Fraction(m, k * k)
-    if kind == "rainbow":
-        return Fraction(math.factorial(k) * m, k ** k)
-    raise ValueError(f"unknown statistic kind {kind!r}")
 
 
 def _edge_prob(labels, edge, spec: EventSpec) -> Fraction:

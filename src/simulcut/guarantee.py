@@ -5,9 +5,10 @@ effective k, epsilon and balance slack.  `check_settings` holds the checks
 that need no instance, and `settle` those that need only its member count
 and uniformity, so run options are rejected before any run.  Per
 member, one branch per theorem gives the normalizer and each statistic
-with its threshold, computed once by `threshold_for`.  Each statistic
-yields one ``(graph, stat, threshold, bound)`` row and, on a member with
-edges, one penalty term for the descent; a term's mean follows from its
+with its threshold and exact `Bound`, computed once by `threshold_rule`,
+which owns every threshold's definition.  Each statistic yields one
+``(graph, stat, threshold, bound)`` row and, on a member with edges, one
+penalty term for the descent; a term's mean follows from its
 statistic (`stat_mean`).  `evaluate` counts every member of an assignment
 once and decides each row by its exact `Bound`, so the engines, the reports
 and `verify` agree on every pass and fail; the float threshold and margin
@@ -20,9 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .model import (
+    Bound,
     Constraint,
     CutReport,
     HypergraphFamily,
@@ -30,27 +31,11 @@ from .model import (
     epsilon_cap,
     partition_counts,
     rainbow_count,
-    threshold_for,
+    threshold_rule,
 )
-from .estimator import DegreePreconditionError, EventSpec, stat_mean, stat_name
+from .estimator import DegreePreconditionError, EventSpec, stat_name
 
 THEOREMS = ("thm1", "thm2", "thm3", "hyp")
-
-
-class Bound(NamedTuple):
-    """The exact pass rule of a statistic row: a count passes when it is at
-    least ``mean``, or when (mean - count)**power <= spread.  That is
-    count >= mean - spread**(1/power), the row's threshold, without rounding."""
-
-    mean: Fraction
-    power: int
-    spread: Fraction
-
-    def admits(self, count: int) -> bool:
-        den = self.mean.denominator
-        gap = self.mean.numerator - den * count         # (mean - count) * den
-        return gap <= 0 or (gap ** self.power * self.spread.denominator
-                            <= self.spread.numerator * den ** self.power)
 
 
 @dataclass(frozen=True)
@@ -93,7 +78,9 @@ def settle(theorem: str, k: int | None, eps, *, ell: int, r: int | None):
     graphs (r None): the checks that need the family's shape, not its edges.
 
     k defaults to 2; thm1 allows only 2, hyp only r.  thm3's eps defaults to
-    1/(9*ell^2*k^4), and any eps must lie in (0, that cap].
+    1/(9*ell^2*k^4), and any eps must lie in (0, that cap]; an eps whose
+    float is the cap's (as a report echoes it) is the exact cap, so a run
+    and its `verify` decide every row on the same eps.
     """
     if theorem == "hyp":
         if r is None:
@@ -110,8 +97,9 @@ def settle(theorem: str, k: int | None, eps, *, ell: int, r: int | None):
     elif k is None:
         k = 2
     if theorem == "thm3":
-        if eps is None:
-            eps = epsilon_cap(ell, k)
+        cap = epsilon_cap(ell, k)
+        if eps is None or float(eps) == float(cap):
+            eps = cap
         _check_epsilon(eps, ell, k)
     return k, eps
 
@@ -136,8 +124,7 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     The initial estimator is sum(Var X / normalizer), so these budgets keep
     it below 1: 1/2 for thm1, thm2 and hyp, and ell*k(k+1)/2 terms of at
     most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.  A row's
-    bound is mu - sqrt(normalizer): `Bound` with power 2 and spread the
-    normalizer, or for thm3 power 4 and spread eps*m^4.
+    threshold and `Bound` come from `threshold_rule`: mu - sqrt(normalizer).
     """
     check_settings(theorem, k=k, slack=slack, max_tries=max_tries)
     ell = family.ell
@@ -161,17 +148,12 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
         if theorem in ("thm1", "thm2"):
             norm = ell * m / 2 if theorem == "thm1" else 2 * ell * m
             part = m
-            spread = Fraction(ell * m, 2) if theorem == "thm1" else Fraction(norm)
-            stats = [("crossing", None, None, threshold_for(theorem, m=m, ell=ell, k=k),
-                      Bound(stat_mean("crossing", m, k), 2, spread))]
+            stats = [("crossing", None, None, *threshold_rule(theorem, m=m, ell=ell, k=k))]
         elif theorem == "thm3":
             norm = math.sqrt(float(eps)) * m * m
             part = m * m
-            spread = Fraction(eps) * m ** 4
-            pair = (threshold_for("thm3_pair", m=m, ell=ell, k=k, eps=eps),
-                    Bound(stat_mean("pair", m, k), 4, spread))
-            within = (threshold_for("thm3_within", m=m, ell=ell, k=k, eps=eps),
-                      Bound(stat_mean("within", m, k), 4, spread))
+            pair = threshold_rule("thm3_pair", m=m, ell=ell, k=k, eps=eps)
+            within = threshold_rule("thm3_within", m=m, ell=ell, k=k, eps=eps)
             stats = [("pair", s, t, *pair) for s, t in itertools.combinations(range(k), 2)]
             stats += [("within", s, None, *within) for s in range(k)]
         else:
@@ -179,8 +161,7 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
             part = (1 + k * (k - 1) * delta2) * m
             norm = 2 * ell * part
             stats = [("rainbow", None, None,
-                      threshold_for("hyp", m=m, ell=ell, r=k, delta2=delta2),
-                      Bound(stat_mean("rainbow", m, k), 2, Fraction(norm)))]
+                      *threshold_rule("hyp", m=m, ell=ell, r=k, delta2=delta2))]
         for kind, s, t, threshold, bound in stats:
             rows.append((i, stat_name(kind, s, t), threshold, bound))
             if m:           # no penalty term on an empty member: its thresholds are <= 0

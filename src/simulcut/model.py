@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -439,9 +440,39 @@ def _check_epsilon(eps, ell: int, k: int) -> None:
 THRESHOLD_KINDS = ("thm1", "thm2", "thm3_pair", "thm3_within", "hyp")
 
 
-def threshold_for(kind: str, *, m: int, ell: int = 1, k: int = 2,
-                  eps=None, r: int | None = None, delta2: int | None = None) -> float:
-    """Guarantee threshold for one constraint.
+def stat_mean(kind: str, m: int, k: int) -> Fraction:
+    """Unconditional mean of a statistic on an m-edge member under uniform labels."""
+    if kind == "crossing":
+        return Fraction((k - 1) * m, k)
+    if kind == "pair":
+        return Fraction(2 * m, k * k)
+    if kind == "within":
+        return Fraction(m, k * k)
+    if kind == "rainbow":
+        return Fraction(math.factorial(k) * m, k ** k)
+    raise ValueError(f"unknown statistic kind {kind!r}")
+
+
+class Bound(NamedTuple):
+    """The exact pass rule of a statistic row: a count passes when it is at
+    least ``mean``, or when (mean - count)**power <= spread.  That is
+    count >= mean - spread**(1/power), the row's threshold, without rounding."""
+
+    mean: Fraction
+    power: int
+    spread: Fraction
+
+    def admits(self, count: int) -> bool:
+        den = self.mean.denominator
+        gap = self.mean.numerator - den * count         # (mean - count) * den
+        return gap <= 0 or (gap ** self.power * self.spread.denominator
+                            <= self.spread.numerator * den ** self.power)
+
+
+def threshold_rule(kind: str, *, m: int, ell: int = 1, k: int = 2,
+                   eps=None, r: int | None = None,
+                   delta2: int | None = None) -> tuple[float, Bound]:
+    """Guarantee threshold for one constraint, and its exact pass rule.
 
     kind:
       thm1        bipartition cut:        m/2 - sqrt(ell*m/2)
@@ -450,29 +481,42 @@ def threshold_for(kind: str, *, m: int, ell: int = 1, k: int = 2,
       thm3_within inside one class:       m/k^2 - eps^(1/4)*m
       hyp         rainbow hyperedges:     r!*m/r^r - sqrt(2*ell*(1+r*(r-1)*delta2)*m)
 
-    thm3 kinds require 0 < eps <= 1/(9*ell^2*k^4).  The thresholds are
-    real-valued and are compared against integer counts without rounding.
+    thm3 kinds require 0 < eps <= 1/(9*ell^2*k^4).  The float threshold is
+    for display; the `Bound` (the mean, and power 2 with spread the squared
+    root term, or power 4 with spread eps*m^4 for thm3) decides a count.
     """
     if m < 0 or ell < 1:
         raise ValueError(f"need m >= 0 and ell >= 1, got m={m}, ell={ell}")
     if kind == "thm1":
-        return m / 2 - math.sqrt(ell * m / 2)
+        return (m / 2 - math.sqrt(ell * m / 2),
+                Bound(stat_mean("crossing", m, 2), 2, Fraction(ell * m, 2)))
     if kind == "thm2":
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
-        return (k - 1) * m / k - math.sqrt(2 * ell * m)
+        return ((k - 1) * m / k - math.sqrt(2 * ell * m),
+                Bound(stat_mean("crossing", m, k), 2, Fraction(2 * ell * m)))
     if kind in ("thm3_pair", "thm3_within"):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
         _check_epsilon(eps, ell, k)
-        mean = 2 * m / k ** 2 if kind == "thm3_pair" else m / k ** 2
-        return mean - float(eps) ** 0.25 * m
+        stat = "pair" if kind == "thm3_pair" else "within"
+        mean = 2 * m / k ** 2 if stat == "pair" else m / k ** 2
+        return (mean - float(eps) ** 0.25 * m,
+                Bound(stat_mean(stat, m, k), 4, Fraction(eps) * m ** 4))
     if kind == "hyp":
         if r is None or delta2 is None:
             raise ValueError("hyp threshold needs r and delta2")
         mean = math.factorial(r) * m / r ** r
-        return mean - math.sqrt(2 * ell * (1 + r * (r - 1) * delta2) * m)
+        w = 1 + r * (r - 1) * delta2
+        return (mean - math.sqrt(2 * ell * w * m),
+                Bound(stat_mean("rainbow", m, r), 2, Fraction(2 * ell * w * m)))
     raise ValueError(f"unknown threshold kind {kind!r}; expected one of {THRESHOLD_KINDS}")
+
+
+def threshold_for(kind: str, **params) -> float:
+    """The real-valued threshold of `threshold_rule`, compared against
+    integer counts without rounding."""
+    return threshold_rule(kind, **params)[0]
 
 
 @dataclass(frozen=True)

@@ -32,37 +32,54 @@ from simulcut.instances import generate
 from helpers import c5_pair, cycle_edges, random_family, random_hyperfamily
 
 
-def assert_descent_health(result):
-    """Every step's keys are relative to the lowest minimal class, and the
-    estimator ends below where it started, and below 1."""
+def _key_scale(guarantee):
+    """The keys' unit: lcm(parts) * k^4 (r^(3r) for rainbow) per unit of
+    sum(quadratic / part)."""
+    specs, k = guarantee.specs, guarantee.k
+    lcm = math.lcm(*(s.part for s in specs))
+    return lcm * (k ** (3 * k) if specs and specs[0].kind == "rainbow" else k ** 4)
+
+
+def _exact_value(edges, labels, specs):
+    return sum((_quadratic(labels, edges[s.graph], s) / s.part for s in specs), Fraction(0))
+
+
+def assert_descent_health(family, guarantee, result):
+    """Every step's keys are relative to the lowest minimal class, and their
+    means over the classes, summed over the steps, are the exact drop of
+    sum(quadratic / part) from all-open labels to the final assignment (the
+    averaging identity, telescoped); the estimator ends below 1."""
+    k = guarantee.k
     for step in result.trace:
         assert all(isinstance(x, int) and x >= 0 for x in step.keys), step
         assert step.keys.index(0) == step.chosen, step
-    assert result.final_value <= result.initial_value + 1e-12
+    edges = [rows.tolist() for rows in family.arrays]
+    initial = _exact_value(edges, [UNDECIDED] * family.n, guarantee.specs)
+    final = _exact_value(edges, list(result.assignment.labels), guarantee.specs)
+    drop = Fraction(sum(sum(step.keys) for step in result.trace), k * _key_scale(guarantee))
+    assert drop == initial - final, (drop, initial, final)
+    shared = guarantee.specs[0].normalizer / guarantee.specs[0].part if guarantee.specs else 1.0
+    assert math.isclose(float(initial) / shared, result.initial_value, rel_tol=1e-9, abs_tol=1e-12)
+    assert math.isclose(float(final) / shared, result.final_value, rel_tol=1e-9, abs_tol=1e-12)
     assert result.final_value < 1.0
 
 
 def assert_exact_descent(family, guarantee, result):
     """Replay a descent with Fractions.  At every step the mean over classes
     of the estimator equals its previous value, the chosen class is the
-    lowest exact argmin, and each key is L * k^4 (L * r^(3r) for rainbow)
-    times the difference of sum(quadratic / part) from the chosen class's;
-    the estimator is that sum over the normalizers' shared factor."""
+    lowest exact argmin, and each key is `_key_scale` times the difference
+    of sum(quadratic / part) from the chosen class's; the estimator is that
+    sum over the normalizers' shared factor."""
     specs, k = guarantee.specs, guarantee.k
-    lcm = math.lcm(*(s.part for s in specs))
-    scale = lcm * (k ** (3 * k) if specs and specs[0].kind == "rainbow" else k ** 4)
+    scale = _key_scale(guarantee)
     edges = [rows.tolist() for rows in family.arrays]
     labels = [UNDECIDED] * family.n
-
-    def value():
-        return sum((_quadratic(labels, edges[s.graph], s) / s.part for s in specs), Fraction(0))
-
-    prev = value()
+    prev = _exact_value(edges, labels, specs)
     for step in result.trace:
         values = []
         for c in range(k):
             labels[step.vertex] = c
-            values.append(value())
+            values.append(_exact_value(edges, labels, specs))
         best = min(values)
         assert sum(values) / k == prev, step
         assert values.index(best) == step.chosen, step
@@ -115,8 +132,9 @@ class TestGuarantees:
             cap = n * (n - 1) // 2
             ell = rng.randint(1, 3)
             fam = random_family(n, [rng.randint(1, min(80, cap)) for _ in range(ell)], trial)
-            result = derandomize(fam, resolve(fam, "thm1"))
-            assert_descent_health(result)
+            guarantee = resolve(fam, "thm1")
+            result = derandomize(fam, guarantee)
+            assert_descent_health(fam, guarantee, result)
             for i in range(ell):
                 thr = threshold_for("thm1", m=fam.m[i], ell=ell)
                 assert result.report.crossing[i] >= thr
@@ -129,16 +147,18 @@ class TestGuarantees:
             ell = rng.randint(1, 2)
             k = rng.randint(2, 5)
             fam = random_family(n, [rng.randint(1, min(60, cap)) for _ in range(ell)], trial)
-            result = derandomize(fam, resolve(fam, "thm2", k=k))
-            assert_descent_health(result)
+            guarantee = resolve(fam, "thm2", k=k)
+            result = derandomize(fam, guarantee)
+            assert_descent_health(fam, guarantee, result)
             for i in range(ell):
                 thr = threshold_for("thm2", m=fam.m[i], ell=ell, k=k)
                 assert result.report.crossing[i] >= thr
 
     def test_thm3_cycle_instance(self):
         fam = generate("bounded-degree", n=300, degree=2, ell=1, seed=9)
-        result = derandomize(fam, resolve(fam, "thm3", k=2))
-        assert_descent_health(result)
+        guarantee = resolve(fam, "thm3", k=2)
+        result = derandomize(fam, guarantee)
+        assert_descent_health(fam, guarantee, result)
         thr_pair = threshold_for("thm3_pair", m=300, ell=1, k=2, eps=1 / 144)
         thr_within = threshold_for("thm3_within", m=300, ell=1, k=2, eps=1 / 144)
         assert result.report.pairs[0][(0, 1)] >= thr_pair
@@ -152,8 +172,9 @@ class TestGuarantees:
             r = rng.choice([2, 3])
             cap = min(30, math.comb(n, r))
             hf = random_hyperfamily(n, r, [rng.randint(1, cap)], trial)
-            result = derandomize(hf, resolve(hf, "hyp"))
-            assert_descent_health(result)
+            guarantee = resolve(hf, "hyp")
+            result = derandomize(hf, guarantee)
+            assert_descent_health(hf, guarantee, result)
             thr = threshold_for("hyp", m=hf.m[0], ell=1, r=r, delta2=hf.delta2[0])
             assert result.report.rainbow[0] >= thr
 
@@ -415,7 +436,7 @@ def test_naive_and_incremental_keys_agree(data):
     slow = derandomize(fam, guarantee, order=order, naive=True)
     assert fast.trace == slow.trace
     assert (fast.initial_value, fast.final_value) == (slow.initial_value, slow.final_value)
-    assert_descent_health(fast)
+    assert_descent_health(fam, guarantee, fast)
     assert_exact_descent(fam, guarantee, slow)
 
 

@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simulcut import GraphFamily, epsilon_cap, resolve, threshold_for
+from simulcut import Assignment, GraphFamily, epsilon_cap, evaluate, resolve, threshold_for
 from simulcut.bench import THEOREM_TOKENS, RunOptions, execute_run
 from simulcut.cli import main
 from simulcut.instances import generate, serialize_instance
-from simulcut.report import parse_report, recheck, render_report
+from simulcut.report import RunReport, instance_digest, parse_report, recheck, render_report
 
 INSTANCES = {
     "1": dict(kind="gnm", n=30, m=80, ell=2),
@@ -89,6 +89,27 @@ def test_thresholds_agree_bit_for_bit(gen, theorem, k, method):
                 for tok in ln.split() if tok.startswith("threshold=")]
     assert rendered == want
     assert recheck(parse_report(text), family) == []
+
+
+def test_thm3_cap_echoed_as_a_float_decides_as_the_run_did():
+    # ell=3, k=2: the default eps is 1/1296, whose float rounds down, and
+    # eps^(1/4) = 1/6 makes within's threshold m/4 - m/6 = m/12 exactly; a
+    # class holding exactly m/12 inner edges passes in the run and in verify
+    m = 1296
+    matching = tuple((2 * i, 2 * i + 1) for i in range(m))
+    family = GraphFamily(n=2 * m, graphs=(matching,) * 3)
+    cap = epsilon_cap(3, 2)
+    assert Fraction(float(cap)) < cap
+    assert resolve(family, "thm3", k=2, eps=float(cap)).eps == cap
+    labels = [0] * 216 + [1] * 800 + [0, 1] * (m - 508)
+    report = evaluate(family, Assignment(tuple(labels), 2), resolve(family, "thm3", k=2))
+    rows = {c.stat: (c.count, c.passed) for c in report.constraints if c.graph == 0}
+    assert rows == {"pair(0,1)": (788, True), "within(0)": (m // 12, True),
+                    "within(1)": (400, True)}
+    rr = RunReport(digest=instance_digest(family), kind="graphs", n=family.n, ell=3,
+                   method="mc", theorem="thm3", k=2, assignment=tuple(labels),
+                   cut_report=report, epsilon=float(cap), seed=0, max_tries=64, tries=1)
+    assert recheck(parse_report(render_report(rr)), family) == []
 
 
 MUTANT_VALUES = ["", "x", "-1", "0", "nan", "inf", "1e400", "thm9", "hypergraphs"]
