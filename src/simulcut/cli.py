@@ -221,6 +221,10 @@ def main(argv=None) -> int:
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the instance is too large for the memory available",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

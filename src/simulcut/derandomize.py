@@ -36,9 +36,7 @@ over v's live hyperedges: O(r) per (live hyperedge, open co-vertex) pair,
 then O(1) per class, plus O(1) per class for each live hyperedge pair at
 v that shares two or more vertices (these alone keep per-pair state, in
 closed form; dead ones are skipped).  A commit costs O(r) per touched
-co-vertex, for the chosen class alone.  `naive=True` builds terms that
-recompute every moment from scratch, kept as the correctness oracle for
-the incremental bookkeeping.
+co-vertex, for the chosen class alone.
 """
 
 from __future__ import annotations
@@ -46,17 +44,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, index, mul
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import UNDECIDED, Assignment, CutReport, stat_mean
-from .estimator import EstimatorBudgetError, _quadratic
+from .estimator import EstimatorBudgetError
 from .guarantee import Guarantee, evaluate
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(NamedTuple):
     """Audit record for one vertex decision.
 
     ``keys[c]`` is the key of class c less the chosen class's: an exact
@@ -139,12 +137,11 @@ class _MemberTerm:
     The term starts with every vertex open.
     """
 
-    def __init__(self, edges, specs, n, weights=None):
+    def __init__(self, edges, specs, n, weights):
         k = specs[0].k
         m = len(edges)
         self.k = k
         self.k2 = k * k
-        weights = weights or [1] * len(specs)
         # per statistic: kind, s, t, its weight times the common factor of its
         # keys (k^2 for crossing, k otherwise), and mu_k2, an integer since
         # every mean's denominator divides k^2
@@ -286,13 +283,13 @@ class _RainbowTerm:
     committed to it as decided itself.
     """
 
-    def __init__(self, edges, specs, n, weights=None):
+    def __init__(self, edges, specs, n, weights):
         r = specs[0].k
         self.r = r
         self.D1 = r ** r
         self.D2 = self.D1 * self.D1
         self.D3 = self.D2 * self.D1
-        self.weight = sum(weights or [1] * len(specs))
+        self.weight = sum(weights)
         rows = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, r), axis=1)
         m = len(rows)
         self.edges = rows.tolist()
@@ -549,38 +546,6 @@ def _multi_shared(rows, n):
             i_in_j.sum(axis=1).tolist())
 
 
-class _NaiveTerm:
-    """From-scratch recompute of one member's terms; the incremental oracle.
-
-    A key is the weight times the exact quadratic over k^4 (r^(3r) for
-    rainbow), the denominators that the incremental terms clear.
-    """
-
-    def __init__(self, edges, specs, n, weights=None):
-        self.edges = np.asarray(edges).tolist()
-        self.specs = specs
-        self.weights = weights or [1] * len(specs)
-        self.labels = [UNDECIDED] * n
-        self.initial = [float(_quadratic(self.labels, self.edges, spec)) / spec.normalizer
-                        for spec in specs]
-
-    def add_keys(self, v, keys):
-        labels = self.labels
-        for spec, w in zip(self.specs, self.weights):
-            k = spec.k
-            scale = k ** (3 * k) if spec.kind == "rainbow" else k ** 4
-            for c in range(k):
-                labels[v] = c
-                num = _quadratic(labels, self.edges, spec) * scale
-                if num.denominator != 1:
-                    raise AssertionError(f"quadratic {num} / {scale} has another denominator")
-                keys[c] += w * num.numerator
-        labels[v] = UNDECIDED
-
-    def commit(self, v, c):
-        self.labels[v] = c
-
-
 def resolve_order(family, order) -> tuple[int, ...]:
     """Vertex processing order: None/'natural', 'degree', or a permutation.
 
@@ -588,18 +553,23 @@ def resolve_order(family, order) -> tuple[int, ...]:
     by vertex index.
     """
     n = family.n
-    if order is None or order == "natural":
-        return tuple(range(n))
-    if order == "degree":
-        deg = sum(np.bincount(rows.ravel(), minlength=n) for rows in family.arrays)
-        return tuple(np.argsort(-deg, kind="stable").tolist())
-    order = tuple(int(v) for v in order)
+    if order is None:
+        order = "natural"
+    if isinstance(order, str):
+        if order == "natural":
+            return tuple(range(n))
+        if order == "degree":
+            deg = sum(np.bincount(rows.ravel(), minlength=n) for rows in family.arrays)
+            return tuple(np.argsort(-deg, kind="stable").tolist())
+        raise ValueError(f"unknown order {order!r}: expected 'natural', 'degree' "
+                         "or a permutation of all vertices")
+    order = tuple(map(index, order))        # integers only: 7.5 is no vertex
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all vertices")
     return order
 
 
-def _build_terms(family, specs, naive: bool):
+def _build_terms(family, specs):
     """Penalty terms in spec order, one per run of consecutive specs on one
     member, each spec weighed by lcm(parts) // its part."""
     shared = [spec.normalizer / spec.part for spec in specs]
@@ -610,13 +580,13 @@ def _build_terms(family, specs, naive: bool):
     for (gi, rainbow), group in itertools.groupby(
             specs, key=lambda s: (s.graph, s.kind == "rainbow")):
         group = tuple(group)
-        cls = _NaiveTerm if naive else _RainbowTerm if rainbow else _MemberTerm
+        cls = _RainbowTerm if rainbow else _MemberTerm
         terms.append(cls(family.arrays[gi], group, family.n,
                          [lcm // spec.part for spec in group]))
     return terms
 
 
-def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -> DerandResult:
+def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     """Deterministic partition meeting every row of a resolved guarantee.
 
     Descends on ``guarantee.specs``: processes vertices in `order`; at each
@@ -637,7 +607,7 @@ def derandomize(family, guarantee: Guarantee, order=None, naive: bool = False) -
                          "the descent does not track class sizes")
     order = resolve_order(family, order)
     labels = [UNDECIDED] * family.n
-    terms = _build_terms(family, specs, naive)
+    terms = _build_terms(family, specs)
 
     initial = 0.0
     for term in terms:

@@ -119,6 +119,8 @@ _BLOCK_HEADER = re.compile(r"edges ([0-9]+)\n")
 _BLOCK_HEADER_STOPS = 7
 #: most digits of a vertex index in the canonical grammar; 18 always fit in int64
 _INDEX_DIGITS = 18
+#: vertex indices are int64, so a vertex count must be below this
+_VERTEX_LIMIT = 2**63
 
 
 def _no_leading_zero(match) -> bool:
@@ -155,7 +157,7 @@ def _canonical_members(text: str):
         # the scan names a uniformity off 2..n; a row of r indices takes 2r bytes
         if not 2 <= r <= min(n, len(text)):
             return None
-    if ell < 1:
+    if ell < 1 or n >= _VERTEX_LIMIT:
         return None
     serialized = _no_leading_zero(head)
     width = 2 if r is None else r
@@ -235,6 +237,8 @@ def _scan_members(text: str):
         raise InstanceFormatError(lineno, f"ell must be >= 1, got {ell}")
     if n < 0:
         raise InstanceFormatError(lineno, f"n must be >= 0, got {n}")
+    if n >= _VERTEX_LIMIT:
+        raise InstanceFormatError(lineno, f"n must be below 2**63, got {n}")
     if r is not None and not 2 <= r <= n:
         raise InstanceFormatError(lineno, f"uniformity must be in 2..n = {n}, got {r}")
 
@@ -414,13 +418,19 @@ def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
     if kind in ("gnm", "bounded-degree", "runiform") and ell < 1:
         member = "hypergraph" if kind == "runiform" else "graph"
         raise ValueError(f"a family needs at least one {member}")
+    if n >= _VERTEX_LIMIT:
+        raise ValueError(f"n must be below 2**63, got {n}")
     if kind == "gnm":
         if m is None:
             raise ValueError("gnm needs m")
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
-        if not 0 <= m <= n * (n - 1) // 2:
-            raise ValueError(f"gnm needs 0 <= m <= n(n-1)/2 = {n * (n - 1) // 2}, got m={m}")
+        pairs = n * (n - 1) // 2
+        if pairs >= _VERTEX_LIMIT:
+            raise ValueError(f"gnm draws from the n(n-1)/2 = {pairs} vertex pairs, "
+                             "which must be below 2**63")
+        if not 0 <= m <= pairs:
+            raise ValueError(f"gnm needs 0 <= m <= n(n-1)/2 = {pairs}, got m={m}")
     elif kind == "disjoint-cycles":
         if n < 5 or n % 2 == 0:
             raise ValueError(f"disjoint-cycles needs odd n >= 5, got {n}")

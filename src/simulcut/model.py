@@ -18,7 +18,7 @@ max index + 1); a stable lexicographic sort of the rows runs only to locate
 a duplicate once the keys show one, or when the keys could overflow int64.
 An Assignment keeps its labels both as a tuple and as a read-only array and
 checks them in one vectorized range test.  Code that loops over edges in
-Python (the descent's terms, the naive estimator, the oracle) takes
+Python (the descent's terms, the oracle) takes
 ``.tolist()`` of a member itself; the oracle keeps its own pure-Python count
 as the independent reference.
 """

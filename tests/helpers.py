@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from simulcut import Assignment, GraphFamily, HypergraphFamily, UNDECIDED
@@ -49,3 +50,18 @@ def c5_pair() -> GraphFamily:
 
 def triangle() -> GraphFamily:
     return GraphFamily(n=3, graphs=(((0, 1), (1, 2), (0, 2)),))
+
+
+def key_unit(guarantee):
+    """The unit of a descent's keys as ``(scale, shared)``.
+
+    A key is ``scale`` times a difference of sum(quadratic / part) over the
+    guarantee's specs, where scale = lcm(parts) * k^4 (r^(3r) for rainbow);
+    the estimator is that sum over ``shared``, the factor that every spec's
+    normalizer shares.  So ``scale * shared`` keys make one estimator unit.
+    """
+    specs, k = guarantee.specs, guarantee.k
+    rainbow = bool(specs) and specs[0].kind == "rainbow"
+    scale = math.lcm(*(s.part for s in specs)) * (k ** (3 * k) if rainbow else k ** 4)
+    shared = specs[0].normalizer / specs[0].part if specs else 1.0
+    return scale, shared

@@ -36,6 +36,7 @@ from simulcut.estimator import EventSpec
 from simulcut.instances import generate
 
 from helpers import (
+    key_unit,
     random_edges,
     random_family,
     random_hyperfamily,
@@ -57,9 +58,8 @@ def _check_descent(result, guarantee):
             f"vertex {step.vertex}: class {step.chosen} is not the lowest minimal key {step.keys}")
     specs, k = guarantee.specs, guarantee.k
     if specs:
-        scale = math.lcm(*(s.part for s in specs)) * specs[0].normalizer / specs[0].part
-        scale *= k ** (3 * k) if specs[0].kind == "rainbow" else k ** 4
-        drop = float(Fraction(sum(sum(step.keys) for step in result.trace), k)) / scale
+        scale, shared = key_unit(guarantee)
+        drop = float(Fraction(sum(sum(step.keys) for step in result.trace), k)) / (scale * shared)
         assert abs(drop - (result.initial_value - result.final_value)) <= _SLACK, (
             f"averaging identity broken: keys drop {drop}, estimator "
             f"{result.initial_value} -> {result.final_value}")

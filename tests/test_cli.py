@@ -197,13 +197,14 @@ def test_verify_missing_field_exit_2(c5_file, tmp_path, capsys, dropped):
 
 
 BIG = 99999999999999999999     # a vertex index beyond int64
+MOST = 2**63 - 1                # the largest vertex count a header may give
 
 
 @pytest.mark.parametrize("text", [
-    f"graphs 1 vertices {BIG + 1}\nedges 2\n0 1\n0 {BIG}\n",
-    f"graphs 1 vertices {BIG + 1}\nedges 2\n0  1\n0 {BIG}  \n",     # not canonical
-    f"hypergraphs 1 vertices {BIG + 1} uniformity 3\nedges 2\n0 1 2\n0 1 {BIG}\n",
-])
+    f"graphs 1 vertices {MOST}\nedges 2\n0 1\n0 {BIG}\n",
+    f"graphs 1 vertices {MOST}\nedges 2\n0  1\n0 {BIG}  \n",     # not canonical
+    f"hypergraphs 1 vertices {MOST} uniformity 3\nedges 2\n0 1 2\n0 1 {BIG}\n",
+], ids=["graph", "graph-scanned", "hypergraph"])
 def test_index_beyond_int64_names_its_line(c5_file, tmp_path, capsys, text):
     inst = tmp_path / "big.instance"
     inst.write_text(text)
@@ -246,6 +247,50 @@ def test_verify_large_k_line_is_rejected_without_k_squared_work(tmp_path, capsys
     assert peak < 4 * 2**20, peak
     err = capsys.readouterr().err
     assert err == "mismatch: report has 2 class-size lines for k 500\n"
+
+
+@pytest.mark.parametrize("text", [
+    f"graphs 1 vertices {BIG}\nedges 0\n",
+    f"graphs 1 vertices {MOST + 1}\nedges 0\n",
+    f"# a comment\ngraphs 1  vertices {BIG}\nedges 0\n",      # not canonical: line 2
+    f"hypergraphs 1 vertices {BIG} uniformity 3\nedges 0\n",
+])
+def test_header_vertex_count_beyond_int64_names_its_line(c5_file, tmp_path, capsys, text):
+    # no run can hold such a vertex set: rejected at the header, before any
+    # per-vertex list is built
+    inst = tmp_path / "huge.instance"
+    inst.write_text(text)
+    line = 2 if text.startswith("#") else 1
+    rep = tmp_path / "c5.report"
+    assert main(["partition", str(c5_file), "--theorem", "1", "--out", str(rep)]) == 0
+    for argv in (["partition", str(inst), "--theorem", "1", "--method", "derand"],
+                 ["partition", str(inst), "--theorem", "1", "--method", "mc"],
+                 ["verify", str(rep), "--instance", str(inst)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: n must be below 2**63, got "), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gnm", "--n", "5000000000", "--m", "1"], "vertex pairs, which must be below 2**63"),
+    (["gnm", "--n", str(2**63), "--m", "1"], "n must be below 2**63"),
+    (["runiform", "--n", str(2**64), "--m", "1", "--r", "3"], "n must be below 2**63"),
+], ids=["gnm-pairs", "gnm-n", "runiform-n"])
+def test_gen_vertex_count_beyond_int64_exit_2(capsys, argv, message):
+    assert main(["gen", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_out_of_memory_exit_2(c5_file, capsys, monkeypatch):
+    def exhausted(family, opts):
+        raise MemoryError
+
+    monkeypatch.setattr(simulcut.cli, "execute_run", exhausted)
+    assert main(["partition", str(c5_file), "--theorem", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("r", ["99999999999999999999", "3000000000", "4", "1"])

@@ -1,4 +1,5 @@
-"""Conditional-expectation descent: guarantees, invariants, engine equality."""
+"""Conditional-expectation descent: guarantees, invariants, and the engine
+checked against the exact Fraction reference of `estimator`."""
 
 import collections
 import dataclasses
@@ -8,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,19 +27,12 @@ from simulcut import (
     resolve,
     threshold_for,
 )
-from simulcut.derandomize import _MemberTerm, _NaiveTerm, _RainbowTerm, resolve_order
+from simulcut.bench import RunOptions, execute_run
+from simulcut.derandomize import _MemberTerm, _RainbowTerm, resolve_order
 from simulcut.estimator import _quadratic, stat_mean
 from simulcut.instances import generate
 
-from helpers import c5_pair, cycle_edges, random_family, random_hyperfamily
-
-
-def _key_scale(guarantee):
-    """The keys' unit: lcm(parts) * k^4 (r^(3r) for rainbow) per unit of
-    sum(quadratic / part)."""
-    specs, k = guarantee.specs, guarantee.k
-    lcm = math.lcm(*(s.part for s in specs))
-    return lcm * (k ** (3 * k) if specs and specs[0].kind == "rainbow" else k ** 4)
+from helpers import c5_pair, cycle_edges, key_unit, random_family, random_hyperfamily
 
 
 def _exact_value(edges, labels, specs):
@@ -56,24 +51,30 @@ def assert_descent_health(family, guarantee, result):
     edges = [rows.tolist() for rows in family.arrays]
     initial = _exact_value(edges, [UNDECIDED] * family.n, guarantee.specs)
     final = _exact_value(edges, list(result.assignment.labels), guarantee.specs)
-    drop = Fraction(sum(sum(step.keys) for step in result.trace), k * _key_scale(guarantee))
+    scale, shared = key_unit(guarantee)
+    drop = Fraction(sum(sum(step.keys) for step in result.trace), k * scale)
     assert drop == initial - final, (drop, initial, final)
-    shared = guarantee.specs[0].normalizer / guarantee.specs[0].part if guarantee.specs else 1.0
     assert math.isclose(float(initial) / shared, result.initial_value, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(float(final) / shared, result.final_value, rel_tol=1e-9, abs_tol=1e-12)
     assert result.final_value < 1.0
 
 
 def assert_exact_descent(family, guarantee, result):
-    """Replay a descent with Fractions.  At every step the mean over classes
-    of the estimator equals its previous value, the chosen class is the
-    lowest exact argmin, and each key is `_key_scale` times the difference
-    of sum(quadratic / part) from the chosen class's; the estimator is that
-    sum over the normalizers' shared factor."""
+    """Replay a descent with the exact Fraction reference.  The initial
+    estimator is the reference's float sum, in spec order, of each spec's
+    all-open quadratic over its normalizer.  At every step the mean over
+    classes of the estimator equals its previous value, the chosen class is
+    the lowest exact argmin, and each key is the keys' scale times the
+    difference of sum(quadratic / part) from the chosen class's; the
+    estimator is that sum over the normalizers' shared factor."""
     specs, k = guarantee.specs, guarantee.k
-    scale = _key_scale(guarantee)
+    scale, shared = key_unit(guarantee)
     edges = [rows.tolist() for rows in family.arrays]
     labels = [UNDECIDED] * family.n
+    initial = 0.0
+    for x in _initials(edges, labels, specs):       # as the engine sums them
+        initial += x
+    assert result.initial_value == initial
     prev = _exact_value(edges, labels, specs)
     for step in result.trace:
         values = []
@@ -86,8 +87,31 @@ def assert_exact_descent(family, guarantee, result):
         assert step.keys == tuple((x - best) * scale for x in values), step
         labels[step.vertex] = step.chosen
         prev = best
-    shared = specs[0].normalizer / specs[0].part if specs else 1.0
     assert math.isclose(float(prev) / shared, result.final_value, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def _initials(edges, labels, specs):
+    """Each spec's float estimator at `labels`: its exact quadratic over its
+    normalizer."""
+    return [float(_quadratic(labels, edges[s.graph], s)) / s.normalizer for s in specs]
+
+
+def _reference_keys(edges, specs, weights, labels, v):
+    """The keys of open vertex v at `labels` from the exact reference: per
+    class c, the weighted sum over `specs` (all on one member) of the
+    quadratic with v -> c, over k^4 (r^(3r) for rainbow).  A rainbow term's
+    keys equal these; a graph term's differ by what no class changes."""
+    k = specs[0].k
+    scale = k ** (3 * k) if specs[0].kind == "rainbow" else k ** 4
+    keys = []
+    for c in range(k):
+        labels[v] = c
+        num = scale * sum((w * _quadratic(labels, edges, spec)
+                           for spec, w in zip(specs, weights)), Fraction(0))
+        assert num.denominator == 1, num
+        keys.append(num.numerator)
+    labels[v] = UNDECIDED
+    return keys
 
 
 def _keys(term, v, k):
@@ -180,6 +204,10 @@ class TestGuarantees:
 
 
 class TestEngineEquality:
+    """The incremental terms against the naive, from-scratch exact Fraction
+    reference of `estimator`: whole descents replayed, and term keys from
+    partial states."""
+
     def test_incremental_equals_naive_graphs(self):
         rng = random.Random(7)
         for trial in range(12):
@@ -190,15 +218,10 @@ class TestEngineEquality:
             theorem = rng.choice(["thm1", "thm2"])
             k = None if theorem == "thm1" else rng.randint(2, 5)
             guarantee = resolve(fam, theorem, k=k)
-            fast = derandomize(fam, guarantee)
-            slow = derandomize(fam, guarantee, naive=True)
-            assert fast.assignment == slow.assignment
-            assert (fast.initial_value, fast.final_value) == (slow.initial_value, slow.final_value)
-            assert fast.trace == slow.trace
-            assert_exact_descent(fam, guarantee, slow)
+            assert_exact_descent(fam, guarantee, derandomize(fam, guarantee))
 
     def test_incremental_equals_naive_pair_within(self):
-        # engine equality does not need the degree precondition, so hand-build
+        # the exact replay does not need the degree precondition, so hand-build
         # pair/within terms with a loose normalizer on small dense graphs
         rng = random.Random(19)
         for trial in range(8):
@@ -215,12 +238,9 @@ class TestEngineEquality:
             for s in range(k):
                 specs.append(EventSpec(graph=0, kind="within", k=k, s=s, normalizer=norm))
             guarantee = Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
-            fast = derandomize(fam, guarantee)
-            slow = derandomize(fam, guarantee, naive=True)
-            assert fast.trace == slow.trace
-            assert_exact_descent(fam, guarantee, slow)
+            assert_exact_descent(fam, guarantee, derandomize(fam, guarantee))
 
-    # member sizes keep the naive path's r^s completion enumeration cheap
+    # member sizes keep the exact reference's r^s completion enumeration cheap
     RAINBOW_CAPS = {2: 15, 3: 16, 4: 10, 5: 7}
 
     def test_incremental_equals_naive_rainbow(self):
@@ -231,10 +251,7 @@ class TestEngineEquality:
             cap = min(16, math.comb(n, r))
             hf = random_hyperfamily(n, r, [rng.randint(1, cap)], trial)
             guarantee = resolve(hf, "hyp")
-            fast = derandomize(hf, guarantee)
-            slow = derandomize(hf, guarantee, naive=True)
-            assert fast.trace == slow.trace
-            assert_exact_descent(hf, guarantee, slow)
+            assert_exact_descent(hf, guarantee, derandomize(hf, guarantee))
         # dense members on at most r+5 vertices, where edge pairs share 2..r-1
         # vertices; a loose normalizer admits any delta2
         for r in (2, 3, 4, 5):
@@ -249,10 +266,7 @@ class TestEngineEquality:
                 specs = tuple(_loose_rainbow(hf, i) for i in range(2))
                 guarantee = Guarantee(k=r, specs=specs, rows=_bound_rows(hf, specs))
                 for order in ("natural", "degree"):
-                    fast = derandomize(hf, guarantee, order=order)
-                    slow = derandomize(hf, guarantee, order=order, naive=True)
-                    assert fast.initial_value == slow.initial_value
-                    assert fast.trace == slow.trace
+                    assert_exact_descent(hf, guarantee, derandomize(hf, guarantee, order=order))
             assert set(range(2, r)) <= shared
 
     def test_rainbow_candidates_from_partial_state(self):
@@ -263,10 +277,10 @@ class TestEngineEquality:
                 cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
                 hf = random_hyperfamily(n, r, [rng.randint(1, cap)], 200 * r + trial)
                 specs = (_loose_rainbow(hf, 0),)
-                edges = hf.hypergraphs[0]
-                term = _RainbowTerm(edges, specs, n)
-                naive = _NaiveTerm(edges, specs, n)
-                assert term.initial == naive.initial
+                edges = hf.hypergraphs[0].tolist()
+                term = _RainbowTerm(edges, specs, n, [1])
+                labels = [UNDECIDED] * n
+                assert term.initial == _initials([edges], labels, specs)
                 prefix = rng.sample(range(n), rng.randint(0, n - 1))
                 spare = min(set(range(n)) - set(prefix))
                 for i, v in enumerate(prefix):
@@ -277,16 +291,17 @@ class TestEngineEquality:
                             _keys(term, u, r)
                     c = rng.randrange(r)
                     term.commit(v, c)
-                    naive.commit(v, c)
-                    assert term.quad_num() == _exact_num(naive, specs[0]), (r, trial, v)
+                    labels[v] = c
+                    assert term.quad_num() == _exact_num(labels, edges, specs[0]), (r, trial, v)
                 for v in set(range(n)) - set(prefix):
                     # a rainbow key is the whole quadratic: equal, not only relative
-                    assert _keys(term, v, r) == _keys(naive, v, r), (r, trial, v)
+                    assert _keys(term, v, r) == _reference_keys(edges, specs, [1], labels, v), \
+                        (r, trial, v)
 
     def test_rainbow_rows_per_spec(self):
         # two specs on one member that differ only in their normalizer: one
         # term whose key weighs the quadratic by both weights, equal to the
-        # naive keys of the two specs
+        # reference keys of the two specs
         rng = random.Random(23)
         for r in (2, 3, 4):
             n = r + 4
@@ -294,17 +309,17 @@ class TestEngineEquality:
             spec = _loose_rainbow(hf, 0)
             specs = (spec, dataclasses.replace(spec, normalizer=3 * spec.normalizer,
                                                part=3 * spec.part))
-            edges = hf.hypergraphs[0]
+            edges = hf.hypergraphs[0].tolist()
             term = _RainbowTerm(edges, specs, n, [3, 1])
-            naive = _NaiveTerm(edges, specs, n, [3, 1])
-            assert term.initial == naive.initial
+            labels = [UNDECIDED] * n
+            assert term.initial == _initials([edges], labels, specs)
             assert math.isclose(term.initial[0], 3 * term.initial[1], rel_tol=1e-12)
             for v in rng.sample(range(n), n):
                 keys = _keys(term, v, r)
-                assert keys == _keys(naive, v, r), (r, v)
+                assert keys == _reference_keys(edges, specs, [3, 1], labels, v), (r, v)
                 c = keys.index(min(keys))
                 term.commit(v, c)
-                naive.commit(v, c)
+                labels[v] = c
                 assert 4 * term.quad_num() == keys[c], (r, v)
 
     def test_rainbow_candidates_walk_once_per_vertex(self, monkeypatch):
@@ -348,7 +363,7 @@ class TestEngineEquality:
                 hf = random_hyperfamily(n, r, [rng.randint(cap // 2 + 1, cap)], 400 * r + trial)
                 edges = hf.hypergraphs[0]
                 shared.update(len(set(a) & set(b)) for a, b in itertools.combinations(edges, 2))
-                term = _RainbowTerm(edges, (_loose_rainbow(hf, 0),), n)
+                term = _RainbowTerm(edges, (_loose_rainbow(hf, 0),), n, [1])
                 for v in rng.sample(range(n), n):
                     keys = _keys(term, v, r)
                     c = rng.randrange(r)
@@ -375,8 +390,8 @@ class TestEngineEquality:
                       for s in range(k)]
             weights = [rng.randint(1, 3) for _ in specs]
             term = _MemberTerm(edges, specs, n + 2, weights)
-            naive = _NaiveTerm(edges, specs, n + 2, weights)
-            assert term.initial == naive.initial
+            labels = [UNDECIDED] * (n + 2)
+            assert term.initial == _initials([edges], labels, specs)
             prefix = rng.sample(range(n), rng.randint(0, n - 1)) + [n]
             for i, v in enumerate(prefix):
                 # a commit may follow the keys of its own vertex, of an
@@ -386,24 +401,25 @@ class TestEngineEquality:
                         _keys(term, u, k)
                 c = rng.randrange(k)
                 term.commit(v, c)
-                naive.commit(v, c)
+                labels[v] = c
             # a graph key leaves out what no class changes: equal relative keys
             for v in set(range(n + 2)) - set(prefix):
-                assert _relative(_keys(term, v, k)) == _relative(_keys(naive, v, k)), (k, trial, v)
+                want = _reference_keys(edges, specs, weights, labels, v)
+                assert _relative(_keys(term, v, k)) == _relative(want), (k, trial, v)
 
     def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
         # a linear hypergraph (delta2 == 1): every overlapping pair shares one vertex
         fano = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
         hf = HypergraphFamily(n=7, r=3, hypergraphs=(fano,))
         assert hf.delta2 == (1,)
-        term = _RainbowTerm(fano, (_loose_rainbow(hf, 0),), 7)
+        term = _RainbowTerm(fano, (_loose_rainbow(hf, 0),), 7, [1])
         assert term.multi == []
         rng = random.Random(22)
         for r in (2, 3, 4, 5):
             for trial in range(4):
                 n = rng.randint(r + 1, r + 6)
                 hf = random_hyperfamily(n, r, [rng.randint(1, math.comb(n, r))], trial)
-                term = _RainbowTerm(hf.hypergraphs[0], (_loose_rainbow(hf, 0),), n)
+                term = _RainbowTerm(hf.hypergraphs[0], (_loose_rainbow(hf, 0),), n, [1])
                 bound = hf.m[0] * math.comb(r, 2) * (hf.delta2[0] - 1) / 2
                 assert len(term.multi) <= bound
 
@@ -411,9 +427,10 @@ class TestEngineEquality:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_naive_and_incremental_keys_agree(data):
-    # every guarantee's statistics (thm3's pair and within terms with a loose
-    # normalizer, which needs no degree bound), members of unequal sizes and
-    # so unequal weights, isolated vertices and empty members
+    # the incremental keys against the naive, from-scratch exact Fraction
+    # reference, on every guarantee's statistics (thm3's pair and within
+    # terms with a loose normalizer, which needs no degree bound), members of
+    # unequal sizes and so unequal weights, isolated vertices and empty members
     theorem = data.draw(st.sampled_from(["thm1", "thm2", "thm3", "hyp"]), label="theorem")
     n = data.draw(st.integers(3, 10), label="n")
     ell = data.draw(st.integers(1, 3), label="ell")
@@ -432,12 +449,9 @@ def test_naive_and_incremental_keys_agree(data):
         k = 2 if theorem == "thm1" else data.draw(st.integers(2, 4), label="k")
         guarantee = (_loose_pair_within(fam, k) if theorem == "thm3"
                      else resolve(fam, theorem, k=k))
-    fast = derandomize(fam, guarantee, order=order)
-    slow = derandomize(fam, guarantee, order=order, naive=True)
-    assert fast.trace == slow.trace
-    assert (fast.initial_value, fast.final_value) == (slow.initial_value, slow.final_value)
-    assert_descent_health(fam, guarantee, fast)
-    assert_exact_descent(fam, guarantee, slow)
+    result = derandomize(fam, guarantee, order=order)
+    assert_descent_health(fam, guarantee, result)
+    assert_exact_descent(fam, guarantee, result)
 
 
 def _assert_vertex_sums(term):
@@ -459,9 +473,9 @@ def _assert_vertex_sums(term):
                                    - r ** r * (term.T[w] ** 2 - term.Q[w]))
 
 
-def _exact_num(naive, spec):
-    """The quadratic over r^(3r) of one rainbow spec at a naive term's labels."""
-    num = _quadratic(naive.labels, naive.edges, spec) * spec.k ** (3 * spec.k)
+def _exact_num(labels, edges, spec):
+    """The quadratic over r^(3r) of one rainbow spec at `labels`."""
+    num = _quadratic(labels, edges, spec) * spec.k ** (3 * spec.k)
     assert num.denominator == 1
     return num.numerator
 
@@ -487,8 +501,8 @@ class TestPinnedTraces:
     initial and final estimator floats, recorded with the exact integer
     keys that replaced summed floats.
 
-    Engine equality alone cannot catch a change that moves the incremental
-    and the naive paths together; these pin every key.
+    The exact replay checks each key against the reference; these pin the
+    whole output, the float estimator values included.
     """
 
     CASES = {
@@ -584,9 +598,7 @@ class TestContracts:
         result = derandomize(fam, guarantee)
         step = result.trace[4]
         assert (step.vertex, step.chosen, step.keys) == (4, 0, (0, 0))
-        slow = derandomize(fam, guarantee, naive=True)
-        assert slow.trace == result.trace
-        assert_exact_descent(fam, guarantee, slow)
+        assert_exact_descent(fam, guarantee, result)
 
     def test_normalizers_must_share_one_factor(self):
         fam = random_family(8, [10, 12], 5)
@@ -621,6 +633,21 @@ class TestVertexOrder:
         fam = random_family(5, [4], 11)
         with pytest.raises(ValueError, match="permutation"):
             derandomize(fam, resolve(fam, "thm1"), order=(0, 1, 2, 3, 3))
+
+    def test_unknown_order_name_is_quoted(self):
+        fam = random_family(5, [4], 11)
+        with pytest.raises(ValueError, match="unknown order 'sideways'"):
+            derandomize(fam, resolve(fam, "thm1"), order="sideways")
+        with pytest.raises(ValueError, match="unknown order 'sideways'"):
+            execute_run(fam, RunOptions(method="derand", theorem="1", order="sideways"))
+
+    def test_order_entries_must_be_integers(self):
+        fam = random_family(5, [4], 11)
+        with pytest.raises(TypeError, match="'float'"):
+            resolve_order(fam, (0, 1, 2, 3, 4.0))
+        with pytest.raises(TypeError, match="'float'"):
+            resolve_order(fam, (0, 1, 2, 3, 7.5))
+        assert resolve_order(fam, np.arange(4, -1, -1)) == (4, 3, 2, 1, 0)
 
     def test_trace_records_every_vertex_once(self):
         fam = random_family(9, [12], 12)

@@ -102,7 +102,7 @@ class TestParse:
             parse_instance("# nothing here\n")
 
     def test_index_beyond_int64_is_rejected_not_clamped(self):
-        text = ("hypergraphs 1 vertices 100000000000000000000 uniformity 3\n"
+        text = ("hypergraphs 1 vertices 9223372036854775807 uniformity 3\n"
                 "edges 1\n99999999999999999999 1 2\n")
         with pytest.raises(InstanceFormatError, match="integer vertex indices"):
             parse_instance(text)
