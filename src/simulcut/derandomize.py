@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import UNDECIDED, Assignment, CutReport, stat_mean
+from .model import UNDECIDED, Assignment, CutReport, require_addressable, stat_mean
 from .estimator import EstimatorBudgetError
 from .guarantee import Guarantee, evaluate
 
@@ -605,6 +605,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     if any(row[0] < 0 for row in guarantee.rows):
         raise ValueError("balancing is a Monte-Carlo feature; "
                          "the descent does not track class sizes")
+    require_addressable(family.n)
     order = resolve_order(family, order)
     labels = [UNDECIDED] * family.n
     terms = _build_terms(family, specs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, CutReport
+from .model import Assignment, CutReport, require_addressable
 from .guarantee import Guarantee, evaluate
 
 
@@ -48,6 +48,8 @@ def random_assignment(n: int, k: int, rng) -> Assignment:
     """Uniform independent class labels; deterministic given a seeded rng."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    # numpy would refuse to size it with a ValueError that names neither n nor memory
+    require_addressable(n)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not isinstance(rng, np.random.Generator):

@@ -275,6 +275,16 @@ def _pair_degree(rows: np.ndarray) -> int:
     return int(np.diff(starts, append=len(same) + 1).max())
 
 
+def require_addressable(n: int) -> None:
+    """Raise MemoryError when one 8-byte slot per vertex overflows the address space.
+
+    The engines call it before sizing any per-vertex storage, so such an n
+    fails at once with the same error from either, not partway through.
+    """
+    if n > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{n} vertices of 8 bytes each exceed the address space")
+
+
 def _label_array(labels, k: int) -> np.ndarray:
     """Labels as a read-only integer array, after one vectorized range test.
 

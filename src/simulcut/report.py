@@ -100,7 +100,7 @@ _FIELDS = (
 )
 # the `key value` lines written after the table's, around the per-class,
 # per-member and constraint lines
-_TRAILING = (("assignment", "assignment", lambda text: tuple(int(x) for x in text.split())),
+_TRAILING = (("assignment", "assignment", lambda text: tuple(map(int, text.split()))),
              ("wall-ms", "wall_ms", float))
 # the `key=value` tokens of a constraint line, in render order
 _CONSTRAINT_FIELDS = (("graph", "graph", int), ("stat", "stat", str), ("count", "count", int),

@@ -1,5 +1,8 @@
 """Command-line driver: flows, report round-trips, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -293,6 +296,28 @@ def test_out_of_memory_exit_2(c5_file, capsys, monkeypatch):
     assert err.startswith("error: out of memory") and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("method", ["mc", "derand"])
+def test_vertex_count_past_the_address_space_is_out_of_memory(tmp_path, capsys, monkeypatch,
+                                                              method):
+    # n labels of 8 bytes overflow the address space: both engines refuse
+    # before sizing any per-vertex storage, with the same message
+    def per_vertex_work(*args):
+        raise AssertionError("the descent ordered the vertices of a too-large instance")
+
+    monkeypatch.setattr(sys.modules["simulcut.derandomize"], "resolve_order", per_vertex_work)
+    inst = tmp_path / "most.instance"
+    inst.write_text(f"graphs 1 vertices {MOST}\nedges 0\n")
+    tracemalloc.start()
+    try:
+        assert main(["partition", str(inst), "--theorem", "1", "--method", method]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: the instance is too large for the memory available\n"
+
+
 @pytest.mark.parametrize("r", ["99999999999999999999", "3000000000", "4", "1"])
 def test_uniformity_off_2_to_n_names_line_1(c5_file, tmp_path, capsys, r):
     inst = tmp_path / "wide.instance"
@@ -428,6 +453,48 @@ def test_bench_jobs_parallel_same_totals(tmp_path, capsys):
     assert main(["bench", str(path), "--jobs", "3"]) == 0
     out = capsys.readouterr().out
     assert "total runs 4" in out and "failed constraint rows 0" in out
+
+
+def test_main_reuses_one_parser_and_carries_no_state(c5_file, tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    simulcut.cli.build_parser.cache_clear()
+
+    def report(name, *flags):
+        out = tmp_path / name
+        assert main(["partition", str(c5_file), "--theorem", "1", *flags, "--out", str(out)]) == 0
+        return [ln for ln in out.read_text().splitlines() if not ln.startswith("wall-ms ")]
+
+    plain = {method: report(f"{method}-plain", "--method", method) for method in ("mc", "derand")}
+    assert len(built) == 6      # the root parser and one per subcommand, on the first call
+    assert "balanced yes" in report("mc-set", "--method", "mc", "--balanced", "--seed", "7",
+                                    "--order", "degree")
+    assert "order degree" in report("derand-set", "--method", "derand", "--order", "degree")
+    # a later call without the flags sees none of them
+    for method in ("mc", "derand"):
+        assert report(f"{method}-again", "--method", method) == plain[method]
+
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        main(["partition", str(c5_file), "--theorem", "7"])
+    assert usage.value.code == 2
+    assert "argument --theorem: invalid choice: '7'" in capsys.readouterr().err
+    assert main(["verify", str(tmp_path / "mc-plain"), "--instance", str(c5_file)]) == 0
+
+    # --help writes to the stdout of the moment, not the one of the first call
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as done:
+            main(["partition", "--help"])
+        assert done.value.code == 0
+        assert out.getvalue().startswith("usage: simulcut partition ")
+    assert len(built) == 6
 
 
 def test_python_dash_m_runs_the_cli():

@@ -177,7 +177,7 @@ def test_verify_rejects_a_k_its_class_sizes_do_not_match(rendered_reports, capsy
 # line shape in the thm3 mc report that no parser takes
 BAD_VALUES = [("n ", "n "), ("k ", "k "), ("seed ", "seed "), ("epsilon ", "epsilon "),
               ("class-size 1 ", "class-size 1 "), ("member 0 ", "crossing "),
-              ("constraint ", "count=")]
+              ("constraint ", "count="), ("assignment ", "assignment ")]
 
 
 @pytest.mark.parametrize("prefix, token", BAD_VALUES, ids=[p.split()[0] for p, _ in BAD_VALUES])
