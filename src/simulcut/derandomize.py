@@ -20,17 +20,18 @@ what no class changes, which cannot move the argmin; so every decision is
 exact, and ties break to the lowest class.  Floats appear only in the
 initial and final estimator values, which are for display.
 
-Terms: one per run of consecutive specs on one member, built from the
+Terms: one per run of consecutive specs on one member and of one
+statistic family (crossing; pair and within; rainbow), built from the
 member's edges, those specs, n and the specs' weights.  Every term starts
 with all vertices open (the incremental ones in closed form) and learns of
 decided vertices only through its own `commit(v, c)`.
 
-Cost: a graph member's term tracks all of its statistics (the crossing
-one, or every pair and within one) on per-vertex histograms of neighbour
+Cost: a graph member's crossing term and its class-pair term (every pair
+and within statistic) each keep per-vertex histograms of neighbour
 labels, from which each statistic's edge-pair correlations follow in
-closed form.  One walk over v's neighbours yields every statistic's k
-keys: deg(v) additions of packed histograms, then O(k) per statistic.
-A commit costs O(k) per statistic and O(1) per open neighbour.
+closed form.  One walk over v's neighbours yields a term's k keys: deg(v)
+additions of packed histograms, then O(k) per statistic.  A commit costs
+O(1) (crossing) or O(1) per statistic, and O(1) per open neighbour.
 A hypergraph member's rainbow term yields its r keys from one walk
 over v's live hyperedges: O(r) per (live hyperedge, open co-vertex) pair,
 then O(1) per class, plus O(1) per class for each live hyperedge pair at
@@ -77,14 +78,28 @@ class DerandResult:
     final_value: float
 
 
-class _MemberTerm:
-    """Incremental keys for every crossing/pair/within statistic of one graph
-    member, kept on its vertices' neighbour-label histograms.
+def _graph_state(edges, n, k):
+    """A graph member's adjacency lists and its packed neighbour-label
+    histograms with every vertex open (each its degree), with their field
+    mask and each class's field offset; see `_CrossingTerm`."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    it = iter(np.asarray(edges).ravel().tolist())
+    for u, v in zip(it, it):
+        adj[u].append(v)
+        adj[v].append(u)
+    width = (2 * len(edges)).bit_length()
+    return adj, [len(nbrs) for nbrs in adj], (1 << width) - 1, [width * (c + 1) for c in range(k)]
+
+
+class _CrossingTerm:
+    """Incremental keys for the crossing statistic of one graph member, kept
+    on its vertices' neighbour-label histograms.  The specs on it differ only
+    in their normalizer, so its key is one quadratic times their summed weight.
 
     A vertex u's histogram counts its open neighbours a[u] and its
     neighbours decided as c, b[u][c] (B[u] their total).  While u is open,
-    its edges' aggregates follow from it in closed form, for every
-    statistic (P is an edge's conditional probability numerator over k^2):
+    its edges' aggregates follow from it in closed form (P is an edge's
+    conditional probability numerator over k^2):
 
       Tw, Qw            sums of P and P^2 over the edges at u
       trow[c], qrow[c]  sums over those edges of the numerator (over k) of
@@ -92,81 +107,110 @@ class _MemberTerm:
       contrib           k * sum_c(trow^2 - qrow) - (Tw^2 - Qw), the
                         correction (over k^4) for edge pairs meeting at u
 
-      crossing   Tw = k(k-1)(a+B), Qw = k(k-1)Tw, trow[c] = (k-1)a + k(B-b[c]),
-                 qrow[c] = (k-1)^2 a + k^2 (B-b[c])
-      pair(s,t)  trow[s] = a + k b[t], trow[t] = a + k b[s], qrow alike with
-                 k^2, other classes 0; Tw = trow[s] + trow[t],
-                 Qw = qrow[s] + qrow[t] + 2a
-      within(s)  Tw = trow[s] = a + k b[s], Qw = qrow[s] = a + k^2 b[s]
-
-    A statistic's quadratic over k^4 is mu_k2^2 - 2*mu_k2*sumP + k^2*sumP +
-    sumP^2 - sumP2 + sum(contrib), where mu_k2 = stat_mean(kind, m, k) * k^2,
-    the initial sumP.  Deciding v -> c moves sumP by dp[c] = k*trow_v[c] -
-    Tw_v and sumP2 by k^2*qrow_v[c] - Qw_v, drops contrib_v, and moves one
-    count of every open neighbour's histogram from a to b[c].  That move
-    shifts contrib linearly in the neighbour's histogram, so the shift summed
-    over v's open neighbours needs only their summed histogram less v (alpha
-    open, beta[c] decided as c; W[c] = alpha + k beta[c]):
-
-      crossing   2k^2 (k beta[c] - sum(beta))
-      within(s)  2(k-1)^2 W[s] if c == s, else -2(k-1) W[s]
-      pair(s,t)  c = s: 2((k-1)^2 + 1) W[s] - 4(k-1) W[t];  c = t: s, t swapped;
-                 else -2(k-2)(W[s] + W[t])
-
-    Leaving out every part that no class changes, the quadratic after
-    v -> c is the key
+    here Tw = k(k-1)(a+B), Qw = k(k-1)Tw, trow[c] = (k-1)a + k(B-b[c]) and
+    qrow[c] = (k-1)^2 a + k^2 (B-b[c]).  The quadratic over k^4 is mu_k2^2 -
+    2*mu_k2*sumP + k^2*sumP + sumP^2 - sumP2 + sum(contrib), where mu_k2 =
+    stat_mean(kind, m, k) * k^2, the initial sumP.  Deciding v -> c moves
+    sumP by dp[c] = k*trow_v[c] - Tw_v = k(B - k b[c]) and sumP2 by
+    k^2*qrow_v[c] - Qw_v, drops contrib_v, and moves one count of every open
+    neighbour's histogram from a to b[c].  That shifts contrib linearly in
+    the neighbour's histogram, so summed over v's open neighbours it needs
+    only their summed histogram less v (beta[c] decided as c): here 2k^2
+    (k beta[c] - sum(beta)).  Leaving out every part that no class changes,
+    the quadratic after v -> c is the key, with g = k^2 - 2*mu_k2 + 2*sumP,
 
       dp[c] * (g + dp[c]) + (the class-dependent part of the other shifts)
+        = k^2 (b[c] (k^2 b[c] + 2(mu_k2 - sumP - k B)) + 2k beta[c])
 
-    with g = k^2 - 2*mu_k2 + 2*sumP.  With T[c] = a + k b[c] and Q[c] = a +
-    k^2 b[c] of v, that is
-
-      crossing   k^2 (b[c] (k^2 b[c] + 2(mu_k2 - sumP - k B)) + 2k beta[c])
-      within(s)  k (T[s] (g + (k-2) T[s]) + 2(k-1) W[s] - k Q[s]) at c = s, 0 elsewhere
-      pair(s,t)  k (T[t] (g + k T[t] - 2Tw) + 2(k-1) W[s] - 2 W[t] - k Q[t]) at
-                 c = s, the same with s and t swapped at c = t, 0 elsewhere
-
-    So each statistic keeps sumP alone; sumP2 and contrib enter the keys
-    only through parts that no class changes, and are not kept.
+    So a term keeps sumP alone; sumP2 and contrib are not kept.
 
     Histograms are packed, h[u] = a[u] + sum_c b[u][c] << (width * (c+1)),
     with fields of (2m).bit_length() bits: a field summed over any vertex's
     neighbours stays at most 2m, so sums never carry between fields.  h[u]
-    is 0 once u is decided.  So one sum over adj[v] yields all k keys of
-    every statistic, and a commit adds one constant to each open neighbour.
-    The term starts with every vertex open.
+    is 0 once u is decided.  So one sum over adj[v] yields all k keys, and
+    a commit adds one constant to each open neighbour.
     """
 
     def __init__(self, edges, specs, n, weights):
         k = specs[0].k
         m = len(edges)
-        self.k = k
-        self.k2 = k * k
-        # per statistic: kind, s, t, its weight times the common factor of its
-        # keys (k^2 for crossing, k otherwise), and mu_k2, an integer since
-        # every mean's denominator divides k^2
-        self.stats = [(spec.kind, spec.s, spec.t, w * (self.k2 if spec.kind == "crossing" else k),
-                       int(stat_mean(spec.kind, m, k) * self.k2))
+        self.k, self.k2 = k, k * k
+        self.adj, self.h, self.mask, self.offsets = _graph_state(edges, n, k)
+        # the keys' common factor k^2 times the weights; mu_k2 is an integer
+        # since the mean's denominator divides k^2
+        self.w = sum(weights) * self.k2
+        self.mu = self.sumP = int(stat_mean("crossing", m, k) * self.k2)
+        # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m;
+        # every contrib is 0
+        quad = self.k2 * self.mu - (self.mu * self.mu // m if m else 0)
+        self.initial = [quad / (self.k2 * self.k2) / spec.normalizer for spec in specs]
+
+    def add_keys(self, v, keys):
+        h, k, k2, mask, w = self.h, self.k, self.k2, self.mask, self.w
+        nbrs = self.adj[v]
+        own = h[v]
+        near = sum(map(h.__getitem__, nbrs))           # decided neighbours add 0
+        lin = 2 * (self.mu - self.sumP - k * (len(nbrs) - (own & mask)))   # B = decided neighbours
+        kx2 = 2 * k
+        for c, o in enumerate(self.offsets):
+            x = own >> o & mask
+            keys[c] += w * (x * (k2 * x + lin) + kx2 * (near >> o & mask))
+
+    def commit(self, v, c):
+        h, k, mask = self.h, self.k, self.mask
+        nbrs = self.adj[v]
+        own = h[v]
+        o = self.offsets[c]
+        self.sumP += k * (len(nbrs) - (own & mask) - k * (own >> o & mask))
+        step = (1 << o) - 1
+        for u in nbrs:
+            if h[u]:
+                h[u] += step
+        h[v] = 0
+
+
+class _ClassPairTerm:
+    """Incremental keys for every pair and within statistic of one graph
+    member, on the histograms of `_CrossingTerm` and by its closed forms,
+    with these rows (T[c] = a + k b[c] and Q[c] = a + k^2 b[c]):
+
+      pair(s,t)  trow[s] = T[t], trow[t] = T[s], qrow alike with Q, other
+                 classes 0; Tw = trow[s] + trow[t], Qw = qrow[s] + qrow[t] + 2a
+      within(s)  Tw = trow[s] = T[s], Qw = qrow[s] = Q[s]
+
+    Deciding v -> c shifts the contrib of v's open neighbours by, with alpha
+    their open and beta[c] their decided-as-c counts less v and W[c] =
+    alpha + k beta[c]:
+
+      within(s)  2(k-1)^2 W[s] if c == s, else -2(k-1) W[s]
+      pair(s,t)  c = s: 2((k-1)^2 + 1) W[s] - 4(k-1) W[t];  c = t: s, t swapped;
+                 else -2(k-2)(W[s] + W[t])
+
+    so the keys, each statistic's over its own sumP, are
+
+      within(s)  k (T[s] (g + (k-2) T[s]) + 2(k-1) W[s] - k Q[s]) at c = s, 0 elsewhere
+      pair(s,t)  k (T[t] (g + k T[t] - 2Tw) + 2(k-1) W[s] - 2 W[t] - k Q[t]) at
+                 c = s, the same with s and t swapped at c = t, 0 elsewhere
+    """
+
+    def __init__(self, edges, specs, n, weights):
+        k = specs[0].k
+        m = len(edges)
+        self.k, self.k2 = k, k * k
+        self.adj, self.h, self.mask, self.offsets = _graph_state(edges, n, k)
+        # per statistic: kind, s, t, its weight times the keys' common factor
+        # k, and mu_k2, an integer since every mean's denominator divides k^2
+        self.stats = [(spec.kind, spec.s, spec.t, w * k, int(stat_mean(spec.kind, m, k) * self.k2))
                       for spec, w in zip(specs, weights)]
         self.sumP = [mu for *_, mu in self.stats]
-        self.classwise = any(spec.kind != "crossing" for spec in specs)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in np.asarray(edges).tolist():
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = adj
-        self.h = [len(nbrs) for nbrs in adj]
-        width = (2 * m).bit_length()
-        self.mask = (1 << width) - 1
-        self.offsets = [width * (c + 1) for c in range(k)]
         # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m,
-        # and contrib of a degree-d vertex is d(d-1) times 0 (crossing), k-1
-        # (within) or 2(k-2) (pair)
+        # and contrib of a degree-d vertex is d(d-1) times k-1 (within) or
+        # 2(k-2) (pair)
         pairs_at = sum(d * (d - 1) for d in self.h)
         k4 = self.k2 * self.k2
         self.initial = []
         for spec, (kind, _, _, _, mu) in zip(specs, self.stats):
-            contrib = {"crossing": 0, "within": k - 1, "pair": 2 * (k - 2)}[kind] * pairs_at
+            contrib = (k - 1 if kind == "within" else 2 * (k - 2)) * pairs_at
             quad = self.k2 * mu + contrib - (mu * mu // m if m else 0)
             self.initial.append(quad / k4 / spec.normalizer)
 
@@ -178,18 +222,12 @@ class _MemberTerm:
         a = own & mask
         b = [own >> o & mask for o in offsets]
         beta = [near >> o & mask for o in offsets]
-        if self.classwise:
-            alpha = (near & mask) - a                  # each open neighbour counts v once
-            T = [a + k * x for x in b]
-            Q = [a + k2 * x for x in b]
-            W = [alpha + k * y for y in beta]
-            k1x2 = 2 * (k - 1)
+        alpha = (near & mask) - a                      # each open neighbour counts v once
+        T = [a + k * x for x in b]
+        Q = [a + k2 * x for x in b]
+        W = [alpha + k * y for y in beta]
+        k1x2 = 2 * (k - 1)
         for (kind, s, t, w, mu), sum_p in zip(self.stats, self.sumP):
-            if kind == "crossing":
-                lin = 2 * (mu - sum_p - k * (len(nbrs) - a))    # B = decided neighbours
-                for c, x in enumerate(b):
-                    keys[c] += w * (x * (k2 * x + lin) + 2 * k * beta[c])
-                continue
             g = k2 - 2 * mu + 2 * sum_p
             Ts = T[s]
             if kind == "within":
@@ -206,13 +244,10 @@ class _MemberTerm:
         own = h[v]
         a = own & mask
         for i, (kind, s, t, _, _) in enumerate(self.stats):
-            if kind == "crossing":
-                dp = k * (len(nbrs) - a - k * (own >> offsets[c] & mask))
-            elif kind == "within":
-                Ts = a + k * (own >> offsets[s] & mask)
+            Ts = a + k * (own >> offsets[s] & mask)
+            if kind == "within":
                 dp = (k - 1) * Ts if c == s else -Ts
             else:
-                Ts = a + k * (own >> offsets[s] & mask)
                 Tt = a + k * (own >> offsets[t] & mask)
                 dp = (k * Tt if c == s else k * Ts if c == t else 0) - Ts - Tt
             self.sumP[i] += dp
@@ -241,7 +276,7 @@ class _RainbowTerm:
     factorial.  For s = 1 this is r^(r-1) * sum_c row_e[c]*row_e'[c] -
     r^r * P_e*P_e', with row_e[c] = A_e(1) on the colours free in e and 0
     elsewhere, so pairs meeting at one open vertex w fold into per-vertex
-    aggregates, like the Tw and trow sums of _MemberTerm:
+    aggregates, like the Tw and trow sums of _CrossingTerm:
 
       T[w], Q[w]       sums of P and P^2 over edges at w
       Tc[w][c]         sum of row[c] over edges at w; Qc[w][c] of row[c]^2
@@ -569,18 +604,21 @@ def resolve_order(family, order) -> tuple[int, ...]:
     return order
 
 
+_TERMS = {"crossing": _CrossingTerm, "pair": _ClassPairTerm, "within": _ClassPairTerm,
+          "rainbow": _RainbowTerm}
+
+
 def _build_terms(family, specs):
     """Penalty terms in spec order, one per run of consecutive specs on one
-    member, each spec weighed by lcm(parts) // its part."""
+    member and of one term class, each spec weighed by lcm(parts) // its
+    part."""
     shared = [spec.normalizer / spec.part for spec in specs]
     if not all(math.isclose(x, shared[0], rel_tol=1e-9) for x in shared):
         raise ValueError("spec normalizers must be one shared factor times their part")
     lcm = math.lcm(*(spec.part for spec in specs))
     terms = []
-    for (gi, rainbow), group in itertools.groupby(
-            specs, key=lambda s: (s.graph, s.kind == "rainbow")):
+    for (gi, cls), group in itertools.groupby(specs, key=lambda s: (s.graph, _TERMS[s.kind])):
         group = tuple(group)
-        cls = _RainbowTerm if rainbow else _MemberTerm
         terms.append(cls(family.arrays[gi], group, family.n,
                          [lcm // spec.part for spec in group]))
     return terms

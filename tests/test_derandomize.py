@@ -28,7 +28,8 @@ from simulcut import (
     threshold_for,
 )
 from simulcut.bench import RunOptions, execute_run
-from simulcut.derandomize import _MemberTerm, _RainbowTerm, resolve_order
+from simulcut.derandomize import (
+    _build_terms, _ClassPairTerm, _CrossingTerm, _RainbowTerm, resolve_order)
 from simulcut.estimator import _quadratic, stat_mean
 from simulcut.instances import generate
 
@@ -240,6 +241,27 @@ class TestEngineEquality:
             guarantee = Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
             assert_exact_descent(fam, guarantee, derandomize(fam, guarantee))
 
+    def test_incremental_equals_naive_mixed_member(self):
+        # crossing and class-pair specs on one member, the crossing spec
+        # first, among them or last: one term per run of specs of one family
+        rng = random.Random(26)
+        for trial in range(10):
+            n = rng.randint(4, 12)
+            cap = n * (n - 1) // 2
+            ell = rng.randint(1, 2)
+            fam = random_family(n, [rng.randint(1, min(30, cap)) for _ in range(ell)], trial)
+            k = rng.randint(2, 4)
+            specs = []
+            for i, m in enumerate(fam.m):
+                classwise = _loose_classwise(i, m, k)
+                at = rng.randint(0, len(classwise))
+                crossing = dataclasses.replace(classwise[0], kind="crossing", s=None, t=None)
+                specs += classwise[:at] + [crossing] + classwise[at:]
+            guarantee = Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
+            result = derandomize(fam, guarantee, order=rng.choice(["natural", "degree"]))
+            assert_descent_health(fam, guarantee, result)
+            assert_exact_descent(fam, guarantee, result)
+
     # member sizes keep the exact reference's r^s completion enumeration cheap
     RAINBOW_CAPS = {2: 15, 3: 16, 4: 10, 5: 7}
 
@@ -375,37 +397,47 @@ class TestEngineEquality:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_member_candidates_from_partial_state(self, k):
-        # one term tracks crossing, every pair and every within statistic of a
-        # member; vertices n and n + 1 are isolated, one decided and one open
+        # crossing, every pair and every within statistic of a member: a
+        # crossing term and a class-pair term, whose keys add up; vertices n
+        # and n + 1 are isolated, one decided and one open
         rng = random.Random(40 + k)
         for trial in range(4):
             n = rng.randint(4, 12)
             m = rng.randint(1, min(30, n * (n - 1) // 2))
             edges = tuple(sorted(rng.sample(list(itertools.combinations(range(n), 2)), m)))
-            norm = float(12 * m * m)
-            specs = [EventSpec(graph=0, kind="crossing", k=k, normalizer=norm)]
-            specs += [EventSpec(graph=0, kind="pair", k=k, s=s, t=t, normalizer=norm)
-                      for s, t in itertools.combinations(range(k), 2)]
-            specs += [EventSpec(graph=0, kind="within", k=k, s=s, normalizer=norm)
-                      for s in range(k)]
-            weights = [rng.randint(1, 3) for _ in specs]
-            term = _MemberTerm(edges, specs, n + 2, weights)
+            fam = GraphFamily(n=n + 2, graphs=(edges,))
+            stats = [("crossing", None, None)]
+            stats += [("pair", s, t) for s, t in itertools.combinations(range(k), 2)]
+            stats += [("within", s, None) for s in range(k)]
+            # parts 1..3 of one shared factor: weights lcm(parts) // part
+            parts = [rng.randint(1, 3) for _ in stats]
+            specs = [EventSpec(graph=0, kind=kind, k=k, s=s, t=t,
+                               normalizer=float(12 * m * m * part), part=part)
+                     for (kind, s, t), part in zip(stats, parts)]
+            weights = [math.lcm(*parts) // part for part in parts]
+            terms = _build_terms(fam, specs)
+            assert [type(term) for term in terms] == [_CrossingTerm, _ClassPairTerm]
+
+            def keys_of(v):
+                return list(map(sum, zip(*(_keys(term, v, k) for term in terms))))
+
             labels = [UNDECIDED] * (n + 2)
-            assert term.initial == _initials([edges], labels, specs)
+            assert [x for term in terms for x in term.initial] == _initials([edges], labels, specs)
             prefix = rng.sample(range(n), rng.randint(0, n - 1)) + [n]
             for i, v in enumerate(prefix):
                 # a commit may follow the keys of its own vertex, of an
                 # open one, or of the next one to commit
                 for u in (v, n + 1, prefix[min(i + 1, len(prefix) - 1)]):
                     if rng.random() < 0.4:
-                        _keys(term, u, k)
+                        keys_of(u)
                 c = rng.randrange(k)
-                term.commit(v, c)
+                for term in terms:
+                    term.commit(v, c)
                 labels[v] = c
             # a graph key leaves out what no class changes: equal relative keys
             for v in set(range(n + 2)) - set(prefix):
                 want = _reference_keys(edges, specs, weights, labels, v)
-                assert _relative(_keys(term, v, k)) == _relative(want), (k, trial, v)
+                assert _relative(keys_of(v)) == _relative(want), (k, trial, v)
 
     def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
         # a linear hypergraph (delta2 == 1): every overlapping pair shares one vertex
@@ -515,6 +547,10 @@ class TestPinnedTraces:
         "hyp-dense": (("runiform", dict(n=22, m=110, r=3, ell=2, seed=1001)), "hyp", None,
                       "degree"),
         "hyp-r5": (("runiform", dict(n=40, m=120, r=5, ell=1, seed=6)), "hyp", None, None),
+        # members of unequal sizes: the crossing specs weigh by lcm(parts) // part != 1
+        "thm1-unequal": (("gnm-unequal", dict(n=60, ms=(200, 120, 90), seed=11)), "thm1", None,
+                         None),
+        "thm2-unequal": (("gnm-unequal", dict(n=50, ms=(150, 100, 60), seed=12)), "thm2", 3, None),
     }
     DIGESTS = {
         "thm1": "e8f9f17abc123a15cc0a993f65ffd979e5d55f6c5d74e07f9048f56efeb1e790",
@@ -524,12 +560,14 @@ class TestPinnedTraces:
         "hyp": "27601f5eb55688275494f8d891d7c2440e47444ad74a8b47161c35f5843857e4",
         "hyp-dense": "ea84c0dcfa003ff4f2aef6b50edc6f39f3d38ed627dbf3331b535354dc0dfbaa",
         "hyp-r5": "8f2e85ed94d6e7e0ec1a74203eefd48806727150e871039b2799044624f9dfa3",
+        "thm1-unequal": "33d4fd33d55daedf6ebbddb8d55945920519de97beefb8c150abd2c0b626d555",
+        "thm2-unequal": "7d4e15f49c878ecaa6799e9cb21b0f5aaa283ce2f226b90398b0f1274c7a33ea",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_trace_digest(self, case):
         (kind, params), theorem, k, order = self.CASES[case]
-        fam = generate(kind, **params)
+        fam = _case_family(kind, params)
         # pair-within: every graph's pair and within terms, degrees not bounded
         guarantee = (resolve(fam, theorem, k=k) if theorem else
                      _loose_pair_within(fam, k))
@@ -539,16 +577,28 @@ class TestPinnedTraces:
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case]
 
 
+def _case_family(kind, params):
+    """`generate`'s family, or for "gnm-unequal" one gnm member per entry of
+    ``ms``, member i drawn with seed + i."""
+    if kind != "gnm-unequal":
+        return generate(kind, **params)
+    n, seed = params["n"], params["seed"]
+    return GraphFamily(n=n, graphs=tuple(generate("gnm", n=n, m=m, seed=seed + i).graphs[0]
+                                         for i, m in enumerate(params["ms"])))
+
+
+def _loose_classwise(i, m, k):
+    """Every pair and within spec of member i, which has m > 0 edges, with a
+    normalizer far above any variance bound, which needs no degree bound."""
+    norm = float(12 * m * m)
+    return ([EventSpec(graph=i, kind="pair", k=k, s=s, t=t, normalizer=norm, part=m * m)
+             for s, t in itertools.combinations(range(k), 2)]
+            + [EventSpec(graph=i, kind="within", k=k, s=s, normalizer=norm, part=m * m)
+               for s in range(k)])
+
+
 def _loose_pair_within(fam, k):
-    specs = []
-    for i, m in enumerate(fam.m):
-        if not m:
-            continue
-        norm = float(12 * m * m)
-        specs += [EventSpec(graph=i, kind="pair", k=k, s=s, t=t, normalizer=norm, part=m * m)
-                  for s, t in itertools.combinations(range(k), 2)]
-        specs += [EventSpec(graph=i, kind="within", k=k, s=s, normalizer=norm, part=m * m)
-                  for s in range(k)]
+    specs = [spec for i, m in enumerate(fam.m) if m for spec in _loose_classwise(i, m, k)]
     return Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
 
 
