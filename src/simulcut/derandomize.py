@@ -11,14 +11,15 @@ single violated constraint already pushes its own term above 1.
 
 Arithmetic: per-edge conditional probabilities have denominators dividing
 k^2 (r^r for rainbow terms), so each statistic's quadratic is a plain
-integer over k^4 (r^(3r)).  Every spec's normalizer is one factor that
-all specs share times the spec's integer ``part``; with L the lcm of the
-parts, weighing each quadratic by L // part makes the estimator, times one
-positive constant, an integer.  At each vertex every term adds its
-weighted integer key per class into one shared list of k, leaving out
+integer over k^4 (r^(3r)), the scale.  Every spec's normalizer is
+sqrt(norm2) times its integer ``part``, norm2 being the guarantee's exact
+square of the factor all specs share; with L the lcm of the parts,
+weighing each quadratic by L // part makes the estimator times scale * L
+* sqrt(norm2) an integer S, so the budget S < scale * L * sqrt(norm2) is
+decided as S^2 < (scale * L)^2 * norm2.  At each vertex every term adds
+its weighted integer key per class into one shared list of k, leaving out
 what no class changes, which cannot move the argmin; so every decision is
-exact, and ties break to the lowest class.  Floats appear only in the
-initial and final estimator values, which are for display.
+exact, and ties break to the lowest class.  Floats are for display only.
 
 Terms: one per run of consecutive specs on one member and of one
 statistic family (crossing; pair and within; rainbow), built from the
@@ -61,7 +62,7 @@ class DescentStep(NamedTuple):
     ``keys[c]`` is the key of class c less the chosen class's: an exact
     integer, 0 at the chosen class and never negative.  It is the estimator
     after v -> c less that after v -> chosen, times L * k^4 (L * r^(3r) for
-    rainbow terms) and times the factor that all normalizers share.
+    rainbow terms) and times sqrt(norm2), the factor all normalizers share.
     """
 
     vertex: int
@@ -141,9 +142,8 @@ class _CrossingTerm:
         self.w = sum(weights) * self.k2
         self.mu = self.sumP = int(stat_mean("crossing", m, k) * self.k2)
         # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m;
-        # every contrib is 0
-        quad = self.k2 * self.mu - (self.mu * self.mu // m if m else 0)
-        self.initial = [quad / (self.k2 * self.k2) / spec.normalizer for spec in specs]
+        # every contrib is 0.  One quadratic over k^4 per spec
+        self.quads = [self.k2 * self.mu - (self.mu * self.mu // m if m else 0)] * len(specs)
 
     def add_keys(self, v, keys):
         h, k, k2, mask, w = self.h, self.k, self.k2, self.mask, self.w
@@ -207,12 +207,8 @@ class _ClassPairTerm:
         # and contrib of a degree-d vertex is d(d-1) times k-1 (within) or
         # 2(k-2) (pair)
         pairs_at = sum(d * (d - 1) for d in self.h)
-        k4 = self.k2 * self.k2
-        self.initial = []
-        for spec, (kind, _, _, _, mu) in zip(specs, self.stats):
-            contrib = (k - 1 if kind == "within" else 2 * (k - 2)) * pairs_at
-            quad = self.k2 * mu + contrib - (mu * mu // m if m else 0)
-            self.initial.append(quad / k4 / spec.normalizer)
+        self.quads = [self.k2 * mu + (k - 1 if kind == "within" else 2 * (k - 2)) * pairs_at
+                      - (mu * mu // m if m else 0) for kind, *_, mu in self.stats]
 
     def add_keys(self, v, keys):
         h, k, k2, mask, offsets = self.h, self.k, self.k2, self.mask, self.offsets
@@ -363,8 +359,7 @@ class _RainbowTerm:
         corr_at = {s: self._corr(r, 0, a0, r, 0, a0, s) for s in set(shared)}
         self.corr = [corr_at[s] for s in shared]
         self.jma2 = 2 * sum(self.corr)
-        num = self.quad_num()
-        self.initial = [num / self.D3 / spec.normalizer for spec in specs]
+        self.quads = [self.quad_num()] * len(specs)
 
     def _contrib(self, t, q, trow, qrow) -> int:
         return (self.rpow[self.r - 1] * (sum(map(mul, trow, trow)) - sum(qrow))
@@ -611,10 +606,7 @@ _TERMS = {"crossing": _CrossingTerm, "pair": _ClassPairTerm, "within": _ClassPai
 def _build_terms(family, specs):
     """Penalty terms in spec order, one per run of consecutive specs on one
     member and of one term class, each spec weighed by lcm(parts) // its
-    part."""
-    shared = [spec.normalizer / spec.part for spec in specs]
-    if not all(math.isclose(x, shared[0], rel_tol=1e-9) for x in shared):
-        raise ValueError("spec normalizers must be one shared factor times their part")
+    part; ``quads`` holds their all-open quadratics over k^4 (r^(3r))."""
     lcm = math.lcm(*(spec.part for spec in specs))
     terms = []
     for (gi, cls), group in itertools.groupby(specs, key=lambda s: (s.graph, _TERMS[s.kind])):
@@ -629,7 +621,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
 
     Descends on ``guarantee.specs``: processes vertices in `order`; at each
     one adds every term's integer keys for all k classes and commits the
-    minimizer (ties break to the lowest class).  Requires the initial
+    minimizer (ties break to the lowest class).  Requires the exact initial
     estimator to be below 1, which `resolve` guarantees by construction;
     given that, every statistic ends at or above mu - sqrt(normalizer), and
     the returned report is `evaluate` of the result against
@@ -648,11 +640,13 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     labels = [UNDECIDED] * family.n
     terms = _build_terms(family, specs)
 
-    initial = 0.0
-    for term in terms:
-        for value in term.initial:
-            initial += value
-    if initial >= 1.0:
+    scale = k ** (3 * k) if specs and specs[0].kind == "rainbow" else k ** 4
+    lcm, root = math.lcm(*(spec.part for spec in specs)), math.sqrt(guarantee.norm2)
+    initial, total = 0.0, 0
+    for spec, quad in zip(specs, (q for term in terms for q in term.quads)):
+        initial += quad / scale / (root * spec.part)
+        total += lcm // spec.part * quad
+    if not total * total < (scale * lcm) ** 2 * guarantee.norm2:
         raise EstimatorBudgetError(
             f"initial estimator {initial:.6g} >= 1: these penalty terms cannot certify "
             "a partition (config contract broken)"
@@ -679,6 +673,6 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     # every vertex is decided: each term is exactly (mu - count)^2 / normalizer
     counts = {(row.graph, row.stat): row.count for row in report.constraints}
     final = sum((float((stat_mean(s.kind, family.m[s.graph], k) - counts[s.graph, s.stat]) ** 2)
-                 / s.normalizer for s in specs), 0.0)
+                 / (root * s.part) for s in specs), 0.0)
     return DerandResult(assignment=assignment, report=report, trace=tuple(trace),
                         initial_value=initial, final_value=final)

@@ -11,8 +11,8 @@ over a uniformly random k-labelling of the undecided vertices:
 Conditional on the decided labels U, the indicators of vertex-disjoint edges
 are independent, and edges sharing vertices become independent once the
 shared labels are fixed, so first and second moments have exact closed
-forms.  All probabilities are Fractions; only the final division by a
-term's normalizer happens in floating point.
+forms.  All probabilities are Fractions; `estimator_value` rounds each
+exact quadratic once, for display.
 
 The mean mu of a statistic on an m-edge member is `stat_mean(kind, m, k)`,
 computed where a penalty term needs it and never stored.
@@ -31,7 +31,7 @@ STAT_KINDS = ("crossing", "pair", "within", "rainbow")
 
 
 class EstimatorBudgetError(ValueError):
-    """The penalty terms cannot certify success (initial estimator >= 1)."""
+    """The penalty terms cannot certify success (exact initial estimator >= 1)."""
 
 
 class DegreePreconditionError(ValueError):
@@ -42,22 +42,21 @@ class DegreePreconditionError(ValueError):
 class EventSpec:
     """One quadratic penalty term ((mu - X)^2 / normalizer) over a statistic.
 
-    The mean is `stat_mean(kind, m, k)` for the member's m edges.  A list
-    of specs is usable when its initial estimator, sum(Var X / normalizer),
-    is below 1, which forces the greedy descent to end with every statistic
-    above mu - sqrt(normalizer), the guarantee's threshold (`resolve` takes
-    it from `threshold_for`); `derandomize` checks that sum.
-
-    ``part`` is the integer part of the normalizer that depends on the
-    member: the specs of one descent have normalizer = (a factor they all
-    share) * part, so the descent can weigh them by lcm(parts) // part and
-    decide on exact integers.
+    The mean is `stat_mean(kind, m, k)` for the member's m edges.  The
+    normalizer is sqrt(norm2) * ``part``: ``norm2``, the square of the
+    factor that every spec of a guarantee shares, is the `Guarantee`'s, and
+    ``part`` is the integer part that depends on the member, so the descent
+    can weigh specs by lcm(parts) // part and decide on exact integers.  A
+    list of specs is usable when its initial estimator, sum(Var X /
+    normalizer), is below 1, which forces the greedy descent to end with
+    every statistic above mu - sqrt(normalizer), the guarantee's threshold
+    (`resolve` takes it from `threshold_rule`); `derandomize` checks that
+    sum exactly.
     """
 
     graph: int
     kind: str
     k: int
-    normalizer: float
     s: int | None = None
     t: int | None = None
     part: int = 1
@@ -67,8 +66,6 @@ class EventSpec:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if not self.normalizer > 0:
-            raise ValueError(f"normalizer must be > 0, got {self.normalizer}")
         if not self.part >= 1:
             raise ValueError(f"part must be >= 1, got {self.part}")
         if self.kind == "pair":
@@ -253,10 +250,11 @@ def _quadratic(labels, edges, spec: EventSpec) -> Fraction:
     return mu * mu - 2 * mu * s1 + ex2
 
 
-def estimator_value(family, a: Assignment, specs) -> float:
-    """Sum over specs of the penalty terms, each exact until the final division."""
+def estimator_value(family, a: Assignment, guarantee) -> float:
+    """Sum of a guarantee's penalty terms, each exact until divided by sqrt(norm2) * part."""
+    root = math.sqrt(guarantee.norm2)
     total = 0.0
-    for spec in specs:
+    for spec in guarantee.specs:
         quad = term_quadratic(family.arrays[spec.graph].tolist(), a, spec)
-        total += float(quad) / spec.normalizer
+        total += float(quad) / (root * spec.part)
     return total

@@ -4,15 +4,15 @@
 effective k, epsilon and balance slack.  `check_settings` holds the checks
 that need no instance, and `settle` those that need only its member count
 and uniformity, so run options are rejected before any run.  Per
-member, one branch per theorem gives the normalizer and each statistic
-with its threshold and exact `Bound`, computed once by `threshold_rule`,
-which owns every threshold's definition.  Each statistic yields one
-``(graph, stat, threshold, bound)`` row and, on a member with edges, one
-penalty term for the descent; a term's mean follows from its
-statistic (`stat_mean`).  `evaluate` counts every member of an assignment
-once and decides each row by its exact `Bound`, so the engines, the reports
-and `verify` agree on every pass and fail; the float threshold and margin
-are for display.
+member, one branch per theorem gives the normalizer's part and each
+statistic with its threshold and exact `Bound`, computed once by
+`threshold_rule`, which owns every threshold's definition.  Each statistic
+yields one ``(graph, stat, threshold, bound)`` row and, on a member with
+edges, one penalty term for the descent.  `evaluate` counts every member
+of an assignment once and decides each row exactly, a statistic by its
+`Bound` and a class size in integers, so the engines, the reports and
+`verify` agree on every pass and fail; the float threshold and margin are
+for display.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ THEOREMS = ("thm1", "thm2", "thm3", "hyp")
 class Guarantee:
     """Effective settings, penalty terms and constraint rows of one guarantee.
 
-    ``specs`` are the descent's penalty terms (members with edges only);
-    ``rows`` hold ``(graph, stat, threshold, bound)`` for every member, then
+    ``specs`` are the descent's penalty terms (members with edges only),
+    each with normalizer sqrt(``norm2``) * part, norm2 kept exact; ``rows``
+    hold ``(graph, stat, threshold, bound)`` for every member, then
     ``(-1, "balance(c)", n/k - slack, None)`` per class when balanced.
     ``max_tries`` bounds the Monte-Carlo tries the slack is sized for.
     """
@@ -51,9 +52,15 @@ class Guarantee:
     k: int
     specs: tuple[EventSpec, ...]
     rows: tuple[tuple[int, str, float, Bound | None], ...]
+    norm2: Fraction
     eps: float | Fraction | None = None
     slack: float | None = None
     max_tries: int = 64
+
+    def __post_init__(self):
+        object.__setattr__(self, "norm2", Fraction(self.norm2))
+        if not self.norm2 > 0:
+            raise ValueError(f"norm2 must be > 0, got {self.norm2}")
 
     def __len__(self) -> int:
         """Number of penalty terms, the descent's work per vertex and class."""
@@ -69,8 +76,8 @@ def check_settings(theorem: str, k: int | None = None, slack: float | None = Non
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     if k is not None and k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if slack is not None and not slack > 0:
-        raise ValueError(f"balance_slack must be > 0, got {slack}")
+    if slack is not None and not 0 < slack < math.inf:
+        raise ValueError(f"balance_slack must be > 0 and finite, got {slack}")
 
 
 def settle(theorem: str, k: int | None, eps, *, ell: int, r: int | None):
@@ -113,8 +120,8 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     sqrt(n * ln(2*k*ell*max_tries)), which keeps the combined per-try
     probability of any class drifting off n/k below 1/2.
 
-    Penalty terms, each (mu - X)^2 / normalizer, with Var X bounded by var
-    (the normalizer's member-dependent part, the spec's ``part``, in brackets):
+    Penalty terms, each (mu - X)^2 / normalizer, with Var X bounded by var;
+    a normalizer is sqrt(norm2) times the spec's ``part`` (in brackets):
       thm1  crossing per graph, normalizer ell/2*[m], var m/4
       thm2  k-way crossing per graph, normalizer 2*ell*[m], var m
       thm3  per (graph, class pair) and (graph, class), normalizer
@@ -139,18 +146,17 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
                 )
     if balanced and slack is None:
         slack = math.sqrt(family.n * math.log(2 * k * ell * max_tries))
+    norm2 = (Fraction(ell * ell, 4) if theorem == "thm1" else eps if theorem == "thm3"
+             else 4 * ell * ell)
 
     specs: list[EventSpec] = []
     rows: list[tuple[int, str, float, Bound | None]] = []
     for i, m in enumerate(family.m):
-        # the member's normalizer and its part, and (kind, s, t, threshold,
-        # bound) of each statistic
+        # the member's part, and (kind, s, t, threshold, bound) of each statistic
         if theorem in ("thm1", "thm2"):
-            norm = ell * m / 2 if theorem == "thm1" else 2 * ell * m
             part = m
             stats = [("crossing", None, None, *threshold_rule(theorem, m=m, ell=ell, k=k))]
         elif theorem == "thm3":
-            norm = math.sqrt(float(eps)) * m * m
             part = m * m
             pair = threshold_rule("thm3_pair", m=m, ell=ell, k=k, eps=eps)
             within = threshold_rule("thm3_within", m=m, ell=ell, k=k, eps=eps)
@@ -159,18 +165,16 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
         else:
             delta2 = family.delta2[i]
             part = (1 + k * (k - 1) * delta2) * m
-            norm = 2 * ell * part
             stats = [("rainbow", None, None,
                       *threshold_rule("hyp", m=m, ell=ell, r=k, delta2=delta2))]
         for kind, s, t, threshold, bound in stats:
             rows.append((i, stat_name(kind, s, t), threshold, bound))
             if m:           # no penalty term on an empty member: its thresholds are <= 0
-                specs.append(EventSpec(graph=i, kind=kind, k=k, normalizer=norm, s=s, t=t,
-                                       part=part))
+                specs.append(EventSpec(graph=i, kind=kind, k=k, s=s, t=t, part=part))
     if balanced:
         rows += [(-1, f"balance({c})", family.n / k - slack, None) for c in range(k)]
-    return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), eps=eps, slack=slack,
-                     max_tries=max_tries)
+    return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), norm2=norm2, eps=eps,
+                     slack=slack, max_tries=max_tries)
 
 
 def evaluate(family, a, guarantee: Guarantee) -> CutReport:
@@ -178,11 +182,14 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
 
     Pure in its inputs.  A statistic row passes when its `Bound` admits the
     count, which is count >= threshold decided exactly; a balance row when
-    its class size is within the slack of n/k.
+    |k*size - n| <= floor(k * slack), slack the exact value of its float.
     """
-    k = guarantee.k
+    k, n = guarantee.k, family.n
     if a.k != k:
         raise ValueError(f"assignment has k={a.k}, guarantee resolves to k={k}")
+    if a.n != n:
+        raise ValueError(f"assignment has {a.n} labels, family has n={n} vertices")
+    limit = None if guarantee.slack is None else math.floor(k * Fraction(guarantee.slack))
     sizes = a.class_sizes()
     counts = {(-1, f"balance({c})"): size for c, size in enumerate(sizes)}
     crossing = pairs = within = rainbow = ()
@@ -191,9 +198,9 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
         rainbow = tuple(rainbow_count(rows, a, family.r) for rows in family.arrays)
         counts.update(((i, "rainbow"), x) for i, x in enumerate(rainbow))
     else:
-        # every class pair only when rows read them (thm3), so thm1 and thm2
-        # cost O(m + k) whatever the k
-        every_pair = any(row[1].startswith("pair(") for row in guarantee.rows)
+        # every class pair only when rows read them or within counts (thm3), so
+        # thm1 and thm2 cost O(m + k) whatever the k
+        every_pair = any(row[1].startswith(("pair(", "within(")) for row in guarantee.rows)
         pairs, within, crossing = zip(*(partition_counts(rows, a, every_pair)
                                         for rows in family.arrays))
         for i in range(family.ell):
@@ -205,8 +212,8 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
     for graph, stat, threshold, bound in guarantee.rows:
         count = counts[graph, stat]
         if graph < 0:
-            margin = guarantee.slack - abs(count - family.n / k)
-            passed = margin >= 0
+            margin = guarantee.slack - abs(count - n / k)
+            passed = abs(k * count - n) <= limit
         else:
             margin = count - threshold
             passed = bound.admits(count)

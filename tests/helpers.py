@@ -57,11 +57,11 @@ def key_unit(guarantee):
 
     A key is ``scale`` times a difference of sum(quadratic / part) over the
     guarantee's specs, where scale = lcm(parts) * k^4 (r^(3r) for rainbow);
-    the estimator is that sum over ``shared``, the factor that every spec's
-    normalizer shares.  So ``scale * shared`` keys make one estimator unit.
+    the estimator is that sum over ``shared`` = sqrt(norm2), the factor that
+    every spec's normalizer shares.  So ``scale * shared`` keys make one
+    estimator unit.
     """
     specs, k = guarantee.specs, guarantee.k
     rainbow = bool(specs) and specs[0].kind == "rainbow"
     scale = math.lcm(*(s.part for s in specs)) * (k ** (3 * k) if rainbow else k ** 4)
-    shared = specs[0].normalizer / specs[0].part if specs else 1.0
-    return scale, shared
+    return scale, math.sqrt(guarantee.norm2)

@@ -15,6 +15,7 @@ import pytest
 from simulcut import (
     Assignment,
     GraphFamily,
+    Guarantee,
     UNDECIDED,
     conditional_moments,
     crossing_count,
@@ -166,7 +167,7 @@ def test_criterion_04_moment_anchor():
         n = rng.randint(2, 40)
         m = rng.randint(0, min(200, n * (n - 1) // 2))
         edges = random_edges(n, m, rng)
-        spec = EventSpec(graph=0, kind="crossing", k=2, normalizer=1.0)
+        spec = EventSpec(graph=0, kind="crossing", k=2)
         a = Assignment((UNDECIDED,) * n, 2)
         s1, ex2 = conditional_moments(edges, a, spec)
         assert s1 == Fraction(m, 2)
@@ -177,9 +178,9 @@ def test_criterion_04_moment_anchor():
         cap = n * (n - 1) // 2
         fam = random_family(n, [rng.randint(1, min(150, cap)) for _ in range(2)],
                             seed=5000 + trial)
-        specs = [EventSpec(graph=i, kind="crossing", k=2, normalizer=float(fam.m[i]))
-                 for i in range(2)]
-        value = estimator_value(fam, Assignment((UNDECIDED,) * n, 2), specs)
+        specs = tuple(EventSpec(graph=i, kind="crossing", k=2, part=fam.m[i]) for i in range(2))
+        value = estimator_value(fam, Assignment((UNDECIDED,) * n, 2),
+                                Guarantee(k=2, specs=specs, rows=(), norm2=1))
         assert abs(value - 0.5) <= 1e-12
     print("\nACCEPTANCE 4 PASS: E[X^2] = m(m+1)/4 exactly on 50 graphs; "
           "two-graph estimator starts at 0.5 within 1e-12")
@@ -201,18 +202,18 @@ def test_criterion_05_oracle_equivalence():
             if kind == "pair":
                 s = rng.randrange(k - 1)
                 spec = EventSpec(graph=0, kind="pair", k=k, s=s,
-                                 t=rng.randint(s + 1, k - 1), normalizer=1.0)
+                                 t=rng.randint(s + 1, k - 1))
             elif kind == "within":
-                spec = EventSpec(graph=0, kind="within", k=k, s=rng.randrange(k), normalizer=1.0)
+                spec = EventSpec(graph=0, kind="within", k=k, s=rng.randrange(k))
             else:
-                spec = EventSpec(graph=0, kind="crossing", k=k, normalizer=1.0)
+                spec = EventSpec(graph=0, kind="crossing", k=k)
         else:  # rainbow statistics
             n = rng.randint(3, 12)
             k = rng.choice([2, 3])
             m = rng.randint(0, min(16, math.comb(n, k)))
             hf = random_hyperfamily(n, k, [m], rng.randrange(10 ** 6))
             edges = hf.hypergraphs[0]
-            spec = EventSpec(graph=0, kind="rainbow", k=k, normalizer=1.0)
+            spec = EventSpec(graph=0, kind="rainbow", k=k)
         u = rng.randint(0, min(n, u_max[k] if k in u_max else 4))
         open_set = set(rng.sample(range(n), u))
         labels = tuple(UNDECIDED if v in open_set else rng.randrange(k)
@@ -224,7 +225,7 @@ def test_criterion_05_oracle_equivalence():
     for trial in range(5):
         n = 12
         edges = random_edges(n, 18, rng)
-        spec = EventSpec(graph=0, kind="crossing", k=2, normalizer=1.0)
+        spec = EventSpec(graph=0, kind="crossing", k=2)
         a = Assignment((UNDECIDED,) * 12, 2)
         assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
         cases += 1

@@ -530,7 +530,7 @@ BAD_FIELDS = [
     (dict(max_tries=0), "field 'max_tries' must be an integer >= 1, got 0"),
     # settings that are wrong on any instance are caught before the first run
     (dict(k=1), "k must be >= 2, got 1"),
-    (dict(slack=0), "balance_slack must be > 0, got 0"),
+    (dict(slack=0), "balance_slack must be > 0 and finite, got 0"),
     # and so are those that only the generator's member count and r rule out
     (dict(k=3), "thm1 partitions into exactly 2 classes, got k=3"),
     (dict(generator={"kind": "runiform", "n": 8, "m": 10, "r": 3}, theorem="hyp", k=4),

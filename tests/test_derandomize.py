@@ -73,7 +73,7 @@ def assert_exact_descent(family, guarantee, result):
     edges = [rows.tolist() for rows in family.arrays]
     labels = [UNDECIDED] * family.n
     initial = 0.0
-    for x in _initials(edges, labels, specs):       # as the engine sums them
+    for x in _initials(edges, labels, specs, shared):       # as the engine sums them
         initial += x
     assert result.initial_value == initial
     prev = _exact_value(edges, labels, specs)
@@ -91,10 +91,19 @@ def assert_exact_descent(family, guarantee, result):
     assert math.isclose(float(prev) / shared, result.final_value, rel_tol=1e-9, abs_tol=1e-12)
 
 
-def _initials(edges, labels, specs):
+def _initials(edges, labels, specs, shared):
     """Each spec's float estimator at `labels`: its exact quadratic over its
-    normalizer."""
-    return [float(_quadratic(labels, edges[s.graph], s)) / s.normalizer for s in specs]
+    normalizer, ``shared`` times its part."""
+    return [float(_quadratic(labels, edges[s.graph], s)) / (shared * s.part) for s in specs]
+
+
+def _quads(edges, labels, specs):
+    """Each spec's exact quadratic at `labels` over k^4 (r^(3r) for rainbow),
+    the integers a term's ``quads`` hold."""
+    nums = [_quadratic(labels, edges[s.graph], s)
+            * (s.k ** (3 * s.k) if s.kind == "rainbow" else s.k ** 4) for s in specs]
+    assert all(num.denominator == 1 for num in nums), nums
+    return [num.numerator for num in nums]
 
 
 def _reference_keys(edges, specs, weights, labels, v):
@@ -231,14 +240,14 @@ class TestEngineEquality:
             m = rng.randint(1, cap)
             fam = random_family(n, [m], trial)
             k = rng.randint(2, 4)
-            norm = float(12 * m * m)  # far above any variance bound
             specs = []
             for s in range(k):
                 for t in range(s + 1, k):
-                    specs.append(EventSpec(graph=0, kind="pair", k=k, s=s, t=t, normalizer=norm))
+                    specs.append(EventSpec(graph=0, kind="pair", k=k, s=s, t=t))
             for s in range(k):
-                specs.append(EventSpec(graph=0, kind="within", k=k, s=s, normalizer=norm))
-            guarantee = Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
+                specs.append(EventSpec(graph=0, kind="within", k=k, s=s))
+            # normalizer 12 m^2, far above any variance bound
+            guarantee = _hand_built(fam, k, specs, norm2=144 * m ** 4)
             assert_exact_descent(fam, guarantee, derandomize(fam, guarantee))
 
     def test_incremental_equals_naive_mixed_member(self):
@@ -257,7 +266,7 @@ class TestEngineEquality:
                 at = rng.randint(0, len(classwise))
                 crossing = dataclasses.replace(classwise[0], kind="crossing", s=None, t=None)
                 specs += classwise[:at] + [crossing] + classwise[at:]
-            guarantee = Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
+            guarantee = _hand_built(fam, k, specs, norm2=144)
             result = derandomize(fam, guarantee, order=rng.choice(["natural", "degree"]))
             assert_descent_health(fam, guarantee, result)
             assert_exact_descent(fam, guarantee, result)
@@ -286,7 +295,7 @@ class TestEngineEquality:
                 shared.update(len(set(a) & set(b)) for edges in hf.hypergraphs
                               for a, b in itertools.combinations(edges, 2))
                 specs = tuple(_loose_rainbow(hf, i) for i in range(2))
-                guarantee = Guarantee(k=r, specs=specs, rows=_bound_rows(hf, specs))
+                guarantee = _hand_built(hf, r, specs, norm2=(50 * r ** r) ** 2)
                 for order in ("natural", "degree"):
                     assert_exact_descent(hf, guarantee, derandomize(hf, guarantee, order=order))
             assert set(range(2, r)) <= shared
@@ -302,7 +311,7 @@ class TestEngineEquality:
                 edges = hf.hypergraphs[0].tolist()
                 term = _RainbowTerm(edges, specs, n, [1])
                 labels = [UNDECIDED] * n
-                assert term.initial == _initials([edges], labels, specs)
+                assert term.quads == _quads([edges], labels, specs)
                 prefix = rng.sample(range(n), rng.randint(0, n - 1))
                 spare = min(set(range(n)) - set(prefix))
                 for i, v in enumerate(prefix):
@@ -321,21 +330,19 @@ class TestEngineEquality:
                         (r, trial, v)
 
     def test_rainbow_rows_per_spec(self):
-        # two specs on one member that differ only in their normalizer: one
-        # term whose key weighs the quadratic by both weights, equal to the
+        # two specs on one member that differ only in their part: one term
+        # whose key weighs the quadratic by both weights, equal to the
         # reference keys of the two specs
         rng = random.Random(23)
         for r in (2, 3, 4):
             n = r + 4
             hf = random_hyperfamily(n, r, [min(self.RAINBOW_CAPS[r], math.comb(n, r))], 300 + r)
             spec = _loose_rainbow(hf, 0)
-            specs = (spec, dataclasses.replace(spec, normalizer=3 * spec.normalizer,
-                                               part=3 * spec.part))
+            specs = (spec, dataclasses.replace(spec, part=3 * spec.part))
             edges = hf.hypergraphs[0].tolist()
             term = _RainbowTerm(edges, specs, n, [3, 1])
             labels = [UNDECIDED] * n
-            assert term.initial == _initials([edges], labels, specs)
-            assert math.isclose(term.initial[0], 3 * term.initial[1], rel_tol=1e-12)
+            assert term.quads == _quads([edges], labels, specs[:1]) * 2
             for v in rng.sample(range(n), n):
                 keys = _keys(term, v, r)
                 assert keys == _reference_keys(edges, specs, [3, 1], labels, v), (r, v)
@@ -411,8 +418,7 @@ class TestEngineEquality:
             stats += [("within", s, None) for s in range(k)]
             # parts 1..3 of one shared factor: weights lcm(parts) // part
             parts = [rng.randint(1, 3) for _ in stats]
-            specs = [EventSpec(graph=0, kind=kind, k=k, s=s, t=t,
-                               normalizer=float(12 * m * m * part), part=part)
+            specs = [EventSpec(graph=0, kind=kind, k=k, s=s, t=t, part=part)
                      for (kind, s, t), part in zip(stats, parts)]
             weights = [math.lcm(*parts) // part for part in parts]
             terms = _build_terms(fam, specs)
@@ -422,7 +428,7 @@ class TestEngineEquality:
                 return list(map(sum, zip(*(_keys(term, v, k) for term in terms))))
 
             labels = [UNDECIDED] * (n + 2)
-            assert [x for term in terms for x in term.initial] == _initials([edges], labels, specs)
+            assert [x for term in terms for x in term.quads] == _quads([edges], labels, specs)
             prefix = rng.sample(range(n), rng.randint(0, n - 1)) + [n]
             for i, v in enumerate(prefix):
                 # a commit may follow the keys of its own vertex, of an
@@ -486,6 +492,37 @@ def test_naive_and_incremental_keys_agree(data):
     assert_exact_descent(fam, guarantee, result)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_budget_decided_exactly_at_one(data):
+    # one member with one spec whose exact initial estimator V / sqrt(norm2),
+    # V its quadratic over scale * part, is exactly x: its float sum reads 1.0
+    # whatever the x, so only the exact rule tells 1 - 2^-60 from 1 and 1 + 2^-60.
+    # k and part are powers of 2 (and r is 2), so V and V^2 are floats
+    x = data.draw(st.sampled_from([1 - Fraction(1, 2 ** 60), Fraction(1),
+                                   1 + Fraction(1, 2 ** 60)]), label="x")
+    kind = data.draw(st.sampled_from(["crossing", "pair", "within", "rainbow"]), label="kind")
+    k = 2 if kind == "rainbow" else data.draw(st.sampled_from([2, 4]), label="k")
+    n = data.draw(st.integers(k + 1, 8), label="n")
+    m = data.draw(st.integers(1, min(12, n * (n - 1) // 2)), label="m")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    part = data.draw(st.sampled_from([1, 2, 8]), label="part")
+    fam = random_hyperfamily(n, k, [m], seed) if kind == "rainbow" else random_family(n, [m], seed)
+    s, t = {"pair": (0, k - 1), "within": (k - 1, None)}.get(kind, (None, None))
+    spec = EventSpec(graph=0, kind=kind, k=k, s=s, t=t, part=part)
+    quad = _quads([fam.arrays[0].tolist()], [UNDECIDED] * n, [spec])[0]
+    value = Fraction(quad, (k ** (3 * k) if kind == "rainbow" else k ** 4) * part)
+    guarantee = _hand_built(fam, k, [spec], norm2=(value / x) ** 2)
+    if x < 1:
+        result = derandomize(fam, guarantee)
+        assert result.initial_value == 1.0
+        assert all(c.passed for c in result.report.constraints)
+        assert_exact_descent(fam, guarantee, result)
+    else:
+        with pytest.raises(EstimatorBudgetError, match="initial estimator 1 >= 1"):
+            derandomize(fam, guarantee)
+
+
 def _assert_vertex_sums(term):
     """T, Q, Tc, Qc and contrib of every open vertex, recounted from the edge states."""
     r, A = term.r, term.A
@@ -512,20 +549,21 @@ def _exact_num(labels, edges, spec):
     return num.numerator
 
 
-def _bound_rows(fam, specs):
-    """One row per hand-built term at its certified bound mu - sqrt(normalizer)."""
+def _hand_built(fam, k, specs, norm2):
+    """A guarantee of hand-built specs, with one row per spec at its certified
+    bound mu - sqrt(normalizer): (mu - count)^4 <= norm2 * part^2."""
     rows = []
     for s in specs:
         mu = stat_mean(s.kind, fam.m[s.graph], s.k)
-        rows.append((s.graph, s.stat, float(mu) - math.sqrt(s.normalizer),
-                     Bound(mu, 2, Fraction(s.normalizer))))
-    return tuple(rows)
+        rows.append((s.graph, s.stat, float(mu) - math.sqrt(math.sqrt(norm2) * s.part),
+                     Bound(mu, 4, Fraction(norm2) * s.part ** 2)))
+    return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), norm2=norm2)
 
 
 def _loose_rainbow(hf, i):
-    m = hf.m[i]
-    return EventSpec(graph=i, kind="rainbow", k=hf.r, normalizer=float(50 * hf.r ** hf.r * m * m),
-                     part=m * m)
+    """Member i's rainbow spec with part m^2: under norm2 = (50 r^r)^2 its
+    normalizer is 50 r^r m^2."""
+    return EventSpec(graph=i, kind="rainbow", k=hf.r, part=hf.m[i] ** 2)
 
 
 class TestPinnedTraces:
@@ -588,36 +626,35 @@ def _case_family(kind, params):
 
 
 def _loose_classwise(i, m, k):
-    """Every pair and within spec of member i, which has m > 0 edges, with a
-    normalizer far above any variance bound, which needs no degree bound."""
-    norm = float(12 * m * m)
-    return ([EventSpec(graph=i, kind="pair", k=k, s=s, t=t, normalizer=norm, part=m * m)
+    """Every pair and within spec of member i, which has m > 0 edges, with
+    part m^2: under norm2 = 144 their normalizer 12 m^2 is far above any
+    variance bound, which needs no degree bound."""
+    return ([EventSpec(graph=i, kind="pair", k=k, s=s, t=t, part=m * m)
              for s, t in itertools.combinations(range(k), 2)]
-            + [EventSpec(graph=i, kind="within", k=k, s=s, normalizer=norm, part=m * m)
-               for s in range(k)])
+            + [EventSpec(graph=i, kind="within", k=k, s=s, part=m * m) for s in range(k)])
 
 
 def _loose_pair_within(fam, k):
     specs = [spec for i, m in enumerate(fam.m) if m for spec in _loose_classwise(i, m, k)]
-    return Guarantee(k=k, specs=tuple(specs), rows=_bound_rows(fam, specs))
+    return _hand_built(fam, k, specs, norm2=144)
 
 
 class TestContracts:
     def test_initial_budget_enforced_at_runtime(self):
         fam = random_family(8, [16], 5)
         # normalizer m/8 makes E[Z] = (m/4)/(m/8) = 2 at the start
-        specs = (EventSpec(graph=0, kind="crossing", k=2, normalizer=2.0),)
+        specs = (EventSpec(graph=0, kind="crossing", k=2),)
         with pytest.raises(EstimatorBudgetError, match="initial estimator"):
-            derandomize(fam, Guarantee(k=2, specs=specs, rows=()))
+            derandomize(fam, Guarantee(k=2, specs=specs, rows=(), norm2=4))
 
     def test_mixed_k_rejected(self):
         fam = random_family(6, [5, 5], 6)
         specs = (
-            EventSpec(graph=0, kind="crossing", k=2, normalizer=50.0),
-            EventSpec(graph=1, kind="crossing", k=3, normalizer=50.0),
+            EventSpec(graph=0, kind="crossing", k=2),
+            EventSpec(graph=1, kind="crossing", k=3),
         )
         with pytest.raises(ValueError, match="mix"):
-            derandomize(fam, Guarantee(k=2, specs=specs, rows=()))
+            derandomize(fam, Guarantee(k=2, specs=specs, rows=(), norm2=2500))
 
     def test_balanced_guarantee_rejected(self):
         fam = random_family(6, [5], 6)
@@ -649,16 +686,6 @@ class TestContracts:
         step = result.trace[4]
         assert (step.vertex, step.chosen, step.keys) == (4, 0, (0, 0))
         assert_exact_descent(fam, guarantee, result)
-
-    def test_normalizers_must_share_one_factor(self):
-        fam = random_family(8, [10, 12], 5)
-        specs = tuple(EventSpec(graph=i, kind="crossing", k=2, normalizer=4.0 * m)
-                      for i, m in enumerate(fam.m))
-        with pytest.raises(ValueError, match="shared factor"):
-            derandomize(fam, Guarantee(k=2, specs=specs, rows=_bound_rows(fam, specs)))
-        specs = tuple(dataclasses.replace(s, part=m) for s, m in zip(specs, fam.m))
-        assert derandomize(fam, Guarantee(k=2, specs=specs, rows=_bound_rows(fam, specs))
-                           ).report.all_pass
 
 
 class TestVertexOrder:

@@ -36,19 +36,19 @@ from helpers import (
 
 
 def crossing_spec(k=2):
-    return EventSpec(graph=0, kind="crossing", k=k, normalizer=1.0)
+    return EventSpec(graph=0, kind="crossing", k=k)
 
 
 def pair_spec(k, s, t):
-    return EventSpec(graph=0, kind="pair", k=k, s=s, t=t, normalizer=1.0)
+    return EventSpec(graph=0, kind="pair", k=k, s=s, t=t)
 
 
 def within_spec(k, s):
-    return EventSpec(graph=0, kind="within", k=k, s=s, normalizer=1.0)
+    return EventSpec(graph=0, kind="within", k=k, s=s)
 
 
 def rainbow_spec(r):
-    return EventSpec(graph=0, kind="rainbow", k=r, normalizer=1.0)
+    return EventSpec(graph=0, kind="rainbow", k=r)
 
 
 class TestEdgeProb:
@@ -217,32 +217,33 @@ class TestConditionalMoments:
 class TestEstimatorValue:
     def test_two_graph_anchor_half(self):
         fam = c5_pair()
-        # normalizer m_i: for two graphs this is the standard bipartition config
-        specs = [EventSpec(graph=i, kind="crossing", k=2, normalizer=5.0)
-                 for i in range(2)]
+        # normalizer m_i = 5: for two graphs this is the standard bipartition config
+        specs = tuple(EventSpec(graph=i, kind="crossing", k=2) for i in range(2))
         a = Assignment((UNDECIDED,) * 5, 2)
-        assert estimator_value(fam, a, specs) == pytest.approx(0.5, abs=1e-12)
+        guarantee = Guarantee(k=2, specs=specs, rows=(), norm2=25)
+        assert estimator_value(fam, a, guarantee) == pytest.approx(0.5, abs=1e-12)
 
     def test_thm1_initial_half_any_ell(self):
         for ell, seed in ((1, 3), (2, 4), (3, 5)):
             fam = random_family(10, [12] * ell, seed)
-            specs = resolve(fam, "thm1").specs
             a = Assignment((UNDECIDED,) * 10, 2)
-            assert estimator_value(fam, a, specs) == pytest.approx(0.5, abs=1e-12)
+            assert estimator_value(fam, a, resolve(fam, "thm1")) == pytest.approx(0.5, abs=1e-12)
 
     def test_thm1_initial_matches_monte_carlo(self):
         # E[(mu - X)^2]/norm estimated by sampling matches the exact value
         fam = random_family(12, [30], 71)
-        specs = resolve(fam, "thm1").specs
+        guarantee = resolve(fam, "thm1")
+        spec = guarantee.specs[0]
         a0 = Assignment((UNDECIDED,) * 12, 2)
-        exact = estimator_value(fam, a0, specs)
+        exact = estimator_value(fam, a0, guarantee)
         rng = substream(99, 0)
         trials = 4000
         acc = 0.0
         for _ in range(trials):
             a = random_assignment(12, 2, rng)
             x = sum(1 for u, v in fam.graphs[0] if a.labels[u] != a.labels[v])
-            acc += float(term_quadratic(fam.graphs[0], a, specs[0])) / specs[0].normalizer
+            acc += float(term_quadratic(fam.graphs[0], a, spec)) / (
+                math.sqrt(guarantee.norm2) * spec.part)
         est = acc / trials
         # Var of the estimate is bounded; 4000 samples put 5 sigma well under 0.1
         assert abs(est - exact) < 0.1
@@ -250,26 +251,32 @@ class TestEstimatorValue:
     def test_total_at_center_is_zero(self):
         edges = ((0, 1), (1, 2), (2, 3), (0, 3))
         fam = GraphFamily(n=4, graphs=(edges,))
-        specs = resolve(fam, "thm1").specs
         a = Assignment((0, 0, 1, 1), 2)  # crossing = 2 = mu
-        assert estimator_value(fam, a, specs) == 0.0
+        assert estimator_value(fam, a, resolve(fam, "thm1")) == 0.0
 
 
 class TestEventSpec:
     def test_normalizer_positive(self):
+        # the factor that normalizers share, and a spec's part, are positive
+        spec = EventSpec(graph=0, kind="crossing", k=2)
+        for norm2 in (0, -1, Fraction(-1, 4)):
+            with pytest.raises(ValueError, match="norm2 must be > 0"):
+                Guarantee(k=2, specs=(spec,), rows=(), norm2=norm2)
+        # any number is kept exact: a float's own value, not its decimal reading
+        assert Guarantee(k=2, specs=(spec,), rows=(), norm2=0.1).norm2 == Fraction(0.1)
         with pytest.raises(ValueError):
-            EventSpec(graph=0, kind="crossing", k=2, normalizer=0.0)
+            EventSpec(graph=0, kind="crossing", k=2, part=0)
 
     def test_pair_needs_ordered_classes(self):
         with pytest.raises(ValueError):
-            EventSpec(graph=0, kind="pair", k=3, normalizer=1.0, s=2, t=1)
+            EventSpec(graph=0, kind="pair", k=3, s=2, t=1)
 
     def test_variance_budget_enforced(self):
         fam = random_family(6, [8], 2)
         # a normalizer below the variance m/4 starts the descent at 2/1.5 >= 1
-        bad = (EventSpec(graph=0, kind="crossing", k=2, normalizer=1.5),)
+        bad = (EventSpec(graph=0, kind="crossing", k=2),)
         with pytest.raises(EstimatorBudgetError, match="initial estimator"):
-            derandomize(fam, Guarantee(k=2, specs=bad, rows=()))
+            derandomize(fam, Guarantee(k=2, specs=bad, rows=(), norm2=Fraction(9, 4)))
 
     def test_threshold_equals_mu_minus_sqrt_norm(self):
         # the bound mu - sqrt(normalizer) that each term certifies is the
@@ -284,7 +291,8 @@ class TestEventSpec:
             assert {(s.graph, s.stat) for s in guarantee.specs} == set(rows)
             for s in guarantee.specs:
                 mu = stat_mean(s.kind, family.m[s.graph], s.k)
-                assert math.isclose(float(mu) - math.sqrt(s.normalizer),
+                normalizer = math.sqrt(guarantee.norm2) * s.part
+                assert math.isclose(float(mu) - math.sqrt(normalizer),
                                     rows[s.graph, s.stat], rel_tol=1e-12)
             for (g, stat), thr in rows.items():
                 kind = theorem if theorem != "thm3" else "thm3_" + stat.split("(")[0]
@@ -298,7 +306,8 @@ class TestEventSpec:
         assert [s.graph for s in guarantee.specs] == [row[0] for row in guarantee.rows]
         for s, (g, stat, thr, _) in zip(guarantee.specs, guarantee.rows):
             mu = stat_mean("rainbow", hf.m[g], 3)
-            assert math.isclose(float(mu) - math.sqrt(s.normalizer), thr, rel_tol=1e-12)
+            normalizer = math.sqrt(guarantee.norm2) * s.part
+            assert math.isclose(float(mu) - math.sqrt(normalizer), thr, rel_tol=1e-12)
             want = threshold_for("hyp", m=hf.m[g], ell=2, r=3, delta2=hf.delta2[g])
             assert stat == "rainbow" and repr(thr) == repr(want)
 

@@ -320,7 +320,9 @@ def test_fast_path_equals_line_by_line(fam, rnd):
     assert _canonical_members(swapped) is not None
     assert parse_instance(swapped) == _line_by_line(swapped) == fam
 
-    messy, _ = _decorate(text, rnd)
+    # one draw seeds every decoration: drawn line by line from Hypothesis'
+    # buffer, they overrun it on families with many rows
+    messy, _ = _decorate(text, random.Random(rnd.getrandbits(64)))
     assert _canonical_members(messy) is None
     got = parse_instance(messy)
     assert got == _line_by_line(messy) == fam and _derived(got) == _derived(fam)
@@ -475,7 +477,8 @@ def _digest_variants(text, rnd):
 def test_digest_is_sha256_of_serialized_text(fam, rnd):
     text = serialize_instance(fam)
     want = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    for name, variant in _digest_variants(text, rnd):
+    # one draw seeds the decoration, as in test_fast_path_equals_line_by_line
+    for name, variant in _digest_variants(text, random.Random(rnd.getrandbits(64))):
         back = parse_instance(variant)
         assert back == fam and instance_digest(back) == want, name
         # only text that is byte-equal to the serialized form records its own digest

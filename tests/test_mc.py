@@ -20,7 +20,9 @@ from simulcut import (
     substream,
     threshold_for,
 )
-from simulcut.instances import generate
+from simulcut.cli import main
+from simulcut.instances import generate, serialize_instance
+from simulcut.report import parse_report
 
 from helpers import c5_pair, random_family, random_hyperfamily
 
@@ -62,6 +64,11 @@ class TestConfig:
     def test_slack_positive(self):
         with pytest.raises(ValueError):
             resolve(random_family(6, [4], 0), "thm1", balanced=True, slack=0.0)
+
+    def test_slack_finite(self):
+        # an infinite slack has no exact value to decide a balance row by
+        with pytest.raises(ValueError, match="finite, got inf"):
+            resolve(random_family(6, [4], 0), "thm1", balanced=True, slack=math.inf)
 
     def test_thm1_forces_k2(self):
         fam = random_family(6, [4], 0)
@@ -195,6 +202,40 @@ class TestCheckReport:
         balance = [c for c in report.constraints if c.stat.startswith("balance")]
         assert len(balance) == 2
         assert not any(c.passed for c in balance)  # 9 and 1 are both 4 off from 5
+
+    def test_balance_decided_exactly_at_the_slack(self, tmp_path):
+        # the float 1/3 is a hair below 1/3 = n/k: the empty classes are
+        # beyond the slack, though the float margin slack - |0 - n/k| reads 0.0
+        fam = GraphFamily(n=1, graphs=((),))
+        guarantee = resolve(fam, "thm2", k=3, balanced=True, slack=1 / 3)
+        report = evaluate(fam, Assignment((0,), 3), guarantee)
+        assert [(c.stat, c.count, c.margin, c.passed) for c in report.constraints[1:]] == [
+            ("balance(0)", 1, 1 / 3 - (1 - 1 / 3), False),
+            ("balance(1)", 0, 0.0, False), ("balance(2)", 0, 0.0, False)]
+        # a run's report, whichever class its one vertex took, and verify decide alike
+        inst, rep = tmp_path / "one.instance", tmp_path / "one.report"
+        inst.write_text(serialize_instance(fam))
+        assert main(["partition", str(inst), "--method", "mc", "--theorem", "2", "--k", "3",
+                     "--balanced", "--slack", repr(1 / 3), "--max-tries", "1",
+                     "--out", str(rep)]) == 1
+        rr = parse_report(rep.read_text())
+        assert [c.passed for c in rr.cut_report.constraints if c.graph < 0] == [False] * 3
+        assert main(["verify", str(rep), "--instance", str(inst)]) == 0
+        # and verify flags an empty class's row that says it passed
+        text = rep.read_text()
+        empty = next(c for c, size in enumerate(rr.cut_report.class_sizes) if size == 0)
+        row = next(ln for ln in text.splitlines() if f"stat=balance({empty})" in ln)
+        rep.write_text(text.replace(row, row.replace("pass=no", "pass=yes")))
+        assert main(["verify", str(rep), "--instance", str(inst)]) == 2
+
+    def test_assignment_length_must_be_n(self):
+        # a longer assignment would count phantom vertices in the class sizes
+        fam = random_family(4, [3], 2)
+        guarantee = resolve(fam, "thm1", balanced=True, slack=1.0)
+        for labels in ((0, 1) * 3, (0, 1, 0)):
+            with pytest.raises(ValueError,
+                               match=f"assignment has {len(labels)} labels, family has n=4"):
+                evaluate(fam, Assignment(labels, 2), guarantee)
 
     def test_count_at_an_exact_integer_threshold_passes(self):
         # ell=3, k=3 and the default eps = 1/6561: thm3_within is m/9 - m/9 = 0

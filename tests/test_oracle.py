@@ -135,7 +135,7 @@ class TestMomentsByCompletion:
             n = rng.randint(2, 8)
             m = rng.randint(0, n * (n - 1) // 2)
             edges = random_edges(n, m, rng)
-            spec = EventSpec(graph=0, kind="crossing", k=2, normalizer=1.0)
+            spec = EventSpec(graph=0, kind="crossing", k=2)
             a = Assignment((UNDECIDED,) * n, 2)
             if n > 12:
                 continue
@@ -146,11 +146,11 @@ class TestMomentsByCompletion:
     def test_total_returns_realized(self):
         edges = cycle_edges(5)
         a = Assignment.from_side(5, {0, 2})
-        spec = EventSpec(graph=0, kind="crossing", k=2, normalizer=1.0)
+        spec = EventSpec(graph=0, kind="crossing", k=2)
         assert moments_by_completion(edges, a, spec) == (4, 16)
 
     def test_undecided_guard(self):
-        spec = EventSpec(graph=0, kind="crossing", k=2, normalizer=1.0)
+        spec = EventSpec(graph=0, kind="crossing", k=2)
         a = Assignment((UNDECIDED,) * 13, 2)
         with pytest.raises(SizeLimitError):
             moments_by_completion(((0, 1),), a, spec)
@@ -163,7 +163,7 @@ class TestMomentsByCompletion:
             m = rng.randint(0, n * (n - 1) // 2)
             edges = random_edges(n, m, rng)
             k = rng.choice([2, 3])
-            spec = EventSpec(graph=0, kind="crossing", k=k, normalizer=1.0)
+            spec = EventSpec(graph=0, kind="crossing", k=k)
             a = random_partial(n, k, rng.randrange(10 ** 6), p_undecided=0.7)
             opens = a.undecided_vertices()
             if not opens:

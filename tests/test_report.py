@@ -278,42 +278,41 @@ def test_report_digest_pinned(case, digest):
 
 
 # (family, theorem, k, balanced): sha256 of the resolved penalty terms
-# (graph, stat, k, repr and type of the normalizer, part), and of the
+# (the exact norm2, then each spec's graph, stat, k and part), and of the
 # effective settings with every (graph, stat, threshold, bound) row
 RESOLVE_PINS = [
     (("gnm", "thm1", None, False),
-     "838d4c804a2e194adcbb8d22acfa0caf6d9d78e5b28e7b74e06b2322e92d8dda",
+     "71eb4b4ed0df263f3dd610dd93ad7e90431b81be5050b1657ad85e329b47f4ea",
      "8428c3aa646ec193ae631b2a3acfa99f2727d5552e9699f7f515e01ce1aee9c0"),
     (("gnm", "thm2", 3, False),
-     "c544b66157b0697b5526f11c553308f84a58bad68a43b43ce5ab975b5d04e96b",
+     "d1228727dfe648f1a9b3e7e286aaa129af08f7df3334a82da20ff5d213748ff3",
      "7e59dbc704d4895e760f89dfb76bb079ebb9c13c98020196ade2acadfa9b78ad"),
     (("gnm", "thm2", 4, True),
-     "59a7a13f975211bef6b4145eb1033bc622d52f0ac84f33b9ebc1a7c190f09a4d",
+     "8dd1d4f59a02c294276cd55aaa1c7fc2e3d08d02436877ba00adb4b9e2130361",
      "83b19ed1b0c1a176d0c08b44191cb74d2bd83726525d1aca523a1d6dad637352"),
     (("bd", "thm3", 2, False),
-     "fe5c1e9c3fc07e5bfa065641131c89d7cdebacbe9a360a90eb98c5d389d8eb4f",
+     "fa19283fe85c9889233b6e074866e017926662f8fc07a231435a77355d17076d",
      "839355bc32238b2d4fedb6cb9394662c0cb54b6ea48c95b81db8224457e3fc28"),
     (("bd1460", "thm3", 3, False),
-     "870c485f008a0a0c2320d182f8decb353b3882a584856f331c6e08c9710332d9",
+     "67d09ea6dda263d88b95da56a960ffce8498d09333566411e7c97e744848f108",
      "5f89424d5a266ba966baaac082cdb9185195a303f1a27cdf1069510d1fd83c71"),
     (("ru", "hyp", None, False),
-     "7b78c140a696541ed4768ff5435cb390e2711bb09bee75db4fa1065ddcb58acd",
+     "eb332932d7a0d62a156e40012d000f79ac21dbe9c509a1249a37badfc8e86539",
      "70c9231204894e86ea6dcb0a43d8a63baeea87853e83b1317e9d1887b66c0ea1"),
     (("empty", "thm1", None, False),
-     "b141bacf075044be701c9784a326cb84eb8ac1a6f08a0bb20c997e36ec7cf164",
+     "e9e26d1cb0512d5ef8c304e2b9ce75549bd32dbb4c144df59cb08822bd9c5c70",
      "96470b96a833946e090933abbc3f768db0a3fd1fccfb126b71ac74a6fc676a19"),
     (("empty", "thm2", 3, False),
-     "1e6a5ec1ed97e53fa0e69989fd5232e29a622a367eaa18706596b5318e2beff7",
+     "66ad462bc9a5bd7e24e900c32a0efce1470ce35d10da0f894d2c1fab16b71bb3",
      "80f7161d07744265def493e5a0ef5a35dfe885a5f00ae25f20ce1f404a97358b"),
 ]
 
 
 def _pinned_resolve(family, theorem, k, balanced) -> tuple[str, str]:
     g = resolve(PIN_FAMILIES[family](), theorem, k=k, balanced=balanced)
-    specs = [(s.graph, s.stat, s.k, repr(s.normalizer), type(s.normalizer).__name__, s.part)
-             for s in g.specs]
+    specs = [(s.graph, s.stat, s.k, s.part) for s in g.specs]
     rows = [(graph, stat, repr(thr), repr(bound)) for graph, stat, thr, bound in g.rows]
-    return repr(specs), repr((g.k, repr(g.eps), repr(g.slack), g.max_tries, rows))
+    return repr((g.norm2, specs)), repr((g.k, repr(g.eps), repr(g.slack), g.max_tries, rows))
 
 
 @pytest.mark.parametrize("case, specs, rows", RESOLVE_PINS, ids=_pin_ids(RESOLVE_PINS))
