@@ -24,7 +24,6 @@ from .model import (
     partition_counts,
     rainbow_count,
     threshold_for,
-    threshold_rule,
 )
 from .estimator import (
     DegreePreconditionError,

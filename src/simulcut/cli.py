@@ -18,39 +18,20 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .model import (
-    EpsilonRangeError,
-    GraphFamily,
-    InstanceError,
-    edwards_bound,
-)
-from .estimator import DegreePreconditionError, EstimatorBudgetError
-from .oracle import SizeLimitError, enumerate_best, max_cut
-from .instances import (
-    GENERATOR_KINDS,
-    InstanceFormatError,
-    generate,
-    parse_instance,
-    serialize_instance,
-)
+from .model import GraphFamily, edwards_bound
+from .oracle import enumerate_best, max_cut
+from .instances import GENERATOR_KINDS, generate, parse_instance, serialize_instance
 from .report import parse_report, recheck, render_report
 from .bench import BenchAbort, RunOptions, execute_run, load_suite, run_bench
 
-_USER_ERRORS = (
-    InstanceError,
-    InstanceFormatError,
-    EpsilonRangeError,
-    DegreePreconditionError,
-    EstimatorBudgetError,
-    SizeLimitError,
-    ValueError,
-    TypeError,
-    OSError,
-)
+# every input and contract error of the package is a ValueError; a derand
+# run that fails its guarantee inside a suite is a BenchAbort
+_USER_ERRORS = (ValueError, TypeError, OSError, BenchAbort)
 
 
 def _read_text(path: str) -> str:
@@ -67,7 +48,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _csv_floats(raw: str, what: str, want: int) -> list[float]:
-    vals = [float(tok) for tok in raw.split(",") if tok.strip()]
+    vals = [float(tok) if tok.strip() else math.nan for tok in raw.split(",")]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{what} needs finite numbers, got {raw!r}")
     if len(vals) != want:
         raise ValueError(f"{what} needs {want} comma-separated values, got {len(vals)}")
     return vals
@@ -220,9 +203,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BenchAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -632,7 +632,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     ks = {s.k for s in specs} | {k}
     if len(ks) != 1:
         raise ValueError(f"specs mix class counts {sorted(ks)}")
-    if any(row[0] < 0 for row in guarantee.rows):
+    if guarantee.slack is not None:
         raise ValueError("balancing is a Monte-Carlo feature; "
                          "the descent does not track class sizes")
     require_addressable(family.n)
@@ -671,8 +671,8 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
             "descent finished above a threshold; estimator bookkeeping is broken"
         )
     # every vertex is decided: each term is exactly (mu - count)^2 / normalizer
-    counts = {(row.graph, row.stat): row.count for row in report.constraints}
-    final = sum((float((stat_mean(s.kind, family.m[s.graph], k) - counts[s.graph, s.stat]) ** 2)
-                 / (root * s.part) for s in specs), 0.0)
+    final = sum((float((bound.mean - row.count) ** 2) / (root * spec.part)
+                 for (spec, _, bound), row in zip(guarantee.rows, report.constraints)
+                 if spec.part), 0.0)
     return DerandResult(assignment=assignment, report=report, trace=tuple(trace),
                         initial_value=initial, final_value=final)

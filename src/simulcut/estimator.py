@@ -46,11 +46,12 @@ class EventSpec:
     normalizer is sqrt(norm2) * ``part``: ``norm2``, the square of the
     factor that every spec of a guarantee shares, is the `Guarantee`'s, and
     ``part`` is the integer part that depends on the member, so the descent
-    can weigh specs by lcm(parts) // part and decide on exact integers.  A
-    list of specs is usable when its initial estimator, sum(Var X /
-    normalizer), is below 1, which forces the greedy descent to end with
-    every statistic above mu - sqrt(normalizer), the guarantee's threshold
-    (`resolve` takes it from `threshold_rule`); `derandomize` checks that
+    can weigh specs by lcm(parts) // part and decide on exact integers; an
+    empty member's specs have part 0 and are no penalty term.  A list of
+    specs is usable when its initial estimator, sum(Var X / normalizer), is
+    below 1, which forces the greedy descent to end with every term at most
+    1: every statistic at or above mu - sqrt(normalizer), the guarantee's
+    threshold, which the row's `Bound` decides; `derandomize` checks that
     sum exactly.
     """
 
@@ -66,8 +67,8 @@ class EventSpec:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if not self.part >= 1:
-            raise ValueError(f"part must be >= 1, got {self.part}")
+        if not self.part >= 0:
+            raise ValueError(f"part must be >= 0, got {self.part}")
         if self.kind == "pair":
             if self.s is None or self.t is None or not 0 <= self.s < self.t < self.k:
                 raise ValueError(f"pair statistic needs classes s < t < k, got {self.s}, {self.t}")

@@ -3,20 +3,20 @@
 `resolve` checks a guarantee's settings against an instance and fixes its
 effective k, epsilon and balance slack.  `check_settings` holds the checks
 that need no instance, and `settle` those that need only its member count
-and uniformity, so run options are rejected before any run.  Per
-member, one branch per theorem gives the normalizer's part and each
-statistic with its threshold and exact `Bound`, computed once by
-`threshold_rule`, which owns every threshold's definition.  Each statistic
-yields one ``(graph, stat, threshold, bound)`` row and, on a member with
-edges, one penalty term for the descent.  `evaluate` counts every member
-of an assignment once and decides each row exactly, a statistic by its
-`Bound` and a class size in integers, so the engines, the reports and
-`verify` agree on every pass and fail; the float threshold and margin are
-for display.
+and uniformity, so run options are rejected before any run.  Per member,
+one branch per theorem gives the normalizer's part and each statistic.
+Every statistic is one ``(spec, threshold, bound)`` row: the spec is its
+penalty term (mu - X)^2 / normalizer, and the row passes iff that term is
+at most 1, which its `Bound` decides exactly from the mean and the squared
+normalizer; the float threshold is for display.  `evaluate` counts every
+member of an assignment once and decides each row, and a class size
+against the balance slack in integers, so the engines, the reports and
+`verify` agree on every pass and fail.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,27 +31,30 @@ from .model import (
     epsilon_cap,
     partition_counts,
     rainbow_count,
-    threshold_rule,
+    stat_mean,
+    threshold_for,
 )
-from .estimator import DegreePreconditionError, EventSpec, stat_name
+from .estimator import DegreePreconditionError, EventSpec
 
 THEOREMS = ("thm1", "thm2", "thm3", "hyp")
 
 
 @dataclass(frozen=True)
 class Guarantee:
-    """Effective settings, penalty terms and constraint rows of one guarantee.
+    """Effective settings and constraint rows of one guarantee.
 
-    ``specs`` are the descent's penalty terms (members with edges only),
-    each with normalizer sqrt(``norm2``) * part, norm2 kept exact; ``rows``
-    hold ``(graph, stat, threshold, bound)`` for every member, then
-    ``(-1, "balance(c)", n/k - slack, None)`` per class when balanced.
-    ``max_tries`` bounds the Monte-Carlo tries the slack is sized for.
+    ``rows`` hold ``(spec, threshold, bound)`` for every statistic of every
+    member, in report order; a spec's normalizer is sqrt(``norm2``) *
+    part, norm2 kept exact, and an empty member's specs have part 0.
+    ``specs``, derived on first read (only the descent and the reference
+    estimator read them), are the penalty terms: the specs with part > 0.
+    ``slack`` is set only when class sizes are balanced, and `evaluate`
+    then adds one balance row per class.  ``max_tries`` bounds the
+    Monte-Carlo tries the slack is sized for.
     """
 
     k: int
-    specs: tuple[EventSpec, ...]
-    rows: tuple[tuple[int, str, float, Bound | None], ...]
+    rows: tuple[tuple[EventSpec, float, Bound], ...]
     norm2: Fraction
     eps: float | Fraction | None = None
     slack: float | None = None
@@ -61,6 +64,10 @@ class Guarantee:
         object.__setattr__(self, "norm2", Fraction(self.norm2))
         if not self.norm2 > 0:
             raise ValueError(f"norm2 must be > 0, got {self.norm2}")
+
+    @functools.cached_property
+    def specs(self) -> tuple[EventSpec, ...]:
+        return tuple(spec for spec, _, _ in self.rows if spec.part)
 
     def __len__(self) -> int:
         """Number of penalty terms, the descent's work per vertex and class."""
@@ -116,7 +123,7 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     """Check a guarantee against a family and fix everything it needs.
 
     k and eps are fixed by `settle`; thm3 needs max_degree <= eps*m on every
-    graph.  A slack of None under ``balanced`` means
+    graph.  The slack is kept only under ``balanced``, where None means
     sqrt(n * ln(2*k*ell*max_tries)), which keeps the combined per-try
     probability of any class drifting off n/k below 1/2.
 
@@ -130,8 +137,10 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
             w = 1 + r*(r-1)*delta2
     The initial estimator is sum(Var X / normalizer), so these budgets keep
     it below 1: 1/2 for thm1, thm2 and hyp, and ell*k(k+1)/2 terms of at
-    most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.  A row's
-    threshold and `Bound` come from `threshold_rule`: mu - sqrt(normalizer).
+    most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.  The
+    descent then ends with every term at most 1, and that is each row's
+    one pass rule: ``Bound(mu, norm2 * part^2)``, count >= mu -
+    sqrt(normalizer).  The row's threshold is `threshold_for`'s float.
     """
     check_settings(theorem, k=k, slack=slack, max_tries=max_tries)
     ell = family.ell
@@ -144,81 +153,80 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
                     f"graph {i}: max degree {family.max_degree[i]} exceeds "
                     f"eps*m = {float(eps) * family.m[i]:.6g}"
                 )
-    if balanced and slack is None:
+    if not balanced:
+        slack = None
+    elif slack is None:
         slack = math.sqrt(family.n * math.log(2 * k * ell * max_tries))
-    norm2 = (Fraction(ell * ell, 4) if theorem == "thm1" else eps if theorem == "thm3"
+    # exact, with an integer numerator and denominator (an int is its own)
+    norm2 = (Fraction(ell * ell, 4) if theorem == "thm1" else Fraction(eps) if theorem == "thm3"
              else 4 * ell * ell)
 
-    specs: list[EventSpec] = []
-    rows: list[tuple[int, str, float, Bound | None]] = []
+    # (kind, threshold kind, classes) of each statistic of a member
+    if theorem == "thm3":
+        stats = [("pair", "thm3_pair", tuple(itertools.combinations(range(k), 2))),
+                 ("within", "thm3_within", tuple((s, None) for s in range(k)))]
+    else:
+        stats = [("rainbow" if theorem == "hyp" else "crossing", theorem, ((None, None),))]
+    num, den = norm2.numerator, norm2.denominator
+    rows: list[tuple[EventSpec, float, Bound]] = []
     for i, m in enumerate(family.m):
-        # the member's part, and (kind, s, t, threshold, bound) of each statistic
-        if theorem in ("thm1", "thm2"):
-            part = m
-            stats = [("crossing", None, None, *threshold_rule(theorem, m=m, ell=ell, k=k))]
-        elif theorem == "thm3":
+        delta2 = None
+        if theorem == "thm3":
             part = m * m
-            pair = threshold_rule("thm3_pair", m=m, ell=ell, k=k, eps=eps)
-            within = threshold_rule("thm3_within", m=m, ell=ell, k=k, eps=eps)
-            stats = [("pair", s, t, *pair) for s, t in itertools.combinations(range(k), 2)]
-            stats += [("within", s, None, *within) for s in range(k)]
-        else:
+        elif theorem == "hyp":
             delta2 = family.delta2[i]
             part = (1 + k * (k - 1) * delta2) * m
-            stats = [("rainbow", None, None,
-                      *threshold_rule("hyp", m=m, ell=ell, r=k, delta2=delta2))]
-        for kind, s, t, threshold, bound in stats:
-            rows.append((i, stat_name(kind, s, t), threshold, bound))
-            if m:           # no penalty term on an empty member: its thresholds are <= 0
-                specs.append(EventSpec(graph=i, kind=kind, k=k, s=s, t=t, part=part))
-    if balanced:
-        rows += [(-1, f"balance({c})", family.n / k - slack, None) for c in range(k)]
-    return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), norm2=norm2, eps=eps,
-                     slack=slack, max_tries=max_tries)
+        else:
+            part = m
+        spread = Fraction(num * part * part, den)
+        for kind, rule, classes in stats:
+            threshold = threshold_for(rule, m=m, ell=ell, k=k, eps=eps, r=k, delta2=delta2)
+            bound = Bound(stat_mean(kind, m, k), spread)
+            for s, t in classes:
+                rows.append((EventSpec(graph=i, kind=kind, k=k, s=s, t=t, part=part),
+                             threshold, bound))
+    return Guarantee(k=k, rows=tuple(rows), norm2=norm2, eps=eps, slack=slack,
+                     max_tries=max_tries)
 
 
 def evaluate(family, a, guarantee: Guarantee) -> CutReport:
     """Count every member under a total assignment once and check each row.
 
     Pure in its inputs.  A statistic row passes when its `Bound` admits the
-    count, which is count >= threshold decided exactly; a balance row when
-    |k*size - n| <= floor(k * slack), slack the exact value of its float.
+    count, which is count >= threshold decided exactly.  With a slack, one
+    balance row per class follows, passing when |k*size - n| <= floor(k *
+    slack), slack the exact value of its float.
     """
     k, n = guarantee.k, family.n
     if a.k != k:
         raise ValueError(f"assignment has k={a.k}, guarantee resolves to k={k}")
     if a.n != n:
         raise ValueError(f"assignment has {a.n} labels, family has n={n} vertices")
-    limit = None if guarantee.slack is None else math.floor(k * Fraction(guarantee.slack))
     sizes = a.class_sizes()
-    counts = {(-1, f"balance({c})"): size for c, size in enumerate(sizes)}
     crossing = pairs = within = rainbow = ()
     hyper = isinstance(family, HypergraphFamily)
     if hyper:
         rainbow = tuple(rainbow_count(rows, a, family.r) for rows in family.arrays)
-        counts.update(((i, "rainbow"), x) for i, x in enumerate(rainbow))
     else:
         # every class pair only when rows read them or within counts (thm3), so
         # thm1 and thm2 cost O(m + k) whatever the k
-        every_pair = any(row[1].startswith(("pair(", "within(")) for row in guarantee.rows)
+        every_pair = any(spec.kind in ("pair", "within") for spec, _, _ in guarantee.rows)
         pairs, within, crossing = zip(*(partition_counts(rows, a, every_pair)
                                         for rows in family.arrays))
-        for i in range(family.ell):
-            counts[i, "crossing"] = crossing[i]
-            if every_pair:
-                counts.update(((i, f"pair({s},{t})"), x) for (s, t), x in pairs[i].items())
-                counts.update(((i, f"within({s})"), x) for s, x in enumerate(within[i]))
     constraints = []
-    for graph, stat, threshold, bound in guarantee.rows:
-        count = counts[graph, stat]
-        if graph < 0:
-            margin = guarantee.slack - abs(count - n / k)
-            passed = abs(k * count - n) <= limit
-        else:
-            margin = count - threshold
-            passed = bound.admits(count)
-        constraints.append(Constraint(graph=graph, stat=stat, count=count,
-                                      threshold=threshold, margin=margin, passed=passed))
+    for spec, threshold, bound in guarantee.rows:
+        g = spec.graph
+        count = (crossing[g] if spec.kind == "crossing" else rainbow[g] if spec.kind == "rainbow"
+                 else pairs[g][spec.s, spec.t] if spec.kind == "pair" else within[g][spec.s])
+        constraints.append(Constraint(graph=g, stat=spec.stat, count=count, threshold=threshold,
+                                      margin=count - threshold, passed=bound.admits(count)))
+    if guarantee.slack is not None:
+        limit = math.floor(k * Fraction(guarantee.slack))
+        constraints += [Constraint(graph=-1, stat=f"balance({c})", count=size,
+                                   threshold=n / k - guarantee.slack,
+                                   margin=guarantee.slack - abs(size - n / k),
+                                   passed=abs(k * size - n) <= limit)
+                        for c, size in enumerate(sizes)]
     return CutReport(
         kind="hypergraphs" if hyper else "graphs",
         class_sizes=sizes,

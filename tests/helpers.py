@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
-from simulcut import Assignment, GraphFamily, HypergraphFamily, UNDECIDED
+from simulcut import Assignment, Bound, GraphFamily, Guarantee, HypergraphFamily, UNDECIDED
+from simulcut.model import stat_mean
 
 
 def all_pairs(n):
@@ -65,3 +67,14 @@ def key_unit(guarantee):
     rainbow = bool(specs) and specs[0].kind == "rainbow"
     scale = math.lcm(*(s.part for s in specs)) * (k ** (3 * k) if rainbow else k ** 4)
     return scale, math.sqrt(guarantee.norm2)
+
+
+def hand_built(fam, k, specs, norm2):
+    """A guarantee of hand-built specs, with one row per spec at its certified
+    bound mu - sqrt(normalizer): (mu - count)^4 <= norm2 * part^2."""
+    rows = []
+    for s in specs:
+        mu = stat_mean(s.kind, fam.m[s.graph], s.k)
+        rows.append((s, float(mu) - math.sqrt(math.sqrt(norm2) * s.part),
+                     Bound(mu, Fraction(norm2) * s.part ** 2)))
+    return Guarantee(k=k, rows=tuple(rows), norm2=norm2)

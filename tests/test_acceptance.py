@@ -15,7 +15,6 @@ import pytest
 from simulcut import (
     Assignment,
     GraphFamily,
-    Guarantee,
     UNDECIDED,
     conditional_moments,
     crossing_count,
@@ -37,6 +36,7 @@ from simulcut.estimator import EventSpec
 from simulcut.instances import generate
 
 from helpers import (
+    hand_built,
     key_unit,
     random_edges,
     random_family,
@@ -180,7 +180,7 @@ def test_criterion_04_moment_anchor():
                             seed=5000 + trial)
         specs = tuple(EventSpec(graph=i, kind="crossing", k=2, part=fam.m[i]) for i in range(2))
         value = estimator_value(fam, Assignment((UNDECIDED,) * n, 2),
-                                Guarantee(k=2, specs=specs, rows=(), norm2=1))
+                                hand_built(fam, 2, specs, norm2=1))
         assert abs(value - 0.5) <= 1e-12
     print("\nACCEPTANCE 4 PASS: E[X^2] = m(m+1)/4 exactly on 50 graphs; "
           "two-graph estimator starts at 0.5 within 1e-12")

@@ -358,6 +358,18 @@ def test_oracle_counterexample_feasibility(c5_file, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--thresholds", "nan,nan"), ("--thresholds", "1,,2"), ("--thresholds", "inf,1"),
+    ("--thresholds", "1,2,"), ("--centers", "inf,1"), ("--centers", "1,nan"),
+    ("--centers", ",1,2"),
+])
+def test_oracle_refuses_empty_or_non_finite_entries(c5_file, capsys, flag, value):
+    code = main(["oracle", str(c5_file), "--objective", "simultaneous", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} needs finite numbers, got {value!r}\n"
+
+
 def test_oracle_edwards(c5_file, capsys):
     assert main(["oracle", str(c5_file), "--objective", "edwards"]) == 0
     out = capsys.readouterr().out

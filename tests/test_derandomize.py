@@ -14,11 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simulcut import (
-    Bound,
     EstimatorBudgetError,
     EventSpec,
     GraphFamily,
-    Guarantee,
     HypergraphFamily,
     UNDECIDED,
     crossing_count,
@@ -30,10 +28,11 @@ from simulcut import (
 from simulcut.bench import RunOptions, execute_run
 from simulcut.derandomize import (
     _build_terms, _ClassPairTerm, _CrossingTerm, _RainbowTerm, resolve_order)
-from simulcut.estimator import _quadratic, stat_mean
+from simulcut.estimator import _quadratic
 from simulcut.instances import generate
 
-from helpers import c5_pair, cycle_edges, key_unit, random_family, random_hyperfamily
+from helpers import (c5_pair, cycle_edges, hand_built, key_unit, random_family,
+                     random_hyperfamily)
 
 
 def _exact_value(edges, labels, specs):
@@ -247,7 +246,7 @@ class TestEngineEquality:
             for s in range(k):
                 specs.append(EventSpec(graph=0, kind="within", k=k, s=s))
             # normalizer 12 m^2, far above any variance bound
-            guarantee = _hand_built(fam, k, specs, norm2=144 * m ** 4)
+            guarantee = hand_built(fam, k, specs, norm2=144 * m ** 4)
             assert_exact_descent(fam, guarantee, derandomize(fam, guarantee))
 
     def test_incremental_equals_naive_mixed_member(self):
@@ -266,7 +265,7 @@ class TestEngineEquality:
                 at = rng.randint(0, len(classwise))
                 crossing = dataclasses.replace(classwise[0], kind="crossing", s=None, t=None)
                 specs += classwise[:at] + [crossing] + classwise[at:]
-            guarantee = _hand_built(fam, k, specs, norm2=144)
+            guarantee = hand_built(fam, k, specs, norm2=144)
             result = derandomize(fam, guarantee, order=rng.choice(["natural", "degree"]))
             assert_descent_health(fam, guarantee, result)
             assert_exact_descent(fam, guarantee, result)
@@ -295,7 +294,7 @@ class TestEngineEquality:
                 shared.update(len(set(a) & set(b)) for edges in hf.hypergraphs
                               for a, b in itertools.combinations(edges, 2))
                 specs = tuple(_loose_rainbow(hf, i) for i in range(2))
-                guarantee = _hand_built(hf, r, specs, norm2=(50 * r ** r) ** 2)
+                guarantee = hand_built(hf, r, specs, norm2=(50 * r ** r) ** 2)
                 for order in ("natural", "degree"):
                     assert_exact_descent(hf, guarantee, derandomize(hf, guarantee, order=order))
             assert set(range(2, r)) <= shared
@@ -512,7 +511,7 @@ def test_budget_decided_exactly_at_one(data):
     spec = EventSpec(graph=0, kind=kind, k=k, s=s, t=t, part=part)
     quad = _quads([fam.arrays[0].tolist()], [UNDECIDED] * n, [spec])[0]
     value = Fraction(quad, (k ** (3 * k) if kind == "rainbow" else k ** 4) * part)
-    guarantee = _hand_built(fam, k, [spec], norm2=(value / x) ** 2)
+    guarantee = hand_built(fam, k, [spec], norm2=(value / x) ** 2)
     if x < 1:
         result = derandomize(fam, guarantee)
         assert result.initial_value == 1.0
@@ -547,17 +546,6 @@ def _exact_num(labels, edges, spec):
     num = _quadratic(labels, edges, spec) * spec.k ** (3 * spec.k)
     assert num.denominator == 1
     return num.numerator
-
-
-def _hand_built(fam, k, specs, norm2):
-    """A guarantee of hand-built specs, with one row per spec at its certified
-    bound mu - sqrt(normalizer): (mu - count)^4 <= norm2 * part^2."""
-    rows = []
-    for s in specs:
-        mu = stat_mean(s.kind, fam.m[s.graph], s.k)
-        rows.append((s.graph, s.stat, float(mu) - math.sqrt(math.sqrt(norm2) * s.part),
-                     Bound(mu, 4, Fraction(norm2) * s.part ** 2)))
-    return Guarantee(k=k, specs=tuple(specs), rows=tuple(rows), norm2=norm2)
 
 
 def _loose_rainbow(hf, i):
@@ -636,7 +624,7 @@ def _loose_classwise(i, m, k):
 
 def _loose_pair_within(fam, k):
     specs = [spec for i, m in enumerate(fam.m) if m for spec in _loose_classwise(i, m, k)]
-    return _hand_built(fam, k, specs, norm2=144)
+    return hand_built(fam, k, specs, norm2=144)
 
 
 class TestContracts:
@@ -645,7 +633,7 @@ class TestContracts:
         # normalizer m/8 makes E[Z] = (m/4)/(m/8) = 2 at the start
         specs = (EventSpec(graph=0, kind="crossing", k=2),)
         with pytest.raises(EstimatorBudgetError, match="initial estimator"):
-            derandomize(fam, Guarantee(k=2, specs=specs, rows=(), norm2=4))
+            derandomize(fam, hand_built(fam, 2, specs, norm2=4))
 
     def test_mixed_k_rejected(self):
         fam = random_family(6, [5, 5], 6)
@@ -654,7 +642,7 @@ class TestContracts:
             EventSpec(graph=1, kind="crossing", k=3),
         )
         with pytest.raises(ValueError, match="mix"):
-            derandomize(fam, Guarantee(k=2, specs=specs, rows=(), norm2=2500))
+            derandomize(fam, hand_built(fam, 2, specs, norm2=2500))
 
     def test_balanced_guarantee_rejected(self):
         fam = random_family(6, [5], 6)

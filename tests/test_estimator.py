@@ -28,6 +28,7 @@ from simulcut.oracle import moments_by_completion
 
 from helpers import (
     c5_pair,
+    hand_built,
     random_edges,
     random_family,
     random_hyperfamily,
@@ -220,7 +221,7 @@ class TestEstimatorValue:
         # normalizer m_i = 5: for two graphs this is the standard bipartition config
         specs = tuple(EventSpec(graph=i, kind="crossing", k=2) for i in range(2))
         a = Assignment((UNDECIDED,) * 5, 2)
-        guarantee = Guarantee(k=2, specs=specs, rows=(), norm2=25)
+        guarantee = hand_built(fam, 2, specs, norm2=25)
         assert estimator_value(fam, a, guarantee) == pytest.approx(0.5, abs=1e-12)
 
     def test_thm1_initial_half_any_ell(self):
@@ -261,11 +262,12 @@ class TestEventSpec:
         spec = EventSpec(graph=0, kind="crossing", k=2)
         for norm2 in (0, -1, Fraction(-1, 4)):
             with pytest.raises(ValueError, match="norm2 must be > 0"):
-                Guarantee(k=2, specs=(spec,), rows=(), norm2=norm2)
+                Guarantee(k=2, rows=(), norm2=norm2)
         # any number is kept exact: a float's own value, not its decimal reading
-        assert Guarantee(k=2, specs=(spec,), rows=(), norm2=0.1).norm2 == Fraction(0.1)
+        assert hand_built(c5_pair(), 2, [spec], norm2=0.1).norm2 == Fraction(0.1)
+        # part 0 is an empty member's spec, which is no penalty term
         with pytest.raises(ValueError):
-            EventSpec(graph=0, kind="crossing", k=2, part=0)
+            EventSpec(graph=0, kind="crossing", k=2, part=-1)
 
     def test_pair_needs_ordered_classes(self):
         with pytest.raises(ValueError):
@@ -276,7 +278,7 @@ class TestEventSpec:
         # a normalizer below the variance m/4 starts the descent at 2/1.5 >= 1
         bad = (EventSpec(graph=0, kind="crossing", k=2),)
         with pytest.raises(EstimatorBudgetError, match="initial estimator"):
-            derandomize(fam, Guarantee(k=2, specs=bad, rows=(), norm2=Fraction(9, 4)))
+            derandomize(fam, hand_built(fam, 2, bad, norm2=Fraction(9, 4)))
 
     def test_threshold_equals_mu_minus_sqrt_norm(self):
         # the bound mu - sqrt(normalizer) that each term certifies is the
@@ -287,7 +289,7 @@ class TestEventSpec:
         cycle = GraphFamily(n=294, graphs=(tuple((i, (i + 1) % 294) for i in range(294)),))
         for family, theorem, k in ((fam, "thm1", None), (fam, "thm2", 3), (cycle, "thm3", 2)):
             guarantee = resolve(family, theorem, k=k)
-            rows = {(g, stat): thr for g, stat, thr, _ in guarantee.rows}
+            rows = {(s.graph, s.stat): thr for s, thr, _ in guarantee.rows}
             assert {(s.graph, s.stat) for s in guarantee.specs} == set(rows)
             for s in guarantee.specs:
                 mu = stat_mean(s.kind, family.m[s.graph], s.k)
@@ -303,16 +305,17 @@ class TestEventSpec:
     def test_hyp_threshold_matches(self):
         hf = random_hyperfamily(12, 3, [20, 15], 5)
         guarantee = resolve(hf, "hyp")
-        assert [s.graph for s in guarantee.specs] == [row[0] for row in guarantee.rows]
-        for s, (g, stat, thr, _) in zip(guarantee.specs, guarantee.rows):
-            mu = stat_mean("rainbow", hf.m[g], 3)
+        assert guarantee.specs == tuple(s for s, _, _ in guarantee.rows)
+        for s, thr, _ in guarantee.rows:
+            mu = stat_mean("rainbow", hf.m[s.graph], 3)
             normalizer = math.sqrt(guarantee.norm2) * s.part
             assert math.isclose(float(mu) - math.sqrt(normalizer), thr, rel_tol=1e-12)
-            want = threshold_for("hyp", m=hf.m[g], ell=2, r=3, delta2=hf.delta2[g])
-            assert stat == "rainbow" and repr(thr) == repr(want)
+            want = threshold_for("hyp", m=hf.m[s.graph], ell=2, r=3, delta2=hf.delta2[s.graph])
+            assert s.stat == "rainbow" and repr(thr) == repr(want)
 
     def test_empty_members_skipped(self):
         fam = GraphFamily(n=4, graphs=(((0, 1),), ()))
         guarantee = resolve(fam, "thm1")
         assert [s.graph for s in guarantee.specs] == [0]
-        assert [row[0] for row in guarantee.rows] == [0, 1]
+        assert [(s.graph, s.part) for s, _, _ in guarantee.rows] == [(0, 1), (1, 0)]
+        assert len(guarantee) == 1

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simulcut import (
     Assignment,
@@ -22,9 +23,10 @@ from simulcut import (
 )
 from simulcut.cli import main
 from simulcut.instances import generate, serialize_instance
+from simulcut.model import stat_mean
 from simulcut.report import parse_report
 
-from helpers import c5_pair, random_family, random_hyperfamily
+from helpers import c5_pair, cycle_edges, random_family, random_hyperfamily
 
 
 class TestRandomAssignment:
@@ -254,19 +256,50 @@ class TestCheckReport:
                          "within(0)": True, "within(1)": True, "within(2)": True}
 
     def test_bound_admits_exactly(self):
-        # thresholds 5/2 - 3/2 = 1 and 1 - (1/16)^(1/4) = 1/2
-        square = Bound(Fraction(5, 2), 2, Fraction(9, 4))
-        fourth = Bound(Fraction(1), 4, Fraction(1, 16))
-        assert [square.admits(c) for c in range(4)] == [False, True, True, True]
-        assert [fourth.admits(c) for c in range(3)] == [False, True, True]
-        rng = random.Random(34)
-        for _ in range(300):
-            mean = Fraction(rng.randrange(200), rng.choice([1, 2, 4, 9, 16, 27]))
-            spread = Fraction(rng.randrange(500), rng.randrange(1, 30))
-            bound = Bound(mean, rng.choice([2, 4]), spread)
-            for count in range(int(mean) + 2):
-                want = count >= mean or (mean - count) ** bound.power <= bound.spread
-                assert bound.admits(count) == want
+        # thresholds 5/2 - sqrt(9/4) = 1, 1 - (1/16)^(1/4) = 1/2 and, with
+        # a spread that is not a square, 2 - 2^(1/4) = 0.81...; spread 0 is
+        # an empty member's row, which passes from the mean on
+        assert [Bound(Fraction(5, 2), Fraction(81, 16)).admits(c) for c in range(4)] == [
+            False, True, True, True]
+        assert [Bound(Fraction(1), Fraction(1, 16)).admits(c) for c in range(3)] == [
+            False, True, True]
+        assert [Bound(Fraction(2), Fraction(2)).admits(c) for c in range(3)] == [
+            False, True, True]
+        assert [Bound(Fraction(0), Fraction(0)).admits(c) for c in range(2)] == [True, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=0, max_value=200, max_denominator=27),
+           st.fractions(min_value=0, max_value=50, max_denominator=30), st.integers(0, 40))
+    def test_bound_is_its_penalty_term_at_most_one(self, mean, norm2, part):
+        # a row's spread is the squared normalizer norm2 * part^2, norm2 a
+        # square or not: a count passes iff (mean - count)^2 / normalizer <= 1
+        bound = Bound(mean, norm2 * part ** 2)
+        counts = range(math.ceil(mean) + 2)
+        assert [bound.admits(c) for c in counts] == [
+            c >= mean or (mean - c) ** 4 <= norm2 * part ** 2 for c in counts]
+        # a square spread q^2 is the second-power test (mean - count)^2 <= q
+        q = norm2 * part
+        assert [Bound(mean, q * q).admits(c) for c in counts] == [
+            c >= mean or (mean - c) ** 2 <= q for c in counts]
+
+    def test_resolved_rows_admit_exactly_the_terms_at_most_one(self):
+        # every theorem, beside an empty member: a row passes exactly the
+        # counts whose term (mu - c)^2 / (sqrt(norm2) * part) is at most 1;
+        # thm3 with ell=2, k=2 needs m >= 2 * 576 for the default eps
+        cases = [(random_family(12, [20, 0], 1), "thm1", None),
+                 (random_family(12, [0, 25], 2), "thm2", 3),
+                 (GraphFamily(n=1201, graphs=(cycle_edges(1201), ())), "thm3", 2),
+                 (random_hyperfamily(10, 3, [30, 0], 3), "hyp", None)]
+        for family, theorem, k in cases:
+            g = resolve(family, theorem, k=k)
+            empty = family.m.index(0)
+            assert {s.part for s, _, _ in g.rows if s.graph == empty} == {0}
+            assert g.specs == tuple(s for s, _, _ in g.rows if s.graph != empty)
+            for spec, _, bound in g.rows:
+                m = family.m[spec.graph]
+                mu = stat_mean(spec.kind, m, g.k)
+                assert [bound.admits(c) for c in range(m + 1)] == [
+                    c >= mu or (mu - c) ** 4 <= g.norm2 * spec.part ** 2 for c in range(m + 1)]
 
     def test_counts_sum_invariant(self):
         rng = random.Random(33)

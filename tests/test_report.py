@@ -3,6 +3,7 @@ thresholds agree bit for bit, whole reports and resolved guarantees are
 pinned by digest, and `verify` survives corrupted reports."""
 
 import hashlib
+import math
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -77,9 +78,9 @@ def test_thresholds_agree_bit_for_bit(gen, theorem, k, method):
     family = generate(**gen, seed=0)
     name = THEOREM_TOKENS[theorem]
     guarantee = resolve(family, name, k=k)
-    want = [repr(_closed_form(family, name, guarantee.k, g, stat))
-            for g, stat, _, _ in guarantee.rows]
-    assert [repr(row[2]) for row in guarantee.rows] == want
+    want = [repr(_closed_form(family, name, guarantee.k, spec.graph, spec.stat))
+            for spec, _, _ in guarantee.rows]
+    assert [repr(thr) for _, thr, _ in guarantee.rows] == want
     outcome = execute_run(family, RunOptions(method=method, theorem=theorem, k=k))
     engine = (outcome.derand_result.report if method == "derand"
               else outcome.run_report.cut_report)
@@ -279,39 +280,46 @@ def test_report_digest_pinned(case, digest):
 
 # (family, theorem, k, balanced): sha256 of the resolved penalty terms
 # (the exact norm2, then each spec's graph, stat, k and part), and of the
-# effective settings with every (graph, stat, threshold, bound) row
+# effective settings with every statistic row's graph, stat, display
+# threshold and least admitted count
 RESOLVE_PINS = [
     (("gnm", "thm1", None, False),
      "71eb4b4ed0df263f3dd610dd93ad7e90431b81be5050b1657ad85e329b47f4ea",
-     "8428c3aa646ec193ae631b2a3acfa99f2727d5552e9699f7f515e01ce1aee9c0"),
+     "7b1818f004f05731722dd7c90b8538e2473b29653be95e0f4fda0868ace6c0aa"),
     (("gnm", "thm2", 3, False),
      "d1228727dfe648f1a9b3e7e286aaa129af08f7df3334a82da20ff5d213748ff3",
-     "7e59dbc704d4895e760f89dfb76bb079ebb9c13c98020196ade2acadfa9b78ad"),
+     "77e9e7f450b871b9413e70310f30d6bdd9130c7b5987814ad1580d763916eca2"),
     (("gnm", "thm2", 4, True),
      "8dd1d4f59a02c294276cd55aaa1c7fc2e3d08d02436877ba00adb4b9e2130361",
-     "83b19ed1b0c1a176d0c08b44191cb74d2bd83726525d1aca523a1d6dad637352"),
+     "a4dbb07ecd239e617dad261b4890052af63c54b5eaef160f5a0064df149e271e"),
     (("bd", "thm3", 2, False),
      "fa19283fe85c9889233b6e074866e017926662f8fc07a231435a77355d17076d",
-     "839355bc32238b2d4fedb6cb9394662c0cb54b6ea48c95b81db8224457e3fc28"),
+     "fb06a754dad912c127954e4df2806bb5cab57da9e37bc9930b693f5acc83ee3a"),
     (("bd1460", "thm3", 3, False),
      "67d09ea6dda263d88b95da56a960ffce8498d09333566411e7c97e744848f108",
-     "5f89424d5a266ba966baaac082cdb9185195a303f1a27cdf1069510d1fd83c71"),
+     "b7cad1496e579297466f3b417fa3bf7bd2a2a0b33b506cab3bfb37ae624fbcf8"),
     (("ru", "hyp", None, False),
      "eb332932d7a0d62a156e40012d000f79ac21dbe9c509a1249a37badfc8e86539",
-     "70c9231204894e86ea6dcb0a43d8a63baeea87853e83b1317e9d1887b66c0ea1"),
+     "1312b01c2711dc9c003795453e3b5fc8e49de14c42469fb32b247f810cd51565"),
     (("empty", "thm1", None, False),
      "e9e26d1cb0512d5ef8c304e2b9ce75549bd32dbb4c144df59cb08822bd9c5c70",
-     "96470b96a833946e090933abbc3f768db0a3fd1fccfb126b71ac74a6fc676a19"),
+     "27fca42b053eacbf304afbbf8dfacd0966ab3a915b269260b853e3a46651c2c1"),
     (("empty", "thm2", 3, False),
      "66ad462bc9a5bd7e24e900c32a0efce1470ce35d10da0f894d2c1fab16b71bb3",
-     "80f7161d07744265def493e5a0ef5a35dfe885a5f00ae25f20ce1f404a97358b"),
+     "c1430bac5a67e14d765c0d25ce2e764115b119c3f0c86741ed5284e9d451acd3"),
 ]
+
+
+def _least_admitted(bound) -> int:
+    """The smallest count a row's `Bound` passes: its exact threshold, rounded up."""
+    return next(c for c in range(math.ceil(bound.mean) + 1) if bound.admits(c))
 
 
 def _pinned_resolve(family, theorem, k, balanced) -> tuple[str, str]:
     g = resolve(PIN_FAMILIES[family](), theorem, k=k, balanced=balanced)
     specs = [(s.graph, s.stat, s.k, s.part) for s in g.specs]
-    rows = [(graph, stat, repr(thr), repr(bound)) for graph, stat, thr, bound in g.rows]
+    rows = [(spec.graph, spec.stat, repr(thr), _least_admitted(bound))
+            for spec, thr, bound in g.rows]
     return repr((g.norm2, specs)), repr((g.k, repr(g.eps), repr(g.slack), g.max_tries, rows))
 
 
