@@ -44,7 +44,8 @@ from pathlib import Path
 from .derandomize import derandomize
 from .guarantee import check_settings, resolve, settle
 from .mc import McExhausted, mc_partition
-from .instances import check_generator, generate, generated_shape, serialize_instance
+from .instances import (check_generator, generate, generated_shape, serialize_instance,
+                        write_text)
 from .report import RunReport, instance_digest, render_report
 
 THEOREM_TOKENS = {"1": "thm1", "2": "thm2", "3": "thm3", "hyp": "hyp",
@@ -281,12 +282,11 @@ def run_bench(suite, out_dir=None, echo=None) -> BenchResult:
             rr = outcome.run_report
             result.runs += 1
             if out_path:
-                (out_path / f"{run.name}-{rep}.report").write_text(
-                    render_report(rr), encoding="utf-8", newline="\n")
+                write_text(out_path / f"{run.name}-{rep}.report", render_report(rr))
             if rr.method == "derand" and not rr.passed:
                 where = out_path if out_path else Path.cwd()
                 path = where / f"{run.name}-{rep}-failed.instance"
-                path.write_text(serialize_instance(family), encoding="utf-8", newline="\n")
+                write_text(path, serialize_instance(family))
                 raise BenchAbort(
                     f"derandomized run {run.name} rep {rep} failed its guarantee", str(path))
             if rr.method == "mc" and not rr.passed:     # an mc run fails only when exhausted

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .model import GraphFamily, edwards_bound
 from .oracle import enumerate_best, max_cut
-from .instances import GENERATOR_KINDS, generate, parse_instance, serialize_instance
+from .instances import GENERATOR_KINDS, generate, parse_instance, serialize_instance, write_text
 from .report import parse_report, recheck, render_report
 from .bench import BenchAbort, RunOptions, execute_run, load_suite, run_bench
 
@@ -44,7 +44,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        write_text(path, text)
 
 
 def _csv_floats(raw: str, what: str, want: int) -> list[float]:

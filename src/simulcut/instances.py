@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
+import stat
 
 import numpy as np
 
@@ -95,6 +97,35 @@ def parse_instance(text: str):
 def text_sha256(text: str) -> str:
     """Hex sha256 of the UTF-8 text; an instance's digest is this of its serialized text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 with its newlines as given, overwriting in place.
+
+    Every file the program writes goes through here.  The file is opened
+    without O_TRUNC and, when it is a regular file, cut at the written length
+    afterwards, so its size never passes through 0 and closing it starts no
+    writeback (ext4 with ``auto_da_alloc`` flushes a file truncated to 0 on
+    close).  The cut also runs when a write raises, so an error leaves the
+    bytes written so far and none of the old file.  Symlinks are followed, a
+    new file gets mode 0o666 less the umask, and pipes and devices are
+    written as they are.  The write is neither atomic nor fsynced, and with
+    no flush on close a system crash soon after it can leave the old bytes,
+    or old and new mixed, at the path.
+    """
+    data = memoryview(text.encode("utf-8"))
+    # O_BINARY (Windows only) keeps "\n" from becoming "\r\n"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def _family(n: int, r: int | None, members):

@@ -1,10 +1,13 @@
 """Command-line driver: flows, report round-trips, exit codes."""
 
 import argparse
+import builtins
 import contextlib
+import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +17,7 @@ import pytest
 
 import simulcut
 from simulcut.cli import main
+from simulcut.instances import write_text
 from simulcut.report import parse_report
 
 @pytest.fixture
@@ -465,6 +469,126 @@ def test_bench_jobs_parallel_same_totals(tmp_path, capsys):
     assert main(["bench", str(path), "--jobs", "3"]) == 0
     out = capsys.readouterr().out
     assert "total runs 4" in out and "failed constraint rows 0" in out
+
+
+def _unclocked(path):
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("wall-ms ")]
+
+
+@pytest.mark.parametrize("old,new", [("x" * 500 + "\n", "short\n"), ("ab\n", "longer text\n" * 40)],
+                         ids=["longer-to-shorter", "shorter-to-longer"])
+def test_write_text_overwrites_in_place(tmp_path, old, new):
+    path = tmp_path / "out"
+    path.write_bytes(old.encode())
+    path.chmod(0o600)
+    inode = path.stat().st_ino
+    write_text(path, new)
+    assert path.read_bytes() == new.encode()
+    assert path.stat().st_ino == inode and stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_text_error_leaves_no_old_bytes(tmp_path, monkeypatch):
+    # the first write takes 10 bytes, the second fails: only those 10 remain
+    path = tmp_path / "out"
+    path.write_text("result pass\n" * 100)
+    real_write, calls = os.write, []
+
+    def short_then_full_disk(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data[:10])
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", short_then_full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            write_text(path, "k 2\nclass-size 0 3\n")
+    assert len(calls) == 2
+    assert path.read_bytes() == b"k 2\nclass-"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_write_text_new_file_mode_follows_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_text(tmp_path / "new", "text\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o666 & ~umask
+
+
+def test_symlinked_out_rewrites_its_target(c5_file, tmp_path):
+    target, link = tmp_path / "target.report", tmp_path / "link.report"
+    target.write_text("stale\n" * 1000)
+    link.symlink_to(target)
+    assert main(["partition", str(c5_file), "--theorem", "1", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert main(["verify", str(target), "--instance", str(c5_file)]) == 0
+
+
+def test_out_to_dev_null_and_stdout(c5_file, tmp_path, capsys):
+    argv = ["partition", str(c5_file), "--theorem", "1", "--out"]
+    assert main([*argv, os.devnull]) == 0
+    assert main([*argv, str(tmp_path / "file.report")]) == 0
+    capsys.readouterr()
+    assert main([*argv, "-"]) == 0
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("wall-ms ")]
+    assert printed == _unclocked(tmp_path / "file.report")
+
+
+def test_no_output_write_truncates(c5_file, tmp_path, monkeypatch):
+    # an O_TRUNC open of an existing file costs an ext4 flush on close
+    writes = []
+    real_os_open, real_open = os.open, io.open
+
+    def os_open(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            writes.append((Path(path).name, bool(flags & os.O_TRUNC)))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def py_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and any(c in mode for c in "wax+"):
+            writes.append((Path(file).name, "w" in mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"runs": [{"name": "s", "reps": 2, "method": "derand",
+                                           "generator": {"kind": "gnm", "n": 9, "m": 12},
+                                           "theorem": "1"}]}))
+    for name in ("gen.instance", "run.report", "s-0.report", "s-1.report"):
+        (tmp_path / name).write_text("stale\n" * 1000)
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(io, "open", py_open)
+    monkeypatch.setattr(builtins, "open", py_open)
+    assert main(["gen", "gnm", "--n", "8", "--m", "10", "--out",
+                 str(tmp_path / "gen.instance")]) == 0
+    assert main(["partition", str(c5_file), "--theorem", "1", "--out",
+                 str(tmp_path / "run.report")]) == 0
+    assert main(["bench", str(suite), "--out-dir", str(tmp_path)]) == 0
+    assert sorted(writes) == [("gen.instance", False), ("run.report", False),
+                              ("s-0.report", False), ("s-1.report", False)]
+
+
+def test_bench_rerun_into_same_dir_equals_fresh_dir(tmp_path):
+    def suite(n, m):
+        path = tmp_path / f"suite-{n}.json"
+        path.write_text(json.dumps({"runs": [
+            {"name": name, "reps": 3, "method": method, "theorem": "2", "k": 3, "seed": 4,
+             "generator": {"kind": "gnm", "n": n, "m": m, "ell": 2}}
+            for name, method in (("d", "derand"), ("m", "mc"))]}))
+        return str(path)
+
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    # the first run's reports are longer than the second's, then the same again
+    for out_dir, suites in ((again, (suite(40, 90), suite(12, 20), suite(12, 20))),
+                            (fresh, (suite(12, 20),))):
+        for path in suites:
+            assert main(["bench", path, "--out-dir", str(out_dir)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert len(names) == 6 and sorted(p.name for p in again.iterdir()) == names
+    for name in names:
+        assert _unclocked(again / name) == _unclocked(fresh / name)
+        assert (again / name).read_text().endswith("\nresult pass\n")
 
 
 def test_main_reuses_one_parser_and_carries_no_state(c5_file, tmp_path, capsys, monkeypatch):
