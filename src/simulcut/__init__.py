@@ -23,7 +23,6 @@ from .model import (
     epsilon_cap,
     partition_counts,
     rainbow_count,
-    threshold_for,
 )
 from .estimator import (
     DegreePreconditionError,

@@ -42,7 +42,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .derandomize import derandomize
-from .guarantee import check_settings, resolve, settle
+from .guarantee import MAX_TRIES, check_settings, resolve, settle
 from .mc import McExhausted, mc_partition
 from .instances import (check_generator, generate, generated_shape, serialize_instance,
                         write_text)
@@ -64,7 +64,7 @@ class RunOptions:
     slack: float | None = None
     seed: int = 0
     order: str = "natural"
-    max_tries: int = 64
+    max_tries: int = MAX_TRIES
 
     def __post_init__(self):
         if self.method not in ("mc", "derand"):

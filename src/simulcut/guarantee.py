@@ -8,10 +8,12 @@ one branch per theorem gives the normalizer's part and each statistic.
 Every statistic is one ``(spec, threshold, bound)`` row: the spec is its
 penalty term (mu - X)^2 / normalizer, and the row passes iff that term is
 at most 1, which its `Bound` decides exactly from the mean and the squared
-normalizer; the float threshold is for display.  `evaluate` counts every
-member of an assignment once and decides each row, and a class size
-against the balance slack in integers, so the engines, the reports and
-`verify` agree on every pass and fail.
+normalizer; the float threshold, mu - sqrt(normalizer) from the same mean
+and part, is for display.  That branch is the only place that knows a
+theorem's formulas.  `evaluate` counts every member of an assignment once
+and decides each row, and a class size against the balance slack in
+integers, so the engines, the reports and `verify` agree on every pass
+and fail.
 """
 
 from __future__ import annotations
@@ -26,17 +28,18 @@ from .model import (
     Bound,
     Constraint,
     CutReport,
+    EpsilonRangeError,
     HypergraphFamily,
-    _check_epsilon,
     epsilon_cap,
     partition_counts,
     rainbow_count,
     stat_mean,
-    threshold_for,
 )
 from .estimator import DegreePreconditionError, EventSpec
 
 THEOREMS = ("thm1", "thm2", "thm3", "hyp")
+#: Default bound on the Monte-Carlo tries, which sizes the default balance slack.
+MAX_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class Guarantee:
     norm2: Fraction
     eps: float | Fraction | None = None
     slack: float | None = None
-    max_tries: int = 64
+    max_tries: int = MAX_TRIES
 
     def __post_init__(self):
         object.__setattr__(self, "norm2", Fraction(self.norm2))
@@ -75,7 +78,7 @@ class Guarantee:
 
 
 def check_settings(theorem: str, k: int | None = None, slack: float | None = None,
-                   max_tries: int = 64) -> None:
+                   max_tries: int = MAX_TRIES) -> None:
     """Reject the settings of a guarantee that are wrong on any instance."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown kind {theorem!r}; expected one of {THEOREMS}")
@@ -114,12 +117,18 @@ def settle(theorem: str, k: int | None, eps, *, ell: int, r: int | None):
         cap = epsilon_cap(ell, k)
         if eps is None or float(eps) == float(cap):
             eps = cap
-        _check_epsilon(eps, ell, k)
+        # compared at float precision: float(cap) may round a hair above the
+        # exact rational, and an epsilon echoed through a report must revalidate
+        if not 0 < float(eps) <= float(cap):
+            raise EpsilonRangeError(
+                f"epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = {float(cap):.6g} "
+                f"(ell={ell}, k={k}); got {eps!r}"
+            )
     return k, eps
 
 
 def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool = False,
-            slack: float | None = None, max_tries: int = 64) -> Guarantee:
+            slack: float | None = None, max_tries: int = MAX_TRIES) -> Guarantee:
     """Check a guarantee against a family and fix everything it needs.
 
     k and eps are fixed by `settle`; thm3 needs max_degree <= eps*m on every
@@ -140,7 +149,10 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
     most 3*sqrt(eps) <= 1/(ell*k^2) each, (k+1)/(2k), for thm3.  The
     descent then ends with every term at most 1, and that is each row's
     one pass rule: ``Bound(mu, norm2 * part^2)``, count >= mu -
-    sqrt(normalizer).  The row's threshold is `threshold_for`'s float.
+    sqrt(normalizer).  The row's display threshold is that bound in floats,
+    float(mu) - sqrt(h * part) with h = sqrt(norm2) exact (ell/2 for thm1,
+    2*ell for thm2 and hyp), and float(mu) - eps^(1/4) * m for thm3; at two
+    graphs thm1 reads the paper's m/2 - sqrt(m).
     """
     check_settings(theorem, k=k, slack=slack, max_tries=max_tries)
     ell = family.ell
@@ -157,31 +169,31 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
         slack = None
     elif slack is None:
         slack = math.sqrt(family.n * math.log(2 * k * ell * max_tries))
-    # exact, with an integer numerator and denominator (an int is its own)
-    norm2 = (Fraction(ell * ell, 4) if theorem == "thm1" else Fraction(eps) if theorem == "thm3"
-             else 4 * ell * ell)
+    # h = sqrt(norm2), exact where it is rational (every theorem but thm3)
+    h = Fraction(ell, 2) if theorem == "thm1" else Fraction(2 * ell)
+    norm2 = Fraction(eps) if theorem == "thm3" else h * h
 
-    # (kind, threshold kind, classes) of each statistic of a member
+    # (kind, classes) of each statistic of a member
     if theorem == "thm3":
-        stats = [("pair", "thm3_pair", tuple(itertools.combinations(range(k), 2))),
-                 ("within", "thm3_within", tuple((s, None) for s in range(k)))]
+        stats = [("pair", tuple(itertools.combinations(range(k), 2))),
+                 ("within", tuple((s, None) for s in range(k)))]
     else:
-        stats = [("rainbow" if theorem == "hyp" else "crossing", theorem, ((None, None),))]
+        stats = [("rainbow" if theorem == "hyp" else "crossing", ((None, None),))]
     num, den = norm2.numerator, norm2.denominator
     rows: list[tuple[EventSpec, float, Bound]] = []
     for i, m in enumerate(family.m):
-        delta2 = None
+        # part, and root = sqrt(normalizer) in floats
         if theorem == "thm3":
             part = m * m
-        elif theorem == "hyp":
-            delta2 = family.delta2[i]
-            part = (1 + k * (k - 1) * delta2) * m
+            root = float(eps) ** 0.25 * m
         else:
-            part = m
+            part = (1 + k * (k - 1) * family.delta2[i]) * m if theorem == "hyp" else m
+            # float(h * part), correctly rounded, without building a Fraction
+            root = math.sqrt(h.numerator * part / h.denominator)
         spread = Fraction(num * part * part, den)
-        for kind, rule, classes in stats:
-            threshold = threshold_for(rule, m=m, ell=ell, k=k, eps=eps, r=k, delta2=delta2)
+        for kind, classes in stats:
             bound = Bound(stat_mean(kind, m, k), spread)
+            threshold = float(bound.mean) - root
             for s, t in classes:
                 rows.append((EventSpec(graph=i, kind=kind, k=k, s=s, t=t, part=part),
                              threshold, bound))

@@ -1,4 +1,4 @@
-"""Instance types, cut counting, closed-form thresholds and their exact pass rule.
+"""Instance types, cut counting, statistic means and their exact pass rule.
 
 The objects here are deliberately dumb and immutable: a family of simple
 graphs (or r-uniform hypergraphs) on a shared vertex set, a per-vertex class
@@ -436,20 +436,6 @@ def epsilon_cap(ell: int, k: int) -> Fraction:
     return Fraction(1, 9 * ell * ell * k ** 4)
 
 
-def _check_epsilon(eps, ell: int, k: int) -> None:
-    # Compared at float precision: float(cap) may round a hair above the
-    # exact rational, and an epsilon echoed through a report must revalidate.
-    cap = epsilon_cap(ell, k)
-    if eps is None or not 0 < float(eps) <= float(cap):
-        raise EpsilonRangeError(
-            f"epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = {float(cap):.6g} "
-            f"(ell={ell}, k={k}); got {eps!r}"
-        )
-
-
-THRESHOLD_KINDS = ("thm1", "thm2", "thm3_pair", "thm3_within", "hyp")
-
-
 def stat_mean(kind: str, m: int, k: int) -> Fraction:
     """Unconditional mean of a statistic on an m-edge member under uniform labels."""
     if kind == "crossing":
@@ -477,43 +463,6 @@ class Bound(NamedTuple):
         den = self.mean.denominator
         gap = self.mean.numerator - den * count         # (mean - count) * den
         return gap <= 0 or gap ** 4 * self.spread.denominator <= self.spread.numerator * den ** 4
-
-
-def threshold_for(kind: str, *, m: int, ell: int = 1, k: int = 2,
-                  eps=None, r: int | None = None, delta2: int | None = None) -> float:
-    """Display threshold of one constraint, mu - sqrt(normalizer) in floats.
-
-    kind:
-      thm1        bipartition cut:        m/2 - sqrt(ell*m/2)
-      thm2        k-way crossing:         (k-1)*m/k - sqrt(2*ell*m)
-      thm3_pair   between classes s,t:    2*m/k^2 - eps^(1/4)*m
-      thm3_within inside one class:       m/k^2 - eps^(1/4)*m
-      hyp         rainbow hyperedges:     r!*m/r^r - sqrt(2*ell*(1+r*(r-1)*delta2)*m)
-
-    thm3 kinds require 0 < eps <= 1/(9*ell^2*k^4).  No decision reads this
-    float: a row's `Bound` decides a count exactly.
-    """
-    if m < 0 or ell < 1:
-        raise ValueError(f"need m >= 0 and ell >= 1, got m={m}, ell={ell}")
-    if kind == "thm1":
-        return m / 2 - math.sqrt(ell * m / 2)
-    if kind == "thm2":
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        return (k - 1) * m / k - math.sqrt(2 * ell * m)
-    if kind in ("thm3_pair", "thm3_within"):
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        _check_epsilon(eps, ell, k)
-        mean = 2 * m / k ** 2 if kind == "thm3_pair" else m / k ** 2
-        return mean - float(eps) ** 0.25 * m
-    if kind == "hyp":
-        if r is None or delta2 is None:
-            raise ValueError("hyp threshold needs r and delta2")
-        mean = math.factorial(r) * m / r ** r
-        w = 1 + r * (r - 1) * delta2
-        return mean - math.sqrt(2 * ell * w * m)
-    raise ValueError(f"unknown threshold kind {kind!r}; expected one of {THRESHOLD_KINDS}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 
 from .model import Assignment, Constraint, CutReport, HypergraphFamily, UNDECIDED
-from .guarantee import evaluate, resolve
+from .guarantee import MAX_TRIES, evaluate, resolve
 from .instances import serialize_instance, text_sha256
 
 
@@ -66,6 +66,8 @@ class RunReport:
     initial_estimator: float | None = None
     final_estimator: float | None = None
     wall_ms: float = 0.0
+    # the `result` line of a parsed report; rendering writes `passed`
+    result: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -74,6 +76,12 @@ class RunReport:
 
 def _yes(text: str) -> bool:
     return text == "yes"
+
+
+def _pass_or_fail(text: str) -> str:
+    if text not in ("pass", "fail"):
+        raise ValueError("want 'pass' or 'fail'")
+    return text
 
 
 # (report key, RunReport attribute, parser) of the leading `key value`
@@ -101,15 +109,17 @@ _FIELDS = (
 # the `key value` lines written after the table's, around the per-class,
 # per-member and constraint lines
 _TRAILING = (("assignment", "assignment", lambda text: tuple(map(int, text.split()))),
-             ("wall-ms", "wall_ms", float))
+             ("wall-ms", "wall_ms", float), ("result", "result", _pass_or_fail))
 # the `key=value` tokens of a constraint line, in render order
 _CONSTRAINT_FIELDS = (("graph", "graph", int), ("stat", "stat", str), ("count", "count", int),
                       ("threshold", "threshold", float), ("margin", "margin", float),
                       ("pass", "passed", _yes))
 _PARSERS = {key: (attr, parse) for key, attr, parse in _FIELDS + _TRAILING}
-# a key is required when its RunReport attribute has no default
+# a key is required when its RunReport attribute has no default, and so is
+# the result line, which `recheck` compares with the recomputed rows
 _OPTIONAL = {f.name for f in fields(RunReport) if f.default is not MISSING}
-_REQUIRED = tuple(key for key, (attr, _) in _PARSERS.items() if attr not in _OPTIONAL)
+_REQUIRED = tuple(key for key, (attr, _) in _PARSERS.items()
+                  if attr not in _OPTIONAL or key == "result")
 
 
 def _member_stat(kind: str) -> str:
@@ -197,11 +207,12 @@ def recheck(rr: RunReport, family) -> list[str]:
     """Re-derive every checkable line of a report; returns mismatch messages.
 
     Counts, thresholds, margins, pass flags, class sizes and the digest are
-    recomputed from (instance, assignment), and the n, ell and r lines are
-    compared with the instance; run metadata (tries, timing, estimator
-    values) is not checkable without re-running and is ignored.  A k line
-    that its class-size lines do not match is rejected before anything is
-    counted, so no work grows with a k the report does not back.
+    recomputed from (instance, assignment); the n, ell and r lines are
+    compared with the instance, and the result line with the recomputed
+    rows.  Run metadata (tries, timing, estimator values) is not checkable
+    without re-running and is ignored.  A k line that its class-size lines
+    do not match is rejected before anything is counted, so no work grows
+    with a k the report does not back.
     """
     problems: list[str] = []
     digest = instance_digest(family)
@@ -224,7 +235,8 @@ def recheck(rr: RunReport, family) -> list[str]:
         problems.append(f"assignment length {len(rr.assignment)} != n {family.n}")
         return problems
     guarantee = resolve(family, rr.theorem, k=rr.k, eps=rr.epsilon, balanced=rr.balanced,
-                        slack=rr.balance_slack, max_tries=rr.max_tries or 64)
+                        slack=rr.balance_slack,
+                        max_tries=MAX_TRIES if rr.max_tries is None else rr.max_tries)
     fresh = evaluate(family, Assignment(rr.assignment, rr.k), guarantee)
     if fresh.class_sizes != rr.cut_report.class_sizes:
         problems.append(f"class sizes differ: report {rr.cut_report.class_sizes}, "
@@ -246,4 +258,7 @@ def recheck(rr: RunReport, family) -> list[str]:
                 problems.append(f"constraint {key} differs: report "
                                 f"({g.count}, {g.threshold!r}, {g.passed}), recomputed "
                                 f"({w.count}, {w.threshold!r}, {w.passed})")
+    result = "pass" if fresh.all_pass else "fail"
+    if rr.result != result:
+        problems.append(f"result differs: report {rr.result}, recomputed {result}")
     return problems

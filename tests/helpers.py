@@ -69,6 +69,26 @@ def key_unit(guarantee):
     return scale, math.sqrt(guarantee.norm2)
 
 
+def paper_threshold(theorem, m, *, ell, k=2, stat=None, eps=None, delta2=0):
+    """One row's certified lower bound, written out from the README table.
+
+    An independent reference for `resolve`'s display thresholds: it uses no
+    package code.  ``stat`` names thm3's statistic (``pair...`` or
+    ``within...``), ``k`` is hyp's r, and ``eps`` is thm3's epsilon as given.
+    """
+    if theorem == "thm1":
+        return m / 2 - math.sqrt(ell * m / 2)
+    if theorem == "thm2":
+        return (k - 1) * m / k - math.sqrt(2 * ell * m)
+    if theorem == "thm3":
+        mean = 2 * m / k ** 2 if stat.startswith("pair") else m / k ** 2
+        return mean - float(eps) ** 0.25 * m
+    if theorem == "hyp":
+        return (math.factorial(k) * m / k ** k
+                - math.sqrt(2 * ell * (1 + k * (k - 1) * delta2) * m))
+    raise ValueError(f"no formula for {theorem!r}")
+
+
 def hand_built(fam, k, specs, norm2):
     """A guarantee of hand-built specs, with one row per spec at its certified
     bound mu - sqrt(normalizer): (mu - count)^4 <= norm2 * part^2."""

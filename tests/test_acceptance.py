@@ -30,7 +30,6 @@ from simulcut import (
     random_assignment,
     resolve,
     substream,
-    threshold_for,
 )
 from simulcut.estimator import EventSpec
 from simulcut.instances import generate
@@ -38,6 +37,7 @@ from simulcut.instances import generate
 from helpers import (
     hand_built,
     key_unit,
+    paper_threshold,
     random_edges,
     random_family,
     random_hyperfamily,
@@ -94,7 +94,7 @@ def test_criterion_01_thm1_guarantee(corpus500):
         result = derandomize(fam, guarantee)
         _check_descent(result, guarantee)
         for i in range(fam.ell):
-            thr = threshold_for("thm1", m=fam.m[i], ell=fam.ell)
+            thr = paper_threshold("thm1", fam.m[i], ell=fam.ell)
             cut = result.report.crossing[i]
             assert cut >= thr, (fam.m, i, cut, thr)
             checked += 1
@@ -115,7 +115,7 @@ def test_criterion_02_thm2_guarantee(corpus500):
         result = derandomize(fam, guarantee)
         _check_descent(result, guarantee)
         for g in range(fam.ell):
-            thr = threshold_for("thm2", m=fam.m[g], ell=fam.ell, k=k)
+            thr = paper_threshold("thm2", fam.m[g], ell=fam.ell, k=k)
             assert result.report.crossing[g] >= thr
             checked += 1
     elapsed = time.perf_counter() - start
@@ -147,8 +147,9 @@ def test_criterion_03_thm3_guarantee():
             result = derandomize(fam, guarantee)
             _check_descent(result, guarantee)
             for i in range(ell):
-                thr_pair = threshold_for("thm3_pair", m=fam.m[i], ell=ell, k=k, eps=eps)
-                thr_within = threshold_for("thm3_within", m=fam.m[i], ell=ell, k=k, eps=eps)
+                thr_pair = paper_threshold("thm3", fam.m[i], ell=ell, k=k, stat="pair", eps=eps)
+                thr_within = paper_threshold("thm3", fam.m[i], ell=ell, k=k, stat="within",
+                                             eps=eps)
                 for (s, t), count in result.report.pairs[i].items():
                     assert count >= thr_pair, ((k, ell, n, seed), (s, t), count, thr_pair)
                     rows += 1
@@ -306,8 +307,7 @@ def test_criterion_10_hypergraph_rainbow():
             cap = min(120 if r == 2 else 100, math.comb(n, r))
             ms = [rng.randint(20, cap) for _ in range(ell)]
             hf = random_hyperfamily(n, r, ms, seed=100 * r + trial)
-            thresholds = [threshold_for("hyp", m=hf.m[i], ell=ell, r=r,
-                                        delta2=hf.delta2[i])
+            thresholds = [paper_threshold("hyp", hf.m[i], ell=ell, k=r, delta2=hf.delta2[i])
                           for i in range(ell)]
             guarantee = resolve(hf, "hyp")
             result = derandomize(hf, guarantee)

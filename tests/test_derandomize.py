@@ -23,7 +23,6 @@ from simulcut import (
     derandomize,
     max_cut,
     resolve,
-    threshold_for,
 )
 from simulcut.bench import RunOptions, execute_run
 from simulcut.derandomize import (
@@ -31,8 +30,8 @@ from simulcut.derandomize import (
 from simulcut.estimator import _quadratic
 from simulcut.instances import generate
 
-from helpers import (c5_pair, cycle_edges, hand_built, key_unit, random_family,
-                     random_hyperfamily)
+from helpers import (c5_pair, cycle_edges, hand_built, key_unit, paper_threshold,
+                     random_family, random_hyperfamily)
 
 
 def _exact_value(edges, labels, specs):
@@ -169,7 +168,7 @@ class TestGuarantees:
             result = derandomize(fam, guarantee)
             assert_descent_health(fam, guarantee, result)
             for i in range(ell):
-                thr = threshold_for("thm1", m=fam.m[i], ell=ell)
+                thr = paper_threshold("thm1", fam.m[i], ell=ell)
                 assert result.report.crossing[i] >= thr
 
     def test_thm2_random_families(self):
@@ -184,7 +183,7 @@ class TestGuarantees:
             result = derandomize(fam, guarantee)
             assert_descent_health(fam, guarantee, result)
             for i in range(ell):
-                thr = threshold_for("thm2", m=fam.m[i], ell=ell, k=k)
+                thr = paper_threshold("thm2", fam.m[i], ell=ell, k=k)
                 assert result.report.crossing[i] >= thr
 
     def test_thm3_cycle_instance(self):
@@ -192,8 +191,8 @@ class TestGuarantees:
         guarantee = resolve(fam, "thm3", k=2)
         result = derandomize(fam, guarantee)
         assert_descent_health(fam, guarantee, result)
-        thr_pair = threshold_for("thm3_pair", m=300, ell=1, k=2, eps=1 / 144)
-        thr_within = threshold_for("thm3_within", m=300, ell=1, k=2, eps=1 / 144)
+        thr_pair = paper_threshold("thm3", 300, ell=1, k=2, stat="pair", eps=1 / 144)
+        thr_within = paper_threshold("thm3", 300, ell=1, k=2, stat="within", eps=1 / 144)
         assert result.report.pairs[0][(0, 1)] >= thr_pair
         for s in (0, 1):
             assert result.report.within[0][s] >= thr_within
@@ -208,7 +207,7 @@ class TestGuarantees:
             guarantee = resolve(hf, "hyp")
             result = derandomize(hf, guarantee)
             assert_descent_health(hf, guarantee, result)
-            thr = threshold_for("hyp", m=hf.m[0], ell=1, r=r, delta2=hf.delta2[0])
+            thr = paper_threshold("hyp", hf.m[0], ell=1, k=r, delta2=hf.delta2[0])
             assert result.report.rainbow[0] >= thr
 
 

@@ -20,7 +20,6 @@ from simulcut import (
     derandomize,
     estimator_value,
     resolve,
-    threshold_for,
 )
 from simulcut.estimator import stat_mean, term_quadratic
 from simulcut.mc import random_assignment, substream
@@ -29,6 +28,7 @@ from simulcut.oracle import moments_by_completion
 from helpers import (
     c5_pair,
     hand_built,
+    paper_threshold,
     random_edges,
     random_family,
     random_hyperfamily,
@@ -282,9 +282,9 @@ class TestEventSpec:
 
     def test_threshold_equals_mu_minus_sqrt_norm(self):
         # the bound mu - sqrt(normalizer) that each term certifies is the
-        # row's threshold up to rounding; the row itself is threshold_for's
-        # float bit for bit (for thm3 on 294 edges the spec-side float
-        # mu - sqrt(sqrt(eps)*m^2) differs from it in the last bit)
+        # row's threshold up to rounding; the row itself is the README
+        # formula's float bit for bit (for thm3 on 294 edges the spec-side
+        # float mu - sqrt(sqrt(eps)*m^2) differs from it in the last bit)
         fam = random_family(9, [14, 7], 8)
         cycle = GraphFamily(n=294, graphs=(tuple((i, (i + 1) % 294) for i in range(294)),))
         for family, theorem, k in ((fam, "thm1", None), (fam, "thm2", 3), (cycle, "thm3", 2)):
@@ -297,9 +297,8 @@ class TestEventSpec:
                 assert math.isclose(float(mu) - math.sqrt(normalizer),
                                     rows[s.graph, s.stat], rel_tol=1e-12)
             for (g, stat), thr in rows.items():
-                kind = theorem if theorem != "thm3" else "thm3_" + stat.split("(")[0]
-                want = threshold_for(kind, m=family.m[g], ell=family.ell, k=guarantee.k,
-                                     eps=guarantee.eps)
+                want = paper_threshold(theorem, family.m[g], ell=family.ell, k=guarantee.k,
+                                       stat=stat, eps=guarantee.eps)
                 assert repr(thr) == repr(want)
 
     def test_hyp_threshold_matches(self):
@@ -310,7 +309,7 @@ class TestEventSpec:
             mu = stat_mean("rainbow", hf.m[s.graph], 3)
             normalizer = math.sqrt(guarantee.norm2) * s.part
             assert math.isclose(float(mu) - math.sqrt(normalizer), thr, rel_tol=1e-12)
-            want = threshold_for("hyp", m=hf.m[s.graph], ell=2, r=3, delta2=hf.delta2[s.graph])
+            want = paper_threshold("hyp", hf.m[s.graph], ell=2, k=3, delta2=hf.delta2[s.graph])
             assert s.stat == "rainbow" and repr(thr) == repr(want)
 
     def test_empty_members_skipped(self):

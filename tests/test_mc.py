@@ -19,14 +19,13 @@ from simulcut import (
     random_assignment,
     resolve,
     substream,
-    threshold_for,
 )
 from simulcut.cli import main
 from simulcut.instances import generate, serialize_instance
 from simulcut.model import stat_mean
 from simulcut.report import parse_report
 
-from helpers import c5_pair, cycle_edges, random_family, random_hyperfamily
+from helpers import c5_pair, cycle_edges, paper_threshold, random_family, random_hyperfamily
 
 
 class TestRandomAssignment:
@@ -90,7 +89,7 @@ class TestMcPartition:
     def test_c5_pair_both_cuts_hold(self):
         fam = c5_pair()
         result = mc_partition(fam, resolve(fam, "thm1"), seed=11)
-        thr = threshold_for("thm1", m=5, ell=2)
+        thr = paper_threshold("thm1", 5, ell=2)
         assert thr == pytest.approx(2.5 - math.sqrt(5), abs=1e-12)
         for i, edges in enumerate(fam.graphs):
             cut = crossing_count(edges, result.assignment)
@@ -142,7 +141,7 @@ class TestMcPartition:
         for k in (2, 3, 5):
             result = mc_partition(fam, resolve(fam, "thm2", k=k), seed=k)
             for i in range(2):
-                thr = threshold_for("thm2", m=fam.m[i], ell=2, k=k)
+                thr = paper_threshold("thm2", fam.m[i], ell=2, k=k)
                 assert result.report.crossing[i] >= thr
 
     def test_thm3_degree_precondition_names_graph(self):
@@ -158,7 +157,7 @@ class TestMcPartition:
     def test_hyp_rainbow(self):
         hf = random_hyperfamily(15, 3, [25], 13)
         result = mc_partition(hf, resolve(hf, "hyp"), seed=0)
-        thr = threshold_for("hyp", m=25, ell=1, r=3, delta2=hf.delta2[0])
+        thr = paper_threshold("hyp", 25, ell=1, k=3, delta2=hf.delta2[0])
         assert result.report.rainbow[0] >= thr
 
     def test_exhaustion_carries_best_attempt(self):
@@ -240,9 +239,9 @@ class TestCheckReport:
                 evaluate(fam, Assignment(labels, 2), guarantee)
 
     def test_count_at_an_exact_integer_threshold_passes(self):
-        # ell=3, k=3 and the default eps = 1/6561: thm3_within is m/9 - m/9 = 0
-        # exactly, yet its float at m = 6564 is 1.1e-13; a class with no inner
-        # edge meets it
+        # ell=3, k=3 and the default eps = 1/6561: a within row's threshold
+        # is m/9 - m/9 = 0 exactly, yet its float at m = 6564 is 1.1e-13; a
+        # class with no inner edge meets it
         m = 6564
         matching = tuple((2 * i, 2 * i + 1) for i in range(m))
         fam = GraphFamily(n=2 * m, graphs=(matching,) * 3)

@@ -1,8 +1,9 @@
-"""Core instance types, counting operations, and threshold formulas."""
+"""Core instance types, counting operations, and each row's threshold."""
 
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from simulcut import (
     epsilon_cap,
     partition_counts,
     rainbow_count,
-    threshold_for,
+    resolve,
 )
 
-from helpers import all_pairs, c5_pair, cycle_edges, random_family, random_hyperfamily
+from helpers import (all_pairs, c5_pair, cycle_edges, paper_threshold, random_family,
+                     random_hyperfamily)
 
 
 class TestInstanceValidation:
@@ -478,40 +480,105 @@ class TestEdwardsBound:
         assert edwards_bound(m + 1) >= edwards_bound(m)
 
 
+def _matching(m):
+    """m disjoint edges on 2m vertices: max degree 1, so thm3 holds from m >= 1/eps."""
+    return np.arange(2 * m, dtype=np.int64).reshape(m, 2)
+
+
 class TestThresholds:
+    """Each row's display threshold, as `resolve` gives it."""
+
+    @staticmethod
+    def _thresholds(family, theorem, **kw):
+        return {(s.graph, s.stat): thr for s, thr, _ in resolve(family, theorem, **kw).rows}
+
     def test_thm1_value(self):
-        assert threshold_for("thm1", m=50, ell=2) == pytest.approx(25 - math.sqrt(50), abs=1e-12)
+        got = self._thresholds(random_family(15, [50, 50], 1), "thm1")
+        assert got == {(0, "crossing"): pytest.approx(25 - math.sqrt(50), abs=1e-12),
+                       (1, "crossing"): pytest.approx(25 - math.sqrt(50), abs=1e-12)}
 
     def test_thm2_value(self):
-        assert threshold_for("thm2", m=90, ell=1, k=3) == pytest.approx(
-            60 - math.sqrt(180), abs=1e-12)
+        got = self._thresholds(random_family(20, [90], 2), "thm2", k=3)
+        assert got == {(0, "crossing"): pytest.approx(60 - math.sqrt(180), abs=1e-12)}
 
     def test_thm3_pair_value(self):
         # eps = 1/144 -> eps^(1/4) = 1/sqrt(12)
-        got = threshold_for("thm3_pair", m=1000, ell=1, k=2, eps=1 / 144)
-        assert got == pytest.approx(500 - 1000 / math.sqrt(12), abs=1e-9)
+        got = self._thresholds(GraphFamily(n=2000, graphs=(_matching(1000),)), "thm3",
+                               k=2, eps=1 / 144)
+        assert got[0, "pair(0,1)"] == pytest.approx(500 - 1000 / math.sqrt(12), abs=1e-9)
 
     def test_thm3_within_value(self):
-        got = threshold_for("thm3_within", m=1000, ell=1, k=2, eps=1 / 144)
-        assert got == pytest.approx(250 - 1000 / math.sqrt(12), abs=1e-9)
+        got = self._thresholds(GraphFamily(n=2000, graphs=(_matching(1000),)), "thm3",
+                               k=2, eps=1 / 144)
+        for s in (0, 1):
+            assert got[0, f"within({s})"] == pytest.approx(250 - 1000 / math.sqrt(12), abs=1e-9)
 
     def test_thm3_epsilon_gate_names_bound(self):
+        fam = random_family(6, [4, 4], 3)
         with pytest.raises(EpsilonRangeError, match=r"1/\(9\*ell\^2\*k\^4\)"):
-            threshold_for("thm3_pair", m=10, ell=2, k=3, eps=0.5)
+            resolve(fam, "thm3", k=3, eps=0.5)
         cap = epsilon_cap(2, 3)
         with pytest.raises(EpsilonRangeError):
-            threshold_for("thm3_pair", m=10, ell=2, k=3, eps=float(cap) * 1.01)
+            resolve(fam, "thm3", k=3, eps=float(cap) * 1.01)
 
     def test_hyp_value(self):
-        got = threshold_for("hyp", m=40, ell=2, r=3, delta2=1)
+        # 40 disjoint triples, twice: delta2 = 1 on both members
+        triples = np.arange(120, dtype=np.int64).reshape(40, 3)
+        got = self._thresholds(HypergraphFamily(n=120, r=3, hypergraphs=(triples, triples)),
+                               "hyp")
         want = 6 * 40 / 27 - math.sqrt(2 * 2 * (1 + 6) * 40)
-        assert got == pytest.approx(want, abs=1e-12)
+        assert got == {(g, "rainbow"): pytest.approx(want, abs=1e-12) for g in (0, 1)}
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown threshold kind"):
-            threshold_for("thm9", m=10)
-
-    @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=50))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2000), st.integers(min_value=1, max_value=50))
     def test_thm1_at_least_thm2_at_k2(self, m, ell):
-        assert (threshold_for("thm1", m=m, ell=ell)
-                >= threshold_for("thm2", m=m, ell=ell, k=2) - 1e-12)
+        fam = GraphFamily(n=2 * m, graphs=(_matching(m),) * ell)
+        thm1 = self._thresholds(fam, "thm1")
+        thm2 = self._thresholds(fam, "thm2", k=2)
+        assert thm1.keys() == thm2.keys()
+        assert all(thm1[row] >= thm2[row] - 1e-12 for row in thm1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_row_is_the_readme_formula(self, data):
+        # all four theorems, thm3 at the default cap and at a float eps below
+        # it, hyp members with delta2 >= 2, and any member may be empty
+        theorem = data.draw(st.sampled_from(["thm1", "thm2", "thm3", "hyp"]))
+        ell = data.draw(st.integers(1, 3))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        k = eps = None
+        if theorem == "hyp":
+            k = data.draw(st.integers(3, 4))
+            # 7 vertices have 21 pairs, so 8 triples or 4 quadruples share one
+            least = 8 if k == 3 else 4
+            ms = data.draw(st.lists(st.just(0) | st.integers(least, 35),
+                                    min_size=ell, max_size=ell))
+            family = random_hyperfamily(7, k, ms, seed)
+            assert all(d >= 2 for m, d in zip(family.m, family.delta2) if m)
+            want_eps = None
+        elif theorem == "thm3":
+            k = data.draw(st.integers(2, 3))
+            cap = Fraction(1, 9 * ell * ell * k ** 4)
+            if data.draw(st.booleans()):
+                eps = want_eps = float(cap) * data.draw(st.floats(0.25, 0.99))
+            else:
+                want_eps = cap
+            least = math.ceil(1 / want_eps) + 1     # max degree 1 <= eps * m
+            ms = data.draw(st.lists(st.just(0) | st.integers(least, least + 500),
+                                    min_size=ell, max_size=ell))
+            family = GraphFamily(n=2 * max(ms), graphs=tuple(_matching(m) for m in ms))
+        else:
+            if theorem == "thm2":
+                k = data.draw(st.integers(2, 5))
+            ms = data.draw(st.lists(st.just(0) | st.integers(1, 28),
+                                    min_size=ell, max_size=ell))
+            family = random_family(8, ms, seed)
+            want_eps = None
+        rows = resolve(family, theorem, k=k, eps=eps).rows
+        k = k or 2
+        assert len(rows) == ell * (k * (k + 1) // 2 if theorem == "thm3" else 1)
+        for spec, threshold, _ in rows:
+            want = paper_threshold(theorem, family.m[spec.graph], ell=ell, k=k, stat=spec.kind,
+                                   eps=want_eps,
+                                   delta2=family.delta2[spec.graph] if theorem == "hyp" else 0)
+            assert repr(threshold) == repr(want)

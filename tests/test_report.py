@@ -1,6 +1,7 @@
 """Run-report text: render and parse are inverse on every kind of report,
 thresholds agree bit for bit, whole reports and resolved guarantees are
-pinned by digest, and `verify` survives corrupted reports."""
+pinned by digest, `verify` checks the result line, and it survives
+corrupted reports."""
 
 import hashlib
 import math
@@ -11,11 +12,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simulcut import Assignment, GraphFamily, epsilon_cap, evaluate, resolve, threshold_for
+from simulcut import Assignment, GraphFamily, epsilon_cap, evaluate, resolve
 from simulcut.bench import THEOREM_TOKENS, RunOptions, execute_run
 from simulcut.cli import main
 from simulcut.instances import generate, serialize_instance
 from simulcut.report import RunReport, instance_digest, parse_report, recheck, render_report
+
+from helpers import c5_pair, paper_threshold
 
 INSTANCES = {
     "1": dict(kind="gnm", n=30, m=80, ell=2),
@@ -52,18 +55,14 @@ def test_balance_slack_and_epsilon_lines():
 
 
 def _closed_form(family, theorem, k, graph, stat):
-    """The row's threshold straight from threshold_for."""
-    m, ell = family.m[graph], family.ell
-    if theorem == "hyp":
-        return threshold_for("hyp", m=m, ell=ell, r=family.r, delta2=family.delta2[graph])
-    if theorem == "thm3":
-        return threshold_for("thm3_" + stat.split("(")[0], m=m, ell=ell, k=k,
-                             eps=epsilon_cap(ell, k))
-    return threshold_for(theorem, m=m, ell=ell, k=k)
+    """The row's threshold straight from the README formula."""
+    return paper_threshold(theorem, family.m[graph], ell=family.ell, k=k, stat=stat,
+                           eps=epsilon_cap(family.ell, k),
+                           delta2=family.delta2[graph] if theorem == "hyp" else 0)
 
 
 # gen bounded-degree --n 294 --degree 2: the thm3 bound mu - sqrt(normalizer)
-# computed from the penalty term differs from threshold_for in the last bit
+# computed from the penalty term differs from the README formula in the last bit
 AGREEMENT = [
     (dict(kind="gnm", n=60, m=300, ell=2), "1", None),
     (dict(kind="gnm", n=60, m=300, ell=2), "2", 3),
@@ -111,6 +110,50 @@ def test_thm3_cap_echoed_as_a_float_decides_as_the_run_did():
                    method="mc", theorem="thm3", k=2, assignment=tuple(labels),
                    cut_report=report, epsilon=float(cap), seed=0, max_tries=64, tries=1)
     assert recheck(parse_report(render_report(rr)), family) == []
+
+
+@pytest.fixture
+def c5_reports(tmp_path):
+    """The C5 pair's instance, a passing mc report and a failing one: a
+    balance slack no odd class size meets (the run exits 1)."""
+    inst = tmp_path / "c5.instance"
+    inst.write_text(serialize_instance(c5_pair()))
+    run = ["partition", str(inst), "--method", "mc", "--theorem", "1", "--out"]
+    assert main(run + [str(tmp_path / "pass.report")]) == 0
+    assert main(run + [str(tmp_path / "fail.report"), "--balanced", "--slack", "1e-9",
+                       "--max-tries", "4"]) == 1
+    return inst, tmp_path
+
+
+@pytest.mark.parametrize("name, flipped", [("fail", "pass"), ("pass", "fail")])
+def test_verify_compares_the_result_line(c5_reports, capsys, name, flipped):
+    inst, where = c5_reports
+    report = where / f"{name}.report"
+    assert main(["verify", str(report), "--instance", str(inst)]) == 0
+    text = report.read_text()
+    assert text.endswith(f"\nresult {name}\n")
+    bad = where / "flipped.report"
+    bad.write_text(text.replace(f"\nresult {name}\n", f"\nresult {flipped}\n"))
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    assert capsys.readouterr().err == (f"mismatch: result differs: report {flipped}, "
+                                       f"recomputed {name}\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("result fail\n", "", "report has no 'result'"),
+    ("result fail\n", "result maybe\n", "report line 'result maybe': want 'pass' or 'fail'"),
+    ("max-tries 4\n", "max-tries 0\n", "max_tries must be >= 1, got 0"),
+], ids=["no-result", "bad-result", "max-tries-0"])
+def test_verify_refuses_result_and_max_tries_lines(c5_reports, capsys, old, new, message):
+    # a report's max-tries line is passed on as it is, so 0 is refused by
+    # the same check as --max-tries 0, not read as the default
+    inst, where = c5_reports
+    bad = where / "edited.report"
+    bad.write_text((where / "fail.report").read_text().replace(old, new))
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 MUTANT_VALUES = ["", "x", "-1", "0", "nan", "inf", "1e400", "thm9", "hypergraphs"]
