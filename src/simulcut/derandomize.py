@@ -34,11 +34,12 @@ closed form.  One walk over v's neighbours yields a term's k keys: deg(v)
 additions of packed histograms, then O(k) per statistic.  A commit costs
 O(1) (crossing) or O(1) per statistic, and O(1) per open neighbour.
 A hypergraph member's rainbow term yields its r keys from one walk
-over v's live hyperedges: O(r) per (live hyperedge, open co-vertex) pair,
-then O(1) per class, plus O(1) per class for each live hyperedge pair at
-v that shares two or more vertices (these alone keep per-pair state, in
-closed form; dead ones are skipped).  A commit costs O(r) per touched
-co-vertex, for the chosen class alone.
+over v's live hyperedges: one addition of packed class sums per (live
+hyperedge, open co-vertex) pair, then O(r) per live hyperedge, plus O(r)
+for each live hyperedge pair at v that shares two or more vertices, its r
+shifts looked up by the pair's state (these pairs alone keep per-pair
+state, a count; dead ones are skipped).  A commit costs one packed
+addition per (live hyperedge, open co-vertex) pair and O(1) per such pair.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, index, mul
+from operator import add, index
 from typing import NamedTuple
 
 import numpy as np
@@ -256,15 +257,16 @@ class _ClassPairTerm:
 
 class _RainbowTerm:
     """Incremental keys for the rainbow statistic of one hypergraph.  The
-    specs on it differ only in their normalizer, so the key of a class is
-    its quadratic over r^(3r), `_quad_num`, times the sum of their weights.
+    specs on it differ only in their normalizer, so its key is one quadratic
+    over r^(3r) times the sum of their weights.
 
-    Edge state: its undecided count u, the mask of its decided colours, and
-    P, the numerator over r^r of its conditional probability: u!*r^(r-u)
-    while the decided colours are distinct, 0 once the edge is dead.  When s
-    of its open vertices take s distinct colours that are free in it, an
-    edge keeps the numerator A(s) = (u-s)!*r^(r-u+s).  So a pair of edges
-    with s open shared vertices has, over r^(3r), the closed form
+    An edge is live while its decided colours are distinct.  When s of its
+    u open vertices take s distinct colours that are free in it, a live
+    edge's conditional probability numerator over r^r becomes A(s) =
+    (u-s)!*r^(r-u+s); its P is A(0), and 0 once it is dead.  Its state is
+    the mask of its decided colours while it is live with u >= 2, None
+    after, when no key changes with it any more.  A pair of edges with s
+    open shared vertices has, over r^(3r), the closed form
 
       pairval = r^(r-s) * (f)_s * A_e(s) * A_e'(s) - r^r * P_e * P_e'
 
@@ -272,54 +274,62 @@ class _RainbowTerm:
     factorial.  For s = 1 this is r^(r-1) * sum_c row_e[c]*row_e'[c] -
     r^r * P_e*P_e', with row_e[c] = A_e(1) on the colours free in e and 0
     elsewhere, so pairs meeting at one open vertex w fold into per-vertex
-    aggregates, like the Tw and trow sums of _CrossingTerm:
+    sums, like the Tw and trow sums of _CrossingTerm:
 
-      T[w], Q[w]       sums of P and P^2 over edges at w
-      Tc[w][c]         sum of row[c] over edges at w; Qc[w][c] of row[c]^2
-      contrib[w]       r^(r-1) * sum_c(Tc^2 - Qc) - r^r * (T^2 - Q), the
-                       s = 1 value summed over ordered edge pairs at w;
-                       zero once w is decided
+      T[w]       sum of P over the edges at w
+      Tc[w][c]   sum of row[c] over the edges at w; Qc[w][c] of row[c]^2
 
-    Only pairs sharing two or more vertices keep explicit state: corr[p] =
-    pairval - s * (its s = 1 value), what the per-vertex sums miss.  The
-    doubled pair sum 2*jma = sum(contrib) + 2*sum(corr) is one exact
-    integer.  open_shared[p] counts the pair's open shared vertices, and is
-    set to 0 once either edge is dead; below 2 the pair is dead for good:
-    its corr is 0, and `add_keys` and `commit` skip it.
+    Only pairs sharing two or more vertices need more: corr = pairval - s *
+    (its s = 1 value).  open_shared[p] counts the pair's open shared
+    vertices, and is set to 0 once either edge's state is None; below 2
+    its corr is 0 for good, and `add_keys` and `commit` skip it.
 
-    Keys: when v takes c, a live edge at v (u >= 2 undecided, so u
-    free colours, a_i = A[u][i]) moves the contrib of each of its open
-    co-vertices w by a closed form in T[w] and TF, the sum of Tc[w] over
-    the edge's free colours:
+    Keys: with x = Tc[v][c], deciding v -> c moves sumP by x - T[v] and
+    the sum of P^2 by Qc[v][c] less a constant; leaving out every part that
+    no class changes (the pairs of edges that meet only at v, those that
+    miss v, and each live multi-shared pair's corr before the step), the
+    quadratic after v -> c is the key, with h = r^r - 2*mu_rr + 2*(sumP -
+    T[v]),
 
-      c taken   r^(r-1) * (2u*a1^2 - 2a1*TF) - r^r * (2a0^2 - 2a0*T[w])
-      c free    r^(r-1) * (2(a2-a1)*TF + 2(u-1)*a1*(a1-a2) + 2a1^2)
-                - 2r^(r-1) * a2*Tc[w][c] - 2r^r * (a1-a0)*(T[w]-a0)
+      r^r * (x * (h + x) - Qc[v][c]) + J[c]
 
-    These are linear in T[w] and Tc[w], so one walk over v's live edges
-    sums them over each edge's open co-vertices and yields all r classes.
-    A co-vertex on two of v's edges adds 2r^(r-1) * (dt . dt') -
-    2r^r * dp*dp', from the shifts of P and of the row that it sees from
-    each edge.  Such co-vertices are the open shared vertices other than v
-    of the live pairs with v in both edges, and the product depends on c
-    only through whether c is taken in each edge.  `commit` recomputes
-    contrib of the touched co-vertices for the chosen class alone.
+    where J[c] sums the class-dependent shifts of the other edge pairs at
+    v.  A live edge at v (a_i = A(i)) shifts the pairs that meet it at one
+    open co-vertex w by closed forms linear in T[w] and Tc[w]; summed over
+    its co-vertices, less a part the same for every class, and with TF the
+    summed Tc over its free colours, these are
+
+      c free    -2r^(r-1) * a2 * sum Tc[w][c]
+      c taken   -2r^(r-1) * a2 * TF + 2r^r * a1 * sum T[w]
+                + 2(u-1) * a1 * (r^(r-1) * (u-1) * a2 - r^r * a0)
+
+    A live multi-shared pair with v in one or both edges shifts J by twice
+    its new corr, and, with v in both, by the cross terms 2r^(r-1) * (dt .
+    dt') - 2r^r * dp*dp' of the shifts of P and of the row that each of its
+    other open shared vertices sees from the two edges.  While both edges
+    are live, these r shifts are a function of the two masks, s and which
+    edges hold v; each is computed once and looked up after that.
+
+    Tc[w] and Qc[w] are packed, Tc[w] = sum_c Tc[w][c] << (width * c),
+    with fields of (r*m*r^(2r)).bit_length() bits: a field of Qc, or of Tc
+    summed over an edge's co-vertices, stays below r*m*r^(2r).  Every field
+    stays at least 0, so a commit adds each open co-vertex of a live edge
+    one signed packed shift exactly, and one sum over an edge's co-vertices
+    yields all r classes.
 
     The incidence lists and the multi-shared pairs come from one sort of
     the member array's vertex-pair keys (`_multi_shared`).
 
     The term starts with every vertex open, where every edge has u = r, an
-    empty mask and P = A_r(0) = A_r(1) = r!: T, Q, Tc and Qc are a vertex's
-    degree times r! or r!^2, and every contrib is 0.  It marks the vertices
-    committed to it as decided itself.
+    empty mask and P = A_r(0) = A_r(1) = r!: T, Tc and Qc are a vertex's
+    degree times r! or r!^2.  It marks the vertices committed to it as
+    decided itself.
     """
 
     def __init__(self, edges, specs, n, weights):
         r = specs[0].k
         self.r = r
         self.D1 = r ** r
-        self.D2 = self.D1 * self.D1
-        self.D3 = self.D2 * self.D1
         self.weight = sum(weights)
         rows = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, r), axis=1)
         m = len(rows)
@@ -330,15 +340,19 @@ class _RainbowTerm:
         self.A = [[math.factorial(u - s) * r ** (r - u + s) for s in range(u + 1)]
                   for u in range(r + 1)]
         self.ff = [[math.perm(f, s) for s in range(r + 1)] for f in range(r + 1)]
-        self._deltas: dict[tuple[int, int], tuple] = {}
+        width = (r * m * self.D1 * self.D1).bit_length()
+        self.fmask, self.offsets = (1 << width) - 1, [width * c for c in range(r)]
+        # per class: the shift tables of `_edge_delta`; per mask: `_edge_coefs`;
+        # per pair state: `_pair_shifts`
+        self._deltas: list[dict[int, tuple]] = [{} for _ in range(r)]
         self._coefs: dict[int, tuple] = {}
+        self._shifts: dict[tuple, tuple] = {}
         # per undecided count u of a live edge, when one of its open vertices
         # takes a class free in it, or taken: the shift of its row on the other
         # free classes and on that class, and of its P, that its other open
         # vertices see
         self._sides = [None] * 2 + [
             ((a[2] - a[1], -a[1], a[1] - a[0]), (-a[1], 0, -a[0])) for a in self.A[2:]]
-        self._r1x2, self._d1x2 = 2 * self.rpow[r - 1], 2 * self.D1
         flat = rows.ravel()
         degrees = np.bincount(flat, minlength=n)
         self.inc = _split((np.argsort(flat, kind="stable") // r).tolist(), degrees)
@@ -346,185 +360,149 @@ class _RainbowTerm:
         # all vertices open: every edge has P = A[r][0] = A[r][1] = r!, so the
         # rows equal P and edges meeting at one open vertex are uncorrelated
         a0 = self.A[r][0]
+        ones = sum(1 << o for o in self.offsets)
         self.open = [True] * n
-        self.U, self.M, self.P = [r] * m, [0] * m, [a0] * m
+        self.M = [0] * m
         self.sumP = m * a0
-        self.sumP2 = m * a0 * a0
         self.T = [d * a0 for d in degrees.tolist()]
-        self.Q = [t * a0 for t in self.T]
-        self.Tc = [[t] * r for t in self.T]
-        self.Qc = [[q] * r for q in self.Q]
-        self.contrib = [0] * n
+        self.Tc = [t * ones for t in self.T]
+        self.Qc = [t * a0 * ones for t in self.T]
         self.open_shared = shared
-        corr_at = {s: self._corr(r, 0, a0, r, 0, a0, s) for s in set(shared)}
-        self.corr = [corr_at[s] for s in shared]
-        self.jma2 = 2 * sum(self.corr)
-        self.quads = [self.quad_num()] * len(specs)
+        # sumP is mu_rr: the quadratic is r^r * (r^r * sumP - sum P^2) plus
+        # the doubled corr of the multi-shared pairs
+        corr_at = {s: self._corr(0, 0, s) for s in set(shared)}
+        self.quads = [m * a0 * (self.D1 - a0) * self.D1
+                      + 2 * sum(corr_at[s] for s in shared)] * len(specs)
 
-    def _contrib(self, t, q, trow, qrow) -> int:
-        return (self.rpow[self.r - 1] * (sum(map(mul, trow, trow)) - sum(qrow))
-                - self.D1 * (t * t - q))
-
-    def _corr(self, ui, mi, pi, uj, mj, pj, s) -> int:
-        if s < 2 or not pi or not pj:
+    def _corr(self, mi, mj, s) -> int:
+        """corr of a pair of live edges with decided colours mi and mj and s
+        open shared vertices."""
+        if s < 2:
             return 0
         r = self.r
         f = r - (mi | mj).bit_count()
-        ai, aj = self.A[ui], self.A[uj]
+        ai, aj = self.A[r - mi.bit_count()], self.A[r - mj.bit_count()]
         pair = self.rpow[r - s] * self.ff[f][s] * ai[s] * aj[s]
         single = self.rpow[r - 1] * f * ai[1] * aj[1]
-        return pair - s * single + (s - 1) * self.D1 * pi * pj
+        return pair - s * single + (s - 1) * self.D1 * ai[0] * aj[0]
 
     def _edge_delta(self, mask, c):
-        """Shift of P, P^2, row and row^2 that the other open vertices of a
-        live edge with decided colours `mask` see when one of its open
-        vertices takes c; kept in self._deltas."""
+        """State after one open vertex of a live edge with decided colours
+        `mask` takes c, and the packed shifts of P, row and row^2 that its
+        other open vertices see; kept in self._deltas[c]."""
         r = self.r
         u = r - mask.bit_count()
-        a0, a1 = self.A[u][0], self.A[u][1]
+        a1 = self.A[u][1]
         x, y, dp = self._sides[u][mask >> c & 1]
-        dt = tuple(0 if mask >> cc & 1 else y if cc == c else x for cc in range(r))
-        d = self._deltas[mask, c] = (
-            dp, (a0 + dp) ** 2 - a0 * a0, dt,
-            tuple(0 if mask >> cc & 1 else (a1 + t) ** 2 - a1 * a1 for cc, t in enumerate(dt)))
+        dt = dq = 0
+        for cc, o in enumerate(self.offsets):
+            if not mask >> cc & 1:
+                t = y if cc == c else x
+                dt += t << o
+                dq += ((a1 + t) ** 2 - a1 * a1) << o
+        new = None if mask >> c & 1 or u == 2 else mask | 1 << c
+        d = self._deltas[c][mask] = (new, dp, dt, dq)
         return d
 
     def _edge_coefs(self, mask):
-        """Taken and free classes of a live edge with decided colours `mask`,
-        and its co-vertices' contrib shift (the class docstring's closed
-        forms) summed over its u - 1 open co-vertices, as coefficients: for a
-        taken class of (1, sum TF, sum T), for a free class of (1, sum TF,
-        sum T, sum Tc[c]); kept in self._coefs."""
+        """Taken classes and (class, field offset) of the free ones of a live
+        edge with decided colours `mask`, and its co-vertices' shifts (the
+        class docstring's closed forms) as coefficients: the constant and the
+        factor of sum T of a taken class, and the factor of each summed Tc
+        field; kept in self._coefs."""
         r, r1, d1 = self.r, self.rpow[self.r - 1], self.D1
         taken = [c for c in range(r) if mask >> c & 1]
-        free = [c for c in range(r) if not mask >> c & 1]
+        free = [(c, o) for c, o in enumerate(self.offsets) if not mask >> c & 1]
         u = len(free)
         a0, a1, a2 = self.A[u][:3]
         co = self._coefs[mask] = (
-            taken, free,
-            (u - 1) * (2 * r1 * u * a1 * a1 - 2 * d1 * a0 * a0), -2 * r1 * a1, 2 * d1 * a0,
-            (u - 1) * (r1 * (2 * (u - 1) * a1 * (a1 - a2) + 2 * a1 * a1)
-                       + 2 * d1 * (a1 - a0) * a0),
-            2 * r1 * (a2 - a1), -2 * d1 * (a1 - a0), -2 * r1 * a2)
+            taken, free, 2 * (u - 1) * a1 * (r1 * (u - 1) * a2 - d1 * a0), 2 * d1 * a1,
+            -2 * r1 * a2)
         return co
 
-    def _pair_shift(self, pid, in_i, in_j, c) -> int:
-        """Shift of 2*jma from the live multi-shared pair pid when v, a vertex
-        of edge i, edge j or both, takes c: twice the change of its corr,
-        plus the cross terms of its other open shared vertices."""
-        i, j = self.multi[pid]
-        U, M, A = self.U, self.M, self.A
-        ui, mi, uj, mj = U[i], M[i], U[j], M[j]
-        bit = 1 << c
-        taken_i, taken_j = mi & bit, mj & bit
-        s = self.open_shared[pid]
-        shift = -2 * self.corr[pid]
-        if not (in_i and taken_i or in_j and taken_j):     # else an edge dies, and corr with it
-            shift += 2 * self._corr(ui - in_i, mi | bit if in_i else mi,
-                                    A[ui][1] if in_i else self.P[i],
-                                    uj - in_j, mj | bit if in_j else mj,
-                                    A[uj][1] if in_j else self.P[j], s - (in_i and in_j))
-        if in_i and in_j:
-            xi, yi, dpi = self._sides[ui][taken_i > 0]
-            xj, yj, dpj = self._sides[uj][taken_j > 0]
-            g = self.r - (mi | mj | bit).bit_count()       # free in both, other than c
-            shift += (s - 1) * (self._r1x2 * (xi * xj * g + yi * yj) - self._d1x2 * dpi * dpj)
-        return shift
-
-    def _quad_num(self, sumP, sumP2, jma2) -> int:
-        ex2 = sumP * self.D2 + (sumP * sumP - sumP2) * self.D1 + jma2
-        return (self.mu_rr * self.mu_rr - 2 * self.mu_rr * sumP) * self.D1 + ex2
-
-    def quad_num(self) -> int:
-        """The quadratic over r^(3r) at the committed labels."""
-        return self._quad_num(self.sumP, self.sumP2, self.jma2)
+    def _pair_shifts(self, mi, mj, s, in_i, in_j) -> tuple:
+        """Per class c, the class-dependent shift of the doubled pair sum from
+        a live pair of edges with decided colours mi and mj and s open shared
+        vertices when v, a vertex of edge i, edge j or both, takes c: twice
+        its new corr, plus the cross terms of its other open shared vertices;
+        kept in self._shifts."""
+        r = self.r
+        shifts = []
+        for c in range(r):
+            bit = 1 << c
+            taken_i, taken_j = mi & bit, mj & bit
+            shift = 0
+            if not (in_i and taken_i or in_j and taken_j):     # else an edge dies, and corr with it
+                shift = 2 * self._corr(mi | bit if in_i else mi, mj | bit if in_j else mj,
+                                       s - (in_i and in_j))
+            if in_i and in_j:
+                xi, yi, dpi = self._sides[r - mi.bit_count()][taken_i > 0]
+                xj, yj, dpj = self._sides[r - mj.bit_count()][taken_j > 0]
+                g = r - (mi | mj | bit).bit_count()           # free in both, other than c
+                shift += 2 * (s - 1) * (self.rpow[r - 1] * (xi * xj * g + yi * yj)
+                                        - self.D1 * dpi * dpj)
+            shifts.append(shift)
+        shifts = self._shifts[mi, mj, s, in_i, in_j] = tuple(shifts)
+        return shifts
 
     def add_keys(self, v, keys):
-        r = self.r
-        T, Tc, is_open, edges = self.T, self.Tc, self.open, self.edges
-        U, M, P, coefs = self.U, self.M, self.P, self._coefs
-        jma2 = [self.jma2 - self.contrib[v]] * r
+        fmask, offsets = self.fmask, self.offsets
+        T, Tc, is_open, edges, M, coefs = self.T, self.Tc, self.open, self.edges, self.M, self._coefs
+        J = [0] * self.r
         for eid in self.inc[v]:
-            if U[eid] == 1 or not P[eid]:
-                continue
             mask = M[eid]
-            taken, free, x0, xf, xt, k0, kf, kt, kc = coefs.get(mask) or self._edge_coefs(mask)
-            sum_t = 0
-            sum_tc = None
+            if mask is None:
+                continue
+            sum_t = sum_tc = 0
             for w in edges[eid]:
                 if w != v and is_open[w]:
                     sum_t += T[w]
-                    sum_tc = Tc[w] if sum_tc is None else list(map(add, sum_tc, Tc[w]))
-            tf = sum([sum_tc[c] for c in free]) if mask else sum(sum_tc)
-            x = x0 + xf * tf + xt * sum_t
+                    sum_tc += Tc[w]
+            taken, free, x, xt, kc = coefs.get(mask) or self._edge_coefs(mask)
+            x += xt * sum_t
+            for c, o in free:
+                y = kc * (sum_tc >> o & fmask)
+                J[c] += y
+                x += y
             for c in taken:
-                jma2[c] += x
-            x = k0 + kf * tf + kt * sum_t
-            for c in free:
-                jma2[c] += x + kc * sum_tc[c]
-        open_shared, multi = self.open_shared, self.multi
-        for pid, in_i, in_j in self.multi_at[v]:
-            if open_shared[pid] < 2:
-                continue
-            i, j = multi[pid]
-            mi, mj = M[i], M[j]
-            # the shift depends on c only through whether c is taken in each edge
-            shifts = [None] * 4
-            for c in range(r):
-                case = (mi >> c & 1) | (mj >> c & 1) << 1
-                shift = shifts[case]
-                if shift is None:
-                    shift = shifts[case] = self._pair_shift(pid, in_i, in_j, c)
-                jma2[c] += shift
-        t, q, trow, qrow, w = T[v], self.Q[v], Tc[v], self.Qc[v], self.weight
-        for c in range(r):
-            keys[c] += w * self._quad_num(self.sumP + trow[c] - t, self.sumP2 + qrow[c] - q,
-                                          jma2[c])
-
-    def commit(self, v, c):
-        T, Q, Tc, Qc, contrib, is_open = self.T, self.Q, self.Tc, self.Qc, self.contrib, self.open
-        U, M, P, A, deltas = self.U, self.M, self.P, self.A, self._deltas
-        bit = 1 << c
-        self.sumP += Tc[v][c] - T[v]
-        self.sumP2 += Qc[v][c] - Q[v]
-        jma2 = self.jma2 - contrib[v]
-        contrib[v] = 0
-        is_open[v] = False
-        touched = set()
-        for eid in self.inc[v]:
-            u, mask, p = U[eid], M[eid], P[eid]
-            if p:
-                if u > 1:
-                    dp, dp2, dt, dq = deltas.get((mask, c)) or self._edge_delta(mask, c)
-                    for w in self.edges[eid]:
-                        if is_open[w]:
-                            T[w] += dp
-                            Q[w] += dp2
-                            Tc[w] = list(map(add, Tc[w], dt))
-                            Qc[w] = list(map(add, Qc[w], dq))
-                            touched.add(w)
-                P[eid] = 0 if mask & bit else A[u][1]
-            U[eid] = u - 1
-            M[eid] = mask | bit
-        for w in touched:
-            cw = self._contrib(T[w], Q[w], Tc[w], Qc[w])
-            jma2 += cw - contrib[w]
-            contrib[w] = cw
-        corr, open_shared = self.corr, self.open_shared
+                J[c] += x
+        open_shared, multi, shifts = self.open_shared, self.multi, self._shifts
         for pid, in_i, in_j in self.multi_at[v]:
             s = open_shared[pid]
             if s < 2:
                 continue
-            i, j = self.multi[pid]
-            pi, pj = P[i], P[j]
-            s = s - 1 if in_i and in_j else s
-            if not pi or not pj:
-                s = 0
-            new = self._corr(U[i], M[i], pi, U[j], M[j], pj, s)
-            jma2 += 2 * (new - corr[pid])
-            corr[pid] = new
-            open_shared[pid] = s
-        self.jma2 = jma2
+            i, j = multi[pid]
+            state = M[i], M[j], s, in_i, in_j
+            J = list(map(add, J, shifts.get(state) or self._pair_shifts(*state)))
+        own_t, own_q, d1, w = Tc[v], self.Qc[v], self.D1, self.weight
+        h = d1 - 2 * self.mu_rr + 2 * (self.sumP - T[v])
+        for c, o in enumerate(offsets):
+            x = own_t >> o & fmask
+            keys[c] += w * (d1 * (x * (h + x) - (own_q >> o & fmask)) + J[c])
+
+    def commit(self, v, c):
+        T, Tc, Qc, M, is_open, edges = self.T, self.Tc, self.Qc, self.M, self.open, self.edges
+        deltas = self._deltas[c]
+        self.sumP += (Tc[v] >> self.offsets[c] & self.fmask) - T[v]
+        is_open[v] = False
+        for eid in self.inc[v]:
+            mask = M[eid]
+            if mask is None:
+                continue
+            M[eid], dp, dt, dq = deltas.get(mask) or self._edge_delta(mask, c)
+            for w in edges[eid]:
+                if is_open[w]:
+                    T[w] += dp
+                    Tc[w] += dt
+                    Qc[w] += dq
+        open_shared, multi = self.open_shared, self.multi
+        for pid, in_i, in_j in self.multi_at[v]:
+            s = open_shared[pid]
+            if s < 2:
+                continue
+            i, j = multi[pid]
+            open_shared[pid] = (0 if M[i] is None or M[j] is None
+                                else s - 1 if in_i and in_j else s)
 
 
 def _split(items: list, counts) -> list[list]:

@@ -107,8 +107,8 @@ def _quads(edges, labels, specs):
 def _reference_keys(edges, specs, weights, labels, v):
     """The keys of open vertex v at `labels` from the exact reference: per
     class c, the weighted sum over `specs` (all on one member) of the
-    quadratic with v -> c, over k^4 (r^(3r) for rainbow).  A rainbow term's
-    keys equal these; a graph term's differ by what no class changes."""
+    quadratic with v -> c, over k^4 (r^(3r) for rainbow).  A term's keys
+    differ from these by what no class changes."""
     k = specs[0].k
     scale = k ** (3 * k) if specs[0].kind == "rainbow" else k ** 4
     keys = []
@@ -321,16 +321,13 @@ class TestEngineEquality:
                     c = rng.randrange(r)
                     term.commit(v, c)
                     labels[v] = c
-                    assert term.quad_num() == _exact_num(labels, edges, specs[0]), (r, trial, v)
-                for v in set(range(n)) - set(prefix):
-                    # a rainbow key is the whole quadratic: equal, not only relative
-                    assert _keys(term, v, r) == _reference_keys(edges, specs, [1], labels, v), \
-                        (r, trial, v)
+                    _assert_relative_keys(term, edges, specs, [1], labels, (r, trial, v))
+                    _assert_vertex_sums(term, labels)
 
     def test_rainbow_rows_per_spec(self):
         # two specs on one member that differ only in their part: one term
-        # whose key weighs the quadratic by both weights, equal to the
-        # reference keys of the two specs
+        # whose key weighs the quadratic by both weights, equal up to what no
+        # class changes to the reference keys of the two specs
         rng = random.Random(23)
         for r in (2, 3, 4):
             n = r + 4
@@ -341,13 +338,13 @@ class TestEngineEquality:
             term = _RainbowTerm(edges, specs, n, [3, 1])
             labels = [UNDECIDED] * n
             assert term.quads == _quads([edges], labels, specs[:1]) * 2
+            _assert_relative_keys(term, edges, specs, [3, 1], labels, (r, None))
             for v in rng.sample(range(n), n):
                 keys = _keys(term, v, r)
-                assert keys == _reference_keys(edges, specs, [3, 1], labels, v), (r, v)
                 c = keys.index(min(keys))
                 term.commit(v, c)
                 labels[v] = c
-                assert 4 * term.quad_num() == keys[c], (r, v)
+                _assert_relative_keys(term, edges, specs, [3, 1], labels, (r, v))
 
     def test_rainbow_candidates_walk_once_per_vertex(self, monkeypatch):
         # one class-independent walk per (vertex, rainbow term) yields all r
@@ -355,7 +352,7 @@ class TestEngineEquality:
         walks = collections.Counter()
         in_commit = []
         add_keys, commit = _RainbowTerm.add_keys, _RainbowTerm.commit
-        pair_shift = _RainbowTerm._pair_shift
+        pair_shifts = _RainbowTerm._pair_shifts
 
         def counted(self, v, keys):
             walks[v] += 1
@@ -368,19 +365,20 @@ class TestEngineEquality:
 
         def candidate_only(self, *args):
             assert not in_commit, in_commit
-            return pair_shift(self, *args)
+            return pair_shifts(self, *args)
 
         monkeypatch.setattr(_RainbowTerm, "add_keys", counted)
         monkeypatch.setattr(_RainbowTerm, "commit", committing)
-        monkeypatch.setattr(_RainbowTerm, "_pair_shift", candidate_only)
+        monkeypatch.setattr(_RainbowTerm, "_pair_shifts", candidate_only)
         hf = generate("runiform", n=22, m=110, r=3, ell=2, seed=1001)
         derandomize(hf, resolve(hf, "hyp"))
         assert walks == {v: 2 for v in range(22)}
 
     def test_rainbow_pair_sum_after_every_commit(self):
-        # 2*jma == sum(contrib) + 2*sum(corr), the per-vertex sums follow the
-        # edge states, and the committed quadratic is the key of its class,
-        # on dense members where edge pairs share 2..r-1 vertices
+        # the keys hold the pair sum's class-dependent shifts: equal relative
+        # keys at every open vertex after every commit, and the per-vertex
+        # sums follow the labels, on dense members where edge pairs share
+        # 2..r-1 vertices
         rng = random.Random(24)
         for r in (2, 3, 4, 5):
             shared = set()
@@ -388,17 +386,37 @@ class TestEngineEquality:
                 n = rng.randint(r + 1, r + 5)
                 cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
                 hf = random_hyperfamily(n, r, [rng.randint(cap // 2 + 1, cap)], 400 * r + trial)
-                edges = hf.hypergraphs[0]
+                edges = hf.hypergraphs[0].tolist()
                 shared.update(len(set(a) & set(b)) for a, b in itertools.combinations(edges, 2))
-                term = _RainbowTerm(edges, (_loose_rainbow(hf, 0),), n, [1])
+                specs = (_loose_rainbow(hf, 0),)
+                term = _RainbowTerm(edges, specs, n, [1])
+                labels = [UNDECIDED] * n
                 for v in rng.sample(range(n), n):
-                    keys = _keys(term, v, r)
+                    _keys(term, v, r)
                     c = rng.randrange(r)
                     term.commit(v, c)
-                    assert term.quad_num() == keys[c], (r, trial, v)
-                    assert term.jma2 == sum(term.contrib) + 2 * sum(term.corr), (r, trial, v)
-                    _assert_vertex_sums(term)
+                    labels[v] = c
+                    _assert_relative_keys(term, edges, specs, [1], labels, (r, trial, v))
+                    _assert_vertex_sums(term, labels)
             assert set(range(2, r)) <= shared
+
+    def test_rainbow_packed_fields_at_a_hub(self):
+        # TestPinnedTraces' hyp-hub case: r=4, vertex 0 in every hyperedge and
+        # decided last, so its fields and the co-vertex sums through it are the
+        # widest; every field of every open vertex, unpacked after every commit
+        # of the descent, is its recount
+        (kind, params), _, _, order = TestPinnedTraces.CASES["hyp-hub"]
+        fam = _case_family(kind, params)
+        result = derandomize(fam, resolve(fam, "hyp"), order=order)
+        for i, edges in enumerate(fam.hypergraphs):
+            assert all(e[0] == 0 for e in edges.tolist())
+            term = _RainbowTerm(edges, (_loose_rainbow(fam, i),), fam.n, [1])
+            labels = [UNDECIDED] * fam.n
+            for step in result.trace:
+                _keys(term, step.vertex, 4)
+                term.commit(step.vertex, step.chosen)
+                labels[step.vertex] = step.chosen
+                _assert_vertex_sums(term, labels)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_member_candidates_from_partial_state(self, k):
@@ -521,30 +539,45 @@ def test_budget_decided_exactly_at_one(data):
             derandomize(fam, guarantee)
 
 
-def _assert_vertex_sums(term):
-    """T, Q, Tc, Qc and contrib of every open vertex, recounted from the edge states."""
-    r, A = term.r, term.A
-    for w in range(len(term.open)):
-        if not term.open[w]:
-            assert term.contrib[w] == 0
+def _assert_relative_keys(term, edges, specs, weights, labels, where):
+    """A rainbow key leaves out what no class changes: at every open vertex,
+    the term's keys less its class-0 key equal the reference's."""
+    for v, label in enumerate(labels):
+        if label == UNDECIDED:
+            want = _reference_keys(edges, specs, weights, labels, v)
+            assert _relative(_keys(term, v, term.r)) == _relative(want), (where, v)
+
+
+def _assert_vertex_sums(term, labels):
+    """T and the packed Tc and Qc of every open vertex, recounted from the
+    labels: an edge's P is A[u][0] and its row A[u][1] on its free colours
+    while its decided colours are distinct, and both are 0 once they are
+    not.  Each packed sum is its fields exactly, and the open vertices of
+    every edge sum to fields below the field width, so no sum the keys form
+    carries."""
+    r, A, offsets = term.r, term.A, term.offsets
+    fields = {}
+    for w, label in enumerate(labels):
+        if label != UNDECIDED:
             continue
-        ids = [eid for eid, e in enumerate(term.edges) if w in e]
-        rows = [[A[term.U[eid]][1] if term.P[eid] and not term.M[eid] >> c & 1 else 0
-                 for c in range(r)] for eid in ids]
-        assert term.T[w] == sum(term.P[eid] for eid in ids)
-        assert term.Q[w] == sum(term.P[eid] ** 2 for eid in ids)
-        assert term.Tc[w] == [sum(row[c] for row in rows) for c in range(r)]
-        assert term.Qc[w] == [sum(row[c] ** 2 for row in rows) for c in range(r)]
-        tc, qc = term.Tc[w], term.Qc[w]
-        assert term.contrib[w] == (r ** (r - 1) * sum(t * t - q for t, q in zip(tc, qc))
-                                   - r ** r * (term.T[w] ** 2 - term.Q[w]))
-
-
-def _exact_num(labels, edges, spec):
-    """The quadratic over r^(3r) of one rainbow spec at `labels`."""
-    num = _quadratic(labels, edges, spec) * spec.k ** (3 * spec.k)
-    assert num.denominator == 1
-    return num.numerator
+        ps, rows = [], []
+        for e in term.edges:
+            if w in e:
+                taken = [labels[x] for x in e if labels[x] != UNDECIDED]
+                live = len(set(taken)) == len(taken)
+                u = r - len(taken)
+                ps.append(A[u][0] if live else 0)
+                rows.append([A[u][1] if live and c not in taken else 0 for c in range(r)])
+        tc = fields[w] = [sum(row[c] for row in rows) for c in range(r)]
+        qc = [sum(row[c] ** 2 for row in rows) for c in range(r)]
+        assert term.T[w] == sum(ps), w
+        assert [term.Tc[w] >> o & term.fmask for o in offsets] == tc, w
+        assert [term.Qc[w] >> o & term.fmask for o in offsets] == qc, w
+        assert term.Tc[w] == sum(x << o for x, o in zip(tc, offsets)), w
+        assert term.Qc[w] == sum(x << o for x, o in zip(qc, offsets)), w
+    for e in term.edges:
+        near = [sum(fields[w][c] for w in e if w in fields) for c in range(r)]
+        assert max(near) <= term.fmask, (e, near)
 
 
 def _loose_rainbow(hf, i):
@@ -572,6 +605,10 @@ class TestPinnedTraces:
         "hyp-dense": (("runiform", dict(n=22, m=110, r=3, ell=2, seed=1001)), "hyp", None,
                       "degree"),
         "hyp-r5": (("runiform", dict(n=40, m=120, r=5, ell=1, seed=6)), "hyp", None, None),
+        # r=4 with vertex 0 in every hyperedge, decided last: the widest packed
+        # fields, and co-vertex sums through them
+        "hyp-hub": (("runiform-hub", dict(n=30, m=80, ell=2, seed=13)), "hyp", None,
+                    tuple(range(29, -1, -1))),
         # members of unequal sizes: the crossing specs weigh by lcm(parts) // part != 1
         "thm1-unequal": (("gnm-unequal", dict(n=60, ms=(200, 120, 90), seed=11)), "thm1", None,
                          None),
@@ -585,6 +622,7 @@ class TestPinnedTraces:
         "hyp": "27601f5eb55688275494f8d891d7c2440e47444ad74a8b47161c35f5843857e4",
         "hyp-dense": "ea84c0dcfa003ff4f2aef6b50edc6f39f3d38ed627dbf3331b535354dc0dfbaa",
         "hyp-r5": "8f2e85ed94d6e7e0ec1a74203eefd48806727150e871039b2799044624f9dfa3",
+        "hyp-hub": "c5c450670ecb600fbccf69aa3b75054e185b3b395a7555c38ccd675944a6bd9d",
         "thm1-unequal": "33d4fd33d55daedf6ebbddb8d55945920519de97beefb8c150abd2c0b626d555",
         "thm2-unequal": "7d4e15f49c878ecaa6799e9cb21b0f5aaa283ce2f226b90398b0f1274c7a33ea",
     }
@@ -603,8 +641,14 @@ class TestPinnedTraces:
 
 
 def _case_family(kind, params):
-    """`generate`'s family, or for "gnm-unequal" one gnm member per entry of
-    ``ms``, member i drawn with seed + i."""
+    """`generate`'s family; for "gnm-unequal" one gnm member per entry of
+    ``ms``, member i drawn with seed + i; for "runiform-hub" a 4-uniform
+    family whose every hyperedge is vertex 0 and a 3-uniform hyperedge on
+    vertices 1..n-1."""
+    if kind == "runiform-hub":
+        base = generate("runiform", **dict(params, n=params["n"] - 1, r=3))
+        return HypergraphFamily(n=params["n"], r=4, hypergraphs=tuple(
+            tuple((0, *(x + 1 for x in e)) for e in rows.tolist()) for rows in base.arrays))
     if kind != "gnm-unequal":
         return generate(kind, **params)
     n, seed = params["n"], params["seed"]
