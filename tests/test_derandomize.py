@@ -613,6 +613,12 @@ class TestPinnedTraces:
         "thm1-unequal": (("gnm-unequal", dict(n=60, ms=(200, 120, 90), seed=11)), "thm1", None,
                          None),
         "thm2-unequal": (("gnm-unequal", dict(n=50, ms=(150, 100, 60), seed=12)), "thm2", 3, None),
+        # graph terms under orders other than the natural one
+        "thm2-degree": (("gnm", dict(n=50, m=150, ell=2, seed=2)), "thm2", 4, "degree"),
+        "thm3-reversed": (("bounded-degree", dict(n=1460, degree=2, ell=1, seed=3)), "thm3", 3,
+                          tuple(range(1459, -1, -1))),
+        "thm1-unequal-permuted": (("gnm-unequal", dict(n=60, ms=(200, 120, 90), seed=11)), "thm1",
+                                  None, tuple(random.Random(31).sample(range(60), 60))),
     }
     DIGESTS = {
         "thm1": "e8f9f17abc123a15cc0a993f65ffd979e5d55f6c5d74e07f9048f56efeb1e790",
@@ -625,6 +631,9 @@ class TestPinnedTraces:
         "hyp-hub": "c5c450670ecb600fbccf69aa3b75054e185b3b395a7555c38ccd675944a6bd9d",
         "thm1-unequal": "33d4fd33d55daedf6ebbddb8d55945920519de97beefb8c150abd2c0b626d555",
         "thm2-unequal": "7d4e15f49c878ecaa6799e9cb21b0f5aaa283ce2f226b90398b0f1274c7a33ea",
+        "thm2-degree": "c1904ccd21bb3efad6416fa6074e5561fcf2c4a6683727adb343d5db9c4fea2a",
+        "thm3-reversed": "cc76265db8c6b4ef3e89abd07cb9677eacd31871c7fa9e66fa24b63cf01fb27b",
+        "thm1-unequal-permuted": "f7a39454e105c85e3a090e08f971cda7cfb2ed1f60ab483e356294256a203635",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
