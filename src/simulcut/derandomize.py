@@ -21,18 +21,21 @@ its weighted integer key per class into one shared list of k, leaving out
 what no class changes, which cannot move the argmin; so every decision is
 exact, and ties break to the lowest class.  Floats are for display only.
 
-Terms: one per run of consecutive specs on one member and of one
-statistic family (crossing; pair and within; rainbow), built from the
-member's edges, those specs, n and the specs' weights.  Every term starts
-with all vertices open (the incremental ones in closed form) and learns of
-decided vertices only through its own `commit(v, c)`.
+Terms: one crossing term per run of consecutive crossing specs, whatever
+their members, and one term per run of consecutive specs on one member and
+of one other statistic family (pair and within; rainbow), built from the
+members' edges, those specs and their weights, and for graph terms the
+descent's order.  Every term starts with all vertices open (the
+incremental ones in closed form) and learns of decided vertices only
+through its own `commit(v, c)`; a graph term's keys are defined only at
+the next vertex of its order.
 
-Cost: a graph member's crossing term and its class-pair term (every pair
-and within statistic) each keep per-vertex histograms of neighbour
-labels, from which each statistic's edge-pair correlations follow in
-closed form.  One walk over v's neighbours yields a term's k keys: deg(v)
-additions of packed histograms, then O(k) per statistic.  A commit costs
-O(1) (crossing) or O(1) per statistic, and O(1) per open neighbour.
+Cost: a graph term keeps each edge of a member once, at the endpoint the
+order reaches first, and per-vertex histograms of neighbour labels, from
+which each statistic's edge-pair correlations follow in closed form.  One
+walk over v's open neighbours yields a member's k keys: one addition of
+packed histograms per open neighbour, then O(k) per statistic.  A commit
+costs O(1) per statistic and one addition per open neighbour.
 A hypergraph member's rainbow term yields its r keys from one walk
 over v's live hyperedges: one addition of packed class sums per (live
 hyperedge, open co-vertex) pair, then O(r) per live hyperedge, plus O(r)
@@ -80,23 +83,40 @@ class DerandResult:
     final_value: float
 
 
-def _graph_state(edges, n, k):
-    """A graph member's adjacency lists and its packed neighbour-label
-    histograms with every vertex open (each its degree), with their field
-    mask and each class's field offset; see `_CrossingTerm`."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    it = iter(np.asarray(edges).ravel().tolist())
-    for u, v in zip(it, it):
-        adj[u].append(v)
-        adj[v].append(u)
-    width = (2 * len(edges)).bit_length()
-    return adj, [len(nbrs) for nbrs in adj], (1 << width) - 1, [width * (c + 1) for c in range(k)]
+def _later_lists(edges, rank):
+    """A graph member's edges, each once, at the endpoint that the descent's
+    order reaches first (``rank[v]`` is v's position).  Returns ``later``,
+    where ``later[v]`` lists v's neighbours after it, the open ones at v's
+    turn; ``early``, where ``early[v]`` counts those before it, the decided
+    ones; and every vertex's degree."""
+    n = len(rank)
+    rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ends = rank[rows]
+    swap = ends[:, 0] > ends[:, 1]
+    first = np.where(swap, rows[:, 1], rows[:, 0])
+    second = np.where(swap, rows[:, 0], rows[:, 1])
+    later: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(first.tolist(), second.tolist()):
+        later[u].append(v)
+    return (later, np.bincount(second, minlength=n).tolist(),
+            np.bincount(rows.ravel(), minlength=n).tolist())
+
+
+def _fields(m, k):
+    """Field mask, each class's field offset and the commit step that moves
+    one count from field 0 to class c's, for the packed histograms of a
+    member with at most m edges; see `_CrossingTerm`."""
+    width = (2 * m).bit_length()
+    offsets = [width * (c + 1) for c in range(k)]
+    return (1 << width) - 1, offsets, [(1 << o) - 1 for o in offsets]
 
 
 class _CrossingTerm:
-    """Incremental keys for the crossing statistic of one graph member, kept
-    on its vertices' neighbour-label histograms.  The specs on it differ only
-    in their normalizer, so its key is one quadratic times their summed weight.
+    """Incremental keys for the crossing statistic of a run of consecutive
+    crossing specs, kept per member on its vertices' neighbour-label
+    histograms.  The specs on one member differ only in their normalizer, so
+    its key is one quadratic times their summed weight; the term's key sums
+    its members'.
 
     A vertex u's histogram counts its open neighbours a[u] and its
     neighbours decided as c, b[u][c] (B[u] their total).  While u is open,
@@ -124,56 +144,63 @@ class _CrossingTerm:
       dp[c] * (g + dp[c]) + (the class-dependent part of the other shifts)
         = k^2 (b[c] (k^2 b[c] + 2(mu_k2 - sumP - k B)) + 2k beta[c])
 
-    So a term keeps sumP alone; sumP2 and contrib are not kept.
+    So a member keeps 2(mu_k2 - sumP) alone, 0 while every vertex is open;
+    sumP2 and contrib are not kept.
 
-    Histograms are packed, h[u] = a[u] + sum_c b[u][c] << (width * (c+1)),
-    with fields of (2m).bit_length() bits: a field summed over any vertex's
-    neighbours stays at most 2m, so sums never carry between fields.  h[u]
-    is 0 once u is decided.  So one sum over adj[v] yields all k keys, and
-    a commit adds one constant to each open neighbour.
+    Built for the descent's order (`_later_lists`), ``later[v]`` is exactly
+    v's open neighbours at v's turn, and ``early[v]`` is B[v].  Histograms
+    are packed, h[u] = a[u] + sum_c b[u][c] << (width * (c+1)), with fields
+    of (2m).bit_length() bits for the term's largest m: a field summed over
+    any vertex's neighbours stays at most 2m, so sums never carry between
+    fields.  So one walk over later[v] yields all k keys, and a commit adds
+    one constant to each open neighbour; h[v] is never read after v's turn,
+    so it is not cleared.
     """
 
-    def __init__(self, edges, specs, n, weights):
+    def __init__(self, arrays, specs, weights, rank):
         k = specs[0].k
-        m = len(edges)
         self.k, self.k2 = k, k * k
-        self.adj, self.h, self.mask, self.offsets = _graph_state(edges, n, k)
-        # the keys' common factor k^2 times the weights; mu_k2 is an integer
-        # since the mean's denominator divides k^2
-        self.w = sum(weights) * self.k2
-        self.mu = self.sumP = int(stat_mean("crossing", m, k) * self.k2)
-        # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m;
-        # every contrib is 0.  One quadratic over k^4 per spec
-        self.quads = [self.k2 * self.mu - (self.mu * self.mu // m if m else 0)] * len(specs)
+        # per member, in order of its first spec: its specs' summed weight
+        # times the keys' common factor k^2, and its all-open quadratic over
+        # k^4, where every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m, and
+        # every contrib is 0; mu_k2 is an integer since the mean's
+        # denominator divides k^2
+        w, quad = {}, {}
+        for spec, weight in zip(specs, weights):
+            w[spec.graph] = w.get(spec.graph, 0) + weight * self.k2
+        for g in w:
+            m = len(arrays[g])
+            mu = int(stat_mean("crossing", m, k) * self.k2)
+            quad[g] = self.k2 * mu - (mu * mu // m if m else 0)
+        self.quads = [quad[spec.graph] for spec in specs]
+        self.mask, self.offsets, self.steps = _fields(max(len(arrays[g]) for g in w), k)
+        self.members = [(*_later_lists(arrays[g], rank), w[g]) for g in w]
+        self.gaps = [0] * len(w)
 
     def add_keys(self, v, keys):
-        h, k, k2, mask, w = self.h, self.k, self.k2, self.mask, self.w
-        nbrs = self.adj[v]
-        own = h[v]
-        near = sum(map(h.__getitem__, nbrs))           # decided neighbours add 0
-        lin = 2 * (self.mu - self.sumP - k * (len(nbrs) - (own & mask)))   # B = decided neighbours
+        k, k2, mask, offsets = self.k, self.k2, self.mask, self.offsets
         kx2 = 2 * k
-        for c, o in enumerate(self.offsets):
-            x = own >> o & mask
-            keys[c] += w * (x * (k2 * x + lin) + kx2 * (near >> o & mask))
+        for (later, early, h, w), gap in zip(self.members, self.gaps):
+            own = h[v]
+            near = sum(map(h.__getitem__, later[v]))
+            lin = gap - kx2 * early[v]
+            for c, o in enumerate(offsets):
+                x = own >> o & mask
+                keys[c] += w * (x * (k2 * x + lin) + kx2 * (near >> o & mask))
 
     def commit(self, v, c):
-        h, k, mask = self.h, self.k, self.mask
-        nbrs = self.adj[v]
-        own = h[v]
-        o = self.offsets[c]
-        self.sumP += k * (len(nbrs) - (own & mask) - k * (own >> o & mask))
-        step = (1 << o) - 1
-        for u in nbrs:
-            if h[u]:
+        k, mask, gaps = self.k, self.mask, self.gaps
+        o, step = self.offsets[c], self.steps[c]
+        for i, (later, early, h, _) in enumerate(self.members):
+            gaps[i] -= 2 * k * (early[v] - k * (h[v] >> o & mask))
+            for u in later[v]:
                 h[u] += step
-        h[v] = 0
 
 
 class _ClassPairTerm:
     """Incremental keys for every pair and within statistic of one graph
-    member, on the histograms of `_CrossingTerm` and by its closed forms,
-    with these rows (T[c] = a + k b[c] and Q[c] = a + k^2 b[c]):
+    member, on the order-bound histograms of `_CrossingTerm` and by its
+    closed forms, with these rows (T[c] = a + k b[c] and Q[c] = a + k^2 b[c]):
 
       pair(s,t)  trow[s] = T[t], trow[t] = T[s], qrow alike with Q, other
                  classes 0; Tw = trow[s] + trow[t], Qw = qrow[s] + qrow[t] + 2a
@@ -187,72 +214,80 @@ class _ClassPairTerm:
       pair(s,t)  c = s: 2((k-1)^2 + 1) W[s] - 4(k-1) W[t];  c = t: s, t swapped;
                  else -2(k-2)(W[s] + W[t])
 
-    so the keys, each statistic's over its own sumP, are
+    so the keys, each statistic's over its own g = k^2 - 2*mu_k2 + 2*sumP
+    (kept in place of sumP, k^2 while every vertex is open), are
 
       within(s)  k (T[s] (g + (k-2) T[s]) + 2(k-1) W[s] - k Q[s]) at c = s, 0 elsewhere
-      pair(s,t)  k (T[t] (g + k T[t] - 2Tw) + 2(k-1) W[s] - 2 W[t] - k Q[t]) at
+      pair(s,t)  k (T[t] (g + k T[t] - 2Tw) + 2(k-1) W[s] - (2 W[t] + k Q[t])) at
                  c = s, the same with s and t swapped at c = t, 0 elsewhere
+
+    The per-class parts 2(k-1) W, 2 W + k Q and 2(k-1) W - k Q are formed
+    once per vertex, for every statistic.
     """
 
-    def __init__(self, edges, specs, n, weights):
+    def __init__(self, arrays, specs, weights, rank):
         k = specs[0].k
+        edges = arrays[specs[0].graph]
         m = len(edges)
         self.k, self.k2 = k, k * k
-        self.adj, self.h, self.mask, self.offsets = _graph_state(edges, n, k)
-        # per statistic: kind, s, t, its weight times the keys' common factor
-        # k, and mu_k2, an integer since every mean's denominator divides k^2
-        self.stats = [(spec.kind, spec.s, spec.t, w * k, int(stat_mean(spec.kind, m, k) * self.k2))
-                      for spec, w in zip(specs, weights)]
-        self.sumP = [mu for *_, mu in self.stats]
+        self.later, _, self.h = _later_lists(edges, rank)
+        self.mask, self.offsets, self.steps = _fields(m, k)
+        # per statistic: kind, s, t, its weight times the keys' common factor k
+        self.stats = [(spec.kind, spec.s, spec.t, w * k) for spec, w in zip(specs, weights)]
+        self.g = [self.k2] * len(specs)
         # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m,
         # and contrib of a degree-d vertex is d(d-1) times k-1 (within) or
-        # 2(k-2) (pair)
+        # 2(k-2) (pair); mu_k2 is an integer since every mean's denominator
+        # divides k^2
         pairs_at = sum(d * (d - 1) for d in self.h)
-        self.quads = [self.k2 * mu + (k - 1 if kind == "within" else 2 * (k - 2)) * pairs_at
-                      - (mu * mu // m if m else 0) for kind, *_, mu in self.stats]
+        mus = [int(stat_mean(spec.kind, m, k) * self.k2) for spec in specs]
+        self.quads = [self.k2 * mu + (k - 1 if spec.kind == "within" else 2 * (k - 2)) * pairs_at
+                      - (mu * mu // m if m else 0) for spec, mu in zip(specs, mus)]
 
     def add_keys(self, v, keys):
         h, k, k2, mask, offsets = self.h, self.k, self.k2, self.mask, self.offsets
-        nbrs = self.adj[v]
+        later = self.later[v]
         own = h[v]
-        near = sum(map(h.__getitem__, nbrs))           # decided neighbours add 0
-        a = own & mask
-        b = [own >> o & mask for o in offsets]
-        beta = [near >> o & mask for o in offsets]
+        near = sum(map(h.__getitem__, later))
+        a = len(later)
         alpha = (near & mask) - a                      # each open neighbour counts v once
-        T = [a + k * x for x in b]
-        Q = [a + k2 * x for x in b]
-        W = [alpha + k * y for y in beta]
-        k1x2 = 2 * (k - 1)
-        for (kind, s, t, w, mu), sum_p in zip(self.stats, self.sumP):
-            g = k2 - 2 * mu + 2 * sum_p
+        k1x2, km2 = 2 * (k - 1), k - 2
+        T, A, B, C = [], [], [], []
+        for o in offsets:
+            x = own >> o & mask
+            W = alpha + k * (near >> o & mask)
+            kq = k * (a + k2 * x)
+            T.append(a + k * x)
+            A.append(k1x2 * W)
+            B.append(2 * W + kq)
+            C.append(k1x2 * W - kq)
+        for (kind, s, t, w), g in zip(self.stats, self.g):
             Ts = T[s]
             if kind == "within":
-                keys[s] += w * (Ts * (g + (k - 2) * Ts) + k1x2 * W[s] - k * Q[s])
+                keys[s] += w * (Ts * (g + km2 * Ts) + C[s])
                 continue
             Tt = T[t]
             g -= 2 * (Ts + Tt)                          # g - 2Tw
-            keys[s] += w * (Tt * (g + k * Tt) + k1x2 * W[s] - 2 * W[t] - k * Q[t])
-            keys[t] += w * (Ts * (g + k * Ts) + k1x2 * W[t] - 2 * W[s] - k * Q[s])
+            keys[s] += w * (Tt * (g + k * Tt) + A[s] - B[t])
+            keys[t] += w * (Ts * (g + k * Ts) + A[t] - B[s])
 
     def commit(self, v, c):
-        h, k, mask, offsets = self.h, self.k, self.mask, self.offsets
-        nbrs = self.adj[v]
+        h, k, mask, g = self.h, self.k, self.mask, self.g
+        later = self.later[v]
         own = h[v]
-        a = own & mask
-        for i, (kind, s, t, _, _) in enumerate(self.stats):
-            Ts = a + k * (own >> offsets[s] & mask)
+        a = len(later)
+        T = [a + k * (own >> o & mask) for o in self.offsets]
+        for i, (kind, s, t, _) in enumerate(self.stats):
+            Ts = T[s]
             if kind == "within":
                 dp = (k - 1) * Ts if c == s else -Ts
             else:
-                Tt = a + k * (own >> offsets[t] & mask)
+                Tt = T[t]
                 dp = (k * Tt if c == s else k * Ts if c == t else 0) - Ts - Tt
-            self.sumP[i] += dp
-        step = (1 << offsets[c]) - 1
-        for u in nbrs:
-            if h[u]:
-                h[u] += step
-        h[v] = 0
+            g[i] += 2 * dp
+        step = self.steps[c]
+        for u in later:
+            h[u] += step
 
 
 class _RainbowTerm:
@@ -581,16 +616,23 @@ _TERMS = {"crossing": _CrossingTerm, "pair": _ClassPairTerm, "within": _ClassPai
           "rainbow": _RainbowTerm}
 
 
-def _build_terms(family, specs):
-    """Penalty terms in spec order, one per run of consecutive specs on one
-    member and of one term class, each spec weighed by lcm(parts) // its
-    part; ``quads`` holds their all-open quadratics over k^4 (r^(3r))."""
+def _build_terms(family, specs, order):
+    """Penalty terms in spec order, each spec weighed by lcm(parts) // its
+    part: one crossing term per run of consecutive crossing specs, and one
+    class-pair or rainbow term per run of consecutive specs on one member and
+    of that class.  Graph terms are built for the vertex order `order`, and
+    their keys are defined only at the next vertex of it.  ``quads`` holds
+    their all-open quadratics over k^4 (r^(3r))."""
     lcm = math.lcm(*(spec.part for spec in specs))
+    rank = np.empty(family.n, dtype=np.int64)
+    rank[list(order)] = np.arange(family.n)
     terms = []
-    for (gi, cls), group in itertools.groupby(specs, key=lambda s: (s.graph, _TERMS[s.kind])):
+    for (gi, cls), group in itertools.groupby(
+            specs, key=lambda s: (None if s.kind == "crossing" else s.graph, _TERMS[s.kind])):
         group = tuple(group)
-        terms.append(cls(family.arrays[gi], group, family.n,
-                         [lcm // spec.part for spec in group]))
+        weights = [lcm // spec.part for spec in group]
+        terms.append(_RainbowTerm(family.arrays[gi], group, family.n, weights)
+                     if cls is _RainbowTerm else cls(family.arrays, group, weights, rank))
     return terms
 
 
@@ -616,7 +658,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     require_addressable(family.n)
     order = resolve_order(family, order)
     labels = [UNDECIDED] * family.n
-    terms = _build_terms(family, specs)
+    terms = _build_terms(family, specs, order)
 
     scale = k ** (3 * k) if specs and specs[0].kind == "rainbow" else k ** 4
     lcm, root = math.lcm(*(spec.part for spec in specs)), math.sqrt(guarantee.norm2)

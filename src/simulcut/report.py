@@ -136,7 +136,13 @@ def render_report(rr: RunReport) -> str:
             continue
         # a float field is written as a float whatever number type it holds
         add(f"{key} {_fmt(float(value) if parse is float else value)}")
-    add("assignment " + " ".join(str(x) for x in rr.assignment))
+    # each label's string from a table of the classes, at most one per label;
+    # a label outside them, as a parsed report may hold, is written by str
+    names = {c: str(c) for c in range(min(rr.k, len(rr.assignment)))}
+    try:
+        add("assignment " + " ".join(map(names.__getitem__, rr.assignment)))
+    except KeyError:
+        add("assignment " + " ".join(map(str, rr.assignment)))
     for c, size in enumerate(rr.cut_report.class_sizes):
         add(f"class-size {c} {size}")
     stat = _member_stat(rr.kind)

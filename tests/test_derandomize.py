@@ -4,6 +4,7 @@ checked against the exact Fraction reference of `estimator`."""
 import collections
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import math
 import random
@@ -422,7 +423,10 @@ class TestEngineEquality:
     def test_member_candidates_from_partial_state(self, k):
         # crossing, every pair and every within statistic of a member: a
         # crossing term and a class-pair term, whose keys add up; vertices n
-        # and n + 1 are isolated, one decided and one open
+        # and n + 1 are isolated, one decided and one open.  A graph term's
+        # keys are defined at the next vertex of the order it is built for,
+        # so each open vertex v is probed by terms built for the order
+        # prefix + [v] + the rest, after replaying the prefix
         rng = random.Random(40 + k)
         for trial in range(4):
             n = rng.randint(4, 12)
@@ -437,29 +441,89 @@ class TestEngineEquality:
             specs = [EventSpec(graph=0, kind=kind, k=k, s=s, t=t, part=part)
                      for (kind, s, t), part in zip(stats, parts)]
             weights = [math.lcm(*parts) // part for part in parts]
-            terms = _build_terms(fam, specs)
-            assert [type(term) for term in terms] == [_CrossingTerm, _ClassPairTerm]
-
-            def keys_of(v):
-                return list(map(sum, zip(*(_keys(term, v, k) for term in terms))))
-
-            labels = [UNDECIDED] * (n + 2)
-            assert [x for term in terms for x in term.quads] == _quads([edges], labels, specs)
+            all_open = _quads([edges], [UNDECIDED] * (n + 2), specs)
             prefix = rng.sample(range(n), rng.randint(0, n - 1)) + [n]
-            for i, v in enumerate(prefix):
-                # a commit may follow the keys of its own vertex, of an
-                # open one, or of the next one to commit
-                for u in (v, n + 1, prefix[min(i + 1, len(prefix) - 1)]):
-                    if rng.random() < 0.4:
+            labels = [UNDECIDED] * (n + 2)
+            for v in prefix:
+                labels[v] = rng.randrange(k)
+            rest = [v for v, label in enumerate(labels) if label == UNDECIDED]
+            for v in rest:
+                terms = _build_terms(fam, specs, prefix + [v] + [u for u in rest if u != v])
+                assert [type(term) for term in terms] == [_CrossingTerm, _ClassPairTerm]
+                assert [x for term in terms for x in term.quads] == all_open
+
+                def keys_of(u):
+                    return list(map(sum, zip(*(_keys(term, u, k) for term in terms))))
+
+                for u in prefix:
+                    if rng.random() < 0.4:          # a commit may follow its vertex's keys
                         keys_of(u)
-                c = rng.randrange(k)
-                for term in terms:
-                    term.commit(v, c)
-                labels[v] = c
-            # a graph key leaves out what no class changes: equal relative keys
-            for v in set(range(n + 2)) - set(prefix):
+                    for term in terms:
+                        term.commit(u, labels[u])
+                # a graph key leaves out what no class changes: equal relative keys
                 want = _reference_keys(edges, specs, weights, labels, v)
                 assert _relative(keys_of(v)) == _relative(want), (k, trial, v)
+
+    @pytest.mark.parametrize("order", ["natural", "degree", "permuted"])
+    def test_graph_terms_visit_each_edge_once(self, order, monkeypatch):
+        # over whole descents, every edge of a graph member sits in exactly one
+        # `later` list, at the endpoint the order reaches first, and each
+        # member's histogram entries other than the vertex's own are read
+        # exactly m times in add_keys and read and written exactly m times in
+        # commit: one visit per edge in each
+        module = importlib.import_module("simulcut.derandomize")
+        now = {}
+        members = []
+
+        class Counted(list):
+            def __getitem__(self, u):
+                if u != now["vertex"]:
+                    self.visits[now["phase"], "read"] += 1
+                return super().__getitem__(u)
+
+            def __setitem__(self, u, x):
+                if u != now["vertex"]:
+                    self.visits[now["phase"], "write"] += 1
+                super().__setitem__(u, x)
+
+        def counted_lists(edges, rank):
+            later, early, h = later_lists(edges, rank)
+            h = Counted(h)
+            h.visits = collections.Counter()
+            members.append((np.asarray(edges).tolist(), later, h))
+            return later, early, h
+
+        def in_phase(phase, method):
+            def run(self, v, x):
+                now.update(phase=phase, vertex=v)
+                method(self, v, x)
+                now.update(phase=None, vertex=None)
+            return run
+
+        later_lists = module._later_lists
+        monkeypatch.setattr(module, "_later_lists", counted_lists)
+        for cls in (_CrossingTerm, _ClassPairTerm):
+            monkeypatch.setattr(cls, "add_keys", in_phase("add_keys", cls.add_keys))
+            monkeypatch.setattr(cls, "commit", in_phase("commit", cls.commit))
+        fam = random_family(40, [120, 60, 0], 31)
+        mixed = [spec for i, m in enumerate(fam.m) if m
+                 for spec in [EventSpec(graph=i, kind="crossing", k=3, part=m * m)]
+                 + _loose_classwise(i, m, 3)]
+        for guarantee in (resolve(fam, "thm1"), resolve(fam, "thm2", k=3),
+                          hand_built(fam, 3, mixed, norm2=144)):
+            members.clear()
+            result = derandomize(fam, guarantee, order=(
+                random.Random(5).sample(range(40), 40) if order == "permuted" else order))
+            rank = {step.vertex: i for i, step in enumerate(result.trace)}
+            assert members
+            for edges, later, h in members:
+                kept = [(v, u) for v, nbrs in enumerate(later) for u in nbrs]
+                assert all(rank[v] < rank[u] for v, u in kept)
+                assert sorted(tuple(sorted(e)) for e in kept) == sorted(map(tuple, edges))
+                m = len(edges)
+                want = {("add_keys", "read"): m, ("commit", "read"): m, ("commit", "write"): m}
+                assert {key: h.visits[key] for key in want} == want, (order, h.visits)
+                assert sum(h.visits.values()) == 3 * m, (order, h.visits)
 
     def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
         # a linear hypergraph (delta2 == 1): every overlapping pair shares one vertex

@@ -54,6 +54,17 @@ def test_balance_slack_and_epsilon_lines():
     assert "\nepsilon 0.25\n" in text and "\nbalance-slack 50.0\n" in text
 
 
+def test_assignment_line_writes_every_label_in_decimal():
+    # labels come from a table of the k classes; one outside them (UNDECIDED,
+    # or k and above in a parsed report) is written all the same
+    family = generate(**INSTANCES["2"], seed=3)
+    rr = execute_run(family, RunOptions(method="derand", theorem="2", k=3)).run_report
+    for labels in (rr.assignment, (0, 2, 1) * 10, (0, -1, 2) * 10, (0, 3, 11) * 10):
+        text = render_report(replace(rr, assignment=labels))
+        assert f"\nassignment {' '.join(str(x) for x in labels)}\n" in text
+        assert render_report(parse_report(text)) == text
+
+
 def _closed_form(family, theorem, k, graph, stat):
     """The row's threshold straight from the README formula."""
     return paper_threshold(theorem, family.m[graph], ell=family.ell, k=k, stat=stat,
