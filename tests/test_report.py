@@ -272,12 +272,20 @@ def _empty_member_family():
     return GraphFamily(n=20, graphs=(base.graphs[0], ()))
 
 
+def _empty_member_thm3_family():
+    # max degree 2 <= eps*m = 1460/576 at thm3's default eps for two graphs
+    # and k=2; the empty member's pair row is the one a sparse count reaches
+    base = generate("bounded-degree", n=1460, degree=2, ell=1, seed=5)
+    return GraphFamily(n=1460, graphs=(base.graphs[0], ()))
+
+
 PIN_FAMILIES = {
     "gnm": lambda: generate("gnm", n=30, m=80, ell=2, seed=5),
     "bd": lambda: generate("bounded-degree", n=300, degree=2, ell=1, seed=5),
     "bd1460": lambda: generate("bounded-degree", n=1460, degree=2, ell=1, seed=5),
     "ru": lambda: generate("runiform", n=20, m=40, r=3, ell=2, seed=5),
     "empty": _empty_member_family,
+    "empty3": _empty_member_thm3_family,
 }
 
 
@@ -314,6 +322,10 @@ REPORT_PINS = [
      "42d8743b701982d137e04e1da252e88bc25e14744a11720a46e942941cd4ad0a"),
     (("empty", "derand", "2", 3, False),
      "2eca64fd80d730a0a9512956bde8066b85b56db9448bb21b01390c3664dcef32"),
+    (("empty3", "mc", "3", 2, False),
+     "6e3c261a3eca1168cc931c1616dff445633da7b888d8b1a3e9ffc076f0b0a59d"),
+    (("empty3", "derand", "3", 2, False),
+     "3cf0e2ba355ffc6c674f73d5c861062ae094db45767e753a277fab9d1d3cf4dd"),
 ]
 
 
