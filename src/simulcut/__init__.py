@@ -18,7 +18,6 @@ from .model import (
     HypergraphFamily,
     InstanceError,
     PartialAssignmentError,
-    crossing_count,
     edwards_bound,
     epsilon_cap,
     partition_counts,
@@ -38,7 +37,6 @@ from .mc import McExhausted, McResult, mc_partition, random_assignment, substrea
 from .derandomize import DerandResult, DescentStep, derandomize
 from .oracle import (
     SizeLimitError,
-    edwards_check,
     enumerate_best,
     max_cut,
     moments_by_completion,

@@ -44,8 +44,7 @@ from pathlib import Path
 from .derandomize import derandomize
 from .guarantee import MAX_TRIES, check_settings, resolve, settle
 from .mc import McExhausted, mc_partition
-from .instances import (check_generator, generate, generated_shape, serialize_instance,
-                        write_text)
+from .instances import check_generator, generate, serialize_instance, write_text
 from .report import RunReport, instance_digest, render_report
 
 THEOREM_TOKENS = {"1": "thm1", "2": "thm2", "3": "thm3", "hyp": "hyp",
@@ -174,13 +173,10 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
             elif f.default is MISSING:
                 raise ValueError(f"suite run {i}: missing field {f.name!r}")
         options["theorem"] = str(options["theorem"])
-        shape = generated_shape(gen["kind"], gen.get("ell", 1), gen.get("r"))
         try:
-            check_generator(**gen)
+            members, r = check_generator(**gen)
             opts = RunOptions(**options)
-            if shape:
-                settle(THEOREM_TOKENS[opts.theorem], opts.k, opts.epsilon,
-                       ell=shape[0], r=shape[1])
+            settle(THEOREM_TOKENS[opts.theorem], opts.k, opts.epsilon, ell=members, r=r)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"suite run {i}: {exc}") from None
         runs.append(SuiteRun(

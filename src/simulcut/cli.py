@@ -116,7 +116,7 @@ def _cmd_oracle(args) -> int:
         return 0
     # edwards: every graph's exact max cut against the m-edge lower bound
     all_ok = True
-    for i, edges in enumerate(family.graphs):
+    for i, edges in enumerate(family.arrays):
         sub = GraphFamily(n=family.n, graphs=(edges,))
         cut = max_cut(sub)
         bound = edwards_bound(family.m[i])

@@ -355,17 +355,20 @@ class _RainbowTerm:
     The incidence lists and the multi-shared pairs come from one sort of
     the member array's vertex-pair keys (`_multi_shared`).
 
-    The term starts with every vertex open, where every edge has u = r, an
-    empty mask and P = A_r(0) = A_r(1) = r!: T, Tc and Qc are a vertex's
-    degree times r! or r!^2.  It marks the vertices committed to it as
-    decided itself.
+    Built like the graph terms, it reads only its specs' member of
+    ``arrays`` and the vertex count, len(rank).  The term starts with every
+    vertex open, where every edge has u = r, an empty mask and P = A_r(0) =
+    A_r(1) = r!: T, Tc and Qc are a vertex's degree times r! or r!^2.  It
+    marks the vertices committed to it as decided itself.
     """
 
-    def __init__(self, edges, specs, n, weights):
+    def __init__(self, arrays, specs, weights, rank):
         r = specs[0].k
+        n = len(rank)
         self.r = r
         self.D1 = r ** r
         self.weight = sum(weights)
+        edges = arrays[specs[0].graph]
         rows = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, r), axis=1)
         m = len(rows)
         self.edges = rows.tolist()
@@ -627,12 +630,10 @@ def _build_terms(family, specs, order):
     rank = np.empty(family.n, dtype=np.int64)
     rank[list(order)] = np.arange(family.n)
     terms = []
-    for (gi, cls), group in itertools.groupby(
+    for (_, cls), group in itertools.groupby(
             specs, key=lambda s: (None if s.kind == "crossing" else s.graph, _TERMS[s.kind])):
         group = tuple(group)
-        weights = [lcm // spec.part for spec in group]
-        terms.append(_RainbowTerm(family.arrays[gi], group, family.n, weights)
-                     if cls is _RainbowTerm else cls(family.arrays, group, weights, rank))
+        terms.append(cls(family.arrays, group, [lcm // spec.part for spec in group], rank))
     return terms
 
 
@@ -656,6 +657,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
         raise ValueError("balancing is a Monte-Carlo feature; "
                          "the descent does not track class sizes")
     require_addressable(family.n)
+    require_addressable(k)
     order = resolve_order(family, order)
     labels = [UNDECIDED] * family.n
     terms = _build_terms(family, specs, order)

@@ -220,16 +220,13 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
     if hyper:
         rainbow = tuple(rainbow_count(rows, a, family.r) for rows in family.arrays)
     else:
-        # every class pair only when rows read them or within counts (thm3), so
-        # thm1 and thm2 cost O(m + k) whatever the k
-        every_pair = any(spec.kind in ("pair", "within") for spec, _, _ in guarantee.rows)
-        pairs, within, crossing = zip(*(partition_counts(rows, a, every_pair)
-                                        for rows in family.arrays))
+        pairs, within, crossing = zip(*(partition_counts(rows, a) for rows in family.arrays))
     constraints = []
     for spec, threshold, bound in guarantee.rows:
         g = spec.graph
         count = (crossing[g] if spec.kind == "crossing" else rainbow[g] if spec.kind == "rainbow"
-                 else pairs[g][spec.s, spec.t] if spec.kind == "pair" else within[g][spec.s])
+                 else pairs[g].get((spec.s, spec.t), 0) if spec.kind == "pair"
+                 else within[g][spec.s])
         constraints.append(Constraint(graph=g, stat=spec.stat, count=count, threshold=threshold,
                                       margin=count - threshold, passed=bound.admits(count)))
     if guarantee.slack is not None:

@@ -384,19 +384,6 @@ def _runiform_edges(n: int, m: int, r: int, rng) -> tuple:
     return tuple(sorted(edges))
 
 
-def generated_shape(kind: str, ell=1, r=None) -> tuple[int, int | None] | None:
-    """Member count and uniformity (None for graphs) of what `generate`
-    returns for these parameters; None when they do not fix it, because
-    `generate` rejects them."""
-    if type(ell) is not int or ell < 1:
-        return None
-    if kind == "runiform":
-        return (ell, r) if type(r) is int and r >= 2 else None
-    if kind not in GENERATOR_KINDS:
-        return None
-    return {"disjoint-cycles": 2, "star": 1}.get(kind, ell), None
-
-
 def generate(kind: str, *, n: int, m: int | None = None, ell: int = 1,
              r: int | None = None, degree: int | None = None, seed: int = 0):
     """Deterministic seeded instance generators.
@@ -434,12 +421,13 @@ def generate(kind: str, *, n: int, m: int | None = None, ell: int = 1,
 
 
 def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
-                    r: int | None = None, degree: int | None = None) -> None:
+                    r: int | None = None, degree: int | None = None) -> tuple[int, int | None]:
     """Reject the parameters `generate` cannot build an instance from.
 
     Raises ValueError with the message `generate` gives, before anything
     is drawn; a suite checks every run's generator with it before the
-    first run starts.
+    first run starts.  Returns the shape of what `generate` builds: its
+    member count and uniformity (None for graphs).
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
@@ -483,3 +471,5 @@ def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
         total = math.comb(n, r)
         if m > total:
             raise ValueError(f"m={m} exceeds the {total} distinct {r}-subsets of {n} vertices")
+        return ell, r
+    return {"disjoint-cycles": 2, "star": 1}.get(kind, ell), None

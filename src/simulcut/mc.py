@@ -44,7 +44,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def random_assignment(n: int, k: int, rng) -> Assignment:
+def random_assignment(n: int, k: int, rng: np.random.Generator) -> Assignment:
     """Uniform independent class labels; deterministic given a seeded rng."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -52,8 +52,6 @@ def random_assignment(n: int, k: int, rng) -> Assignment:
     require_addressable(n)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if not isinstance(rng, np.random.Generator):
-        rng = substream(int(rng), 0)
     return Assignment(rng.integers(0, k, size=n), k)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -176,28 +176,27 @@ class GraphFamily:
     other's edges.  Isolated vertices are fine: every guarantee depends
     only on edges.
 
-    ``graphs`` holds each member once, validated, as a read-only ``(m, 2)``
-    int64 array (endpoints sorted within each row, input order kept);
-    ``arrays`` is the same tuple under the name both family kinds share.
-    ``source_sha256`` is set by parse_instance when the family was parsed
-    from text in serialized form: that text's sha256, else None.
+    The members are given as ``graphs``; ``arrays`` holds each one once,
+    validated, as a read-only ``(m, 2)`` int64 array (endpoints sorted
+    within each row, input order kept).  ``source_sha256`` is set by
+    parse_instance when the family was parsed from text in serialized
+    form: that text's sha256, else None.
     """
 
     n: int
-    graphs: tuple[np.ndarray, ...]
+    graphs: InitVar[tuple]
+    arrays: tuple[np.ndarray, ...] = field(init=False)
     m: tuple[int, ...] = field(init=False)
     max_degree: tuple[int, ...] = field(init=False)
-    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
     source_sha256: str | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, graphs):
         if self.n < 0:
             raise InstanceError(f"negative vertex count {self.n}")
-        if len(self.graphs) < 1:
+        if len(graphs) < 1:
             raise InstanceError("a family needs at least one graph")
         arrays = tuple(_member_rows(edges, self.n, 2, f"graph {i}", i)
-                       for i, edges in enumerate(self.graphs))
-        object.__setattr__(self, "graphs", arrays)
+                       for i, edges in enumerate(graphs))
         object.__setattr__(self, "arrays", arrays)
         object.__setattr__(self, "m", tuple(len(rows) for rows in arrays))
         # one counter per index below n, unless n is over 4x the entry count:
@@ -210,7 +209,7 @@ class GraphFamily:
 
     @property
     def ell(self) -> int:
-        return len(self.graphs)
+        return len(self.arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,29 +218,28 @@ class HypergraphFamily:
 
     Besides edge counts, each member carries its pair degree
     ``delta2 = max over vertex pairs x != y of #{edges containing both}``,
-    which controls the derived rainbow-count guarantee.  ``hypergraphs``
-    holds each member once as a read-only ``(m, r)`` int64 array, and
-    ``arrays`` and ``source_sha256`` are as in GraphFamily.
+    which controls the derived rainbow-count guarantee.  The members are
+    given as ``hypergraphs``; ``arrays`` holds each one once as a read-only
+    ``(m, r)`` int64 array, and ``source_sha256`` is as in GraphFamily.
     """
 
     n: int
     r: int
-    hypergraphs: tuple[np.ndarray, ...]
+    hypergraphs: InitVar[tuple]
+    arrays: tuple[np.ndarray, ...] = field(init=False)
     m: tuple[int, ...] = field(init=False)
     delta2: tuple[int, ...] = field(init=False)
-    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
     source_sha256: str | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, hypergraphs):
         if self.n < 0:
             raise InstanceError(f"negative vertex count {self.n}")
         if not 2 <= self.r <= self.n:
             raise InstanceError(f"uniformity must be in 2..n = {self.n}, got {self.r}")
-        if len(self.hypergraphs) < 1:
+        if len(hypergraphs) < 1:
             raise InstanceError("a family needs at least one hypergraph")
         arrays = tuple(_member_rows(edges, self.n, self.r, f"hypergraph {i}", i)
-                       for i, edges in enumerate(self.hypergraphs))
-        object.__setattr__(self, "hypergraphs", arrays)
+                       for i, edges in enumerate(hypergraphs))
         object.__setattr__(self, "arrays", arrays)
         object.__setattr__(self, "m", tuple(len(rows) for rows in arrays))
         object.__setattr__(self, "delta2", tuple(_pair_degree(rows) for rows in arrays))
@@ -250,7 +248,7 @@ class HypergraphFamily:
 
     @property
     def ell(self) -> int:
-        return len(self.hypergraphs)
+        return len(self.arrays)
 
 
 def _pair_degree(rows: np.ndarray) -> int:
@@ -276,13 +274,13 @@ def _pair_degree(rows: np.ndarray) -> int:
 
 
 def require_addressable(n: int) -> None:
-    """Raise MemoryError when one 8-byte slot per vertex overflows the address space.
+    """Raise MemoryError when n slots of 8 bytes overflow the address space.
 
-    The engines call it before sizing any per-vertex storage, so such an n
-    fails at once with the same error from either, not partway through.
+    The engines call it on the vertex count (the descent also on k) before
+    sizing any storage, so such a count fails at once, not partway through.
     """
     if n > np.iinfo(np.intp).max // 8:
-        raise MemoryError(f"{n} vertices of 8 bytes each exceed the address space")
+        raise MemoryError(f"{n} slots of 8 bytes each exceed the address space")
 
 
 def _label_array(labels, k: int) -> np.ndarray:
@@ -345,11 +343,6 @@ class Assignment:
         # shifted by one, so that UNDECIDED vertices fall in bin 0
         return tuple(np.bincount(self.label_array + 1, minlength=self.k + 1)[1:].tolist())
 
-    @classmethod
-    def from_side(cls, n: int, side: set[int] | frozenset[int]) -> "Assignment":
-        """Bipartition helper: vertices in ``side`` get class 0, the rest class 1."""
-        return cls(tuple(0 if v in side else 1 for v in range(n)), 2)
-
 
 def _require_total(a: Assignment) -> None:
     if not a.is_total:
@@ -358,14 +351,7 @@ def _require_total(a: Assignment) -> None:
         )
 
 
-def crossing_count(edges, a: Assignment) -> int:
-    """Number of edges with one endpoint on each side of a bipartition."""
-    if a.k != 2:
-        raise ValueError(f"crossing_count needs a 2-class assignment, got k={a.k}")
-    return partition_counts(edges, a)[2]
-
-
-def partition_counts(edges, a: Assignment, every_pair: bool = True):
+def partition_counts(edges, a: Assignment):
     """Classify every edge of one graph under a total k-assignment.
 
     Returns ``(pairs, within, crossing)`` where ``pairs[(s, t)]`` counts
@@ -374,11 +360,11 @@ def partition_counts(edges, a: Assignment, every_pair: bool = True):
     ``sum(pairs) + sum(within) == len(edges)``.  ``edges`` is a member's
     array or any sequence of pairs; every count is a Python int.
 
-    One bincount over the k*k label cells counts the edges when k*k <= m.
-    Beyond that only the cells that edges land in are counted, with
-    np.unique of the cell codes, and with ``every_pair`` false ``pairs``
-    leaves out the class pairs that no edge joins: then the cost is
-    O(m + k) however large k is.
+    ``pairs`` may leave out class pairs that no edge joins, so read it with
+    ``pairs.get((s, t), 0)``.  One bincount over the k*k label cells counts
+    the edges when k*k <= m.  Beyond that only the cells that edges land in
+    are counted, with np.unique of the cell codes, and ``pairs`` holds only
+    those: then the cost is O(m + k) however large k is.
     """
     _require_total(a)
     rows = _as_rows(edges, 2)
@@ -392,10 +378,8 @@ def partition_counts(edges, a: Assignment, every_pair: bool = True):
     else:
         codes = np.minimum(first, second) * k + np.maximum(first, second)
         occupied, counts = np.unique(codes, return_counts=True)
-        joined = {divmod(code, k): x for code, x in zip(occupied.tolist(), counts.tolist())}
-        within = tuple(joined.pop((s, s), 0) for s in range(k))
-        pairs = ({(s, t): joined.get((s, t), 0) for s in range(k) for t in range(s + 1, k)}
-                 if every_pair else joined)
+        pairs = {divmod(code, k): x for code, x in zip(occupied.tolist(), counts.tolist())}
+        within = tuple(pairs.pop((s, s), 0) for s in range(k))
     crossing = len(rows) - sum(within)
     return pairs, within, crossing
 
@@ -482,9 +466,8 @@ class CutReport:
     """All cut statistics of one assignment, with pass/fail per constraint.
 
     ``pairs[i][(s, t)]`` and ``within[i][s]`` are per-member edge
-    classifications (graph families only); ``pairs[i]`` holds every class
-    pair when the guarantee has pair rows, and may otherwise leave out the
-    pairs no edge joins (see partition_counts).  ``rainbow[i]`` are the
+    classifications (graph families only); ``pairs[i]`` may leave out the
+    class pairs no edge joins (see partition_counts).  ``rainbow[i]`` are the
     rainbow edge counts (hypergraph families only).  Every number here is
     re-derivable from (instance, assignment).
     """

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .model import Assignment, GraphFamily, edwards_bound
+from .model import Assignment, GraphFamily
 from .estimator import EventSpec
 
 #: Hard ceiling on k**n for full enumeration.
@@ -63,7 +63,7 @@ def _enumerate_partitions(family: GraphFamily, k: int, visit):
             f"k^n = {k}^{n} exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )
     adj = []
-    for edges in family.graphs:
+    for edges in family.arrays:
         rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges.tolist():
             rows[u].append(v)
@@ -156,13 +156,6 @@ def enumerate_best(family: GraphFamily, k: int, objective,
 def max_cut(family: GraphFamily) -> int:
     """Exact max cut of a single graph (k = 2)."""
     return enumerate_best(family, 2, "maxcut")[1]
-
-
-def edwards_check(family: GraphFamily) -> bool:
-    """True iff the exact max cut reaches the m-edge lower bound formula."""
-    if family.ell != 1:
-        raise ValueError("edwards_check expects a single graph")
-    return max_cut(family) >= edwards_bound(family.m[0])
 
 
 def _realized_count(labels, edges, spec: EventSpec) -> int:

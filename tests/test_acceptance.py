@@ -17,7 +17,6 @@ from simulcut import (
     GraphFamily,
     UNDECIDED,
     conditional_moments,
-    crossing_count,
     derandomize,
     edwards_bound,
     enumerate_best,
@@ -27,6 +26,7 @@ from simulcut import (
     max_cut,
     mc_partition,
     moments_by_completion,
+    partition_counts,
     random_assignment,
     resolve,
     substream,
@@ -213,7 +213,7 @@ def test_criterion_05_oracle_equivalence():
             k = rng.choice([2, 3])
             m = rng.randint(0, min(16, math.comb(n, k)))
             hf = random_hyperfamily(n, k, [m], rng.randrange(10 ** 6))
-            edges = hf.hypergraphs[0]
+            edges = hf.arrays[0]
             spec = EventSpec(graph=0, kind="rainbow", k=k)
         u = rng.randint(0, min(n, u_max[k] if k in u_max else 4))
         open_set = set(rng.sample(range(n), u))
@@ -259,7 +259,7 @@ def test_criterion_07_k5_counterexample():
         result = derandomize(fam, guarantee)
         best = min(best, time.perf_counter() - t0)
     assert not feasible and witness is None
-    cuts = [crossing_count(g, result.assignment) for g in fam.graphs]
+    cuts = [partition_counts(g, result.assignment)[2] for g in fam.arrays]
     assert all(c >= 1 for c in cuts)
     assert best < 1e-3, f"took {best * 1e3:.3f} ms"
     print(f"\nACCEPTANCE 7 PASS: no bipartition reaches cuts (3,3); descent "

@@ -322,6 +322,25 @@ def test_vertex_count_past_the_address_space_is_out_of_memory(tmp_path, capsys, 
     assert err == "error: out of memory: the instance is too large for the memory available\n"
 
 
+def test_class_count_past_the_address_space_is_out_of_memory(c5_file, capsys, monkeypatch):
+    # k classes of 8 bytes overflow the address space: the descent refuses
+    # before it orders the vertices or builds a term's per-class lists
+    def per_vertex_work(*args):
+        raise AssertionError("the descent ordered the vertices under a too-large k")
+
+    monkeypatch.setattr(sys.modules["simulcut.derandomize"], "resolve_order", per_vertex_work)
+    tracemalloc.start()
+    try:
+        assert main(["partition", str(c5_file), "--theorem", "2", "--k", str(2**62),
+                     "--method", "derand", "--out", os.devnull]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: the instance is too large for the memory available\n"
+
+
 @pytest.mark.parametrize("r", ["99999999999999999999", "3000000000", "4", "1"])
 def test_uniformity_off_2_to_n_names_line_1(c5_file, tmp_path, capsys, r):
     inst = tmp_path / "wide.instance"
@@ -676,6 +695,9 @@ BAD_FIELDS = [
      "epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = 0.00694444 (ell=1, k=2); got 0.5"),
     (dict(generator={"kind": "disjoint-cycles", "n": 7}, theorem="3", k=2, epsilon=0.002),
      "epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = 0.00173611 (ell=2, k=2); got 0.002"),
+    # a generator that ignores ell builds its own member count, whatever ell says
+    (dict(generator={"kind": "disjoint-cycles", "n": 7, "ell": 0}, k=3),
+     "thm1 partitions into exactly 2 classes, got k=3"),
     # and so are the generator's own parameters, with generate's messages
     (dict(generator={"kind": "gnm", "n": 8, "m": 29}),
      "gnm needs 0 <= m <= n(n-1)/2 = 28, got m=29"),
@@ -703,6 +725,10 @@ BAD_FIELDS = [
 def test_bench_malformed_suite_exit_2(tmp_path, capsys, suite, message):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
-    # --verbose echoes every rep: the error must come before any run
-    assert main(["bench", str(path), "--verbose"]) == 2
+    out = tmp_path / "out"
+    out.mkdir()
+    # --verbose echoes every rep: the error must come before any run, and
+    # no report is written
+    assert main(["bench", str(path), "--verbose", "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(out.iterdir()) == []

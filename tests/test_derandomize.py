@@ -20,9 +20,9 @@ from simulcut import (
     GraphFamily,
     HypergraphFamily,
     UNDECIDED,
-    crossing_count,
     derandomize,
     max_cut,
+    partition_counts,
     resolve,
 )
 from simulcut.bench import RunOptions, execute_run
@@ -138,13 +138,13 @@ class TestGuarantees:
         fam = c5_pair()
         result = derandomize(fam, resolve(fam, "thm1"))
         assert result.report.all_pass
-        for i, edges in enumerate(fam.graphs):
-            assert crossing_count(edges, result.assignment) >= 1
+        for i, edges in enumerate(fam.arrays):
+            assert partition_counts(edges, result.assignment)[2] >= 1
 
     def test_single_c4_beats_bound_oracle_confirms(self):
         fam = GraphFamily(n=4, graphs=(cycle_edges(4),))
         result = derandomize(fam, resolve(fam, "thm1"))
-        cut = crossing_count(fam.graphs[0], result.assignment)
+        cut = partition_counts(fam.arrays[0], result.assignment)[2]
         assert cut >= 2 - math.sqrt(2)
         assert cut >= 1
         assert max_cut(fam) == 4
@@ -291,7 +291,7 @@ class TestEngineEquality:
                 cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
                 hf = random_hyperfamily(n, r, [rng.randint(1, cap) for _ in range(2)],
                                         100 * r + trial)
-                shared.update(len(set(a) & set(b)) for edges in hf.hypergraphs
+                shared.update(len(set(a) & set(b)) for edges in hf.arrays
                               for a, b in itertools.combinations(edges, 2))
                 specs = tuple(_loose_rainbow(hf, i) for i in range(2))
                 guarantee = hand_built(hf, r, specs, norm2=(50 * r ** r) ** 2)
@@ -307,8 +307,8 @@ class TestEngineEquality:
                 cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
                 hf = random_hyperfamily(n, r, [rng.randint(1, cap)], 200 * r + trial)
                 specs = (_loose_rainbow(hf, 0),)
-                edges = hf.hypergraphs[0].tolist()
-                term = _RainbowTerm(edges, specs, n, [1])
+                edges = hf.arrays[0].tolist()
+                term = _RainbowTerm(hf.arrays, specs, [1], range(n))
                 labels = [UNDECIDED] * n
                 assert term.quads == _quads([edges], labels, specs)
                 prefix = rng.sample(range(n), rng.randint(0, n - 1))
@@ -335,8 +335,8 @@ class TestEngineEquality:
             hf = random_hyperfamily(n, r, [min(self.RAINBOW_CAPS[r], math.comb(n, r))], 300 + r)
             spec = _loose_rainbow(hf, 0)
             specs = (spec, dataclasses.replace(spec, part=3 * spec.part))
-            edges = hf.hypergraphs[0].tolist()
-            term = _RainbowTerm(edges, specs, n, [3, 1])
+            edges = hf.arrays[0].tolist()
+            term = _RainbowTerm(hf.arrays, specs, [3, 1], range(n))
             labels = [UNDECIDED] * n
             assert term.quads == _quads([edges], labels, specs[:1]) * 2
             _assert_relative_keys(term, edges, specs, [3, 1], labels, (r, None))
@@ -387,10 +387,10 @@ class TestEngineEquality:
                 n = rng.randint(r + 1, r + 5)
                 cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
                 hf = random_hyperfamily(n, r, [rng.randint(cap // 2 + 1, cap)], 400 * r + trial)
-                edges = hf.hypergraphs[0].tolist()
+                edges = hf.arrays[0].tolist()
                 shared.update(len(set(a) & set(b)) for a, b in itertools.combinations(edges, 2))
                 specs = (_loose_rainbow(hf, 0),)
-                term = _RainbowTerm(edges, specs, n, [1])
+                term = _RainbowTerm(hf.arrays, specs, [1], range(n))
                 labels = [UNDECIDED] * n
                 for v in rng.sample(range(n), n):
                     _keys(term, v, r)
@@ -409,9 +409,9 @@ class TestEngineEquality:
         (kind, params), _, _, order = TestPinnedTraces.CASES["hyp-hub"]
         fam = _case_family(kind, params)
         result = derandomize(fam, resolve(fam, "hyp"), order=order)
-        for i, edges in enumerate(fam.hypergraphs):
+        for i, edges in enumerate(fam.arrays):
             assert all(e[0] == 0 for e in edges.tolist())
-            term = _RainbowTerm(edges, (_loose_rainbow(fam, i),), fam.n, [1])
+            term = _RainbowTerm(fam.arrays, (_loose_rainbow(fam, i),), [1], range(fam.n))
             labels = [UNDECIDED] * fam.n
             for step in result.trace:
                 _keys(term, step.vertex, 4)
@@ -530,14 +530,14 @@ class TestEngineEquality:
         fano = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
         hf = HypergraphFamily(n=7, r=3, hypergraphs=(fano,))
         assert hf.delta2 == (1,)
-        term = _RainbowTerm(fano, (_loose_rainbow(hf, 0),), 7, [1])
+        term = _RainbowTerm((fano,), (_loose_rainbow(hf, 0),), [1], range(7))
         assert term.multi == []
         rng = random.Random(22)
         for r in (2, 3, 4, 5):
             for trial in range(4):
                 n = rng.randint(r + 1, r + 6)
                 hf = random_hyperfamily(n, r, [rng.randint(1, math.comb(n, r))], trial)
-                term = _RainbowTerm(hf.hypergraphs[0], (_loose_rainbow(hf, 0),), n, [1])
+                term = _RainbowTerm(hf.arrays, (_loose_rainbow(hf, 0),), [1], range(n))
                 bound = hf.m[0] * math.comb(r, 2) * (hf.delta2[0] - 1) / 2
                 assert len(term.multi) <= bound
 
@@ -725,7 +725,7 @@ def _case_family(kind, params):
     if kind != "gnm-unequal":
         return generate(kind, **params)
     n, seed = params["n"], params["seed"]
-    return GraphFamily(n=n, graphs=tuple(generate("gnm", n=n, m=m, seed=seed + i).graphs[0]
+    return GraphFamily(n=n, graphs=tuple(generate("gnm", n=n, m=m, seed=seed + i).arrays[0]
                                          for i, m in enumerate(params["ms"])))
 
 

@@ -209,7 +209,7 @@ class TestConditionalMoments:
             r = rng.choice([2, 3])
             cap = min(12, math.comb(n, r))
             hf = random_hyperfamily(n, r, [rng.randint(0, cap)], rng.randrange(10 ** 6))
-            edges = hf.hypergraphs[0]
+            edges = hf.arrays[0]
             spec = rainbow_spec(r)
             a = random_partial(n, r, rng.randrange(10 ** 6))
             assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
@@ -242,8 +242,8 @@ class TestEstimatorValue:
         acc = 0.0
         for _ in range(trials):
             a = random_assignment(12, 2, rng)
-            x = sum(1 for u, v in fam.graphs[0] if a.labels[u] != a.labels[v])
-            acc += float(term_quadratic(fam.graphs[0], a, spec)) / (
+            x = sum(1 for u, v in fam.arrays[0] if a.labels[u] != a.labels[v])
+            acc += float(term_quadratic(fam.arrays[0], a, spec)) / (
                 math.sqrt(guarantee.norm2) * spec.part)
         est = acc / trials
         # Var of the estimate is bounded; 4000 samples put 5 sigma well under 0.1

@@ -16,9 +16,8 @@ from simulcut.instances import (
     _family,
     _located_family,
     _scan_members,
-    GENERATOR_KINDS,
+    check_generator,
     generate,
-    generated_shape,
     parse_instance,
     serialize_instance,
 )
@@ -163,14 +162,14 @@ class TestGenerators:
     def test_disjoint_cycles_is_k5(self):
         fam = generate("disjoint-cycles", n=5)
         assert fam.ell == 2 and fam.m == (5, 5)
-        first, second = (_edge_set(rows) for rows in fam.graphs)
+        first, second = (_edge_set(rows) for rows in fam.arrays)
         assert first | second == set(all_pairs(5))
         assert not first & second
 
     def test_disjoint_cycles_larger_odd(self):
         fam = generate("disjoint-cycles", n=9)
         assert fam.m == (9, 9)
-        assert not _edge_set(fam.graphs[0]) & _edge_set(fam.graphs[1])
+        assert not _edge_set(fam.arrays[0]) & _edge_set(fam.arrays[1])
         assert fam.max_degree == (2, 2)
 
     def test_disjoint_cycles_rejects_even(self):
@@ -201,7 +200,7 @@ class TestGenerators:
         fam = generate("bounded-degree", n=50, degree=4, ell=2, seed=3)
         assert fam.m == (100, 100)
         assert fam.max_degree == (4, 4)
-        assert all((np.bincount(rows.ravel(), minlength=50) == 4).all() for rows in fam.graphs)
+        assert all((np.bincount(rows.ravel(), minlength=50) == 4).all() for rows in fam.arrays)
 
     def test_bounded_degree_needs_even(self):
         with pytest.raises(ValueError, match="even"):
@@ -210,7 +209,7 @@ class TestGenerators:
     def test_runiform(self):
         hf = generate("runiform", n=12, m=20, r=3, ell=2, seed=4)
         assert hf.m == (20, 20)
-        assert all(len(e) == 3 for h in hf.hypergraphs for e in h)
+        assert all(len(e) == 3 for h in hf.arrays for e in h)
         again = generate("runiform", n=12, m=20, r=3, ell=2, seed=4)
         assert hf == again
 
@@ -228,11 +227,11 @@ def _edge_set(rows):
 
 
 def _assert_stored_once(fam):
-    members = fam.hypergraphs if isinstance(fam, HypergraphFamily) else fam.graphs
+    # graphs and hypergraphs are constructor keywords only: arrays is the one stored tuple
+    assert not hasattr(fam, "graphs") and not hasattr(fam, "hypergraphs")
     width = fam.r if isinstance(fam, HypergraphFamily) else 2
-    assert len(members) == len(fam.arrays) == fam.ell
-    for rows, same in zip(members, fam.arrays):
-        assert rows is same
+    assert len(fam.arrays) == fam.ell
+    for rows in fam.arrays:
         assert type(rows) is np.ndarray and rows.dtype == np.int64
         assert rows.ndim == 2 and rows.shape[1] == width and not rows.flags.writeable
 
@@ -494,14 +493,22 @@ def test_digest_is_sha256_of_serialized_text(fam, rnd):
     ("runiform", dict(n=8, m=5, r=3, ell=2)),
 ])
 def test_generated_shape_matches_generate(kind, params):
+    # the shape check_generator returns is that of what generate builds
     fam = generate(kind, **params)
-    shape = generated_shape(kind, params["ell"], params.get("r"))
-    assert shape == (fam.ell, getattr(fam, "r", None))
+    assert check_generator(kind, **params) == (fam.ell, getattr(fam, "r", None))
+    # disjoint-cycles and star ignore ell, whatever it is
+    if kind in ("disjoint-cycles", "star"):
+        assert check_generator(kind, **{**params, "ell": 0}) == (fam.ell, None)
 
 
-def test_generated_shape_none_when_generate_rejects():
-    graph_kinds = set(GENERATOR_KINDS) - {"runiform"}
-    assert {kind for kind in GENERATOR_KINDS if generated_shape(kind)} == graph_kinds
+def test_check_generator_rejects_what_generate_cannot_build():
     for ell, r in ((0, 3), ("2", 3), (2, None), (2, 1), (2, "3")):
-        assert generated_shape("runiform", ell, r) is None
-    assert generated_shape("grid", 1, None) is None
+        with pytest.raises(ValueError):
+            check_generator("runiform", n=8, m=5, ell=ell, r=r)
+        with pytest.raises(ValueError):
+            generate("runiform", n=8, m=5, ell=ell, r=r)
+    for kind in ("gnm", "bounded-degree"):
+        with pytest.raises(ValueError, match="at least one graph"):
+            check_generator(kind, n=8, m=5, degree=2, ell=0)
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        check_generator("grid", n=8)

@@ -18,7 +18,6 @@ from simulcut import (
     InstanceError,
     PartialAssignmentError,
     UNDECIDED,
-    crossing_count,
     edwards_bound,
     epsilon_cap,
     partition_counts,
@@ -55,7 +54,7 @@ class TestInstanceValidation:
 
     def test_isolated_vertices_allowed(self):
         fam = GraphFamily(n=10, graphs=(((0, 1),),))
-        assert fam.max_degree == (1,) and not (fam.graphs[0] == 9).any()
+        assert fam.max_degree == (1,) and not (fam.arrays[0] == 9).any()
 
     def test_max_degree_counts_distinct_indices_when_sparse(self, monkeypatch):
         # one counter per index up to 2*10**7 - 1 would take 160 MB for one edge
@@ -77,7 +76,7 @@ class TestInstanceValidation:
         assert fam.m == (5, 5)
         assert fam.max_degree == (2, 2)
         # union of the two cycles is complete on 5 vertices
-        first, second = (set(map(tuple, rows.tolist())) for rows in fam.graphs)
+        first, second = (set(map(tuple, rows.tolist())) for rows in fam.arrays)
         assert first | second == set(all_pairs(5))
         assert not first & second
 
@@ -105,15 +104,15 @@ def test_vectorized_validation_matches_python_loops(r, rnd):
     hf = random_hyperfamily(n, r, [rnd.randint(0, min(20, math.comb(n, r)))],
                             rnd.randrange(10 ** 6))
     incidence = {}
-    for e in hf.hypergraphs[0].tolist():
+    for e in hf.arrays[0].tolist():
         for x, y in itertools.combinations(e, 2):
             incidence[(x, y)] = incidence.get((x, y), 0) + 1
     assert hf.delta2 == (max(incidence.values(), default=0),)
     # unsorted endpoints are normalized; degrees count both endpoints of every edge
-    simple = random_family(n, [rnd.randint(0, min(10, n * (n - 1) // 2))], 0).graphs[0]
+    simple = random_family(n, [rnd.randint(0, min(10, n * (n - 1) // 2))], 0).arrays[0]
     edges = [tuple(rnd.sample(e, 2)) for e in simple.tolist()]
     fam = GraphFamily(n=n, graphs=(tuple(edges),))
-    rows = fam.graphs[0]
+    rows = fam.arrays[0]
     assert type(rows) is np.ndarray and rows.dtype == np.int64 and not rows.flags.writeable
     assert rows.shape == (len(edges), 2)
     assert rows.tolist() == [sorted(e) for e in edges]
@@ -164,7 +163,7 @@ def _first_bad(edges, n, width):
 def test_key_sort_and_lexsort_fallback_agree(r, rnd):
     n = rnd.randint(r, r + 5)
     rows = random_hyperfamily(n, r, [rnd.randint(1, min(20, math.comb(n, r)))],
-                              rnd.randrange(10 ** 6)).hypergraphs[0]
+                              rnd.randrange(10 ** 6)).arrays[0]
     edges = [rnd.sample(e, r) for e in rows.tolist()]
     for _ in range(rnd.randint(0, 2)):      # copies of earlier rows, endpoints reordered
         j = rnd.randrange(len(edges) + 1)
@@ -205,7 +204,7 @@ def test_large_indices_take_the_lexsort_fallback(monkeypatch):
     calls.clear()
     huge = [tuple(big + x for x in e) for e in low]
     family = HypergraphFamily(n=big + 6, r=5, hypergraphs=(huge,))
-    assert family.delta2 == (_incidence_delta2(family.hypergraphs[0]),) == (4,)
+    assert family.delta2 == (_incidence_delta2(family.arrays[0]),) == (4,)
     assert len(calls) == 2
 
 
@@ -256,26 +255,22 @@ class TestAssignment:
 class TestCounting:
     def test_crossing_c5(self):
         edges = cycle_edges(5)
-        a = Assignment.from_side(5, {0, 2})
-        assert crossing_count(edges, a) == 4
+        a = Assignment((0, 1, 0, 1, 1), 2)
+        assert partition_counts(edges, a)[2] == 4
 
     def test_crossing_path(self):
         edges = ((0, 1), (1, 2))
-        a = Assignment.from_side(3, {1})
-        assert crossing_count(edges, a) == 2
+        a = Assignment((1, 0, 1), 2)
+        assert partition_counts(edges, a)[2] == 2
 
     def test_crossing_single_class(self):
         edges = cycle_edges(6)
         a = Assignment((0,) * 6, 2)
-        assert crossing_count(edges, a) == 0
+        assert partition_counts(edges, a)[2] == 0
 
     def test_crossing_requires_total(self):
         with pytest.raises(PartialAssignmentError):
-            crossing_count(((0, 1),), Assignment((0, UNDECIDED), 2))
-
-    def test_crossing_requires_k2(self):
-        with pytest.raises(ValueError):
-            crossing_count(((0, 1),), Assignment((0, 1), 3))
+            partition_counts(((0, 1),), Assignment((0, UNDECIDED), 2))
 
     def test_crossing_label_swap_invariant(self):
         rng = random.Random(5)
@@ -286,7 +281,7 @@ class TestCounting:
             labels = tuple(rng.randrange(2) for _ in range(n))
             a = Assignment(labels, 2)
             b = Assignment(tuple(1 - x for x in labels), 2)
-            assert crossing_count(edges, a) == crossing_count(edges, b)
+            assert partition_counts(edges, a)[2] == partition_counts(edges, b)[2]
 
     def test_partition_counts_triangle_rainbowish(self):
         edges = ((0, 1), (1, 2), (0, 2))
@@ -331,7 +326,7 @@ class TestCounting:
         rng = random.Random(23)
         for _ in range(20):
             hf = random_hyperfamily(8, 3, [rng.randint(0, 25)], rng.randrange(10 ** 6))
-            edges = hf.hypergraphs[0]
+            edges = hf.arrays[0]
             a = Assignment(tuple(rng.randrange(3) for _ in range(8)), 3)
             missing = sum(1 for e in edges if len({a.labels[x] for x in e}) < 3)
             assert rainbow_count(edges, a, 3) == len(edges) - missing
@@ -363,19 +358,19 @@ def test_array_partition_counts_match_python_loop(k, n, rnd):
     fam = random_family(n, [m, rnd.randint(0, n * (n - 1) // 2)], rnd.randrange(10 ** 6))
     a = Assignment(tuple(rnd.randrange(k) for _ in range(n)), k)
     for i in range(fam.ell):
-        want = _loop_partition_counts(fam.graphs[i], a.labels, k)
-        for edges in (fam.arrays[i], fam.graphs[i]):
-            got = partition_counts(edges, a)
+        want = _loop_partition_counts(fam.arrays[i], a.labels, k)
+        for edges in (fam.arrays[i], fam.arrays[i].tolist()):
+            pairs, *rest = got = partition_counts(edges, a)
             _assert_python_counts(*got)
-            assert got == want
-        # without every_pair, pairs may leave out only the pairs no edge joins
-        pairs, *rest = partition_counts(fam.arrays[i], a, every_pair=False)
-        _assert_python_counts(pairs, *rest)
-        assert rest == list(want[1:]) and set(pairs) <= set(want[0])
-        assert {st: x for st, x in pairs.items() if x} == {st: x for st, x in want[0].items() if x}
+            # pairs may leave out only the pairs no edge joins, and lists
+            # every pair when k*k <= m, where one bincount counts the edges
+            assert rest == list(want[1:]) and set(pairs) <= set(want[0])
+            assert ({st: x for st, x in pairs.items() if x}
+                    == {st: x for st, x in want[0].items() if x})
+            assert got == want or k * k > len(edges)
     empty = partition_counts((), a)
     _assert_python_counts(*empty)
-    assert empty == _loop_partition_counts((), a.labels, k)
+    assert empty == ({}, (0,) * k, 0)
 
 
 @settings(max_examples=60)
@@ -386,8 +381,8 @@ def test_array_rainbow_count_matches_python_loop(r, rnd):
     hf = random_hyperfamily(n, r, ms, rnd.randrange(10 ** 6))
     a = Assignment(tuple(rnd.randrange(r) for _ in range(n)), r)
     for i in range(hf.ell):
-        want = sum(1 for e in hf.hypergraphs[i] if len({a.labels[x] for x in e}) == r)
-        for edges in (hf.arrays[i], hf.hypergraphs[i]):
+        want = sum(1 for e in hf.arrays[i] if len({a.labels[x] for x in e}) == r)
+        for edges in (hf.arrays[i], hf.arrays[i].tolist()):
             got = rainbow_count(edges, a, r)
             assert type(got) is int and got == want
 

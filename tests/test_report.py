@@ -269,14 +269,14 @@ def test_unknown_report_line_is_ignored(rendered_reports, capsys, at):
 
 def _empty_member_family():
     base = generate("gnm", n=20, m=40, ell=1, seed=7)
-    return GraphFamily(n=20, graphs=(base.graphs[0], ()))
+    return GraphFamily(n=20, graphs=(base.arrays[0], ()))
 
 
 def _empty_member_thm3_family():
     # max degree 2 <= eps*m = 1460/576 at thm3's default eps for two graphs
     # and k=2; the empty member's pair row is the one a sparse count reaches
     base = generate("bounded-degree", n=1460, degree=2, ell=1, seed=5)
-    return GraphFamily(n=1460, graphs=(base.graphs[0], ()))
+    return GraphFamily(n=1460, graphs=(base.arrays[0], ()))
 
 
 PIN_FAMILIES = {
