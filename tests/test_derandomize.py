@@ -673,6 +673,14 @@ class TestPinnedTraces:
         # fields, and co-vertex sums through them
         "hyp-hub": (("runiform-hub", dict(n=30, m=80, ell=2, seed=13)), "hyp", None,
                     tuple(range(29, -1, -1))),
+        # the same family decided first at the hub: every hyperedge starts at 0
+        "hyp-hub-first": (("runiform-hub", dict(n=30, m=80, ell=2, seed=13)), "hyp", None, None),
+        "hyp-permuted": (("runiform", dict(n=40, m=150, r=4, ell=2, seed=7)), "hyp", None,
+                         tuple(random.Random(41).sample(range(40), 40))),
+        # r=3, every hyperedge {0, 1, x}: vertex 0's co-vertex fields summed over
+        # its hyperedges reach 998 * 998 * 3! + 998 * 3!, and every edge pair
+        # shares two vertices
+        "hyp-two-hubs": (("two-hubs", dict(n=1000)), "hyp", None, None),
         # members of unequal sizes: the crossing specs weigh by lcm(parts) // part != 1
         "thm1-unequal": (("gnm-unequal", dict(n=60, ms=(200, 120, 90), seed=11)), "thm1", None,
                          None),
@@ -693,6 +701,9 @@ class TestPinnedTraces:
         "hyp-dense": "ea84c0dcfa003ff4f2aef6b50edc6f39f3d38ed627dbf3331b535354dc0dfbaa",
         "hyp-r5": "8f2e85ed94d6e7e0ec1a74203eefd48806727150e871039b2799044624f9dfa3",
         "hyp-hub": "c5c450670ecb600fbccf69aa3b75054e185b3b395a7555c38ccd675944a6bd9d",
+        "hyp-hub-first": "e975d974d8cf681502097a5d32f0331dc040d689603c6cded4dbb0bf46cd5995",
+        "hyp-permuted": "3bdf1bee9b11f9756ea2a5b832d320792888317a503d5c6b847d606557ccd4bb",
+        "hyp-two-hubs": "04b71a37212d6c3b08f32a700b58d66f8060201e924fa281ab6f5cbe2e3bf578",
         "thm1-unequal": "33d4fd33d55daedf6ebbddb8d55945920519de97beefb8c150abd2c0b626d555",
         "thm2-unequal": "7d4e15f49c878ecaa6799e9cb21b0f5aaa283ce2f226b90398b0f1274c7a33ea",
         "thm2-degree": "c1904ccd21bb3efad6416fa6074e5561fcf2c4a6683727adb343d5db9c4fea2a",
@@ -717,7 +728,11 @@ def _case_family(kind, params):
     """`generate`'s family; for "gnm-unequal" one gnm member per entry of
     ``ms``, member i drawn with seed + i; for "runiform-hub" a 4-uniform
     family whose every hyperedge is vertex 0 and a 3-uniform hyperedge on
-    vertices 1..n-1."""
+    vertices 1..n-1; for "two-hubs" one 3-uniform member whose hyperedges
+    are {0, 1, x} for every other vertex x."""
+    if kind == "two-hubs":
+        n = params["n"]
+        return HypergraphFamily(n=n, r=3, hypergraphs=(tuple((0, 1, x) for x in range(2, n)),))
     if kind == "runiform-hub":
         base = generate("runiform", **dict(params, n=params["n"] - 1, r=3))
         return HypergraphFamily(n=params["n"], r=4, hypergraphs=tuple(
