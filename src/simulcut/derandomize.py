@@ -24,11 +24,10 @@ exact, and ties break to the lowest class.  Floats are for display only.
 Terms: one crossing term per run of consecutive crossing specs, whatever
 their members, and one term per run of consecutive specs on one member and
 of one other statistic family (pair and within; rainbow), built from the
-members' edges, those specs and their weights, and for graph terms the
-descent's order.  Every term starts with all vertices open (the
-incremental ones in closed form) and learns of decided vertices only
-through its own `commit(v, c)`; a graph term's keys are defined only at
-the next vertex of its order.
+members' edges, those specs and their weights, and the descent's order.
+Every term starts with all vertices open (the incremental ones in closed
+form) and learns of decided vertices only through its own `commit(v, c)`;
+every term's keys are defined only at the next vertex of its order.
 
 Cost: a graph term keeps each edge of a member once, at the endpoint the
 order reaches first, and per-vertex histograms of neighbour labels, from
@@ -36,13 +35,16 @@ which each statistic's edge-pair correlations follow in closed form.  One
 walk over v's open neighbours yields a member's k keys: one addition of
 packed histograms per open neighbour, then O(k) per statistic.  A commit
 costs O(1) per statistic and one addition per open neighbour.
-A hypergraph member's rainbow term yields its r keys from one walk
-over v's live hyperedges: one addition of packed class sums per (live
-hyperedge, open co-vertex) pair, then O(r) per live hyperedge, plus O(r)
-for each live hyperedge pair at v that shares two or more vertices, its r
-shifts looked up by the pair's state (these pairs alone keep per-pair
-state, a count; dead ones are skipped).  A commit costs one packed
-addition per (live hyperedge, open co-vertex) pair and O(1) per such pair.
+A hypergraph member's rainbow term keeps each hyperedge at the vertices
+the order reaches before its last, each with the co-vertices after it,
+and yields its r keys from one walk over them: one addition of packed
+class sums per (live hyperedge, open co-vertex) pair, then O(r) per live
+hyperedge that v is not first in; the hyperedges v is first in share one
+flat co-vertex list, summed once and unpacked once.  Each hyperedge pair
+at v that shares two or more vertices at or after v adds O(r), its r
+shifts looked up by the pair's state; no pair keeps state, and one with a
+dead hyperedge is skipped.  A commit costs one packed addition per (live
+hyperedge, open co-vertex) pair.
 """
 
 from __future__ import annotations
@@ -315,9 +317,8 @@ class _RainbowTerm:
       Tc[w][c]   sum of row[c] over the edges at w; Qc[w][c] of row[c]^2
 
     Only pairs sharing two or more vertices need more: corr = pairval - s *
-    (its s = 1 value).  open_shared[p] counts the pair's open shared
-    vertices, and is set to 0 once either edge's state is None; below 2
-    its corr is 0 for good, and `add_keys` and `commit` skip it.
+    (its s = 1 value), 0 for good once fewer than two shared vertices are
+    open or either edge's state is None.
 
     Keys: with x = Tc[v][c], deciding v -> c moves sumP by x - T[v] and
     the sum of P^2 by Qc[v][c] less a constant; leaving out every part that
@@ -345,21 +346,39 @@ class _RainbowTerm:
     are live, these r shifts are a function of the two masks, s and which
     edges hold v; each is computed once and looked up after that.
 
-    Tc[w] and Qc[w] are packed, Tc[w] = sum_c Tc[w][c] << (width * c),
-    with fields of (r*m*r^(2r)).bit_length() bits: a field of Qc, or of Tc
-    summed over an edge's co-vertices, stays below r*m*r^(2r).  Every field
-    stays at least 0, so a commit adds each open co-vertex of a live edge
-    one signed packed shift exactly, and one sum over an edge's co-vertices
-    yields all r classes.
+    Built for the descent's order, like the graph terms: at v's turn an
+    edge's open co-vertices are exactly its vertices after v, its mask is
+    0 if v is its first vertex, and it is None if v is its last.  Edges are
+    numbered by their first vertex, ties in input order.  For the edges v
+    is first in, ``first_edges[v]`` is their range of numbers and
+    ``first_near[v]`` lists the co-vertices after v of all of them: each has
+    u = r and no taken class, so one Tc sum over that list yields all their
+    free-class shifts, and a commit adds each entry one shift.  For the
+    edges v is neither first nor last in, ``middle[v]`` holds (edge, next
+    co-vertex, the co-vertices after that).  The edges v is last in are not
+    kept at v.  A pair's open shared count at v's turn is its number of
+    shared vertices at or after v, fixed at build: ``multi_at[v]`` holds
+    (i, j, s, in_i, in_j) for each pair whose union holds v and whose s is
+    at least 2, and `add_keys` skips one only when an edge's state is None;
+    no pair keeps state.
 
-    The incidence lists and the multi-shared pairs come from one sort of
-    the member array's vertex-pair keys (`_multi_shared`).
+    Tc[w] and Qc[w] are packed, Tc[w] = sum_c Tc[w][c] << (width * c).
+    Every field is a sum of per-edge terms of at least 0, so it stays at
+    least 0, and a commit adds each open co-vertex of a live edge one
+    signed packed shift exactly.  An edge adds at most r^(2r) to a field of
+    Qc[w], and at most r^r to one of Tc[w]: its row is A(1) <= r^(r-1)
+    while it is live with u >= 2, and r^r or 0 once w is its only open
+    vertex.  So with D the largest degree, a Qc field stays at most
+    m*r^(2r), a Tc field summed over an edge's co-vertices at most
+    (r-1)*m*r^r, and one summed over first_near[v], (r-1)*deg(v) entries of
+    degree at most D, at most (r-1)*D^2*r^r.  Fields of the bit length of
+    max(r*m*r^(2r), (r-1)*D^2*r^r) hold every such sum, so one sum yields
+    all r classes without a carry.
 
-    Built like the graph terms, it reads only its specs' member of
-    ``arrays`` and the vertex count, len(rank).  The term starts with every
-    vertex open, where every edge has u = r, an empty mask and P = A_r(0) =
-    A_r(1) = r!: T, Tc and Qc are a vertex's degree times r! or r!^2.  It
-    marks the vertices committed to it as decided itself.
+    It reads only its specs' member of ``arrays`` and the vertex count,
+    len(rank).  The term starts with every vertex open, where every edge
+    has u = r, an empty mask and P = A_r(0) = A_r(1) = r!: T, Tc and Qc are
+    a vertex's degree times r! or r!^2.
     """
 
     def __init__(self, arrays, specs, weights, rank):
@@ -368,17 +387,41 @@ class _RainbowTerm:
         self.r = r
         self.D1 = r ** r
         self.weight = sum(weights)
-        edges = arrays[specs[0].graph]
-        rows = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, r), axis=1)
+        rows = np.asarray(arrays[specs[0].graph], dtype=np.int64).reshape(-1, r)
         m = len(rows)
-        self.edges = rows.tolist()
         self.mu_rr = math.factorial(r) * m
         self.rpow = [r ** i for i in range(r + 1)]
         # A[u][s] = (u-s)! * r^(r-u+s); ff[f][s] = f*(f-1)*...*(f-s+1)
         self.A = [[math.factorial(u - s) * r ** (r - u + s) for s in range(u + 1)]
                   for u in range(r + 1)]
         self.ff = [[math.perm(f, s) for s in range(r + 1)] for f in range(r + 1)]
-        width = (r * m * self.D1 * self.D1).bit_length()
+        # each edge's positions in the order, ascending, and its vertices in
+        # that sequence; edges are numbered by their first vertex, ties in
+        # input order, so the edges a vertex is first in are one range
+        ranks = np.sort(rank[rows], axis=1)
+        ordered = np.argsort(rank)[ranks]
+        by = np.argsort(ordered[:, 0], kind="stable")
+        ranks, ordered = ranks[by], ordered[by]
+        first = ordered[:, 0]
+        starts = np.bincount(first, minlength=n)
+        ends = np.cumsum(starts)
+        self.first_edges = list(map(range, (ends - starts).tolist(), ends.tolist()))
+        self.first_near = _split(ordered[:, 1:].ravel().tolist(), starts * (r - 1))
+        # the free-class factor of their summed Tc, at u = r (`_edge_coefs`)
+        self.first_coef = -2 * self.rpow[r - 1] * self.A[r][2]
+        # at a middle position p: the edge, its next vertex and any after that
+        self.middle = [[] for _ in range(n)] if r == 2 else None
+        for p in range(1, r - 1):
+            by = np.argsort(ordered[:, p], kind="stable")
+            rest = itertools.repeat(()) if p == r - 2 else ordered[by, p + 2:].tolist()
+            runs = _split(list(zip(by.tolist(), ordered[by, p + 1].tolist(), rest)),
+                          np.bincount(ordered[:, p], minlength=n))
+            self.middle = runs if p == 1 else list(map(add, self.middle, runs))
+        self.multi_at, shared = _multi_shared(ordered, ranks, n)
+        # the field bound of the class docstring
+        degrees = np.bincount(rows.ravel(), minlength=n)
+        top = int(degrees.max(initial=0))
+        width = max(r * m * self.D1 * self.D1, (r - 1) * top * top * self.D1).bit_length()
         self.fmask, self.offsets = (1 << width) - 1, [width * c for c in range(r)]
         # per class: the shift tables of `_edge_delta`; per mask: `_edge_coefs`;
         # per pair state: `_pair_shifts`
@@ -391,26 +434,21 @@ class _RainbowTerm:
         # vertices see
         self._sides = [None] * 2 + [
             ((a[2] - a[1], -a[1], a[1] - a[0]), (-a[1], 0, -a[0])) for a in self.A[2:]]
-        flat = rows.ravel()
-        degrees = np.bincount(flat, minlength=n)
-        self.inc = _split((np.argsort(flat, kind="stable") // r).tolist(), degrees)
-        self.multi, self.multi_at, shared = _multi_shared(rows, n)
         # all vertices open: every edge has P = A[r][0] = A[r][1] = r!, so the
         # rows equal P and edges meeting at one open vertex are uncorrelated
         a0 = self.A[r][0]
         ones = sum(1 << o for o in self.offsets)
-        self.open = [True] * n
         self.M = [0] * m
         self.sumP = m * a0
         self.T = [d * a0 for d in degrees.tolist()]
         self.Tc = [t * ones for t in self.T]
         self.Qc = [t * a0 * ones for t in self.T]
-        self.open_shared = shared
         # sumP is mu_rr: the quadratic is r^r * (r^r * sumP - sum P^2) plus
         # the doubled corr of the multi-shared pairs
-        corr_at = {s: self._corr(0, 0, s) for s in set(shared)}
         self.quads = [m * a0 * (self.D1 - a0) * self.D1
-                      + 2 * sum(corr_at[s] for s in shared)] * len(specs)
+                      + 2 * sum(count * self._corr(0, 0, s)
+                                for s, count in enumerate(np.bincount(shared).tolist()))
+                      ] * len(specs)
 
     def _corr(self, mi, mj, s) -> int:
         """corr of a pair of live edges with decided colours mi and mj and s
@@ -485,17 +523,17 @@ class _RainbowTerm:
 
     def add_keys(self, v, keys):
         fmask, offsets = self.fmask, self.offsets
-        T, Tc, is_open, edges, M, coefs = self.T, self.Tc, self.open, self.edges, self.M, self._coefs
-        J = [0] * self.r
-        for eid in self.inc[v]:
+        T, Tc, M, coefs = self.T, self.Tc, self.M, self._coefs
+        near = sum(map(Tc.__getitem__, self.first_near[v]))
+        J = [self.first_coef * (near >> o & fmask) for o in offsets]
+        for eid, w, rest in self.middle[v]:
             mask = M[eid]
             if mask is None:
                 continue
-            sum_t = sum_tc = 0
-            for w in edges[eid]:
-                if w != v and is_open[w]:
-                    sum_t += T[w]
-                    sum_tc += Tc[w]
+            sum_t, sum_tc = T[w], Tc[w]
+            for w in rest:
+                sum_t += T[w]
+                sum_tc += Tc[w]
             taken, free, x, xt, kc = coefs.get(mask) or self._edge_coefs(mask)
             x += xt * sum_t
             for c, o in free:
@@ -504,13 +542,12 @@ class _RainbowTerm:
                 x += y
             for c in taken:
                 J[c] += x
-        open_shared, multi, shifts = self.open_shared, self.multi, self._shifts
-        for pid, in_i, in_j in self.multi_at[v]:
-            s = open_shared[pid]
-            if s < 2:
+        shifts = self._shifts
+        for i, j, s, in_i, in_j in self.multi_at[v]:
+            mi, mj = M[i], M[j]
+            if mi is None or mj is None:
                 continue
-            i, j = multi[pid]
-            state = M[i], M[j], s, in_i, in_j
+            state = mi, mj, s, in_i, in_j
             J = list(map(add, J, shifts.get(state) or self._pair_shifts(*state)))
         own_t, own_q, d1, w = Tc[v], self.Qc[v], self.D1, self.weight
         h = d1 - 2 * self.mu_rr + 2 * (self.sumP - T[v])
@@ -519,28 +556,28 @@ class _RainbowTerm:
             keys[c] += w * (d1 * (x * (h + x) - (own_q >> o & fmask)) + J[c])
 
     def commit(self, v, c):
-        T, Tc, Qc, M, is_open, edges = self.T, self.Tc, self.Qc, self.M, self.open, self.edges
+        T, Tc, Qc, M = self.T, self.Tc, self.Qc, self.M
         deltas = self._deltas[c]
         self.sumP += (Tc[v] >> self.offsets[c] & self.fmask) - T[v]
-        is_open[v] = False
-        for eid in self.inc[v]:
+        new, dp, dt, dq = deltas.get(0) or self._edge_delta(0, c)
+        for w in self.first_near[v]:
+            T[w] += dp
+            Tc[w] += dt
+            Qc[w] += dq
+        for eid in self.first_edges[v]:
+            M[eid] = new
+        for eid, w, rest in self.middle[v]:
             mask = M[eid]
             if mask is None:
                 continue
             M[eid], dp, dt, dq = deltas.get(mask) or self._edge_delta(mask, c)
-            for w in edges[eid]:
-                if is_open[w]:
-                    T[w] += dp
-                    Tc[w] += dt
-                    Qc[w] += dq
-        open_shared, multi = self.open_shared, self.multi
-        for pid, in_i, in_j in self.multi_at[v]:
-            s = open_shared[pid]
-            if s < 2:
-                continue
-            i, j = multi[pid]
-            open_shared[pid] = (0 if M[i] is None or M[j] is None
-                                else s - 1 if in_i and in_j else s)
+            T[w] += dp
+            Tc[w] += dt
+            Qc[w] += dq
+            for w in rest:
+                T[w] += dp
+                Tc[w] += dt
+                Qc[w] += dq
 
 
 def _split(items: list, counts) -> list[list]:
@@ -549,17 +586,20 @@ def _split(items: list, counts) -> list[list]:
     return [items[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _multi_shared(rows, n):
+def _multi_shared(ordered, ranks, n):
     """Edge pairs of a member that share two or more vertices, from one
-    stable sort of the vertex-pair keys of its row-sorted edges.
+    stable sort of the vertex-pair keys of its edges.  ``ordered`` holds
+    each edge's vertices in the order's sequence, and ``ranks`` their
+    positions in the order of n vertices, so each row of it ascends.
 
-    Returns the pairs (i, j), i < j, in lexicographic order; per vertex, the
-    (pair id, in edge i, in edge j) of every pair whose union holds it; and
-    each pair's shared vertex count.
+    Returns, per vertex v, the (i, j, s, in edge i, in edge j) of every such
+    pair (i, j), i < j, whose union holds v and that has s >= 2 shared
+    vertices at or after v, the open ones at v's turn; and each pair's
+    shared vertex count.
     """
-    m, r = rows.shape
+    m, r = ranks.shape
     # a term keeps lists of n entries, so any n it is built for has n * n < 2**63
-    keys = np.concatenate([rows[:, a] * n + rows[:, b]
+    keys = np.concatenate([ranks[:, a] * n + ranks[:, b]
                            for a, b in itertools.combinations(range(r), 2)])
     order = np.argsort(keys, kind="stable")
     keys, owner = keys[order], order % m
@@ -572,24 +612,29 @@ def _multi_shared(rows, n):
         firsts.append(owner[:-d][same])
         seconds.append(owner[d:][same])
     if not firsts:
-        return [], [[] for _ in range(n)], []
+        return [[] for _ in range(n)], []
     a, b = np.concatenate(firsts), np.concatenate(seconds)
     codes = np.sort(np.minimum(a, b) * m + np.maximum(a, b))
     codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]   # each pair once
     first, second = codes // m, codes % m
-    ei, ej = rows[first], rows[second]
-    equal = ei[:, :, None] == ej[:, None, :]
-    i_in_j = equal.any(axis=2)
-    j_pid, j_col = np.nonzero(~equal.any(axis=1))
-    # every vertex of edge i, then the vertices of edge j outside edge i
-    xs = np.concatenate([ei.ravel(), ej[j_pid, j_col]])
+    equal = ranks[first][:, :, None] == ranks[second][:, None, :]
+    i_in_j, j_in_i = equal.any(axis=2), equal.any(axis=1)
+    # the shared vertices at or after each column, counted from the right end
+    # of the ascending rows
+    s_i = np.cumsum(i_in_j[:, ::-1], axis=1)[:, ::-1]
+    s_j = np.cumsum(j_in_i[:, ::-1], axis=1)[:, ::-1]
+    # the vertices of edge i, then those of edge j outside edge i, with s >= 2
+    pi, ci = np.nonzero(s_i >= 2)
+    pj, cj = np.nonzero((s_j >= 2) & ~j_in_i)
+    pids = np.concatenate([pi, pj])
+    xs = np.concatenate([ordered[first[pi], ci], ordered[second[pj], cj]])
     by = np.argsort(xs, kind="stable")
-    pids = np.concatenate([np.arange(ei.size) // r, j_pid])[by]
-    in_j = np.concatenate([i_in_j.ravel(), np.ones(len(j_pid), dtype=bool)])[by]
-    entries = list(zip(pids.tolist(), (by < ei.size).tolist(), in_j.tolist()))
-    multi_at = _split(entries, np.bincount(xs, minlength=n))
-    return (list(zip(first.tolist(), second.tolist())), multi_at,
-            i_in_j.sum(axis=1).tolist())
+    pids = pids[by]
+    entries = list(zip(first[pids].tolist(), second[pids].tolist(),
+                       np.concatenate([s_i[pi, ci], s_j[pj, cj]])[by].tolist(),
+                       (by < len(pi)).tolist(),
+                       np.concatenate([i_in_j[pi, ci], np.ones(len(pj), dtype=bool)])[by].tolist()))
+    return _split(entries, np.bincount(xs, minlength=n)), s_i[:, 0]
 
 
 def resolve_order(family, order) -> tuple[int, ...]:
@@ -623,9 +668,9 @@ def _build_terms(family, specs, order):
     """Penalty terms in spec order, each spec weighed by lcm(parts) // its
     part: one crossing term per run of consecutive crossing specs, and one
     class-pair or rainbow term per run of consecutive specs on one member and
-    of that class.  Graph terms are built for the vertex order `order`, and
-    their keys are defined only at the next vertex of it.  ``quads`` holds
-    their all-open quadratics over k^4 (r^(3r))."""
+    of that class.  Terms are built for the vertex order `order`, and their
+    keys are defined only at the next vertex of it.  ``quads`` holds their
+    all-open quadratics over k^4 (r^(3r))."""
     lcm = math.lcm(*(spec.part for spec in specs))
     rank = np.empty(family.n, dtype=np.int64)
     rank[list(order)] = np.arange(family.n)

@@ -431,8 +431,9 @@ def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
+    # n and ell are always read; m, r and degree may be left out as None
     for name, value in (("n", n), ("m", m), ("ell", ell), ("r", r), ("degree", degree)):
-        if value is not None and type(value) is not int:
+        if type(value) is not int and (value is not None or name in ("n", "ell")):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if kind in ("gnm", "bounded-degree", "runiform") and ell < 1:
         member = "hypergraph" if kind == "runiform" else "graph"

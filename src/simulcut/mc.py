@@ -69,6 +69,9 @@ def mc_partition(family, guarantee: Guarantee, seed: int = 0) -> McResult:
     (seed, t).  Raises McExhausted after ``guarantee.max_tries`` rejected
     tries, carrying the attempt with the fewest violated constraints.
     """
+    # as in the descent: numpy would refuse a try's k + 1 class-size bins with
+    # a ValueError that names neither k nor memory
+    require_addressable(guarantee.k)
     best = None
     best_failed = None
     for t in range(guarantee.max_tries):

@@ -701,6 +701,9 @@ BAD_FIELDS = [
     # and so are the generator's own parameters, with generate's messages
     (dict(generator={"kind": "gnm", "n": 8, "m": 29}),
      "gnm needs 0 <= m <= n(n-1)/2 = 28, got m=29"),
+    (dict(generator={"kind": "gnm", "n": None, "m": 10}), "n must be an integer, got None"),
+    (dict(generator={"kind": "gnm", "n": 8, "m": 10, "ell": None}),
+     "ell must be an integer, got None"),
     (dict(generator={"kind": "bounded-degree", "n": 9}),
      "bounded-degree needs an even degree >= 2, got None"),
     (dict(generator={"kind": "bounded-degree", "n": 9, "degree": 3}),

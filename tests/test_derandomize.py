@@ -300,6 +300,10 @@ class TestEngineEquality:
             assert set(range(2, r)) <= shared
 
     def test_rainbow_candidates_from_partial_state(self):
+        # a rainbow term's keys are defined at the next vertex of the order it
+        # is built for: after every prefix of a random order, each open vertex
+        # v is probed by a term built for prefix + [v] + the rest, with the
+        # prefix replayed; a commit may follow the keys of its own vertex
         rng = random.Random(21)
         for r in (2, 3, 4, 5):
             for trial in range(3):
@@ -308,22 +312,24 @@ class TestEngineEquality:
                 hf = random_hyperfamily(n, r, [rng.randint(1, cap)], 200 * r + trial)
                 specs = (_loose_rainbow(hf, 0),)
                 edges = hf.arrays[0].tolist()
-                term = _RainbowTerm(hf.arrays, specs, [1], range(n))
-                labels = [UNDECIDED] * n
-                assert term.quads == _quads([edges], labels, specs)
+                all_open = _quads([edges], [UNDECIDED] * n, specs)
                 prefix = rng.sample(range(n), rng.randint(0, n - 1))
-                spare = min(set(range(n)) - set(prefix))
-                for i, v in enumerate(prefix):
-                    # a commit may follow the keys of its own vertex, of an
-                    # open one, or of the next one to commit
-                    for u in (v, spare, prefix[min(i + 1, len(prefix) - 1)]):
-                        if rng.random() < 0.4:
-                            _keys(term, u, r)
-                    c = rng.randrange(r)
-                    term.commit(v, c)
-                    labels[v] = c
-                    _assert_relative_keys(term, edges, specs, [1], labels, (r, trial, v))
-                    _assert_vertex_sums(term, labels)
+                labels = [UNDECIDED] * n
+                for i in range(len(prefix) + 1):
+                    rest = [v for v, label in enumerate(labels) if label == UNDECIDED]
+                    for v in rest:
+                        term = _rainbow_term(hf, specs, [1],
+                                             prefix[:i] + [v] + [u for u in rest if u != v])
+                        assert term.quads == all_open
+                        for u in prefix[:i]:
+                            if rng.random() < 0.4:
+                                _keys(term, u, r)
+                            term.commit(u, labels[u])
+                        want = _reference_keys(edges, specs, [1], labels, v)
+                        assert _relative(_keys(term, v, r)) == _relative(want), (r, trial, i, v)
+                        _assert_vertex_sums(term, edges, labels)
+                    if i < len(prefix):
+                        labels[prefix[i]] = rng.randrange(r)
 
     def test_rainbow_rows_per_spec(self):
         # two specs on one member that differ only in their part: one term
@@ -336,16 +342,17 @@ class TestEngineEquality:
             spec = _loose_rainbow(hf, 0)
             specs = (spec, dataclasses.replace(spec, part=3 * spec.part))
             edges = hf.arrays[0].tolist()
-            term = _RainbowTerm(hf.arrays, specs, [3, 1], range(n))
+            order = rng.sample(range(n), n)
+            term = _rainbow_term(hf, specs, [3, 1], order)
             labels = [UNDECIDED] * n
             assert term.quads == _quads([edges], labels, specs[:1]) * 2
-            _assert_relative_keys(term, edges, specs, [3, 1], labels, (r, None))
-            for v in rng.sample(range(n), n):
+            for v in order:
                 keys = _keys(term, v, r)
+                want = _reference_keys(edges, specs, [3, 1], labels, v)
+                assert _relative(keys) == _relative(want), (r, v)
                 c = keys.index(min(keys))
                 term.commit(v, c)
                 labels[v] = c
-                _assert_relative_keys(term, edges, specs, [3, 1], labels, (r, v))
 
     def test_rainbow_candidates_walk_once_per_vertex(self, monkeypatch):
         # one class-independent walk per (vertex, rainbow term) yields all r
@@ -377,9 +384,9 @@ class TestEngineEquality:
 
     def test_rainbow_pair_sum_after_every_commit(self):
         # the keys hold the pair sum's class-dependent shifts: equal relative
-        # keys at every open vertex after every commit, and the per-vertex
-        # sums follow the labels, on dense members where edge pairs share
-        # 2..r-1 vertices
+        # keys at each vertex of a random order, and the per-vertex sums follow
+        # the labels after every commit, on dense members where edge pairs
+        # share 2..r-1 vertices
         rng = random.Random(24)
         for r in (2, 3, 4, 5):
             shared = set()
@@ -390,15 +397,16 @@ class TestEngineEquality:
                 edges = hf.arrays[0].tolist()
                 shared.update(len(set(a) & set(b)) for a, b in itertools.combinations(edges, 2))
                 specs = (_loose_rainbow(hf, 0),)
-                term = _RainbowTerm(hf.arrays, specs, [1], range(n))
+                order = rng.sample(range(n), n)
+                term = _rainbow_term(hf, specs, [1], order)
                 labels = [UNDECIDED] * n
-                for v in rng.sample(range(n), n):
-                    _keys(term, v, r)
+                for v in order:
+                    want = _reference_keys(edges, specs, [1], labels, v)
+                    assert _relative(_keys(term, v, r)) == _relative(want), (r, trial, v)
                     c = rng.randrange(r)
                     term.commit(v, c)
                     labels[v] = c
-                    _assert_relative_keys(term, edges, specs, [1], labels, (r, trial, v))
-                    _assert_vertex_sums(term, labels)
+                    _assert_vertex_sums(term, edges, labels)
             assert set(range(2, r)) <= shared
 
     def test_rainbow_packed_fields_at_a_hub(self):
@@ -411,13 +419,38 @@ class TestEngineEquality:
         result = derandomize(fam, resolve(fam, "hyp"), order=order)
         for i, edges in enumerate(fam.arrays):
             assert all(e[0] == 0 for e in edges.tolist())
-            term = _RainbowTerm(fam.arrays, (_loose_rainbow(fam, i),), [1], range(fam.n))
+            term = _rainbow_term(fam, (_loose_rainbow(fam, i),), [1], order)
             labels = [UNDECIDED] * fam.n
             for step in result.trace:
                 _keys(term, step.vertex, 4)
                 term.commit(step.vertex, step.chosen)
                 labels[step.vertex] = step.chosen
-                _assert_vertex_sums(term, labels)
+                _assert_vertex_sums(term, edges.tolist(), labels)
+
+    def test_rainbow_packed_fields_at_two_hubs(self):
+        # TestPinnedTraces' hyp-two-hubs case: vertex 0 comes first in all 998
+        # hyperedges {0, 1, x}, so the Tc fields summed over their later
+        # co-vertices reach 998 * 999 * 3!, past r*m*r^(2r), which bounds a
+        # field summed over one hyperedge's co-vertices.  Its one spec weighs
+        # 1, so the term's own argmin replays the pinned descent; every field
+        # and every such sum is its recount after the commits of the hubs and
+        # their first co-vertices, then of every 50th vertex and the last
+        (kind, params), _, _, order = TestPinnedTraces.CASES["hyp-two-hubs"]
+        fam = _case_family(kind, params)
+        edges = fam.arrays[0].tolist()
+        term = _rainbow_term(fam, (_loose_rainbow(fam, 0),), [1], range(fam.n))
+        near = [sum(term.Tc[w] >> o & term.fmask for w in term.first_near[0])
+                for o in term.offsets]
+        assert near == [998 * 999 * 6] * 3 and near[0] > 3 * 998 * 3 ** 6
+        labels = [UNDECIDED] * fam.n
+        _assert_vertex_sums(term, edges, labels)
+        for v in range(fam.n):
+            keys = _keys(term, v, 3)
+            c = keys.index(min(keys))
+            term.commit(v, c)
+            labels[v] = c
+            if v < 4 or v % 50 == 0 or v == fam.n - 1:
+                _assert_vertex_sums(term, edges, labels)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_member_candidates_from_partial_state(self, k):
@@ -525,21 +558,121 @@ class TestEngineEquality:
                 assert {key: h.visits[key] for key in want} == want, (order, h.visits)
                 assert sum(h.visits.values()) == 3 * m, (order, h.visits)
 
+    @pytest.mark.parametrize("order", ["natural", "degree", "permuted"])
+    def test_rainbow_terms_walk_each_live_edge_once(self, order, monkeypatch):
+        # over whole hyp descents, every hyperedge sits in one vertex's
+        # first-vertex lists, in the middle lists of its r-2 middle vertices
+        # and in no list of its last vertex; add_keys reads Tc of each live
+        # edge's open co-vertices once per visit, and T too where the edge has
+        # a taken class (everywhere but its first vertex); commit reads and
+        # writes T, Tc and Qc of each once; and every pair entry has the
+        # static s, at least 2, of its shared vertices at or after its vertex
+        now = {"phase": None, "vertex": None}
+        terms = []
+
+        class Counted(list):
+            def __getitem__(self, u):
+                if u != now["vertex"]:
+                    self.visits[now["phase"], "read"] += 1
+                return super().__getitem__(u)
+
+            def __setitem__(self, u, x):
+                if u != now["vertex"]:
+                    self.visits[now["phase"], "write"] += 1
+                super().__setitem__(u, x)
+
+        def counted_init(self, *args):
+            init(self, *args)
+            for name in ("T", "Tc", "Qc"):
+                sums = Counted(getattr(self, name))
+                sums.visits = collections.Counter()
+                setattr(self, name, sums)
+            terms.append(self)
+
+        def in_phase(phase, method):
+            def run(self, v, x):
+                now.update(phase=phase, vertex=v)
+                method(self, v, x)
+                now.update(phase=None, vertex=None)
+            return run
+
+        init = _RainbowTerm.__init__
+        monkeypatch.setattr(_RainbowTerm, "__init__", counted_init)
+        for name in ("add_keys", "commit"):
+            monkeypatch.setattr(_RainbowTerm, name, in_phase(name, getattr(_RainbowTerm, name)))
+        for kind, params in (("runiform", dict(n=22, m=110, r=3, ell=2, seed=1001)),
+                             ("runiform", dict(n=40, m=150, r=4, ell=2, seed=7)),
+                             ("runiform", dict(n=16, m=60, r=5, ell=1, seed=8)),
+                             ("runiform-hub", dict(n=30, m=80, ell=2, seed=13))):
+            fam = _case_family(kind, params)
+            terms.clear()
+            result = derandomize(fam, resolve(fam, "hyp"), order=(
+                random.Random(5).sample(range(fam.n), fam.n) if order == "permuted" else order))
+            rank = {step.vertex: i for i, step in enumerate(result.trace)}
+            labels = result.assignment.labels
+            assert len(terms) == len(fam.arrays)
+            for term, rows in zip(terms, fam.arrays):
+                r = term.r
+                edges = _numbered(rows, rank)
+                firsts, middles = collections.defaultdict(list), collections.defaultdict(list)
+                want = collections.Counter()
+                for eid, e in enumerate(edges):
+                    firsts[e[0]].append((eid, e[1:]))
+                    for p in range(1, r - 1):
+                        middles[e[p]].append((eid, e[p + 1:]))
+                    for p in range(r - 1):
+                        taken = [labels[x] for x in e[:p]]
+                        if len(set(taken)) == len(taken):         # live at e[p]
+                            near = r - 1 - p
+                            want["Tc", "add_keys", "read"] += near
+                            want["T", "add_keys", "read"] += near if p else 0
+                            for name in ("T", "Tc", "Qc"):
+                                want[name, "commit", "read"] += near
+                                want[name, "commit", "write"] += near
+                for v in range(fam.n):
+                    near = [w for _, later in firsts[v] for w in later]
+                    assert list(term.first_edges[v]) == [eid for eid, _ in firsts[v]], v
+                    assert sorted(term.first_near[v]) == sorted(near), v
+                    assert sorted((eid, [w, *rest]) for eid, w, rest in term.middle[v]) \
+                        == middles[v], v
+                seen = collections.Counter(
+                    (v, i, j) for v, entries in enumerate(term.multi_at) for i, j, *_ in entries)
+                assert max(seen.values(), default=1) == 1
+                for v, entries in enumerate(term.multi_at):
+                    for i, j, s, in_i, in_j in entries:
+                        shared = set(edges[i]) & set(edges[j])
+                        assert i < j and (in_i, in_j) == (v in edges[i], v in edges[j])
+                        assert s == sum(rank[x] >= rank[v] for x in shared) >= 2, (v, i, j)
+                for i, j in itertools.combinations(range(len(edges)), 2):
+                    shared = set(edges[i]) & set(edges[j])
+                    for v in set(edges[i]) | set(edges[j]):
+                        if sum(rank[x] >= rank[v] for x in shared) >= 2:
+                            assert (v, i, j) in seen, (v, i, j)
+                got = collections.Counter({(name, *key): count for name in ("T", "Tc", "Qc")
+                                           for key, count in getattr(term, name).visits.items()})
+                assert got == +want, (order, kind, got, want)
+
     def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
-        # a linear hypergraph (delta2 == 1): every overlapping pair shares one vertex
+        # a linear hypergraph (delta2 == 1): every overlapping pair shares one
+        # vertex, so there is no pair entry; otherwise the entries name exactly
+        # the pairs that share two or more vertices
         fano = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
         hf = HypergraphFamily(n=7, r=3, hypergraphs=(fano,))
         assert hf.delta2 == (1,)
-        term = _RainbowTerm((fano,), (_loose_rainbow(hf, 0),), [1], range(7))
-        assert term.multi == []
+        term = _rainbow_term(hf, (_loose_rainbow(hf, 0),), [1], range(7))
+        assert not any(term.multi_at)
         rng = random.Random(22)
         for r in (2, 3, 4, 5):
             for trial in range(4):
                 n = rng.randint(r + 1, r + 6)
                 hf = random_hyperfamily(n, r, [rng.randint(1, math.comb(n, r))], trial)
-                term = _RainbowTerm(hf.arrays, (_loose_rainbow(hf, 0),), [1], range(n))
-                bound = hf.m[0] * math.comb(r, 2) * (hf.delta2[0] - 1) / 2
-                assert len(term.multi) <= bound
+                order = rng.sample(range(n), n)
+                term = _rainbow_term(hf, (_loose_rainbow(hf, 0),), [1], order)
+                edges = _numbered(hf.arrays[0], {v: i for i, v in enumerate(order)})
+                pairs = {(i, j) for entries in term.multi_at for i, j, *_ in entries}
+                assert pairs == {(i, j) for i, j in itertools.combinations(range(len(edges)), 2)
+                                 if len(set(edges[i]) & set(edges[j])) >= 2}
+                assert len(pairs) <= hf.m[0] * math.comb(r, 2) * (hf.delta2[0] - 1) / 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -603,35 +736,45 @@ def test_budget_decided_exactly_at_one(data):
             derandomize(fam, guarantee)
 
 
-def _assert_relative_keys(term, edges, specs, weights, labels, where):
-    """A rainbow key leaves out what no class changes: at every open vertex,
-    the term's keys less its class-0 key equal the reference's."""
-    for v, label in enumerate(labels):
-        if label == UNDECIDED:
-            want = _reference_keys(edges, specs, weights, labels, v)
-            assert _relative(_keys(term, v, term.r)) == _relative(want), (where, v)
+def _rainbow_term(fam, specs, weights, order):
+    """Member ``specs[0].graph``'s rainbow term, built for the vertex order
+    `order`."""
+    rank = np.empty(fam.n, dtype=np.int64)
+    rank[list(order)] = np.arange(fam.n)
+    return _RainbowTerm(fam.arrays, specs, weights, rank)
 
 
-def _assert_vertex_sums(term, labels):
+def _numbered(rows, rank):
+    """Each edge's vertices in the order of ``rank`` (v's position), the
+    edges numbered as a rainbow term numbers them: by their first vertex,
+    ties in input order."""
+    return sorted((sorted(e, key=rank.__getitem__) for e in rows.tolist()), key=lambda e: e[0])
+
+
+def _assert_vertex_sums(term, edges, labels):
     """T and the packed Tc and Qc of every open vertex, recounted from the
     labels: an edge's P is A[u][0] and its row A[u][1] on its free colours
     while its decided colours are distinct, and both are 0 once they are
-    not.  Each packed sum is its fields exactly, and the open vertices of
-    every edge sum to fields below the field width, so no sum the keys form
-    carries."""
+    not.  Each packed sum is its fields exactly; the open vertices of every
+    edge, and the later co-vertices of every open vertex's first-vertex
+    edges, sum to fields below the field width, so no sum the keys form
+    carries.  The decided vertices must come first in the term's order."""
     r, A, offsets = term.r, term.A, term.offsets
+    at = collections.defaultdict(list)
+    for e in edges:
+        for w in e:
+            at[w].append(e)
     fields = {}
     for w, label in enumerate(labels):
         if label != UNDECIDED:
             continue
         ps, rows = [], []
-        for e in term.edges:
-            if w in e:
-                taken = [labels[x] for x in e if labels[x] != UNDECIDED]
-                live = len(set(taken)) == len(taken)
-                u = r - len(taken)
-                ps.append(A[u][0] if live else 0)
-                rows.append([A[u][1] if live and c not in taken else 0 for c in range(r)])
+        for e in at[w]:
+            taken = [labels[x] for x in e if labels[x] != UNDECIDED]
+            live = len(set(taken)) == len(taken)
+            u = r - len(taken)
+            ps.append(A[u][0] if live else 0)
+            rows.append([A[u][1] if live and c not in taken else 0 for c in range(r)])
         tc = fields[w] = [sum(row[c] for row in rows) for c in range(r)]
         qc = [sum(row[c] ** 2 for row in rows) for c in range(r)]
         assert term.T[w] == sum(ps), w
@@ -639,9 +782,12 @@ def _assert_vertex_sums(term, labels):
         assert [term.Qc[w] >> o & term.fmask for o in offsets] == qc, w
         assert term.Tc[w] == sum(x << o for x, o in zip(tc, offsets)), w
         assert term.Qc[w] == sum(x << o for x, o in zip(qc, offsets)), w
-    for e in term.edges:
+    for e in edges:
         near = [sum(fields[w][c] for w in e if w in fields) for c in range(r)]
         assert max(near) <= term.fmask, (e, near)
+    for v in fields:
+        near = [sum(fields[w][c] for w in term.first_near[v]) for c in range(r)]
+        assert max(near) <= term.fmask, (v, near)
 
 
 def _loose_rainbow(hf, i):

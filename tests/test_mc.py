@@ -1,7 +1,9 @@
 """Monte-Carlo partitioner: determinism, guarantees, retry semantics."""
 
 import math
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from simulcut import (
     resolve,
     substream,
 )
+import simulcut.mc
 from simulcut.cli import main
 from simulcut.instances import generate, serialize_instance
 from simulcut.model import stat_mean
@@ -169,6 +172,28 @@ class TestMcPartition:
         assert not exc.best_report.all_pass
         failed = [c for c in exc.best_report.constraints if not c.passed]
         assert all(c.stat.startswith("balance") for c in failed)
+
+    def test_class_count_past_the_address_space_is_out_of_memory(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # k classes of 8 bytes overflow the address space: mc refuses before
+        # its first try sizes k + 1 class-size bins, with the out-of-memory
+        # line of the descent
+        def drawn(*args):
+            raise AssertionError("a try was drawn under a too-large k")
+
+        monkeypatch.setattr(simulcut.mc, "random_assignment", drawn)
+        path = tmp_path / "c5.instance"
+        path.write_text(serialize_instance(c5_pair()))
+        tracemalloc.start()
+        try:
+            assert main(["partition", str(path), "--theorem", "2", "--k", str(2**62),
+                         "--method", "mc", "--out", os.devnull]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: the instance is too large for the memory available\n"
 
     def test_balanced_succeeds_with_default_slack(self):
         fam = random_family(40, [60], 4)
