@@ -407,8 +407,6 @@ class _RainbowTerm:
         ends = np.cumsum(starts)
         self.first_edges = list(map(range, (ends - starts).tolist(), ends.tolist()))
         self.first_near = _split(ordered[:, 1:].ravel().tolist(), starts * (r - 1))
-        # the free-class factor of their summed Tc, at u = r (`_edge_coefs`)
-        self.first_coef = -2 * self.rpow[r - 1] * self.A[r][2]
         # at a middle position p: the edge, its next vertex and any after that
         self.middle = [[] for _ in range(n)] if r == 2 else None
         for p in range(1, r - 1):
@@ -434,6 +432,8 @@ class _RainbowTerm:
         # vertices see
         self._sides = [None] * 2 + [
             ((a[2] - a[1], -a[1], a[1] - a[0]), (-a[1], 0, -a[0])) for a in self.A[2:]]
+        # the factor of each free class's field of the Tc summed over first_near[v]
+        self.first_coef = self._edge_coefs(0)[4]
         # all vertices open: every edge has P = A[r][0] = A[r][1] = r!, so the
         # rows equal P and edges meeting at one open vertex are uncorrelated
         a0 = self.A[r][0]
