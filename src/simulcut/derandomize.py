@@ -542,13 +542,15 @@ class _RainbowTerm:
                 x += y
             for c in taken:
                 J[c] += x
-        shifts = self._shifts
+        shifts, pairs = self._shifts, []
         for i, j, s, in_i, in_j in self.multi_at[v]:
             mi, mj = M[i], M[j]
             if mi is None or mj is None:
                 continue
             state = mi, mj, s, in_i, in_j
-            J = list(map(add, J, shifts.get(state) or self._pair_shifts(*state)))
+            pairs.append(shifts.get(state) or self._pair_shifts(*state))
+        if pairs:
+            J = list(map(sum, zip(J, *pairs)))
         own_t, own_q, d1, w = Tc[v], self.Qc[v], self.D1, self.weight
         h = d1 - 2 * self.mu_rr + 2 * (self.sumP - T[v])
         for c, o in enumerate(offsets):
