@@ -406,6 +406,60 @@ def test_oracle_size_guard(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+ORACLE_INSTANCES = {
+    "one": ["gnm", "--n", "9", "--m", "16", "--ell", "1", "--seed", "4"],
+    "two": ["gnm", "--n", "9", "--m", "14", "--ell", "2", "--seed", "7"],
+}
+
+# (instance, oracle flags): exit code and stdout
+ORACLE_PINS = [
+    (("one", "--objective maxcut"), 0, "max-cut 12\nassignment 0 1 1 0 0 0 1 0 1\n"),
+    (("one", "--objective maxcut --k 3"), 0, "max-cut 15\nassignment 0 2 2 2 1 1 1 0 0\n"),
+    (("one", "--objective simultaneous"), 0,
+     "best-min-margin 4.0\nassignment 0 1 1 0 0 0 1 0 1\n"),
+    (("two", "--objective simultaneous"), 0,
+     "best-min-margin 2.0\nassignment 0 1 1 0 1 0 1 0 0\n"),
+    (("two", "--objective simultaneous --k 3"), 0,
+     "best-min-margin 5.0\nassignment 0 1 1 0 2 0 2 1 0\n"),
+    (("two", "--objective simultaneous --centers 5,8.5"), 0,
+     "best-min-margin 2.5\nassignment 0 1 1 0 1 0 0 1 0\n"),
+    (("one", "--objective simultaneous --centers -1"), 0,
+     "best-min-margin 13.0\nassignment 0 1 1 0 0 0 1 0 1\n"),
+    (("two", "--objective simultaneous --thresholds 9,9"), 0,
+     "feasible yes\nassignment 0 1 1 0 1 0 1 0 0\n"),
+    (("two", "--objective simultaneous --thresholds 10,10"), 1, "feasible no\n"),
+    (("two", "--objective simultaneous --thresholds 12,12 --k 3"), 0,
+     "feasible yes\nassignment 0 1 1 0 2 0 2 1 0\n"),
+    (("one", "--objective simultaneous --thresholds 12"), 0,
+     "feasible yes\nassignment 0 1 1 0 0 0 1 0 1\n"),
+    (("one", "--objective simultaneous --thresholds 13"), 1, "feasible no\n"),
+    (("one", "--objective edwards"), 0,
+     "edwards graph=0 maxcut=12 bound=9.294727086450068 ok=yes\n"),
+    (("two", "--objective edwards"), 0,
+     "edwards graph=0 maxcut=11 bound=8.203768226591832 ok=yes\n"
+     "edwards graph=1 maxcut=11 bound=8.203768226591832 ok=yes\n"),
+]
+
+
+@pytest.mark.parametrize("case, code, out", ORACLE_PINS,
+                         ids=["-".join(case).replace(" ", "") for case, *_ in ORACLE_PINS])
+def test_oracle_output_pinned(tmp_path, capsys, case, code, out):
+    name, flags = case
+    inst = tmp_path / name
+    assert main(["gen", *ORACLE_INSTANCES[name], "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", str(inst), *flags.split()]) == code
+    assert capsys.readouterr() == (out, "")
+
+
+def test_oracle_maxcut_needs_one_graph(tmp_path, capsys):
+    inst = tmp_path / "two"
+    assert main(["gen", *ORACLE_INSTANCES["two"], "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", str(inst), "--objective", "maxcut"]) == 2
+    assert capsys.readouterr() == ("", "error: maxcut objective expects a single graph\n")
+
+
 def test_bench_suite(tmp_path, capsys):
     suite = {
         "runs": [
