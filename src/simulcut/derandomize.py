@@ -37,8 +37,9 @@ packed histograms per open neighbour, then O(k) per statistic.  A commit
 costs O(1) per statistic and one addition per open neighbour.
 A hypergraph member's rainbow term keeps each hyperedge at the vertices
 the order reaches before its last, each with the co-vertices after it,
-and yields its r keys from one walk over them: one addition of packed
-class sums per (live hyperedge, open co-vertex) pair, then O(r) per live
+and one packed sum per vertex of its hyperedges' rows, P and squared rows.
+It yields its r keys from one walk over them: one addition of packed
+sums per (live hyperedge, open co-vertex) pair, then O(r) per live
 hyperedge that v is not first in; the hyperedges v is first in share one
 flat co-vertex list, summed once and unpacked once.  Each hyperedge pair
 at v that shares two or more vertices at or after v adds O(r), its r
@@ -313,30 +314,30 @@ class _RainbowTerm:
     elsewhere, so pairs meeting at one open vertex w fold into per-vertex
     sums, like the Tw and trow sums of _CrossingTerm:
 
-      T[w]       sum of P over the edges at w
-      Tc[w][c]   sum of row[c] over the edges at w; Qc[w][c] of row[c]^2
+      P_w        sum of P over the edges at w
+      R_w[c]     sum of row[c] over the edges at w; Q_w[c] of row[c]^2
 
     Only pairs sharing two or more vertices need more: corr = pairval - s *
     (its s = 1 value), 0 for good once fewer than two shared vertices are
     open or either edge's state is None.
 
-    Keys: with x = Tc[v][c], deciding v -> c moves sumP by x - T[v] and
-    the sum of P^2 by Qc[v][c] less a constant; leaving out every part that
-    no class changes (the pairs of edges that meet only at v, those that
-    miss v, and each live multi-shared pair's corr before the step), the
+    Keys: with x = R_v[c], deciding v -> c moves sumP by x - P_v and the
+    sum of P^2 by Q_v[c] less a constant; leaving out every part that no
+    class changes (the pairs of edges that meet only at v, those that miss
+    v, and each live multi-shared pair's corr before the step), the
     quadratic after v -> c is the key, with h = r^r - 2*mu_rr + 2*(sumP -
-    T[v]),
+    P_v),
 
-      r^r * (x * (h + x) - Qc[v][c]) + J[c]
+      r^r * (x * (h + x) - Q_v[c]) + J[c]
 
     where J[c] sums the class-dependent shifts of the other edge pairs at
     v.  A live edge at v (a_i = A(i)) shifts the pairs that meet it at one
-    open co-vertex w by closed forms linear in T[w] and Tc[w]; summed over
-    its co-vertices, less a part the same for every class, and with TF the
-    summed Tc over its free colours, these are
+    open co-vertex w by closed forms linear in P_w and R_w; summed over its
+    co-vertices, less a part the same for every class, and with TF the
+    summed R over its free colours, these are
 
-      c free    -2r^(r-1) * a2 * sum Tc[w][c]
-      c taken   -2r^(r-1) * a2 * TF + 2r^r * a1 * sum T[w]
+      c free    -2r^(r-1) * a2 * sum R_w[c]
+      c taken   -2r^(r-1) * a2 * TF + 2r^r * a1 * sum P_w
                 + 2(u-1) * a1 * (r^(r-1) * (u-1) * a2 - r^r * a0)
 
     A live multi-shared pair with v in one or both edges shifts J by twice
@@ -352,8 +353,8 @@ class _RainbowTerm:
     numbered by their first vertex, ties in input order.  For the edges v
     is first in, ``first_edges[v]`` is their range of numbers and
     ``first_near[v]`` lists the co-vertices after v of all of them: each has
-    u = r and no taken class, so one Tc sum over that list yields all their
-    free-class shifts, and a commit adds each entry one shift.  For the
+    u = r and no taken class, so one sum over that list yields all their
+    free-class shifts, and a commit adds each entry one step.  For the
     edges v is neither first nor last in, ``middle[v]`` holds (edge, next
     co-vertex, the co-vertices after that).  The edges v is last in are not
     kept at v.  A pair's open shared count at v's turn is its number of
@@ -362,23 +363,25 @@ class _RainbowTerm:
     at least 2, and `add_keys` skips one only when an edge's state is None;
     no pair keeps state.
 
-    Tc[w] and Qc[w] are packed, Tc[w] = sum_c Tc[w][c] << (width * c).
-    Every field is a sum of per-edge terms of at least 0, so it stays at
-    least 0, and a commit adds each open co-vertex of a live edge one
-    signed packed shift exactly.  An edge adds at most r^(2r) to a field of
-    Qc[w], and at most r^r to one of Tc[w]: its row is A(1) <= r^(r-1)
-    while it is live with u >= 2, and r^r or 0 once w is its only open
-    vertex.  So with D the largest degree, a Qc field stays at most
-    m*r^(2r), a Tc field summed over an edge's co-vertices at most
-    (r-1)*m*r^r, and one summed over first_near[v], (r-1)*deg(v) entries of
-    degree at most D, at most (r-1)*D^2*r^r.  Fields of the bit length of
-    max(r*m*r^(2r), (r-1)*D^2*r^r) hold every such sum, so one sum yields
-    all r classes without a carry.
+    A vertex's sums are the 2r+1 fields of one packed integer, S[w] =
+    sum_c R_w[c] << (width * c) + P_w << (width * r) + sum_c Q_w[c] <<
+    (width * (r+1+c)), so a commit adds each open co-vertex of a live edge
+    one signed packed step, and one sum of S over a list yields every field
+    of the list's sums.  Every field is a sum of per-edge terms of at least
+    0, so it stays at least 0 and the step is exact.  An edge adds at most
+    r^(2r) to any field: its row is at most r^r (A(1) <= r^(r-1) while it
+    is live with u >= 2, r^r or 0 once w is its only open vertex), its P at
+    most r^(r-1), and a squared row at most r^(2r).  So with D the member's
+    largest degree, a field of S[w] is at most D*r^(2r), and the longest
+    list the keys sum, first_near[v], has at most (r-1)*D entries: fields of
+    ((r-1)*D^2*r^(2r)).bit_length() bits hold every sum the keys form
+    without a carry.
 
     It reads only its specs' member of ``arrays`` and the vertex count,
     len(rank).  The term starts with every vertex open, where every edge
-    has u = r, an empty mask and P = A_r(0) = A_r(1) = r!: T, Tc and Qc are
-    a vertex's degree times r! or r!^2.
+    has u = r, an empty mask and P = A_r(0) = A_r(1) = r!: a vertex's row
+    and P fields are its degree times r!, its squared-row fields its degree
+    times r!^2.
     """
 
     def __init__(self, arrays, specs, weights, rank):
@@ -419,8 +422,9 @@ class _RainbowTerm:
         # the field bound of the class docstring
         degrees = np.bincount(rows.ravel(), minlength=n)
         top = int(degrees.max(initial=0))
-        width = max(r * m * self.D1 * self.D1, (r - 1) * top * top * self.D1).bit_length()
+        width = ((r - 1) * top * top * self.D1 * self.D1).bit_length()
         self.fmask, self.offsets = (1 << width) - 1, [width * c for c in range(r)]
+        self.p_at, self.sq_at = width * r, width * (r + 1)
         # per class: the shift tables of `_edge_delta`; per mask: `_edge_coefs`;
         # per pair state: `_pair_shifts`
         self._deltas: list[dict[int, tuple]] = [{} for _ in range(r)]
@@ -432,17 +436,15 @@ class _RainbowTerm:
         # vertices see
         self._sides = [None] * 2 + [
             ((a[2] - a[1], -a[1], a[1] - a[0]), (-a[1], 0, -a[0])) for a in self.A[2:]]
-        # the factor of each free class's field of the Tc summed over first_near[v]
+        # the factor of each row field of the S summed over first_near[v]
         self.first_coef = self._edge_coefs(0)[4]
         # all vertices open: every edge has P = A[r][0] = A[r][1] = r!, so the
         # rows equal P and edges meeting at one open vertex are uncorrelated
         a0 = self.A[r][0]
-        ones = sum(1 << o for o in self.offsets)
+        unit = sum((a0 << o) + (a0 * a0 << self.sq_at + o) for o in self.offsets)
         self.M = [0] * m
         self.sumP = m * a0
-        self.T = [d * a0 for d in degrees.tolist()]
-        self.Tc = [t * ones for t in self.T]
-        self.Qc = [t * a0 * ones for t in self.T]
+        self.S = [d * (unit + (a0 << self.p_at)) for d in degrees.tolist()]
         # sumP is mu_rr: the quadratic is r^r * (r^r * sumP - sum P^2) plus
         # the doubled corr of the multi-shared pairs
         self.quads = [m * a0 * (self.D1 - a0) * self.D1
@@ -464,28 +466,27 @@ class _RainbowTerm:
 
     def _edge_delta(self, mask, c):
         """State after one open vertex of a live edge with decided colours
-        `mask` takes c, and the packed shifts of P, row and row^2 that its
-        other open vertices see; kept in self._deltas[c]."""
-        r = self.r
+        `mask` takes c, and the one packed step of its row, P and row^2 that
+        its other open vertices see; kept in self._deltas[c]."""
+        r, sq_at = self.r, self.sq_at
         u = r - mask.bit_count()
         a1 = self.A[u][1]
         x, y, dp = self._sides[u][mask >> c & 1]
-        dt = dq = 0
+        step = dp << self.p_at
         for cc, o in enumerate(self.offsets):
             if not mask >> cc & 1:
                 t = y if cc == c else x
-                dt += t << o
-                dq += ((a1 + t) ** 2 - a1 * a1) << o
+                step += (t << o) + ((a1 + t) ** 2 - a1 * a1 << sq_at + o)
         new = None if mask >> c & 1 or u == 2 else mask | 1 << c
-        d = self._deltas[c][mask] = (new, dp, dt, dq)
+        d = self._deltas[c][mask] = (new, step)
         return d
 
     def _edge_coefs(self, mask):
         """Taken classes and (class, field offset) of the free ones of a live
         edge with decided colours `mask`, and its co-vertices' shifts (the
         class docstring's closed forms) as coefficients: the constant and the
-        factor of sum T of a taken class, and the factor of each summed Tc
-        field; kept in self._coefs."""
+        factor of the summed P field of a taken class, and the factor of each
+        summed row field; kept in self._coefs."""
         r, r1, d1 = self.r, self.rpow[self.r - 1], self.D1
         taken = [c for c in range(r) if mask >> c & 1]
         free = [(c, o) for c, o in enumerate(self.offsets) if not mask >> c & 1]
@@ -522,22 +523,21 @@ class _RainbowTerm:
         return shifts
 
     def add_keys(self, v, keys):
-        fmask, offsets = self.fmask, self.offsets
-        T, Tc, M, coefs = self.T, self.Tc, self.M, self._coefs
-        near = sum(map(Tc.__getitem__, self.first_near[v]))
+        fmask, offsets, p_at = self.fmask, self.offsets, self.p_at
+        S, M, coefs = self.S, self.M, self._coefs
+        near = sum(map(S.__getitem__, self.first_near[v]))
         J = [self.first_coef * (near >> o & fmask) for o in offsets]
         for eid, w, rest in self.middle[v]:
             mask = M[eid]
             if mask is None:
                 continue
-            sum_t, sum_tc = T[w], Tc[w]
+            sums = S[w]
             for w in rest:
-                sum_t += T[w]
-                sum_tc += Tc[w]
+                sums += S[w]
             taken, free, x, xt, kc = coefs.get(mask) or self._edge_coefs(mask)
-            x += xt * sum_t
+            x += xt * (sums >> p_at & fmask)
             for c, o in free:
-                y = kc * (sum_tc >> o & fmask)
+                y = kc * (sums >> o & fmask)
                 J[c] += y
                 x += y
             for c in taken:
@@ -551,35 +551,31 @@ class _RainbowTerm:
             pairs.append(shifts.get(state) or self._pair_shifts(*state))
         if pairs:
             J = list(map(sum, zip(J, *pairs)))
-        own_t, own_q, d1, w = Tc[v], self.Qc[v], self.D1, self.weight
-        h = d1 - 2 * self.mu_rr + 2 * (self.sumP - T[v])
+        own, d1, w = S[v], self.D1, self.weight
+        own_q = own >> self.sq_at
+        h = d1 - 2 * self.mu_rr + 2 * (self.sumP - (own >> p_at & fmask))
         for c, o in enumerate(offsets):
-            x = own_t >> o & fmask
+            x = own >> o & fmask
             keys[c] += w * (d1 * (x * (h + x) - (own_q >> o & fmask)) + J[c])
 
     def commit(self, v, c):
-        T, Tc, Qc, M = self.T, self.Tc, self.Qc, self.M
+        S, M, fmask = self.S, self.M, self.fmask
         deltas = self._deltas[c]
-        self.sumP += (Tc[v] >> self.offsets[c] & self.fmask) - T[v]
-        new, dp, dt, dq = deltas.get(0) or self._edge_delta(0, c)
+        own = S[v]
+        self.sumP += (own >> self.offsets[c] & fmask) - (own >> self.p_at & fmask)
+        new, d = deltas.get(0) or self._edge_delta(0, c)
         for w in self.first_near[v]:
-            T[w] += dp
-            Tc[w] += dt
-            Qc[w] += dq
+            S[w] += d
         for eid in self.first_edges[v]:
             M[eid] = new
         for eid, w, rest in self.middle[v]:
             mask = M[eid]
             if mask is None:
                 continue
-            M[eid], dp, dt, dq = deltas.get(mask) or self._edge_delta(mask, c)
-            T[w] += dp
-            Tc[w] += dt
-            Qc[w] += dq
+            M[eid], d = deltas.get(mask) or self._edge_delta(mask, c)
+            S[w] += d
             for w in rest:
-                T[w] += dp
-                Tc[w] += dt
-                Qc[w] += dq
+                S[w] += d
 
 
 def _split(items: list, counts) -> list[list]:

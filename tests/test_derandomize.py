@@ -429,19 +429,23 @@ class TestEngineEquality:
 
     def test_rainbow_packed_fields_at_two_hubs(self):
         # TestPinnedTraces' hyp-two-hubs case: vertex 0 comes first in all 998
-        # hyperedges {0, 1, x}, so the Tc fields summed over their later
-        # co-vertices reach 998 * 999 * 3!, past r*m*r^(2r), which bounds a
-        # field summed over one hyperedge's co-vertices.  Its one spec weighs
-        # 1, so the term's own argmin replays the pinned descent; every field
-        # and every such sum is its recount after the commits of the hubs and
-        # their first co-vertices, then of every 50th vertex and the last
+        # hyperedges {0, 1, x}, so first_near[0] lists vertex 1, of degree
+        # D = 998, 998 times: its squared-row fields sum to 998 * 999 * 3!^2,
+        # past (r-1) * D * r^(2r), which bounds a sum over one hyperedge's
+        # co-vertices, and under the D^2 bound.  Its one spec weighs 1, so the
+        # term's own argmin replays the pinned descent; every field and every
+        # such sum is its recount after the commits of the hubs and their first
+        # co-vertices, then of every 50th vertex and the last
         (kind, params), _, _, order = TestPinnedTraces.CASES["hyp-two-hubs"]
         fam = _case_family(kind, params)
         edges = fam.arrays[0].tolist()
         term = _rainbow_term(fam, (_loose_rainbow(fam, 0),), [1], range(fam.n))
-        near = [sum(term.Tc[w] >> o & term.fmask for w in term.first_near[0])
-                for o in term.offsets]
-        assert near == [998 * 999 * 6] * 3 and near[0] > 3 * 998 * 3 ** 6
+        near = sum(term.S[w] for w in term.first_near[0])
+        squares = [near >> term.sq_at + o & term.fmask for o in term.offsets]
+        assert [near >> o & term.fmask for o in term.offsets] == [998 * 999 * 6] * 3
+        assert near >> term.p_at & term.fmask == 998 * 999 * 6
+        assert squares == [998 * 999 * 36] * 3
+        assert 2 * 998 * 3 ** 6 < squares[0] <= 2 * 998 * 998 * 3 ** 6
         labels = [UNDECIDED] * fam.n
         _assert_vertex_sums(term, edges, labels)
         for v in range(fam.n):
@@ -562,11 +566,10 @@ class TestEngineEquality:
     def test_rainbow_terms_walk_each_live_edge_once(self, order, monkeypatch):
         # over whole hyp descents, every hyperedge sits in one vertex's
         # first-vertex lists, in the middle lists of its r-2 middle vertices
-        # and in no list of its last vertex; add_keys reads Tc of each live
-        # edge's open co-vertices once per visit, and T too where the edge has
-        # a taken class (everywhere but its first vertex); commit reads and
-        # writes T, Tc and Qc of each once; and every pair entry has the
-        # static s, at least 2, of its shared vertices at or after its vertex
+        # and in no list of its last vertex; add_keys reads the packed sum S of
+        # each live edge's open co-vertices once per visit; commit reads and
+        # writes it once; and every pair entry has the static s, at least 2,
+        # of its shared vertices at or after its vertex
         now = {"phase": None, "vertex": None}
         terms = []
 
@@ -583,10 +586,8 @@ class TestEngineEquality:
 
         def counted_init(self, *args):
             init(self, *args)
-            for name in ("T", "Tc", "Qc"):
-                sums = Counted(getattr(self, name))
-                sums.visits = collections.Counter()
-                setattr(self, name, sums)
+            self.S = Counted(self.S)
+            self.S.visits = collections.Counter()
             terms.append(self)
 
         def in_phase(phase, method):
@@ -624,11 +625,9 @@ class TestEngineEquality:
                         taken = [labels[x] for x in e[:p]]
                         if len(set(taken)) == len(taken):         # live at e[p]
                             near = r - 1 - p
-                            want["Tc", "add_keys", "read"] += near
-                            want["T", "add_keys", "read"] += near if p else 0
-                            for name in ("T", "Tc", "Qc"):
-                                want[name, "commit", "read"] += near
-                                want[name, "commit", "write"] += near
+                            want["add_keys", "read"] += near
+                            want["commit", "read"] += near
+                            want["commit", "write"] += near
                 for v in range(fam.n):
                     near = [w for _, later in firsts[v] for w in later]
                     assert list(term.first_edges[v]) == [eid for eid, _ in firsts[v]], v
@@ -648,9 +647,7 @@ class TestEngineEquality:
                     for v in set(edges[i]) | set(edges[j]):
                         if sum(rank[x] >= rank[v] for x in shared) >= 2:
                             assert (v, i, j) in seen, (v, i, j)
-                got = collections.Counter({(name, *key): count for name in ("T", "Tc", "Qc")
-                                           for key, count in getattr(term, name).visits.items()})
-                assert got == +want, (order, kind, got, want)
+                assert term.S.visits == +want, (order, kind, term.S.visits, want)
 
     def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
         # a linear hypergraph (delta2 == 1): every overlapping pair shares one
@@ -752,18 +749,25 @@ def _numbered(rows, rank):
 
 
 def _assert_vertex_sums(term, edges, labels):
-    """T and the packed Tc and Qc of every open vertex, recounted from the
-    labels: an edge's P is A[u][0] and its row A[u][1] on its free colours
-    while its decided colours are distinct, and both are 0 once they are
-    not.  Each packed sum is its fields exactly; the open vertices of every
-    edge, and the later co-vertices of every open vertex's first-vertex
-    edges, sum to fields below the field width, so no sum the keys form
-    carries.  The decided vertices must come first in the term's order."""
-    r, A, offsets = term.r, term.A, term.offsets
+    """The packed sum S of every open vertex, recounted from the labels: an
+    edge's P is A[u][0] and its row A[u][1] on its free colours while its
+    decided colours are distinct, and both are 0 once they are not.  S[w]
+    is exactly its 2r+1 fields (rows, P, squared rows), each at most D *
+    r^(2r) for D the member's largest degree.  Every field of every sum the
+    keys form (a vertex's own S, the open vertices of every edge and each
+    open vertex's first_near) stays within the class docstring's bound
+    (r-1) * D^2 * r^(2r), so within the field mask, whose width is that
+    bound's bit length; no sum carries.  The decided vertices must come
+    first in the term's order."""
+    r, A = term.r, term.A
     at = collections.defaultdict(list)
     for e in edges:
         for w in e:
             at[w].append(e)
+    top = max(map(len, at.values()), default=0)
+    bound = (r - 1) * top * top * r ** (2 * r)
+    assert term.fmask == (1 << bound.bit_length()) - 1
+    offsets = [*term.offsets, term.p_at, *(term.sq_at + o for o in term.offsets)]
     fields = {}
     for w, label in enumerate(labels):
         if label != UNDECIDED:
@@ -775,19 +779,18 @@ def _assert_vertex_sums(term, edges, labels):
             u = r - len(taken)
             ps.append(A[u][0] if live else 0)
             rows.append([A[u][1] if live and c not in taken else 0 for c in range(r)])
-        tc = fields[w] = [sum(row[c] for row in rows) for c in range(r)]
-        qc = [sum(row[c] ** 2 for row in rows) for c in range(r)]
-        assert term.T[w] == sum(ps), w
-        assert [term.Tc[w] >> o & term.fmask for o in offsets] == tc, w
-        assert [term.Qc[w] >> o & term.fmask for o in offsets] == qc, w
-        assert term.Tc[w] == sum(x << o for x, o in zip(tc, offsets)), w
-        assert term.Qc[w] == sum(x << o for x, o in zip(qc, offsets)), w
-    for e in edges:
-        near = [sum(fields[w][c] for w in e if w in fields) for c in range(r)]
-        assert max(near) <= term.fmask, (e, near)
-    for v in fields:
-        near = [sum(fields[w][c] for w in term.first_near[v]) for c in range(r)]
-        assert max(near) <= term.fmask, (v, near)
+        assert max(ps, default=0) <= r ** (r - 1) and max(map(max, rows), default=0) <= r ** r
+        want = fields[w] = ([sum(row[c] for row in rows) for c in range(r)] + [sum(ps)]
+                            + [sum(row[c] ** 2 for row in rows) for c in range(r)])
+        assert max(want) <= top * r ** (2 * r), (w, want)
+        assert [term.S[w] >> o & term.fmask for o in offsets] == want, w
+        assert term.S[w] == sum(x << o for x, o in zip(want, offsets)), w
+    sums = [[w] for w in fields] + [[w for w in e if w in fields] for e in edges]
+    sums += [term.first_near[v] for v in fields]
+    for ws in sums:
+        near = [sum(fields[w][f] for w in ws) for f in range(2 * r + 1)]
+        assert max(near, default=0) <= bound, (ws, near)
+        assert [sum(term.S[w] for w in ws) >> o & term.fmask for o in offsets] == near, ws
 
 
 def _loose_rainbow(hf, i):
