@@ -69,10 +69,13 @@ def _content_lines(text: str):
 
 
 def _int_token(tok: str, lineno: int, what: str) -> int:
+    """An optional ``-`` and decimal digits; `int` alone also reads ``+3`` and ``1_0``."""
     try:
-        return int(tok)
-    except ValueError:
-        raise InstanceFormatError(lineno, f"{what} must be an integer, got {tok!r}") from None
+        if (tok[1:] if tok.startswith("-") else tok).isdecimal():
+            return int(tok)
+    except ValueError:          # more digits than `int` converts
+        pass
+    raise InstanceFormatError(lineno, f"{what} must be an integer, got {tok!r}")
 
 
 def parse_instance(text: str):

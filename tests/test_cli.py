@@ -355,6 +355,24 @@ def test_uniformity_off_2_to_n_names_line_1(c5_file, tmp_path, capsys, r):
         assert err == f"error: line 1: uniformity must be in 2..n = 3, got {r}\n", err
 
 
+@pytest.mark.parametrize("token", ["1_0", "+3"])
+@pytest.mark.parametrize("text, line, what", [
+    ("graphs {} vertices 12\nedges 1\n0 1\n", 1, "ell"),
+    ("graphs 1 vertices {}\nedges 1\n0 1\n", 1, "n"),
+    ("hypergraphs 1 vertices 12 uniformity {}\nedges 1\n0 1 2\n", 1, "r"),
+    ("graphs 1 vertices 12\nedges {}\n0 1\n", 2, "edge count"),
+    ("graphs 1 vertices 12\nedges 2\n0 1\n{} 2\n", 4, "vertex index"),
+], ids=["ell", "n", "r", "edge-count", "vertex-index"])
+def test_integers_are_a_sign_and_decimal_digits(tmp_path, capsys, token, text, line, what):
+    # int() alone reads 1_0 as 10 and +3 as 3
+    inst = tmp_path / "signed.instance"
+    inst.write_text(text.format(token))
+    theorem = "hyp" if text.startswith("hyper") else "1"
+    assert main(["partition", str(inst), "--theorem", theorem]) == 2
+    captured = capsys.readouterr()
+    assert captured == ("", f"error: line {line}: {what} must be an integer, got {token!r}\n")
+
+
 def test_verify_mc_balanced_report(c5_file, tmp_path):
     rep = tmp_path / "b.report"
     assert main(["partition", str(c5_file), "--theorem", "1", "--method", "mc",
