@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter, sub
 
 from .model import Assignment, GraphFamily
 from .estimator import EventSpec
@@ -48,12 +49,14 @@ def _gray_enumerate(n_digits: int, k: int):
             f[j + 1] = j + 1
 
 
-def _enumerate_partitions(family: GraphFamily, k: int, visit):
-    """Drive `visit(labels, cuts)` over all partitions with vertex 0 pinned.
+def _enumerate_partitions(family: GraphFamily, k: int):
+    """Yield ``(labels, cuts)`` for every partition with vertex 0 pinned, in
+    Gray-code order.
 
     `cuts[i]` is maintained incrementally as the number of crossing edges of
-    graph i.  Label-symmetric objectives lose nothing by pinning vertex 0 to
-    class 0.  `visit` may return True to stop early.
+    graph i.  Both lists are updated in place after each yield, so a caller
+    copies what it keeps.  Label-symmetric objectives lose nothing by pinning
+    vertex 0 to class 0.
     """
     n = family.n
     if k < 2:
@@ -72,8 +75,7 @@ def _enumerate_partitions(family: GraphFamily, k: int, visit):
 
     labels = [0] * n
     cuts = [0] * family.ell
-    if visit(labels, cuts):
-        return
+    yield labels, cuts
     if n <= 1:
         return
     for digit, value in _gray_enumerate(n - 1, k):
@@ -86,8 +88,7 @@ def _enumerate_partitions(family: GraphFamily, k: int, visit):
                 delta += (value != lu) - (old != lu)
             cuts[g] += delta
         labels[v] = value
-        if visit(labels, cuts):
-            return
+        yield labels, cuts
 
 
 def enumerate_best(family: GraphFamily, k: int, objective,
@@ -101,56 +102,36 @@ def enumerate_best(family: GraphFamily, k: int, objective,
       "feasible"     first partition with crossing_i >= thresholds[i] for all
                      i, or (None, False) if none exists
 
-    Returns (Assignment, value); for "feasible" the value is True/False.
+    Ties go to the first partition in enumeration order.  Returns
+    (Assignment, value); for "feasible" the value is True/False.
     """
     if objective == "maxcut":
         if family.ell != 1:
             raise ValueError("maxcut objective expects a single graph")
-        best = {"value": -1, "labels": None}
-
-        def visit(labels, cuts):
-            if cuts[0] > best["value"]:
-                best["value"] = cuts[0]
-                best["labels"] = tuple(labels)
-            return False
-
-        _enumerate_partitions(family, k, visit)
-        return Assignment(best["labels"], k), best["value"]
-
-    if objective == "simultaneous":
+        score = itemgetter(0)
+    elif objective == "simultaneous":
         if centers is None:
             centers = [m / 2 for m in family.m]
         if len(centers) != family.ell:
             raise ValueError(f"need one center per graph, got {len(centers)}")
-        best = {"value": None, "labels": None}
 
-        def visit(labels, cuts):
-            value = min(c - ctr for c, ctr in zip(cuts, centers))
-            if best["value"] is None or value > best["value"]:
-                best["value"] = value
-                best["labels"] = tuple(labels)
-            return False
-
-        _enumerate_partitions(family, k, visit)
-        return Assignment(best["labels"], k), best["value"]
-
-    if objective == "feasible":
+        def score(cuts):
+            return min(map(sub, cuts, centers))
+    elif objective == "feasible":
         if thresholds is None or len(thresholds) != family.ell:
             raise ValueError("feasible objective needs one threshold per graph")
-        hit = {"labels": None}
-
-        def visit(labels, cuts):
+        for labels, cuts in _enumerate_partitions(family, k):
             if all(c >= t for c, t in zip(cuts, thresholds)):
-                hit["labels"] = tuple(labels)
-                return True
-            return False
-
-        _enumerate_partitions(family, k, visit)
-        if hit["labels"] is None:
-            return None, False
-        return Assignment(hit["labels"], k), True
-
-    raise ValueError(f"unknown objective {objective!r}")
+                return Assignment(tuple(labels), k), True
+        return None, False
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    best = value = None
+    for labels, cuts in _enumerate_partitions(family, k):
+        x = score(cuts)
+        if value is None or x > value:
+            best, value = tuple(labels), x
+    return Assignment(best, k), value
 
 
 def max_cut(family: GraphFamily) -> int:
