@@ -441,10 +441,11 @@ class _RainbowTerm:
         # all vertices open: every edge has P = A[r][0] = A[r][1] = r!, so the
         # rows equal P and edges meeting at one open vertex are uncorrelated
         a0 = self.A[r][0]
-        unit = sum((a0 << o) + (a0 * a0 << self.sq_at + o) for o in self.offsets)
+        unit = (a0 << self.p_at) + sum((a0 << o) + (a0 * a0 << self.sq_at + o)
+                                       for o in self.offsets)
         self.M = [0] * m
         self.sumP = m * a0
-        self.S = [d * (unit + (a0 << self.p_at)) for d in degrees.tolist()]
+        self.S = [d * unit for d in degrees.tolist()]
         # sumP is mu_rr: the quadratic is r^r * (r^r * sumP - sum P^2) plus
         # the doubled corr of the multi-shared pairs
         self.quads = [m * a0 * (self.D1 - a0) * self.D1
