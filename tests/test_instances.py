@@ -512,3 +512,101 @@ def test_check_generator_rejects_what_generate_cannot_build():
             check_generator(kind, n=8, m=5, degree=2, ell=0)
     with pytest.raises(ValueError, match="unknown generator kind"):
         check_generator("grid", n=8)
+
+
+# sha256 of serialize_instance(generate(kind, seed=seed, **params)) at seeds 3
+# and 1001.  The first nine shapes are the benchmark workloads' instances
+# (mc-io, derand-graph, derand-hyp, then the suite-small generators); a
+# generator rewrite must keep every byte of every one of them.
+GENERATED_SHA256 = [
+    ("gnm", dict(n=5000, m=2000, ell=16),
+     "f8b29ea097027deecd3a3c5b6158d9ae8fd75b5ef67a03c2fb0fe7186383246b",
+     "15b8c58eb5525ed0fa5df68704b831b003f4790412f45bca25f85a18bc266efa"),
+    ("runiform", dict(n=3000, m=8000, r=3, ell=2),
+     "041454aa74fbb28ab471dd4d404a8048fefa86b52b3491c0f19ddf71b7b579fa",
+     "2393134ea47cc9692206cc11049015e7fe05b4f7e7a739457bf31b99b6ea6cbb"),
+    ("gnm", dict(n=1000, m=4000, ell=4),
+     "b8c34a64c7ca82139508e126e2ad6ea20aac934f41278bcda06c644abdff9729",
+     "29d8f3e3e89dba607b2e61934eff4166aa261d8908c701061f92d6d8b06fb405"),
+    ("bounded-degree", dict(n=1500, degree=2, ell=1),
+     "637f02240eab15af15a917eeabebe431d189337ab1efeba372d5ffb64652f99f",
+     "bf69deb98b15d8b90656270896be44f0376f2f482bf4d2c1a5608fbc4dbff0b6"),
+    ("runiform", dict(n=70, m=200, r=3, ell=2),
+     "9f1d399cae01f8164ec9a10a71578d8cafc1e32ad4958bfa06ec4b24f77a408e",
+     "960cfbadcb0950cefb4e57a6a1f0db0915bc66050a52f4f3edf316e8dd1a5185"),
+    ("runiform", dict(n=22, m=110, r=3, ell=2),
+     "fe60c6e000bc9f748784562aacc252e3779e41b5ee9e7de376233c54642b3a25",
+     "a67992175d4dd4dc4f7b4d967cef42f66a8737f5ac35687fecb95eb3c2bf7225"),
+    ("gnm", dict(n=60, m=300, ell=2),
+     "16f312cbcd53d3302f1bb8af18325e11e68e868533c65f01757117ec6cf7b410",
+     "3210f903e9b22cde40053b66342d99202eed9d24277c602103775447389c596c"),
+    ("bounded-degree", dict(n=300, degree=2, ell=1),
+     "d6cae6d246fb705cd470efa48b210ae94a896f688c75f9dc6d66d5d3a9f89193",
+     "a2aef09c988c44dc21e5650b30d0a6a046f0ff70cbc9864f78ad4ebdfda54e34"),
+    ("runiform", dict(n=30, m=60, r=3, ell=2),
+     "fe575c98686f1c2ce5a6e1f5a74a767f15ef384d55d6a448f5fab69bc8f8ad99",
+     "15703103e23918eb7c6f2ffa4f0080b156c3b45afd59170b68d31911997a4f17"),
+    # dense bounded-degree: K5 and K7 (the same at every seed), then unions
+    # whose later cycles are rejected many times before one fits
+    ("bounded-degree", dict(n=5, degree=4, ell=2),
+     "87bd2ca8e6523f91f13ed2484cb78861cd20a7f2f1a18e377f693c9b47fe7422",
+     "87bd2ca8e6523f91f13ed2484cb78861cd20a7f2f1a18e377f693c9b47fe7422"),
+    ("bounded-degree", dict(n=7, degree=6, ell=2),
+     "2e845347eaf8dc0a3ec08ef8411ef351352b81adb79112e8b2bd66942d2c7c94",
+     "2e845347eaf8dc0a3ec08ef8411ef351352b81adb79112e8b2bd66942d2c7c94"),
+    ("bounded-degree", dict(n=9, degree=6, ell=2),
+     "907fc8cfc9aca716d01f9c7b7a235e6765770abfc9d86587b82245e81c1c4cd2",
+     "5c966b3b3a95ae497c2682053365f53a9035f4bb7765cec290ac73b1a181de7c"),
+    ("bounded-degree", dict(n=50, degree=4, ell=2),
+     "0339a32b11c47b145fb75e6c473e0011cc1ee2605f56f1be2b75732e23939c25",
+     "f7359b0ccf491b1e7d0dc180600d33d815a45c8ec63d87576f594f4cdee1a3ef"),
+    # gnm at the edges of the rank range: empty, one pair, complete, near
+    # complete, and n = 2**32 (the largest n whose C(n, 2) is below 2**63)
+    ("gnm", dict(n=0, m=0),
+     "b6620eaa2290d7e0e4b45dd2fa68852c5fee31090e7e384b65a399df143fd834",
+     "b6620eaa2290d7e0e4b45dd2fa68852c5fee31090e7e384b65a399df143fd834"),
+    ("gnm", dict(n=2, m=1),
+     "cd4a8721224e1ff606e9f2a1baf563d3315f39091a0023506925c908a2268f53",
+     "cd4a8721224e1ff606e9f2a1baf563d3315f39091a0023506925c908a2268f53"),
+    ("gnm", dict(n=5, m=10, ell=2),
+     "87bd2ca8e6523f91f13ed2484cb78861cd20a7f2f1a18e377f693c9b47fe7422",
+     "87bd2ca8e6523f91f13ed2484cb78861cd20a7f2f1a18e377f693c9b47fe7422"),
+    ("gnm", dict(n=100, m=4900, ell=2),
+     "d73cbd8c62640e0692cf23612160d9a22efffe3f545b930f3f4729aa2a1b22a0",
+     "b785ba44b3440bcfd27618e501f8fbeb6a93d65723f530fd99e29785ccaa9b1d"),
+    ("gnm", dict(n=3037000500, m=7, ell=2),
+     "00aaf7082be6b605e885da3d022c5a856a676cabf7f3e19d8a13937563401602",
+     "c09c3b3b6493abad9d5f373751095ef659771923c3326a12fc4c6e64270840ed"),
+    ("gnm", dict(n=2**32, m=5),
+     "9340f9fbda93153249e470b0402615ec7c05a27dd9eecbbfe893b3646d67ea21",
+     "30c4115780262061d586d2b76f8cbf861c93a6d92d8e2469125bd1415ce2060e"),
+    ("runiform", dict(n=6, m=20, r=3),
+     "599e3b5b0cd955738b1cdf09e2ca4a6627ab34193aea1a6425d16ff7881a9b54",
+     "599e3b5b0cd955738b1cdf09e2ca4a6627ab34193aea1a6425d16ff7881a9b54"),
+    ("runiform", dict(n=100000, m=50, r=5),
+     "1b3e842d0ff3e3efd4627b33aacde1cb7fabfe51f858278218daf8a574abf8d3",
+     "15b01922f787bbdc00a09f55e6f585a9ca8c4cef3dfa024b92d075c0f535d4c6"),
+    ("disjoint-cycles", dict(n=9),
+     "0f6f052f15bfd408c78eb7e2428ad89065c3d9df7eadb012a8d2fc3a435b67ba",
+     "0f6f052f15bfd408c78eb7e2428ad89065c3d9df7eadb012a8d2fc3a435b67ba"),
+    ("star", dict(n=11),
+     "433dc865a5d36731a499f05f4930b3e02fbda42b9fb582223ccce3727428126c",
+     "433dc865a5d36731a499f05f4930b3e02fbda42b9fb582223ccce3727428126c"),
+]
+
+
+@pytest.mark.parametrize("kind,params,at3,at1001", GENERATED_SHA256,
+                         ids=[f"{k}-{'-'.join(map(str, p.values()))}"
+                              for k, p, *_ in GENERATED_SHA256])
+def test_generated_bytes_are_pinned(kind, params, at3, at1001):
+    for seed, want in ((3, at3), (1001, at1001)):
+        text = serialize_instance(generate(kind, seed=seed, **params))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, seed
+
+
+def test_bounded_degree_gives_up_after_a_thousand_attempts():
+    # four edge-disjoint Hamilton cycles would cover K9: random attempts never find them
+    for seed in (3, 1001):
+        with pytest.raises(ValueError, match="^could not place 4 edge-disjoint Hamilton "
+                                             "cycles on 9 vertices$"):
+            generate("bounded-degree", n=9, degree=8, seed=seed)
