@@ -33,6 +33,14 @@ Canonical text whose rows are already ascending and whose numbers have no
 leading zeros is byte-equal to serialize_instance of its family.  For such
 text the family records the sha256 of the text itself (``source_sha256``),
 so the report digest needs no second serialization.
+
+The generators draw from one numpy stream per member, ``substream(seed,
+g)``, so their output is a pure function of the parameters.  Per member,
+gnm draws one ``choice`` of m distinct pair ranks, bounded-degree one
+permutation per Hamilton-cycle attempt, and runiform one ``choice`` of r
+distinct vertices per draw until m distinct hyperedges are in hand.
+Everything after the draws is vectorized: ranks are decoded to pairs in int64 arrays, and
+cycle edges are kept as sorted ``u*n + v`` keys.
 """
 
 from __future__ import annotations
@@ -68,14 +76,32 @@ def _content_lines(text: str):
         yield lineno, stripped
 
 
+#: most digits of an instance integer: 2**64 - 1 has 20, so every count or
+#: index just past int64 still reaches the range check that names it
+_INT_DIGITS = 20
+_INT_TOKEN = re.compile(rf"-?\d{{1,{_INT_DIGITS}}}")
+#: most characters of a token or line that a diagnostic quotes
+_QUOTED = 40
+
+
+def _quoted(text: str) -> str:
+    """``repr`` of text, cut to its first _QUOTED characters when longer."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
+
 def _int_token(tok: str, lineno: int, what: str) -> int:
-    """An optional ``-`` and decimal digits; `int` alone also reads ``+3`` and ``1_0``."""
-    try:
-        if (tok[1:] if tok.startswith("-") else tok).isdecimal():
-            return int(tok)
-    except ValueError:          # more digits than `int` converts
-        pass
-    raise InstanceFormatError(lineno, f"{what} must be an integer, got {tok!r}")
+    """An optional ``-`` and 1 to _INT_DIGITS decimal digits.
+
+    `int` alone also reads ``+3``, ``1_0`` and thousands of digits.
+    """
+    if _INT_TOKEN.fullmatch(tok):
+        return int(tok)
+    if tok.removeprefix("-").isdecimal():
+        raise InstanceFormatError(
+            lineno, f"{what} must have at most {_INT_DIGITS} digits, got {_quoted(tok)}")
+    raise InstanceFormatError(lineno, f"{what} must be an integer, got {_quoted(tok)}")
 
 
 def parse_instance(text: str):
@@ -146,9 +172,10 @@ def _located_family(n: int, r: int | None, members, lines):
         raise InstanceFormatError(line, str(exc)) from exc
 
 
-_GRAPHS_HEADER = re.compile(r"graphs ([0-9]+) vertices ([0-9]+)\n")
-_HYPERGRAPHS_HEADER = re.compile(r"hypergraphs ([0-9]+) vertices ([0-9]+) uniformity ([0-9]+)\n")
-_BLOCK_HEADER = re.compile(r"edges ([0-9]+)\n")
+_COUNT = rf"([0-9]{{1,{_INT_DIGITS}}})"
+_GRAPHS_HEADER = re.compile(rf"graphs {_COUNT} vertices {_COUNT}\n")
+_HYPERGRAPHS_HEADER = re.compile(rf"hypergraphs {_COUNT} vertices {_COUNT} uniformity {_COUNT}\n")
+_BLOCK_HEADER = re.compile(rf"edges {_COUNT}\n")
 #: non-digit bytes of an ``edges <m>`` line: the six of ``edges `` and its LF
 _BLOCK_HEADER_STOPS = 7
 #: most digits of a vertex index in the canonical grammar; 18 always fit in int64
@@ -266,7 +293,7 @@ def _scan_members(text: str):
         n = _int_token(tokens[3], lineno, "n")
         r = _int_token(tokens[5], lineno, "r")
     else:
-        raise InstanceFormatError(lineno, f"unknown header {tokens[0]!r}")
+        raise InstanceFormatError(lineno, f"unknown header {_quoted(tokens[0])}")
     if ell < 1:
         raise InstanceFormatError(lineno, f"ell must be >= 1, got {ell}")
     if n < 0:
@@ -287,7 +314,8 @@ def _scan_members(text: str):
                 None, f"member {g}: expected 'edges <m>' but the file ended") from None
         tokens = line.split()
         if len(tokens) != 2 or tokens[0] != "edges":
-            raise InstanceFormatError(lineno, f"member {g}: expected 'edges <m>', got {line!r}")
+            raise InstanceFormatError(
+                lineno, f"member {g}: expected 'edges <m>', got {_quoted(line)}")
         m = _int_token(tokens[1], lineno, "edge count")
         if m < 0:
             raise InstanceFormatError(lineno, f"member {g}: edge count must be >= 0")
@@ -317,7 +345,8 @@ def _scan_members(text: str):
     except StopIteration:
         pass
     else:
-        raise InstanceFormatError(lineno, f"trailing content {line!r} after the last member")
+        raise InstanceFormatError(
+            lineno, f"trailing content {_quoted(line)} after the last member")
 
     return n, r, members, lines
 
@@ -336,55 +365,78 @@ def serialize_instance(family) -> str:
     return "".join(out)
 
 
-def _pair_from_index(x: int, n: int) -> tuple[int, int]:
-    """Decode a rank in [0, C(n,2)) to the pair (u, v), u < v, in row order."""
-    # offset(u) = u*(2n - u - 1)/2 ranks the first pair of row u
-    disc = (2 * n - 1) ** 2 - 8 * x
-    u = (2 * n - 1 - math.isqrt(disc)) // 2
-    while u * (2 * n - u - 1) // 2 > x:
-        u -= 1
-    while (u + 1) * (2 * n - u - 2) // 2 <= x:
-        u += 1
-    v = x - u * (2 * n - u - 1) // 2 + u + 1
-    return u, v
+def _row_offset(u: np.ndarray, n: int) -> np.ndarray:
+    """Rank of the first pair (u, u+1) of row u: u*(2n - u - 1)/2.
+
+    The even factor is halved before the product, so the product is the
+    offset itself, at most C(n, 2), which gnm keeps below 2**63.
+    """
+    even = u % 2 == 0
+    return np.where(even, u // 2 * (2 * n - 1 - u), u * ((2 * n - 1 - u) // 2))
 
 
-def _gnm_edges(n: int, m: int, rng) -> tuple:
-    ncr = n * (n - 1) // 2
-    ranks = rng.choice(ncr, size=m, replace=False)
-    return tuple(sorted(_pair_from_index(int(x), n) for x in ranks))
+def _pairs_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
+    """Pairs (u, v), u < v, of ranks in [0, C(n,2)) in row order, as an (m, 2) int64 array.
+
+    Rank x counts from the last pair back as y = C(n,2) - 1 - x; the rows
+    from the end hold 1, 2, 3, .. pairs, so y lies in row j from the end
+    for j = floor((sqrt(8y + 1) - 1) / 2).  The float estimate of u =
+    n - 2 - j is then corrected exactly against the integer row offsets.
+    """
+    x = np.asarray(ranks, dtype=np.int64)
+    y = (n * (n - 1) // 2 - 1) - x
+    j = ((np.sqrt(8 * y.astype(np.float64) + 1) - 1) // 2).astype(np.int64)
+    u = n - 2 - j
+    while (over := _row_offset(u, n) > x).any():
+        u -= over
+    while (under := _row_offset(u + 1, n) <= x).any():
+        u += under
+    return np.stack((u, x - _row_offset(u, n) + u + 1), axis=1)
 
 
-def _hamilton_union(n: int, cycles: int, rng) -> tuple:
-    """Edge-disjoint union of `cycles` random Hamilton cycles (degree 2*cycles)."""
-    edges: set[tuple[int, int]] = set()
+def _gnm_edges(n: int, m: int, rng) -> np.ndarray:
+    # rank order is row order, so sorted ranks decode to sorted rows
+    return _pairs_from_ranks(np.sort(rng.choice(n * (n - 1) // 2, size=m, replace=False)), n)
+
+
+def _cycle_keys(order: np.ndarray, n: int, step: int = 1) -> np.ndarray:
+    """Key u*n + v, u < v, of each edge from order[i] to order[(i + step) % len(order)]."""
+    order = np.asarray(order, dtype=np.int64)
+    nxt = np.roll(order, -step)
+    return np.minimum(order, nxt) * n + np.maximum(order, nxt)
+
+
+def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The edges of ``u*n + v`` keys as sorted (m, 2) rows."""
+    keys = np.sort(keys)
+    return np.stack((keys // n, keys % n), axis=1)
+
+
+def _hamilton_union(n: int, cycles: int, rng) -> np.ndarray:
+    """Edge-disjoint union of `cycles` random Hamilton cycles (degree 2*cycles).
+
+    An attempt draws one permutation and is kept when none of its edges is
+    in the union yet; the n edges of a Hamilton cycle on n >= 3 vertices
+    never repeat each other.
+    """
+    union = np.empty(0, dtype=np.int64)     # sorted keys
     for _ in range(cycles):
         for _attempt in range(1000):
-            perm = rng.permutation(n)
-            cyc = set()
-            ok = True
-            for i in range(n):
-                u, v = int(perm[i]), int(perm[(i + 1) % n])
-                e = (u, v) if u < v else (v, u)
-                if e in edges or e in cyc:
-                    ok = False
-                    break
-                cyc.add(e)
-            if ok and len(cyc) == n:
-                edges |= cyc
+            keys = _cycle_keys(rng.permutation(n), n)
+            if not np.isin(keys, union, assume_unique=True).any():
+                union = np.sort(np.concatenate((union, keys)))
                 break
         else:
             raise ValueError(
                 f"could not place {cycles} edge-disjoint Hamilton cycles on {n} vertices")
-    return tuple(sorted(edges))
+    return _key_rows(union, n)
 
 
-def _runiform_edges(n: int, m: int, r: int, rng) -> tuple:
+def _runiform_edges(n: int, m: int, r: int, rng) -> list:
     edges: set[tuple[int, ...]] = set()
     while len(edges) < m:
-        e = tuple(sorted(int(x) for x in rng.choice(n, size=r, replace=False)))
-        edges.add(e)
-    return tuple(sorted(edges))
+        edges.add(tuple(sorted(rng.choice(n, size=r, replace=False).tolist())))
+    return sorted(edges)
 
 
 def generate(kind: str, *, n: int, m: int | None = None, ell: int = 1,
@@ -401,20 +453,26 @@ def generate(kind: str, *, n: int, m: int | None = None, ell: int = 1,
     runiform        ell independent r-uniform hypergraphs with m edges
 
     Member g of the instance is drawn from substream (seed, g), so output
-    is a pure function of the parameters.
+    is a pure function of the parameters.  The draws per member are fixed:
+    gnm draws one ``choice(C(n,2), size=m, replace=False)`` of pair ranks
+    and decodes them all at once in row order; bounded-degree draws one
+    ``permutation(n)`` per attempt at each cycle (at most 1000 attempts)
+    and keeps it when none of its edges is taken yet; runiform draws one
+    ``choice(n, size=r, replace=False)`` at a time until it holds m
+    distinct hyperedges.  disjoint-cycles and star draw nothing.  Rows
+    come out sorted, graph members as int64 arrays.
     """
     check_generator(kind, n=n, m=m, ell=ell, r=r, degree=degree)
     if kind == "gnm":
         graphs = tuple(_gnm_edges(n, m, substream(seed, g)) for g in range(ell))
         return GraphFamily(n=n, graphs=graphs)
     if kind == "disjoint-cycles":
-        step1 = tuple(sorted((i, (i + 1) % n) if i < (i + 1) % n else ((i + 1) % n, i)
-                             for i in range(n)))
-        step2 = tuple(sorted((i, (i + 2) % n) if i < (i + 2) % n else ((i + 2) % n, i)
-                             for i in range(n)))
-        return GraphFamily(n=n, graphs=(step1, step2))
+        ring = np.arange(n, dtype=np.int64)
+        return GraphFamily(n=n, graphs=tuple(_key_rows(_cycle_keys(ring, n, step), n)
+                                             for step in (1, 2)))
     if kind == "star":
-        return GraphFamily(n=n, graphs=(tuple((0, i) for i in range(1, n)),))
+        return GraphFamily(n=n, graphs=(np.stack((np.zeros(n - 1, dtype=np.int64),
+                                                  np.arange(1, n)), axis=1),))
     if kind == "bounded-degree":
         graphs = tuple(_hamilton_union(n, degree // 2, substream(seed, g))
                        for g in range(ell))
@@ -443,6 +501,9 @@ def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
         raise ValueError(f"a family needs at least one {member}")
     if n >= _VERTEX_LIMIT:
         raise ValueError(f"n must be below 2**63, got {n}")
+    if kind in ("disjoint-cycles", "bounded-degree") and n * n >= _VERTEX_LIMIT:
+        raise ValueError(f"{kind} keys each edge (u, v) as u*n + v, so n*n must be "
+                         f"below 2**63, got n={n}")
     if kind == "gnm":
         if m is None:
             raise ValueError("gnm needs m")

@@ -373,6 +373,29 @@ def test_integers_are_a_sign_and_decimal_digits(tmp_path, capsys, token, text, l
     assert captured == ("", f"error: line {line}: {what} must be an integer, got {token!r}\n")
 
 
+LONG = "9" * 5000    # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("text, line, what", [
+    (f"graphs 1 vertices {LONG}\nedges 0\n", 1, "n"),
+    (f"graphs 1 vertices 4\nedges {LONG}\n0 1\n", 2, "edge count"),
+    (f"hypergraphs 1 vertices 4 uniformity {LONG}\nedges 0\n", 1, "r"),
+    (f"# a comment\ngraphs 1 vertices {LONG}\nedges 0\n", 2, "n"),
+    (f"# a comment\ngraphs 1 vertices 4\nedges {LONG}\n0 1\n", 3, "edge count"),
+    (f"graphs 1 vertices 4\nedges 1\n0 {LONG}\n", 3, "vertex index"),
+], ids=["header", "edges", "uniformity", "header-after-comment", "edges-after-comment",
+        "vertex-index"])
+def test_integers_have_at_most_20_digits(tmp_path, capsys, text, line, what):
+    # the message names the line and quotes the first 40 characters of the token
+    inst = tmp_path / "long.instance"
+    inst.write_text(text)
+    theorem = "hyp" if text.startswith("hyper") else "1"
+    assert main(["partition", str(inst), "--theorem", theorem]) == 2
+    captured = capsys.readouterr()
+    assert captured == ("", f"error: line {line}: {what} must have at most 20 digits, got "
+                            f"{'9' * 40!r}... (5000 characters)\n")
+
+
 def test_verify_mc_balanced_report(c5_file, tmp_path):
     rep = tmp_path / "b.report"
     assert main(["partition", str(c5_file), "--theorem", "1", "--method", "mc",

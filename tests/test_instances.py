@@ -15,6 +15,7 @@ from simulcut.instances import (
     _canonical_members,
     _family,
     _located_family,
+    _pairs_from_ranks,
     _scan_members,
     check_generator,
     generate,
@@ -610,3 +611,72 @@ def test_bounded_degree_gives_up_after_a_thousand_attempts():
         with pytest.raises(ValueError, match="^could not place 4 edge-disjoint Hamilton "
                                              "cycles on 9 vertices$"):
             generate("bounded-degree", n=9, degree=8, seed=seed)
+
+
+def _first_rank(u, n):
+    """Rank of the pair (u, u + 1): the pairs of rows 0..u-1 come before it."""
+    return u * (2 * n - u - 1) // 2
+
+
+def _pair_of_rank(x, n):
+    """The pair of rank x in Python ints: its row is the last whose first rank is <= x."""
+    lo, hi = 0, n - 1           # _first_rank(lo) <= x < _first_rank(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _first_rank(mid, n) <= x else (lo, mid)
+    return [lo, x - _first_rank(lo, n) + lo + 1]
+
+
+#: 2**32 is the largest n whose C(n, 2) is below 2**63; at 3037000500, n*n
+#: already passes 2**63 while C(n, 2) does not
+BIG_NS = (2**32, 2**32 - 1, 3037000500)
+
+
+def test_rank_decoding_matches_combinations():
+    for n in range(41):
+        want = list(itertools.combinations(range(n), 2))
+        got = _pairs_from_ranks(np.arange(len(want), dtype=np.int64), n)
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert list(map(tuple, got.tolist())) == want, n
+    for n in (0, 1, 2, 40, *BIG_NS):
+        assert _pairs_from_ranks(np.empty(0, dtype=np.int64), n).shape == (0, 2)
+        assert generate("gnm", n=n, m=0, ell=2).m == (0, 0)
+
+
+@pytest.mark.parametrize("n", BIG_NS)
+def test_rank_decoding_exact_at_the_largest_n(n):
+    pairs = n * (n - 1) // 2
+    # the first and last rank of the first and last thousand rows
+    rows = [*range(1000), *range(n - 1001, n - 1)]
+    ranks = [_first_rank(u, n) for u in rows] + [_first_rank(u + 1, n) - 1 for u in rows]
+    got = _pairs_from_ranks(np.array(ranks, dtype=np.int64), n).tolist()
+    assert got == [_pair_of_rank(x, n) for x in ranks]
+    # the last 10**5 ranks, where the float row estimate is least precise, are
+    # the pairs of the last rows in order
+    tail = []
+    u = n - 2
+    while len(tail) < 10**5:
+        tail[:0] = [[u, v] for v in range(u + 1, n)]
+        u -= 1
+    tail = tail[-10**5:]
+    got = _pairs_from_ranks(np.arange(pairs - 10**5, pairs, dtype=np.int64), n)
+    assert got.tolist() == tail
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rank_decoding_property(data):
+    n = data.draw(st.sampled_from(BIG_NS) | st.integers(min_value=2, max_value=2**32))
+    ranks = data.draw(st.lists(st.integers(min_value=0, max_value=n * (n - 1) // 2 - 1),
+                               max_size=40))
+    rows = data.draw(st.lists(st.integers(min_value=0, max_value=n - 2), max_size=20))
+    ranks += [_first_rank(u, n) for u in rows] + [_first_rank(u + 1, n) - 1 for u in rows]
+    got = _pairs_from_ranks(np.array(ranks, dtype=np.int64), n).tolist()
+    assert got == [_pair_of_rank(x, n) for x in ranks]
+
+
+def test_keyed_generators_refuse_n_whose_square_passes_int64():
+    for kind, params in (("disjoint-cycles", {}), ("bounded-degree", dict(degree=2))):
+        check_generator(kind, n=3037000499, **params)
+        with pytest.raises(ValueError, match=r"n\*n must be below 2\*\*63, got n=3037000501"):
+            check_generator(kind, n=3037000501, **params)
