@@ -39,8 +39,8 @@ g)``, so their output is a pure function of the parameters.  Per member,
 gnm draws one ``choice`` of m distinct pair ranks, bounded-degree one
 permutation per Hamilton-cycle attempt, and runiform one ``choice`` of r
 distinct vertices per draw until m distinct hyperedges are in hand.
-Everything after the draws is vectorized: ranks are decoded to pairs in int64 arrays, and
-cycle edges are kept as sorted ``u*n + v`` keys.
+Everything after the draws is vectorized: ranks are decoded to pairs in
+int64 arrays, and cycle edges are kept as sorted ``u*n + v`` keys.
 """
 
 from __future__ import annotations
@@ -419,7 +419,7 @@ def _hamilton_union(n: int, cycles: int, rng) -> np.ndarray:
     in the union yet; the n edges of a Hamilton cycle on n >= 3 vertices
     never repeat each other.
     """
-    union = np.empty(0, dtype=np.int64)     # sorted keys
+    union = np.empty(0, dtype=np.int64)     # sorted: np.isin runs faster on it
     for _ in range(cycles):
         for _attempt in range(1000):
             keys = _cycle_keys(rng.permutation(n), n)
@@ -467,7 +467,7 @@ def generate(kind: str, *, n: int, m: int | None = None, ell: int = 1,
         graphs = tuple(_gnm_edges(n, m, substream(seed, g)) for g in range(ell))
         return GraphFamily(n=n, graphs=graphs)
     if kind == "disjoint-cycles":
-        ring = np.arange(n, dtype=np.int64)
+        ring = np.arange(n)
         return GraphFamily(n=n, graphs=tuple(_key_rows(_cycle_keys(ring, n, step), n)
                                              for step in (1, 2)))
     if kind == "star":

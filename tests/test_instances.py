@@ -95,6 +95,21 @@ class TestParse:
         with pytest.raises(InstanceFormatError, match="trailing"):
             parse_instance(text)
 
+    def test_long_tokens_and_lines_are_quoted_in_part(self):
+        # a diagnostic quotes at most 40 characters of what it echoes
+        cut = f"{'x' * 40!r}... (5000 characters)"
+        for text, message in (
+                (f"{'x' * 5000} 1 vertices 3\n", f"line 1: unknown header {cut}"),
+                (f"graphs 1 vertices 3\n{'x' * 5000}\n",
+                 f"line 2: member 0: expected 'edges <m>', got {cut}"),
+                (f"graphs 1 vertices 3\nedges 0\n{'x' * 5000}\n",
+                 f"line 3: trailing content {cut} after the last member"),
+                (f"graphs 1 vertices 3\nedges 1\n0 {'x' * 5000}\n",
+                 f"line 3: vertex index must be an integer, got {cut}")):
+            with pytest.raises(InstanceFormatError) as info:
+                parse_instance(text)
+            assert str(info.value) == message
+
     def test_bad_header(self):
         with pytest.raises(InstanceFormatError, match="header"):
             parse_instance("widgets 1 vertices 3\n")
