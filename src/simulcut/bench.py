@@ -19,11 +19,13 @@ generator, a method, a guarantee, and a repetition count:
     }
 
 The entry's option fields are passed to `RunOptions` by name, so an
-omitted one takes `RunOptions`' default.  Every field's type, the
-generator's parameters (`check_generator`), every setting that is wrong
-on any instance (`check_settings`), and every one that the generator's
-member count and uniformity rule out (`settle`: k under thm1 and hyp,
-thm3's epsilon) are checked before any run starts.
+omitted one takes `RunOptions`' default.  Every field's name and type,
+the generator's parameters (`check_generator`), every setting that is
+wrong on any instance (`check_settings`), and every one that the
+generator's member count and uniformity rule out (`settle`: k under thm1
+and hyp, thm3's epsilon) are checked before any run starts.  A run's
+name, "run<i>" by default, names its reports in the output directory, so
+it must be a file name that no earlier run has.
 Rep j generates its instance with seed+j and, for mc, samples with the
 same seed+j, so a suite is a pure function of its file.  `execute_run`
 resolves the guarantee once per run and reports what the engine's own
@@ -153,7 +155,8 @@ def load_suite(path) -> list[SuiteRun]:
 def suite_from_dict(data: dict) -> list[SuiteRun]:
     if not isinstance(data, dict):
         raise ValueError('a suite must be a JSON object with a "runs" list')
-    runs = []
+    runs, names = [], {}
+    known = {"name", "reps", "generator", *(f.name for f in fields(RunOptions))}
     for i, entry in enumerate(data.get("runs", [])):
         if not isinstance(entry, dict):
             raise ValueError(f"suite run {i}: not a JSON object")
@@ -162,6 +165,12 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
         gen = entry["generator"]
         if not isinstance(gen, dict) or "kind" not in gen:
             raise ValueError(f'suite run {i}: "generator" must be a JSON object with a "kind"')
+        for key in entry:
+            if key not in known:
+                raise ValueError(f"suite run {i}: unknown field {key!r}")
+        for key in gen:
+            if key not in ("kind", "n", "m", "ell", "r", "degree"):
+                raise ValueError(f"suite run {i}: unknown generator parameter {key!r}")
         for name, (ok, what) in _FIELD_TYPES.items():
             if name in entry and not ok(entry[name]):
                 raise ValueError(f"suite run {i}: field {name!r} must be {what}, "
@@ -173,6 +182,13 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
             elif f.default is MISSING:
                 raise ValueError(f"suite run {i}: missing field {f.name!r}")
         options["theorem"] = str(options["theorem"])
+        # the run's reports are <name>-<rep>.report in --out-dir
+        name = entry.get("name", f"run{i}")
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"suite run {i}: field 'name' must be a file name, got {name!r}")
+        if name in names:
+            raise ValueError(f"suite run {i}: name {name!r} repeats the name of run {names[name]}")
+        names[name] = i
         try:
             members, r = check_generator(**gen)
             opts = RunOptions(**options)
@@ -180,7 +196,7 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"suite run {i}: {exc}") from None
         runs.append(SuiteRun(
-            name=entry.get("name", f"run{i}"),
+            name=name,
             reps=entry.get("reps", 1),
             generator=dict(gen),
             options=opts,

@@ -21,31 +21,21 @@ its weighted integer key per class into one shared list of k, leaving out
 what no class changes, which cannot move the argmin; so every decision is
 exact, and ties break to the lowest class.  Floats are for display only.
 
-Terms: one crossing term per run of consecutive crossing specs, whatever
-their members, and one term per run of consecutive specs on one member and
-of one other statistic family (pair and within; rainbow), built from the
-members' edges, those specs and their weights, and the descent's order.
-Every term starts with all vertices open (the incremental ones in closed
-form) and learns of decided vertices only through its own `commit(v, c)`;
-every term's keys are defined only at the next vertex of its order.
+Terms: one graph term for every crossing, pair and within spec, or one
+rainbow term per run of consecutive specs on one hypergraph member, built
+from the members' edges, the specs, their weights and the descent's order.
+Each starts with all vertices open, in closed form, learns of decided
+vertices only through its own `commit(v, c)`, and has keys defined only
+at the next vertex of its order.
 
-Cost: a graph term keeps each edge of a member once, at the endpoint the
-order reaches first, and per-vertex histograms of neighbour labels, from
-which each statistic's edge-pair correlations follow in closed form.  One
-walk over v's open neighbours yields a member's k keys: one addition of
-packed histograms per open neighbour, then O(k) per statistic.  A commit
-costs O(1) per statistic and one addition per open neighbour.
-A hypergraph member's rainbow term keeps each hyperedge at the vertices
-the order reaches before its last, each with the co-vertices after it,
-and one packed sum per vertex of its hyperedges' rows, P and squared rows.
-It yields its r keys from one walk over them: one addition of packed
-sums per (live hyperedge, open co-vertex) pair, then O(r) per live
-hyperedge that v is not first in; the hyperedges v is first in share one
-flat co-vertex list, summed once and unpacked once.  Each hyperedge pair
-at v that shares two or more vertices at or after v adds O(r), its r
-shifts looked up by the pair's state; no pair keeps state, and one with a
-dead hyperedge is skipped.  A commit costs one packed addition per (live
-hyperedge, open co-vertex) pair.
+Cost: the graph term keeps each edge of a member once, at the endpoint the
+order reaches first, and one packed histogram of neighbour labels per
+vertex and member.  A member's keys cost one addition per open neighbour
+of v, then O(k) per statistic; a commit, O(1) per statistic and one
+addition per open neighbour.  A rainbow term keeps each hyperedge at the
+vertices before its last, and one packed sum per vertex; its keys and a
+commit cost one addition per (live hyperedge, open co-vertex) pair, and
+the keys O(r) per live hyperedge and per multi-shared pair at v.
 """
 
 from __future__ import annotations
@@ -105,21 +95,12 @@ def _later_lists(edges, rank):
             np.bincount(rows.ravel(), minlength=n).tolist())
 
 
-def _fields(m, k):
-    """Field mask, each class's field offset and the commit step that moves
-    one count from field 0 to class c's, for the packed histograms of a
-    member with at most m edges; see `_CrossingTerm`."""
-    width = (2 * m).bit_length()
-    offsets = [width * (c + 1) for c in range(k)]
-    return (1 << width) - 1, offsets, [(1 << o) - 1 for o in offsets]
-
-
-class _CrossingTerm:
-    """Incremental keys for the crossing statistic of a run of consecutive
-    crossing specs, kept per member on its vertices' neighbour-label
-    histograms.  The specs on one member differ only in their normalizer, so
-    its key is one quadratic times their summed weight; the term's key sums
-    its members'.
+class _GraphTerm:
+    """Incremental keys for every crossing, pair and within statistic of a
+    graph guarantee, kept per member on one histogram of neighbour labels
+    per vertex.  A member's crossing specs differ only in their normalizer,
+    so they share one quadratic times their summed weight; each pair and
+    within statistic has its own.  The term's key sums them all.
 
     A vertex u's histogram counts its open neighbours a[u] and its
     neighbours decided as c, b[u][c] (B[u] their total).  While u is open,
@@ -132,165 +113,145 @@ class _CrossingTerm:
       contrib           k * sum_c(trow^2 - qrow) - (Tw^2 - Qw), the
                         correction (over k^4) for edge pairs meeting at u
 
-    here Tw = k(k-1)(a+B), Qw = k(k-1)Tw, trow[c] = (k-1)a + k(B-b[c]) and
-    qrow[c] = (k-1)^2 a + k^2 (B-b[c]).  The quadratic over k^4 is mu_k2^2 -
-    2*mu_k2*sumP + k^2*sumP + sumP^2 - sumP2 + sum(contrib), where mu_k2 =
-    stat_mean(kind, m, k) * k^2, the initial sumP.  Deciding v -> c moves
-    sumP by dp[c] = k*trow_v[c] - Tw_v = k(B - k b[c]) and sumP2 by
-    k^2*qrow_v[c] - Qw_v, drops contrib_v, and moves one count of every open
-    neighbour's histogram from a to b[c].  That shifts contrib linearly in
-    the neighbour's histogram, so summed over v's open neighbours it needs
-    only their summed histogram less v (beta[c] decided as c): here 2k^2
-    (k beta[c] - sum(beta)).  Leaving out every part that no class changes,
-    the quadratic after v -> c is the key, with g = k^2 - 2*mu_k2 + 2*sumP,
+    A statistic's quadratic over k^4 is mu_k2^2 - 2*mu_k2*sumP + k^2*sumP +
+    sumP^2 - sumP2 + sum(contrib), where mu_k2 = stat_mean(kind, m, k) * k^2
+    is the initial sumP.  Deciding v -> c moves sumP by dp[c] = k*trow_v[c]
+    - Tw_v and sumP2 by k^2*qrow_v[c] - Qw_v, drops contrib_v, and moves one
+    count of each open neighbour's histogram from a to b[c].  That shifts
+    contrib linearly in the neighbour's histogram, so summed over v's open
+    neighbours it needs only their summed histogram less v: alpha open and
+    beta[c] decided as c.  Leaving out every part that no class changes,
+    the quadratic after v -> c is the key, with g = k^2 - 2*mu_k2 + 2*sumP
+    (k^2 while all is open); sumP2 and contrib are not kept.
 
-      dp[c] * (g + dp[c]) + (the class-dependent part of the other shifts)
-        = k^2 (b[c] (k^2 b[c] + 2(mu_k2 - sumP - k B)) + 2k beta[c])
+    Crossing: trow[c] = (k-1)a + k(B-b[c]), qrow[c] = (k-1)^2 a + k^2
+    (B-b[c]), Tw = k(k-1)(a+B) and Qw = k(k-1)Tw, so dp[c] = k(B - k b[c]),
+    contrib shifts by 2k^2 (k beta[c] - sum(beta)), and the key is
 
-    So a member keeps 2(mu_k2 - sumP) alone, 0 while every vertex is open;
-    sumP2 and contrib are not kept.
+      k^2 (b[c] (k^2 b[c] + 2(mu_k2 - sumP - k B)) + 2k beta[c])
 
-    Built for the descent's order (`_later_lists`), ``later[v]`` is exactly
-    v's open neighbours at v's turn, and ``early[v]`` is B[v].  Histograms
-    are packed, h[u] = a[u] + sum_c b[u][c] << (width * (c+1)), with fields
-    of (2m).bit_length() bits for the term's largest m: a field summed over
-    any vertex's neighbours stays at most 2m, so sums never carry between
-    fields.  So one walk over later[v] yields all k keys, and a commit adds
-    one constant to each open neighbour; h[v] is never read after v's turn,
-    so it is not cleared.
-    """
-
-    def __init__(self, arrays, specs, weights, rank):
-        k = specs[0].k
-        self.k, self.k2 = k, k * k
-        # per member, in order of its first spec: its specs' summed weight
-        # times the keys' common factor k^2, and its all-open quadratic over
-        # k^4, where every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m, and
-        # every contrib is 0; mu_k2 is an integer since the mean's
-        # denominator divides k^2
-        w, quad = {}, {}
-        for spec, weight in zip(specs, weights):
-            w[spec.graph] = w.get(spec.graph, 0) + weight * self.k2
-        for g in w:
-            m = len(arrays[g])
-            mu = int(stat_mean("crossing", m, k) * self.k2)
-            quad[g] = self.k2 * mu - (mu * mu // m if m else 0)
-        self.quads = [quad[spec.graph] for spec in specs]
-        self.mask, self.offsets, self.steps = _fields(max(len(arrays[g]) for g in w), k)
-        self.members = [(*_later_lists(arrays[g], rank), w[g]) for g in w]
-        self.gaps = [0] * len(w)
-
-    def add_keys(self, v, keys):
-        k, k2, mask, offsets = self.k, self.k2, self.mask, self.offsets
-        kx2 = 2 * k
-        for (later, early, h, w), gap in zip(self.members, self.gaps):
-            own = h[v]
-            near = sum(map(h.__getitem__, later[v]))
-            lin = gap - kx2 * early[v]
-            for c, o in enumerate(offsets):
-                x = own >> o & mask
-                keys[c] += w * (x * (k2 * x + lin) + kx2 * (near >> o & mask))
-
-    def commit(self, v, c):
-        k, mask, gaps = self.k, self.mask, self.gaps
-        o, step = self.offsets[c], self.steps[c]
-        for i, (later, early, h, _) in enumerate(self.members):
-            gaps[i] -= 2 * k * (early[v] - k * (h[v] >> o & mask))
-            for u in later[v]:
-                h[u] += step
-
-
-class _ClassPairTerm:
-    """Incremental keys for every pair and within statistic of one graph
-    member, on the order-bound histograms of `_CrossingTerm` and by its
-    closed forms, with these rows (T[c] = a + k b[c] and Q[c] = a + k^2 b[c]):
+    for which a member keeps its crossing gap 2(mu_k2 - sumP) = k^2 - g.
+    Pair and within, with T[c] = a + k b[c], Q[c] = a + k^2 b[c] and W[c] =
+    alpha + k beta[c], have these rows and shifts of contrib at v -> c:
 
       pair(s,t)  trow[s] = T[t], trow[t] = T[s], qrow alike with Q, other
-                 classes 0; Tw = trow[s] + trow[t], Qw = qrow[s] + qrow[t] + 2a
-      within(s)  Tw = trow[s] = T[s], Qw = qrow[s] = Q[s]
-
-    Deciding v -> c shifts the contrib of v's open neighbours by, with alpha
-    their open and beta[c] their decided-as-c counts less v and W[c] =
-    alpha + k beta[c]:
-
-      within(s)  2(k-1)^2 W[s] if c == s, else -2(k-1) W[s]
-      pair(s,t)  c = s: 2((k-1)^2 + 1) W[s] - 4(k-1) W[t];  c = t: s, t swapped;
+                 classes 0; Tw = trow[s] + trow[t], Qw = qrow[s] + qrow[t] + 2a;
+                 c = s: 2((k-1)^2 + 1) W[s] - 4(k-1) W[t];  c = t: s, t swapped;
                  else -2(k-2)(W[s] + W[t])
+      within(s)  Tw = trow[s] = T[s], Qw = qrow[s] = Q[s];
+                 2(k-1)^2 W[s] if c == s, else -2(k-1) W[s]
 
-    so the keys, each statistic's over its own g = k^2 - 2*mu_k2 + 2*sumP
-    (kept in place of sumP, k^2 while every vertex is open), are
+    so their keys, each over its own g, are
 
       within(s)  k (T[s] (g + (k-2) T[s]) + 2(k-1) W[s] - k Q[s]) at c = s, 0 elsewhere
       pair(s,t)  k (T[t] (g + k T[t] - 2Tw) + 2(k-1) W[s] - (2 W[t] + k Q[t])) at
                  c = s, the same with s and t swapped at c = t, 0 elsewhere
 
-    The per-class parts 2(k-1) W, 2 W + k Q and 2(k-1) W - k Q are formed
-    once per vertex, for every statistic.
+    and the per-class parts 2(k-1) W, 2 W + k Q and 2(k-1) W - k Q are
+    formed once per vertex.  A commit moves each g by 2dp[c].
+
+    Built for the descent's order (`_later_lists`), ``later[v]`` is exactly
+    v's open neighbours at v's turn, and ``early[v]`` is B[v].  Histograms
+    are packed, h[u] = a[u] + sum_c b[u][c] << (width * (c+1)), with fields
+    of (2m).bit_length() bits for the term's largest m: a field summed over
+    any vertex's neighbours stays at most 2m, so sums never carry.  So one
+    walk over later[v] yields a member's keys for all its statistics, and a
+    commit adds one constant to each open neighbour; h[v] is never read
+    after v's turn, so it is not cleared.
     """
 
     def __init__(self, arrays, specs, weights, rank):
         k = specs[0].k
-        edges = arrays[specs[0].graph]
-        m = len(edges)
         self.k, self.k2 = k, k * k
-        self.later, _, self.h = _later_lists(edges, rank)
-        self.mask, self.offsets, self.steps = _fields(m, k)
-        # per statistic: kind, s, t, its weight times the keys' common factor k
-        self.stats = [(spec.kind, spec.s, spec.t, w * k) for spec, w in zip(specs, weights)]
-        self.g = [self.k2] * len(specs)
+        # per member, in order of its first spec: its crossing specs' summed
+        # weight times their keys' common factor k^2, and its pair and within
+        # statistics: kind, s, t, weight times their keys' common factor k
+        cross, stats = {}, {}
+        for spec, w in zip(specs, weights):
+            cross.setdefault(spec.graph, 0)
+            if spec.kind == "crossing":
+                cross[spec.graph] += w * self.k2
+            else:
+                stats.setdefault(spec.graph, []).append((spec.kind, spec.s, spec.t, w * k))
+        width = (2 * max(len(arrays[g]) for g in cross)).bit_length()
+        self.mask, self.offsets = (1 << width) - 1, [width * (c + 1) for c in range(k)]
+        self.classes = list(enumerate(self.offsets))
+        # per member: later, early, h, crossing weight, statistics, their g,
+        # their moves (per class c, (j, s, x, t, y) per statistic j, where
+        # x T[s] + y T[t] is 2dp[c]) and the crossing gap
+        self.members, pairs_at, up = [], {}, 2 * (k - 1)
+        for g in cross:
+            later, early, h = _later_lists(arrays[g], rank)
+            mine = stats.get(g, [])
+            moves = [[(j, s, up if c == s else -2, s, 0) if kind == "within"
+                      else (j, s, up if c == t else -2, t, up if c == s else -2)
+                      for j, (kind, s, t, _) in enumerate(mine)] for c in range(k)]
+            self.members.append([later, early, h, cross[g], mine, [self.k2] * len(mine), moves, 0])
+            pairs_at[g] = sum(d * (d - 1) for d in h) if mine else 0
         # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m,
-        # and contrib of a degree-d vertex is d(d-1) times k-1 (within) or
-        # 2(k-2) (pair); mu_k2 is an integer since every mean's denominator
-        # divides k^2
-        pairs_at = sum(d * (d - 1) for d in self.h)
-        mus = [int(stat_mean(spec.kind, m, k) * self.k2) for spec in specs]
-        self.quads = [self.k2 * mu + (k - 1 if spec.kind == "within" else 2 * (k - 2)) * pairs_at
-                      - (mu * mu // m if m else 0) for spec, mu in zip(specs, mus)]
+        # and contrib of a degree-d vertex is d(d-1) times 0 (crossing), k-1
+        # (within) or 2(k-2) (pair); mu_k2 is an integer since every mean's
+        # denominator divides k^2
+        per_pair = {"crossing": 0, "within": k - 1, "pair": 2 * (k - 2)}
+        self.quads = []
+        for spec in specs:
+            m = len(arrays[spec.graph])
+            mu = int(stat_mean(spec.kind, m, k) * self.k2)
+            self.quads.append(self.k2 * mu + per_pair[spec.kind] * pairs_at[spec.graph]
+                              - (mu * mu // m if m else 0))
 
     def add_keys(self, v, keys):
-        h, k, k2, mask, offsets = self.h, self.k, self.k2, self.mask, self.offsets
-        later = self.later[v]
-        own = h[v]
-        near = sum(map(h.__getitem__, later))
-        a = len(later)
-        alpha = (near & mask) - a                      # each open neighbour counts v once
-        k1x2, km2 = 2 * (k - 1), k - 2
-        T, A, B, C = [], [], [], []
-        for o in offsets:
-            x = own >> o & mask
-            W = alpha + k * (near >> o & mask)
-            kq = k * (a + k2 * x)
-            T.append(a + k * x)
-            A.append(k1x2 * W)
-            B.append(2 * W + kq)
-            C.append(k1x2 * W - kq)
-        for (kind, s, t, w), g in zip(self.stats, self.g):
-            Ts = T[s]
-            if kind == "within":
-                keys[s] += w * (Ts * (g + km2 * Ts) + C[s])
+        k, k2, mask, offsets, classes = self.k, self.k2, self.mask, self.offsets, self.classes
+        kx2, k1x2, km2 = 2 * k, 2 * (k - 1), k - 2
+        for later, early, h, wx, stats, gs, _, gap in self.members:
+            nbrs = later[v]
+            own = h[v]
+            near = sum(map(h.__getitem__, nbrs))
+            if wx:
+                lin = gap - kx2 * early[v]
+                for c, o in classes:
+                    x = own >> o & mask
+                    keys[c] += wx * (x * (k2 * x + lin) + kx2 * (near >> o & mask))
+            if not stats:
                 continue
-            Tt = T[t]
-            g -= 2 * (Ts + Tt)                          # g - 2Tw
-            keys[s] += w * (Tt * (g + k * Tt) + A[s] - B[t])
-            keys[t] += w * (Ts * (g + k * Ts) + A[t] - B[s])
+            a = len(nbrs)
+            alpha = (near & mask) - a                  # each open neighbour counts v once
+            T, A, B, C = [], [], [], []
+            for o in offsets:
+                x = own >> o & mask
+                W = alpha + k * (near >> o & mask)
+                kq = k * (a + k2 * x)
+                T.append(a + k * x)
+                A.append(k1x2 * W)
+                B.append(2 * W + kq)
+                C.append(k1x2 * W - kq)
+            for (kind, s, t, w), g in zip(stats, gs):
+                Ts = T[s]
+                if kind == "within":
+                    keys[s] += w * (Ts * (g + km2 * Ts) + C[s])
+                    continue
+                Tt = T[t]
+                g -= 2 * (Ts + Tt)                      # g - 2Tw
+                keys[s] += w * (Tt * (g + k * Tt) + A[s] - B[t])
+                keys[t] += w * (Ts * (g + k * Ts) + A[t] - B[s])
 
     def commit(self, v, c):
-        h, k, mask, g = self.h, self.k, self.mask, self.g
-        later = self.later[v]
-        own = h[v]
-        a = len(later)
-        T = [a + k * (own >> o & mask) for o in self.offsets]
-        for i, (kind, s, t, _) in enumerate(self.stats):
-            Ts = T[s]
-            if kind == "within":
-                dp = (k - 1) * Ts if c == s else -Ts
-            else:
-                Tt = T[t]
-                dp = (k * Tt if c == s else k * Ts if c == t else 0) - Ts - Tt
-            g[i] += 2 * dp
-        step = self.steps[c]
-        for u in later:
-            h[u] += step
+        k, mask, offsets = self.k, self.mask, self.offsets
+        oc = offsets[c]
+        step = (1 << oc) - 1                           # one count from a to b[c]
+        for member in self.members:
+            later, early, h, wx, _, gs, moves, _ = member
+            nbrs = later[v]
+            own = h[v]
+            if wx:
+                member[7] -= 2 * k * (early[v] - k * (own >> oc & mask))   # the gap
+            if gs:
+                a = len(nbrs)
+                T = [a + k * (own >> o & mask) for o in offsets]
+                for j, s, x, t, y in moves[c]:
+                    gs[j] += x * T[s] + y * T[t]
+            for u in nbrs:
+                h[u] += step
 
 
 class _RainbowTerm:
@@ -312,7 +273,7 @@ class _RainbowTerm:
     factorial.  For s = 1 this is r^(r-1) * sum_c row_e[c]*row_e'[c] -
     r^r * P_e*P_e', with row_e[c] = A_e(1) on the colours free in e and 0
     elsewhere, so pairs meeting at one open vertex w fold into per-vertex
-    sums, like the Tw and trow sums of _CrossingTerm:
+    sums, like the Tw and trow sums of _GraphTerm:
 
       P_w        sum of P over the edges at w
       R_w[c]     sum of row[c] over the edges at w; Q_w[c] of row[c]^2
@@ -347,7 +308,7 @@ class _RainbowTerm:
     are live, these r shifts are a function of the two masks, s and which
     edges hold v; each is computed once and looked up after that.
 
-    Built for the descent's order, like the graph terms: at v's turn an
+    Built for the descent's order, like the graph term: at v's turn an
     edge's open co-vertices are exactly its vertices after v, its mask is
     0 if v is its first vertex, and it is None if v is its last.  Edges are
     numbered by their first vertex, ties in input order.  For the edges v
@@ -659,26 +620,21 @@ def resolve_order(family, order) -> tuple[int, ...]:
     return order
 
 
-_TERMS = {"crossing": _CrossingTerm, "pair": _ClassPairTerm, "within": _ClassPairTerm,
-          "rainbow": _RainbowTerm}
-
-
 def _build_terms(family, specs, order):
-    """Penalty terms in spec order, each spec weighed by lcm(parts) // its
-    part: one crossing term per run of consecutive crossing specs, and one
-    class-pair or rainbow term per run of consecutive specs on one member and
-    of that class.  Terms are built for the vertex order `order`, and their
-    keys are defined only at the next vertex of it.  ``quads`` holds their
-    all-open quadratics over k^4 (r^(3r))."""
+    """Penalty terms, each spec weighed by lcm(parts) // its part: one graph
+    term for all specs of a graph guarantee, or one rainbow term per run of
+    consecutive specs on one hypergraph member; none without specs.  Terms
+    are built for the vertex order `order`, and their keys are defined only
+    at the next vertex of it.  ``quads`` holds their all-open quadratics
+    over k^4 (r^(3r)), in spec order."""
     lcm = math.lcm(*(spec.part for spec in specs))
     rank = np.empty(family.n, dtype=np.int64)
     rank[list(order)] = np.arange(family.n)
-    terms = []
-    for (_, cls), group in itertools.groupby(
-            specs, key=lambda s: (None if s.kind == "crossing" else s.graph, _TERMS[s.kind])):
-        group = tuple(group)
-        terms.append(cls(family.arrays, group, [lcm // spec.part for spec in group], rank))
-    return terms
+    weights = [lcm // spec.part for spec in specs]
+    if specs and specs[0].kind != "rainbow":
+        return [_GraphTerm(family.arrays, specs, weights, rank)]
+    runs = itertools.groupby(zip(specs, weights), key=lambda pair: pair[0].graph)
+    return [_RainbowTerm(family.arrays, *zip(*run), rank) for _, run in runs]
 
 
 def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:

@@ -97,7 +97,8 @@ def settle(theorem: str, k: int | None, eps, *, ell: int, r: int | None):
     k defaults to 2; thm1 allows only 2, hyp only r.  thm3's eps defaults to
     1/(9*ell^2*k^4), and any eps must lie in (0, that cap]; an eps whose
     float is the cap's (as a report echoes it) is the exact cap, so a run
-    and its `verify` decide every row on the same eps.
+    and its `verify` decide every row on the same eps.  No other theorem
+    reads eps, so its effective eps is None.
     """
     if theorem == "hyp":
         if r is None:
@@ -124,7 +125,8 @@ def settle(theorem: str, k: int | None, eps, *, ell: int, r: int | None):
                 f"epsilon must satisfy 0 < eps <= 1/(9*ell^2*k^4) = {float(cap):.6g} "
                 f"(ell={ell}, k={k}); got {eps!r}"
             )
-    return k, eps
+        return k, eps
+    return k, None
 
 
 def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool = False,

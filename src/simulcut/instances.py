@@ -533,6 +533,8 @@ def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
             raise ValueError("runiform needs r and m")
         if r < 2:
             raise ValueError(f"uniformity must be >= 2, got {r}")
+        if m < 0:
+            raise ValueError(f"runiform needs m >= 0, got m={m}")
         total = math.comb(n, r)
         if m > total:
             raise ValueError(f"m={m} exceeds the {total} distinct {r}-subsets of {n} vertices")

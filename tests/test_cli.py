@@ -110,6 +110,21 @@ def test_partition_contract_errors_exit_2(c5_file, capsys, tmp_path):
     assert main(["partition", str(c5_file), "--theorem", "hyp"]) == 2
 
 
+def test_epsilon_echoed_only_where_read(c5_file, tmp_path):
+    # only thm3 reads epsilon, so a thm2 run's report carries no epsilon
+    # line; a report that has one (as older ones do) still verifies
+    report = tmp_path / "run.report"
+    assert main(["partition", str(c5_file), "--theorem", "2", "--epsilon", "0.1",
+                 "--out", str(report)]) == 0
+    text = report.read_text()
+    assert "\nepsilon " not in text
+    assert parse_report(text).epsilon is None
+    older = tmp_path / "older.report"
+    older.write_text(text.replace("\nk 2\n", "\nk 2\nepsilon 0.1\n"))
+    assert parse_report(older.read_text()).epsilon == 0.1
+    assert main(["verify", str(older), "--instance", str(c5_file)]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["partition", "C5", "--theorem", "1", "--method", "mc", "--seed", "-1"],
     ["gen", "gnm", "--n", "8", "--m", "10", "--seed", "-1"],
@@ -808,6 +823,18 @@ BAD_FIELDS = [
     (dict(generator={"kind": "runiform", "n": 6, "m": 21, "r": 3}, theorem="hyp"),
      "m=21 exceeds the 20 distinct 3-subsets of 6 vertices"),
     (dict(generator={"kind": "gnm", "n": "8", "m": 10}), "n must be an integer, got '8'"),
+    (dict(generator={"kind": "runiform", "n": 8, "m": -4, "r": 3}, theorem="hyp"),
+     "runiform needs m >= 0, got m=-4"),
+    # unknown names are refused, not ignored or passed on
+    (dict(balance=True), "unknown field 'balance'"),
+    (dict(generator={"kind": "gnm", "n": 8, "m": 10, "bogus": 1}),
+     "unknown generator parameter 'bogus'"),
+    # a run's name names its reports in --out-dir: run 0's is "run0" by default
+    (dict(name="run0"), "name 'run0' repeats the name of run 0"),
+    (dict(name="../x"), "field 'name' must be a file name, got '../x'"),
+    (dict(name=".."), "field 'name' must be a file name, got '..'"),
+    (dict(name=""), "field 'name' must be a file name, got ''"),
+    (dict(name=7), "field 'name' must be a file name, got 7"),
 ]
 
 

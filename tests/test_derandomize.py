@@ -27,7 +27,7 @@ from simulcut import (
 )
 from simulcut.bench import RunOptions, execute_run
 from simulcut.derandomize import (
-    _build_terms, _ClassPairTerm, _CrossingTerm, _RainbowTerm, resolve_order)
+    _build_terms, _GraphTerm, _RainbowTerm, resolve_order)
 from simulcut.estimator import _quadratic
 from simulcut.instances import generate
 
@@ -250,8 +250,8 @@ class TestEngineEquality:
             assert_exact_descent(fam, guarantee, derandomize(fam, guarantee))
 
     def test_incremental_equals_naive_mixed_member(self):
-        # crossing and class-pair specs on one member, the crossing spec
-        # first, among them or last: one term per run of specs of one family
+        # crossing, pair and within specs on one member, the crossing spec
+        # first, among them or last: one graph term, one histogram per member
         rng = random.Random(26)
         for trial in range(10):
             n = rng.randint(4, 12)
@@ -458,9 +458,9 @@ class TestEngineEquality:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_member_candidates_from_partial_state(self, k):
-        # crossing, every pair and every within statistic of a member: a
-        # crossing term and a class-pair term, whose keys add up; vertices n
-        # and n + 1 are isolated, one decided and one open.  A graph term's
+        # crossing, every pair and every within statistic of a member: one
+        # graph term, with one histogram for all of them; vertices n and
+        # n + 1 are isolated, one decided and one open.  A graph term's
         # keys are defined at the next vertex of the order it is built for,
         # so each open vertex v is probed by terms built for the order
         # prefix + [v] + the rest, after replaying the prefix
@@ -486,7 +486,7 @@ class TestEngineEquality:
             rest = [v for v, label in enumerate(labels) if label == UNDECIDED]
             for v in rest:
                 terms = _build_terms(fam, specs, prefix + [v] + [u for u in rest if u != v])
-                assert [type(term) for term in terms] == [_CrossingTerm, _ClassPairTerm]
+                assert [type(term) for term in terms] == [_GraphTerm]
                 assert [x for term in terms for x in term.quads] == all_open
 
                 def keys_of(u):
@@ -504,8 +504,8 @@ class TestEngineEquality:
     @pytest.mark.parametrize("order", ["natural", "degree", "permuted"])
     def test_graph_terms_visit_each_edge_once(self, order, monkeypatch):
         # over whole descents, every edge of a graph member sits in exactly one
-        # `later` list, at the endpoint the order reaches first, and each
-        # member's histogram entries other than the vertex's own are read
+        # `later` list, at the endpoint the order reaches first, and the
+        # member's one histogram's entries other than the vertex's own are read
         # exactly m times in add_keys and read and written exactly m times in
         # commit: one visit per edge in each
         module = importlib.import_module("simulcut.derandomize")
@@ -539,9 +539,8 @@ class TestEngineEquality:
 
         later_lists = module._later_lists
         monkeypatch.setattr(module, "_later_lists", counted_lists)
-        for cls in (_CrossingTerm, _ClassPairTerm):
-            monkeypatch.setattr(cls, "add_keys", in_phase("add_keys", cls.add_keys))
-            monkeypatch.setattr(cls, "commit", in_phase("commit", cls.commit))
+        monkeypatch.setattr(_GraphTerm, "add_keys", in_phase("add_keys", _GraphTerm.add_keys))
+        monkeypatch.setattr(_GraphTerm, "commit", in_phase("commit", _GraphTerm.commit))
         fam = random_family(40, [120, 60, 0], 31)
         mixed = [spec for i, m in enumerate(fam.m) if m
                  for spec in [EventSpec(graph=i, kind="crossing", k=3, part=m * m)]
@@ -552,7 +551,7 @@ class TestEngineEquality:
             result = derandomize(fam, guarantee, order=(
                 random.Random(5).sample(range(40), 40) if order == "permuted" else order))
             rank = {step.vertex: i for i, step in enumerate(result.trace)}
-            assert members
+            assert len(members) == 2            # one histogram per non-empty member
             for edges, later, h in members:
                 kept = [(v, u) for v, nbrs in enumerate(later) for u in nbrs]
                 assert all(rank[v] < rank[u] for v, u in kept)
@@ -678,8 +677,11 @@ def test_naive_and_incremental_keys_agree(data):
     # the incremental keys against the naive, from-scratch exact Fraction
     # reference, on every guarantee's statistics (thm3's pair and within
     # terms with a loose normalizer, which needs no degree bound), members of
-    # unequal sizes and so unequal weights, isolated vertices and empty members
-    theorem = data.draw(st.sampled_from(["thm1", "thm2", "thm3", "hyp"]), label="theorem")
+    # unequal sizes and so unequal weights, isolated vertices and empty
+    # members; "mixed" puts a crossing spec at a random place among each
+    # member's loose pair and within specs, all read from one histogram
+    theorem = data.draw(st.sampled_from(["thm1", "thm2", "thm3", "hyp", "mixed"]),
+                        label="theorem")
     n = data.draw(st.integers(3, 10), label="n")
     ell = data.draw(st.integers(1, 3), label="ell")
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
@@ -695,8 +697,18 @@ def test_naive_and_incremental_keys_agree(data):
                                 min_size=ell, max_size=ell), label="ms")
         fam = random_family(n, ms, seed)
         k = 2 if theorem == "thm1" else data.draw(st.integers(2, 4), label="k")
-        guarantee = (_loose_pair_within(fam, k) if theorem == "thm3"
-                     else resolve(fam, theorem, k=k))
+        if theorem == "mixed":
+            specs = []
+            for i, m in enumerate(fam.m):
+                if m:
+                    classwise = _loose_classwise(i, m, k)
+                    at = data.draw(st.integers(0, len(classwise)), label="crossing at")
+                    crossing = EventSpec(graph=i, kind="crossing", k=k, part=m * m)
+                    specs += classwise[:at] + [crossing] + classwise[at:]
+            guarantee = hand_built(fam, k, specs, norm2=144)
+        else:
+            guarantee = (_loose_pair_within(fam, k) if theorem == "thm3"
+                         else resolve(fam, theorem, k=k))
     result = derandomize(fam, guarantee, order=order)
     assert_descent_health(fam, guarantee, result)
     assert_exact_descent(fam, guarantee, result)

@@ -528,6 +528,9 @@ def test_check_generator_rejects_what_generate_cannot_build():
             check_generator(kind, n=8, m=5, degree=2, ell=0)
     with pytest.raises(ValueError, match="unknown generator kind"):
         check_generator("grid", n=8)
+    for check in (check_generator, generate):
+        with pytest.raises(ValueError, match=r"^runiform needs m >= 0, got m=-2$"):
+            check("runiform", n=3, m=-2, r=2)
 
 
 # sha256 of serialize_instance(generate(kind, seed=seed, **params)) at seeds 3
