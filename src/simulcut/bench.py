@@ -79,19 +79,13 @@ class RunOptions:
                        max_tries=self.max_tries)
 
 
-@dataclass
-class RunOutcome:
-    run_report: RunReport
-    derand_result: object = None
-
-
-def execute_run(family, opts: RunOptions) -> RunOutcome:
-    """Run one method on one instance and assemble its report."""
+def execute_run(family, opts: RunOptions) -> RunReport:
+    """Run one method on one instance and assemble its report; a descent's
+    steps go on the report's unrendered ``trace``."""
     theorem = THEOREM_TOKENS[opts.theorem]
     guarantee = resolve(family, theorem, k=opts.k, eps=opts.epsilon, balanced=opts.balanced,
                         slack=opts.slack, max_tries=opts.max_tries)
     digest = instance_digest(family)
-    derand_result = None
     start = time.perf_counter()
     if opts.method == "mc":
         try:
@@ -101,21 +95,20 @@ def execute_run(family, opts: RunOptions) -> RunOutcome:
             assignment, cut_report, tries = exc.best_assignment, exc.best_report, exc.tries
         engine = dict(seed=opts.seed, max_tries=opts.max_tries, tries=tries)
     else:
-        derand_result = derandomize(family, guarantee, order=opts.order)
-        assignment, cut_report = derand_result.assignment, derand_result.report
-        engine = dict(order=opts.order, descent_steps=len(derand_result.trace),
-                      initial_estimator=derand_result.initial_value,
-                      final_estimator=derand_result.final_value)
+        result = derandomize(family, guarantee, order=opts.order)
+        assignment, cut_report = result.assignment, result.report
+        engine = dict(order=opts.order, descent_steps=len(result.trace),
+                      initial_estimator=result.initial_value,
+                      final_estimator=result.final_value, trace=result.trace)
     wall_ms = (time.perf_counter() - start) * 1000
-    rr = RunReport(
-        digest=digest, kind=cut_report.kind, n=family.n, ell=family.ell,
-        r=getattr(family, "r", None),
-        method=opts.method, theorem=theorem, k=guarantee.k,
+    r = getattr(family, "r", None)
+    return RunReport(
+        digest=digest, kind="graphs" if r is None else "hypergraphs", n=family.n,
+        ell=family.ell, r=r, method=opts.method, theorem=theorem, k=guarantee.k,
         epsilon=None if guarantee.eps is None else float(guarantee.eps),
         balanced=opts.balanced,
         balance_slack=None if guarantee.slack is None else float(guarantee.slack),
         assignment=assignment.labels, cut_report=cut_report, wall_ms=wall_ms, **engine)
-    return RunOutcome(run_report=rr, derand_result=derand_result)
 
 
 class BenchAbort(RuntimeError):
@@ -290,8 +283,7 @@ def run_bench(suite, out_dir=None, echo=None) -> BenchResult:
 
     for run in suite:
         for rep in range(run.reps):
-            family, outcome = _one_rep(run, rep)
-            rr = outcome.run_report
+            family, rr = _one_rep(run, rep)
             result.runs += 1
             if out_path:
                 write_text(out_path / f"{run.name}-{rep}.report", render_report(rr))

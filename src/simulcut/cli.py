@@ -68,13 +68,11 @@ def _cmd_partition(args) -> int:
     # every RunOptions field is a flag of the same name; an omitted one takes its default
     given = {f.name: getattr(args, f.name) for f in fields(RunOptions)}
     opts = RunOptions(**{name: value for name, value in given.items() if value is not None})
-    outcome = execute_run(family, opts)
-    _write_text(args.out, render_report(outcome.run_report))
-    if args.trace and outcome.derand_result is not None:
-        for step in outcome.derand_result.trace:
-            print(f"step v={step.vertex} class={step.chosen} "
-                  f"keys={','.join(map(str, step.keys))}")
-    return 0 if outcome.run_report.passed else 1
+    rr = execute_run(family, opts)
+    _write_text(args.out, render_report(rr))
+    for step in rr.trace if args.trace else ():
+        print(f"step v={step.vertex} class={step.chosen} keys={','.join(map(str, step.keys))}")
+    return 0 if rr.passed else 1
 
 
 def _cmd_verify(args) -> int:

@@ -217,18 +217,16 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
     if a.n != n:
         raise ValueError(f"assignment has {a.n} labels, family has n={n} vertices")
     sizes = a.class_sizes()
-    crossing = pairs = within = rainbow = ()
-    hyper = isinstance(family, HypergraphFamily)
-    if hyper:
-        rainbow = tuple(rainbow_count(rows, a, family.r) for rows in family.arrays)
+    pairs = within = ()
+    if isinstance(family, HypergraphFamily):
+        members = tuple(rainbow_count(rows, a, family.r) for rows in family.arrays)
     else:
-        pairs, within, crossing = zip(*(partition_counts(rows, a) for rows in family.arrays))
+        pairs, within, members = zip(*(partition_counts(rows, a) for rows in family.arrays))
     constraints = []
     for spec, threshold, bound in guarantee.rows:
         g = spec.graph
-        count = (crossing[g] if spec.kind == "crossing" else rainbow[g] if spec.kind == "rainbow"
-                 else pairs[g].get((spec.s, spec.t), 0) if spec.kind == "pair"
-                 else within[g][spec.s])
+        count = (pairs[g].get((spec.s, spec.t), 0) if spec.kind == "pair"
+                 else within[g][spec.s] if spec.kind == "within" else members[g])
         constraints.append(Constraint(graph=g, stat=spec.stat, count=count, threshold=threshold,
                                       margin=count - threshold, passed=bound.admits(count)))
     if guarantee.slack is not None:
@@ -238,12 +236,4 @@ def evaluate(family, a, guarantee: Guarantee) -> CutReport:
                                    margin=guarantee.slack - abs(size - n / k),
                                    passed=abs(k * size - n) <= limit)
                         for c, size in enumerate(sizes)]
-    return CutReport(
-        kind="hypergraphs" if hyper else "graphs",
-        class_sizes=sizes,
-        crossing=crossing,
-        pairs=pairs,
-        within=within,
-        rainbow=rainbow,
-        constraints=tuple(constraints),
-    )
+    return CutReport(class_sizes=sizes, member_counts=members, constraints=tuple(constraints))

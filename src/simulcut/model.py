@@ -463,21 +463,17 @@ class Constraint:
 
 @dataclass(frozen=True)
 class CutReport:
-    """All cut statistics of one assignment, with pass/fail per constraint.
+    """The count section of a run report: class sizes, one count per member
+    (crossing for graphs, rainbow for hypergraphs) and the guarantee's rows.
 
-    ``pairs[i][(s, t)]`` and ``within[i][s]`` are per-member edge
-    classifications (graph families only); ``pairs[i]`` may leave out the
-    class pairs no edge joins (see partition_counts).  ``rainbow[i]`` are the
-    rainbow edge counts (hypergraph families only).  Every number here is
-    re-derivable from (instance, assignment).
+    A row carries each statistic a guarantee checks, thm3's per-class pair
+    and within counts included; `partition_counts` gives them for any
+    assignment.  Every number here is re-derivable from (instance,
+    assignment).
     """
 
-    kind: str
     class_sizes: tuple[int, ...]
-    crossing: tuple[int, ...]
-    pairs: tuple
-    within: tuple
-    rainbow: tuple[int, ...]
+    member_counts: tuple[int, ...]
     constraints: tuple[Constraint, ...]
 
     @property

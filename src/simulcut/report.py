@@ -2,21 +2,22 @@
 
 A run report is a stable-order `key value` document carrying everything
 needed to audit a partitioning run: instance digest, config echo, the full
-assignment, and one constraint row per guarantee.  One table, `_FIELDS`,
-names each leading line's key, its `RunReport` attribute and its parser;
-`render_report` writes from it, `parse_report` reads with it, and a key is
-required when its attribute has no default.  Lines with a key the table
+assignment, and its count section: class sizes, one count per member and
+one constraint row per statistic.  One table, `_FIELDS`, names each leading
+line's key, its `RunReport` attribute and its parser; `render_report`
+writes from it, `parse_report` reads with it, a key may appear once, and it
+is required when its attribute has no default.  Lines with a key the table
 does not know are ignored, so new lines are additive.  Every count is
 re-derivable from (instance, assignment): `recheck` resolves the echoed
 guarantee and evaluates the assignment with the same `resolve` and
-`evaluate` the engines use, so it recomputes the very same thresholds.
-Floats are rendered with repr (shortest round-trip), so re-rendering
-recomputed values is an exact string comparison.
+`evaluate` the engines use, and writes the count lines with the same
+`_count_sections` as `render_report`.  Floats are rendered with repr
+(shortest round-trip), so comparing them is an exact string comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .model import Assignment, Constraint, CutReport, HypergraphFamily, UNDECIDED
 from .guarantee import MAX_TRIES, evaluate, resolve
@@ -68,6 +69,8 @@ class RunReport:
     wall_ms: float = 0.0
     # the `result` line of a parsed report; rendering writes `passed`
     result: str | None = None
+    # a descent's steps (`partition --trace`); never rendered
+    trace: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -75,6 +78,8 @@ class RunReport:
 
 
 def _yes(text: str) -> bool:
+    if text not in ("yes", "no"):
+        raise ValueError("want 'yes' or 'no'")
     return text == "yes"
 
 
@@ -123,8 +128,19 @@ _REQUIRED = tuple(key for key, (attr, _) in _PARSERS.items()
 
 
 def _member_stat(kind: str) -> str:
-    """The CutReport field, and word of the `member` lines, of a report's kind."""
+    """The word of the `member` lines of a report's kind."""
     return "rainbow" if kind == "hypergraphs" else "crossing"
+
+
+def _count_sections(kind: str, cut: CutReport):
+    """The class-size, member and constraint lines of a report, as (name, lines) each."""
+    stat = _member_stat(kind)
+    return (("class-size", [f"class-size {c} {size}" for c, size in enumerate(cut.class_sizes)]),
+            ("member", [f"member {i} {stat} {count}"
+                        for i, count in enumerate(cut.member_counts)]),
+            ("constraint", [" ".join(["constraint"] + [f"{key}={_fmt(getattr(c, attr))}"
+                                                       for key, attr, _ in _CONSTRAINT_FIELDS])
+                            for c in cut.constraints]))
 
 
 def render_report(rr: RunReport) -> str:
@@ -143,14 +159,8 @@ def render_report(rr: RunReport) -> str:
         add("assignment " + " ".join(map(names.__getitem__, rr.assignment)))
     except KeyError:
         add("assignment " + " ".join(map(str, rr.assignment)))
-    for c, size in enumerate(rr.cut_report.class_sizes):
-        add(f"class-size {c} {size}")
-    stat = _member_stat(rr.kind)
-    for i, count in enumerate(getattr(rr.cut_report, stat)):
-        add(f"member {i} {stat} {count}")
-    for c in rr.cut_report.constraints:
-        add(" ".join(["constraint"] + [f"{key}={_fmt(getattr(c, attr))}"
-                                       for key, attr, _ in _CONSTRAINT_FIELDS]))
+    for _, section in _count_sections(rr.kind, rr.cut_report):
+        lines += section
     add(f"wall-ms {_fmt(round(rr.wall_ms, 3))}")
     add(f"result {'pass' if rr.passed else 'fail'}")
     return "\n".join(lines) + "\n"
@@ -167,10 +177,11 @@ def _require(table: dict, keys, where: str) -> None:
 
 
 def parse_report(text: str) -> RunReport:
-    """Parse report text; lines with a key the report does not know are ignored."""
+    """Parse report text; lines with a key the report does not know are ignored,
+    and a key it knows may appear once."""
     values: dict[str, object] = {}
-    class_sizes: list[int] = []
-    member_counts: list[int] = []
+    counts: dict[str, list[int]] = {"class-size": [], "member": []}
+    member_words: list[tuple[str, str]] = []
     constraints: list[Constraint] = []
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["simulcut-report", "1"]:
@@ -178,16 +189,16 @@ def parse_report(text: str) -> RunReport:
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         try:
-            if key == "class-size":
-                c, size = rest.split()
-                if int(c) != len(class_sizes):
-                    raise ReportParseError(f"class-size lines out of order at {ln!r}")
-                class_sizes.append(int(size))
-            elif key == "member":
-                idx, _stat, count = rest.split()
-                if int(idx) != len(member_counts):
-                    raise ReportParseError(f"member lines out of order at {ln!r}")
-                member_counts.append(int(count))
+            if key in counts:
+                tokens = rest.split()
+                if len(tokens) != (2 if key == "class-size" else 3):
+                    raise ValueError("want 'class-size <class> <size>'" if key == "class-size"
+                                     else "want 'member <index> <stat> <count>'")
+                if int(tokens[0]) != len(counts[key]):
+                    raise ReportParseError(f"{key} lines out of order at {ln!r}")
+                counts[key].append(int(tokens[-1]))
+                if key == "member":
+                    member_words.append((ln, tokens[1]))
             elif key == "constraint":
                 kv = dict(tok.partition("=")[::2] for tok in rest.split())
                 _require(kv, [name for name, _, _ in _CONSTRAINT_FIELDS],
@@ -195,6 +206,8 @@ def parse_report(text: str) -> RunReport:
                 constraints.append(Constraint(
                     **{attr: parse(kv[key]) for key, attr, parse in _CONSTRAINT_FIELDS}))
             elif key in _PARSERS:
+                if key in values:
+                    raise ValueError(f"repeats key {key!r}")
                 values[key] = _PARSERS[key][1](rest)
         except ReportParseError:
             raise
@@ -202,9 +215,13 @@ def parse_report(text: str) -> RunReport:
             raise ReportParseError(f"report line {ln!r}: {exc}") from None
 
     _require(values, _REQUIRED, "report")
-    counts = {"crossing": (), "rainbow": (), _member_stat(values["kind"]): tuple(member_counts)}
-    cut_report = CutReport(kind=values["kind"], class_sizes=tuple(class_sizes), pairs=(),
-                           within=(), constraints=tuple(constraints), **counts)
+    stat = _member_stat(values["kind"])
+    for ln, word in member_words:
+        if word != stat:
+            raise ReportParseError(f"report line {ln!r}: want {stat!r} in a "
+                                   f"{values['kind']} report")
+    cut_report = CutReport(class_sizes=tuple(counts["class-size"]),
+                           member_counts=tuple(counts["member"]), constraints=tuple(constraints))
     return RunReport(cut_report=cut_report,
                      **{_PARSERS[key][0]: value for key, value in values.items()})
 
@@ -212,13 +229,15 @@ def parse_report(text: str) -> RunReport:
 def recheck(rr: RunReport, family) -> list[str]:
     """Re-derive every checkable line of a report; returns mismatch messages.
 
-    Counts, thresholds, margins, pass flags, class sizes and the digest are
-    recomputed from (instance, assignment); the n, ell and r lines are
-    compared with the instance, and the result line with the recomputed
-    rows.  Run metadata (tries, timing, estimator values) is not checkable
-    without re-running and is ignored.  A k line that its class-size lines
-    do not match is rejected before anything is counted, so no work grows
-    with a k the report does not back.
+    The kind, n, ell and r lines are compared with the instance.  The
+    class-size, member and constraint lines are recomputed from (instance,
+    assignment), rendered as `render_report` writes them, and compared with
+    the report's own, re-rendered, in order: each section that differs gives
+    one message, quoting its first differing line on each side.  The result
+    line is compared with the recomputed rows.  Run metadata (tries, timing,
+    estimator values) is not checkable without re-running and is ignored.
+    A k line that its class-size lines do not match is rejected before
+    anything is counted, so no work grows with a k the report does not back.
     """
     problems: list[str] = []
     digest = instance_digest(family)
@@ -227,7 +246,8 @@ def recheck(rr: RunReport, family) -> list[str]:
                         f"instance is {digest[:12]}..")
         return problems
     r = family.r if isinstance(family, HypergraphFamily) else None
-    for key, said, actual in (("n", rr.n, family.n), ("ell", rr.ell, family.ell), ("r", rr.r, r)):
+    for key, said, actual in (("kind", rr.kind, "graphs" if r is None else "hypergraphs"),
+                              ("n", rr.n, family.n), ("ell", rr.ell, family.ell), ("r", rr.r, r)):
         if said != actual:
             problems.append(f"{key} differs: report {said}, instance {actual}")
     if len(rr.cut_report.class_sizes) != rr.k:
@@ -244,26 +264,13 @@ def recheck(rr: RunReport, family) -> list[str]:
                         slack=rr.balance_slack,
                         max_tries=MAX_TRIES if rr.max_tries is None else rr.max_tries)
     fresh = evaluate(family, Assignment(rr.assignment, rr.k), guarantee)
-    if fresh.class_sizes != rr.cut_report.class_sizes:
-        problems.append(f"class sizes differ: report {rr.cut_report.class_sizes}, "
-                        f"recomputed {fresh.class_sizes}")
-    stat = _member_stat(rr.kind)
-    said, actual = getattr(rr.cut_report, stat), getattr(fresh, stat)
-    if said != actual:
-        problems.append(f"{stat} counts differ: report {said}, recomputed {actual}")
-    want = {(c.graph, c.stat): c for c in fresh.constraints}
-    got = {(c.graph, c.stat): c for c in rr.cut_report.constraints}
-    if set(want) != set(got):
-        problems.append(f"constraint rows differ: report has {sorted(got)}, "
-                        f"recomputed {sorted(want)}")
-    else:
-        for key in sorted(want):
-            w, g = want[key], got[key]
-            if (g.count != w.count or repr(float(g.threshold)) != repr(w.threshold)
-                    or repr(float(g.margin)) != repr(w.margin) or g.passed != w.passed):
-                problems.append(f"constraint {key} differs: report "
-                                f"({g.count}, {g.threshold!r}, {g.passed}), recomputed "
-                                f"({w.count}, {w.threshold!r}, {w.passed})")
+    for (name, said), (_, want) in zip(_count_sections(rr.kind, rr.cut_report),
+                                       _count_sections(rr.kind, fresh)):
+        if said != want:
+            i = next((i for i, (a, b) in enumerate(zip(said, want)) if a != b),
+                     min(len(said), len(want)))
+            first = [repr(lines[i]) if i < len(lines) else "none" for lines in (said, want)]
+            problems.append(f"{name} lines differ: report {first[0]}, recomputed {first[1]}")
     result = "pass" if fresh.all_pass else "fail"
     if rr.result != result:
         problems.append(f"result differs: report {rr.result}, recomputed {result}")

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -54,7 +55,7 @@ def test_partition_derand_report(c5_file, tmp_path, capsys):
     rr = parse_report(report_path.read_text())
     assert rr.method == "derand" and rr.theorem == "thm1"
     assert rr.passed
-    assert all(c >= 1 for c in rr.cut_report.crossing)
+    assert all(c >= 1 for c in rr.cut_report.member_counts)
     assert rr.descent_steps == 5
 
 
@@ -561,19 +562,12 @@ def test_bench_derand_failure_aborts_with_replay_file(tmp_path, monkeypatch):
     real_execute = bench_mod.execute_run
 
     def sabotage(family, opts):
-        outcome = real_execute(family, opts)
+        rr = real_execute(family, opts)
         broken = [c.__class__(graph=c.graph, stat=c.stat, count=c.count,
                               threshold=c.count + 1.0, margin=-1.0, passed=False)
-                  for c in outcome.run_report.cut_report.constraints]
-        outcome.run_report.cut_report = outcome.run_report.cut_report.__class__(
-            kind=outcome.run_report.cut_report.kind,
-            class_sizes=outcome.run_report.cut_report.class_sizes,
-            crossing=outcome.run_report.cut_report.crossing,
-            pairs=outcome.run_report.cut_report.pairs,
-            within=outcome.run_report.cut_report.within,
-            rainbow=outcome.run_report.cut_report.rainbow,
-            constraints=tuple(broken))
-        return outcome
+                  for c in rr.cut_report.constraints]
+        rr.cut_report = replace(rr.cut_report, constraints=tuple(broken))
+        return rr
 
     monkeypatch.setattr(bench_mod, "execute_run", sabotage)
     suite = suite_from_dict({"runs": [{"name": "boom", "reps": 1,

@@ -170,7 +170,7 @@ class TestGuarantees:
             assert_descent_health(fam, guarantee, result)
             for i in range(ell):
                 thr = paper_threshold("thm1", fam.m[i], ell=ell)
-                assert result.report.crossing[i] >= thr
+                assert result.report.member_counts[i] >= thr
 
     def test_thm2_random_families(self):
         rng = random.Random(3)
@@ -185,7 +185,7 @@ class TestGuarantees:
             assert_descent_health(fam, guarantee, result)
             for i in range(ell):
                 thr = paper_threshold("thm2", fam.m[i], ell=ell, k=k)
-                assert result.report.crossing[i] >= thr
+                assert result.report.member_counts[i] >= thr
 
     def test_thm3_cycle_instance(self):
         fam = generate("bounded-degree", n=300, degree=2, ell=1, seed=9)
@@ -194,9 +194,10 @@ class TestGuarantees:
         assert_descent_health(fam, guarantee, result)
         thr_pair = paper_threshold("thm3", 300, ell=1, k=2, stat="pair", eps=1 / 144)
         thr_within = paper_threshold("thm3", 300, ell=1, k=2, stat="within", eps=1 / 144)
-        assert result.report.pairs[0][(0, 1)] >= thr_pair
+        counts = {c.stat: c.count for c in result.report.constraints}
+        assert counts["pair(0,1)"] >= thr_pair
         for s in (0, 1):
-            assert result.report.within[0][s] >= thr_within
+            assert counts[f"within({s})"] >= thr_within
 
     def test_hyp_random(self):
         rng = random.Random(4)
@@ -209,7 +210,7 @@ class TestGuarantees:
             result = derandomize(hf, guarantee)
             assert_descent_health(hf, guarantee, result)
             thr = paper_threshold("hyp", hf.m[0], ell=1, k=r, delta2=hf.delta2[0])
-            assert result.report.rainbow[0] >= thr
+            assert result.report.member_counts[0] >= thr
 
 
 class TestEngineEquality:

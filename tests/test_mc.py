@@ -17,6 +17,7 @@ from simulcut import (
     McExhausted,
     evaluate,
     mc_partition,
+    partition_counts,
     random_assignment,
     resolve,
     substream,
@@ -142,7 +143,7 @@ class TestMcPartition:
             result = mc_partition(fam, resolve(fam, "thm2", k=k), seed=k)
             for i in range(2):
                 thr = paper_threshold("thm2", fam.m[i], ell=2, k=k)
-                assert result.report.crossing[i] >= thr
+                assert result.report.member_counts[i] >= thr
 
     def test_thm3_degree_precondition_names_graph(self):
         star = generate("star", n=11)
@@ -158,7 +159,7 @@ class TestMcPartition:
         hf = random_hyperfamily(15, 3, [25], 13)
         result = mc_partition(hf, resolve(hf, "hyp"), seed=0)
         thr = paper_threshold("hyp", 25, ell=1, k=3, delta2=hf.delta2[0])
-        assert result.report.rainbow[0] >= thr
+        assert result.report.member_counts[0] >= thr
 
     def test_exhaustion_carries_best_attempt(self):
         # impossible balance demand: odd class sizes can never hit n/k exactly
@@ -216,8 +217,8 @@ class TestCheckReport:
         a = Assignment((0, 0, 1, 1, 1), 2)
         report = evaluate(fam, a, resolve(fam, "thm1"))
         for i, edges in enumerate(fam.arrays):
-            assert report.crossing[i] == sum(1 for u, v in edges.tolist()
-                                             if a.labels[u] != a.labels[v])
+            assert report.member_counts[i] == sum(1 for u, v in edges.tolist()
+                                                 if a.labels[u] != a.labels[v])
 
     def test_balance_violation_flagged(self):
         fam = random_family(10, [5], 2)
@@ -330,6 +331,7 @@ class TestCheckReport:
             fam = random_family(n, [rng.randint(0, min(20, n * (n - 1) // 2))], trial)
             k = rng.randint(2, 4)
             a = Assignment(tuple(rng.randrange(k) for _ in range(fam.n)), k)
-            report = evaluate(fam, a, resolve(fam, "thm2", k=k))
-            assert sum(report.pairs[0].values()) + sum(report.within[0]) == fam.m[0]
-            assert report.crossing[0] == fam.m[0] - sum(report.within[0])
+            pairs, within, crossing = partition_counts(fam.arrays[0], a)
+            assert sum(pairs.values()) + sum(within) == fam.m[0]
+            assert crossing == fam.m[0] - sum(within)
+            assert evaluate(fam, a, resolve(fam, "thm2", k=k)).member_counts == (crossing,)

@@ -37,7 +37,7 @@ def test_render_parse_render_is_identity(theorem, method, seed, balanced, k):
                       k={"2": k, "3": 2}.get(theorem), seed=seed,
                       balanced=balanced and method == "mc",
                       max_tries=1 if seed % 3 == 0 else 64)
-    rr = execute_run(family, opts).run_report
+    rr = execute_run(family, opts)
     text = render_report(rr)
     assert render_report(parse_report(text)) == text
 
@@ -48,7 +48,7 @@ def test_balance_slack_and_epsilon_lines():
     family = generate(**INSTANCES["1"], seed=1)
     for balanced in (False, True):
         opts = RunOptions(method="mc", theorem="1", slack=50.0, balanced=balanced)
-        rr = execute_run(family, opts).run_report
+        rr = execute_run(family, opts)
         assert ("\nbalance-slack 50.0\n" in render_report(rr)) == balanced
     text = render_report(replace(rr, epsilon=Fraction(1, 4), balance_slack=50))
     assert "\nepsilon 0.25\n" in text and "\nbalance-slack 50.0\n" in text
@@ -58,7 +58,7 @@ def test_assignment_line_writes_every_label_in_decimal():
     # labels come from a table of the k classes; one outside them (UNDECIDED,
     # or k and above in a parsed report) is written all the same
     family = generate(**INSTANCES["2"], seed=3)
-    rr = execute_run(family, RunOptions(method="derand", theorem="2", k=3)).run_report
+    rr = execute_run(family, RunOptions(method="derand", theorem="2", k=3))
     for labels in (rr.assignment, (0, 2, 1) * 10, (0, -1, 2) * 10, (0, 3, 11) * 10):
         text = render_report(replace(rr, assignment=labels))
         assert f"\nassignment {' '.join(str(x) for x in labels)}\n" in text
@@ -91,11 +91,9 @@ def test_thresholds_agree_bit_for_bit(gen, theorem, k, method):
     want = [repr(_closed_form(family, name, guarantee.k, spec.graph, spec.stat))
             for spec, _, _ in guarantee.rows]
     assert [repr(thr) for _, thr, _ in guarantee.rows] == want
-    outcome = execute_run(family, RunOptions(method=method, theorem=theorem, k=k))
-    engine = (outcome.derand_result.report if method == "derand"
-              else outcome.run_report.cut_report)
-    assert [repr(c.threshold) for c in engine.constraints] == want
-    text = render_report(outcome.run_report)
+    rr = execute_run(family, RunOptions(method=method, theorem=theorem, k=k))
+    assert [repr(c.threshold) for c in rr.cut_report.constraints] == want
+    text = render_report(rr)
     rendered = [tok.split("=", 1)[1] for ln in text.splitlines() if ln.startswith("constraint ")
                 for tok in ln.split() if tok.startswith("threshold=")]
     assert rendered == want
@@ -183,16 +181,20 @@ def rendered_reports(tmp_path_factory):
         inst.write_text(serialize_instance(family))
         opts = RunOptions(method=method, theorem=theorem, k={"2": 3}.get(theorem),
                           balanced=balanced, seed=4)
-        rr = execute_run(family, opts).run_report
+        rr = execute_run(family, opts)
         assert rr.passed
         out.append((inst, render_report(rr).splitlines()))
     return where, out
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 3), st.integers(0, 10 ** 6), st.sampled_from(["drop", "value", "key"]),
+@given(st.integers(0, 3), st.integers(0, 10 ** 6),
+       st.sampled_from(["drop", "value", "key", "copy", "copy-value"]),
        st.sampled_from(MUTANT_VALUES), st.integers(0, 10 ** 6))
 def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, value, token):
+    # a copy of line i goes before it, as it is or with its value replaced;
+    # every line after the first has a known key or is a count line, so a
+    # report holding a copy of it does not verify
     where, reports = rendered_reports
     inst, lines = reports[which]
     lines = list(lines)
@@ -205,11 +207,16 @@ def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, 
         j = token % len(tokens)
         tokens[j] = tokens[j].partition("=")[0] + "=" + value
         lines[i] = "constraint " + " ".join(tokens)
+    elif how == "copy":
+        lines.insert(i, lines[i])
+    elif how == "copy-value":
+        lines.insert(i, f"{key} {value}")
     else:
         lines[i] = f"{key} {value}"
     bad = where / "mutant.report"
     bad.write_text("\n".join(lines) + "\n")
-    assert main(["verify", str(bad), "--instance", str(inst)]) in (0, 2)
+    code = main(["verify", str(bad), "--instance", str(inst)])
+    assert code == 2 if how.startswith("copy") and i > 0 else code in (0, 2)
 
 
 @pytest.mark.parametrize("k", [4, 1_000_000])
@@ -232,10 +239,13 @@ def test_verify_rejects_a_k_its_class_sizes_do_not_match(rendered_reports, capsy
 # line shape in the thm3 mc report that no parser takes
 BAD_VALUES = [("n ", "n "), ("k ", "k "), ("seed ", "seed "), ("epsilon ", "epsilon "),
               ("class-size 1 ", "class-size 1 "), ("member 0 ", "crossing "),
-              ("constraint ", "count="), ("assignment ", "assignment ")]
+              ("constraint ", "count="), ("assignment ", "assignment "),
+              ("balanced ", "balanced "), ("constraint ", "pass=")]
 
 
-@pytest.mark.parametrize("prefix, token", BAD_VALUES, ids=[p.split()[0] for p, _ in BAD_VALUES])
+@pytest.mark.parametrize("prefix, token", BAD_VALUES,
+                         ids=[p.split()[0] + ("-pass" if t == "pass=" else "")
+                              for p, t in BAD_VALUES])
 def test_verify_bad_value_names_its_line(rendered_reports, capsys, prefix, token):
     where, reports = rendered_reports
     inst, lines = reports[2]
@@ -248,6 +258,78 @@ def test_verify_bad_value_names_its_line(rendered_reports, capsys, prefix, token
     assert main(["verify", str(bad), "--instance", str(inst)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: report line {lines[i]!r}: ") and "Traceback" not in err, err
+
+
+@pytest.fixture
+def gnm_report(tmp_path):
+    """`gen gnm --n 40 --m 100 --ell 2`, and the text of its thm1 derand report."""
+    inst, report = tmp_path / "gnm.instance", tmp_path / "gnm.report"
+    assert main(["gen", "gnm", "--n", "40", "--m", "100", "--ell", "2", "--out", str(inst)]) == 0
+    assert main(["partition", str(inst), "--theorem", "1", "--out", str(report)]) == 0
+    return inst, report.read_text()
+
+
+def _before(line: str, extra: str):
+    """An edit that puts `extra` right before the report's line `line`."""
+    def edit(text):
+        assert f"\n{line}\n" in text
+        return text.replace(f"\n{line}\n", f"\n{extra}\n{line}\n", 1)
+    return edit
+
+
+def _member_words(kind: str, word: str):
+    """An edit that sets the kind line to `kind` and every member line's word to `word`."""
+    def edit(text):
+        lines = [f"kind {kind}" if ln.startswith("kind ")
+                 else ln.replace(" crossing ", f" {word} ") if ln.startswith("member ") else ln
+                 for ln in text.splitlines()]
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+FALSE_ROW = "constraint graph=0 stat=crossing count=7 threshold=40.0 margin=-33.0 pass=no"
+
+# (edit of the gnm report, verify's stderr or its start): a repeated row,
+# a second copy of a known key, a member word that is not the kind's, and
+# the kind line and member words switched together, which only the kind
+# line's comparison with the instance refuses
+REFUSED_EDITS = {
+    "repeated-row": (_before("result pass", FALSE_ROW),
+                     f"mismatch: constraint lines differ: report {FALSE_ROW!r}, recomputed none\n"),
+    "second-result": (_before("result pass", "result fail"),
+                      "error: report line 'result pass': repeats key 'result'\n"),
+    "second-n": (_before("n 40", "n 999"), "error: report line 'n 40': repeats key 'n'\n"),
+    "member-word": (_member_words("graphs", "rainbow"), "error: report line 'member 0 rainbow "),
+    "switched-kind": (_member_words("hypergraphs", "rainbow"),
+                      "mismatch: kind differs: report hypergraphs, instance graphs\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_EDITS))
+def test_verify_refuses_edited_gnm_report(gnm_report, tmp_path, capsys, case):
+    inst, text = gnm_report
+    edit, err = REFUSED_EDITS[case]
+    bad = tmp_path / "edited.report"
+    bad.write_text(edit(text))
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    got = capsys.readouterr().err
+    assert got == err if err.endswith("\n") else got.startswith(err), got
+
+
+def test_verify_reads_pass_tokens_strictly(c5_reports, capsys):
+    # a pass token is exactly yes or no: read as no, `maybe` on the failing
+    # balance rows would re-render as the recomputed `no` and verify
+    inst, where = c5_reports
+    text = (where / "fail.report").read_text()
+    assert text.count(" pass=no\n") == 2
+    bad = where / "maybe.report"
+    bad.write_text(text.replace(" pass=no\n", " pass=maybe\n"))
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: report line 'constraint graph=-1 stat=balance(0) ")
+    assert err.endswith(" pass=maybe': want 'yes' or 'no'\n"), err
 
 
 @pytest.mark.parametrize("at", ["appended", "after-k"])
@@ -331,7 +413,7 @@ REPORT_PINS = [
 
 def _pinned_report(family, method, theorem, k, balanced) -> str:
     opts = RunOptions(method=method, theorem=theorem, k=k, balanced=balanced, seed=3)
-    text = render_report(execute_run(PIN_FAMILIES[family](), opts).run_report)
+    text = render_report(execute_run(PIN_FAMILIES[family](), opts))
     return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("wall-ms "))
 
 
