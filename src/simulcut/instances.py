@@ -56,7 +56,10 @@ import numpy as np
 from .model import GraphFamily, HypergraphFamily, InstanceError
 from .mc import substream
 
-GENERATOR_KINDS = ("gnm", "disjoint-cycles", "star", "bounded-degree", "runiform")
+# each generator kind, with the parameters besides n and ell that it reads
+_GENERATOR_READS = {"gnm": ("m",), "disjoint-cycles": (), "star": (),
+                    "bounded-degree": ("degree",), "runiform": ("m", "r")}
+GENERATOR_KINDS = tuple(_GENERATOR_READS)
 
 
 class InstanceFormatError(ValueError):
@@ -486,9 +489,10 @@ def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
     """Reject the parameters `generate` cannot build an instance from.
 
     Raises ValueError with the message `generate` gives, before anything
-    is drawn; a suite checks every run's generator with it before the
-    first run starts.  Returns the shape of what `generate` builds: its
-    member count and uniformity (None for graphs).
+    is drawn, and on a given m, r or degree the kind does not read; a suite
+    checks every run's generator with it before the first run starts.
+    Returns the shape of what `generate` builds: its member count and
+    uniformity (None for graphs).
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
@@ -538,5 +542,7 @@ def check_generator(kind: str, *, n: int, m: int | None = None, ell: int = 1,
         total = math.comb(n, r)
         if m > total:
             raise ValueError(f"m={m} exceeds the {total} distinct {r}-subsets of {n} vertices")
-        return ell, r
-    return {"disjoint-cycles": 2, "star": 1}.get(kind, ell), None
+    for name, value in (("m", m), ("r", r), ("degree", degree)):
+        if value is not None and name not in _GENERATOR_READS[kind]:
+            raise ValueError(f"{kind} does not read {name}")
+    return {"disjoint-cycles": 2, "star": 1}.get(kind, ell), r

@@ -5,23 +5,26 @@ needed to audit a partitioning run: instance digest, config echo, the full
 assignment, and its count section: class sizes, one count per member and
 one constraint row per statistic.  One table, `_FIELDS`, names each leading
 line's key, its `RunReport` attribute and its parser; `render_report`
-writes from it, `parse_report` reads with it, a key may appear once, and it
-is required when its attribute has no default.  Lines with a key the table
-does not know are ignored, so new lines are additive.  Every count is
-re-derivable from (instance, assignment): `recheck` resolves the echoed
-guarantee and evaluates the assignment with the same `resolve` and
-`evaluate` the engines use, and writes the count lines with the same
-`_count_sections` as `render_report`.  Floats are rendered with repr
-(shortest round-trip), so comparing them is an exact string comparison.
+writes from it, and `parse_report` reads with it and accepts a report only
+in the form `render_report` writes.  Lines with a key the report does not
+know are ignored, so new lines are additive.  Every count is re-derivable
+from (instance, assignment): `recheck` resolves the echoed guarantee and
+evaluates the assignment with the same `resolve` and `evaluate` the
+engines use.  A float is written as the repr (shortest round-trip) of
+itself plus 0.0, so never as -0.0, and two count sections are equal as
+values exactly when their lines are.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
+from itertools import zip_longest
+
+import numpy as np
 
 from .model import Assignment, Constraint, CutReport, HypergraphFamily, UNDECIDED
 from .guarantee import MAX_TRIES, evaluate, resolve
-from .instances import serialize_instance, text_sha256
+from .instances import _QUOTED, serialize_instance, text_sha256
 
 
 def instance_digest(family) -> str:
@@ -38,7 +41,7 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
     if isinstance(x, float):
-        return repr(x)
+        return repr(x + 0.0)
     return str(x)
 
 
@@ -66,9 +69,7 @@ class RunReport:
     descent_steps: int | None = None
     initial_estimator: float | None = None
     final_estimator: float | None = None
-    wall_ms: float = 0.0
-    # the `result` line of a parsed report; rendering writes `passed`
-    result: str | None = None
+    wall_ms: float | None = None
     # a descent's steps (`partition --trace`); never rendered
     trace: tuple = field(default=(), repr=False, compare=False)
 
@@ -77,20 +78,8 @@ class RunReport:
         return self.cut_report.all_pass
 
 
-def _yes(text: str) -> bool:
-    if text not in ("yes", "no"):
-        raise ValueError("want 'yes' or 'no'")
-    return text == "yes"
-
-
-def _pass_or_fail(text: str) -> str:
-    if text not in ("pass", "fail"):
-        raise ValueError("want 'pass' or 'fail'")
-    return text
-
-
 # (report key, RunReport attribute, parser) of the leading `key value`
-# lines, in render order; None values are not written
+# lines, in render order; None values are not written, and yes/no is "yes"
 _FIELDS = (
     ("instance-sha256", "digest", str),
     ("kind", "kind", str),
@@ -101,7 +90,7 @@ _FIELDS = (
     ("theorem", "theorem", str),
     ("k", "k", int),
     ("epsilon", "epsilon", float),
-    ("balanced", "balanced", _yes),
+    ("balanced", "balanced", "yes".__eq__),
     ("balance-slack", "balance_slack", float),
     ("order", "order", str),
     ("seed", "seed", int),
@@ -111,30 +100,26 @@ _FIELDS = (
     ("initial-estimator", "initial_estimator", float),
     ("final-estimator", "final_estimator", float),
 )
-# the `key value` lines written after the table's, around the per-class,
-# per-member and constraint lines
-_TRAILING = (("assignment", "assignment", lambda text: tuple(map(int, text.split()))),
-             ("wall-ms", "wall_ms", float), ("result", "result", _pass_or_fail))
-# the `key=value` tokens of a constraint line, in render order
+# the assignment line, and wall-ms after the class-size, member and constraint lines
+_TRAILING = (("assignment", "assignment",
+              lambda text: tuple(np.fromstring(text, dtype=np.int64, sep=" ").tolist())),
+             ("wall-ms", "wall_ms", float))
+# the `key=value` tokens of a constraint line, in render order, which is
+# the order of Constraint's fields
 _CONSTRAINT_FIELDS = (("graph", "graph", int), ("stat", "stat", str), ("count", "count", int),
                       ("threshold", "threshold", float), ("margin", "margin", float),
-                      ("pass", "passed", _yes))
+                      ("pass", "passed", "yes".__eq__))
 _PARSERS = {key: (attr, parse) for key, attr, parse in _FIELDS + _TRAILING}
-# a key is required when its RunReport attribute has no default, and so is
-# the result line, which `recheck` compares with the recomputed rows
-_OPTIONAL = {f.name for f in fields(RunReport) if f.default is not MISSING}
-_REQUIRED = tuple(key for key, (attr, _) in _PARSERS.items()
-                  if attr not in _OPTIONAL or key == "result")
-
-
-def _member_stat(kind: str) -> str:
-    """The word of the `member` lines of a report's kind."""
-    return "rainbow" if kind == "hypergraphs" else "crossing"
+# a key is required when its RunReport attribute has no default, and so
+# is not an attribute of the class
+_REQUIRED = tuple(key for key, (attr, _) in _PARSERS.items() if not hasattr(RunReport, attr))
+# every key render_report writes
+_KNOWN = {"simulcut-report", "class-size", "member", "constraint", "result", *_PARSERS}
 
 
 def _count_sections(kind: str, cut: CutReport):
     """The class-size, member and constraint lines of a report, as (name, lines) each."""
-    stat = _member_stat(kind)
+    stat = "rainbow" if kind == "hypergraphs" else "crossing"
     return (("class-size", [f"class-size {c} {size}" for c, size in enumerate(cut.class_sizes)]),
             ("member", [f"member {i} {stat} {count}"
                         for i, count in enumerate(cut.member_counts)]),
@@ -161,83 +146,75 @@ def render_report(rr: RunReport) -> str:
         add("assignment " + " ".join(map(str, rr.assignment)))
     for _, section in _count_sections(rr.kind, rr.cut_report):
         lines += section
-    add(f"wall-ms {_fmt(round(rr.wall_ms, 3))}")
+    if rr.wall_ms is not None:
+        add(f"wall-ms {_fmt(round(rr.wall_ms, 3))}")
     add(f"result {'pass' if rr.passed else 'fail'}")
     return "\n".join(lines) + "\n"
 
 
-class ReportParseError(ValueError):
-    pass
-
-
-def _require(table: dict, keys, where: str) -> None:
-    for key in keys:
-        if key not in table:
-            raise ReportParseError(f"{where} has no {key!r}")
+def _excerpt(line: str, j: int) -> str:
+    """A line quoted around its j-th token and the one before, after its key,
+    each cut to _QUOTED characters, `...` for the rest; `none` for "" (no line)."""
+    if not line:
+        return "none"
+    tokens = line.split(" ")
+    lo = max(j - 1, 0)
+    parts = ((tokens[:1] + ["..."] * (lo > 1) if lo else [])
+             + tokens[lo:lo + 2] + ["..."] * (lo + 2 < len(tokens)))
+    return repr(" ".join(t if len(t) <= _QUOTED else t[:_QUOTED] + "..." for t in parts))
 
 
 def parse_report(text: str) -> RunReport:
-    """Parse report text; lines with a key the report does not know are ignored,
-    and a key it knows may appear once."""
-    values: dict[str, object] = {}
-    counts: dict[str, list[int]] = {"class-size": [], "member": []}
-    member_words: list[tuple[str, str]] = []
-    constraints: list[Constraint] = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["simulcut-report", "1"]:
-        raise ReportParseError("not a simulcut report (bad first line)")
-    for ln in lines[1:]:
+    """Parse report text, accepted only in the form `render_report` writes.
+
+    Each line with a key the report knows is read leniently, and those
+    lines, in order, must equal `render_report` of what was read; the first
+    that differs is quoted with the line written there.  Other lines, blank
+    ones included, are ignored wherever they stand; CRLF ends are accepted.
+    """
+    values, rows = {}, {"class-size": [], "member": [], "constraint": []}
+    for ln in text.splitlines():
         key, _, rest = ln.partition(" ")
         try:
-            if key in counts:
-                tokens = rest.split()
-                if len(tokens) != (2 if key == "class-size" else 3):
-                    raise ValueError("want 'class-size <class> <size>'" if key == "class-size"
-                                     else "want 'member <index> <stat> <count>'")
-                if int(tokens[0]) != len(counts[key]):
-                    raise ReportParseError(f"{key} lines out of order at {ln!r}")
-                counts[key].append(int(tokens[-1]))
-                if key == "member":
-                    member_words.append((ln, tokens[1]))
-            elif key == "constraint":
-                kv = dict(tok.partition("=")[::2] for tok in rest.split())
-                _require(kv, [name for name, _, _ in _CONSTRAINT_FIELDS],
-                         f"constraint line {ln!r}")
-                constraints.append(Constraint(
-                    **{attr: parse(kv[key]) for key, attr, parse in _CONSTRAINT_FIELDS}))
-            elif key in _PARSERS:
-                if key in values:
-                    raise ValueError(f"repeats key {key!r}")
+            if key in _PARSERS:
                 values[key] = _PARSERS[key][1](rest)
-        except ReportParseError:
-            raise
-        except ValueError as exc:
-            raise ReportParseError(f"report line {ln!r}: {exc}") from None
+            elif key == "constraint":
+                rows[key].append(Constraint(*[parse(tok.partition("=")[2]) for (_, _, parse), tok
+                                              in zip(_CONSTRAINT_FIELDS, rest.split(" "))]))
+            elif key in rows:
+                rows[key].append(int(rest.rpartition(" ")[2]))
+        except (ValueError, TypeError) as exc:  # TypeError: a constraint row too short
+            raise ValueError(f"report line {ln!r}: {exc}") from None
 
-    _require(values, _REQUIRED, "report")
-    stat = _member_stat(values["kind"])
-    for ln, word in member_words:
-        if word != stat:
-            raise ReportParseError(f"report line {ln!r}: want {stat!r} in a "
-                                   f"{values['kind']} report")
-    cut_report = CutReport(class_sizes=tuple(counts["class-size"]),
-                           member_counts=tuple(counts["member"]), constraints=tuple(constraints))
-    return RunReport(cut_report=cut_report,
-                     **{_PARSERS[key][0]: value for key, value in values.items()})
+    missing = [key for key in _REQUIRED if key not in values]
+    if missing:
+        raise ValueError(f"report has no {missing[0]!r}")
+    rr = RunReport(cut_report=CutReport(*map(tuple, rows.values())),
+                   **{_PARSERS[key][0]: value for key, value in values.items()})
+    written = render_report(rr)
+    # the text's known lines, as one string; the text itself when it is as written
+    said = text if text == written else "".join(
+        ln + "\n" for ln in text.splitlines() if ln.partition(" ")[0] in _KNOWN)
+    if said == written:
+        return rr
+    a, b = next(pair for pair in zip_longest(said.splitlines(), written.splitlines(), fillvalue="")
+                if pair[0] != pair[1])
+    j = next(j for j, pair in enumerate(zip_longest(a.split(" "), b.split(" ")))
+             if pair[0] != pair[1])
+    raise ValueError(f"report line {_excerpt(a, j)} is not as written: want {_excerpt(b, j)}")
 
 
 def recheck(rr: RunReport, family) -> list[str]:
     """Re-derive every checkable line of a report; returns mismatch messages.
 
     The kind, n, ell and r lines are compared with the instance.  The
-    class-size, member and constraint lines are recomputed from (instance,
-    assignment), rendered as `render_report` writes them, and compared with
-    the report's own, re-rendered, in order: each section that differs gives
-    one message, quoting its first differing line on each side.  The result
-    line is compared with the recomputed rows.  Run metadata (tries, timing,
-    estimator values) is not checkable without re-running and is ignored.
-    A k line that its class-size lines do not match is rejected before
-    anything is counted, so no work grows with a k the report does not back.
+    count section is recomputed from (instance, assignment); when it differs
+    from the report's, each section whose lines differ gives one message,
+    quoting its first differing line on each side, and so does the result.
+    Run metadata (tries, timing, estimator values) is not checkable without
+    re-running and is ignored.  A k line that its class-size lines do not
+    match is rejected before anything is counted, so no work grows with a
+    k the report does not back.
     """
     problems: list[str] = []
     digest = instance_digest(family)
@@ -264,6 +241,8 @@ def recheck(rr: RunReport, family) -> list[str]:
                         slack=rr.balance_slack,
                         max_tries=MAX_TRIES if rr.max_tries is None else rr.max_tries)
     fresh = evaluate(family, Assignment(rr.assignment, rr.k), guarantee)
+    if rr.cut_report == fresh:
+        return problems
     for (name, said), (_, want) in zip(_count_sections(rr.kind, rr.cut_report),
                                        _count_sections(rr.kind, fresh)):
         if said != want:
@@ -271,7 +250,7 @@ def recheck(rr: RunReport, family) -> list[str]:
                      min(len(said), len(want)))
             first = [repr(lines[i]) if i < len(lines) else "none" for lines in (said, want)]
             problems.append(f"{name} lines differ: report {first[0]}, recomputed {first[1]}")
-    result = "pass" if fresh.all_pass else "fail"
-    if rr.result != result:
-        problems.append(f"result differs: report {rr.result}, recomputed {result}")
+    if rr.passed != fresh.all_pass:
+        said, want = ("pass" if passed else "fail" for passed in (rr.passed, fresh.all_pass))
+        problems.append(f"result differs: report {said}, recomputed {want}")
     return problems

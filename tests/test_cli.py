@@ -216,7 +216,12 @@ def test_verify_missing_field_exit_2(c5_file, tmp_path, capsys, dropped):
     capsys.readouterr()
     assert main(["verify", str(bad), "--instance", str(c5_file)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(dropped.rstrip("=")) in err
+    if dropped.endswith("="):
+        # constraint tokens are read by position: a row one token short is
+        # refused naming its line
+        assert err.startswith("error: report line 'constraint "), err
+    else:
+        assert err == f"error: report has no {dropped!r}\n"
 
 
 BIG = 99999999999999999999     # a vertex index beyond int64
@@ -823,6 +828,8 @@ BAD_FIELDS = [
     (dict(balance=True), "unknown field 'balance'"),
     (dict(generator={"kind": "gnm", "n": 8, "m": 10, "bogus": 1}),
      "unknown generator parameter 'bogus'"),
+    # and so are the parameters a generator kind never reads
+    (dict(generator={"kind": "star", "n": 5, "m": 3}), "star does not read m"),
     # a run's name names its reports in --out-dir: run 0's is "run0" by default
     (dict(name="run0"), "name 'run0' repeats the name of run 0"),
     (dict(name="../x"), "field 'name' must be a file name, got '../x'"),

@@ -517,6 +517,21 @@ def test_generated_shape_matches_generate(kind, params):
         assert check_generator(kind, **{**params, "ell": 0}) == (fam.ell, None)
 
 
+@pytest.mark.parametrize("kind, params, unread", [
+    ("star", dict(n=5, m=3, r=9, degree=4), "m"),
+    ("disjoint-cycles", dict(n=7, degree=2), "degree"),
+    ("gnm", dict(n=8, m=3, r=9, degree=4), "r"),
+    ("bounded-degree", dict(n=8, degree=2, m=3), "m"),
+    ("runiform", dict(n=8, m=3, r=3, degree=4), "degree"),
+])
+def test_generators_refuse_parameters_they_do_not_read(kind, params, unread):
+    # a parameter the kind never reads is refused, not ignored, by both the
+    # up-front check and generate; disjoint-cycles and star still ignore ell
+    for check in (check_generator, generate):
+        with pytest.raises(ValueError, match=rf"^{kind} does not read {unread}$"):
+            check(kind, **params)
+
+
 def test_check_generator_rejects_what_generate_cannot_build():
     for ell, r in ((0, 3), ("2", 3), (2, None), (2, 1), (2, "3")):
         with pytest.raises(ValueError):

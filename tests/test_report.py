@@ -1,10 +1,11 @@
 """Run-report text: render and parse are inverse on every kind of report,
-thresholds agree bit for bit, whole reports and resolved guarantees are
-pinned by digest, `verify` checks the result line, and it survives
-corrupted reports."""
+a report is read only as it is written, thresholds agree bit for bit, whole
+reports and resolved guarantees are pinned by digest, `verify` checks the
+result line, and it survives corrupted reports."""
 
 import hashlib
 import math
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -136,22 +137,33 @@ def c5_reports(tmp_path):
 
 @pytest.mark.parametrize("name, flipped", [("fail", "pass"), ("pass", "fail")])
 def test_verify_compares_the_result_line(c5_reports, capsys, name, flipped):
+    # the result line alone flipped is not what the report's rows render
+    # to; flipped with every pass token, the report reads back as written
+    # and the recomputed rows refuse it
     inst, where = c5_reports
     report = where / f"{name}.report"
     assert main(["verify", str(report), "--instance", str(inst)]) == 0
     text = report.read_text()
     assert text.endswith(f"\nresult {name}\n")
+    flipped_text = text.replace(f"\nresult {name}\n", f"\nresult {flipped}\n")
     bad = where / "flipped.report"
-    bad.write_text(text.replace(f"\nresult {name}\n", f"\nresult {flipped}\n"))
+    bad.write_text(flipped_text)
     capsys.readouterr()
     assert main(["verify", str(bad), "--instance", str(inst)]) == 2
-    assert capsys.readouterr().err == (f"mismatch: result differs: report {flipped}, "
-                                       f"recomputed {name}\n")
+    assert capsys.readouterr().err == (f"error: report line 'result {flipped}' is not as "
+                                       f"written: want 'result {name}'\n")
+    token = "yes" if flipped == "pass" else "no"
+    bad.write_text(re.sub(r" pass=\w+$", f" pass={token}", flipped_text, flags=re.M))
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("mismatch: constraint lines differ: report 'constraint "), err
+    assert err[-1] == f"mismatch: result differs: report {flipped}, recomputed {name}"
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("result fail\n", "", "report has no 'result'"),
-    ("result fail\n", "result maybe\n", "report line 'result maybe': want 'pass' or 'fail'"),
+    ("result fail\n", "", "report line none is not as written: want 'result fail'"),
+    ("result fail\n", "result maybe\n",
+     "report line 'result maybe' is not as written: want 'result fail'"),
     ("max-tries 4\n", "max-tries 0\n", "max_tries must be >= 1, got 0"),
 ], ids=["no-result", "bad-result", "max-tries-0"])
 def test_verify_refuses_result_and_max_tries_lines(c5_reports, capsys, old, new, message):
@@ -166,6 +178,10 @@ def test_verify_refuses_result_and_max_tries_lines(c5_reports, capsys, old, new,
 
 
 MUTANT_VALUES = ["", "x", "-1", "0", "nan", "inf", "1e400", "thm9", "hypergraphs"]
+# the keys of run metadata: verify reads these values but cannot recompute
+# them, so any value in written form verifies
+UNCHECKED = ("method", "order", "seed", "max-tries", "tries", "descent-steps",
+             "initial-estimator", "final-estimator", "wall-ms")
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +209,13 @@ def rendered_reports(tmp_path_factory):
        st.sampled_from(MUTANT_VALUES), st.integers(0, 10 ** 6))
 def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, value, token):
     # a copy of line i goes before it, as it is or with its value replaced;
-    # every line after the first has a known key or is a count line, so a
-    # report holding a copy of it does not verify
+    # every line has a known key, so a report holding a copy does not
+    # verify, and neither does one with a changed line that verify checks.
+    # A dropped line may leave a report that verifies, and any report that
+    # verifies is in the form render_report writes
     where, reports = rendered_reports
-    inst, lines = reports[which]
-    lines = list(lines)
+    inst, original = reports[which]
+    lines = list(original)
     i = line % len(lines)
     key, _, rest = lines[i].partition(" ")
     if how == "drop":
@@ -213,10 +231,14 @@ def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, 
         lines.insert(i, f"{key} {value}")
     else:
         lines[i] = f"{key} {value}"
+    text = "\n".join(lines) + "\n"
     bad = where / "mutant.report"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text(text)
     code = main(["verify", str(bad), "--instance", str(inst)])
-    assert code == 2 if how.startswith("copy") and i > 0 else code in (0, 2)
+    changed = lines != original and key not in UNCHECKED
+    assert code == 2 if how.startswith("copy") or (how != "drop" and changed) else code in (0, 2)
+    if code == 0:
+        assert render_report(parse_report(text)) == text
 
 
 @pytest.mark.parametrize("k", [4, 1_000_000])
@@ -236,7 +258,8 @@ def test_verify_rejects_a_k_its_class_sizes_do_not_match(rendered_reports, capsy
 
 
 # (line prefix, token after which an "x" is inserted): one value of each
-# line shape in the thm3 mc report that no parser takes
+# line shape in the thm3 mc report; a yes/no value is read as whether it
+# is "yes", and no parser takes any of the others
 BAD_VALUES = [("n ", "n "), ("k ", "k "), ("seed ", "seed "), ("epsilon ", "epsilon "),
               ("class-size 1 ", "class-size 1 "), ("member 0 ", "crossing "),
               ("constraint ", "count="), ("assignment ", "assignment "),
@@ -257,7 +280,14 @@ def test_verify_bad_value_names_its_line(rendered_reports, capsys, prefix, token
     capsys.readouterr()
     assert main(["verify", str(bad), "--instance", str(inst)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: report line {lines[i]!r}: ") and "Traceback" not in err, err
+    assert "Traceback" not in err, err
+    if token in ("balanced ", "pass="):
+        # read as "no", and then refused as not the line written for "no"
+        said, want = lines[i].rsplit(" ", 1)[1], "pass=no" if token == "pass=" else "no"
+        assert err.startswith(f"error: report line '{prefix.split()[0]} "), err
+        assert f" {said}' is not as written: want '" in err and err.endswith(f" {want}'\n"), err
+    else:
+        assert err.startswith(f"error: report line {lines[i]!r}: "), err
 
 
 @pytest.fixture
@@ -270,10 +300,10 @@ def gnm_report(tmp_path):
 
 
 def _before(line: str, extra: str):
-    """An edit that puts `extra` right before the report's line `line`."""
+    """An edit that puts `extra` right before the report's line starting `line`."""
     def edit(text):
-        assert f"\n{line}\n" in text
-        return text.replace(f"\n{line}\n", f"\n{extra}\n{line}\n", 1)
+        assert f"\n{line}" in text
+        return text.replace(f"\n{line}", f"\n{extra}\n{line}", 1)
     return edit
 
 
@@ -289,16 +319,25 @@ def _member_words(kind: str, word: str):
 
 FALSE_ROW = "constraint graph=0 stat=crossing count=7 threshold=40.0 margin=-33.0 pass=no"
 
-# (edit of the gnm report, verify's stderr or its start): a repeated row,
-# a second copy of a known key, a member word that is not the kind's, and
-# the kind line and member words switched together, which only the kind
-# line's comparison with the instance refuses
+
+def _false_row(text):
+    """The gnm report with a third, failing row after its two, and its result line to match."""
+    return _before("wall-ms", FALSE_ROW)(text).replace("\nresult pass\n", "\nresult fail\n")
+
+
+# (edit of the gnm report, verify's stderr or its start): a repeated row
+# that the report's rows and result line agree with, which only the
+# recomputed rows refuse, a second copy of a known key, a member word that
+# is not the kind's, and the kind line and member words switched together,
+# which only the kind line's comparison with the instance refuses
 REFUSED_EDITS = {
-    "repeated-row": (_before("result pass", FALSE_ROW),
-                     f"mismatch: constraint lines differ: report {FALSE_ROW!r}, recomputed none\n"),
+    "repeated-row": (_false_row,
+                     f"mismatch: constraint lines differ: report {FALSE_ROW!r}, recomputed none\n"
+                     "mismatch: result differs: report fail, recomputed pass\n"),
     "second-result": (_before("result pass", "result fail"),
-                      "error: report line 'result pass': repeats key 'result'\n"),
-    "second-n": (_before("n 40", "n 999"), "error: report line 'n 40': repeats key 'n'\n"),
+                      "error: report line 'result fail' is not as written: want 'result pass'\n"),
+    "second-n": (_before("n 40", "n 999"),
+                 "error: report line 'n 999' is not as written: want 'n 40'\n"),
     "member-word": (_member_words("graphs", "rainbow"), "error: report line 'member 0 rainbow "),
     "switched-kind": (_member_words("hypergraphs", "rainbow"),
                       "mismatch: kind differs: report hypergraphs, instance graphs\n"),
@@ -318,8 +357,8 @@ def test_verify_refuses_edited_gnm_report(gnm_report, tmp_path, capsys, case):
 
 
 def test_verify_reads_pass_tokens_strictly(c5_reports, capsys):
-    # a pass token is exactly yes or no: read as no, `maybe` on the failing
-    # balance rows would re-render as the recomputed `no` and verify
+    # `maybe` on the failing balance rows is read as no, as the recomputed
+    # rows have it, and is refused as not the line written for no
     inst, where = c5_reports
     text = (where / "fail.report").read_text()
     assert text.count(" pass=no\n") == 2
@@ -327,25 +366,100 @@ def test_verify_reads_pass_tokens_strictly(c5_reports, capsys):
     bad.write_text(text.replace(" pass=no\n", " pass=maybe\n"))
     capsys.readouterr()
     assert main(["verify", str(bad), "--instance", str(inst)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: report line 'constraint graph=-1 stat=balance(0) ")
-    assert err.endswith(" pass=maybe': want 'yes' or 'no'\n"), err
+    margin = next(ln for ln in text.splitlines() if ln.endswith(" pass=no")).split()[-2]
+    assert capsys.readouterr().err == (
+        f"error: report line 'constraint ... {margin} pass=maybe' is not as written: "
+        f"want 'constraint ... {margin} pass=no'\n")
 
 
-@pytest.mark.parametrize("at", ["appended", "after-k"])
+def _replace(old: str, new: str):
+    """An edit that replaces the first `old` in the report with `new`."""
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+# (edit of the gnm report, the line verify quotes, the line it wants there):
+# text that reads to the same values as the report but is not how
+# render_report writes them, each refused naming its line
+NOT_AS_WRITTEN = {
+    "repeated-token": (_replace(" count=51 ", " count=7 count=51 "),
+                       "constraint ... count=7 count=51 ...",
+                       "constraint ... count=7 threshold=51.0 ..."),
+    "plus-sign": (_replace("\nclass-size 0 22\n", "\nclass-size 0 +22\n"),
+                  "class-size 0 +22", "class-size 0 22"),
+    "underscore": (_replace("\nmember 1 crossing 50\n", "\nmember 1 crossing 5_0\n"),
+                   "member ... crossing 5_0", "member ... crossing 50"),
+    "plus-label": (_replace("\nassignment 0 ", "\nassignment +0 "),
+                   "assignment +0 ...", "assignment 0 ..."),
+    "leading-zero": (_replace("\nn 40\n", "\nn 040\n"), "n 040", "n 40"),
+    "exponent": (_replace("threshold=40.0", f"threshold={40.0:.17e}"),
+                 "constraint ... count=51 threshold=4.00000000000000000e+01 ...",
+                 "constraint ... count=51 threshold=40.0 ..."),
+    "trailing-space": (_replace("\nk 2\n", "\nk 2 \n"), "k 2 ", "k 2"),
+    "moved-line": (_replace("\nkind graphs\nn 40\n", "\nn 40\nkind graphs\n"),
+                   "n 40", "kind graphs"),
+    "negative-zero": (_replace("margin=11.0", "margin=-0.0"),
+                      "constraint ... threshold=40.0 margin=-0.0 ...",
+                      "constraint ... threshold=40.0 margin=0.0 ..."),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_AS_WRITTEN))
+def test_verify_reads_a_report_only_as_written(gnm_report, tmp_path, capsys, case):
+    inst, text = gnm_report
+    edit, said, want = NOT_AS_WRITTEN[case]
+    bad = tmp_path / "edited.report"
+    bad.write_text(edit(text))
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    assert capsys.readouterr().err == (f"error: report line {said!r} is not as written: "
+                                       f"want {want!r}\n")
+
+
+def test_a_float_is_never_written_as_negative_zero():
+    # no engine computes -0.0, and were one to, its row would be written
+    # as 0.0, the form verify reads back
+    family = generate(**INSTANCES["1"], seed=1)
+    rr = execute_run(family, RunOptions(method="derand", theorem="1"))
+    row = replace(rr.cut_report.constraints[0], margin=-0.0)
+    cut = replace(rr.cut_report, constraints=(row,) + rr.cut_report.constraints[1:])
+    text = render_report(replace(rr, cut_report=cut))
+    assert " margin=0.0 " in text and "-0.0" not in text
+    assert render_report(parse_report(text)) == text
+
+
+@pytest.mark.parametrize("at", ["appended", "after-k", "first", "among-rows"])
 def test_unknown_report_line_is_ignored(rendered_reports, capsys, at):
     # report lines are additive: a key parse_report does not know changes
-    # nothing it reads, and verify passes
+    # nothing it reads, wherever it stands, and verify passes
     where, reports = rendered_reports
     for inst, lines in reports:
         text = "\n".join(lines) + "\n"
         extended = list(lines)
-        k_line = next(i for i, ln in enumerate(lines) if ln.startswith("k "))
-        extended.insert(len(lines) if at == "appended" else k_line + 1, "descent-ties 3")
+        after = {"appended": len(lines), "first": 0,
+                 "after-k": next(i for i, ln in enumerate(lines) if ln.startswith("k ")) + 1,
+                 "among-rows": next(i for i, ln in enumerate(lines)
+                                    if ln.startswith("constraint ")) + 1}
+        extended.insert(after[at], "descent-ties 3")
         extended_text = "\n".join(extended) + "\n"
         assert render_report(parse_report(extended_text)) == text
         report = where / "extended.report"
         report.write_text(extended_text)
+        assert main(["verify", str(report), "--instance", str(inst)]) == 0
+
+
+def test_report_without_wall_ms_with_crlf_and_blank_lines_verifies(rendered_reports):
+    # wall-ms is optional, and blank lines and CRLF line ends are accepted
+    where, reports = rendered_reports
+    for inst, lines in reports:
+        kept = [ln for ln in lines if not ln.startswith("wall-ms ")]
+        assert len(kept) == len(lines) - 1
+        rr = parse_report("\n".join(kept) + "\n")
+        assert rr.wall_ms is None and render_report(rr) == "\n".join(kept) + "\n"
+        report = where / "no-wall-ms.report"
+        report.write_bytes(("\r\n\r\n".join(kept) + "\r\n").encode())
         assert main(["verify", str(report), "--instance", str(inst)]) == 0
 
 
