@@ -19,21 +19,20 @@ generator, a method, a guarantee, and a repetition count:
     }
 
 The entry's option fields are passed to `RunOptions` by name, so an
-omitted one takes `RunOptions`' default.  Every field's name and type,
-the generator's parameters (`check_generator`), every setting that is
-wrong on any instance (`check_settings`), and every one that the
-generator's member count and uniformity rule out (`settle`: k under thm1
-and hyp, thm3's epsilon) are checked before any run starts.  A run's
-name, "run<i>" by default, names its reports in the output directory, so
-it must be a file name that no earlier run has.
+omitted one takes `RunOptions`' default.  Every field's name and JSON
+type, the generator's parameters (`check_generator`), every setting that
+`RunOptions` refuses, as it refuses flags and report lines, and every one
+that the generator's member count and uniformity rule out (`settle`: k
+under thm1 and hyp, thm3's epsilon) are checked before any run starts.
+A run's name, "run<i>" by default, names its reports in the output
+directory, so it must be a file name that no earlier run has.
 Rep j generates its instance with seed+j and, for mc, samples with the
 same seed+j, so a suite is a pure function of its file.  `execute_run`
 resolves the guarantee once per run and reports what the engine's own
 `evaluate` returned, so each assignment is counted once.
-Reps run serially and are folded in (run, rep) order.  An mc rep whose
-report fails counts as exhausted; a derandomized run that fails its
-guarantee aborts the whole suite and serializes the offending instance for
-replay.
+Reps run serially and are folded in (run, rep) order.  A rep whose
+report fails counts as mc exhausted: a descent that would end below a
+threshold raises inside `derandomize` instead.
 """
 
 from __future__ import annotations
@@ -44,47 +43,16 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .derandomize import derandomize
-from .guarantee import MAX_TRIES, check_settings, resolve, settle
+from .guarantee import settle
 from .mc import McExhausted, mc_partition
-from .instances import check_generator, generate, serialize_instance, write_text
-from .report import RunReport, instance_digest, render_report
-
-THEOREM_TOKENS = {"1": "thm1", "2": "thm2", "3": "thm3", "hyp": "hyp",
-                  "thm1": "thm1", "thm2": "thm2", "thm3": "thm3"}
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Everything needed to run one method on one instance."""
-
-    method: str
-    theorem: str
-    k: int | None = None
-    epsilon: float | None = None
-    balanced: bool = False
-    slack: float | None = None
-    seed: int = 0
-    order: str = "natural"
-    max_tries: int = MAX_TRIES
-
-    def __post_init__(self):
-        if self.method not in ("mc", "derand"):
-            raise ValueError(f"method must be 'mc' or 'derand', got {self.method!r}")
-        if self.theorem not in THEOREM_TOKENS:
-            raise ValueError(f"unknown theorem token {self.theorem!r}")
-        if self.balanced and self.method == "derand":
-            raise ValueError("balancing is a Monte-Carlo feature; "
-                             "the descent does not track class sizes")
-        check_settings(THEOREM_TOKENS[self.theorem], k=self.k, slack=self.slack,
-                       max_tries=self.max_tries)
+from .instances import check_generator, generate, write_text
+from .report import RunOptions, RunReport, instance_digest, render_report
 
 
 def execute_run(family, opts: RunOptions) -> RunReport:
     """Run one method on one instance and assemble its report; a descent's
     steps go on the report's unrendered ``trace``."""
-    theorem = THEOREM_TOKENS[opts.theorem]
-    guarantee = resolve(family, theorem, k=opts.k, eps=opts.epsilon, balanced=opts.balanced,
-                        slack=opts.slack, max_tries=opts.max_tries)
+    guarantee, resolved = opts.resolve(family)
     digest = instance_digest(family)
     start = time.perf_counter()
     if opts.method == "mc":
@@ -93,30 +61,18 @@ def execute_run(family, opts: RunOptions) -> RunReport:
             assignment, cut_report, tries = result.assignment, result.report, result.tries_used
         except McExhausted as exc:
             assignment, cut_report, tries = exc.best_assignment, exc.best_report, exc.tries
-        engine = dict(seed=opts.seed, max_tries=opts.max_tries, tries=tries)
+        engine = dict(tries=tries)
     else:
         result = derandomize(family, guarantee, order=opts.order)
         assignment, cut_report = result.assignment, result.report
-        engine = dict(order=opts.order, descent_steps=len(result.trace),
-                      initial_estimator=result.initial_value,
+        engine = dict(descent_steps=len(result.trace), initial_estimator=result.initial_value,
                       final_estimator=result.final_value, trace=result.trace)
     wall_ms = (time.perf_counter() - start) * 1000
     r = getattr(family, "r", None)
     return RunReport(
         digest=digest, kind="graphs" if r is None else "hypergraphs", n=family.n,
-        ell=family.ell, r=r, method=opts.method, theorem=theorem, k=guarantee.k,
-        epsilon=None if guarantee.eps is None else float(guarantee.eps),
-        balanced=opts.balanced,
-        balance_slack=None if guarantee.slack is None else float(guarantee.slack),
-        assignment=assignment.labels, cut_report=cut_report, wall_ms=wall_ms, **engine)
-
-
-class BenchAbort(RuntimeError):
-    """A derandomized run failed its guarantee; the suite stops."""
-
-    def __init__(self, message: str, instance_path: str):
-        super().__init__(f"{message} (instance serialized to {instance_path})")
-        self.instance_path = instance_path
+        ell=family.ell, r=r, options=resolved, assignment=assignment.labels,
+        cut_report=cut_report, wall_ms=wall_ms, **engine)
 
 
 @dataclass
@@ -127,25 +83,21 @@ class SuiteRun:
     options: RunOptions
 
 
-# field -> (check, what it must be); JSON booleans are not integers here
+# field -> (check, what it must be); JSON booleans are not integers here,
+# and RunOptions checks the values of its own fields
 _FIELD_TYPES = {
     "reps": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    "max_tries": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "max_tries": (lambda v: type(v) is int, "an integer"),
     "k": (lambda v: v is None or type(v) is int, "an integer or null"),
     "epsilon": (lambda v: v is None or type(v) in (int, float), "a number or null"),
     "slack": (lambda v: v is None or type(v) in (int, float), "a number or null"),
     "balanced": (lambda v: type(v) is bool, "true or false"),
-    "order": (lambda v: v in ("natural", "degree"), "'natural' or 'degree'"),
 }
 
 
 def load_suite(path) -> list[SuiteRun]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return suite_from_dict(data)
-
-
-def suite_from_dict(data: dict) -> list[SuiteRun]:
     if not isinstance(data, dict):
         raise ValueError('a suite must be a JSON object with a "runs" list')
     runs, names = [], {}
@@ -185,15 +137,10 @@ def suite_from_dict(data: dict) -> list[SuiteRun]:
         try:
             members, r = check_generator(**gen)
             opts = RunOptions(**options)
-            settle(THEOREM_TOKENS[opts.theorem], opts.k, opts.epsilon, ell=members, r=r)
+            settle(opts.theorem, opts.k, opts.epsilon, ell=members, r=r)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"suite run {i}: {exc}") from None
-        runs.append(SuiteRun(
-            name=name,
-            reps=entry.get("reps", 1),
-            generator=dict(gen),
-            options=opts,
-        ))
+        runs.append(SuiteRun(name, entry.get("reps", 1), dict(gen), opts))
     if not runs:
         raise ValueError("suite has no runs")
     return runs
@@ -261,21 +208,9 @@ def _percentile(sorted_vals, q: float) -> float:
     return float(sorted_vals[idx])
 
 
-def _one_rep(run: SuiteRun, rep: int):
-    gen = dict(run.generator)
-    kind = gen.pop("kind")
-    seed = run.options.seed + rep
-    family = generate(kind, seed=seed, **gen)
-    return family, execute_run(family, replace(run.options, seed=seed))
-
-
 def run_bench(suite, out_dir=None, echo=None) -> BenchResult:
-    """Execute a suite serially and aggregate margins, failures, and timings.
-
-    Rep results are folded in (run, rep) order.  A derand rep whose report
-    is not all-pass aborts everything: the instance is written next to the
-    reports (or the working directory) and BenchAbort is raised.
-    """
+    """Execute a suite serially and aggregate margins, failures, and timings;
+    rep results are folded in (run, rep) order."""
     result = BenchResult()
     out_path = Path(out_dir) if out_dir else None
     if out_path:
@@ -283,17 +218,12 @@ def run_bench(suite, out_dir=None, echo=None) -> BenchResult:
 
     for run in suite:
         for rep in range(run.reps):
-            family, rr = _one_rep(run, rep)
+            seed = run.options.seed + rep
+            rr = execute_run(generate(**run.generator, seed=seed), replace(run.options, seed=seed))
             result.runs += 1
             if out_path:
                 write_text(out_path / f"{run.name}-{rep}.report", render_report(rr))
-            if rr.method == "derand" and not rr.passed:
-                where = out_path if out_path else Path.cwd()
-                path = where / f"{run.name}-{rep}-failed.instance"
-                write_text(path, serialize_instance(family))
-                raise BenchAbort(
-                    f"derandomized run {run.name} rep {rep} failed its guarantee", str(path))
-            if rr.method == "mc" and not rr.passed:     # an mc run fails only when exhausted
+            if not rr.passed:       # only an mc run returns a failing report
                 result.exhausted += 1
             for c in rr.cut_report.constraints:
                 key = (run.name, c.stat.split("(")[0])   # rows group by shape, not by class

@@ -26,12 +26,11 @@ from pathlib import Path
 from .model import GraphFamily, edwards_bound
 from .oracle import enumerate_best, max_cut
 from .instances import GENERATOR_KINDS, generate, parse_instance, serialize_instance, write_text
-from .report import parse_report, recheck, render_report
-from .bench import BenchAbort, RunOptions, execute_run, load_suite, run_bench
+from .report import RunOptions, parse_report, recheck, render_report
+from .bench import execute_run, load_suite, run_bench
 
-# every input and contract error of the package is a ValueError; a derand
-# run that fails its guarantee inside a suite is a BenchAbort
-_USER_ERRORS = (ValueError, TypeError, OSError, BenchAbort)
+# every input and contract error of the package is a ValueError
+_USER_ERRORS = (ValueError, TypeError, OSError)
 
 
 def _read_text(path: str) -> str:

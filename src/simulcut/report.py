@@ -1,14 +1,15 @@
 """Line-oriented run reports: render, parse, and recheck.
 
 A run report is a stable-order `key value` document carrying everything
-needed to audit a partitioning run: instance digest, config echo, the full
-assignment, and its count section: class sizes, one count per member and
-one constraint row per statistic.  One table, `_FIELDS`, names each leading
-line's key, its `RunReport` attribute and its parser; `render_report`
+needed to audit a partitioning run: instance digest, the run's resolved
+`RunOptions` (the one record of its settings, which flags, suites and
+reports all build), the full assignment, and its count section.  One
+table, `_FIELDS`, names each leading line's key, its `RunReport`
+attribute, its parser and the method whose runs write it; `render_report`
 writes from it, and `parse_report` reads with it and accepts a report only
 in the form `render_report` writes.  Lines with a key the report does not
 know are ignored, so new lines are additive.  Every count is re-derivable
-from (instance, assignment): `recheck` resolves the echoed guarantee and
+from (instance, assignment): `recheck` resolves the report's options and
 evaluates the assignment with the same `resolve` and `evaluate` the
 engines use.  A float is written as the repr (shortest round-trip) of
 itself plus 0.0, so never as -0.0, and two count sections are equal as
@@ -17,14 +18,18 @@ values exactly when their lines are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
+from operator import attrgetter
 
 import numpy as np
 
-from .model import Assignment, Constraint, CutReport, HypergraphFamily, UNDECIDED
-from .guarantee import MAX_TRIES, evaluate, resolve
-from .instances import _QUOTED, serialize_instance, text_sha256
+from .model import Assignment, Constraint, CutReport, HypergraphFamily
+from .guarantee import MAX_TRIES, THEOREMS, Guarantee, check_settings, evaluate, resolve
+from .instances import _QUOTED, _quoted, serialize_instance, text_sha256
+
+THEOREM_TOKENS = {"1": "thm1", "2": "thm2", "3": "thm3", **{name: name for name in THEOREMS}}
 
 
 def instance_digest(family) -> str:
@@ -45,27 +50,59 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@dataclass(frozen=True)
+class RunOptions:
+    """Everything needed to run one method on one instance, checked as far
+    as no instance is needed; ``theorem`` is kept under its name (thm1...)."""
+
+    method: str
+    theorem: str
+    k: int | None = None
+    epsilon: float | None = None
+    balanced: bool = False
+    slack: float | None = None
+    seed: int = 0
+    order: str = "natural"
+    max_tries: int = MAX_TRIES
+
+    def __post_init__(self):
+        if self.method not in ("mc", "derand"):
+            raise ValueError(f"method must be 'mc' or 'derand', got {self.method!r}")
+        if self.theorem not in THEOREM_TOKENS:
+            raise ValueError(f"unknown theorem token {self.theorem!r}")
+        object.__setattr__(self, "theorem", THEOREM_TOKENS[self.theorem])
+        if self.order not in ("natural", "degree"):
+            raise ValueError(f"unknown order {self.order!r}: expected 'natural' or 'degree'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.balanced and self.method == "derand":
+            raise ValueError("balancing is a Monte-Carlo feature; "
+                             "the descent does not track class sizes")
+        check_settings(self.theorem, k=self.k, slack=self.slack, max_tries=self.max_tries)
+
+    def resolve(self, family) -> tuple[Guarantee, RunOptions]:
+        """The guarantee these options ask for on family, and the options with
+        its k, epsilon and balance slack (None where it reads none)."""
+        g = resolve(family, self.theorem, k=self.k, eps=self.epsilon, balanced=self.balanced,
+                    slack=self.slack, max_tries=self.max_tries)
+        return g, replace(self, k=g.k, epsilon=None if g.eps is None else float(g.eps),
+                          slack=None if g.slack is None else float(g.slack))
+
+
 @dataclass
 class RunReport:
-    """One partitioning run, as rendered to/parsed from report text."""
+    """One partitioning run, as rendered to/parsed from report text; its
+    ``options`` are the settings as its guarantee resolved them."""
 
     digest: str
     kind: str
     n: int
     ell: int
-    method: str
-    theorem: str
-    k: int
+    options: RunOptions
     assignment: tuple[int, ...]
     cut_report: CutReport
     r: int | None = None
-    epsilon: float | None = None
-    balanced: bool = False
-    balance_slack: float | None = None
-    seed: int | None = None
-    max_tries: int | None = None
     tries: int | None = None
-    order: str | None = None
     descent_steps: int | None = None
     initial_estimator: float | None = None
     final_estimator: float | None = None
@@ -78,41 +115,54 @@ class RunReport:
         return self.cut_report.all_pass
 
 
-# (report key, RunReport attribute, parser) of the leading `key value`
-# lines, in render order; None values are not written, and yes/no is "yes"
+# (report key, RunReport attribute, parser, the method whose runs write it
+# or None for every run) of the leading `key value` lines, in render order;
+# None values are not written, and yes/no is "yes"
 _FIELDS = (
-    ("instance-sha256", "digest", str),
-    ("kind", "kind", str),
-    ("n", "n", int),
-    ("ell", "ell", int),
-    ("r", "r", int),
-    ("method", "method", str),
-    ("theorem", "theorem", str),
-    ("k", "k", int),
-    ("epsilon", "epsilon", float),
-    ("balanced", "balanced", "yes".__eq__),
-    ("balance-slack", "balance_slack", float),
-    ("order", "order", str),
-    ("seed", "seed", int),
-    ("max-tries", "max_tries", int),
-    ("tries", "tries", int),
-    ("descent-steps", "descent_steps", int),
-    ("initial-estimator", "initial_estimator", float),
-    ("final-estimator", "final_estimator", float),
+    ("instance-sha256", "digest", str, None),
+    ("kind", "kind", str, None),
+    ("n", "n", int, None),
+    ("ell", "ell", int, None),
+    ("r", "r", int, None),
+    ("method", "options.method", str, None),
+    ("theorem", "options.theorem", str, None),
+    ("k", "options.k", int, None),
+    ("epsilon", "options.epsilon", float, None),
+    ("balanced", "options.balanced", "yes".__eq__, None),
+    ("balance-slack", "options.slack", float, None),
+    ("order", "options.order", str, "derand"),
+    ("seed", "options.seed", int, "mc"),
+    ("max-tries", "options.max_tries", int, "mc"),
+    ("tries", "tries", int, "mc"),
+    ("descent-steps", "descent_steps", int, "derand"),
+    ("initial-estimator", "initial_estimator", float, "derand"),
+    ("final-estimator", "final_estimator", float, "derand"),
 )
+# (key, getter, whether it is written as a float, method) of each _FIELDS line
+_WRITTEN = tuple((key, attrgetter(attr), parse is float, method)
+                 for key, attr, parse, method in _FIELDS)
+
+
+def _labels(text: str) -> tuple[int, ...]:
+    """The assignment line's labels; the first token that is not an integer is named."""
+    try:
+        return tuple(np.fromstring(text, dtype=np.int64, sep=" ").tolist())
+    except ValueError:
+        bad = next((tok for tok in text.split() if not tok.lstrip("+-").isdecimal()), text)
+        raise ValueError(f"label {_quoted(bad)} is not an integer") from None
+
+
 # the assignment line, and wall-ms after the class-size, member and constraint lines
-_TRAILING = (("assignment", "assignment",
-              lambda text: tuple(np.fromstring(text, dtype=np.int64, sep=" ").tolist())),
-             ("wall-ms", "wall_ms", float))
+_TRAILING = (("assignment", "assignment", _labels, None), ("wall-ms", "wall_ms", float, None))
 # the `key=value` tokens of a constraint line, in render order, which is
 # the order of Constraint's fields
 _CONSTRAINT_FIELDS = (("graph", "graph", int), ("stat", "stat", str), ("count", "count", int),
                       ("threshold", "threshold", float), ("margin", "margin", float),
                       ("pass", "passed", "yes".__eq__))
-_PARSERS = {key: (attr, parse) for key, attr, parse in _FIELDS + _TRAILING}
-# a key is required when its RunReport attribute has no default, and so
-# is not an attribute of the class
-_REQUIRED = tuple(key for key, (attr, _) in _PARSERS.items() if not hasattr(RunReport, attr))
+# key -> (attribute name, whether it is a RunOptions field, parser)
+_PARSERS = {key: (attr.removeprefix("options."), attr.startswith("options."), parse)
+            for key, attr, parse, _ in _FIELDS + _TRAILING}
+_REQUIRED = ("instance-sha256", "kind", "n", "ell", "method", "theorem", "k", "assignment")
 # every key render_report writes
 _KNOWN = {"simulcut-report", "class-size", "member", "constraint", "result", *_PARSERS}
 
@@ -131,15 +181,16 @@ def _count_sections(kind: str, cut: CutReport):
 def render_report(rr: RunReport) -> str:
     lines = ["simulcut-report 1"]
     add = lines.append
-    for key, attr, parse in _FIELDS:
-        value = getattr(rr, attr)
-        if value is None or (attr == "balance_slack" and not rr.balanced):
+    method = rr.options.method
+    for key, get, is_float, writer in _WRITTEN:
+        value = get(rr)
+        if value is None or writer and writer != method:
             continue
         # a float field is written as a float whatever number type it holds
-        add(f"{key} {_fmt(float(value) if parse is float else value)}")
+        add(f"{key} {_fmt(float(value) if is_float else value)}")
     # each label's string from a table of the classes, at most one per label;
     # a label outside them, as a parsed report may hold, is written by str
-    names = {c: str(c) for c in range(min(rr.k, len(rr.assignment)))}
+    names = {c: str(c) for c in range(min(rr.options.k, len(rr.assignment)))}
     try:
         add("assignment " + " ".join(map(names.__getitem__, rr.assignment)))
     except KeyError:
@@ -167,30 +218,33 @@ def _excerpt(line: str, j: int) -> str:
 def parse_report(text: str) -> RunReport:
     """Parse report text, accepted only in the form `render_report` writes.
 
-    Each line with a key the report knows is read leniently, and those
-    lines, in order, must equal `render_report` of what was read; the first
-    that differs is quoted with the line written there.  Other lines, blank
-    ones included, are ignored wherever they stand; CRLF ends are accepted.
+    Each line with a key the report knows is read leniently, its run lines
+    into a `RunOptions`, and those lines, in order, must equal
+    `render_report` of what was read; the first that differs is quoted with
+    the line written there.  Other lines, blank ones included, are ignored
+    wherever they stand; CRLF ends are accepted.
     """
     values, rows = {}, {"class-size": [], "member": [], "constraint": []}
     for ln in text.splitlines():
         key, _, rest = ln.partition(" ")
         try:
             if key in _PARSERS:
-                values[key] = _PARSERS[key][1](rest)
+                values[key] = _PARSERS[key][2](rest)
             elif key == "constraint":
                 rows[key].append(Constraint(*[parse(tok.partition("=")[2]) for (_, _, parse), tok
                                               in zip(_CONSTRAINT_FIELDS, rest.split(" "))]))
             elif key in rows:
                 rows[key].append(int(rest.rpartition(" ")[2]))
         except (ValueError, TypeError) as exc:  # TypeError: a constraint row too short
-            raise ValueError(f"report line {ln!r}: {exc}") from None
+            raise ValueError(f"report line {_quoted(ln)}: {exc}") from None
 
     missing = [key for key in _REQUIRED if key not in values]
     if missing:
         raise ValueError(f"report has no {missing[0]!r}")
-    rr = RunReport(cut_report=CutReport(*map(tuple, rows.values())),
-                   **{_PARSERS[key][0]: value for key, value in values.items()})
+    named = [(_PARSERS[key][:2], value) for key, value in values.items()]
+    rr = RunReport(options=RunOptions(**{name: v for (name, opt), v in named if opt}),
+                   cut_report=CutReport(*map(tuple, rows.values())),
+                   **{name: v for (name, opt), v in named if not opt})
     written = render_report(rr)
     # the text's known lines, as one string; the text itself when it is as written
     said = text if text == written else "".join(
@@ -207,14 +261,15 @@ def parse_report(text: str) -> RunReport:
 def recheck(rr: RunReport, family) -> list[str]:
     """Re-derive every checkable line of a report; returns mismatch messages.
 
-    The kind, n, ell and r lines are compared with the instance.  The
-    count section is recomputed from (instance, assignment); when it differs
-    from the report's, each section whose lines differ gives one message,
-    quoting its first differing line on each side, and so does the result.
-    Run metadata (tries, timing, estimator values) is not checkable without
-    re-running and is ignored.  A k line that its class-size lines do not
-    match is rejected before anything is counted, so no work grows with a
-    k the report does not back.
+    The kind, n, ell and r lines are compared with the instance, the
+    outcome lines with what a run writes (n descent steps, 1 to max-tries
+    tries, a finite wall time >= 0), and the balance slack with the one
+    the options resolve to.  The count section is recomputed from
+    (instance, assignment); when it differs from the report's, each section
+    whose lines differ gives one message, quoting its first differing line
+    on each side, and so does the result.  The seed and the estimator
+    values are not checkable without re-running.  A k line that its
+    class-size lines do not match is rejected before anything is counted.
     """
     problems: list[str] = []
     digest = instance_digest(family)
@@ -227,20 +282,22 @@ def recheck(rr: RunReport, family) -> list[str]:
                               ("n", rr.n, family.n), ("ell", rr.ell, family.ell), ("r", rr.r, r)):
         if said != actual:
             problems.append(f"{key} differs: report {said}, instance {actual}")
-    if len(rr.cut_report.class_sizes) != rr.k:
+    opts = rr.options
+    if rr.descent_steps not in (None, family.n):
+        problems.append(f"descent-steps {rr.descent_steps}, a descent takes n = {family.n} steps")
+    if rr.tries is not None and not 1 <= rr.tries <= opts.max_tries:
+        problems.append(f"tries {rr.tries}, an mc run takes 1 to max-tries = {opts.max_tries}")
+    if rr.wall_ms is not None and not 0 <= rr.wall_ms < math.inf:
+        problems.append(f"wall-ms {_fmt(rr.wall_ms)}, a wall time is finite and >= 0")
+    if len(rr.cut_report.class_sizes) != opts.k:
         problems.append(f"report has {len(rr.cut_report.class_sizes)} class-size lines "
-                        f"for k {rr.k}")
+                        f"for k {opts.k}")
         return problems
-    if UNDECIDED in rr.assignment:
-        problems.append("report assignment is not total")
-        return problems
-    if len(rr.assignment) != family.n:
-        problems.append(f"assignment length {len(rr.assignment)} != n {family.n}")
-        return problems
-    guarantee = resolve(family, rr.theorem, k=rr.k, eps=rr.epsilon, balanced=rr.balanced,
-                        slack=rr.balance_slack,
-                        max_tries=MAX_TRIES if rr.max_tries is None else rr.max_tries)
-    fresh = evaluate(family, Assignment(rr.assignment, rr.k), guarantee)
+    guarantee, resolved = opts.resolve(family)
+    if resolved.slack != opts.slack:
+        said, want = ("none" if x is None else _fmt(x) for x in (opts.slack, resolved.slack))
+        problems.append(f"balance-slack differs: report {said}, resolved {want}")
+    fresh = evaluate(family, Assignment(rr.assignment, opts.k), guarantee)
     if rr.cut_report == fresh:
         return problems
     for (name, said), (_, want) in zip(_count_sections(rr.kind, rr.cut_report),

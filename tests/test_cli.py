@@ -11,7 +11,6 @@ import stat
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -53,7 +52,7 @@ def test_partition_derand_report(c5_file, tmp_path, capsys):
                  "--method", "derand", "--out", str(report_path)])
     assert code == 0
     rr = parse_report(report_path.read_text())
-    assert rr.method == "derand" and rr.theorem == "thm1"
+    assert rr.options.method == "derand" and rr.options.theorem == "thm1"
     assert rr.passed
     assert all(c >= 1 for c in rr.cut_report.member_counts)
     assert rr.descent_steps == 5
@@ -119,10 +118,10 @@ def test_epsilon_echoed_only_where_read(c5_file, tmp_path):
                  "--out", str(report)]) == 0
     text = report.read_text()
     assert "\nepsilon " not in text
-    assert parse_report(text).epsilon is None
+    assert parse_report(text).options.epsilon is None
     older = tmp_path / "older.report"
     older.write_text(text.replace("\nk 2\n", "\nk 2\nepsilon 0.1\n"))
-    assert parse_report(older.read_text()).epsilon == 0.1
+    assert parse_report(older.read_text()).options.epsilon == 0.1
     assert main(["verify", str(older), "--instance", str(c5_file)]) == 0
 
 
@@ -143,7 +142,7 @@ def test_partition_hypergraph(tmp_path):
     rep = tmp_path / "h.report"
     assert main(["partition", str(inst), "--theorem", "hyp", "--out", str(rep)]) == 0
     rr = parse_report(rep.read_text())
-    assert rr.kind == "hypergraphs" and rr.r == 3 and rr.k == 3
+    assert rr.kind == "hypergraphs" and rr.r == 3 and rr.options.k == 3
     assert rr.passed
 
 
@@ -558,34 +557,23 @@ def test_bench_thm3_star_surfaces_precondition(tmp_path, capsys):
     assert "max degree" in capsys.readouterr().err
 
 
-def test_bench_derand_failure_aborts_with_replay_file(tmp_path, monkeypatch):
-    # a derandomized run can only end below its thresholds if the estimator
-    # bookkeeping broke, so fake one to exercise the abort path
-    import simulcut.bench as bench_mod
-    from simulcut.bench import BenchAbort, run_bench, suite_from_dict
-
-    real_execute = bench_mod.execute_run
-
-    def sabotage(family, opts):
-        rr = real_execute(family, opts)
-        broken = [c.__class__(graph=c.graph, stat=c.stat, count=c.count,
-                              threshold=c.count + 1.0, margin=-1.0, passed=False)
-                  for c in rr.cut_report.constraints]
-        rr.cut_report = replace(rr.cut_report, constraints=tuple(broken))
-        return rr
-
-    monkeypatch.setattr(bench_mod, "execute_run", sabotage)
-    suite = suite_from_dict({"runs": [{"name": "boom", "reps": 1,
-                                       "generator": {"kind": "gnm", "n": 8, "m": 10, "ell": 1},
-                                       "method": "derand", "theorem": "1", "seed": 3}]})
-    with pytest.raises(BenchAbort) as exc_info:
-        run_bench(suite, out_dir=str(tmp_path))
-    replay = tmp_path / "boom-0-failed.instance"
-    assert replay.exists()
-    assert str(replay) in str(exc_info.value)
-    from simulcut.instances import parse_instance
-    fam = parse_instance(replay.read_text())
-    assert fam.n == 8 and fam.m == (10,)
+def test_bench_counts_exhausted_mc_reps(tmp_path, capsys):
+    # disjoint-cycles --n 5 is the C5 pair: no class of 5 vertices is
+    # within 1e-9 of n/2, so each rep's 2 tries end in a failing report
+    suite = {"runs": [{"name": "tight", "reps": 3,
+                       "generator": {"kind": "disjoint-cycles", "n": 5},
+                       "method": "mc", "theorem": "1", "balanced": True, "slack": 1e-9,
+                       "max_tries": 2}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["bench", str(path), "--verbose"]) == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[-1] == "total runs 3, failed constraint rows 6, mc exhausted 3"
+    rows = {tuple(ln.split()[:2]): ln.split()[2:4] for ln in out if ln.startswith("tight ")}
+    assert rows[("tight", "balance")] == ["6", "6"] and rows[("tight", "crossing")] == ["6", "0"]
+    echoed = captured.err.splitlines()
+    assert [ln.partition(" (")[0] for ln in echoed] == [f"tight rep {j}: FAIL" for j in range(3)]
 
 
 def test_bench_jobs_parallel_same_totals(tmp_path, capsys):
@@ -780,18 +768,18 @@ def _one_run(**fields):
 BAD_FIELDS = [
     (dict(balanced="no"), "field 'balanced' must be true or false, got 'no'"),
     (dict(balanced=1), "field 'balanced' must be true or false, got 1"),
-    (dict(seed=1.5), "field 'seed' must be an integer >= 0, got 1.5"),
-    (dict(seed=True), "field 'seed' must be an integer >= 0, got True"),
-    (dict(seed=-1), "field 'seed' must be an integer >= 0, got -1"),
+    (dict(seed=1.5), "field 'seed' must be an integer, got 1.5"),
+    (dict(seed=True), "field 'seed' must be an integer, got True"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
     (dict(k="3"), "field 'k' must be an integer or null, got '3'"),
     (dict(slack="2"), "field 'slack' must be a number or null, got '2'"),
     (dict(epsilon=[0.1]), "field 'epsilon' must be a number or null, got [0.1]"),
     (dict(method="derand", order="sideways"),
-     "field 'order' must be 'natural' or 'degree', got 'sideways'"),
+     "unknown order 'sideways': expected 'natural' or 'degree'"),
     (dict(reps="x"), "field 'reps' must be an integer >= 1, got 'x'"),
     (dict(reps=0), "field 'reps' must be an integer >= 1, got 0"),
-    (dict(max_tries=None), "field 'max_tries' must be an integer >= 1, got None"),
-    (dict(max_tries=0), "field 'max_tries' must be an integer >= 1, got 0"),
+    (dict(max_tries=None), "field 'max_tries' must be an integer, got None"),
+    (dict(max_tries=0), "max_tries must be >= 1, got 0"),
     # settings that are wrong on any instance are caught before the first run
     (dict(k=1), "k must be >= 2, got 1"),
     (dict(slack=0), "balance_slack must be > 0 and finite, got 0"),

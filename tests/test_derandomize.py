@@ -25,7 +25,8 @@ from simulcut import (
     partition_counts,
     resolve,
 )
-from simulcut.bench import RunOptions, execute_run
+from simulcut.bench import execute_run
+from simulcut.report import RunOptions
 from simulcut.derandomize import (
     _build_terms, _GraphTerm, _RainbowTerm, resolve_order)
 from simulcut.estimator import _quadratic

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simulcut import Assignment, GraphFamily, epsilon_cap, evaluate, resolve
-from simulcut.bench import THEOREM_TOKENS, RunOptions, execute_run
+from simulcut.bench import execute_run
 from simulcut.cli import main
-from simulcut.instances import generate, serialize_instance
-from simulcut.report import RunReport, instance_digest, parse_report, recheck, render_report
+from simulcut.instances import _quoted, generate, serialize_instance
+from simulcut.report import (THEOREM_TOKENS, RunOptions, RunReport, instance_digest,
+                             parse_report, recheck, render_report)
 
 from helpers import c5_pair, paper_threshold
 
@@ -51,7 +52,8 @@ def test_balance_slack_and_epsilon_lines():
         opts = RunOptions(method="mc", theorem="1", slack=50.0, balanced=balanced)
         rr = execute_run(family, opts)
         assert ("\nbalance-slack 50.0\n" in render_report(rr)) == balanced
-    text = render_report(replace(rr, epsilon=Fraction(1, 4), balance_slack=50))
+    text = render_report(replace(rr, options=replace(rr.options, epsilon=Fraction(1, 4),
+                                                     slack=50)))
     assert "\nepsilon 0.25\n" in text and "\nbalance-slack 50.0\n" in text
 
 
@@ -116,9 +118,9 @@ def test_thm3_cap_echoed_as_a_float_decides_as_the_run_did():
     rows = {c.stat: (c.count, c.passed) for c in report.constraints if c.graph == 0}
     assert rows == {"pair(0,1)": (788, True), "within(0)": (m // 12, True),
                     "within(1)": (400, True)}
+    opts = RunOptions(method="mc", theorem="thm3", k=2, epsilon=float(cap))
     rr = RunReport(digest=instance_digest(family), kind="graphs", n=family.n, ell=3,
-                   method="mc", theorem="thm3", k=2, assignment=tuple(labels),
-                   cut_report=report, epsilon=float(cap), seed=0, max_tries=64, tries=1)
+                   options=opts, assignment=tuple(labels), cut_report=report, tries=1)
     assert recheck(parse_report(render_report(rr)), family) == []
 
 
@@ -178,10 +180,24 @@ def test_verify_refuses_result_and_max_tries_lines(c5_reports, capsys, old, new,
 
 
 MUTANT_VALUES = ["", "x", "-1", "0", "nan", "inf", "1e400", "thm9", "hypergraphs"]
-# the keys of run metadata: verify reads these values but cannot recompute
-# them, so any value in written form verifies
-UNCHECKED = ("method", "order", "seed", "max-tries", "tries", "descent-steps",
-             "initial-estimator", "final-estimator", "wall-ms")
+# the lines verify reads but cannot recompute without re-running, and the
+# values each may hold: any such value in written form verifies, and
+# every other changed line is refused
+UNCHECKED = {
+    "seed": lambda v: int(v) >= 0,
+    "max-tries": lambda v: int(v) >= 1,
+    "tries": lambda v: int(v) >= 1,
+    "initial-estimator": lambda v: isinstance(float(v), float),
+    "final-estimator": lambda v: isinstance(float(v), float),
+    "wall-ms": lambda v: 0 <= float(v) < math.inf,
+}
+
+
+def _unchecked(key: str, value: str) -> bool:
+    try:
+        return UNCHECKED[key](value)
+    except (KeyError, ValueError):
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +251,7 @@ def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, 
     bad = where / "mutant.report"
     bad.write_text(text)
     code = main(["verify", str(bad), "--instance", str(inst)])
-    changed = lines != original and key not in UNCHECKED
+    changed = lines != original and not _unchecked(key, value)
     assert code == 2 if how.startswith("copy") or (how != "drop" and changed) else code in (0, 2)
     if code == 0:
         assert render_report(parse_report(text)) == text
@@ -287,7 +303,9 @@ def test_verify_bad_value_names_its_line(rendered_reports, capsys, prefix, token
         assert err.startswith(f"error: report line '{prefix.split()[0]} "), err
         assert f" {said}' is not as written: want '" in err and err.endswith(f" {want}'\n"), err
     else:
-        assert err.startswith(f"error: report line {lines[i]!r}: "), err
+        # the line is quoted cut to its start, so one bad label of a long
+        # assignment line does not quote all of it
+        assert err.startswith(f"error: report line {_quoted(lines[i])}: "), err
 
 
 @pytest.fixture
@@ -589,3 +607,96 @@ def _pinned_resolve(family, theorem, k, balanced) -> tuple[str, str]:
 def test_resolve_digest_pinned(case, specs, rows):
     got = _pinned_resolve(*case)
     assert (_sha(got[0]), _sha(got[1])) == (specs, rows)
+
+
+@pytest.fixture(scope="module")
+def thm1_reports(tmp_path_factory):
+    """`gen gnm --n 60 --m 300 --ell 2 --seed 3`, and the text of its thm1
+    report under each method."""
+    where = tmp_path_factory.mktemp("thm1")
+    inst = where / "gnm.instance"
+    assert main(["gen", "gnm", "--n", "60", "--m", "300", "--ell", "2", "--seed", "3",
+                 "--out", str(inst)]) == 0
+    texts = {}
+    for method in ("derand", "mc"):
+        report = where / f"{method}.report"
+        assert main(["partition", str(inst), "--theorem", "1", "--method", method,
+                     "--out", str(report)]) == 0
+        texts[method] = report.read_text()
+    return inst, texts
+
+
+# (report, key of the line edited, its new value, verify's stderr): run
+# lines that no run writes, each refused by the check that refuses the
+# same setting as a flag, or by its comparison with what a run can write
+RUN_LINE_EDITS = {
+    "method-foo": ("derand", "method", "foo",
+                   "error: method must be 'mc' or 'derand', got 'foo'\n"),
+    "order-x": ("derand", "order", "x",
+                "error: unknown order 'x': expected 'natural' or 'degree'\n"),
+    "seed-negative": ("mc", "seed", "-1", "error: seed must be >= 0, got -1\n"),
+    # a derand report has an order line where an mc one has its seed
+    "mc-as-derand": ("mc", "method", "derand",
+                     "error: report line 'seed 0' is not as written: want 'order natural'\n"),
+    "descent-steps": ("derand", "descent-steps", "3",
+                      "mismatch: descent-steps 3, a descent takes n = 60 steps\n"),
+    "tries-negative": ("mc", "tries", "-1",
+                       "mismatch: tries -1, an mc run takes 1 to max-tries = 64\n"),
+    "tries-above-max": ("mc", "tries", "65",
+                        "mismatch: tries 65, an mc run takes 1 to max-tries = 64\n"),
+    "wall-ms-nan": ("derand", "wall-ms", "nan",
+                    "mismatch: wall-ms nan, a wall time is finite and >= 0\n"),
+    "wall-ms-negative": ("mc", "wall-ms", "-1.5",
+                         "mismatch: wall-ms -1.5, a wall time is finite and >= 0\n"),
+    # only a balanced run resolves a balance slack
+    "unbalanced-slack": ("mc", "balanced", "no\nbalance-slack 50.0",
+                         "mismatch: balance-slack differs: report 50.0, resolved none\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_LINE_EDITS))
+def test_verify_refuses_run_lines_no_run_writes(thm1_reports, tmp_path, capsys, case):
+    inst, texts = thm1_reports
+    method, key, value, err = RUN_LINE_EDITS[case]
+    text, count = re.subn(rf"^{key} .*$", f"{key} {value}", texts[method], count=1, flags=re.M)
+    assert count == 1
+    bad = tmp_path / "edited.report"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda labels: ["-1"] + labels[1:], "assignment has 1 undecided vertices"),
+    (lambda labels: labels[:-1], "assignment has 59 labels, family has n=60 vertices"),
+], ids=["undecided", "one-short"])
+def test_verify_refuses_an_assignment_evaluate_refuses(thm1_reports, tmp_path, capsys,
+                                                       edit, message):
+    # labels in written form that no run writes: evaluate refuses them
+    inst, texts = thm1_reports
+    lines = texts["derand"].splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("assignment "))
+    lines[i] = " ".join(["assignment"] + edit(lines[i].split()[1:]))
+    bad = tmp_path / "edited.report"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--instance", str(inst)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_bad_label_diagnostic_is_bounded(tmp_path, capsys):
+    # one stray token in a 5000-label assignment line is named, and the
+    # line is quoted only at its start
+    inst, report = tmp_path / "gnm.instance", tmp_path / "run.report"
+    assert main(["gen", "gnm", "--n", "5000", "--m", "2000", "--ell", "16", "--seed", "1",
+                 "--out", str(inst)]) == 0
+    assert main(["partition", str(inst), "--method", "mc", "--theorem", "2", "--k", "4",
+                 "--out", str(report)]) == 0
+    report.write_text(report.read_text().replace("\nassignment ", "\nassignment x ", 1))
+    capsys.readouterr()
+    assert main(["verify", str(report), "--instance", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: report line 'assignment x "), err
+    assert err.endswith(" characters): label 'x' is not an integer\n"), err
+    assert len(err.encode()) < 200, err
