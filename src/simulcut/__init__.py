@@ -8,7 +8,6 @@ exhaustive oracle that validates the guarantees at small scale.
 """
 
 from .model import (
-    UNDECIDED,
     Assignment,
     Bound,
     Constraint,
@@ -17,13 +16,13 @@ from .model import (
     GraphFamily,
     HypergraphFamily,
     InstanceError,
-    PartialAssignmentError,
     edwards_bound,
     epsilon_cap,
     partition_counts,
     rainbow_count,
 )
 from .estimator import (
+    UNDECIDED,
     DegreePreconditionError,
     EstimatorBudgetError,
     EventSpec,

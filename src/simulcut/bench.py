@@ -202,8 +202,6 @@ class BenchResult:
 
 
 def _percentile(sorted_vals, q: float) -> float:
-    if not sorted_vals:
-        return 0.0
     idx = min(len(sorted_vals) - 1, int(round(q * (len(sorted_vals) - 1))))
     return float(sorted_vals[idx])
 

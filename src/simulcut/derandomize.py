@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import UNDECIDED, Assignment, CutReport, require_addressable, stat_mean
+from .model import Assignment, CutReport, require_addressable, stat_mean
 from .estimator import EstimatorBudgetError
 from .guarantee import Guarantee, evaluate
 
@@ -659,7 +659,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     require_addressable(family.n)
     require_addressable(k)
     order = resolve_order(family, order)
-    labels = [UNDECIDED] * family.n
+    labels = [0] * family.n         # each entry is written at its vertex's turn
     terms = _build_terms(family, specs, order)
 
     scale = k ** (3 * k) if specs and specs[0].kind == "rainbow" else k ** 4

@@ -1,7 +1,10 @@
-"""Exact conditional moments of cut statistics under partial assignments.
+"""Exact conditional moments of cut statistics under partial labellings.
 
-Every statistic tracked here is a sum X = sum_e X_e of per-edge indicators
-over a uniformly random k-labelling of the undecided vertices:
+A partial labelling is a plain sequence with one label per vertex: a class
+in 0..k-1, or UNDECIDED for an open vertex.  It exists only here and in the
+oracle that checks this module; an `Assignment` is always total.  Every
+statistic tracked here is a sum X = sum_e X_e of per-edge indicators over a
+uniformly random k-labelling of the undecided vertices:
 
   crossing   X_e = 1 iff the endpoints of e land in different classes
   pair(s,t)  X_e = 1 iff e has one endpoint in class s and one in class t
@@ -25,9 +28,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import UNDECIDED, Assignment, stat_mean
+from .model import stat_mean
 
 STAT_KINDS = ("crossing", "pair", "within", "rainbow")
+
+#: Label value marking a vertex whose class has not been decided yet.
+UNDECIDED = -1
 
 
 class EstimatorBudgetError(ValueError):
@@ -90,8 +96,8 @@ def stat_name(kind: str, s: int | None = None, t: int | None = None) -> str:
     return kind
 
 
-def _edge_prob(labels, edge, spec: EventSpec) -> Fraction:
-    """P[X_e = 1 | decided labels], by case analysis on the endpoints."""
+def conditional_edge_prob(edge, labels, spec: EventSpec) -> Fraction:
+    """Exact P[X_e = 1 | decided labels], by case analysis on the endpoints."""
     k = spec.k
     if spec.kind == "rainbow":
         seen = 0
@@ -131,15 +137,19 @@ def _edge_prob(labels, edge, spec: EventSpec) -> Fraction:
     return Fraction(1) if lu == lv == s else Fraction(0)
 
 
-def conditional_edge_prob(edge, a: Assignment, spec: EventSpec) -> Fraction:
-    """Exact P[X_e = 1 | decided labels in a]."""
-    return _edge_prob(a.labels, edge, spec)
+def conditional_joint_prob(e1, e2, labels, spec: EventSpec) -> Fraction:
+    """Exact E[X_e1 * X_e2 | decided labels] for two distinct edges.
 
-
-def _joint_prob(labels, e1, e2, spec: EventSpec) -> Fraction:
+    Disjoint edges factor into the product of their single-edge
+    probabilities; edges with shared vertices are averaged over the
+    uniform labels of the undecided shared vertices, under which the two
+    indicators become conditionally independent.
+    """
+    if tuple(sorted(e1)) == tuple(sorted(e2)):
+        raise ValueError("joint probability needs two distinct edges")
     shared = [x for x in e1 if x in e2]
-    p1 = _edge_prob(labels, e1, spec)
-    p2 = _edge_prob(labels, e2, spec)
+    p1 = conditional_edge_prob(e1, labels, spec)
+    p2 = conditional_edge_prob(e2, labels, spec)
     if not shared:
         return p1 * p2
     open_shared = [w for w in shared if labels[w] == UNDECIDED]
@@ -152,23 +162,8 @@ def _joint_prob(labels, e1, e2, spec: EventSpec) -> Fraction:
     for assigned in itertools.product(range(k), repeat=len(open_shared)):
         for w, c in zip(open_shared, assigned):
             scratch[w] = c
-        total += _edge_prob(scratch, e1, spec) * _edge_prob(scratch, e2, spec)
-    for w in open_shared:
-        scratch[w] = UNDECIDED
+        total += conditional_edge_prob(e1, scratch, spec) * conditional_edge_prob(e2, scratch, spec)
     return total / k ** len(open_shared)
-
-
-def conditional_joint_prob(e1, e2, a: Assignment, spec: EventSpec) -> Fraction:
-    """Exact E[X_e1 * X_e2 | decided labels] for two distinct edges.
-
-    Disjoint edges factor into the product of their single-edge
-    probabilities; edges with shared vertices are averaged over the
-    uniform labels of the undecided shared vertices, under which the two
-    indicators become conditionally independent.
-    """
-    if tuple(sorted(e1)) == tuple(sorted(e2)):
-        raise ValueError("joint probability needs two distinct edges")
-    return _joint_prob(a.labels, e1, e2, spec)
 
 
 def _incidence(edges, n: int):
@@ -179,45 +174,30 @@ def _incidence(edges, n: int):
     return inc
 
 
-def overlapping_pairs(edges):
-    """Unordered index pairs of edges sharing at least one vertex."""
-    n = 1 + max((x for e in edges for x in e), default=-1)
-    inc = _incidence(edges, n)
-    pairs: set[tuple[int, int]] = set()
-    for ids in inc:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                pairs.add((ids[a], ids[b]))
-    return sorted(pairs)
-
-
-def conditional_moments(edges, a: Assignment, spec: EventSpec):
-    """Exact (E[X | U], E[X^2 | U]) for one member's statistic.
+def conditional_moments(edges, labels, spec: EventSpec):
+    """Exact (E[X | U], E[X^2 | U]) for one member's statistic under labels U.
 
     The second moment is assembled from S1 = sum of edge probabilities,
     S2 = sum of their squares, and a correction for edge pairs that share
     vertices; pairs of disjoint edges contribute exactly the product of
     their probabilities.  Cost is O(m * max_degree) per call.
     """
-    return _moments(a.labels, edges, spec)
-
-
-def _moments(labels, edges, spec: EventSpec):
     k = spec.k
-    p = [_edge_prob(labels, e, spec) for e in edges]
+    p = [conditional_edge_prob(e, labels, spec) for e in edges]
     s1 = sum(p, Fraction(0))
     s2 = sum((q * q for q in p), Fraction(0))
     ex2 = s1 + s1 * s1 - s2
+    inc = _incidence(edges, len(labels))
 
     if spec.kind == "rainbow":
-        for i, j in overlapping_pairs(edges):
-            ex2 += 2 * (_joint_prob(labels, edges[i], edges[j], spec) - p[i] * p[j])
+        # each unordered pair of edges sharing at least one vertex, once
+        for i, j in {pair for ids in inc for pair in itertools.combinations(ids, 2)}:
+            ex2 += 2 * (conditional_joint_prob(edges[i], edges[j], labels, spec) - p[i] * p[j])
         return s1, ex2
 
     # Graph statistics: distinct edges share at most one vertex, so pair
     # corrections decompose over the shared vertex.  Pairs through a decided
     # vertex are conditionally independent and cancel exactly.
-    inc = _incidence(edges, len(labels))
     scratch = list(labels)
     for w in range(len(labels)):
         ids = inc[w]
@@ -231,7 +211,7 @@ def _moments(labels, edges, spec: EventSpec):
             t_c = Fraction(0)
             q_c = Fraction(0)
             for i in ids:
-                pc = _edge_prob(scratch, edges[i], spec)
+                pc = conditional_edge_prob(edges[i], scratch, spec)
                 t_c += pc
                 q_c += pc * pc
             joint_w += t_c * t_c - q_c
@@ -240,22 +220,18 @@ def _moments(labels, edges, spec: EventSpec):
     return s1, ex2
 
 
-def term_quadratic(edges, a: Assignment, spec: EventSpec) -> Fraction:
-    """Exact mu^2 - 2*mu*E[X|U] + E[X^2|U] for one penalty term."""
-    return _quadratic(a.labels, edges, spec)
-
-
-def _quadratic(labels, edges, spec: EventSpec) -> Fraction:
+def term_quadratic(edges, labels, spec: EventSpec) -> Fraction:
+    """Exact mu^2 - 2*mu*E[X|U] + E[X^2|U] for one penalty term under labels U."""
     mu = stat_mean(spec.kind, len(edges), spec.k)
-    s1, ex2 = _moments(labels, edges, spec)
+    s1, ex2 = conditional_moments(edges, labels, spec)
     return mu * mu - 2 * mu * s1 + ex2
 
 
-def estimator_value(family, a: Assignment, guarantee) -> float:
+def estimator_value(family, labels, guarantee) -> float:
     """Sum of a guarantee's penalty terms, each exact until divided by sqrt(norm2) * part."""
     root = math.sqrt(guarantee.norm2)
     total = 0.0
     for spec in guarantee.specs:
-        quad = term_quadratic(family.arrays[spec.graph].tolist(), a, spec)
+        quad = term_quadratic(family.arrays[spec.graph].tolist(), labels, spec)
         total += float(quad) / (root * spec.part)
     return total

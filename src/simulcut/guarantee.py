@@ -204,7 +204,7 @@ def resolve(family, theorem: str, k: int | None = None, eps=None, balanced: bool
 
 
 def evaluate(family, a, guarantee: Guarantee) -> CutReport:
-    """Count every member under a total assignment once and check each row.
+    """Count every member under an assignment once and check each row.
 
     Pure in its inputs.  A statistic row passes when its `Bound` admits the
     count, which is count >= threshold decided exactly.  With a slack, one

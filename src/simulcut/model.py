@@ -1,8 +1,8 @@
 """Instance types, cut counting, statistic means and their exact pass rule.
 
 The objects here are deliberately dumb and immutable: a family of simple
-graphs (or r-uniform hypergraphs) on a shared vertex set, a per-vertex class
-assignment, and a report of cut statistics against their thresholds.  All
+graphs (or r-uniform hypergraphs) on a shared vertex set, a k-partition of
+that set, and a report of cut statistics against their thresholds.  All
 counting operations are pure functions of (instance, assignment), so they
 double as the ground truth that the samplers and the derandomizer are
 checked against.
@@ -16,11 +16,12 @@ assignment costs one pass over the edges.  Duplicate edges and pair degrees
 are found by sorting one int64 key per row (the row read as a number in base
 max index + 1); a stable lexicographic sort of the rows runs only to locate
 a duplicate once the keys show one, or when the keys could overflow int64.
-An Assignment keeps its labels both as a tuple and as a read-only array and
-checks them in one vectorized range test.  Code that loops over edges in
-Python (the descent's terms, the oracle) takes
-``.tolist()`` of a member itself; the oracle keeps its own pure-Python count
-as the independent reference.
+An Assignment is a k-partition, every label in 0..k-1; partial labellings
+are plain label sequences, used only by the exact reference `estimator`.
+It keeps its labels as a tuple and as a read-only array, checked in one
+vectorized range test.  Code that loops over edges in Python (the
+descent's terms, the oracle) takes ``.tolist()`` of a member itself; the
+oracle keeps its own pure-Python count as the independent reference.
 """
 
 from __future__ import annotations
@@ -29,13 +30,9 @@ import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-
-#: Label value marking a vertex whose class has not been decided yet.
-UNDECIDED = -1
 
 
 class InstanceError(ValueError):
@@ -45,10 +42,6 @@ class InstanceError(ValueError):
         super().__init__(message)
         self.member = member
         self.row = row
-
-
-class PartialAssignmentError(ValueError):
-    """An operation that requires a total assignment got a partial one."""
 
 
 class EpsilonRangeError(ValueError):
@@ -286,8 +279,7 @@ def require_addressable(n: int) -> None:
 def _label_array(labels, k: int) -> np.ndarray:
     """Labels as a read-only integer array, after one vectorized range test.
 
-    Raises ValueError naming the first vertex whose label is neither
-    UNDECIDED nor in 0..k-1.
+    Raises ValueError naming the first vertex whose label is outside 0..k-1.
     """
     try:
         array = np.array(labels, dtype=np.intp)
@@ -296,11 +288,10 @@ def _label_array(labels, k: int) -> np.ndarray:
     if array is None or array.ndim != 1:
         # a label beyond intp, or not one label per vertex: the int loop names it
         for v, lab in enumerate(int(x) for x in labels):
-            if lab != UNDECIDED and not 0 <= lab < k:
+            if not 0 <= lab < k:
                 raise ValueError(f"vertex {v}: label {lab} outside 0..{k - 1}")
         raise TypeError(f"labels must be one integer per vertex, got {labels!r}")
-    # UNDECIDED is -1, so the admissible labels are the one range -1..k-1
-    bad = (array < UNDECIDED) | (array >= k)
+    bad = (array < 0) | (array >= k)
     if bad.any():
         v = int(bad.argmax())
         raise ValueError(f"vertex {v}: label {int(array[v])} outside 0..{k - 1}")
@@ -310,7 +301,7 @@ def _label_array(labels, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-vertex class labels in {0..k-1}, or UNDECIDED for open vertices.
+    """A k-partition: one class label in {0..k-1} per vertex.
 
     ``labels`` may be given as any integer sequence or array; it is kept as
     a tuple of ints, and ``label_array`` holds the same labels as a
@@ -332,27 +323,12 @@ class Assignment:
     def n(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def is_total(self) -> bool:
-        return bool((self.label_array != UNDECIDED).all())
-
-    def undecided_vertices(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.label_array == UNDECIDED).tolist())
-
     def class_sizes(self) -> tuple[int, ...]:
-        # shifted by one, so that UNDECIDED vertices fall in bin 0
-        return tuple(np.bincount(self.label_array + 1, minlength=self.k + 1)[1:].tolist())
-
-
-def _require_total(a: Assignment) -> None:
-    if not a.is_total:
-        raise PartialAssignmentError(
-            f"assignment has {len(a.undecided_vertices())} undecided vertices"
-        )
+        return tuple(np.bincount(self.label_array, minlength=self.k).tolist())
 
 
 def partition_counts(edges, a: Assignment):
-    """Classify every edge of one graph under a total k-assignment.
+    """Classify every edge of one graph under a k-assignment.
 
     Returns ``(pairs, within, crossing)`` where ``pairs[(s, t)]`` counts
     edges between classes s < t, ``within[s]`` counts edges inside class s,
@@ -366,7 +342,6 @@ def partition_counts(edges, a: Assignment):
     are counted, with np.unique of the cell codes, and ``pairs`` holds only
     those: then the cost is O(m + k) however large k is.
     """
-    _require_total(a)
     rows = _as_rows(edges, 2)
     lab = a.label_array
     k = a.k
@@ -397,7 +372,6 @@ def rainbow_count(edges, a: Assignment, r: int) -> int:
     """
     if a.k != r:
         raise ValueError(f"rainbow count needs k == r, got k={a.k}, r={r}")
-    _require_total(a)
     colors = a.label_array[_as_rows(edges, r)]
     if r <= _MASK_CLASSES:
         seen = np.zeros(len(colors), dtype=np.int64)

@@ -2,9 +2,10 @@
 
 Everything here is brute force on purpose: exact optima by enumerating all
 partitions, and exact conditional moments by averaging over all completions
-of the undecided vertices.  These are the independent checks the samplers,
-the estimator, and the descent are validated against, so none of them may
-share code with the paths they verify.
+of a partial label sequence (one label per vertex, UNDECIDED where open).
+These are the independent checks the samplers, the estimator, and the
+descent are validated against, so none of them may share code with the
+paths they verify.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from operator import itemgetter, sub
 
 from .model import Assignment, GraphFamily
-from .estimator import EventSpec
+from .estimator import UNDECIDED, EventSpec
 
 #: Hard ceiling on k**n for full enumeration.
 ENUMERATION_LIMIT = 10 ** 8
@@ -155,21 +156,21 @@ def _realized_count(labels, edges, spec: EventSpec) -> int:
     return sum(1 for e in edges if len({labels[x] for x in e}) == r)
 
 
-def moments_by_completion(edges, a: Assignment, spec: EventSpec):
-    """Exact (E[X|U], E[X^2|U]) by averaging over every completion of U.
+def moments_by_completion(edges, labels, spec: EventSpec):
+    """Exact (E[X|U], E[X^2|U]) by averaging over every completion of labels U.
 
-    Enumerates all k**u total assignments extending `a` (u = number of
-    undecided vertices, at most 12) and averages the realized statistic and
+    Enumerates all k**u total labellings extending `labels` (u = number of
+    UNDECIDED vertices, at most 12) and averages the realized statistic and
     its square.  This is the independent oracle for conditional_moments.
     """
-    open_vertices = a.undecided_vertices()
+    open_vertices = [v for v, lab in enumerate(labels) if lab == UNDECIDED]
     u = len(open_vertices)
     if u > COMPLETION_LIMIT:
         raise SizeLimitError(
             f"{u} undecided vertices exceed the completion limit {COMPLETION_LIMIT}"
         )
     k = spec.k
-    labels = list(a.labels)
+    labels = list(labels)
     sum_x = 0
     sum_x2 = 0
     for combo in itertools.product(range(k), repeat=u):

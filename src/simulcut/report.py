@@ -152,6 +152,18 @@ def _labels(text: str) -> tuple[int, ...]:
         raise ValueError(f"label {_quoted(bad)} is not an integer") from None
 
 
+def _read(parse, value: str):
+    """parse(value); a value that int or float refuses is quoted cut by _quoted,
+    since their own messages repeat all of it (_labels names its bad token)."""
+    try:
+        return parse(value)
+    except ValueError:
+        if parse not in (int, float):
+            raise
+        what = "an integer" if parse is int else "a float"
+        raise ValueError(f"{_quoted(value)} is not {what}") from None
+
+
 # the assignment line, and wall-ms after the class-size, member and constraint lines
 _TRAILING = (("assignment", "assignment", _labels, None), ("wall-ms", "wall_ms", float, None))
 # the `key=value` tokens of a constraint line, in render order, which is
@@ -229,12 +241,13 @@ def parse_report(text: str) -> RunReport:
         key, _, rest = ln.partition(" ")
         try:
             if key in _PARSERS:
-                values[key] = _PARSERS[key][2](rest)
+                values[key] = _read(_PARSERS[key][2], rest)
             elif key == "constraint":
-                rows[key].append(Constraint(*[parse(tok.partition("=")[2]) for (_, _, parse), tok
+                rows[key].append(Constraint(*[_read(parse, tok.partition("=")[2])
+                                              for (_, _, parse), tok
                                               in zip(_CONSTRAINT_FIELDS, rest.split(" "))]))
             elif key in rows:
-                rows[key].append(int(rest.rpartition(" ")[2]))
+                rows[key].append(_read(int, rest.rpartition(" ")[2]))
         except (ValueError, TypeError) as exc:  # TypeError: a constraint row too short
             raise ValueError(f"report line {_quoted(ln)}: {exc}") from None
 

@@ -7,7 +7,7 @@ import math
 import random
 from fractions import Fraction
 
-from simulcut import Assignment, Bound, GraphFamily, Guarantee, HypergraphFamily, UNDECIDED
+from simulcut import Bound, GraphFamily, Guarantee, HypergraphFamily, UNDECIDED
 from simulcut.model import stat_mean
 
 
@@ -31,11 +31,11 @@ def random_hyperfamily(n, r, ms, seed) -> HypergraphFamily:
         n=n, r=r, hypergraphs=tuple(tuple(sorted(rng.sample(subsets, m))) for m in ms))
 
 
-def random_partial(n, k, seed, p_undecided=0.4) -> Assignment:
+def random_partial(n, k, seed, p_undecided=0.4) -> tuple[int, ...]:
+    """Partial labels: each vertex UNDECIDED with probability p_undecided, else a class."""
     rng = random.Random(seed)
-    labels = tuple(UNDECIDED if rng.random() < p_undecided else rng.randrange(k)
-                   for _ in range(n))
-    return Assignment(labels, k)
+    return tuple(UNDECIDED if rng.random() < p_undecided else rng.randrange(k)
+                 for _ in range(n))
 
 
 def cycle_edges(n):

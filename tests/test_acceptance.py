@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from simulcut import (
-    Assignment,
     GraphFamily,
     UNDECIDED,
     conditional_moments,
@@ -169,8 +168,7 @@ def test_criterion_04_moment_anchor():
         m = rng.randint(0, min(200, n * (n - 1) // 2))
         edges = random_edges(n, m, rng)
         spec = EventSpec(graph=0, kind="crossing", k=2)
-        a = Assignment((UNDECIDED,) * n, 2)
-        s1, ex2 = conditional_moments(edges, a, spec)
+        s1, ex2 = conditional_moments(edges, (UNDECIDED,) * n, spec)
         assert s1 == Fraction(m, 2)
         assert ex2 == Fraction(m * (m + 1), 4)
     # two graphs, one penalty term each with normalizer m_i: starts at 1/2
@@ -180,8 +178,7 @@ def test_criterion_04_moment_anchor():
         fam = random_family(n, [rng.randint(1, min(150, cap)) for _ in range(2)],
                             seed=5000 + trial)
         specs = tuple(EventSpec(graph=i, kind="crossing", k=2, part=fam.m[i]) for i in range(2))
-        value = estimator_value(fam, Assignment((UNDECIDED,) * n, 2),
-                                hand_built(fam, 2, specs, norm2=1))
+        value = estimator_value(fam, (UNDECIDED,) * n, hand_built(fam, 2, specs, norm2=1))
         assert abs(value - 0.5) <= 1e-12
     print("\nACCEPTANCE 4 PASS: E[X^2] = m(m+1)/4 exactly on 50 graphs; "
           "two-graph estimator starts at 0.5 within 1e-12")
@@ -219,16 +216,17 @@ def test_criterion_05_oracle_equivalence():
         open_set = set(rng.sample(range(n), u))
         labels = tuple(UNDECIDED if v in open_set else rng.randrange(k)
                        for v in range(n))
-        a = Assignment(labels, k)
-        assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
+        assert (conditional_moments(edges, labels, spec)
+                == moments_by_completion(edges, labels, spec))
         cases += 1
     # a few maximal-undecided cases at the guard boundary
     for trial in range(5):
         n = 12
         edges = random_edges(n, 18, rng)
         spec = EventSpec(graph=0, kind="crossing", k=2)
-        a = Assignment((UNDECIDED,) * 12, 2)
-        assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
+        labels = (UNDECIDED,) * 12
+        assert (conditional_moments(edges, labels, spec)
+                == moments_by_completion(edges, labels, spec))
         cases += 1
     print(f"\nACCEPTANCE 5 PASS: exact rational equality with the completion "
           f"oracle on {cases} cases")

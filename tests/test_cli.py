@@ -652,6 +652,47 @@ def test_out_to_dev_null_and_stdout(c5_file, tmp_path, capsys):
     assert printed == _unclocked(tmp_path / "file.report")
 
 
+def test_partition_reads_the_instance_from_stdin(c5_file, tmp_path, capsys, monkeypatch):
+    assert main(["partition", str(c5_file), "--theorem", "1", "--out",
+                 str(tmp_path / "file.report")]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(c5_file.read_text()))
+    capsys.readouterr()
+    assert main(["partition", "-", "--theorem", "1"]) == 0
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("wall-ms ")]
+    assert printed == _unclocked(tmp_path / "file.report")
+
+
+_TWO_GRAPHS = "graphs 2 vertices 3\nedges 1\n0 1\nedges 1\n1 2\n"
+_SUITE_RUN = {"generator": {"kind": "gnm", "n": 8, "m": 10}, "method": "mc"}
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["partition", "--theorem", "1"], "graphs 1 vertex 5\nedges 0\n",
+     "line 1: expected 'graphs <ell> vertices <n>'"),
+    (["partition", "--theorem", "hyp"], "hypergraphs 1 vertices 5 uniform 3\nedges 0\n",
+     "line 1: expected 'hypergraphs <ell> vertices <n> uniformity <r>'"),
+    (["partition", "--theorem", "1"], "graphs 0 vertices 5\n",
+     "line 1: ell must be >= 1, got 0"),
+    (["partition", "--theorem", "1"], "graphs 1 vertices -5\nedges 0\n",
+     "line 1: n must be >= 0, got -5"),
+    (["partition", "--theorem", "1"], "graphs 2 vertices 5\nedges 1\n0 1\n",
+     "member 1: expected 'edges <m>' but the file ended"),
+    (["oracle", "--objective", "maxcut"], "hypergraphs 1 vertices 4 uniformity 3\nedges 1\n0 1 2\n",
+     "oracle objectives operate on graph families"),
+    (["oracle", "--objective", "simultaneous", "--centers", "1"], _TWO_GRAPHS,
+     "--centers needs 2 comma-separated values, got 1"),
+    (["bench"], json.dumps({"runs": []}), "suite has no runs"),
+    (["bench"], json.dumps({"runs": [_SUITE_RUN]}), "suite run 0: missing field 'theorem'"),
+], ids=["graphs-header", "hypergraphs-header", "ell-0", "n-negative", "member-missing",
+        "oracle-hypergraphs", "centers-count", "suite-no-runs", "suite-no-theorem"])
+def test_input_diagnostics_exit_2(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_no_output_write_truncates(c5_file, tmp_path, monkeypatch):
     # an O_TRUNC open of an existing file costs an ext4 flush on close
     writes = []

@@ -29,7 +29,7 @@ from simulcut.bench import execute_run
 from simulcut.report import RunOptions
 from simulcut.derandomize import (
     _build_terms, _GraphTerm, _RainbowTerm, resolve_order)
-from simulcut.estimator import _quadratic
+from simulcut.estimator import term_quadratic
 from simulcut.instances import generate
 
 from helpers import (c5_pair, cycle_edges, hand_built, key_unit, paper_threshold,
@@ -37,7 +37,7 @@ from helpers import (c5_pair, cycle_edges, hand_built, key_unit, paper_threshold
 
 
 def _exact_value(edges, labels, specs):
-    return sum((_quadratic(labels, edges[s.graph], s) / s.part for s in specs), Fraction(0))
+    return sum((term_quadratic(edges[s.graph], labels, s) / s.part for s in specs), Fraction(0))
 
 
 def assert_descent_health(family, guarantee, result):
@@ -94,13 +94,13 @@ def assert_exact_descent(family, guarantee, result):
 def _initials(edges, labels, specs, shared):
     """Each spec's float estimator at `labels`: its exact quadratic over its
     normalizer, ``shared`` times its part."""
-    return [float(_quadratic(labels, edges[s.graph], s)) / (shared * s.part) for s in specs]
+    return [float(term_quadratic(edges[s.graph], labels, s)) / (shared * s.part) for s in specs]
 
 
 def _quads(edges, labels, specs):
     """Each spec's exact quadratic at `labels` over k^4 (r^(3r) for rainbow),
     the integers a term's ``quads`` hold."""
-    nums = [_quadratic(labels, edges[s.graph], s)
+    nums = [term_quadratic(edges[s.graph], labels, s)
             * (s.k ** (3 * s.k) if s.kind == "rainbow" else s.k ** 4) for s in specs]
     assert all(num.denominator == 1 for num in nums), nums
     return [num.numerator for num in nums]
@@ -116,7 +116,7 @@ def _reference_keys(edges, specs, weights, labels, v):
     keys = []
     for c in range(k):
         labels[v] = c
-        num = scale * sum((w * _quadratic(labels, edges, spec)
+        num = scale * sum((w * term_quadratic(edges, labels, spec)
                            for spec, w in zip(specs, weights)), Fraction(0))
         assert num.denominator == 1, num
         keys.append(num.numerator)
@@ -153,7 +153,7 @@ class TestGuarantees:
     def test_empty_graphs_trivial(self):
         fam = GraphFamily(n=6, graphs=((), ()))
         result = derandomize(fam, resolve(fam, "thm1"))
-        assert result.assignment.is_total
+        assert result.assignment.labels == (0,) * 6      # every tie to the lowest class
         assert result.initial_value == 0.0
         assert result.final_value == 0.0
         assert [(c.graph, c.count, c.threshold, c.passed) for c in result.report.constraints] \

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from simulcut import (
-    Assignment,
     EstimatorBudgetError,
     EventSpec,
     GraphFamily,
@@ -54,22 +53,22 @@ def rainbow_spec(r):
 
 class TestEdgeProb:
     def test_crossing_both_undecided(self):
-        a = Assignment((UNDECIDED, UNDECIDED), 2)
-        assert conditional_edge_prob((0, 1), a, crossing_spec()) == Fraction(1, 2)
+        labels = (UNDECIDED, UNDECIDED)
+        assert conditional_edge_prob((0, 1), labels, crossing_spec()) == Fraction(1, 2)
 
     def test_pair_one_decided(self):
-        a = Assignment((0, UNDECIDED, UNDECIDED), 3)
+        labels = (0, UNDECIDED, UNDECIDED)
         spec = pair_spec(3, 0, 1)
-        assert conditional_edge_prob((0, 1), a, spec) == Fraction(1, 3)
+        assert conditional_edge_prob((0, 1), labels, spec) == Fraction(1, 3)
 
     def test_pair_one_decided_outside(self):
-        a = Assignment((2, UNDECIDED, UNDECIDED), 3)
+        labels = (2, UNDECIDED, UNDECIDED)
         spec = pair_spec(3, 0, 1)
-        assert conditional_edge_prob((0, 1), a, spec) == 0
+        assert conditional_edge_prob((0, 1), labels, spec) == 0
 
     def test_crossing_same_class(self):
-        a = Assignment((1, 1), 4)
-        assert conditional_edge_prob((0, 1), a, crossing_spec(k=4)) == 0
+        labels = (1, 1)
+        assert conditional_edge_prob((0, 1), labels, crossing_spec(k=4)) == 0
 
     def test_exhaustive_against_enumeration(self):
         # average the realized indicator over all completions of the two endpoints
@@ -84,49 +83,49 @@ class TestEdgeProb:
                             spec = within_spec(k, rng.randrange(k))
                         else:
                             spec = crossing_spec(k=k)
-                        a = Assignment((lu, lv), k)
-                        got = conditional_edge_prob((0, 1), a, spec)
-                        want = moments_by_completion(((0, 1),), a, spec)[0]
+                        labels = (lu, lv)
+                        got = conditional_edge_prob((0, 1), labels, spec)
+                        want = moments_by_completion(((0, 1),), labels, spec)[0]
                         assert got == want, (kind, k, lu, lv)
 
     def test_rainbow_probabilities(self):
         spec = rainbow_spec(3)
-        a = Assignment((UNDECIDED,) * 3, 3)
-        assert conditional_edge_prob((0, 1, 2), a, spec) == Fraction(6, 27)
-        a = Assignment((0, UNDECIDED, UNDECIDED), 3)
-        assert conditional_edge_prob((0, 1, 2), a, spec) == Fraction(2, 9)
-        a = Assignment((0, 0, UNDECIDED), 3)
-        assert conditional_edge_prob((0, 1, 2), a, spec) == 0
+        labels = (UNDECIDED,) * 3
+        assert conditional_edge_prob((0, 1, 2), labels, spec) == Fraction(6, 27)
+        labels = (0, UNDECIDED, UNDECIDED)
+        assert conditional_edge_prob((0, 1, 2), labels, spec) == Fraction(2, 9)
+        labels = (0, 0, UNDECIDED)
+        assert conditional_edge_prob((0, 1, 2), labels, spec) == 0
 
 
 class TestJointProb:
     def test_shared_vertex_all_undecided_quarter(self):
-        a = Assignment((UNDECIDED,) * 3, 2)
+        labels = (UNDECIDED,) * 3
         spec = crossing_spec()
-        assert conditional_joint_prob((0, 1), (1, 2), a, spec) == Fraction(1, 4)
+        assert conditional_joint_prob((0, 1), (1, 2), labels, spec) == Fraction(1, 4)
 
     def test_disjoint_edges_k_crossing(self):
         for k in (2, 3, 5):
-            a = Assignment((UNDECIDED,) * 4, k)
+            labels = (UNDECIDED,) * 4
             spec = crossing_spec(k=k)
-            got = conditional_joint_prob((0, 1), (2, 3), a, spec)
+            got = conditional_joint_prob((0, 1), (2, 3), labels, spec)
             assert got == Fraction((k - 1) ** 2, k * k)
 
     def test_shared_vertex_decided_still_quarter(self):
         # shared vertex decided, other two undecided: enumerate the 4 completions
         for c in (0, 1):
-            a = Assignment((UNDECIDED, c, UNDECIDED), 2)
+            labels = (UNDECIDED, c, UNDECIDED)
             spec = crossing_spec()
-            got = conditional_joint_prob((0, 1), (1, 2), a, spec)
+            got = conditional_joint_prob((0, 1), (1, 2), labels, spec)
             total = Fraction(0)
             for l0, l2 in itertools.product(range(2), repeat=2):
                 total += (l0 != c) * (l2 != c)
             assert got == total / 4 == Fraction(1, 4)
 
     def test_identical_edges_rejected(self):
-        a = Assignment((UNDECIDED,) * 2, 2)
+        labels = (UNDECIDED,) * 2
         with pytest.raises(ValueError):
-            conditional_joint_prob((0, 1), (1, 0), a, crossing_spec())
+            conditional_joint_prob((0, 1), (1, 0), labels, crossing_spec())
 
     def test_randomized_against_completion(self):
         rng = random.Random(17)
@@ -144,18 +143,18 @@ class TestJointProb:
                 spec = within_spec(k, rng.randrange(k))
             else:
                 spec = crossing_spec(k=k)
-            a = random_partial(n, k, rng.randrange(10 ** 6))
-            got = conditional_joint_prob(e1, e2, a, spec)
+            labels = random_partial(n, k, rng.randrange(10 ** 6))
+            got = conditional_joint_prob(e1, e2, labels, spec)
             # oracle: enumerate completions, average the product of indicators
             from simulcut.oracle import _realized_count
-            undecided = a.undecided_vertices()
-            labels = list(a.labels)
+            undecided = [v for v, label in enumerate(labels) if label == UNDECIDED]
+            completed = list(labels)
             total = Fraction(0)
             for combo in itertools.product(range(k), repeat=len(undecided)):
                 for w, c in zip(undecided, combo):
-                    labels[w] = c
-                x1 = _realized_count(labels, (e1,), spec)
-                x2 = _realized_count(labels, (e2,), spec)
+                    completed[w] = c
+                x1 = _realized_count(completed, (e1,), spec)
+                x2 = _realized_count(completed, (e2,), spec)
                 total += x1 * x2
             assert got == total / k ** len(undecided)
 
@@ -167,8 +166,8 @@ class TestConditionalMoments:
             n = rng.randint(2, 12)
             m = rng.randint(0, n * (n - 1) // 2)
             edges = random_edges(n, m, rng)
-            a = Assignment((UNDECIDED,) * n, 2)
-            s1, ex2 = conditional_moments(edges, a, crossing_spec())
+            labels = (UNDECIDED,) * n
+            s1, ex2 = conditional_moments(edges, labels, crossing_spec())
             assert s1 == Fraction(m, 2)
             assert ex2 == Fraction(m * (m + 1), 4)
 
@@ -179,10 +178,10 @@ class TestConditionalMoments:
             m = rng.randint(0, n * (n - 1) // 2)
             edges = random_edges(n, m, rng)
             k = rng.randint(2, 4)
-            a = Assignment(tuple(rng.randrange(k) for _ in range(n)), k)
+            labels = tuple(rng.randrange(k) for _ in range(n))
             spec = crossing_spec(k=k)
-            s1, ex2 = conditional_moments(edges, a, spec)
-            x = sum(1 for u, v in edges if a.labels[u] != a.labels[v])
+            s1, ex2 = conditional_moments(edges, labels, spec)
+            x = sum(1 for u, v in edges if labels[u] != labels[v])
             assert s1 == x and ex2 == x * x
 
     def test_partial_matches_completion_oracle(self):
@@ -199,8 +198,9 @@ class TestConditionalMoments:
                 spec = within_spec(k, rng.randrange(k))
             else:
                 spec = crossing_spec(k=k)
-            a = random_partial(n, k, rng.randrange(10 ** 6))
-            assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
+            labels = random_partial(n, k, rng.randrange(10 ** 6))
+            assert (conditional_moments(edges, labels, spec)
+                    == moments_by_completion(edges, labels, spec))
 
     def test_rainbow_matches_completion_oracle(self):
         rng = random.Random(41)
@@ -211,8 +211,9 @@ class TestConditionalMoments:
             hf = random_hyperfamily(n, r, [rng.randint(0, cap)], rng.randrange(10 ** 6))
             edges = hf.arrays[0]
             spec = rainbow_spec(r)
-            a = random_partial(n, r, rng.randrange(10 ** 6))
-            assert conditional_moments(edges, a, spec) == moments_by_completion(edges, a, spec)
+            labels = random_partial(n, r, rng.randrange(10 ** 6))
+            assert (conditional_moments(edges, labels, spec)
+                    == moments_by_completion(edges, labels, spec))
 
 
 class TestEstimatorValue:
@@ -220,30 +221,31 @@ class TestEstimatorValue:
         fam = c5_pair()
         # normalizer m_i = 5: for two graphs this is the standard bipartition config
         specs = tuple(EventSpec(graph=i, kind="crossing", k=2) for i in range(2))
-        a = Assignment((UNDECIDED,) * 5, 2)
+        labels = (UNDECIDED,) * 5
         guarantee = hand_built(fam, 2, specs, norm2=25)
-        assert estimator_value(fam, a, guarantee) == pytest.approx(0.5, abs=1e-12)
+        assert estimator_value(fam, labels, guarantee) == pytest.approx(0.5, abs=1e-12)
 
     def test_thm1_initial_half_any_ell(self):
         for ell, seed in ((1, 3), (2, 4), (3, 5)):
             fam = random_family(10, [12] * ell, seed)
-            a = Assignment((UNDECIDED,) * 10, 2)
-            assert estimator_value(fam, a, resolve(fam, "thm1")) == pytest.approx(0.5, abs=1e-12)
+            labels = (UNDECIDED,) * 10
+            assert (estimator_value(fam, labels, resolve(fam, "thm1"))
+                    == pytest.approx(0.5, abs=1e-12))
 
     def test_thm1_initial_matches_monte_carlo(self):
         # E[(mu - X)^2]/norm estimated by sampling matches the exact value
         fam = random_family(12, [30], 71)
         guarantee = resolve(fam, "thm1")
         spec = guarantee.specs[0]
-        a0 = Assignment((UNDECIDED,) * 12, 2)
-        exact = estimator_value(fam, a0, guarantee)
+        labels0 = (UNDECIDED,) * 12
+        exact = estimator_value(fam, labels0, guarantee)
         rng = substream(99, 0)
         trials = 4000
         acc = 0.0
         for _ in range(trials):
             a = random_assignment(12, 2, rng)
             x = sum(1 for u, v in fam.arrays[0] if a.labels[u] != a.labels[v])
-            acc += float(term_quadratic(fam.arrays[0], a, spec)) / (
+            acc += float(term_quadratic(fam.arrays[0], a.labels, spec)) / (
                 math.sqrt(guarantee.norm2) * spec.part)
         est = acc / trials
         # Var of the estimate is bounded; 4000 samples put 5 sigma well under 0.1
@@ -252,8 +254,8 @@ class TestEstimatorValue:
     def test_total_at_center_is_zero(self):
         edges = ((0, 1), (1, 2), (2, 3), (0, 3))
         fam = GraphFamily(n=4, graphs=(edges,))
-        a = Assignment((0, 0, 1, 1), 2)  # crossing = 2 = mu
-        assert estimator_value(fam, a, resolve(fam, "thm1")) == 0.0
+        labels = (0, 0, 1, 1)  # crossing = 2 = mu
+        assert estimator_value(fam, labels, resolve(fam, "thm1")) == 0.0
 
 
 class TestEventSpec:

@@ -34,7 +34,7 @@ from helpers import c5_pair, cycle_edges, paper_threshold, random_family, random
 class TestRandomAssignment:
     def test_empty(self):
         a = random_assignment(0, 3, substream(1, 0))
-        assert a.labels == () and a.is_total
+        assert a.labels == () and a.class_sizes() == (0, 0, 0)
 
     def test_deterministic(self):
         a = random_assignment(50, 4, substream(123, 7))
@@ -169,7 +169,7 @@ class TestMcPartition:
             mc_partition(fam, guarantee, seed=0)
         exc = exc_info.value
         assert exc.tries == 5
-        assert exc.best_assignment.is_total
+        assert sum(exc.best_assignment.class_sizes()) == exc.best_assignment.n == 5
         assert not exc.best_report.all_pass
         failed = [c for c in exc.best_report.constraints if not c.passed]
         assert all(c.stat.startswith("balance") for c in failed)

@@ -16,7 +16,6 @@ from simulcut import (
     GraphFamily,
     HypergraphFamily,
     InstanceError,
-    PartialAssignmentError,
     UNDECIDED,
     edwards_bound,
     epsilon_cap,
@@ -209,13 +208,13 @@ def test_large_indices_take_the_lexsort_fallback(monkeypatch):
 
 
 class TestAssignment:
-    def test_total_and_partial(self):
-        a = Assignment((0, 1, UNDECIDED), 2)
-        assert not a.is_total
-        assert a.undecided_vertices() == (2,)
-        b = Assignment((0, 1, 1), 2)
-        assert b.is_total
-        assert b.class_sizes() == (1, 2)
+    def test_undecided_label_refused(self):
+        # an Assignment is a partition: UNDECIDED, the reference's open label,
+        # is refused like any label outside 0..k-1; test_first_bad_vertex_named
+        # shows it on both the vectorized range test and the int loop
+        with pytest.raises(ValueError, match=r"^vertex 1: label -1 outside 0\.\.1$"):
+            Assignment((0, UNDECIDED), 2)
+        assert Assignment((0, 1, 1), 2).class_sizes() == (1, 2)
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
@@ -226,9 +225,11 @@ class TestAssignment:
     @pytest.mark.parametrize("labels, message", [
         ((0, 1, 2, 1), "vertex 2: label 2 outside 0..1"),
         ((1, 0, -2), "vertex 2: label -2 outside 0..1"),
-        ((UNDECIDED, 0, UNDECIDED, 5, -2), "vertex 3: label 5 outside 0..1"),
-        ((UNDECIDED, 1, -7, 3), "vertex 2: label -7 outside 0..1"),
+        ((1, 0, 0, 5, -2), "vertex 3: label 5 outside 0..1"),
+        ((0, 1, -7, 3), "vertex 2: label -7 outside 0..1"),
         ((0, 2 ** 70, 9), "vertex 1: label 1180591620717411303424 outside 0..1"),
+        ((1, UNDECIDED, 0), "vertex 1: label -1 outside 0..1"),
+        ((0, 1, UNDECIDED, 2 ** 70), "vertex 2: label -1 outside 0..1"),
     ])
     def test_first_bad_vertex_named(self, labels, message):
         for given_as in (labels, list(labels), np.array(labels, dtype=object)):
@@ -237,17 +238,15 @@ class TestAssignment:
             assert str(exc.value) == message
 
     def test_labels_kept_as_ints_and_array(self):
-        a = Assignment(np.array([2, UNDECIDED, 0, 2, UNDECIDED, 1]), 4)
-        assert a.labels == (2, UNDECIDED, 0, 2, UNDECIDED, 1)
+        a = Assignment(np.array([2, 3, 0, 2, 3, 1]), 4)
+        assert a.labels == (2, 3, 0, 2, 3, 1)
         assert all(type(x) is int for x in a.labels)
         assert not a.label_array.flags.writeable
         assert a.label_array.tolist() == list(a.labels)
-        assert a.class_sizes() == (1, 1, 2, 0)
+        assert a.class_sizes() == (1, 1, 2, 2)
         assert type(a.class_sizes()[0]) is int
-        assert not a.is_total and a.undecided_vertices() == (1, 4)
-        assert a == Assignment((2, UNDECIDED, 0, 2, UNDECIDED, 1), 4)
-        assert Assignment((), 3).class_sizes() == (0, 0, 0) and Assignment((), 3).is_total
-        assert Assignment((UNDECIDED,) * 3, 2).class_sizes() == (0, 0)
+        assert a == Assignment((2, 3, 0, 2, 3, 1), 4)
+        assert Assignment((), 3).class_sizes() == (0, 0, 0)
         with pytest.raises(TypeError):
             Assignment(((0, 1), (1, 0)), 2)
 
@@ -267,10 +266,6 @@ class TestCounting:
         edges = cycle_edges(6)
         a = Assignment((0,) * 6, 2)
         assert partition_counts(edges, a)[2] == 0
-
-    def test_crossing_requires_total(self):
-        with pytest.raises(PartialAssignmentError):
-            partition_counts(((0, 1),), Assignment((0, UNDECIDED), 2))
 
     def test_crossing_label_swap_invariant(self):
         rng = random.Random(5)

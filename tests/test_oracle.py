@@ -133,24 +133,21 @@ class TestMomentsByCompletion:
             m = rng.randint(0, n * (n - 1) // 2)
             edges = random_edges(n, m, rng)
             spec = EventSpec(graph=0, kind="crossing", k=2)
-            a = Assignment((UNDECIDED,) * n, 2)
             if n > 12:
                 continue
-            s1, ex2 = moments_by_completion(edges, a, spec)
+            s1, ex2 = moments_by_completion(edges, (UNDECIDED,) * n, spec)
             assert s1 == Fraction(m, 2)
             assert ex2 == Fraction(m * (m + 1), 4)
 
     def test_total_returns_realized(self):
         edges = cycle_edges(5)
-        a = Assignment((0, 1, 0, 1, 1), 2)
         spec = EventSpec(graph=0, kind="crossing", k=2)
-        assert moments_by_completion(edges, a, spec) == (4, 16)
+        assert moments_by_completion(edges, (0, 1, 0, 1, 1), spec) == (4, 16)
 
     def test_undecided_guard(self):
         spec = EventSpec(graph=0, kind="crossing", k=2)
-        a = Assignment((UNDECIDED,) * 13, 2)
         with pytest.raises(SizeLimitError):
-            moments_by_completion(((0, 1),), a, spec)
+            moments_by_completion(((0, 1),), (UNDECIDED,) * 13, spec)
 
     def test_law_of_total_expectation(self):
         # refining one undecided vertex and averaging reproduces the coarser moments
@@ -161,16 +158,16 @@ class TestMomentsByCompletion:
             edges = random_edges(n, m, rng)
             k = rng.choice([2, 3])
             spec = EventSpec(graph=0, kind="crossing", k=k)
-            a = random_partial(n, k, rng.randrange(10 ** 6), p_undecided=0.7)
-            opens = a.undecided_vertices()
+            labels = random_partial(n, k, rng.randrange(10 ** 6), p_undecided=0.7)
+            opens = [v for v, label in enumerate(labels) if label == UNDECIDED]
             if not opens:
                 continue
-            coarse = moments_by_completion(edges, a, spec)
+            coarse = moments_by_completion(edges, labels, spec)
             v = opens[0]
             acc1 = Fraction(0)
             acc2 = Fraction(0)
             for c in range(k):
-                refined = Assignment(a.labels[:v] + (c,) + a.labels[v + 1:], k)
+                refined = labels[:v] + (c,) + labels[v + 1:]
                 s1, ex2 = moments_by_completion(edges, refined, spec)
                 acc1 += s1
                 acc2 += ex2

@@ -58,8 +58,8 @@ def test_balance_slack_and_epsilon_lines():
 
 
 def test_assignment_line_writes_every_label_in_decimal():
-    # labels come from a table of the k classes; one outside them (UNDECIDED,
-    # or k and above in a parsed report) is written all the same
+    # labels come from a table of the k classes; one outside them (-1, k or
+    # above, as a parsed report may hold) is written all the same
     family = generate(**INSTANCES["2"], seed=3)
     rr = execute_run(family, RunOptions(method="derand", theorem="2", k=3))
     for labels in (rr.assignment, (0, 2, 1) * 10, (0, -1, 2) * 10, (0, 3, 11) * 10):
@@ -668,12 +668,12 @@ def test_verify_refuses_run_lines_no_run_writes(thm1_reports, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda labels: ["-1"] + labels[1:], "assignment has 1 undecided vertices"),
+    (lambda labels: ["-1"] + labels[1:], "vertex 0: label -1 outside 0..1"),
     (lambda labels: labels[:-1], "assignment has 59 labels, family has n=60 vertices"),
 ], ids=["undecided", "one-short"])
 def test_verify_refuses_an_assignment_evaluate_refuses(thm1_reports, tmp_path, capsys,
                                                        edit, message):
-    # labels in written form that no run writes: evaluate refuses them
+    # labels in written form that no run writes: Assignment or evaluate refuses them
     inst, texts = thm1_reports
     lines = texts["derand"].splitlines()
     i = next(i for i, ln in enumerate(lines) if ln.startswith("assignment "))
@@ -685,7 +685,7 @@ def test_verify_refuses_an_assignment_evaluate_refuses(thm1_reports, tmp_path, c
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_verify_bad_label_diagnostic_is_bounded(tmp_path, capsys):
+def test_verify_bad_label_diagnostic_is_bounded(thm1_reports, tmp_path, capsys):
     # one stray token in a 5000-label assignment line is named, and the
     # line is quoted only at its start
     inst, report = tmp_path / "gnm.instance", tmp_path / "run.report"
@@ -700,3 +700,19 @@ def test_verify_bad_label_diagnostic_is_bounded(tmp_path, capsys):
     assert err.startswith("error: report line 'assignment x "), err
     assert err.endswith(" characters): label 'x' is not an integer\n"), err
     assert len(err.encode()) < 200, err
+    # a 5000-character value on a float line, in a float token and on an int
+    # line is quoted cut to its start as well, not by float's or int's message
+    inst, texts = thm1_reports
+    junk = "x" * 5000
+    for pattern, edit, what in ((r"^initial-estimator .*$", f"initial-estimator {junk}", "a float"),
+                                (r" threshold=\S+ ", f" threshold={junk} ", "a float"),
+                                (r"^n .*$", f"n {junk}", "an integer")):
+        text, count = re.subn(pattern, edit, texts["derand"], count=1, flags=re.M)
+        assert count == 1
+        report.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", str(report), "--instance", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report line '") and err.count("\n") == 1, err
+        assert err.endswith(f": {_quoted(junk)} is not {what}\n"), err
+        assert len(err.encode()) < 200, err
