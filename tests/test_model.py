@@ -208,13 +208,16 @@ def test_large_indices_take_the_lexsort_fallback(monkeypatch):
 
 
 class TestAssignment:
-    def test_undecided_label_refused(self):
-        # an Assignment is a partition: UNDECIDED, the reference's open label,
-        # is refused like any label outside 0..k-1; test_first_bad_vertex_named
-        # shows it on both the vectorized range test and the int loop
-        with pytest.raises(ValueError, match=r"^vertex 1: label -1 outside 0\.\.1$"):
-            Assignment((0, UNDECIDED), 2)
-        assert Assignment((0, 1, 1), 2).class_sizes() == (1, 2)
+    def test_total_and_partial(self):
+        # an Assignment is a partition: a total labelling is kept, and
+        # UNDECIDED, the reference's open label, is refused like any label
+        # outside 0..k-1; test_first_bad_vertex_named shows it on both the
+        # vectorized range test and the int loop
+        with pytest.raises(ValueError, match=r"^vertex 2: label -1 outside 0\.\.1$"):
+            Assignment((0, 1, UNDECIDED), 2)
+        b = Assignment((0, 1, 1), 2)
+        assert b.labels == (0, 1, 1)
+        assert b.class_sizes() == (1, 2)
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
@@ -266,6 +269,12 @@ class TestCounting:
         edges = cycle_edges(6)
         a = Assignment((0,) * 6, 2)
         assert partition_counts(edges, a)[2] == 0
+
+    def test_crossing_requires_total(self):
+        # a partial labelling cannot reach partition_counts: Assignment refuses it
+        with pytest.raises(ValueError, match=r"^vertex 1: label -1 outside 0\.\.1$"):
+            partition_counts(((0, 1),), Assignment((0, UNDECIDED), 2))
+        assert partition_counts(((0, 1),), Assignment((0, 1), 2))[2] == 1
 
     def test_crossing_label_swap_invariant(self):
         rng = random.Random(5)
