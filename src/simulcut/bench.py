@@ -51,7 +51,7 @@ from .report import RunOptions, RunReport, instance_digest, render_report
 
 def execute_run(family, opts: RunOptions) -> RunReport:
     """Run one method on one instance and assemble its report; a descent's
-    steps go on the report's unrendered ``trace``."""
+    result goes on the report's unrendered ``descent``."""
     guarantee, resolved = opts.resolve(family)
     digest = instance_digest(family)
     start = time.perf_counter()
@@ -65,8 +65,8 @@ def execute_run(family, opts: RunOptions) -> RunReport:
     else:
         result = derandomize(family, guarantee, order=opts.order)
         assignment, cut_report = result.assignment, result.report
-        engine = dict(descent_steps=len(result.trace), initial_estimator=result.initial_value,
-                      final_estimator=result.final_value, trace=result.trace)
+        engine = dict(descent_steps=len(result.rows), initial_estimator=result.initial_value,
+                      final_estimator=result.final_value, descent=result)
     wall_ms = (time.perf_counter() - start) * 1000
     r = getattr(family, "r", None)
     return RunReport(

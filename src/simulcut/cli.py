@@ -69,7 +69,7 @@ def _cmd_partition(args) -> int:
     opts = RunOptions(**{name: value for name, value in given.items() if value is not None})
     rr = execute_run(family, opts)
     _write_text(args.out, render_report(rr))
-    for step in rr.trace if args.trace else ():
+    for step in rr.descent.trace if args.trace and rr.descent else ():
         print(f"step v={step.vertex} class={step.chosen} keys={','.join(map(str, step.keys))}")
     return 0 if rr.passed else 1
 

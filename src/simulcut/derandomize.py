@@ -29,20 +29,24 @@ vertices only through its own `commit(v, c)`, and has keys defined only
 at the next vertex of its order.
 
 Cost: the graph term keeps each edge of a member once, at the endpoint the
-order reaches first, and one packed histogram of neighbour labels per
-vertex and member.  A member's keys cost one addition per open neighbour
+order reaches first, listed from one stable sort of the edges by that
+endpoint, and one packed histogram of neighbour labels per vertex and
+member.  A member's keys cost one addition per open neighbour
 of v, then O(k) per statistic; a commit, O(1) per statistic and one
 addition per open neighbour.  A rainbow term keeps each hyperedge at the
 vertices before its last, and one packed sum per vertex; its keys and a
 commit cost one addition per (live hyperedge, open co-vertex) pair, and
-the keys O(r) per live hyperedge and per multi-shared pair at v.
+the keys O(r) per live hyperedge and per multi-shared pair at v.  A step
+keeps only its list of keys; its `DescentStep` is built when the trace is
+first read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, index
 from typing import NamedTuple
 
@@ -69,28 +73,41 @@ class DescentStep(NamedTuple):
 
 @dataclass(frozen=True)
 class DerandResult:
+    """A descent's partition, its report and estimator values.  ``rows[i]``
+    is the list of keys added at ``order[i]``, the i-th vertex decided;
+    ``trace`` builds their `DescentStep`s once, when it is first read."""
+
     assignment: Assignment
     report: CutReport
-    trace: tuple[DescentStep, ...]
     initial_value: float
     final_value: float
+    order: tuple[int, ...] = field(compare=False, repr=False)
+    rows: list[list[int]] = field(compare=False, repr=False)
+
+    @cached_property
+    def trace(self) -> tuple[DescentStep, ...]:
+        labels = self.assignment.labels
+        steps = []
+        for v, keys in zip(self.order, self.rows):
+            best = min(keys)
+            steps.append(DescentStep(v, labels[v], tuple([x - best for x in keys])))
+        return tuple(steps)
 
 
 def _later_lists(edges, rank):
     """A graph member's edges, each once, at the endpoint that the descent's
     order reaches first (``rank[v]`` is v's position).  Returns ``later``,
-    where ``later[v]`` lists v's neighbours after it, the open ones at v's
-    turn; ``early``, where ``early[v]`` counts those before it, the decided
-    ones; and every vertex's degree."""
+    where ``later[v]`` lists v's neighbours after it in input order, the
+    open ones at v's turn; ``early``, where ``early[v]`` counts those before
+    it, the decided ones; and every vertex's degree."""
     n = len(rank)
     rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     ends = rank[rows]
     swap = ends[:, 0] > ends[:, 1]
     first = np.where(swap, rows[:, 1], rows[:, 0])
     second = np.where(swap, rows[:, 0], rows[:, 1])
-    later: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(first.tolist(), second.tolist()):
-        later[u].append(v)
+    later = _split(second[np.argsort(first, kind="stable")].tolist(),
+                   np.bincount(first, minlength=n))
     return (later, np.bincount(second, minlength=n).tolist(),
             np.bincount(rows.ravel(), minlength=n).tolist())
 
@@ -187,7 +204,10 @@ class _GraphTerm:
                       else (j, s, up if c == t else -2, t, up if c == s else -2)
                       for j, (kind, s, t, _) in enumerate(mine)] for c in range(k)]
             self.members.append([later, early, h, cross[g], mine, [self.k2] * len(mine), moves, 0])
-            pairs_at[g] = sum(d * (d - 1) for d in h) if mine else 0
+            pairs_at[g] = 0
+            if mine:
+                degrees = np.bincount(arrays[g].ravel(), minlength=len(rank))
+                pairs_at[g] = int(degrees @ (degrees - 1))
         # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m,
         # and contrib of a degree-d vertex is d(d-1) times 0 (crossing), k-1
         # (within) or 2(k-2) (pair); mu_k2 is an integer since every mean's
@@ -674,7 +694,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
             "a partition (config contract broken)"
         )
 
-    trace: list[DescentStep] = []
+    rows = []
     for v in order:
         keys = [0] * k
         for term in terms:
@@ -684,7 +704,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
         for term in terms:
             term.commit(v, chosen)
         labels[v] = chosen
-        trace.append(DescentStep(v, chosen, tuple([x - best for x in keys])))
+        rows.append(keys)
 
     assignment = Assignment(tuple(labels), k)
     report = evaluate(family, assignment, guarantee)
@@ -696,5 +716,5 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     final = sum((float((bound.mean - row.count) ** 2) / (root * spec.part)
                  for (spec, _, bound), row in zip(guarantee.rows, report.constraints)
                  if spec.part), 0.0)
-    return DerandResult(assignment=assignment, report=report, trace=tuple(trace),
-                        initial_value=initial, final_value=final)
+    return DerandResult(assignment=assignment, report=report, initial_value=initial,
+                        final_value=final, order=order, rows=rows)

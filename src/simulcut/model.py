@@ -19,7 +19,8 @@ a duplicate once the keys show one, or when the keys could overflow int64.
 An Assignment is a k-partition, every label in 0..k-1; partial labellings
 are plain label sequences, used only by the exact reference `estimator`.
 It keeps its labels as a tuple and as a read-only array, checked in one
-vectorized range test.  Code that loops over edges in Python (the
+vectorized type and range test: labels of no integer dtype (bool, float
+and str included) are refused.  Code that loops over edges in Python (the
 descent's terms, the oracle) takes ``.tolist()`` of a member itself; the
 oracle keeps its own pure-Python count as the independent reference.
 """
@@ -277,20 +278,25 @@ def require_addressable(n: int) -> None:
 
 
 def _label_array(labels, k: int) -> np.ndarray:
-    """Labels as a read-only integer array, after one vectorized range test.
+    """Labels as a read-only integer array, after one vectorized type and
+    range test.
 
-    Raises ValueError naming the first vertex whose label is outside 0..k-1.
+    Raises TypeError naming the first vertex whose label is no integer (a
+    bool, float or str included), and ValueError naming the first whose
+    label is outside 0..k-1.
     """
-    try:
-        array = np.array(labels, dtype=np.intp)
-    except OverflowError:
-        array = None
-    if array is None or array.ndim != 1:
-        # a label beyond intp, or not one label per vertex: the int loop names it
-        for v, lab in enumerate(int(x) for x in labels):
+    array = np.array(labels)
+    if array.ndim != 1 or array.dtype.kind not in "iu" or not np.can_cast(array.dtype, np.intp):
+        # no integer dtype (a label beyond intp, a non-integer or no label at
+        # all), or not one label per vertex: the loop names the first bad one
+        for v, lab in enumerate(labels):
+            if isinstance(lab, bool) or not isinstance(lab, (int, np.integer)):
+                raise TypeError(f"vertex {v}: label {lab!r} is not an integer")
             if not 0 <= lab < k:
                 raise ValueError(f"vertex {v}: label {lab} outside 0..{k - 1}")
-        raise TypeError(f"labels must be one integer per vertex, got {labels!r}")
+        array = np.array([int(lab) for lab in labels], dtype=np.intp)
+    else:
+        array = array.astype(np.intp, copy=False)
     bad = (array < 0) | (array >= k)
     if bad.any():
         v = int(bad.argmax())

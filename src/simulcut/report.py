@@ -25,6 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .derandomize import DerandResult
 from .model import Assignment, Constraint, CutReport, HypergraphFamily
 from .guarantee import MAX_TRIES, THEOREMS, Guarantee, check_settings, evaluate, resolve
 from .instances import _QUOTED, _quoted, serialize_instance, text_sha256
@@ -107,8 +108,9 @@ class RunReport:
     initial_estimator: float | None = None
     final_estimator: float | None = None
     wall_ms: float | None = None
-    # a descent's steps (`partition --trace`); never rendered
-    trace: tuple = field(default=(), repr=False, compare=False)
+    # the descent's `DerandResult`, whose steps only `partition --trace`
+    # reads; None for mc runs and parsed reports, and never rendered
+    descent: DerandResult | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:

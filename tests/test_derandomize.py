@@ -6,13 +6,14 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simulcut import (
     EstimatorBudgetError,
@@ -26,9 +27,10 @@ from simulcut import (
     resolve,
 )
 from simulcut.bench import execute_run
+from simulcut.cli import main
 from simulcut.report import RunOptions
 from simulcut.derandomize import (
-    _build_terms, _GraphTerm, _RainbowTerm, resolve_order)
+    _build_terms, _GraphTerm, _later_lists, _RainbowTerm, resolve_order)
 from simulcut.estimator import term_quadratic
 from simulcut.instances import generate
 
@@ -1012,3 +1014,101 @@ class TestVertexOrder:
         fam = random_family(9, [12], 12)
         result = derandomize(fam, resolve(fam, "thm1"), order="degree")
         assert sorted(s.vertex for s in result.trace) == list(range(9))
+
+
+def _later_lists_reference(edges, rank):
+    """`_later_lists` with one append per edge, in input order."""
+    n = len(rank)
+    later, early, degrees = [[] for _ in range(n)], [0] * n, [0] * n
+    for u, v in edges:
+        if rank[u] > rank[v]:
+            u, v = v, u
+        later[u].append(v)
+        early[v] += 1
+        degrees[u] += 1
+        degrees[v] += 1
+    return later, early, degrees
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), isolated=st.integers(0, 3),
+       ms=st.lists(st.integers(0, 30), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 16))
+@example(n=1, isolated=0, ms=[0], seed=0)
+def test_later_lists_equal_per_edge_appends(n, isolated, ms, seed):
+    # members of edges in shuffled input order, written either way round,
+    # beside an "edges 0" member and vertices no edge reaches, under a drawn
+    # permutation: the one stable sort lists every vertex's later neighbours
+    # in input order, as appending them edge by edge does
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    members = []
+    for m in ms:
+        edges = rng.sample(pairs, min(m, len(pairs)))
+        members.append([(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+    fam = GraphFamily(n=n + isolated, graphs=(*members, ()))
+    order = rng.sample(range(fam.n), fam.n)
+    rank = np.empty(fam.n, dtype=np.int64)
+    rank[order] = np.arange(fam.n)
+    for rows in fam.arrays:
+        got = _later_lists(rows, rank)
+        want = _later_lists_reference(rows.tolist(), rank.tolist())
+        assert got == want
+        assert all(type(x) is int for x in itertools.chain(got[1], got[2], *got[0]))
+
+
+class TestLazyTrace:
+    """A descent keeps each vertex's keys; its `DescentStep`s are built only
+    when its trace is read, which among the CLI's commands only
+    `partition --trace` does."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        module = importlib.import_module("simulcut.derandomize")
+        steps = []
+
+        def counted(*fields):
+            steps.append(fields)
+            return step_type(*fields)
+
+        step_type = module.DescentStep
+        monkeypatch.setattr(module, "DescentStep", counted)
+        return steps
+
+    def test_runs_that_do_not_read_the_trace_build_no_step(self, built, tmp_path):
+        fam = generate("gnm", n=30, m=80, ell=2, seed=3)
+        hf = generate("runiform", n=20, m=40, r=3, ell=2, seed=4)
+        derandomize(fam, resolve(fam, "thm2", k=3))
+        derandomize(hf, resolve(hf, "hyp"))
+        rr = execute_run(fam, RunOptions(method="derand", theorem="1"))
+        assert rr.descent_steps == fam.n
+        inst = tmp_path / "gnm.instance"
+        assert main(["gen", "gnm", "--n", "30", "--m", "80", "--ell", "2", "--out", str(inst)]) == 0
+        assert main(["partition", str(inst), "--theorem", "1", "--out", str(tmp_path / "a")]) == 0
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"runs": [
+            {"generator": {"kind": "gnm", "n": 20, "m": 40, "ell": 2}, "reps": 2,
+             "method": "derand", "theorem": "2", "k": 3},
+            {"generator": {"kind": "runiform", "n": 20, "m": 40, "r": 3},
+             "method": "derand", "theorem": "hyp"}]}))
+        assert main(["bench", str(suite), "--out-dir", str(tmp_path)]) == 0
+        assert built == []
+        # the one CLI reader builds one step per vertex
+        assert main(["partition", str(inst), "--theorem", "1", "--trace", "--out",
+                     str(tmp_path / "b")]) == 0
+        assert len(built) == fam.n
+
+    @pytest.mark.parametrize("theorem, k, order", [
+        ("thm1", None, None), ("thm2", 4, "degree"), ("hyp", None, "degree")])
+    def test_trace_is_built_once_from_the_rows(self, built, theorem, k, order):
+        fam = (generate("runiform", n=25, m=60, r=3, ell=2, seed=5) if theorem == "hyp"
+               else generate("gnm", n=40, m=120, ell=2, seed=5))
+        result = derandomize(fam, resolve(fam, theorem, k=k), order=order)
+        assert len(result.rows) == fam.n and built == []
+        trace = result.trace
+        assert result.trace is trace and len(built) == fam.n
+        labels = result.assignment.labels
+        assert trace == tuple(
+            (v, labels[v], tuple(x - min(keys) for x in keys))
+            for v, keys in zip(resolve_order(fam, order), result.rows))
+        assert all(step.keys[step.chosen] == 0 for step in trace)

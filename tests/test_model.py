@@ -253,6 +253,37 @@ class TestAssignment:
         with pytest.raises(TypeError):
             Assignment(((0, 1), (1, 0)), 2)
 
+    @pytest.mark.parametrize("labels, message", [
+        ((0.5, 1.7), "vertex 0: label 0.5 is not an integer"),
+        (("1", "0"), "vertex 0: label '1' is not an integer"),
+        ((True, False), "vertex 0: label True is not an integer"),
+        ((0, 1, 1.0), "vertex 2: label 1.0 is not an integer"),
+    ])
+    def test_labels_must_be_integers(self, labels, message):
+        # floats, strs and bools would all convert to integer labels; each is
+        # refused, as a tuple, a list, a numpy array of its own dtype and,
+        # past intp, by the int loop
+        for given_as in (labels, list(labels), np.array(labels)):
+            with pytest.raises(TypeError, match=r"^vertex \d: label .* is not an integer$"):
+                Assignment(given_as, 2)
+        with pytest.raises(TypeError) as exc:
+            Assignment(labels, 2)
+        assert str(exc.value) == message
+        # a label past intp ahead of them: the int loop names the same label
+        v, rest = message.removeprefix("vertex ").split(":", 1)
+        with pytest.raises(TypeError) as exc:
+            Assignment((2 ** 70,) + labels, 2 ** 71)
+        assert str(exc.value) == f"vertex {int(v) + 1}:{rest}"
+
+    def test_integer_labels_of_every_dtype_kept(self):
+        want = (1, 0, 2, 2)
+        for given_as in (want, list(want), np.array(want), np.array(want, dtype=np.uint8),
+                         np.array(want, dtype=np.int32), np.array(want, dtype=np.uint64),
+                         np.array(want, dtype=object), [np.int16(x) for x in want]):
+            a = Assignment(given_as, 3)
+            assert a.labels == want and all(type(x) is int for x in a.labels)
+            assert a.label_array.dtype == np.intp
+
 
 class TestCounting:
     def test_crossing_c5(self):
