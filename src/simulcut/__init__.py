@@ -32,7 +32,7 @@ from .estimator import (
     estimator_value,
 )
 from .guarantee import Guarantee, evaluate, resolve
-from .mc import McExhausted, McResult, mc_partition, random_assignment, substream
+from .mc import McResult, mc_partition, random_assignment, substream
 from .derandomize import DerandResult, DescentStep, derandomize
 from .oracle import (
     SizeLimitError,

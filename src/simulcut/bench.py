@@ -31,8 +31,8 @@ same seed+j, so a suite is a pure function of its file.  `execute_run`
 resolves the guarantee once per run and reports what the engine's own
 `evaluate` returned, so each assignment is counted once.
 Reps run serially and are folded in (run, rep) order.  A rep whose
-report fails counts as mc exhausted: a descent that would end below a
-threshold raises inside `derandomize` instead.
+report fails, an mc run's best attempt, counts as mc exhausted: a descent
+that would end below a threshold raises inside `derandomize` instead.
 """
 
 from __future__ import annotations
@@ -44,35 +44,30 @@ from pathlib import Path
 
 from .derandomize import derandomize
 from .guarantee import settle
-from .mc import McExhausted, mc_partition
+from .mc import mc_partition
 from .instances import check_generator, generate, write_text
 from .report import RunOptions, RunReport, instance_digest, render_report
 
 
 def execute_run(family, opts: RunOptions) -> RunReport:
-    """Run one method on one instance and assemble its report; a descent's
-    result goes on the report's unrendered ``descent``."""
+    """Run one method on one instance and report the `Assignment` and count
+    section its engine returns; a descent's result goes on ``descent``, unrendered."""
     guarantee, resolved = opts.resolve(family)
     digest = instance_digest(family)
     start = time.perf_counter()
     if opts.method == "mc":
-        try:
-            result = mc_partition(family, guarantee, seed=opts.seed)
-            assignment, cut_report, tries = result.assignment, result.report, result.tries_used
-        except McExhausted as exc:
-            assignment, cut_report, tries = exc.best_assignment, exc.best_report, exc.tries
-        engine = dict(tries=tries)
+        result = mc_partition(family, guarantee, seed=opts.seed)
+        engine = dict(tries=result.tries_used)
     else:
         result = derandomize(family, guarantee, order=opts.order)
-        assignment, cut_report = result.assignment, result.report
         engine = dict(descent_steps=len(result.rows), initial_estimator=result.initial_value,
                       final_estimator=result.final_value, descent=result)
     wall_ms = (time.perf_counter() - start) * 1000
     r = getattr(family, "r", None)
     return RunReport(
         digest=digest, kind="graphs" if r is None else "hypergraphs", n=family.n,
-        ell=family.ell, r=r, options=resolved, assignment=assignment.labels,
-        cut_report=cut_report, wall_ms=wall_ms, **engine)
+        ell=family.ell, r=r, options=resolved, assignment=result.assignment,
+        cut_report=result.report, wall_ms=wall_ms, **engine)
 
 
 @dataclass
@@ -170,10 +165,6 @@ class BenchResult:
     exhausted: int = 0
     runs: int = 0
 
-    @property
-    def total_failures(self) -> int:
-        return sum(agg.failures for agg in self.stats.values())
-
     def render(self) -> str:
         lines = []
         header = f"{'run':<24}{'stat':<14}{'rows':>6}{'fail':>6}{'min-margin':>14}{'mean-margin':>14}"
@@ -196,7 +187,8 @@ class BenchResult:
             lines.append(f"{name:<24}{len(walls):>6}{p50:>10.2f}{p90:>10.2f}"
                          f"{walls[-1]:>10.2f}  {tries_txt}")
         lines.append("")
-        lines.append(f"total runs {self.runs}, failed constraint rows {self.total_failures}, "
+        failures = sum(agg.failures for agg in self.stats.values())
+        lines.append(f"total runs {self.runs}, failed constraint rows {failures}, "
                      f"mc exhausted {self.exhausted}")
         return "\n".join(lines)
 

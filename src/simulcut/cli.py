@@ -88,39 +88,44 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # a flag the objective does not read is refused; --thresholds makes
+    # simultaneous a feasibility check, which reads no --centers
+    reads = {"maxcut": ("k",), "edwards": (), "simultaneous": ("k", "centers", "thresholds")}
+    for name in ("k", "centers", "thresholds"):
+        if getattr(args, name) is not None and name not in reads[args.objective]:
+            raise ValueError(f"{args.objective} does not read --{name}")
+    if args.centers is not None and args.thresholds is not None:
+        raise ValueError("a feasibility check (--thresholds) does not read --centers")
+    k = 2 if args.k is None else args.k
     family = parse_instance(_read_text(args.instance))
     if not isinstance(family, GraphFamily):
         raise ValueError("oracle objectives operate on graph families")
-    if args.objective == "maxcut":
-        assignment, value = enumerate_best(family, args.k, "maxcut")
-        print(f"max-cut {value}")
-        print("assignment " + " ".join(str(x) for x in assignment.labels))
-        return 0
-    if args.objective == "simultaneous":
-        if args.thresholds is not None:
-            thresholds = _csv_floats(args.thresholds, "--thresholds", family.ell)
-            witness, ok = enumerate_best(family, args.k, "feasible", thresholds=thresholds)
-            print(f"feasible {'yes' if ok else 'no'}")
-            if witness is not None:
-                print("assignment " + " ".join(str(x) for x in witness.labels))
-            return 0 if ok else 1
-        centers = None
-        if args.centers is not None:
-            centers = _csv_floats(args.centers, "--centers", family.ell)
-        assignment, value = enumerate_best(family, args.k, "simultaneous", centers=centers)
-        print(f"best-min-margin {value!r}")
-        print("assignment " + " ".join(str(x) for x in assignment.labels))
-        return 0
-    # edwards: every graph's exact max cut against the m-edge lower bound
-    all_ok = True
-    for i, edges in enumerate(family.arrays):
-        sub = GraphFamily(n=family.n, graphs=(edges,))
-        cut = max_cut(sub)
-        bound = edwards_bound(family.m[i])
-        ok = cut >= bound
-        all_ok = all_ok and ok
-        print(f"edwards graph={i} maxcut={cut} bound={bound!r} ok={'yes' if ok else 'no'}")
-    return 0 if all_ok else 1
+    if args.objective == "edwards":
+        # every graph's exact max cut against the m-edge lower bound
+        all_ok = True
+        for i, edges in enumerate(family.arrays):
+            cut = max_cut(GraphFamily(n=family.n, graphs=(edges,)))
+            bound = edwards_bound(family.m[i])
+            ok = cut >= bound
+            all_ok = all_ok and ok
+            print(f"edwards graph={i} maxcut={cut} bound={bound!r} ok={'yes' if ok else 'no'}")
+        return 0 if all_ok else 1
+    if args.thresholds is not None:
+        thresholds = _csv_floats(args.thresholds, "--thresholds", family.ell)
+        witness, ok = enumerate_best(family, k, "feasible", thresholds=thresholds)
+        head, code = f"feasible {'yes' if ok else 'no'}", 0 if ok else 1
+    elif args.objective == "maxcut":
+        witness, value = enumerate_best(family, k, "maxcut")
+        head, code = f"max-cut {value}", 0
+    else:
+        centers = (None if args.centers is None
+                   else _csv_floats(args.centers, "--centers", family.ell))
+        witness, value = enumerate_best(family, k, "simultaneous", centers=centers)
+        head, code = f"best-min-margin {value!r}", 0
+    print(head)
+    if witness is not None:
+        print("assignment " + " ".join(map(str, witness.labels)))
+    return code
 
 
 def _cmd_bench(args) -> int:
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("instance")
     o.add_argument("--objective", required=True,
                    choices=["maxcut", "simultaneous", "edwards"])
-    o.add_argument("--k", type=int, default=2)
+    o.add_argument("--k", type=int, help="class count (maxcut, simultaneous; default 2)")
     o.add_argument("--centers", help="comma-separated per-graph centers (simultaneous)")
     o.add_argument("--thresholds",
                    help="comma-separated per-graph cut thresholds; switches "

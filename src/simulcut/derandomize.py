@@ -634,6 +634,10 @@ def resolve_order(family, order) -> tuple[int, ...]:
             return tuple(np.argsort(-deg, kind="stable").tolist())
         raise ValueError(f"unknown order {order!r}: expected 'natural', 'degree' "
                          "or a permutation of all vertices")
+    order = tuple(order)
+    for i, v in enumerate(order):   # index reads True as 1, but no bool is a vertex
+        if isinstance(v, (bool, np.bool_)):
+            raise TypeError(f"order position {i}: {v!r} is not a vertex")
     order = tuple(map(index, order))        # integers only: 7.5 is no vertex
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all vertices")
@@ -706,7 +710,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
         labels[v] = chosen
         rows.append(keys)
 
-    assignment = Assignment(tuple(labels), k)
+    assignment = Assignment(np.array(labels, dtype=np.intp), k)
     report = evaluate(family, assignment, guarantee)
     if not report.all_pass:
         raise AssertionError(

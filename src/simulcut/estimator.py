@@ -84,16 +84,12 @@ class EventSpec:
 
     @property
     def stat(self) -> str:
-        return stat_name(self.kind, self.s, self.t)
-
-
-def stat_name(kind: str, s: int | None = None, t: int | None = None) -> str:
-    """A statistic's name in constraint rows: crossing, pair(s,t), within(s) or rainbow."""
-    if kind == "pair":
-        return f"pair({s},{t})"
-    if kind == "within":
-        return f"within({s})"
-    return kind
+        """The name in constraint rows: crossing, pair(s,t), within(s) or rainbow."""
+        if self.kind == "pair":
+            return f"pair({self.s},{self.t})"
+        if self.kind == "within":
+            return f"within({self.s})"
+        return self.kind
 
 
 def conditional_edge_prob(edge, labels, spec: EventSpec) -> Fraction:
@@ -166,14 +162,6 @@ def conditional_joint_prob(e1, e2, labels, spec: EventSpec) -> Fraction:
     return total / k ** len(open_shared)
 
 
-def _incidence(edges, n: int):
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for idx, e in enumerate(edges):
-        for x in e:
-            inc[x].append(idx)
-    return inc
-
-
 def conditional_moments(edges, labels, spec: EventSpec):
     """Exact (E[X | U], E[X^2 | U]) for one member's statistic under labels U.
 
@@ -187,7 +175,10 @@ def conditional_moments(edges, labels, spec: EventSpec):
     s1 = sum(p, Fraction(0))
     s2 = sum((q * q for q in p), Fraction(0))
     ex2 = s1 + s1 * s1 - s2
-    inc = _incidence(edges, len(labels))
+    inc: list[list[int]] = [[] for _ in labels]     # the edges at each vertex
+    for idx, e in enumerate(edges):
+        for x in e:
+            inc[x].append(idx)
 
     if spec.kind == "rainbow":
         # each unordered pair of edges sharing at least one vertex, once

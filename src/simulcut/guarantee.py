@@ -67,6 +67,8 @@ class Guarantee:
         object.__setattr__(self, "norm2", Fraction(self.norm2))
         if not self.norm2 > 0:
             raise ValueError(f"norm2 must be > 0, got {self.norm2}")
+        if self.max_tries < 1:      # mc_partition returns one of its tries
+            raise ValueError(f"max_tries must be >= 1, got {self.max_tries}")
 
     @functools.cached_property
     def specs(self) -> tuple[EventSpec, ...]:

@@ -4,7 +4,8 @@ Each try labels every vertex independently and uniformly at random, then
 checks it with `evaluate` against the rows of a resolved guarantee; a try
 is rejected if any constraint fails.  Per-try failure probability is at
 most 1/2 for thm1/thm2 (and the derived hyp bound) and at most 3/4 for
-thm3, so the default 64 tries make exhaustion astronomically unlikely.
+thm3, so the default 64 tries make exhaustion astronomically unlikely;
+it is a result all the same: the best attempt, whose report fails.
 
 Randomness: a PCG64 generator per try, derived as
 ``SeedSequence(entropy=seed, spawn_key=(try_index,))``.  One substream per
@@ -21,18 +22,6 @@ import numpy as np
 
 from .model import Assignment, CutReport, require_addressable
 from .guarantee import Guarantee, evaluate
-
-
-class McExhausted(RuntimeError):
-    """All tries failed; carries the attempt with the fewest violations."""
-
-    def __init__(self, tries: int, best_assignment: Assignment, best_report: CutReport):
-        failed = sum(1 for c in best_report.constraints if not c.passed)
-        super().__init__(f"no valid partition in {tries} tries "
-                         f"(best attempt violates {failed} constraints)")
-        self.tries = tries
-        self.best_assignment = best_assignment
-        self.best_report = best_report
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -66,14 +55,14 @@ def mc_partition(family, guarantee: Guarantee, seed: int = 0) -> McResult:
     """Sample uniform partitions until every constraint of `guarantee` holds.
 
     Deterministic given (instance, guarantee, seed): try t uses substream
-    (seed, t).  Raises McExhausted after ``guarantee.max_tries`` rejected
-    tries, carrying the attempt with the fewest violated constraints.
+    (seed, t).  After ``guarantee.max_tries`` rejected tries, returns the
+    first attempt with the fewest failed rows, with ``tries_used`` equal to
+    max_tries; its report fails.
     """
     # as in the descent: numpy would refuse a try's k + 1 class-size bins with
     # a ValueError that names neither k nor memory
     require_addressable(guarantee.k)
-    best = None
-    best_failed = None
+    best, best_failed = None, None
     for t in range(guarantee.max_tries):
         a = random_assignment(family.n, guarantee.k, substream(seed, t))
         report = evaluate(family, a, guarantee)
@@ -81,6 +70,5 @@ def mc_partition(family, guarantee: Guarantee, seed: int = 0) -> McResult:
             return McResult(assignment=a, report=report, tries_used=t + 1)
         failed = sum(1 for c in report.constraints if not c.passed)
         if best_failed is None or failed < best_failed:
-            best = (a, report)
-            best_failed = failed
-    raise McExhausted(guarantee.max_tries, best[0], best[1])
+            best, best_failed = McResult(a, report, guarantee.max_tries), failed
+    return best

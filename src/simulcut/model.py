@@ -19,9 +19,9 @@ a duplicate once the keys show one, or when the keys could overflow int64.
 An Assignment is a k-partition, every label in 0..k-1; partial labellings
 are plain label sequences, used only by the exact reference `estimator`.
 It keeps its labels as a tuple and as a read-only array, checked in one
-vectorized type and range test: labels of no integer dtype (bool, float
-and str included) are refused.  Code that loops over edges in Python (the
-descent's terms, the oracle) takes ``.tolist()`` of a member itself; the
+vectorized type and range test: a label of no integer dtype, or a bool
+anywhere in a sequence, is refused.  Code that loops over edges in Python
+(the descent's terms, the oracle) takes ``.tolist()`` of a member itself; the
 oracle keeps its own pure-Python count as the independent reference.
 """
 
@@ -285,10 +285,13 @@ def _label_array(labels, k: int) -> np.ndarray:
     bool, float or str included), and ValueError naming the first whose
     label is outside 0..k-1.
     """
+    labels = labels if isinstance(labels, np.ndarray) else tuple(labels)   # an iterator, once
     array = np.array(labels)
-    if array.ndim != 1 or array.dtype.kind not in "iu" or not np.can_cast(array.dtype, np.intp):
-        # no integer dtype (a label beyond intp, a non-integer or no label at
-        # all), or not one label per vertex: the loop names the first bad one
+    if (array.ndim != 1 or array.dtype.kind not in "iu" or not np.can_cast(array.dtype, np.intp)
+            or not isinstance(labels, np.ndarray)
+            and not {bool, np.bool_}.isdisjoint(map(type, labels))):
+        # no integer dtype (a label beyond intp, a non-integer or none at all),
+        # not one label per vertex, or a bool, which numpy reads as an int: the loop names it
         for v, lab in enumerate(labels):
             if isinstance(lab, bool) or not isinstance(lab, (int, np.integer)):
                 raise TypeError(f"vertex {v}: label {lab!r} is not an integer")

@@ -100,7 +100,7 @@ class RunReport:
     n: int
     ell: int
     options: RunOptions
-    assignment: tuple[int, ...]
+    assignment: Assignment
     cut_report: CutReport
     r: int | None = None
     tries: int | None = None
@@ -145,13 +145,26 @@ _WRITTEN = tuple((key, attrgetter(attr), parse is float, method)
                  for key, attr, parse, method in _FIELDS)
 
 
-def _labels(text: str) -> tuple[int, ...]:
-    """The assignment line's labels; the first token that is not an integer is named."""
+def _labels(text: str) -> np.ndarray:
+    """The assignment line's labels as an int64 array; the first token that
+    is not an integer, or is one outside int64, is named as written."""
     try:
-        return tuple(np.fromstring(text, dtype=np.int64, sep=" ").tolist())
+        labels = np.fromstring(text, dtype=np.int64, sep=" ")
     except ValueError:
+        labels = None
+    # np.fromstring reads "- 1" as one label: one label per token (per space, as written)
+    if labels is None or labels.size != text.count(" ") + 1 and labels.size != len(text.split()):
         bad = next((tok for tok in text.split() if not tok.lstrip("+-").isdecimal()), text)
-        raise ValueError(f"label {_quoted(bad)} is not an integer") from None
+        raise ValueError(f"label {_quoted(bad)} is not an integer")
+    # np.fromstring clamps a value outside int64 to an end of it; a token of
+    # over 19 significant digits is outside, and int reads any shorter one
+    top = np.iinfo(np.int64).max
+    if labels.size and (labels.max() == top or labels.min() == -top - 1):
+        for tok in text.split():
+            digits = tok.lstrip("+-").lstrip("0")
+            if len(digits) > 19 or int(digits or 0) > top + tok.startswith("-"):
+                raise ValueError(f"label {_quoted(tok)} is outside the int64 range")
+    return labels
 
 
 def _read(parse, value: str):
@@ -202,13 +215,11 @@ def render_report(rr: RunReport) -> str:
             continue
         # a float field is written as a float whatever number type it holds
         add(f"{key} {_fmt(float(value) if is_float else value)}")
-    # each label's string from a table of the classes, at most one per label;
-    # a label outside them, as a parsed report may hold, is written by str
-    names = {c: str(c) for c in range(min(rr.options.k, len(rr.assignment)))}
-    try:
-        add("assignment " + " ".join(map(names.__getitem__, rr.assignment)))
-    except KeyError:
-        add("assignment " + " ".join(map(str, rr.assignment)))
+    # each label's string from a table of the k classes, unless there are
+    # fewer labels than classes: then no table larger than the line
+    a = rr.assignment
+    names = [str(c) for c in range(a.k)] if a.k <= a.n else None
+    add("assignment " + " ".join(map(names.__getitem__ if names else str, a.labels)))
     for _, section in _count_sections(rr.kind, rr.cut_report):
         lines += section
     if rr.wall_ms is not None:
@@ -257,9 +268,11 @@ def parse_report(text: str) -> RunReport:
     if missing:
         raise ValueError(f"report has no {missing[0]!r}")
     named = [(_PARSERS[key][:2], value) for key, value in values.items()]
-    rr = RunReport(options=RunOptions(**{name: v for (name, opt), v in named if opt}),
-                   cut_report=CutReport(*map(tuple, rows.values())),
-                   **{name: v for (name, opt), v in named if not opt})
+    options = RunOptions(**{name: v for (name, opt), v in named if opt})
+    run = {name: v for (name, opt), v in named if not opt}
+    # a label outside 0..k-1 is refused here, with Assignment's own message
+    run["assignment"] = Assignment(run["assignment"], options.k)
+    rr = RunReport(options=options, cut_report=CutReport(*map(tuple, rows.values())), **run)
     written = render_report(rr)
     # the text's known lines, as one string; the text itself when it is as written
     said = text if text == written else "".join(
@@ -312,7 +325,7 @@ def recheck(rr: RunReport, family) -> list[str]:
     if resolved.slack != opts.slack:
         said, want = ("none" if x is None else _fmt(x) for x in (opts.slack, resolved.slack))
         problems.append(f"balance-slack differs: report {said}, resolved {want}")
-    fresh = evaluate(family, Assignment(rr.assignment, opts.k), guarantee)
+    fresh = evaluate(family, rr.assignment, guarantee)
     if rr.cut_report == fresh:
         return problems
     for (name, said), (_, want) in zip(_count_sections(rr.kind, rr.cut_report),

@@ -513,6 +513,22 @@ def test_oracle_output_pinned(tmp_path, capsys, case, code, out):
     assert capsys.readouterr() == (out, "")
 
 
+@pytest.mark.parametrize("flags, message", [
+    ("--objective edwards --k 5", "edwards does not read --k"),
+    ("--objective edwards --centers 1,1", "edwards does not read --centers"),
+    ("--objective edwards --thresholds 3,3", "edwards does not read --thresholds"),
+    ("--objective maxcut --centers 1", "maxcut does not read --centers"),
+    ("--objective maxcut --thresholds 3", "maxcut does not read --thresholds"),
+    ("--objective simultaneous --centers 100,100 --thresholds 3,3",
+     "a feasibility check (--thresholds) does not read --centers"),
+])
+def test_oracle_refuses_flags_its_objective_does_not_read(c5_file, capsys, flags, message):
+    # as gen refuses a parameter its kind does not read, nothing is printed
+    # but the one error line
+    assert main(["oracle", str(c5_file), *flags.split()]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_oracle_maxcut_needs_one_graph(tmp_path, capsys):
     inst = tmp_path / "two"
     assert main(["gen", *ORACLE_INSTANCES["two"], "--out", str(inst)]) == 0

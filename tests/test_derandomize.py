@@ -1010,6 +1010,17 @@ class TestVertexOrder:
             resolve_order(fam, (0, 1, 2, 3, 7.5))
         assert resolve_order(fam, np.arange(4, -1, -1)) == (4, 3, 2, 1, 0)
 
+    @pytest.mark.parametrize("order, message", [
+        ((True, False), "order position 0: True is not a vertex"),
+        ((0, np.True_), "order position 1: np.True_ is not a vertex"),
+    ])
+    def test_order_entries_must_not_be_bools(self, order, message):
+        # index reads True as 1, so (True, False) would be the order (1, 0)
+        fam = GraphFamily(n=2, graphs=(((0, 1),),))
+        with pytest.raises(TypeError) as exc:
+            resolve_order(fam, order)
+        assert str(exc.value) == message
+
     def test_trace_records_every_vertex_once(self):
         fam = random_family(9, [12], 12)
         result = derandomize(fam, resolve(fam, "thm1"), order="degree")

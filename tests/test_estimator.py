@@ -271,6 +271,17 @@ class TestEventSpec:
         with pytest.raises(ValueError):
             EventSpec(graph=0, kind="crossing", k=2, part=-1)
 
+    @pytest.mark.parametrize("spec, message", [
+        (dict(kind="cut", k=2), "unknown statistic kind 'cut'"),
+        (dict(kind="crossing", k=1), "k must be >= 2, got 1"),
+        (dict(kind="within", k=3, s=3), "within statistic needs a class s < k, got 3"),
+        (dict(kind="within", k=3), "within statistic needs a class s < k, got None"),
+    ])
+    def test_spec_input_checks(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            EventSpec(graph=0, **spec)
+        assert str(exc.value) == message
+
     def test_pair_needs_ordered_classes(self):
         with pytest.raises(ValueError):
             EventSpec(graph=0, kind="pair", k=3, s=2, t=1)

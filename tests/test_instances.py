@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simulcut import GraphFamily, HypergraphFamily
+from simulcut.cli import main
 from simulcut.instances import (
     InstanceFormatError,
     _canonical_members,
@@ -530,6 +531,24 @@ def test_generators_refuse_parameters_they_do_not_read(kind, params, unread):
     for check in (check_generator, generate):
         with pytest.raises(ValueError, match=rf"^{kind} does not read {unread}$"):
             check(kind, **params)
+
+
+@pytest.mark.parametrize("params, message", [
+    (dict(kind="gnm", n=8), "gnm needs m"),
+    (dict(kind="gnm", n=-1, m=0), "negative vertex count -1"),
+    (dict(kind="star", n=1), "star needs n >= 2, got 1"),
+    (dict(kind="bounded-degree", n=5, degree=6), "degree 6 does not fit on 5 vertices"),
+    (dict(kind="bounded-degree", n=3, degree=2), "bounded-degree needs n >= 5, got 3"),
+])
+def test_check_generator_refusals(params, message, capsys):
+    # each is refused by check_generator and generate, and gen exits 2 with it
+    for check in (check_generator, generate):
+        with pytest.raises(ValueError) as exc:
+            check(**params)
+        assert str(exc.value) == message
+    flags = [f"--{name}={value}" for name, value in params.items() if name != "kind"]
+    assert main(["gen", params["kind"], *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_check_generator_rejects_what_generate_cannot_build():

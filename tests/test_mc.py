@@ -14,7 +14,7 @@ from simulcut import (
     Bound,
     DegreePreconditionError,
     GraphFamily,
-    McExhausted,
+    Guarantee,
     evaluate,
     mc_partition,
     partition_counts,
@@ -35,6 +35,15 @@ class TestRandomAssignment:
     def test_empty(self):
         a = random_assignment(0, 3, substream(1, 0))
         assert a.labels == () and a.class_sizes() == (0, 0, 0)
+
+    @pytest.mark.parametrize("n, k, message", [
+        (-1, 2, "n must be >= 0, got -1"),
+        (3, 1, "k must be >= 2, got 1"),
+    ])
+    def test_input_checks(self, n, k, message):
+        with pytest.raises(ValueError) as exc:
+            random_assignment(n, k, substream(1, 0))
+        assert str(exc.value) == message
 
     def test_deterministic(self):
         a = random_assignment(50, 4, substream(123, 7))
@@ -162,17 +171,25 @@ class TestMcPartition:
         assert result.report.member_counts[0] >= thr
 
     def test_exhaustion_carries_best_attempt(self):
-        # impossible balance demand: odd class sizes can never hit n/k exactly
+        # impossible balance demand: odd class sizes can never hit n/k exactly;
+        # the failing attempt comes back as the result, not as an exception
         fam = random_family(5, [4], 1)
         guarantee = resolve(fam, "thm1", balanced=True, slack=1e-9, max_tries=5)
-        with pytest.raises(McExhausted) as exc_info:
-            mc_partition(fam, guarantee, seed=0)
-        exc = exc_info.value
-        assert exc.tries == 5
-        assert sum(exc.best_assignment.class_sizes()) == exc.best_assignment.n == 5
-        assert not exc.best_report.all_pass
-        failed = [c for c in exc.best_report.constraints if not c.passed]
-        assert all(c.stat.startswith("balance") for c in failed)
+        result = mc_partition(fam, guarantee, seed=0)
+        assert result.tries_used == guarantee.max_tries == 5
+        assert sum(result.assignment.class_sizes()) == result.assignment.n == 5
+        assert not result.report.all_pass
+        assert result.report == evaluate(fam, result.assignment, guarantee)
+        failed = [c for c in result.report.constraints if not c.passed]
+        assert failed and all(c.stat.startswith("balance") for c in failed)
+
+    def test_a_guarantee_allows_at_least_one_try(self):
+        # mc_partition returns one of its tries, so a hand-built guarantee
+        # with none is refused as resolve refuses the setting
+        for build in (lambda: Guarantee(k=2, rows=(), norm2=1, max_tries=0),
+                      lambda: resolve(random_family(3, [1], 1), "thm1", max_tries=0)):
+            with pytest.raises(ValueError, match=r"^max_tries must be >= 1, got 0$"):
+                build()
 
     def test_class_count_past_the_address_space_is_out_of_memory(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -261,6 +278,14 @@ class TestCheckReport:
             with pytest.raises(ValueError,
                                match=f"assignment has {len(labels)} labels, family has n=4"):
                 evaluate(fam, Assignment(labels, 2), guarantee)
+
+    @pytest.mark.parametrize("k, theorem, want", [(3, "1", None), (2, "2", 3)])
+    def test_assignment_k_must_be_the_guarantee_k(self, k, theorem, want):
+        fam = random_family(4, [3], 2)
+        guarantee = resolve(fam, f"thm{theorem}", k=want)
+        with pytest.raises(ValueError) as exc:
+            evaluate(fam, Assignment((0, 1, 1, 0), k), guarantee)
+        assert str(exc.value) == f"assignment has k={k}, guarantee resolves to k={guarantee.k}"
 
     def test_count_at_an_exact_integer_threshold_passes(self):
         # ell=3, k=3 and the default eps = 1/6561: a within row's threshold

@@ -207,6 +207,24 @@ def test_large_indices_take_the_lexsort_fallback(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: GraphFamily(n=-1, graphs=((),)), InstanceError, "negative vertex count -1"),
+    (lambda: HypergraphFamily(n=-1, r=2, hypergraphs=((),)), InstanceError,
+     "negative vertex count -1"),
+    (lambda: HypergraphFamily(n=3, r=4, hypergraphs=((),)), InstanceError,
+     "uniformity must be in 2..n = 3, got 4"),
+    (lambda: HypergraphFamily(n=3, r=1, hypergraphs=((),)), InstanceError,
+     "uniformity must be in 2..n = 3, got 1"),
+    (lambda: HypergraphFamily(n=3, r=3, hypergraphs=()), InstanceError,
+     "a family needs at least one hypergraph"),
+    (lambda: model.stat_mean("cut", 4, 2), ValueError, "unknown statistic kind 'cut'"),
+])
+def test_input_checks(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 class TestAssignment:
     def test_total_and_partial(self):
         # an Assignment is a partition: a total labelling is kept, and
@@ -275,11 +293,24 @@ class TestAssignment:
             Assignment((2 ** 70,) + labels, 2 ** 71)
         assert str(exc.value) == f"vertex {int(v) + 1}:{rest}"
 
+    @pytest.mark.parametrize("labels, message", [
+        ((0, True), "vertex 1: label True is not an integer"),
+        ((0, 1, np.True_), "vertex 2: label np.True_ is not an integer"),
+    ])
+    def test_bool_among_integer_labels_refused(self, labels, message):
+        # numpy reads these sequences as int64; a bool is still no label
+        assert np.array(labels).dtype.kind == "i"
+        for given_as in (labels, list(labels)):
+            with pytest.raises(TypeError) as exc:
+                Assignment(given_as, 2)
+            assert str(exc.value) == message
+
     def test_integer_labels_of_every_dtype_kept(self):
         want = (1, 0, 2, 2)
         for given_as in (want, list(want), np.array(want), np.array(want, dtype=np.uint8),
                          np.array(want, dtype=np.int32), np.array(want, dtype=np.uint64),
-                         np.array(want, dtype=object), [np.int16(x) for x in want]):
+                         np.array(want, dtype=object), [np.int16(x) for x in want],
+                         iter(want), (x for x in want)):
             a = Assignment(given_as, 3)
             assert a.labels == want and all(type(x) is int for x in a.labels)
             assert a.label_array.dtype == np.intp

@@ -57,6 +57,20 @@ class TestEnumerateBest:
         assert feasible
         assert all(partition_counts(g, witness)[2] >= 2 for g in fam.arrays)
 
+    @pytest.mark.parametrize("k, objective, options, message", [
+        (1, "maxcut", {}, "k must be >= 2, got 1"),
+        (2, "simultaneous", dict(centers=[1]), "need one center per graph, got 1"),
+        (2, "feasible", {}, "feasible objective needs one threshold per graph"),
+        (2, "feasible", dict(thresholds=[1, 1, 1]),
+         "feasible objective needs one threshold per graph"),
+        (2, "best", {}, "unknown objective 'best'"),
+    ])
+    def test_input_checks(self, k, objective, options, message):
+        fam = GraphFamily(n=5, graphs=(cycle_edges(5),)) if objective == "maxcut" else c5_pair()
+        with pytest.raises(ValueError) as exc:
+            enumerate_best(fam, k, objective, **options)
+        assert str(exc.value) == message
+
     def test_maxcut_needs_single_graph(self):
         with pytest.raises(ValueError):
             enumerate_best(c5_pair(), 2, "maxcut")

@@ -58,12 +58,16 @@ def test_balance_slack_and_epsilon_lines():
 
 
 def test_assignment_line_writes_every_label_in_decimal():
-    # labels come from a table of the k classes; one outside them (-1, k or
-    # above, as a parsed report may hold) is written all the same
+    # labels come from a table of the k classes, or are written by str when
+    # there are fewer vertices than classes (labels past n, as k = 11 > n = 4)
     family = generate(**INSTANCES["2"], seed=3)
     rr = execute_run(family, RunOptions(method="derand", theorem="2", k=3))
-    for labels in (rr.assignment, (0, 2, 1) * 10, (0, -1, 2) * 10, (0, 3, 11) * 10):
-        text = render_report(replace(rr, assignment=labels))
+    small = generate(kind="gnm", n=4, m=3, ell=1, seed=3)
+    few = execute_run(small, RunOptions(method="derand", theorem="2", k=11))
+    for run, labels in ((rr, rr.assignment.labels), (rr, (0, 2, 1) * 10), (rr, (2,) * 30),
+                        (few, few.assignment.labels), (few, (10, 0, 7, 4))):
+        k = run.options.k
+        text = render_report(replace(run, assignment=Assignment(labels, k)))
         assert f"\nassignment {' '.join(str(x) for x in labels)}\n" in text
         assert render_report(parse_report(text)) == text
 
@@ -113,14 +117,14 @@ def test_thm3_cap_echoed_as_a_float_decides_as_the_run_did():
     cap = epsilon_cap(3, 2)
     assert Fraction(float(cap)) < cap
     assert resolve(family, "thm3", k=2, eps=float(cap)).eps == cap
-    labels = [0] * 216 + [1] * 800 + [0, 1] * (m - 508)
-    report = evaluate(family, Assignment(tuple(labels), 2), resolve(family, "thm3", k=2))
+    assignment = Assignment(tuple([0] * 216 + [1] * 800 + [0, 1] * (m - 508)), 2)
+    report = evaluate(family, assignment, resolve(family, "thm3", k=2))
     rows = {c.stat: (c.count, c.passed) for c in report.constraints if c.graph == 0}
     assert rows == {"pair(0,1)": (788, True), "within(0)": (m // 12, True),
                     "within(1)": (400, True)}
     opts = RunOptions(method="mc", theorem="thm3", k=2, epsilon=float(cap))
     rr = RunReport(digest=instance_digest(family), kind="graphs", n=family.n, ell=3,
-                   options=opts, assignment=tuple(labels), cut_report=report, tries=1)
+                   options=opts, assignment=assignment, cut_report=report, tries=1)
     assert recheck(parse_report(render_report(rr)), family) == []
 
 
@@ -700,6 +704,21 @@ def test_verify_bad_label_diagnostic_is_bounded(thm1_reports, tmp_path, capsys):
     assert err.startswith("error: report line 'assignment x "), err
     assert err.endswith(" characters): label 'x' is not an integer\n"), err
     assert len(err.encode()) < 200, err
+    # a label past int64, which np.fromstring would clamp to 2**63 - 1, is
+    # named as written, not as the clamped value
+    text = report.read_text().replace("\nassignment x ", "\nassignment ", 1)
+    # a lone sign, which np.fromstring would join to the next label, is named
+    report.write_text(text.replace("\nassignment ", "\nassignment - ", 1))
+    assert main(["verify", str(report), "--instance", str(inst)]) == 2
+    assert capsys.readouterr().err.endswith(": label '-' is not an integer\n")
+    for big in ("99999999999999999999", "-99999999999999999999", "9" * 5000):
+        report.write_text(text.replace("\nassignment ", f"\nassignment {big} ", 1))
+        capsys.readouterr()
+        assert main(["verify", str(report), "--instance", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report line 'assignment ") and err.count("\n") == 1, err
+        assert err.endswith(f": label {_quoted(big)} is outside the int64 range\n"), err
+        assert len(err.encode()) < 200, err
     # a 5000-character value on a float line, in a float token and on an int
     # line is quoted cut to its start as well, not by float's or int's message
     inst, texts = thm1_reports
