@@ -18,12 +18,13 @@ generator, a method, a guarantee, and a repetition count:
       "seed": 1000                   // rep j uses seed + j
     }
 
-The entry's option fields are passed to `RunOptions` by name, so an
-omitted one takes `RunOptions`' default.  Every field's name and JSON
-type, the generator's parameters (`check_generator`), every setting that
-`RunOptions` refuses, as it refuses flags and report lines, and every one
-that the generator's member count and uniformity rule out (`settle`: k
-under thm1 and hyp, thm3's epsilon) are checked before any run starts.
+The file holds no other top-level field.  The entry's option fields are
+passed to `RunOptions` by name, so an omitted one takes `RunOptions`'
+default.  Every field's name and JSON type, the generator's parameters
+(`check_generator`), every setting that `RunOptions` refuses, as it
+refuses flags and report lines, and every one that the generator's member
+count and uniformity rule out (`settle`: k under thm1 and hyp, thm3's
+epsilon) are checked before any run starts.
 A run's name, "run<i>" by default, names its reports in the output
 directory, so it must be a file name that no earlier run has.
 Rep j generates its instance with seed+j and, for mc, samples with the
@@ -53,21 +54,18 @@ def execute_run(family, opts: RunOptions) -> RunReport:
     """Run one method on one instance and report the `Assignment` and count
     section its engine returns; a descent's result goes on ``descent``, unrendered."""
     guarantee, resolved = opts.resolve(family)
-    digest = instance_digest(family)
     start = time.perf_counter()
     if opts.method == "mc":
         result = mc_partition(family, guarantee, seed=opts.seed)
         engine = dict(tries=result.tries_used)
     else:
         result = derandomize(family, guarantee, order=opts.order)
-        engine = dict(descent_steps=len(result.rows), initial_estimator=result.initial_value,
+        engine = dict(initial_estimator=result.initial_value,
                       final_estimator=result.final_value, descent=result)
     wall_ms = (time.perf_counter() - start) * 1000
-    r = getattr(family, "r", None)
-    return RunReport(
-        digest=digest, kind="graphs" if r is None else "hypergraphs", n=family.n,
-        ell=family.ell, r=r, options=resolved, assignment=result.assignment,
-        cut_report=result.report, wall_ms=wall_ms, **engine)
+    return RunReport(digest=instance_digest(family), r=getattr(family, "r", None),
+                     options=resolved, assignment=result.assignment, cut_report=result.report,
+                     wall_ms=wall_ms, **engine)
 
 
 @dataclass
@@ -93,8 +91,11 @@ _FIELD_TYPES = {
 
 def load_suite(path) -> list[SuiteRun]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or not isinstance(data.get("runs", []), list):
         raise ValueError('a suite must be a JSON object with a "runs" list')
+    for key in data:
+        if key != "runs":
+            raise ValueError(f"suite: unknown field {key!r}")
     runs, names = [], {}
     known = {"name", "reps", "generator", *(f.name for f in fields(RunOptions))}
     for i, entry in enumerate(data.get("runs", [])):

@@ -29,7 +29,8 @@ from .instances import GENERATOR_KINDS, generate, parse_instance, serialize_inst
 from .report import RunOptions, parse_report, recheck, render_report
 from .bench import execute_run, load_suite, run_bench
 
-# every input and contract error of the package is a ValueError
+# input and contract errors: ValueError, TypeError (a family of the wrong
+# kind in `settle`, a label that is no integer in `_label_array`), OSError (file I/O)
 _USER_ERRORS = (ValueError, TypeError, OSError)
 
 

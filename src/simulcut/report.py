@@ -5,15 +5,16 @@ needed to audit a partitioning run: instance digest, the run's resolved
 `RunOptions` (the one record of its settings, which flags, suites and
 reports all build), the full assignment, and its count section.  One
 table, `_FIELDS`, names each leading line's key, its `RunReport`
-attribute, its parser and the method whose runs write it; `render_report`
-writes from it, and `parse_report` reads with it and accepts a report only
-in the form `render_report` writes.  Lines with a key the report does not
-know are ignored, so new lines are additive.  Every count is re-derivable
-from (instance, assignment): `recheck` resolves the report's options and
-evaluates the assignment with the same `resolve` and `evaluate` the
-engines use.  A float is written as the repr (shortest round-trip) of
-itself plus 0.0, so never as -0.0, and two count sections are equal as
-values exactly when their lines are.
+attribute, its parser (none for a line written from the others) and the
+method whose runs write it; `render_report` writes from it, and
+`parse_report` reads with it and accepts a report only in the form
+`render_report` writes.  Lines with a key the report does not know are
+ignored, so new lines are additive.  `recheck` compares a report's lines
+with those written from the instance, its options as the engines'
+`resolve` gives them and the counts their `evaluate` gives.  A float is
+written as the repr (shortest round-trip) of itself plus 0.0, so never
+as -0.0, and two count sections are equal as values exactly when their
+lines are.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import attrgetter
 import numpy as np
 
 from .derandomize import DerandResult
-from .model import Assignment, Constraint, CutReport, HypergraphFamily
+from .model import Assignment, Constraint, CutReport
 from .guarantee import MAX_TRIES, THEOREMS, Guarantee, check_settings, evaluate, resolve
 from .instances import _QUOTED, _quoted, serialize_instance, text_sha256
 
@@ -93,18 +94,15 @@ class RunOptions:
 @dataclass
 class RunReport:
     """One partitioning run, as rendered to/parsed from report text; its
-    ``options`` are the settings as its guarantee resolved them."""
+    ``options`` are the settings as its guarantee resolved them, and its
+    kind, n, ell and descent steps are read off the fields that fix them."""
 
     digest: str
-    kind: str
-    n: int
-    ell: int
     options: RunOptions
     assignment: Assignment
     cut_report: CutReport
     r: int | None = None
     tries: int | None = None
-    descent_steps: int | None = None
     initial_estimator: float | None = None
     final_estimator: float | None = None
     wall_ms: float | None = None
@@ -116,15 +114,31 @@ class RunReport:
     def passed(self) -> bool:
         return self.cut_report.all_pass
 
+    @property
+    def kind(self) -> str:
+        return "graphs" if self.r is None else "hypergraphs"
 
-# (report key, RunReport attribute, parser, the method whose runs write it
-# or None for every run) of the leading `key value` lines, in render order;
-# None values are not written, and yes/no is "yes"
+    @property
+    def n(self) -> int:
+        return self.assignment.n
+
+    @property
+    def ell(self) -> int:
+        return len(self.cut_report.member_counts)
+
+    @property
+    def descent_steps(self) -> int | None:   # a descent decides one vertex a step
+        return self.assignment.n if self.options.method == "derand" else None
+
+
+# (report key, RunReport attribute, parser or None for a value not read, the
+# method whose runs write it or None for every run) of the leading `key value`
+# lines, in render order; None values are not written, and yes/no is "yes"
 _FIELDS = (
     ("instance-sha256", "digest", str, None),
-    ("kind", "kind", str, None),
-    ("n", "n", int, None),
-    ("ell", "ell", int, None),
+    ("kind", "kind", None, None),
+    ("n", "n", None, None),
+    ("ell", "ell", None, None),
     ("r", "r", int, None),
     ("method", "options.method", str, None),
     ("theorem", "options.theorem", str, None),
@@ -136,7 +150,7 @@ _FIELDS = (
     ("seed", "options.seed", int, "mc"),
     ("max-tries", "options.max_tries", int, "mc"),
     ("tries", "tries", int, "mc"),
-    ("descent-steps", "descent_steps", int, "derand"),
+    ("descent-steps", "descent_steps", None, "derand"),
     ("initial-estimator", "initial_estimator", float, "derand"),
     ("final-estimator", "final_estimator", float, "derand"),
 )
@@ -186,46 +200,45 @@ _TRAILING = (("assignment", "assignment", _labels, None), ("wall-ms", "wall_ms",
 _CONSTRAINT_FIELDS = (("graph", "graph", int), ("stat", "stat", str), ("count", "count", int),
                       ("threshold", "threshold", float), ("margin", "margin", float),
                       ("pass", "passed", "yes".__eq__))
-# key -> (attribute name, whether it is a RunOptions field, parser)
+# key -> (attribute name, whether it is a RunOptions field, parser) of each line read
 _PARSERS = {key: (attr.removeprefix("options."), attr.startswith("options."), parse)
-            for key, attr, parse, _ in _FIELDS + _TRAILING}
-_REQUIRED = ("instance-sha256", "kind", "n", "ell", "method", "theorem", "k", "assignment")
-# every key render_report writes
-_KNOWN = {"simulcut-report", "class-size", "member", "constraint", "result", *_PARSERS}
+            for key, attr, parse, _ in _FIELDS + _TRAILING if parse}
+_REQUIRED = ("instance-sha256", "method", "theorem", "k", "assignment")
+# every key render_report writes, in render order
+_KEYS = ("simulcut-report", *(key for key, *_ in _FIELDS), "assignment", "class-size", "member",
+         "constraint", "wall-ms", "result")
 
 
-def _count_sections(kind: str, cut: CutReport):
-    """The class-size, member and constraint lines of a report, as (name, lines) each."""
-    stat = "rainbow" if kind == "hypergraphs" else "crossing"
-    return (("class-size", [f"class-size {c} {size}" for c, size in enumerate(cut.class_sizes)]),
-            ("member", [f"member {i} {stat} {count}"
-                        for i, count in enumerate(cut.member_counts)]),
-            ("constraint", [" ".join(["constraint"] + [f"{key}={_fmt(getattr(c, attr))}"
-                                                       for key, attr, _ in _CONSTRAINT_FIELDS])
-                            for c in cut.constraints]))
-
-
-def render_report(rr: RunReport) -> str:
-    lines = ["simulcut-report 1"]
-    add = lines.append
+def _lines(rr: RunReport) -> dict[str, list[str]]:
+    """A report's lines by key, all but its assignment line."""
+    lines = {"simulcut-report": ["simulcut-report 1"]}
     method = rr.options.method
     for key, get, is_float, writer in _WRITTEN:
         value = get(rr)
-        if value is None or writer and writer != method:
-            continue
-        # a float field is written as a float whatever number type it holds
-        add(f"{key} {_fmt(float(value) if is_float else value)}")
+        if value is not None and writer in (None, method):
+            # a float field is written as a float whatever number type it holds
+            lines[key] = [f"{key} {_fmt(float(value) if is_float else value)}"]
+    cut, stat = rr.cut_report, "crossing" if rr.r is None else "rainbow"
+    lines["class-size"] = [f"class-size {c} {size}" for c, size in enumerate(cut.class_sizes)]
+    lines["member"] = [f"member {i} {stat} {count}" for i, count in enumerate(cut.member_counts)]
+    lines["constraint"] = [" ".join(["constraint"] + [f"{key}={_fmt(getattr(c, attr))}"
+                                                      for key, attr, _ in _CONSTRAINT_FIELDS])
+                           for c in cut.constraints]
+    if rr.wall_ms is not None:
+        lines["wall-ms"] = [f"wall-ms {_fmt(round(rr.wall_ms, 3))}"]
+    lines["result"] = [f"result {'pass' if rr.passed else 'fail'}"]
+    return lines
+
+
+def render_report(rr: RunReport) -> str:
+    lines = _lines(rr)
     # each label's string from a table of the k classes, unless there are
     # fewer labels than classes: then no table larger than the line
     a = rr.assignment
     names = [str(c) for c in range(a.k)] if a.k <= a.n else None
-    add("assignment " + " ".join(map(names.__getitem__ if names else str, a.labels)))
-    for _, section in _count_sections(rr.kind, rr.cut_report):
-        lines += section
-    if rr.wall_ms is not None:
-        add(f"wall-ms {_fmt(round(rr.wall_ms, 3))}")
-    add(f"result {'pass' if rr.passed else 'fail'}")
-    return "\n".join(lines) + "\n"
+    lines["assignment"] = ["assignment " + " ".join(map(names.__getitem__ if names else str,
+                                                        a.labels))]
+    return "\n".join(ln for key in _KEYS for ln in lines.get(key, ())) + "\n"
 
 
 def _excerpt(line: str, j: int) -> str:
@@ -276,7 +289,7 @@ def parse_report(text: str) -> RunReport:
     written = render_report(rr)
     # the text's known lines, as one string; the text itself when it is as written
     said = text if text == written else "".join(
-        ln + "\n" for ln in text.splitlines() if ln.partition(" ")[0] in _KNOWN)
+        ln + "\n" for ln in text.splitlines() if ln.partition(" ")[0] in _KEYS)
     if said == written:
         return rr
     a, b = next(pair for pair in zip_longest(said.splitlines(), written.splitlines(), fillvalue="")
@@ -289,30 +302,20 @@ def parse_report(text: str) -> RunReport:
 def recheck(rr: RunReport, family) -> list[str]:
     """Re-derive every checkable line of a report; returns mismatch messages.
 
-    The kind, n, ell and r lines are compared with the instance, the
-    outcome lines with what a run writes (n descent steps, 1 to max-tries
-    tries, a finite wall time >= 0), and the balance slack with the one
-    the options resolve to.  The count section is recomputed from
-    (instance, assignment); when it differs from the report's, each section
-    whose lines differ gives one message, quoting its first differing line
-    on each side, and so does the result.  The seed and the estimator
-    values are not checkable without re-running.  A k line that its
+    The report's lines are compared with those written with the instance's
+    r, its options as they resolve there and the count section `evaluate`
+    recomputes from the shared assignment; each key whose lines differ
+    gives one message quoting its first differing line on each side, or
+    `none`.  Seed and estimators cannot be checked without re-running,
+    tries and wall-ms only against what a run writes, and a k line that its
     class-size lines do not match is rejected before anything is counted.
     """
-    problems: list[str] = []
     digest = instance_digest(family)
     if digest != rr.digest:
-        problems.append(f"instance digest mismatch: report says {rr.digest[:12]}.., "
-                        f"instance is {digest[:12]}..")
-        return problems
-    r = family.r if isinstance(family, HypergraphFamily) else None
-    for key, said, actual in (("kind", rr.kind, "graphs" if r is None else "hypergraphs"),
-                              ("n", rr.n, family.n), ("ell", rr.ell, family.ell), ("r", rr.r, r)):
-        if said != actual:
-            problems.append(f"{key} differs: report {said}, instance {actual}")
+        return [f"instance digest mismatch: report says {rr.digest[:12]}.., "
+                f"instance is {digest[:12]}.."]
+    problems: list[str] = []
     opts = rr.options
-    if rr.descent_steps not in (None, family.n):
-        problems.append(f"descent-steps {rr.descent_steps}, a descent takes n = {family.n} steps")
     if rr.tries is not None and not 1 <= rr.tries <= opts.max_tries:
         problems.append(f"tries {rr.tries}, an mc run takes 1 to max-tries = {opts.max_tries}")
     if rr.wall_ms is not None and not 0 <= rr.wall_ms < math.inf:
@@ -322,20 +325,14 @@ def recheck(rr: RunReport, family) -> list[str]:
                         f"for k {opts.k}")
         return problems
     guarantee, resolved = opts.resolve(family)
-    if resolved.slack != opts.slack:
-        said, want = ("none" if x is None else _fmt(x) for x in (opts.slack, resolved.slack))
-        problems.append(f"balance-slack differs: report {said}, resolved {want}")
-    fresh = evaluate(family, rr.assignment, guarantee)
-    if rr.cut_report == fresh:
+    fresh = replace(rr, r=getattr(family, "r", None), options=resolved,
+                    cut_report=evaluate(family, rr.assignment, guarantee))
+    if fresh == rr:     # equal reports are written as equal lines
         return problems
-    for (name, said), (_, want) in zip(_count_sections(rr.kind, rr.cut_report),
-                                       _count_sections(rr.kind, fresh)):
-        if said != want:
-            i = next((i for i, (a, b) in enumerate(zip(said, want)) if a != b),
-                     min(len(said), len(want)))
-            first = [repr(lines[i]) if i < len(lines) else "none" for lines in (said, want)]
-            problems.append(f"{name} lines differ: report {first[0]}, recomputed {first[1]}")
-    if rr.passed != fresh.all_pass:
-        said, want = ("pass" if passed else "fail" for passed in (rr.passed, fresh.all_pass))
-        problems.append(f"result differs: report {said}, recomputed {want}")
+    said, want = _lines(rr), _lines(fresh)
+    for key in _KEYS:
+        diff = [p for p in zip_longest(said.get(key, ()), want.get(key, ())) if p[0] != p[1]]
+        if diff:
+            a, b = ("none" if ln is None else repr(ln) for ln in diff[0])
+            problems.append(f"{key} lines differ: report {a}, recomputed {b}")
     return problems

@@ -110,9 +110,10 @@ def test_partition_contract_errors_exit_2(c5_file, capsys, tmp_path):
     assert main(["partition", str(c5_file), "--theorem", "hyp"]) == 2
 
 
-def test_epsilon_echoed_only_where_read(c5_file, tmp_path):
+def test_epsilon_echoed_only_where_read(c5_file, tmp_path, capsys):
     # only thm3 reads epsilon, so a thm2 run's report carries no epsilon
-    # line; a report that has one (as older ones do) still verifies
+    # line; a report that has one (as older ones do) reads back, and does
+    # not verify, as its options resolve to no epsilon
     report = tmp_path / "run.report"
     assert main(["partition", str(c5_file), "--theorem", "2", "--epsilon", "0.1",
                  "--out", str(report)]) == 0
@@ -122,7 +123,10 @@ def test_epsilon_echoed_only_where_read(c5_file, tmp_path):
     older = tmp_path / "older.report"
     older.write_text(text.replace("\nk 2\n", "\nk 2\nepsilon 0.1\n"))
     assert parse_report(older.read_text()).options.epsilon == 0.1
-    assert main(["verify", str(older), "--instance", str(c5_file)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(older), "--instance", str(c5_file)]) == 2
+    assert capsys.readouterr().err == ("mismatch: epsilon lines differ: report 'epsilon 0.1', "
+                                       "recomputed none\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -166,11 +170,18 @@ def test_verify_detects_tamper(c5_file, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [("n 5", "n 999"), ("ell 2", "ell 7"),
-                                      ("r 3", "r 4"), ("r 3", None), (None, "r 2")])
-def test_verify_checks_n_ell_r_lines(c5_file, tmp_path, capsys, old, new):
-    # each line that contradicts the instance is one mismatch; the graph
-    # report has no r line, the hypergraph report one
+@pytest.mark.parametrize("old, new, message", [
+    ("n 5", "n 999", "error: report line 'n 999' is not as written: want 'n 5'"),
+    ("ell 2", "ell 7", "error: report line 'ell 7' is not as written: want 'ell 2'"),
+    ("r 3", "r 4", "mismatch: r lines differ: report 'r 4', recomputed 'r 3'"),
+    ("r 3", None, "error: report line 'kind hypergraphs' is not as written: want 'kind graphs'"),
+    (None, "r 2", "error: report line 'kind graphs' is not as written: want 'kind hypergraphs'"),
+], ids=["n 5-n 999", "ell 2-ell 7", "r 3-r 4", "r 3-None", "None-r 2"])
+def test_verify_checks_n_ell_r_lines(c5_file, tmp_path, capsys, old, new, message):
+    # the n, ell and kind lines are written for the assignment, the member
+    # lines and the r line, and a report whose lines do not agree is refused
+    # as not written that way; an r line that contradicts the instance is
+    # one mismatch. The graph report has no r line, the hypergraph report one
     hyper = "r 3" in (old, new)
     inst = c5_file
     if hyper:
@@ -189,9 +200,7 @@ def test_verify_checks_n_ell_r_lines(c5_file, tmp_path, capsys, old, new):
     bad.write_text("\n".join(ln for ln in lines if ln is not None) + "\n")
     capsys.readouterr()
     assert main(["verify", str(bad), "--instance", str(inst)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    key = (new or old).split()[0]
-    assert len(err) == 1 and err[0].startswith(f"mismatch: {key} differs: report "), err
+    assert capsys.readouterr().err == message + "\n"
 
 
 REQUIRED_FIELDS = ("instance-sha256", "kind", "n", "ell", "method", "theorem", "k",
@@ -219,6 +228,9 @@ def test_verify_missing_field_exit_2(c5_file, tmp_path, capsys, dropped):
         # constraint tokens are read by position: a row one token short is
         # refused naming its line
         assert err.startswith("error: report line 'constraint "), err
+    elif dropped in ("kind", "n", "ell"):
+        # read off the report's other lines, and so written there
+        assert err.startswith("error: report line '") and f"want '{dropped} " in err, err
     else:
         assert err == f"error: report has no {dropped!r}\n"
 
@@ -890,8 +902,13 @@ BAD_FIELDS = [
      'suite run 0: "generator" must be a JSON object with a "kind"'),
     ({"runs": [["gnm", 8, 10]]}, "suite run 0: not a JSON object"),
     ({"runs": [{"method": "mc", "theorem": "1"}]}, "suite run 0: missing field 'generator'"),
+    ({"runs": 5}, 'a suite must be a JSON object with a "runs" list'),
+    ({"runs": {"a": 1}}, 'a suite must be a JSON object with a "runs" list'),
+    ({"runz": [{"generator": {"kind": "gnm", "n": 8, "m": 10}, "method": "mc", "theorem": "1"}]},
+     "suite: unknown field 'runz'"),
 ] + [(_one_run(**fields), "suite run 1: " + message) for fields, message in BAD_FIELDS],
-    ids=["top-level-list", "generator-without-kind", "run-not-object", "run-without-generator"]
+    ids=["top-level-list", "generator-without-kind", "run-not-object", "run-without-generator",
+         "runs-not-list", "runs-object", "unknown-top-level-field"]
     + ["-".join(f"{k}={v!r}" for k, v in fields.items()) for fields, _ in BAD_FIELDS])
 def test_bench_malformed_suite_exit_2(tmp_path, capsys, suite, message):
     path = tmp_path / "suite.json"

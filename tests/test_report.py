@@ -123,8 +123,8 @@ def test_thm3_cap_echoed_as_a_float_decides_as_the_run_did():
     assert rows == {"pair(0,1)": (788, True), "within(0)": (m // 12, True),
                     "within(1)": (400, True)}
     opts = RunOptions(method="mc", theorem="thm3", k=2, epsilon=float(cap))
-    rr = RunReport(digest=instance_digest(family), kind="graphs", n=family.n, ell=3,
-                   options=opts, assignment=assignment, cut_report=report, tries=1)
+    rr = RunReport(digest=instance_digest(family), options=opts, assignment=assignment,
+                   cut_report=report, tries=1)
     assert recheck(parse_report(render_report(rr)), family) == []
 
 
@@ -144,8 +144,8 @@ def c5_reports(tmp_path):
 @pytest.mark.parametrize("name, flipped", [("fail", "pass"), ("pass", "fail")])
 def test_verify_compares_the_result_line(c5_reports, capsys, name, flipped):
     # the result line alone flipped is not what the report's rows render
-    # to; flipped with every pass token, the report reads back as written
-    # and the recomputed rows refuse it
+    # to; flipped with every pass token, the report reads back as written,
+    # and the recomputed constraint and result lines refuse it
     inst, where = c5_reports
     report = where / f"{name}.report"
     assert main(["verify", str(report), "--instance", str(inst)]) == 0
@@ -163,7 +163,8 @@ def test_verify_compares_the_result_line(c5_reports, capsys, name, flipped):
     assert main(["verify", str(bad), "--instance", str(inst)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("mismatch: constraint lines differ: report 'constraint "), err
-    assert err[-1] == f"mismatch: result differs: report {flipped}, recomputed {name}"
+    assert err[-1] == (f"mismatch: result lines differ: report 'result {flipped}', "
+                       f"recomputed 'result {name}'")
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -184,6 +185,13 @@ def test_verify_refuses_result_and_max_tries_lines(c5_reports, capsys, old, new,
 
 
 MUTANT_VALUES = ["", "x", "-1", "0", "nan", "inf", "1e400", "thm9", "hypergraphs"]
+# the run keys in render order, and for those that some report lacks, a
+# value a run of another guarantee or engine writes there
+RUN_KEYS = ("instance-sha256", "kind", "n", "ell", "r", "method", "theorem", "k", "epsilon",
+            "balanced", "balance-slack", "order", "seed", "max-tries", "tries", "descent-steps",
+            "initial-estimator", "final-estimator", "assignment")
+INSERTED = {"epsilon": "0.001", "balance-slack": "50.0", "r": "3", "order": "natural",
+            "seed": "4", "tries": "1", "descent-steps": "30"}
 # the lines verify reads but cannot recompute without re-running, and the
 # values each may hold: any such value in written form verifies, and
 # every other changed line is refused
@@ -225,12 +233,13 @@ def rendered_reports(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 10 ** 6),
-       st.sampled_from(["drop", "value", "key", "copy", "copy-value"]),
+       st.sampled_from(["drop", "value", "key", "copy", "copy-value", "insert"]),
        st.sampled_from(MUTANT_VALUES), st.integers(0, 10 ** 6))
 def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, value, token):
     # a copy of line i goes before it, as it is or with its value replaced;
     # every line has a known key, so a report holding a copy does not
-    # verify, and neither does one with a changed line that verify checks.
+    # verify, and neither does one with a changed line that verify checks,
+    # or one given a run line it lacks, where render_report would write it.
     # A dropped line may leave a report that verifies, and any report that
     # verifies is in the form render_report writes
     where, reports = rendered_reports
@@ -238,7 +247,13 @@ def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, 
     lines = list(original)
     i = line % len(lines)
     key, _, rest = lines[i].partition(" ")
-    if how == "drop":
+    if how == "insert":
+        lacking = [k for k in INSERTED if not any(ln.startswith(k + " ") for ln in lines)]
+        key = lacking[token % len(lacking)]
+        later = RUN_KEYS[RUN_KEYS.index(key) + 1:]
+        i = next(i for i, ln in enumerate(lines) if ln.partition(" ")[0] in later)
+        lines.insert(i, f"{key} {INSERTED[key]}")
+    elif how == "drop":
         del lines[i]
     elif how == "key" and key == "constraint":
         tokens = rest.split()
@@ -256,7 +271,8 @@ def test_verify_mutated_report_exits_0_or_2(rendered_reports, which, line, how, 
     bad.write_text(text)
     code = main(["verify", str(bad), "--instance", str(inst)])
     changed = lines != original and not _unchecked(key, value)
-    assert code == 2 if how.startswith("copy") or (how != "drop" and changed) else code in (0, 2)
+    refused = how in ("copy", "copy-value", "insert") or how != "drop" and changed
+    assert code == 2 if refused else code in (0, 2)
     if code == 0:
         assert render_report(parse_report(text)) == text
 
@@ -279,7 +295,8 @@ def test_verify_rejects_a_k_its_class_sizes_do_not_match(rendered_reports, capsy
 
 # (line prefix, token after which an "x" is inserted): one value of each
 # line shape in the thm3 mc report; a yes/no value is read as whether it
-# is "yes", and no parser takes any of the others
+# is "yes", the n line is not read (n is the assignment's length), and no
+# parser takes any of the others
 BAD_VALUES = [("n ", "n "), ("k ", "k "), ("seed ", "seed "), ("epsilon ", "epsilon "),
               ("class-size 1 ", "class-size 1 "), ("member 0 ", "crossing "),
               ("constraint ", "count="), ("assignment ", "assignment "),
@@ -301,9 +318,11 @@ def test_verify_bad_value_names_its_line(rendered_reports, capsys, prefix, token
     assert main(["verify", str(bad), "--instance", str(inst)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err, err
-    if token in ("balanced ", "pass="):
-        # read as "no", and then refused as not the line written for "no"
-        said, want = lines[i].rsplit(" ", 1)[1], "pass=no" if token == "pass=" else "no"
+    if token in ("balanced ", "pass=", "n "):
+        # read as "no", and then refused as not the line written for "no";
+        # the n line is refused as not the line written for 300 labels
+        said = lines[i].rsplit(" ", 1)[1]
+        want = {"pass=": "pass=no", "balanced ": "no", "n ": "300"}[token]
         assert err.startswith(f"error: report line '{prefix.split()[0]} "), err
         assert f" {said}' is not as written: want '" in err and err.endswith(f" {want}'\n"), err
     else:
@@ -312,13 +331,30 @@ def test_verify_bad_value_names_its_line(rendered_reports, capsys, prefix, token
         assert err.startswith(f"error: report line {_quoted(lines[i])}: "), err
 
 
+@pytest.fixture(scope="module")
+def edit_runs(tmp_path_factory):
+    """`gen gnm --n 40 --m 100 --ell 2` and `gen bounded-degree --n 294
+    --degree 2`, and the text of a derand report on them by guarantee:
+    thm1 and thm2 (k=3) on gnm, and thm3 (k=2) on bounded-degree."""
+    where = tmp_path_factory.mktemp("edit-runs")
+    gens = {"gnm": ["gnm", "--n", "40", "--m", "100", "--ell", "2"],
+            "bd": ["bounded-degree", "--n", "294", "--degree", "2"]}
+    for name, argv in gens.items():
+        assert main(["gen", *argv, "--out", str(where / f"{name}.instance")]) == 0
+    runs = {"thm1": ("gnm", ["1"]), "thm2": ("gnm", ["2", "--k", "3"]),
+            "thm3": ("bd", ["3", "--k", "2"])}
+    out = {}
+    for run, (name, theorem) in runs.items():
+        inst, report = where / f"{name}.instance", where / f"{run}.report"
+        assert main(["partition", str(inst), "--theorem", *theorem, "--out", str(report)]) == 0
+        out[run] = inst, report.read_text()
+    return out
+
+
 @pytest.fixture
-def gnm_report(tmp_path):
+def gnm_report(edit_runs):
     """`gen gnm --n 40 --m 100 --ell 2`, and the text of its thm1 derand report."""
-    inst, report = tmp_path / "gnm.instance", tmp_path / "gnm.report"
-    assert main(["gen", "gnm", "--n", "40", "--m", "100", "--ell", "2", "--out", str(inst)]) == 0
-    assert main(["partition", str(inst), "--theorem", "1", "--out", str(report)]) == 0
-    return inst, report.read_text()
+    return edit_runs["thm1"]
 
 
 def _before(line: str, extra: str):
@@ -326,6 +362,15 @@ def _before(line: str, extra: str):
     def edit(text):
         assert f"\n{line}" in text
         return text.replace(f"\n{line}", f"\n{extra}\n{line}", 1)
+    return edit
+
+
+def _without(key: str):
+    """An edit that drops the report's line with this key."""
+    def edit(text):
+        assert f"\n{key} " in text
+        return "".join(ln for ln in text.splitlines(keepends=True)
+                       if not ln.startswith(f"{key} "))
     return edit
 
 
@@ -347,29 +392,42 @@ def _false_row(text):
     return _before("wall-ms", FALSE_ROW)(text).replace("\nresult pass\n", "\nresult fail\n")
 
 
-# (edit of the gnm report, verify's stderr or its start): a repeated row
-# that the report's rows and result line agree with, which only the
-# recomputed rows refuse, a second copy of a known key, a member word that
-# is not the kind's, and the kind line and member words switched together,
-# which only the kind line's comparison with the instance refuses
+# (report edited, edit, verify's stderr or its start), on the gnm thm1
+# report unless named: a repeated row that the report's rows and result
+# line agree with, which only the recomputed rows refuse, a second copy of
+# a known key, a member word that is not the kind's, the kind line and
+# member words switched together, which r (none) refuses, a run line that
+# the run does not write, and two that the options do not resolve to
 REFUSED_EDITS = {
-    "repeated-row": (_false_row,
+    "repeated-row": ("thm1", _false_row,
                      f"mismatch: constraint lines differ: report {FALSE_ROW!r}, recomputed none\n"
-                     "mismatch: result differs: report fail, recomputed pass\n"),
-    "second-result": (_before("result pass", "result fail"),
+                     "mismatch: result lines differ: report 'result fail', "
+                     "recomputed 'result pass'\n"),
+    "second-result": ("thm1", _before("result pass", "result fail"),
                       "error: report line 'result fail' is not as written: want 'result pass'\n"),
-    "second-n": (_before("n 40", "n 999"),
+    "second-n": ("thm1", _before("n 40", "n 999"),
                  "error: report line 'n 999' is not as written: want 'n 40'\n"),
-    "member-word": (_member_words("graphs", "rainbow"), "error: report line 'member 0 rainbow "),
-    "switched-kind": (_member_words("hypergraphs", "rainbow"),
-                      "mismatch: kind differs: report hypergraphs, instance graphs\n"),
+    "member-word": ("thm1", _member_words("graphs", "rainbow"),
+                    "error: report line 'member 0 rainbow "),
+    "switched-kind": ("thm1", _member_words("hypergraphs", "rainbow"),
+                      "error: report line 'kind hypergraphs' is not as written: "
+                      "want 'kind graphs'\n"),
+    "no-descent-steps": ("thm1", _without("descent-steps"),
+                         "error: report line 'initial-estimator 0.5' is not as written: "
+                         "want 'descent-steps 40'\n"),
+    # only thm3 reads epsilon, and thm3 resolves one when none is given
+    "thm2-epsilon": ("thm2", _before("balanced no", "epsilon 5.0"),
+                     "mismatch: epsilon lines differ: report 'epsilon 5.0', recomputed none\n"),
+    "thm3-no-epsilon": ("thm3", _without("epsilon"),
+                        "mismatch: epsilon lines differ: report none, "
+                        "recomputed 'epsilon 0.006944444444444444'\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_EDITS))
-def test_verify_refuses_edited_gnm_report(gnm_report, tmp_path, capsys, case):
-    inst, text = gnm_report
-    edit, err = REFUSED_EDITS[case]
+def test_verify_refuses_edited_gnm_report(edit_runs, tmp_path, capsys, case):
+    run, edit, err = REFUSED_EDITS[case]
+    inst, text = edit_runs[run]
     bad = tmp_path / "edited.report"
     bad.write_text(edit(text))
     capsys.readouterr()
@@ -632,7 +690,8 @@ def thm1_reports(tmp_path_factory):
 
 # (report, key of the line edited, its new value, verify's stderr): run
 # lines that no run writes, each refused by the check that refuses the
-# same setting as a flag, or by its comparison with what a run can write
+# same setting as a flag, as not the line written for the report's other
+# lines, or by its comparison with what a run can write
 RUN_LINE_EDITS = {
     "method-foo": ("derand", "method", "foo",
                    "error: method must be 'mc' or 'derand', got 'foo'\n"),
@@ -642,8 +701,10 @@ RUN_LINE_EDITS = {
     # a derand report has an order line where an mc one has its seed
     "mc-as-derand": ("mc", "method", "derand",
                      "error: report line 'seed 0' is not as written: want 'order natural'\n"),
+    # a descent takes one step a vertex
     "descent-steps": ("derand", "descent-steps", "3",
-                      "mismatch: descent-steps 3, a descent takes n = 60 steps\n"),
+                      "error: report line 'descent-steps 3' is not as written: "
+                      "want 'descent-steps 60'\n"),
     "tries-negative": ("mc", "tries", "-1",
                        "mismatch: tries -1, an mc run takes 1 to max-tries = 64\n"),
     "tries-above-max": ("mc", "tries", "65",
@@ -654,7 +715,8 @@ RUN_LINE_EDITS = {
                          "mismatch: wall-ms -1.5, a wall time is finite and >= 0\n"),
     # only a balanced run resolves a balance slack
     "unbalanced-slack": ("mc", "balanced", "no\nbalance-slack 50.0",
-                         "mismatch: balance-slack differs: report 50.0, resolved none\n"),
+                         "mismatch: balance-slack lines differ: report 'balance-slack 50.0', "
+                         "recomputed none\n"),
 }
 
 
@@ -673,11 +735,12 @@ def test_verify_refuses_run_lines_no_run_writes(thm1_reports, tmp_path, capsys, 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda labels: ["-1"] + labels[1:], "vertex 0: label -1 outside 0..1"),
-    (lambda labels: labels[:-1], "assignment has 59 labels, family has n=60 vertices"),
+    (lambda labels: labels[:-1], "report line 'n 60' is not as written: want 'n 59'"),
 ], ids=["undecided", "one-short"])
 def test_verify_refuses_an_assignment_evaluate_refuses(thm1_reports, tmp_path, capsys,
                                                        edit, message):
-    # labels in written form that no run writes: Assignment or evaluate refuses them
+    # labels in written form that no run writes: Assignment refuses a label
+    # outside 0..k-1, and 59 labels are not what the n line is written for
     inst, texts = thm1_reports
     lines = texts["derand"].splitlines()
     i = next(i for i, ln in enumerate(lines) if ln.startswith("assignment "))
@@ -725,7 +788,7 @@ def test_verify_bad_label_diagnostic_is_bounded(thm1_reports, tmp_path, capsys):
     junk = "x" * 5000
     for pattern, edit, what in ((r"^initial-estimator .*$", f"initial-estimator {junk}", "a float"),
                                 (r" threshold=\S+ ", f" threshold={junk} ", "a float"),
-                                (r"^n .*$", f"n {junk}", "an integer")):
+                                (r"^k .*$", f"k {junk}", "an integer")):
         text, count = re.subn(pattern, edit, texts["derand"], count=1, flags=re.M)
         assert count == 1
         report.write_text(text)
