@@ -21,7 +21,8 @@ its weighted integer key per class into one shared list of k, leaving out
 what no class changes, which cannot move the argmin; so every decision is
 exact, and ties break to the lowest class.  Floats are for display only.
 
-Terms: one graph term for every crossing, pair and within spec, or one
+Terms: one graph term for every crossing, pair and within spec (the
+bipartition term when every spec is a crossing spec at k = 2), or one
 rainbow term per run of consecutive specs on one hypergraph member, built
 from the members' edges, the specs, their weights and the descent's order.
 Each starts with all vertices open, in closed form, learns of decided
@@ -33,7 +34,10 @@ order reaches first, listed from one stable sort of the edges by that
 endpoint, and one packed histogram of neighbour labels per vertex and
 member.  A member's keys cost one addition per open neighbour
 of v, then O(k) per statistic; a commit, O(1) per statistic and one
-addition per open neighbour.  A rainbow term keeps each hyperedge at the
+addition per open neighbour.  The bipartition term keeps the same lists
+and one signed integer per vertex and member in place of the histogram;
+its keys and a commit cost one addition per open neighbour and O(1) per
+member.  A rainbow term keeps each hyperedge at the
 vertices before its last, and one packed sum per vertex; its keys and a
 commit cost one addition per (live hyperedge, open co-vertex) pair, and
 the keys O(r) per live hyperedge and per multi-shared pair at v.  A step
@@ -74,8 +78,10 @@ class DescentStep(NamedTuple):
 @dataclass(frozen=True)
 class DerandResult:
     """A descent's partition, its report and estimator values.  ``rows[i]``
-    is the list of keys added at ``order[i]``, the i-th vertex decided;
-    ``trace`` builds their `DescentStep`s once, when it is first read."""
+    is the list of keys added at ``order[i]``, the i-th vertex decided, and
+    is defined only up to a constant: a bipartition term's row is [key_0 -
+    key_1, 0].  Only ``trace`` reads rows; it builds their `DescentStep`s
+    once, when it is first read, from each row less its min."""
 
     assignment: Assignment
     report: CutReport
@@ -106,8 +112,10 @@ def _later_lists(edges, rank):
     swap = ends[:, 0] > ends[:, 1]
     first = np.where(swap, rows[:, 1], rows[:, 0])
     second = np.where(swap, rows[:, 0], rows[:, 1])
-    later = _split(second[np.argsort(first, kind="stable")].tolist(),
-                   np.bincount(first, minlength=n))
+    items = second[np.argsort(first, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(first, minlength=n)).tolist()
+    # no slice for a vertex without later neighbours: sparse members have many
+    later = [items[a:b] if a != b else () for a, b in zip([0] + ends[:-1], ends)]
     return (later, np.bincount(second, minlength=n).tolist(),
             np.bincount(rows.ravel(), minlength=n).tolist())
 
@@ -204,21 +212,10 @@ class _GraphTerm:
                       else (j, s, up if c == t else -2, t, up if c == s else -2)
                       for j, (kind, s, t, _) in enumerate(mine)] for c in range(k)]
             self.members.append([later, early, h, cross[g], mine, [self.k2] * len(mine), moves, 0])
-            pairs_at[g] = 0
             if mine:
                 degrees = np.bincount(arrays[g].ravel(), minlength=len(rank))
                 pairs_at[g] = int(degrees @ (degrees - 1))
-        # all vertices open: every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m,
-        # and contrib of a degree-d vertex is d(d-1) times 0 (crossing), k-1
-        # (within) or 2(k-2) (pair); mu_k2 is an integer since every mean's
-        # denominator divides k^2
-        per_pair = {"crossing": 0, "within": k - 1, "pair": 2 * (k - 2)}
-        self.quads = []
-        for spec in specs:
-            m = len(arrays[spec.graph])
-            mu = int(stat_mean(spec.kind, m, k) * self.k2)
-            self.quads.append(self.k2 * mu + per_pair[spec.kind] * pairs_at[spec.graph]
-                              - (mu * mu // m if m else 0))
+        self.quads = _graph_quads(arrays, specs, pairs_at)
 
     def add_keys(self, v, keys):
         k, k2, mask, offsets, classes = self.k, self.k2, self.mask, self.offsets, self.classes
@@ -272,6 +269,66 @@ class _GraphTerm:
                     gs[j] += x * T[s] + y * T[t]
             for u in nbrs:
                 h[u] += step
+
+
+def _graph_quads(arrays, specs, pairs_at) -> list[int]:
+    """The all-open quadratics over k^4 of graph specs, in spec order.  All
+    vertices open, every edge has P = mu_k2/m, so sumP2 = mu_k2^2/m, and
+    contrib of a degree-d vertex is d(d-1) times 0 (crossing), k-1 (within)
+    or 2(k-2) (pair); ``pairs_at[g]`` is member g's sum of d(d-1), needed
+    only for its pair and within specs.  mu_k2 is an integer since every
+    mean's denominator divides k^2."""
+    k = specs[0].k
+    per_pair = {"crossing": 0, "within": k - 1, "pair": 2 * (k - 2)}
+    quads = []
+    for spec in specs:
+        m = len(arrays[spec.graph])
+        mu = int(stat_mean(spec.kind, m, k) * k * k)
+        quads.append(k * k * mu + per_pair[spec.kind] * pairs_at.get(spec.graph, 0)
+                     - (mu * mu // m if m else 0))
+    return quads
+
+
+class _BipartitionTerm:
+    """`_GraphTerm`'s keys for crossing specs alone at k = 2, as one linear
+    form per member.  With x_c = b[v][c], B = x0 + x1, lin = gap - 4B and
+    beta_c = sum of b[u][c] over v's open neighbours, the crossing key of
+    class c is wx * (x_c (4 x_c + lin) + 4 beta_c); as 4B + lin = gap,
+
+      key_0 - key_1 = wx * (gap (x0 - x1) + 4 (beta0 - beta1))
+
+    so a member keeps only s[u] = b[u][0] - b[u][1] per vertex, its `later`
+    lists and its crossing gap, and the term adds that difference to class
+    0's key and nothing to class 1's: the argmin, ties to class 0, and the
+    keys less their min are `_GraphTerm`'s.  Deciding v -> c moves the gap
+    by 2k(k x_c - B), +4 s[v] at c = 0 and -4 s[v] at c = 1, and s[u] of
+    each open neighbour u by +1 or -1.
+    """
+
+    def __init__(self, arrays, specs, weights, rank):
+        # per member, in order of its first spec: 4 times its crossing specs'
+        # summed weight
+        cross = {}
+        for spec, w in zip(specs, weights):
+            cross[spec.graph] = cross.get(spec.graph, 0) + 4 * w
+        # per member: later, s, weight, the crossing gap
+        self.members = [[_later_lists(arrays[g], rank)[0], [0] * len(rank), wx, 0]
+                        for g, wx in cross.items()]
+        self.quads = _graph_quads(arrays, specs, {})
+
+    def add_keys(self, v, keys):
+        delta = 0
+        for later, s, wx, gap in self.members:
+            delta += wx * (gap * s[v] + 4 * sum(map(s.__getitem__, later[v])))
+        keys[0] += delta
+
+    def commit(self, v, c):
+        step = 1 - 2 * c
+        for member in self.members:
+            later, s = member[0], member[1]
+            member[3] += 4 * step * s[v]
+            for u in later[v]:
+                s[u] += step
 
 
 class _RainbowTerm:
@@ -646,17 +703,20 @@ def resolve_order(family, order) -> tuple[int, ...]:
 
 def _build_terms(family, specs, order):
     """Penalty terms, each spec weighed by lcm(parts) // its part: one graph
-    term for all specs of a graph guarantee, or one rainbow term per run of
-    consecutive specs on one hypergraph member; none without specs.  Terms
-    are built for the vertex order `order`, and their keys are defined only
-    at the next vertex of it.  ``quads`` holds their all-open quadratics
-    over k^4 (r^(3r)), in spec order."""
+    term for all specs of a graph guarantee, a `_BipartitionTerm` when they
+    are all crossing specs at k = 2 and a `_GraphTerm` otherwise, or one
+    rainbow term per run of consecutive specs on one hypergraph member; none
+    without specs.  Terms are built for the vertex order `order`, and their
+    keys are defined only at the next vertex of it.  ``quads`` holds their
+    all-open quadratics over k^4 (r^(3r)), in spec order."""
     lcm = math.lcm(*(spec.part for spec in specs))
     rank = np.empty(family.n, dtype=np.int64)
     rank[list(order)] = np.arange(family.n)
     weights = [lcm // spec.part for spec in specs]
     if specs and specs[0].kind != "rainbow":
-        return [_GraphTerm(family.arrays, specs, weights, rank)]
+        bipartition = specs[0].k == 2 and all(spec.kind == "crossing" for spec in specs)
+        term = _BipartitionTerm if bipartition else _GraphTerm
+        return [term(family.arrays, specs, weights, rank)]
     runs = itertools.groupby(zip(specs, weights), key=lambda pair: pair[0].graph)
     return [_RainbowTerm(family.arrays, *zip(*run), rank) for _, run in runs]
 

@@ -204,6 +204,8 @@ _CONSTRAINT_FIELDS = (("graph", "graph", int), ("stat", "stat", str), ("count", 
 _PARSERS = {key: (attr.removeprefix("options."), attr.startswith("options."), parse)
             for key, attr, parse, _ in _FIELDS + _TRAILING if parse}
 _REQUIRED = ("instance-sha256", "method", "theorem", "k", "assignment")
+# the outcome lines that every run of each method writes
+_OUTCOMES = {"mc": ("tries",), "derand": ("initial-estimator", "final-estimator")}
 # every key render_report writes, in render order
 _KEYS = ("simulcut-report", *(key for key, *_ in _FIELDS), "assignment", "class-size", "member",
          "constraint", "wall-ms", "result")
@@ -253,13 +255,21 @@ def _excerpt(line: str, j: int) -> str:
     return repr(" ".join(t if len(t) <= _QUOTED else t[:_QUOTED] + "..." for t in parts))
 
 
+def _require(keys, values):
+    missing = [key for key in keys if key not in values]
+    if missing:
+        raise ValueError(f"report has no {missing[0]!r}")
+
+
 def parse_report(text: str) -> RunReport:
     """Parse report text, accepted only in the form `render_report` writes.
 
     Each line with a key the report knows is read leniently, its run lines
     into a `RunOptions`, and those lines, in order, must equal
     `render_report` of what was read; the first that differs is quoted with
-    the line written there.  Other lines, blank ones included, are ignored
+    the line written there.  A report as written must still hold the
+    outcome lines that every run of its method writes (`tries` for mc, the
+    estimators for derand).  Other lines, blank ones included, are ignored
     wherever they stand; CRLF ends are accepted.
     """
     values, rows = {}, {"class-size": [], "member": [], "constraint": []}
@@ -277,9 +287,7 @@ def parse_report(text: str) -> RunReport:
         except (ValueError, TypeError) as exc:  # TypeError: a constraint row too short
             raise ValueError(f"report line {_quoted(ln)}: {exc}") from None
 
-    missing = [key for key in _REQUIRED if key not in values]
-    if missing:
-        raise ValueError(f"report has no {missing[0]!r}")
+    _require(_REQUIRED, values)
     named = [(_PARSERS[key][:2], value) for key, value in values.items()]
     options = RunOptions(**{name: v for (name, opt), v in named if opt})
     run = {name: v for (name, opt), v in named if not opt}
@@ -290,7 +298,8 @@ def parse_report(text: str) -> RunReport:
     # the text's known lines, as one string; the text itself when it is as written
     said = text if text == written else "".join(
         ln + "\n" for ln in text.splitlines() if ln.partition(" ")[0] in _KEYS)
-    if said == written:
+    if said == written:     # and then it holds every line its method's runs write
+        _require(_OUTCOMES[options.method], values)
         return rr
     a, b = next(pair for pair in zip_longest(said.splitlines(), written.splitlines(), fillvalue="")
                 if pair[0] != pair[1])

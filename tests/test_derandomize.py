@@ -10,6 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -30,12 +31,12 @@ from simulcut.bench import execute_run
 from simulcut.cli import main
 from simulcut.report import RunOptions
 from simulcut.derandomize import (
-    _build_terms, _GraphTerm, _later_lists, _RainbowTerm, resolve_order)
+    _BipartitionTerm, _build_terms, _GraphTerm, _later_lists, _RainbowTerm, resolve_order)
 from simulcut.estimator import term_quadratic
 from simulcut.instances import generate
 
 from helpers import (c5_pair, cycle_edges, hand_built, key_unit, paper_threshold,
-                     random_family, random_hyperfamily)
+                     random_edges, random_family, random_hyperfamily)
 
 
 def _exact_value(edges, labels, specs):
@@ -509,12 +510,15 @@ class TestEngineEquality:
     def test_graph_terms_visit_each_edge_once(self, order, monkeypatch):
         # over whole descents, every edge of a graph member sits in exactly one
         # `later` list, at the endpoint the order reaches first, and the
-        # member's one histogram's entries other than the vertex's own are read
-        # exactly m times in add_keys and read and written exactly m times in
-        # commit: one visit per edge in each
+        # member's one per-vertex list's entries other than the vertex's own
+        # are read exactly m times in add_keys and read and written exactly m
+        # times in commit: one visit per edge in each.  That list is the
+        # packed histogram of `_later_lists` for a `_GraphTerm` (thm2 at k=3
+        # and mixed specs), and the signed label difference of a
+        # `_BipartitionTerm` (thm1), which reads no histogram
         module = importlib.import_module("simulcut.derandomize")
         now = {}
-        members = []
+        members = {"histogram": [], "signed": []}
 
         class Counted(list):
             def __getitem__(self, u):
@@ -527,12 +531,22 @@ class TestEngineEquality:
                     self.visits[now["phase"], "write"] += 1
                 super().__setitem__(u, x)
 
+        def counted(values):
+            values = Counted(values)
+            values.visits = collections.Counter()
+            return values
+
         def counted_lists(edges, rank):
             later, early, h = later_lists(edges, rank)
-            h = Counted(h)
-            h.visits = collections.Counter()
-            members.append((np.asarray(edges).tolist(), later, h))
+            h = counted(h)
+            members["histogram"].append((np.asarray(edges).tolist(), later, h))
             return later, early, h
+
+        def counted_init(self, arrays, specs, weights, rank):
+            init(self, arrays, specs, weights, rank)
+            for g, member in zip(dict.fromkeys(spec.graph for spec in specs), self.members):
+                member[1] = counted(member[1])
+                members["signed"].append((arrays[g].tolist(), member[0], member[1]))
 
         def in_phase(phase, method):
             def run(self, v, x):
@@ -541,29 +555,35 @@ class TestEngineEquality:
                 now.update(phase=None, vertex=None)
             return run
 
-        later_lists = module._later_lists
+        later_lists, init = module._later_lists, _BipartitionTerm.__init__
         monkeypatch.setattr(module, "_later_lists", counted_lists)
-        monkeypatch.setattr(_GraphTerm, "add_keys", in_phase("add_keys", _GraphTerm.add_keys))
-        monkeypatch.setattr(_GraphTerm, "commit", in_phase("commit", _GraphTerm.commit))
+        monkeypatch.setattr(_BipartitionTerm, "__init__", counted_init)
+        for term in (_GraphTerm, _BipartitionTerm):
+            for name in ("add_keys", "commit"):
+                monkeypatch.setattr(term, name, in_phase(name, getattr(term, name)))
         fam = random_family(40, [120, 60, 0], 31)
         mixed = [spec for i, m in enumerate(fam.m) if m
                  for spec in [EventSpec(graph=i, kind="crossing", k=3, part=m * m)]
                  + _loose_classwise(i, m, 3)]
-        for guarantee in (resolve(fam, "thm1"), resolve(fam, "thm2", k=3),
-                          hand_built(fam, 3, mixed, norm2=144)):
-            members.clear()
+        for guarantee, lists in ((resolve(fam, "thm1"), "signed"),
+                                 (resolve(fam, "thm2", k=3), "histogram"),
+                                 (hand_built(fam, 3, mixed, norm2=144), "histogram")):
+            for found in members.values():
+                found.clear()
             result = derandomize(fam, guarantee, order=(
                 random.Random(5).sample(range(40), 40) if order == "permuted" else order))
             rank = {step.vertex: i for i, step in enumerate(result.trace)}
-            assert len(members) == 2            # one histogram per non-empty member
-            for edges, later, h in members:
+            assert len(members[lists]) == 2     # one list per non-empty member
+            if lists == "histogram":
+                assert not members["signed"]
+            for edges, later, h in members[lists]:
                 kept = [(v, u) for v, nbrs in enumerate(later) for u in nbrs]
                 assert all(rank[v] < rank[u] for v, u in kept)
                 assert sorted(tuple(sorted(e)) for e in kept) == sorted(map(tuple, edges))
                 m = len(edges)
                 want = {("add_keys", "read"): m, ("commit", "read"): m, ("commit", "write"): m}
-                assert {key: h.visits[key] for key in want} == want, (order, h.visits)
-                assert sum(h.visits.values()) == 3 * m, (order, h.visits)
+                assert {key: h.visits[key] for key in want} == want, (order, lists, h.visits)
+                assert sum(h.visits.values()) == 3 * m, (order, lists, h.visits)
 
     @pytest.mark.parametrize("order", ["natural", "degree", "permuted"])
     def test_rainbow_terms_walk_each_live_edge_once(self, order, monkeypatch):
@@ -720,6 +740,54 @@ def test_naive_and_incremental_keys_agree(data):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+def test_bipartition_keys_equal_the_reference(data):
+    # crossing specs alone at k = 2, parts 1..3 so that weights differ, one
+    # to three specs on each member, empty members, vertices no edge reaches
+    # and a drawn order: at every partial state, with drawn classes, the
+    # bipartition term's keys are the exact reference's less what no class
+    # changes, with class 1's key 0; and a whole descent through it is the
+    # descent through a `_GraphTerm` built for the same specs and order
+    n = data.draw(st.integers(1, 9), label="n")
+    isolated = data.draw(st.integers(0, 2), label="isolated")
+    ms = data.draw(st.lists(st.integers(0, min(16, n * (n - 1) // 2)), min_size=1, max_size=3),
+                   label="ms")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    edges = [random_edges(n, m, rng) for m in ms]
+    fam = GraphFamily(n=n + isolated, graphs=tuple(edges))
+    specs = [EventSpec(graph=g, kind="crossing", k=2, part=data.draw(st.integers(1, 3), label="part"))
+             for g in range(len(ms)) for _ in range(data.draw(st.integers(1, 3), label="on member"))]
+    specs = data.draw(st.permutations(specs), label="specs")
+    weights = [math.lcm(*(spec.part for spec in specs)) // spec.part for spec in specs]
+    order = data.draw(st.permutations(range(fam.n)), label="order")
+    rank = np.empty(fam.n, dtype=np.int64)
+    rank[order] = np.arange(fam.n)
+    assert [type(term) for term in _build_terms(fam, specs, order)] == [_BipartitionTerm]
+    term = _BipartitionTerm(fam.arrays, specs, weights, rank)
+    labels = [UNDECIDED] * fam.n
+    assert term.quads == _quads(edges, labels, specs)
+    on = [[(spec, w) for spec, w in zip(specs, weights) if spec.graph == g] for g in range(len(ms))]
+    for v in order:
+        want = [0, 0]
+        for g, pairs in enumerate(on):
+            if pairs:
+                want = list(map(add, want, _reference_keys(edges[g], *zip(*pairs), labels, v)))
+        keys = _keys(term, v, 2)
+        assert keys[1] == 0 and _relative(keys) == _relative(want), (v, keys, want)
+        labels[v] = data.draw(st.integers(0, 1), label="class")
+        term.commit(v, labels[v])
+    # 9 specs of variance at most m/4 under normalizers of at least 10 max(m, 1)
+    result = derandomize(fam, hand_built(fam, 2, specs, norm2=(10 * max(*ms, 1)) ** 2), order)
+    oracle, steps = _GraphTerm(fam.arrays, specs, weights, rank), []
+    for v in order:
+        keys = _keys(oracle, v, 2)
+        best = min(keys)
+        steps.append((v, keys.index(best), tuple(x - best for x in keys)))
+        oracle.commit(v, steps[-1][1])
+    assert result.trace == tuple(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
 def test_budget_decided_exactly_at_one(data):
     # one member with one spec whose exact initial estimator V / sqrt(norm2),
     # V its quadratic over scale * part, is exactly x: its float sum reads 1.0
@@ -856,6 +924,9 @@ class TestPinnedTraces:
                           tuple(range(1459, -1, -1))),
         "thm1-unequal-permuted": (("gnm-unequal", dict(n=60, ms=(200, 120, 90), seed=11)), "thm1",
                                   None, tuple(random.Random(31).sample(range(60), 60))),
+        # crossing specs alone at k = 2 other than thm1's, and thm1 in degree order
+        "thm2-k2": (("gnm", dict(n=50, m=150, ell=2, seed=2)), "thm2", 2, None),
+        "thm1-degree": (("gnm", dict(n=60, m=200, ell=3, seed=1)), "thm1", None, "degree"),
     }
     DIGESTS = {
         "thm1": "e8f9f17abc123a15cc0a993f65ffd979e5d55f6c5d74e07f9048f56efeb1e790",
@@ -874,6 +945,8 @@ class TestPinnedTraces:
         "thm2-degree": "c1904ccd21bb3efad6416fa6074e5561fcf2c4a6683727adb343d5db9c4fea2a",
         "thm3-reversed": "cc76265db8c6b4ef3e89abd07cb9677eacd31871c7fa9e66fa24b63cf01fb27b",
         "thm1-unequal-permuted": "f7a39454e105c85e3a090e08f971cda7cfb2ed1f60ab483e356294256a203635",
+        "thm2-k2": "60d4de630eb50200287b24959c733785f7b34fbed88070a0eebfce6b7c0d4e5a",
+        "thm1-degree": "8d2797b9fb42adea85cb9ddb47a45de87b6446e90c6c389d30602deb2dc2bd79",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1063,8 +1136,9 @@ def test_later_lists_equal_per_edge_appends(n, isolated, ms, seed):
     rank[order] = np.arange(fam.n)
     for rows in fam.arrays:
         got = _later_lists(rows, rank)
-        want = _later_lists_reference(rows.tolist(), rank.tolist())
-        assert got == want
+        later, *counts = _later_lists_reference(rows.tolist(), rank.tolist())
+        # a vertex without later neighbours has the empty tuple, not a slice
+        assert got == ([nbrs or () for nbrs in later], *counts)
         assert all(type(x) is int for x in itertools.chain(got[1], got[2], *got[0]))
 
 

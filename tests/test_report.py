@@ -335,14 +335,15 @@ def test_verify_bad_value_names_its_line(rendered_reports, capsys, prefix, token
 def edit_runs(tmp_path_factory):
     """`gen gnm --n 40 --m 100 --ell 2` and `gen bounded-degree --n 294
     --degree 2`, and the text of a derand report on them by guarantee:
-    thm1 and thm2 (k=3) on gnm, and thm3 (k=2) on bounded-degree."""
+    thm1 and thm2 (k=3) on gnm, and thm3 (k=2) on bounded-degree; and
+    "thm1-mc", an mc thm1 report on gnm."""
     where = tmp_path_factory.mktemp("edit-runs")
     gens = {"gnm": ["gnm", "--n", "40", "--m", "100", "--ell", "2"],
             "bd": ["bounded-degree", "--n", "294", "--degree", "2"]}
     for name, argv in gens.items():
         assert main(["gen", *argv, "--out", str(where / f"{name}.instance")]) == 0
     runs = {"thm1": ("gnm", ["1"]), "thm2": ("gnm", ["2", "--k", "3"]),
-            "thm3": ("bd", ["3", "--k", "2"])}
+            "thm3": ("bd", ["3", "--k", "2"]), "thm1-mc": ("gnm", ["1", "--method", "mc"])}
     out = {}
     for run, (name, theorem) in runs.items():
         inst, report = where / f"{name}.instance", where / f"{run}.report"
@@ -397,7 +398,8 @@ def _false_row(text):
 # line agree with, which only the recomputed rows refuse, a second copy of
 # a known key, a member word that is not the kind's, the kind line and
 # member words switched together, which r (none) refuses, a run line that
-# the run does not write, and two that the options do not resolve to
+# the run does not write, a dropped outcome line of each method, and two
+# run lines that the options do not resolve to
 REFUSED_EDITS = {
     "repeated-row": ("thm1", _false_row,
                      f"mismatch: constraint lines differ: report {FALSE_ROW!r}, recomputed none\n"
@@ -415,6 +417,12 @@ REFUSED_EDITS = {
     "no-descent-steps": ("thm1", _without("descent-steps"),
                          "error: report line 'initial-estimator 0.5' is not as written: "
                          "want 'descent-steps 40'\n"),
+    # every run of a method writes its outcome lines
+    "no-tries": ("thm1-mc", _without("tries"), "error: report has no 'tries'\n"),
+    "no-initial-estimator": ("thm1", _without("initial-estimator"),
+                             "error: report has no 'initial-estimator'\n"),
+    "no-final-estimator": ("thm1", _without("final-estimator"),
+                           "error: report has no 'final-estimator'\n"),
     # only thm3 reads epsilon, and thm3 resolves one when none is given
     "thm2-epsilon": ("thm2", _before("balanced no", "epsilon 5.0"),
                      "mismatch: epsilon lines differ: report 'epsilon 5.0', recomputed none\n"),
