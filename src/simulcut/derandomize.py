@@ -25,19 +25,20 @@ Terms: one graph term for every crossing, pair and within spec (the
 bipartition term when every spec is a crossing spec at k = 2), or one
 rainbow term per run of consecutive specs on one hypergraph member, built
 from the members' edges, the specs, their weights and the descent's order.
-Each starts with all vertices open, in closed form, learns of decided
-vertices only through its own `commit(v, c)`, and has keys defined only
-at the next vertex of its order.
+Each starts with all vertices open, in closed form, and has keys defined
+only at the next vertex of its order.  A graph term's `step(v, c=None)`
+forms v's keys, takes their argmin unless c forces a class, and commits
+that class; rainbow terms add their keys with `add_keys(v, keys)`, and
+the descent commits the argmin of the sum to each with `commit(v, c)`.
 
 Cost: the graph term keeps each edge of a member once, at the endpoint the
 order reaches first, listed from one stable sort of the edges by that
 endpoint, and one packed histogram of neighbour labels per vertex and
-member.  A member's keys cost one addition per open neighbour
-of v, then O(k) per statistic; a commit, O(1) per statistic and one
-addition per open neighbour.  The bipartition term keeps the same lists
-and one signed integer per vertex and member in place of the histogram;
-its keys and a commit cost one addition per open neighbour and O(1) per
-member.  A rainbow term keeps each hyperedge at the
+member.  A member's step costs two additions per open neighbour of v,
+one for its keys and one for their commit, and O(k) per statistic.  The
+bipartition term keeps the same lists and one signed integer per vertex
+and member in place of the histogram; a step costs two additions per open
+neighbour and O(1) per member.  A rainbow term keeps each hyperedge at the
 vertices before its last, and one packed sum per vertex; its keys and a
 commit cost one addition per (live hyperedge, open co-vertex) pair, and
 the keys O(r) per live hyperedge and per multi-shared pair at v.  A step
@@ -78,7 +79,7 @@ class DescentStep(NamedTuple):
 @dataclass(frozen=True)
 class DerandResult:
     """A descent's partition, its report and estimator values.  ``rows[i]``
-    is the list of keys added at ``order[i]``, the i-th vertex decided, and
+    is the list of keys of the step at ``order[i]``, the i-th vertex, and
     is defined only up to a constant: a bipartition term's row is [key_0 -
     key_1, 0].  Only ``trace`` reads rows; it builds their `DescentStep`s
     once, when it is first read, from each row less its min."""
@@ -102,10 +103,8 @@ class DerandResult:
 
 def _later_lists(edges, rank):
     """A graph member's edges, each once, at the endpoint that the descent's
-    order reaches first (``rank[v]`` is v's position).  Returns ``later``,
-    where ``later[v]`` lists v's neighbours after it in input order, the
-    open ones at v's turn; ``early``, where ``early[v]`` counts those before
-    it, the decided ones; and every vertex's degree."""
+    order reaches first (``rank[v]`` is v's position): ``later[v]`` lists
+    v's neighbours after it in input order, the open ones at v's turn."""
     n = len(rank)
     rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     ends = rank[rows]
@@ -115,9 +114,7 @@ def _later_lists(edges, rank):
     items = second[np.argsort(first, kind="stable")].tolist()
     ends = np.cumsum(np.bincount(first, minlength=n)).tolist()
     # no slice for a vertex without later neighbours: sparse members have many
-    later = [items[a:b] if a != b else () for a, b in zip([0] + ends[:-1], ends)]
-    return (later, np.bincount(second, minlength=n).tolist(),
-            np.bincount(rows.ravel(), minlength=n).tolist())
+    return [items[a:b] if a != b else () for a, b in zip([0] + ends[:-1], ends)]
 
 
 class _GraphTerm:
@@ -173,16 +170,18 @@ class _GraphTerm:
                  c = s, the same with s and t swapped at c = t, 0 elsewhere
 
     and the per-class parts 2(k-1) W, 2 W + k Q and 2(k-1) W - k Q are
-    formed once per vertex.  A commit moves each g by 2dp[c].
+    formed once per vertex.  A commit moves each g by 2dp[c], from the T row
+    of the keys.
 
     Built for the descent's order (`_later_lists`), ``later[v]`` is exactly
-    v's open neighbours at v's turn, and ``early[v]`` is B[v].  Histograms
-    are packed, h[u] = a[u] + sum_c b[u][c] << (width * (c+1)), with fields
-    of (2m).bit_length() bits for the term's largest m: a field summed over
-    any vertex's neighbours stays at most 2m, so sums never carry.  So one
-    walk over later[v] yields a member's keys for all its statistics, and a
-    commit adds one constant to each open neighbour; h[v] is never read
-    after v's turn, so it is not cleared.
+    v's open neighbours at v's turn, and ``early[v]``, v's degree less
+    those, is B[v].  Histograms are packed, h[u] = a[u] + sum_c b[u][c] <<
+    (width * (c+1)), with fields of (2m).bit_length() bits for the term's
+    largest m: a field summed over any vertex's neighbours stays at most
+    2m, so sums never carry.  So a step walks later[v] once for a member's
+    keys for all its statistics, and once more to commit, adding one
+    constant to each open neighbour; h[v] is never read after v's turn, so
+    it is not cleared.
     """
 
     def __init__(self, arrays, specs, weights, rank):
@@ -206,29 +205,33 @@ class _GraphTerm:
         # x T[s] + y T[t] is 2dp[c]) and the crossing gap
         self.members, pairs_at, up = [], {}, 2 * (k - 1)
         for g in cross:
-            later, early, h = _later_lists(arrays[g], rank)
+            later = _later_lists(arrays[g], rank)
+            degrees = np.bincount(arrays[g].ravel(), minlength=len(rank))
+            early = (degrees - list(map(len, later))).tolist()
             mine = stats.get(g, [])
             moves = [[(j, s, up if c == s else -2, s, 0) if kind == "within"
                       else (j, s, up if c == t else -2, t, up if c == s else -2)
                       for j, (kind, s, t, _) in enumerate(mine)] for c in range(k)]
-            self.members.append([later, early, h, cross[g], mine, [self.k2] * len(mine), moves, 0])
+            self.members.append([later, early, degrees.tolist(), cross[g], mine,
+                                 [self.k2] * len(mine), moves, 0])
             if mine:
-                degrees = np.bincount(arrays[g].ravel(), minlength=len(rank))
                 pairs_at[g] = int(degrees @ (degrees - 1))
         self.quads = _graph_quads(arrays, specs, pairs_at)
 
-    def add_keys(self, v, keys):
+    def step(self, v, c=None):
+        """v's keys, and the class committed: c, else their lowest argmin."""
         k, k2, mask, offsets, classes = self.k, self.k2, self.mask, self.offsets, self.classes
         kx2, k1x2, km2 = 2 * k, 2 * (k - 1), k - 2
+        keys, rows = [0] * k, []
         for later, early, h, wx, stats, gs, _, gap in self.members:
             nbrs = later[v]
             own = h[v]
             near = sum(map(h.__getitem__, nbrs))
             if wx:
                 lin = gap - kx2 * early[v]
-                for c, o in classes:
+                for i, o in classes:
                     x = own >> o & mask
-                    keys[c] += wx * (x * (k2 * x + lin) + kx2 * (near >> o & mask))
+                    keys[i] += wx * (x * (k2 * x + lin) + kx2 * (near >> o & mask))
             if not stats:
                 continue
             a = len(nbrs)
@@ -242,6 +245,7 @@ class _GraphTerm:
                 A.append(k1x2 * W)
                 B.append(2 * W + kq)
                 C.append(k1x2 * W - kq)
+            rows.append(T)
             for (kind, s, t, w), g in zip(stats, gs):
                 Ts = T[s]
                 if kind == "within":
@@ -251,24 +255,22 @@ class _GraphTerm:
                 g -= 2 * (Ts + Tt)                      # g - 2Tw
                 keys[s] += w * (Tt * (g + k * Tt) + A[s] - B[t])
                 keys[t] += w * (Ts * (g + k * Ts) + A[t] - B[s])
-
-    def commit(self, v, c):
-        k, mask, offsets = self.k, self.mask, self.offsets
+        if c is None:
+            c = keys.index(min(keys))
         oc = offsets[c]
-        step = (1 << oc) - 1                           # one count from a to b[c]
+        move = (1 << oc) - 1                           # one count from a to b[c]
+        rows = iter(rows)
         for member in self.members:
             later, early, h, wx, _, gs, moves, _ = member
-            nbrs = later[v]
-            own = h[v]
             if wx:
-                member[7] -= 2 * k * (early[v] - k * (own >> oc & mask))   # the gap
+                member[7] -= kx2 * (early[v] - k * (h[v] >> oc & mask))   # the gap
             if gs:
-                a = len(nbrs)
-                T = [a + k * (own >> o & mask) for o in offsets]
+                T = next(rows)
                 for j, s, x, t, y in moves[c]:
                     gs[j] += x * T[s] + y * T[t]
-            for u in nbrs:
-                h[u] += step
+            for u in later[v]:
+                h[u] += move
+        return keys, c
 
 
 def _graph_quads(arrays, specs, pairs_at) -> list[int]:
@@ -298,11 +300,11 @@ class _BipartitionTerm:
       key_0 - key_1 = wx * (gap (x0 - x1) + 4 (beta0 - beta1))
 
     so a member keeps only s[u] = b[u][0] - b[u][1] per vertex, its `later`
-    lists and its crossing gap, and the term adds that difference to class
-    0's key and nothing to class 1's: the argmin, ties to class 0, and the
-    keys less their min are `_GraphTerm`'s.  Deciding v -> c moves the gap
-    by 2k(k x_c - B), +4 s[v] at c = 0 and -4 s[v] at c = 1, and s[u] of
-    each open neighbour u by +1 or -1.
+    lists and its crossing gap, and a step's keys are [that difference, 0],
+    with class 1 committed iff it is positive: the argmin, ties to class 0,
+    and the keys less their min are `_GraphTerm`'s.  Deciding v -> c moves
+    the gap by 2k(k x_c - B), +4 s[v] at c = 0 and -4 s[v] at c = 1, and
+    s[u] of each open neighbour u by +1 or -1.
     """
 
     def __init__(self, arrays, specs, weights, rank):
@@ -312,23 +314,24 @@ class _BipartitionTerm:
         for spec, w in zip(specs, weights):
             cross[spec.graph] = cross.get(spec.graph, 0) + 4 * w
         # per member: later, s, weight, the crossing gap
-        self.members = [[_later_lists(arrays[g], rank)[0], [0] * len(rank), wx, 0]
+        self.members = [[_later_lists(arrays[g], rank), [0] * len(rank), wx, 0]
                         for g, wx in cross.items()]
         self.quads = _graph_quads(arrays, specs, {})
 
-    def add_keys(self, v, keys):
+    def step(self, v, c=None):
+        """v's keys, and the class committed: c, else their lowest argmin."""
         delta = 0
         for later, s, wx, gap in self.members:
             delta += wx * (gap * s[v] + 4 * sum(map(s.__getitem__, later[v])))
-        keys[0] += delta
-
-    def commit(self, v, c):
-        step = 1 - 2 * c
+        if c is None:
+            c = int(delta > 0)
+        sign = 1 - 2 * c
         for member in self.members:
             later, s = member[0], member[1]
-            member[3] += 4 * step * s[v]
+            member[3] += 4 * sign * s[v]
             for u in later[v]:
-                s[u] += step
+                s[u] += sign
+        return [delta, 0], c
 
 
 class _RainbowTerm:
@@ -725,12 +728,12 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     """Deterministic partition meeting every row of a resolved guarantee.
 
     Descends on ``guarantee.specs``: processes vertices in `order`; at each
-    one adds every term's integer keys for all k classes and commits the
-    minimizer (ties break to the lowest class).  Requires the exact initial
-    estimator to be below 1, which `resolve` guarantees by construction;
-    given that, every statistic ends at or above mu - sqrt(normalizer), and
-    the returned report is `evaluate` of the result against
-    ``guarantee.rows``.
+    one forms the integer keys of all k classes and commits the minimizer
+    (ties break to the lowest class), which a graph guarantee's one term
+    does in one `step`.  Requires the exact initial estimator to be below
+    1, which `resolve` guarantees by construction; given that, every
+    statistic ends at or above mu - sqrt(normalizer), and the returned
+    report is `evaluate` of the result against ``guarantee.rows``.
     """
     specs = guarantee.specs
     k = guarantee.k
@@ -758,16 +761,21 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
             "a partition (config contract broken)"
         )
 
+    if specs and specs[0].kind != "rainbow":
+        step = terms[0].step
+    else:
+        def step(v):
+            keys = [0] * k
+            for term in terms:
+                term.add_keys(v, keys)
+            chosen = keys.index(min(keys))      # the lowest class on ties
+            for term in terms:
+                term.commit(v, chosen)
+            return keys, chosen
+
     rows = []
     for v in order:
-        keys = [0] * k
-        for term in terms:
-            term.add_keys(v, keys)
-        best = min(keys)
-        chosen = keys.index(best)       # the lowest class on ties
-        for term in terms:
-            term.commit(v, chosen)
-        labels[v] = chosen
+        keys, labels[v] = step(v)
         rows.append(keys)
 
     assignment = Assignment(np.array(labels, dtype=np.intp), k)

@@ -127,7 +127,19 @@ def _reference_keys(edges, specs, weights, labels, v):
     return keys
 
 
+def _summed_reference_keys(edges, specs, labels, v):
+    """`_reference_keys` summed over the members of graph `specs`, each spec
+    weighed by lcm(parts) // its part, as a term weighs it."""
+    lcm = math.lcm(*(spec.part for spec in specs))
+    keys = [0] * specs[0].k
+    for g in dict.fromkeys(spec.graph for spec in specs):
+        on = [(spec, lcm // spec.part) for spec in specs if spec.graph == g]
+        keys = list(map(add, keys, _reference_keys(edges[g], *zip(*on), labels, v)))
+    return keys
+
+
 def _keys(term, v, k):
+    """A rainbow term's keys at v."""
     keys = [0] * k
     term.add_keys(v, keys)
     return keys
@@ -467,8 +479,9 @@ class TestEngineEquality:
         # graph term, with one histogram for all of them; vertices n and
         # n + 1 are isolated, one decided and one open.  A graph term's
         # keys are defined at the next vertex of the order it is built for,
-        # so each open vertex v is probed by terms built for the order
-        # prefix + [v] + the rest, after replaying the prefix
+        # so each open vertex v is probed by a term built for the order
+        # prefix + [v] + the rest, after a replay of the prefix with forced
+        # classes; the probe's own commit is harmless on that throwaway term
         rng = random.Random(40 + k)
         for trial in range(4):
             n = rng.randint(4, 12)
@@ -482,7 +495,6 @@ class TestEngineEquality:
             parts = [rng.randint(1, 3) for _ in stats]
             specs = [EventSpec(graph=0, kind=kind, k=k, s=s, t=t, part=part)
                      for (kind, s, t), part in zip(stats, parts)]
-            weights = [math.lcm(*parts) // part for part in parts]
             all_open = _quads([edges], [UNDECIDED] * (n + 2), specs)
             prefix = rng.sample(range(n), rng.randint(0, n - 1)) + [n]
             labels = [UNDECIDED] * (n + 2)
@@ -490,100 +502,82 @@ class TestEngineEquality:
                 labels[v] = rng.randrange(k)
             rest = [v for v, label in enumerate(labels) if label == UNDECIDED]
             for v in rest:
-                terms = _build_terms(fam, specs, prefix + [v] + [u for u in rest if u != v])
-                assert [type(term) for term in terms] == [_GraphTerm]
-                assert [x for term in terms for x in term.quads] == all_open
-
-                def keys_of(u):
-                    return list(map(sum, zip(*(_keys(term, u, k) for term in terms))))
-
+                [term] = _build_terms(fam, specs, prefix + [v] + [u for u in rest if u != v])
+                assert type(term) is _GraphTerm and term.quads == all_open
                 for u in prefix:
-                    if rng.random() < 0.4:          # a commit may follow its vertex's keys
-                        keys_of(u)
-                    for term in terms:
-                        term.commit(u, labels[u])
+                    assert term.step(u, labels[u])[1] == labels[u]
                 # a graph key leaves out what no class changes: equal relative keys
-                want = _reference_keys(edges, specs, weights, labels, v)
-                assert _relative(keys_of(v)) == _relative(want), (k, trial, v)
+                want = _summed_reference_keys([edges], specs, labels, v)
+                assert _relative(term.step(v)[0]) == _relative(want), (k, trial, v)
 
     @pytest.mark.parametrize("order", ["natural", "degree", "permuted"])
     def test_graph_terms_visit_each_edge_once(self, order, monkeypatch):
         # over whole descents, every edge of a graph member sits in exactly one
         # `later` list, at the endpoint the order reaches first, and the
         # member's one per-vertex list's entries other than the vertex's own
-        # are read exactly m times in add_keys and read and written exactly m
-        # times in commit: one visit per edge in each.  That list is the
-        # packed histogram of `_later_lists` for a `_GraphTerm` (thm2 at k=3
-        # and mixed specs), and the signed label difference of a
-        # `_BipartitionTerm` (thm1), which reads no histogram
-        module = importlib.import_module("simulcut.derandomize")
+        # are read exactly 2m times and written exactly m times in `step`:
+        # one read per edge for the keys, and one read and write for the
+        # commit.  That list is the packed histogram of a `_GraphTerm` (thm2
+        # at k=3 and mixed specs), and the signed label difference of a
+        # `_BipartitionTerm` (thm1)
         now = {}
-        members = {"histogram": [], "signed": []}
+        members = {_GraphTerm: [], _BipartitionTerm: []}
 
         class Counted(list):
             def __getitem__(self, u):
                 if u != now["vertex"]:
-                    self.visits[now["phase"], "read"] += 1
+                    self.visits["read"] += 1
                 return super().__getitem__(u)
 
             def __setitem__(self, u, x):
                 if u != now["vertex"]:
-                    self.visits[now["phase"], "write"] += 1
+                    self.visits["write"] += 1
                 super().__setitem__(u, x)
 
-        def counted(values):
-            values = Counted(values)
-            values.visits = collections.Counter()
-            return values
+        def counted_init(term, at):
+            # the per-vertex list is entry `at` of each member, after `later`
+            init = term.__init__
 
-        def counted_lists(edges, rank):
-            later, early, h = later_lists(edges, rank)
-            h = counted(h)
-            members["histogram"].append((np.asarray(edges).tolist(), later, h))
-            return later, early, h
-
-        def counted_init(self, arrays, specs, weights, rank):
-            init(self, arrays, specs, weights, rank)
-            for g, member in zip(dict.fromkeys(spec.graph for spec in specs), self.members):
-                member[1] = counted(member[1])
-                members["signed"].append((arrays[g].tolist(), member[0], member[1]))
-
-        def in_phase(phase, method):
-            def run(self, v, x):
-                now.update(phase=phase, vertex=v)
-                method(self, v, x)
-                now.update(phase=None, vertex=None)
+            def run(self, arrays, specs, weights, rank):
+                init(self, arrays, specs, weights, rank)
+                for g, member in zip(dict.fromkeys(spec.graph for spec in specs), self.members):
+                    member[at] = Counted(member[at])
+                    member[at].visits = collections.Counter()
+                    members[term].append((arrays[g].tolist(), member[0], member[at]))
             return run
 
-        later_lists, init = module._later_lists, _BipartitionTerm.__init__
-        monkeypatch.setattr(module, "_later_lists", counted_lists)
-        monkeypatch.setattr(_BipartitionTerm, "__init__", counted_init)
-        for term in (_GraphTerm, _BipartitionTerm):
-            for name in ("add_keys", "commit"):
-                monkeypatch.setattr(term, name, in_phase(name, getattr(term, name)))
+        def counted_step(step):
+            def run(self, v, c=None):
+                now.update(vertex=v)
+                try:
+                    return step(self, v, c)
+                finally:
+                    now.update(vertex=None)
+            return run
+
+        for term, at in ((_GraphTerm, 2), (_BipartitionTerm, 1)):
+            monkeypatch.setattr(term, "__init__", counted_init(term, at))
+            monkeypatch.setattr(term, "step", counted_step(term.step))
         fam = random_family(40, [120, 60, 0], 31)
         mixed = [spec for i, m in enumerate(fam.m) if m
                  for spec in [EventSpec(graph=i, kind="crossing", k=3, part=m * m)]
                  + _loose_classwise(i, m, 3)]
-        for guarantee, lists in ((resolve(fam, "thm1"), "signed"),
-                                 (resolve(fam, "thm2", k=3), "histogram"),
-                                 (hand_built(fam, 3, mixed, norm2=144), "histogram")):
+        for guarantee, term in ((resolve(fam, "thm1"), _BipartitionTerm),
+                                (resolve(fam, "thm2", k=3), _GraphTerm),
+                                (hand_built(fam, 3, mixed, norm2=144), _GraphTerm)):
             for found in members.values():
                 found.clear()
             result = derandomize(fam, guarantee, order=(
                 random.Random(5).sample(range(40), 40) if order == "permuted" else order))
             rank = {step.vertex: i for i, step in enumerate(result.trace)}
-            assert len(members[lists]) == 2     # one list per non-empty member
-            if lists == "histogram":
-                assert not members["signed"]
-            for edges, later, h in members[lists]:
+            assert len(members[term]) == 2      # one list per non-empty member
+            assert sum(map(len, members.values())) == 2
+            for edges, later, h in members[term]:
                 kept = [(v, u) for v, nbrs in enumerate(later) for u in nbrs]
                 assert all(rank[v] < rank[u] for v, u in kept)
                 assert sorted(tuple(sorted(e)) for e in kept) == sorted(map(tuple, edges))
                 m = len(edges)
-                want = {("add_keys", "read"): m, ("commit", "read"): m, ("commit", "write"): m}
-                assert {key: h.visits[key] for key in want} == want, (order, lists, h.visits)
-                assert sum(h.visits.values()) == 3 * m, (order, lists, h.visits)
+                assert h.visits == {"read": 2 * m, "write": m}, (order, term, h.visits)
 
     @pytest.mark.parametrize("order", ["natural", "degree", "permuted"])
     def test_rainbow_terms_walk_each_live_edge_once(self, order, monkeypatch):
@@ -736,6 +730,18 @@ def test_naive_and_incremental_keys_agree(data):
     result = derandomize(fam, guarantee, order=order)
     assert_descent_health(fam, guarantee, result)
     assert_exact_descent(fam, guarantee, result)
+    if theorem != "hyp" and guarantee.specs:
+        # off the descent's path: the graph term's `step` with a drawn
+        # forced class at every vertex, against the reference's keys
+        [term] = _build_terms(fam, guarantee.specs, result.order)
+        edges = [rows.tolist() for rows in fam.arrays]
+        labels = [UNDECIDED] * fam.n
+        for v in result.order:
+            want = _summed_reference_keys(edges, guarantee.specs, labels, v)
+            c = data.draw(st.integers(0, guarantee.k - 1), label="class")
+            keys, chosen = term.step(v, c)
+            assert chosen == c and _relative(keys) == _relative(want), (v, keys, want)
+            labels[v] = c
 
 
 @settings(max_examples=60, deadline=None)
@@ -743,10 +749,10 @@ def test_naive_and_incremental_keys_agree(data):
 def test_bipartition_keys_equal_the_reference(data):
     # crossing specs alone at k = 2, parts 1..3 so that weights differ, one
     # to three specs on each member, empty members, vertices no edge reaches
-    # and a drawn order: at every partial state, with drawn classes, the
-    # bipartition term's keys are the exact reference's less what no class
-    # changes, with class 1's key 0; and a whole descent through it is the
-    # descent through a `_GraphTerm` built for the same specs and order
+    # and a drawn order: at every partial state, with drawn forced classes,
+    # the bipartition term's keys are the exact reference's less what no
+    # class changes, with class 1's key 0; and a whole descent through it is
+    # the descent through a `_GraphTerm` built for the same specs and order
     n = data.draw(st.integers(1, 9), label="n")
     isolated = data.draw(st.integers(0, 2), label="isolated")
     ms = data.draw(st.lists(st.integers(0, min(16, n * (n - 1) // 2)), min_size=1, max_size=3),
@@ -765,25 +771,50 @@ def test_bipartition_keys_equal_the_reference(data):
     term = _BipartitionTerm(fam.arrays, specs, weights, rank)
     labels = [UNDECIDED] * fam.n
     assert term.quads == _quads(edges, labels, specs)
-    on = [[(spec, w) for spec, w in zip(specs, weights) if spec.graph == g] for g in range(len(ms))]
     for v in order:
-        want = [0, 0]
-        for g, pairs in enumerate(on):
-            if pairs:
-                want = list(map(add, want, _reference_keys(edges[g], *zip(*pairs), labels, v)))
-        keys = _keys(term, v, 2)
-        assert keys[1] == 0 and _relative(keys) == _relative(want), (v, keys, want)
-        labels[v] = data.draw(st.integers(0, 1), label="class")
-        term.commit(v, labels[v])
+        want = _summed_reference_keys(edges, specs, labels, v)
+        c = data.draw(st.integers(0, 1), label="class")
+        keys, chosen = term.step(v, c)
+        assert chosen == c and keys[1] == 0 and _relative(keys) == _relative(want), (v, keys, want)
+        labels[v] = c
     # 9 specs of variance at most m/4 under normalizers of at least 10 max(m, 1)
     result = derandomize(fam, hand_built(fam, 2, specs, norm2=(10 * max(*ms, 1)) ** 2), order)
     oracle, steps = _GraphTerm(fam.arrays, specs, weights, rank), []
     for v in order:
-        keys = _keys(oracle, v, 2)
+        keys, chosen = oracle.step(v)
         best = min(keys)
-        steps.append((v, keys.index(best), tuple(x - best for x in keys)))
-        oracle.commit(v, steps[-1][1])
+        steps.append((v, chosen, tuple(x - best for x in keys)))
     assert result.trace == tuple(steps)
+
+
+def test_step_breaks_ties_to_the_lowest_class():
+    # thm1: a vertex whose key difference is 0 goes to class 0, whether all
+    # its neighbours are open (the first of the order) or no edge reaches it
+    # (vertex 3, after vertex 1 was forced to class 1)
+    fam = GraphFamily(n=4, graphs=(((0, 1), (1, 2)), ((0, 2),)))
+    specs = resolve(fam, "thm1").specs
+    [term] = _build_terms(fam, specs, (0, 1, 3, 2))
+    assert type(term) is _BipartitionTerm
+    assert term.step(0) == ([0, 0], 0)
+    assert term.step(1, 1)[1] == 1
+    assert term.step(3) == ([0, 0], 0)
+    # k >= 3: vertex 1's one neighbour is decided as 0 and none is open, so
+    # classes 1..k-1 share the minimum, above class 0's key, under crossing
+    # specs and under pair and within specs alike; it goes to class 1
+    fam = GraphFamily(n=2, graphs=(((0, 1),),))
+    for k in (3, 4):
+        stats = [("pair", s, t) for s, t in itertools.combinations(range(k), 2)]
+        stats += [("within", s, None) for s in range(k)]
+        for stats in ([("crossing", None, None)], stats):
+            specs = [EventSpec(graph=0, kind=kind, k=k, s=s, t=t, part=1) for kind, s, t in stats]
+            [term] = _build_terms(fam, specs, (0, 1))
+            keys, chosen = term.step(0)
+            assert chosen == 0 and len(set(keys)) == 1, keys
+            keys, chosen = term.step(1)
+            want = _summed_reference_keys([fam.arrays[0].tolist()], specs, [0, UNDECIDED], 1)
+            assert _relative(keys) == _relative(want), (keys, want)
+            assert keys[0] > keys[1] == min(keys) and keys.count(keys[1]) == k - 1, keys
+            assert chosen == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -1102,16 +1133,12 @@ class TestVertexOrder:
 
 def _later_lists_reference(edges, rank):
     """`_later_lists` with one append per edge, in input order."""
-    n = len(rank)
-    later, early, degrees = [[] for _ in range(n)], [0] * n, [0] * n
+    later = [[] for _ in rank]
     for u, v in edges:
         if rank[u] > rank[v]:
             u, v = v, u
         later[u].append(v)
-        early[v] += 1
-        degrees[u] += 1
-        degrees[v] += 1
-    return later, early, degrees
+    return later
 
 
 @settings(max_examples=80, deadline=None)
@@ -1136,10 +1163,10 @@ def test_later_lists_equal_per_edge_appends(n, isolated, ms, seed):
     rank[order] = np.arange(fam.n)
     for rows in fam.arrays:
         got = _later_lists(rows, rank)
-        later, *counts = _later_lists_reference(rows.tolist(), rank.tolist())
+        later = _later_lists_reference(rows.tolist(), rank.tolist())
         # a vertex without later neighbours has the empty tuple, not a slice
-        assert got == ([nbrs or () for nbrs in later], *counts)
-        assert all(type(x) is int for x in itertools.chain(got[1], got[2], *got[0]))
+        assert got == [nbrs or () for nbrs in later]
+        assert all(type(x) is int for x in itertools.chain(*got))
 
 
 class TestLazyTrace:
