@@ -21,15 +21,14 @@ its weighted integer key per class into one shared list of k, leaving out
 what no class changes, which cannot move the argmin; so every decision is
 exact, and ties break to the lowest class.  Floats are for display only.
 
-Terms: one graph term for every crossing, pair and within spec (the
-bipartition term when every spec is a crossing spec at k = 2), or one
-rainbow term per run of consecutive specs on one hypergraph member, built
-from the members' edges, the specs, their weights and the descent's order.
-Each starts with all vertices open, in closed form, and has keys defined
-only at the next vertex of its order.  A graph term's `step(v, c=None)`
+Terms: a guarantee has one term, built from the members' edges, the
+specs, their weights and the descent's order: a graph term for every
+crossing, pair and within spec (the bipartition term when every spec is a
+crossing spec at k = 2), or one rainbow term over every hypergraph member
+its specs name.  It starts with all vertices open, in closed form, and has
+keys defined only at the next vertex of its order.  Its `step(v, c=None)`
 forms v's keys, takes their argmin unless c forces a class, and commits
-that class; rainbow terms add their keys with `add_keys(v, keys)`, and
-the descent commits the argmin of the sum to each with `commit(v, c)`.
+that class.
 
 Cost: the graph term keeps each edge of a member once, at the endpoint the
 order reaches first, listed from one stable sort of the edges by that
@@ -38,8 +37,9 @@ member.  A member's step costs two additions per open neighbour of v,
 one for its keys and one for their commit, and O(k) per statistic.  The
 bipartition term keeps the same lists and one signed integer per vertex
 and member in place of the histogram; a step costs two additions per open
-neighbour and O(1) per member.  A rainbow term keeps each hyperedge at the
-vertices before its last, and one packed sum per vertex; its keys and a
+neighbour and O(1) per member.  The rainbow term keeps each hyperedge at
+the vertices before its last, and one packed sum per vertex and member,
+with every member's lists in one list of slots; a step's keys and its
 commit cost one addition per (live hyperedge, open co-vertex) pair, and
 the keys O(r) per live hyperedge and per multi-shared pair at v.  A step
 keeps only its list of keys; its `DescentStep` is built when the trace is
@@ -52,7 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, index
+from operator import add, index, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -335,9 +335,11 @@ class _BipartitionTerm:
 
 
 class _RainbowTerm:
-    """Incremental keys for the rainbow statistic of one hypergraph.  The
-    specs on it differ only in their normalizer, so its key is one quadratic
-    over r^(3r) times the sum of their weights.
+    """Incremental keys for the rainbow statistic of every hypergraph member
+    that the specs name.  The specs on one member differ only in their
+    normalizer, so its key is one quadratic over r^(3r) times the sum of
+    their weights; the term's key sums the members'.  What follows is per
+    member; the closing paragraphs say how the members share one term.
 
     An edge is live while its decided colours are distinct.  When s of its
     u open vertices take s distinct colours that are free in it, a live
@@ -401,7 +403,7 @@ class _RainbowTerm:
     kept at v.  A pair's open shared count at v's turn is its number of
     shared vertices at or after v, fixed at build: ``multi_at[v]`` holds
     (i, j, s, in_i, in_j) for each pair whose union holds v and whose s is
-    at least 2, and `add_keys` skips one only when an edge's state is None;
+    at least 2, and a step skips one only when an edge's state is None;
     no pair keeps state.
 
     A vertex's sums are the 2r+1 fields of one packed integer, S[w] =
@@ -418,50 +420,63 @@ class _RainbowTerm:
     ((r-1)*D^2*r^(2r)).bit_length() bits hold every sum the keys form
     without a carry.
 
-    It reads only its specs' member of ``arrays`` and the vertex count,
+    The members are built in one stacked pass: vertex v of the member at
+    position g (by its first spec) is slot g*n + v, ranked g*n + rank[v],
+    so the lists above, S and M are single lists, no pair entry joins two
+    members, and a step visits slot g*n + v of each.  One field width, the
+    bound for the largest D of any member, serves all, so the tables that
+    depend only on r and the masks (A, ff, `_edge_delta`, `_edge_coefs`,
+    `_pair_shifts`) are built once and shared.  A step commits the chosen
+    class to every member along the live middle entries its keys found.
+
+    It reads only its specs' members of ``arrays`` and the vertex count,
     len(rank).  The term starts with every vertex open, where every edge
-    has u = r, an empty mask and P = A_r(0) = A_r(1) = r!: a vertex's row
-    and P fields are its degree times r!, its squared-row fields its degree
-    times r!^2.
+    has u = r, an empty mask and P = A_r(0) = A_r(1) = r!: a slot's row and
+    P fields are its degree times r!, its squared-row fields its degree
+    times r!^2.  With no spec it has no member, and every step's keys are
+    r zeros.
     """
 
-    def __init__(self, arrays, specs, weights, rank):
-        r = specs[0].k
+    def __init__(self, arrays, specs, weights, rank, r):
         n = len(rank)
         self.r = r
         self.D1 = r ** r
-        self.weight = sum(weights)
-        rows = np.asarray(arrays[specs[0].graph], dtype=np.int64).reshape(-1, r)
-        m = len(rows)
-        self.mu_rr = math.factorial(r) * m
         self.rpow = [r ** i for i in range(r + 1)]
         # A[u][s] = (u-s)! * r^(r-u+s); ff[f][s] = f*(f-1)*...*(f-s+1)
         self.A = [[math.factorial(u - s) * r ** (r - u + s) for s in range(u + 1)]
                   for u in range(r + 1)]
         self.ff = [[math.perm(f, s) for s in range(r + 1)] for f in range(r + 1)]
-        # each edge's positions in the order, ascending, and its vertices in
-        # that sequence; edges are numbered by their first vertex, ties in
-        # input order, so the edges a vertex is first in are one range
-        ranks = np.sort(rank[rows], axis=1)
-        ordered = np.argsort(rank)[ranks]
+        # per member, in order of its first spec: its specs' summed weight
+        weight = {}
+        for spec, w in zip(specs, weights):
+            weight[spec.graph] = weight.get(spec.graph, 0) + w
+        # every member's rows stacked as slots; each edge's positions, ascending,
+        # and its slots in that sequence; edges are numbered by their first
+        # slot, ties in input order, so the edges a slot is first in are one range
+        edges = [np.asarray(arrays[g], dtype=np.int64).reshape(-1, r) for g in weight]
+        N = n * len(edges)
+        rows = np.concatenate([e + g * n for g, e in enumerate(edges)] or [np.empty((0, r), int)])
+        slot_rank = (rank + n * np.arange(len(edges))[:, None]).ravel()
+        ranks = np.sort(slot_rank[rows], axis=1)
+        ordered = np.argsort(slot_rank)[ranks]
         by = np.argsort(ordered[:, 0], kind="stable")
         ranks, ordered = ranks[by], ordered[by]
         first = ordered[:, 0]
-        starts = np.bincount(first, minlength=n)
+        starts = np.bincount(first, minlength=N)
         ends = np.cumsum(starts)
         self.first_edges = list(map(range, (ends - starts).tolist(), ends.tolist()))
         self.first_near = _split(ordered[:, 1:].ravel().tolist(), starts * (r - 1))
-        # at a middle position p: the edge, its next vertex and any after that
-        self.middle = [[] for _ in range(n)] if r == 2 else None
+        # at a middle position p: the edge, its next slot and any after that
+        self.middle = [[] for _ in range(N)] if r == 2 else None
         for p in range(1, r - 1):
             by = np.argsort(ordered[:, p], kind="stable")
             rest = itertools.repeat(()) if p == r - 2 else ordered[by, p + 2:].tolist()
             runs = _split(list(zip(by.tolist(), ordered[by, p + 1].tolist(), rest)),
-                          np.bincount(ordered[:, p], minlength=n))
+                          np.bincount(ordered[:, p], minlength=N))
             self.middle = runs if p == 1 else list(map(add, self.middle, runs))
-        self.multi_at, shared = _multi_shared(ordered, ranks, n)
-        # the field bound of the class docstring
-        degrees = np.bincount(rows.ravel(), minlength=n)
+        self.multi_at, pair_first, shared = _multi_shared(ordered, ranks, N)
+        # the field bound of the class docstring, for the largest member degree
+        degrees = np.bincount(rows.ravel(), minlength=N)
         top = int(degrees.max(initial=0))
         width = ((r - 1) * top * top * self.D1 * self.D1).bit_length()
         self.fmask, self.offsets = (1 << width) - 1, [width * c for c in range(r)]
@@ -484,15 +499,18 @@ class _RainbowTerm:
         a0 = self.A[r][0]
         unit = (a0 << self.p_at) + sum((a0 << o) + (a0 * a0 << self.sq_at + o)
                                        for o in self.offsets)
-        self.M = [0] * m
-        self.sumP = m * a0
+        self.M = [0] * len(rows)
         self.S = [d * unit for d in degrees.tolist()]
-        # sumP is mu_rr: the quadratic is r^r * (r^r * sumP - sum P^2) plus
-        # the doubled corr of the multi-shared pairs
-        self.quads = [m * a0 * (self.D1 - a0) * self.D1
-                      + 2 * sum(count * self._corr(0, 0, s)
-                                for s, count in enumerate(np.bincount(shared).tolist()))
-                      ] * len(specs)
+        # per member: its first slot, weight and h + 2 P_v (r^r while sumP is mu_rr)
+        self.members = [[g * n, w, self.D1] for g, w in enumerate(weight.values())]
+        # a member's quadratic is r^r * (r^r * sumP - sum P^2) plus the doubled
+        # corr of its multi-shared pairs, counted per (member, s)
+        corr = [self._corr(0, 0, s) for s in range(r + 1)]
+        pairs = np.bincount(ordered[pair_first, 0] // n * (r + 1) + shared,
+                            minlength=len(edges) * (r + 1)).reshape(-1, r + 1).tolist()
+        quads = {g: len(e) * a0 * (self.D1 - a0) * self.D1 + 2 * sum(map(mul, counts, corr))
+                 for g, e, counts in zip(weight, edges, pairs)}
+        self.quads = [quads[spec.graph] for spec in specs]
 
     def _corr(self, mi, mj, s) -> int:
         """corr of a pair of live edges with decided colours mi and mj and s
@@ -564,60 +582,66 @@ class _RainbowTerm:
         shifts = self._shifts[mi, mj, s, in_i, in_j] = tuple(shifts)
         return shifts
 
-    def add_keys(self, v, keys):
-        fmask, offsets, p_at = self.fmask, self.offsets, self.p_at
-        S, M, coefs = self.S, self.M, self._coefs
-        near = sum(map(S.__getitem__, self.first_near[v]))
-        J = [self.first_coef * (near >> o & fmask) for o in offsets]
-        for eid, w, rest in self.middle[v]:
-            mask = M[eid]
-            if mask is None:
-                continue
-            sums = S[w]
-            for w in rest:
-                sums += S[w]
-            taken, free, x, xt, kc = coefs.get(mask) or self._edge_coefs(mask)
-            x += xt * (sums >> p_at & fmask)
-            for c, o in free:
-                y = kc * (sums >> o & fmask)
-                J[c] += y
-                x += y
-            for c in taken:
-                J[c] += x
-        shifts, pairs = self._shifts, []
-        for i, j, s, in_i, in_j in self.multi_at[v]:
-            mi, mj = M[i], M[j]
-            if mi is None or mj is None:
-                continue
-            state = mi, mj, s, in_i, in_j
-            pairs.append(shifts.get(state) or self._pair_shifts(*state))
-        if pairs:
-            J = list(map(sum, zip(J, *pairs)))
-        own, d1, w = S[v], self.D1, self.weight
-        own_q = own >> self.sq_at
-        h = d1 - 2 * self.mu_rr + 2 * (self.sumP - (own >> p_at & fmask))
-        for c, o in enumerate(offsets):
-            x = own >> o & fmask
-            keys[c] += w * (d1 * (x * (h + x) - (own_q >> o & fmask)) + J[c])
-
-    def commit(self, v, c):
-        S, M, fmask = self.S, self.M, self.fmask
-        deltas = self._deltas[c]
-        own = S[v]
-        self.sumP += (own >> self.offsets[c] & fmask) - (own >> self.p_at & fmask)
+    def step(self, v, c=None):
+        """v's keys, and the class committed: c, else their lowest argmin."""
+        fmask, offsets, p_at, sq_at, d1 = self.fmask, self.offsets, self.p_at, self.sq_at, self.D1
+        S, M, coefs, shifts = self.S, self.M, self._coefs, self._shifts
+        first_coef, first_near, middle, multi_at = (
+            self.first_coef, self.first_near, self.middle, self.multi_at)
+        keys, found = [0] * self.r, []
+        for at, w, h in self.members:
+            x = at + v
+            near = sum(map(S.__getitem__, first_near[x]))
+            J = [first_coef * (near >> o & fmask) for o in offsets]
+            live = []
+            for eid, u, rest in middle[x]:
+                mask = M[eid]
+                if mask is None:
+                    continue
+                live.append((eid, mask, u, rest))
+                sums = S[u]
+                for u in rest:
+                    sums += S[u]
+                taken, free, y, yt, kc = coefs.get(mask) or self._edge_coefs(mask)
+                y += yt * (sums >> p_at & fmask)
+                for cc, o in free:
+                    z = kc * (sums >> o & fmask)
+                    J[cc] += z
+                    y += z
+                for cc in taken:
+                    J[cc] += y
+            pairs = []
+            for i, j, s, in_i, in_j in multi_at[x]:
+                mi, mj = M[i], M[j]
+                if mi is None or mj is None:
+                    continue
+                state = mi, mj, s, in_i, in_j
+                pairs.append(shifts.get(state) or self._pair_shifts(*state))
+            if pairs:
+                J = list(map(sum, zip(J, *pairs)))
+            own = S[x]
+            own_q, pv = own >> sq_at, own >> p_at & fmask
+            h -= 2 * pv
+            for cc, o in enumerate(offsets):
+                y = own >> o & fmask
+                keys[cc] += w * (d1 * (y * (h + y) - (own_q >> o & fmask)) + J[cc])
+            found.append((x, own, pv, live))
+        if c is None:
+            c = keys.index(min(keys))
+        deltas, oc = self._deltas[c], offsets[c]
         new, d = deltas.get(0) or self._edge_delta(0, c)
-        for w in self.first_near[v]:
-            S[w] += d
-        for eid in self.first_edges[v]:
-            M[eid] = new
-        for eid, w, rest in self.middle[v]:
-            mask = M[eid]
-            if mask is None:
-                continue
-            M[eid], d = deltas.get(mask) or self._edge_delta(mask, c)
-            S[w] += d
-            for w in rest:
-                S[w] += d
+        for member, (x, own, pv, live) in zip(self.members, found):
+            member[2] += 2 * ((own >> oc & fmask) - pv)
+            for u in first_near[x]:
+                S[u] += d
+            for eid in self.first_edges[x]:
+                M[eid] = new
+            for eid, mask, u, rest in live:
+                M[eid], dd = deltas.get(mask) or self._edge_delta(mask, c)
+                S[u] += dd
+                for u in rest:
+                    S[u] += dd
+        return keys, c
 
 
 def _split(items: list, counts) -> list[list]:
@@ -627,14 +651,14 @@ def _split(items: list, counts) -> list[list]:
 
 
 def _multi_shared(ordered, ranks, n):
-    """Edge pairs of a member that share two or more vertices, from one
-    stable sort of the vertex-pair keys of its edges.  ``ordered`` holds
-    each edge's vertices in the order's sequence, and ``ranks`` their
-    positions in the order of n vertices, so each row of it ascends.
+    """Edge pairs that share two or more vertices, from one stable sort of
+    the vertex-pair keys of the edges.  ``ordered`` holds each edge's
+    vertices (slots) in the order's sequence, and ``ranks`` their positions
+    in the order of n vertices, so each row of it ascends.
 
     Returns, per vertex v, the (i, j, s, in edge i, in edge j) of every such
     pair (i, j), i < j, whose union holds v and that has s >= 2 shared
-    vertices at or after v, the open ones at v's turn; and each pair's
+    vertices at or after v, the open ones at v's turn; and each pair's i and
     shared vertex count.
     """
     m, r = ranks.shape
@@ -644,18 +668,16 @@ def _multi_shared(ordered, ranks, n):
     order = np.argsort(keys, kind="stable")
     keys, owner = keys[order], order % m
     # entries d apart in key order meet on one vertex pair when their keys are equal
-    firsts, seconds = [], []
+    firsts, seconds = [owner[:0]], [owner[:0]]
     for d in range(1, len(keys)):
         same = keys[d:] == keys[:-d]
         if not same.any():
             break
         firsts.append(owner[:-d][same])
         seconds.append(owner[d:][same])
-    if not firsts:
-        return [[] for _ in range(n)], []
     a, b = np.concatenate(firsts), np.concatenate(seconds)
     codes = np.sort(np.minimum(a, b) * m + np.maximum(a, b))
-    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]   # each pair once
+    codes = codes[np.diff(codes, prepend=-1) != 0]                      # each pair once
     first, second = codes // m, codes % m
     equal = ranks[first][:, :, None] == ranks[second][:, None, :]
     i_in_j, j_in_i = equal.any(axis=2), equal.any(axis=1)
@@ -674,7 +696,7 @@ def _multi_shared(ordered, ranks, n):
                        np.concatenate([s_i[pi, ci], s_j[pj, cj]])[by].tolist(),
                        (by < len(pi)).tolist(),
                        np.concatenate([i_in_j[pi, ci], np.ones(len(pj), dtype=bool)])[by].tolist()))
-    return _split(entries, np.bincount(xs, minlength=n)), s_i[:, 0]
+    return _split(entries, np.bincount(xs, minlength=n)), first, s_i[:, 0]
 
 
 def resolve_order(family, order) -> tuple[int, ...]:
@@ -704,13 +726,13 @@ def resolve_order(family, order) -> tuple[int, ...]:
     return order
 
 
-def _build_terms(family, specs, order):
-    """Penalty terms, each spec weighed by lcm(parts) // its part: one graph
-    term for all specs of a graph guarantee, a `_BipartitionTerm` when they
-    are all crossing specs at k = 2 and a `_GraphTerm` otherwise, or one
-    rainbow term per run of consecutive specs on one hypergraph member; none
-    without specs.  Terms are built for the vertex order `order`, and their
-    keys are defined only at the next vertex of it.  ``quads`` holds their
+def _build_term(family, specs, order, k):
+    """The one penalty term of a guarantee's specs, each weighed by
+    lcm(parts) // its part: a `_BipartitionTerm` when they are all crossing
+    specs at k = 2, a `_GraphTerm` for any other graph specs, or a
+    `_RainbowTerm` over every hypergraph member the specs name, with no
+    member without specs.  It is built for the vertex order `order`, and
+    its keys are defined only at the next vertex of it.  ``quads`` holds its
     all-open quadratics over k^4 (r^(3r)), in spec order."""
     lcm = math.lcm(*(spec.part for spec in specs))
     rank = np.empty(family.n, dtype=np.int64)
@@ -719,9 +741,8 @@ def _build_terms(family, specs, order):
     if specs and specs[0].kind != "rainbow":
         bipartition = specs[0].k == 2 and all(spec.kind == "crossing" for spec in specs)
         term = _BipartitionTerm if bipartition else _GraphTerm
-        return [term(family.arrays, specs, weights, rank)]
-    runs = itertools.groupby(zip(specs, weights), key=lambda pair: pair[0].graph)
-    return [_RainbowTerm(family.arrays, *zip(*run), rank) for _, run in runs]
+        return term(family.arrays, specs, weights, rank)
+    return _RainbowTerm(family.arrays, specs, weights, rank, k)
 
 
 def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
@@ -729,8 +750,8 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
 
     Descends on ``guarantee.specs``: processes vertices in `order`; at each
     one forms the integer keys of all k classes and commits the minimizer
-    (ties break to the lowest class), which a graph guarantee's one term
-    does in one `step`.  Requires the exact initial estimator to be below
+    (ties break to the lowest class), which the guarantee's one term does
+    in one `step`.  Requires the exact initial estimator to be below
     1, which `resolve` guarantees by construction; given that, every
     statistic ends at or above mu - sqrt(normalizer), and the returned
     report is `evaluate` of the result against ``guarantee.rows``.
@@ -747,12 +768,12 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
     require_addressable(k)
     order = resolve_order(family, order)
     labels = [0] * family.n         # each entry is written at its vertex's turn
-    terms = _build_terms(family, specs, order)
+    term = _build_term(family, specs, order, k)
 
     scale = k ** (3 * k) if specs and specs[0].kind == "rainbow" else k ** 4
     lcm, root = math.lcm(*(spec.part for spec in specs)), math.sqrt(guarantee.norm2)
     initial, total = 0.0, 0
-    for spec, quad in zip(specs, (q for term in terms for q in term.quads)):
+    for spec, quad in zip(specs, term.quads):
         initial += quad / scale / (root * spec.part)
         total += lcm // spec.part * quad
     if not total * total < (scale * lcm) ** 2 * guarantee.norm2:
@@ -761,19 +782,7 @@ def derandomize(family, guarantee: Guarantee, order=None) -> DerandResult:
             "a partition (config contract broken)"
         )
 
-    if specs and specs[0].kind != "rainbow":
-        step = terms[0].step
-    else:
-        def step(v):
-            keys = [0] * k
-            for term in terms:
-                term.add_keys(v, keys)
-            chosen = keys.index(min(keys))      # the lowest class on ties
-            for term in terms:
-                term.commit(v, chosen)
-            return keys, chosen
-
-    rows = []
+    step, rows = term.step, []
     for v in order:
         keys, labels[v] = step(v)
         rows.append(keys)

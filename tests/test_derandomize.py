@@ -31,7 +31,7 @@ from simulcut.bench import execute_run
 from simulcut.cli import main
 from simulcut.report import RunOptions
 from simulcut.derandomize import (
-    _BipartitionTerm, _build_terms, _GraphTerm, _later_lists, _RainbowTerm, resolve_order)
+    _BipartitionTerm, _build_term, _GraphTerm, _later_lists, _RainbowTerm, resolve_order)
 from simulcut.estimator import term_quadratic
 from simulcut.instances import generate
 
@@ -138,13 +138,6 @@ def _summed_reference_keys(edges, specs, labels, v):
     return keys
 
 
-def _keys(term, v, k):
-    """A rainbow term's keys at v."""
-    keys = [0] * k
-    term.add_keys(v, keys)
-    return keys
-
-
 def _relative(keys):
     return [x - keys[0] for x in keys]
 
@@ -169,6 +162,22 @@ class TestGuarantees:
         fam = GraphFamily(n=6, graphs=((), ()))
         result = derandomize(fam, resolve(fam, "thm1"))
         assert result.assignment.labels == (0,) * 6      # every tie to the lowest class
+        assert result.initial_value == 0.0
+        assert result.final_value == 0.0
+        assert [(c.graph, c.count, c.threshold, c.passed) for c in result.report.constraints] \
+            == [(0, 0, 0.0, True), (1, 0, 0.0, True)]
+
+    def test_empty_hypergraphs_trivial(self):
+        # no member has an edge, so no spec has part > 0: the one term has no
+        # member, and every step's keys are r zeros, tied to the lowest class
+        fam = HypergraphFamily(n=6, r=3, hypergraphs=((), ()))
+        guarantee = resolve(fam, "hyp")
+        assert guarantee.specs == ()
+        term = _build_term(fam, guarantee.specs, range(6), 3)
+        assert type(term) is _RainbowTerm and term.members == [] and term.quads == []
+        result = derandomize(fam, guarantee)
+        assert result.assignment.labels == (0,) * 6
+        assert result.trace == tuple((v, 0, (0, 0, 0)) for v in range(6))
         assert result.initial_value == 0.0
         assert result.final_value == 0.0
         assert [(c.graph, c.count, c.threshold, c.passed) for c in result.report.constraints] \
@@ -319,91 +328,117 @@ class TestEngineEquality:
     def test_rainbow_candidates_from_partial_state(self):
         # a rainbow term's keys are defined at the next vertex of the order it
         # is built for: after every prefix of a random order, each open vertex
-        # v is probed by a term built for prefix + [v] + the rest, with the
-        # prefix replayed; a commit may follow the keys of its own vertex
+        # v is probed by a term over two members of unequal weights, built for
+        # prefix + [v] + the rest, after a replay of the prefix with forced
+        # classes; the probe's own commit is harmless on that throwaway term
         rng = random.Random(21)
         for r in (2, 3, 4, 5):
             for trial in range(3):
                 n = rng.randint(r + 2, r + 5)
                 cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
-                hf = random_hyperfamily(n, r, [rng.randint(1, cap)], 200 * r + trial)
-                specs = (_loose_rainbow(hf, 0),)
-                edges = hf.arrays[0].tolist()
-                all_open = _quads([edges], [UNDECIDED] * n, specs)
+                hf = random_hyperfamily(n, r, [rng.randint(1, cap), rng.randint(1, cap // 2)],
+                                        200 * r + trial)
+                specs = (_loose_rainbow(hf, 0), _loose_rainbow(hf, 1))
+                weights = [math.lcm(*(spec.part for spec in specs)) // spec.part for spec in specs]
+                edges = [rows.tolist() for rows in hf.arrays]
+                all_open = _quads(edges, [UNDECIDED] * n, specs)
                 prefix = rng.sample(range(n), rng.randint(0, n - 1))
                 labels = [UNDECIDED] * n
                 for i in range(len(prefix) + 1):
                     rest = [v for v, label in enumerate(labels) if label == UNDECIDED]
                     for v in rest:
-                        term = _rainbow_term(hf, specs, [1],
+                        term = _rainbow_term(hf, specs, weights,
                                              prefix[:i] + [v] + [u for u in rest if u != v])
                         assert term.quads == all_open
                         for u in prefix[:i]:
-                            if rng.random() < 0.4:
-                                _keys(term, u, r)
-                            term.commit(u, labels[u])
-                        want = _reference_keys(edges, specs, [1], labels, v)
-                        assert _relative(_keys(term, v, r)) == _relative(want), (r, trial, i, v)
+                            assert term.step(u, labels[u])[1] == labels[u]
                         _assert_vertex_sums(term, edges, labels)
+                        want = _summed_reference_keys(edges, specs, labels, v)
+                        assert _relative(term.step(v)[0]) == _relative(want), (r, trial, i, v)
                     if i < len(prefix):
                         labels[prefix[i]] = rng.randrange(r)
 
     def test_rainbow_rows_per_spec(self):
-        # two specs on one member that differ only in their part: one term
-        # whose key weighs the quadratic by both weights, equal up to what no
-        # class changes to the reference keys of the two specs
+        # two specs on one member that differ only in their part, and one on a
+        # second member between them: one term whose first member's keys weigh
+        # its quadratic by both weights, equal up to what no class changes to
+        # the summed reference keys of the three specs; quads in spec order
         rng = random.Random(23)
         for r in (2, 3, 4):
             n = r + 4
-            hf = random_hyperfamily(n, r, [min(self.RAINBOW_CAPS[r], math.comb(n, r))], 300 + r)
+            cap = min(self.RAINBOW_CAPS[r], math.comb(n, r))
+            hf = random_hyperfamily(n, r, [cap, cap // 2], 300 + r)
             spec = _loose_rainbow(hf, 0)
-            specs = (spec, dataclasses.replace(spec, part=3 * spec.part))
-            edges = hf.arrays[0].tolist()
+            specs = (spec, _loose_rainbow(hf, 1), dataclasses.replace(spec, part=3 * spec.part))
+            weights = [math.lcm(*(spec.part for spec in specs)) // spec.part for spec in specs]
+            edges = [rows.tolist() for rows in hf.arrays]
             order = rng.sample(range(n), n)
-            term = _rainbow_term(hf, specs, [3, 1], order)
+            term = _rainbow_term(hf, specs, weights, order)
             labels = [UNDECIDED] * n
-            assert term.quads == _quads([edges], labels, specs[:1]) * 2
+            assert len(term.members) == 2
+            assert term.quads == _quads(edges, labels, specs)
+            assert term.quads[0] == term.quads[2]
             for v in order:
-                keys = _keys(term, v, r)
-                want = _reference_keys(edges, specs, [3, 1], labels, v)
+                want = _summed_reference_keys(edges, specs, labels, v)
+                keys, c = term.step(v)
                 assert _relative(keys) == _relative(want), (r, v)
-                c = keys.index(min(keys))
-                term.commit(v, c)
+                assert c == keys.index(min(keys))
                 labels[v] = c
 
     def test_rainbow_candidates_walk_once_per_vertex(self, monkeypatch):
-        # one class-independent walk per (vertex, rainbow term) yields all r
-        # candidates; commit updates the chosen class without walking again
-        walks = collections.Counter()
-        in_commit = []
-        add_keys, commit = _RainbowTerm.add_keys, _RainbowTerm.commit
-        pair_shifts = _RainbowTerm._pair_shifts
+        # one term over both members: one `step` per vertex yields the r
+        # candidates of every member and commits the chosen class to each
+        steps, built = collections.Counter(), []
+        init, step = _RainbowTerm.__init__, _RainbowTerm.step
 
-        def counted(self, v, keys):
-            walks[v] += 1
-            return add_keys(self, v, keys)
+        def counted_init(self, *args):
+            init(self, *args)
+            built.append(self)
 
-        def committing(self, v, c):
-            in_commit.append(v)
-            commit(self, v, c)
-            in_commit.remove(v)
+        def counted(self, v, c=None):
+            steps[v] += 1
+            return step(self, v, c)
 
-        def candidate_only(self, *args):
-            assert not in_commit, in_commit
-            return pair_shifts(self, *args)
-
-        monkeypatch.setattr(_RainbowTerm, "add_keys", counted)
-        monkeypatch.setattr(_RainbowTerm, "commit", committing)
-        monkeypatch.setattr(_RainbowTerm, "_pair_shifts", candidate_only)
+        monkeypatch.setattr(_RainbowTerm, "__init__", counted_init)
+        monkeypatch.setattr(_RainbowTerm, "step", counted)
         hf = generate("runiform", n=22, m=110, r=3, ell=2, seed=1001)
         derandomize(hf, resolve(hf, "hyp"))
-        assert walks == {v: 2 for v in range(22)}
+        assert len(built) == 1 and len(built[0].members) == 2
+        assert steps == {v: 1 for v in range(22)}
+
+    def test_rainbow_pair_shifts_once_per_state(self, monkeypatch):
+        # the members of one term share its tables: a two-member descent
+        # computes `_pair_shifts` at most once per distinct pair state, and
+        # exactly the states that each member alone computes when it replays
+        # the same classes; on this dense family the two members meet some of
+        # the same states, which one table computes once
+        computed = collections.Counter()
+        pair_shifts = _RainbowTerm._pair_shifts
+
+        def counted(self, *state):
+            computed[state] += 1
+            return pair_shifts(self, *state)
+
+        monkeypatch.setattr(_RainbowTerm, "_pair_shifts", counted)
+        hf = generate("runiform", n=22, m=110, r=3, ell=2, seed=1001)
+        result = derandomize(hf, resolve(hf, "hyp"), order="degree")
+        both = set(computed)
+        assert both and set(computed.values()) == {1}
+        alone = []
+        for i in range(2):
+            computed.clear()
+            term = _rainbow_term(hf, (_loose_rainbow(hf, i),), [1], result.order)
+            for step in result.trace:
+                term.step(step.vertex, step.chosen)
+            alone.append(set(computed))
+        assert alone[0] | alone[1] == both
+        assert len(alone[0]) + len(alone[1]) > len(both)
 
     def test_rainbow_pair_sum_after_every_commit(self):
         # the keys hold the pair sum's class-dependent shifts: equal relative
         # keys at each vertex of a random order, and the per-vertex sums follow
-        # the labels after every commit, on dense members where edge pairs
-        # share 2..r-1 vertices
+        # the labels after every forced class, on dense members where edge
+        # pairs share 2..r-1 vertices
         rng = random.Random(24)
         for r in (2, 3, 4, 5):
             shared = set()
@@ -419,30 +454,30 @@ class TestEngineEquality:
                 labels = [UNDECIDED] * n
                 for v in order:
                     want = _reference_keys(edges, specs, [1], labels, v)
-                    assert _relative(_keys(term, v, r)) == _relative(want), (r, trial, v)
                     c = rng.randrange(r)
-                    term.commit(v, c)
+                    keys, chosen = term.step(v, c)
+                    assert chosen == c and _relative(keys) == _relative(want), (r, trial, v)
                     labels[v] = c
-                    _assert_vertex_sums(term, edges, labels)
+                    _assert_vertex_sums(term, [edges], labels)
             assert set(range(2, r)) <= shared
 
     def test_rainbow_packed_fields_at_a_hub(self):
         # TestPinnedTraces' hyp-hub case: r=4, vertex 0 in every hyperedge and
         # decided last, so its fields and the co-vertex sums through it are the
-        # widest; every field of every open vertex, unpacked after every commit
-        # of the descent, is its recount
+        # widest; one term over both members replays the pinned descent's
+        # classes, and every field of every open slot, unpacked after every
+        # step, is its recount
         (kind, params), _, _, order = TestPinnedTraces.CASES["hyp-hub"]
         fam = _case_family(kind, params)
         result = derandomize(fam, resolve(fam, "hyp"), order=order)
-        for i, edges in enumerate(fam.arrays):
-            assert all(e[0] == 0 for e in edges.tolist())
-            term = _rainbow_term(fam, (_loose_rainbow(fam, i),), [1], order)
-            labels = [UNDECIDED] * fam.n
-            for step in result.trace:
-                _keys(term, step.vertex, 4)
-                term.commit(step.vertex, step.chosen)
-                labels[step.vertex] = step.chosen
-                _assert_vertex_sums(term, edges.tolist(), labels)
+        edges = [rows.tolist() for rows in fam.arrays]
+        assert all(e[0] == 0 for member in edges for e in member)
+        term = _rainbow_term(fam, (_loose_rainbow(fam, 0), _loose_rainbow(fam, 1)), [1, 1], order)
+        labels = [UNDECIDED] * fam.n
+        for step in result.trace:
+            term.step(step.vertex, step.chosen)
+            labels[step.vertex] = step.chosen
+            _assert_vertex_sums(term, edges, labels)
 
     def test_rainbow_packed_fields_at_two_hubs(self):
         # TestPinnedTraces' hyp-two-hubs case: vertex 0 comes first in all 998
@@ -451,11 +486,11 @@ class TestEngineEquality:
         # past (r-1) * D * r^(2r), which bounds a sum over one hyperedge's
         # co-vertices, and under the D^2 bound.  Its one spec weighs 1, so the
         # term's own argmin replays the pinned descent; every field and every
-        # such sum is its recount after the commits of the hubs and their first
+        # such sum is its recount after the steps of the hubs and their first
         # co-vertices, then of every 50th vertex and the last
         (kind, params), _, _, order = TestPinnedTraces.CASES["hyp-two-hubs"]
         fam = _case_family(kind, params)
-        edges = fam.arrays[0].tolist()
+        edges = [fam.arrays[0].tolist()]
         term = _rainbow_term(fam, (_loose_rainbow(fam, 0),), [1], range(fam.n))
         near = sum(term.S[w] for w in term.first_near[0])
         squares = [near >> term.sq_at + o & term.fmask for o in term.offsets]
@@ -466,10 +501,7 @@ class TestEngineEquality:
         labels = [UNDECIDED] * fam.n
         _assert_vertex_sums(term, edges, labels)
         for v in range(fam.n):
-            keys = _keys(term, v, 3)
-            c = keys.index(min(keys))
-            term.commit(v, c)
-            labels[v] = c
+            labels[v] = term.step(v)[1]
             if v < 4 or v % 50 == 0 or v == fam.n - 1:
                 _assert_vertex_sums(term, edges, labels)
 
@@ -502,7 +534,7 @@ class TestEngineEquality:
                 labels[v] = rng.randrange(k)
             rest = [v for v, label in enumerate(labels) if label == UNDECIDED]
             for v in rest:
-                [term] = _build_terms(fam, specs, prefix + [v] + [u for u in rest if u != v])
+                term = _build_term(fam, specs, prefix + [v] + [u for u in rest if u != v], k)
                 assert type(term) is _GraphTerm and term.quads == all_open
                 for u in prefix:
                     assert term.step(u, labels[u])[1] == labels[u]
@@ -581,25 +613,28 @@ class TestEngineEquality:
 
     @pytest.mark.parametrize("order", ["natural", "degree", "permuted"])
     def test_rainbow_terms_walk_each_live_edge_once(self, order, monkeypatch):
-        # over whole hyp descents, every hyperedge sits in one vertex's
-        # first-vertex lists, in the middle lists of its r-2 middle vertices
-        # and in no list of its last vertex; add_keys reads the packed sum S of
-        # each live edge's open co-vertices once per visit; commit reads and
-        # writes it once; and every pair entry has the static s, at least 2,
-        # of its shared vertices at or after its vertex
-        now = {"phase": None, "vertex": None}
+        # over whole hyp descents, through one term over every member, whose
+        # vertex v of the member at position g is slot g*n + v: every hyperedge
+        # sits in one slot's first-vertex lists, in the middle lists of its r-2
+        # middle slots and in no list of its last slot; inside `step`, every S
+        # slot other than v's own is read twice and written once per live
+        # (hyperedge, open co-vertex) pair, one read for the keys and one read
+        # and write for the commit; and every pair entry joins two hyperedges
+        # of one member, with the static s, at least 2, of their shared
+        # vertices at or after its vertex
+        own = set()
         terms = []
 
         class Counted(list):
-            def __getitem__(self, u):
-                if u != now["vertex"]:
-                    self.visits[now["phase"], "read"] += 1
-                return super().__getitem__(u)
+            def __getitem__(self, x):
+                if x not in own:
+                    self.visits["read"] += 1
+                return super().__getitem__(x)
 
-            def __setitem__(self, u, x):
-                if u != now["vertex"]:
-                    self.visits[now["phase"], "write"] += 1
-                super().__setitem__(u, x)
+            def __setitem__(self, x, value):
+                if x not in own:
+                    self.visits["write"] += 1
+                super().__setitem__(x, value)
 
         def counted_init(self, *args):
             init(self, *args)
@@ -607,64 +642,65 @@ class TestEngineEquality:
             self.S.visits = collections.Counter()
             terms.append(self)
 
-        def in_phase(phase, method):
-            def run(self, v, x):
-                now.update(phase=phase, vertex=v)
-                method(self, v, x)
-                now.update(phase=None, vertex=None)
-            return run
+        def counted_step(self, v, c=None):
+            own.update(at + v for at, *_ in self.members)
+            try:
+                return step(self, v, c)
+            finally:
+                own.clear()
 
-        init = _RainbowTerm.__init__
+        init, step = _RainbowTerm.__init__, _RainbowTerm.step
         monkeypatch.setattr(_RainbowTerm, "__init__", counted_init)
-        for name in ("add_keys", "commit"):
-            monkeypatch.setattr(_RainbowTerm, name, in_phase(name, getattr(_RainbowTerm, name)))
+        monkeypatch.setattr(_RainbowTerm, "step", counted_step)
         for kind, params in (("runiform", dict(n=22, m=110, r=3, ell=2, seed=1001)),
                              ("runiform", dict(n=40, m=150, r=4, ell=2, seed=7)),
                              ("runiform", dict(n=16, m=60, r=5, ell=1, seed=8)),
-                             ("runiform-hub", dict(n=30, m=80, ell=2, seed=13))):
+                             ("runiform-hub", dict(n=30, m=80, ell=2, seed=13)),
+                             ("runiform-unequal", dict(n=40, ms=(150, 60), r=4, seed=14))):
             fam = _case_family(kind, params)
             terms.clear()
             result = derandomize(fam, resolve(fam, "hyp"), order=(
                 random.Random(5).sample(range(fam.n), fam.n) if order == "permuted" else order))
             rank = {step.vertex: i for i, step in enumerate(result.trace)}
             labels = result.assignment.labels
-            assert len(terms) == len(fam.arrays)
-            for term, rows in zip(terms, fam.arrays):
-                r = term.r
-                edges = _numbered(rows, rank)
-                firsts, middles = collections.defaultdict(list), collections.defaultdict(list)
-                want = collections.Counter()
-                for eid, e in enumerate(edges):
-                    firsts[e[0]].append((eid, e[1:]))
-                    for p in range(1, r - 1):
-                        middles[e[p]].append((eid, e[p + 1:]))
-                    for p in range(r - 1):
-                        taken = [labels[x] for x in e[:p]]
-                        if len(set(taken)) == len(taken):         # live at e[p]
-                            near = r - 1 - p
-                            want["add_keys", "read"] += near
-                            want["commit", "read"] += near
-                            want["commit", "write"] += near
-                for v in range(fam.n):
-                    near = [w for _, later in firsts[v] for w in later]
-                    assert list(term.first_edges[v]) == [eid for eid, _ in firsts[v]], v
-                    assert sorted(term.first_near[v]) == sorted(near), v
-                    assert sorted((eid, [w, *rest]) for eid, w, rest in term.middle[v]) \
-                        == middles[v], v
-                seen = collections.Counter(
-                    (v, i, j) for v, entries in enumerate(term.multi_at) for i, j, *_ in entries)
-                assert max(seen.values(), default=1) == 1
-                for v, entries in enumerate(term.multi_at):
-                    for i, j, s, in_i, in_j in entries:
-                        shared = set(edges[i]) & set(edges[j])
-                        assert i < j and (in_i, in_j) == (v in edges[i], v in edges[j])
-                        assert s == sum(rank[x] >= rank[v] for x in shared) >= 2, (v, i, j)
-                for i, j in itertools.combinations(range(len(edges)), 2):
+            [term] = terms
+            n, r = fam.n, term.r
+            assert [at for at, *_ in term.members] == [g * n for g in range(len(fam.arrays))]
+            # in slots, each member's edges numbered after those of the members before it
+            edges = [[g * n + x for x in e]
+                     for g, rows in enumerate(fam.arrays) for e in _numbered(rows, rank)]
+            firsts, middles = collections.defaultdict(list), collections.defaultdict(list)
+            want = collections.Counter()
+            for eid, e in enumerate(edges):
+                firsts[e[0]].append((eid, e[1:]))
+                for p in range(1, r - 1):
+                    middles[e[p]].append((eid, e[p + 1:]))
+                for p in range(r - 1):
+                    taken = [labels[x % n] for x in e[:p]]
+                    if len(set(taken)) == len(taken):         # live at e[p]
+                        want["read"] += 2 * (r - 1 - p)
+                        want["write"] += r - 1 - p
+            assert len(term.first_edges) == len(term.multi_at) == len(fam.arrays) * n
+            for x in range(len(fam.arrays) * n):
+                near = [w for _, later in firsts[x] for w in later]
+                assert list(term.first_edges[x]) == [eid for eid, _ in firsts[x]], x
+                assert sorted(term.first_near[x]) == sorted(near), x
+                assert sorted((eid, [w, *rest]) for eid, w, rest in term.middle[x]) \
+                    == middles[x], x
+            seen = collections.Counter(
+                (x, i, j) for x, entries in enumerate(term.multi_at) for i, j, *_ in entries)
+            assert max(seen.values(), default=1) == 1
+            for x, entries in enumerate(term.multi_at):
+                for i, j, s, in_i, in_j in entries:
                     shared = set(edges[i]) & set(edges[j])
-                    for v in set(edges[i]) | set(edges[j]):
-                        if sum(rank[x] >= rank[v] for x in shared) >= 2:
-                            assert (v, i, j) in seen, (v, i, j)
-                assert term.S.visits == +want, (order, kind, term.S.visits, want)
+                    assert i < j and (in_i, in_j) == (x in edges[i], x in edges[j])
+                    assert s == sum(rank[y % n] >= rank[x % n] for y in shared) >= 2, (x, i, j)
+            for i, j in itertools.combinations(range(len(edges)), 2):
+                shared = set(edges[i]) & set(edges[j])
+                for x in set(edges[i]) | set(edges[j]):
+                    if sum(rank[y % n] >= rank[x % n] for y in shared) >= 2:
+                        assert (x, i, j) in seen, (x, i, j)
+            assert term.S.visits == +want, (order, kind, term.S.visits, want)
 
     def test_rainbow_pair_state_only_for_multi_shared_pairs(self):
         # a linear hypergraph (delta2 == 1): every overlapping pair shares one
@@ -733,7 +769,7 @@ def test_naive_and_incremental_keys_agree(data):
     if theorem != "hyp" and guarantee.specs:
         # off the descent's path: the graph term's `step` with a drawn
         # forced class at every vertex, against the reference's keys
-        [term] = _build_terms(fam, guarantee.specs, result.order)
+        term = _build_term(fam, guarantee.specs, result.order, guarantee.k)
         edges = [rows.tolist() for rows in fam.arrays]
         labels = [UNDECIDED] * fam.n
         for v in result.order:
@@ -767,7 +803,7 @@ def test_bipartition_keys_equal_the_reference(data):
     order = data.draw(st.permutations(range(fam.n)), label="order")
     rank = np.empty(fam.n, dtype=np.int64)
     rank[order] = np.arange(fam.n)
-    assert [type(term) for term in _build_terms(fam, specs, order)] == [_BipartitionTerm]
+    assert type(_build_term(fam, specs, order, 2)) is _BipartitionTerm
     term = _BipartitionTerm(fam.arrays, specs, weights, rank)
     labels = [UNDECIDED] * fam.n
     assert term.quads == _quads(edges, labels, specs)
@@ -793,7 +829,7 @@ def test_step_breaks_ties_to_the_lowest_class():
     # (vertex 3, after vertex 1 was forced to class 1)
     fam = GraphFamily(n=4, graphs=(((0, 1), (1, 2)), ((0, 2),)))
     specs = resolve(fam, "thm1").specs
-    [term] = _build_terms(fam, specs, (0, 1, 3, 2))
+    term = _build_term(fam, specs, (0, 1, 3, 2), 2)
     assert type(term) is _BipartitionTerm
     assert term.step(0) == ([0, 0], 0)
     assert term.step(1, 1)[1] == 1
@@ -807,7 +843,7 @@ def test_step_breaks_ties_to_the_lowest_class():
         stats += [("within", s, None) for s in range(k)]
         for stats in ([("crossing", None, None)], stats):
             specs = [EventSpec(graph=0, kind=kind, k=k, s=s, t=t, part=1) for kind, s, t in stats]
-            [term] = _build_terms(fam, specs, (0, 1))
+            term = _build_term(fam, specs, (0, 1), k)
             keys, chosen = term.step(0)
             assert chosen == 0 and len(set(keys)) == 1, keys
             keys, chosen = term.step(1)
@@ -849,63 +885,66 @@ def test_budget_decided_exactly_at_one(data):
 
 
 def _rainbow_term(fam, specs, weights, order):
-    """Member ``specs[0].graph``'s rainbow term, built for the vertex order
-    `order`."""
+    """The rainbow term of ``specs``, one member per graph they name, built
+    for the vertex order `order`."""
     rank = np.empty(fam.n, dtype=np.int64)
     rank[list(order)] = np.arange(fam.n)
-    return _RainbowTerm(fam.arrays, specs, weights, rank)
+    return _RainbowTerm(fam.arrays, specs, weights, rank, fam.r)
 
 
 def _numbered(rows, rank):
     """Each edge's vertices in the order of ``rank`` (v's position), the
-    edges numbered as a rainbow term numbers them: by their first vertex,
-    ties in input order."""
+    edges numbered as a rainbow term numbers one member's: by their first
+    vertex, ties in input order."""
     return sorted((sorted(e, key=rank.__getitem__) for e in rows.tolist()), key=lambda e: e[0])
 
 
-def _assert_vertex_sums(term, edges, labels):
-    """The packed sum S of every open vertex, recounted from the labels: an
-    edge's P is A[u][0] and its row A[u][1] on its free colours while its
-    decided colours are distinct, and both are 0 once they are not.  S[w]
-    is exactly its 2r+1 fields (rows, P, squared rows), each at most D *
-    r^(2r) for D the member's largest degree.  Every field of every sum the
-    keys form (a vertex's own S, the open vertices of every edge and each
-    open vertex's first_near) stays within the class docstring's bound
+def _assert_vertex_sums(term, members, labels):
+    """The packed sum S of every open slot, recounted from the labels:
+    ``members`` lists the edges of the term's members in its order, and
+    vertex w of the member at position g is slot g*n + w.  An edge's P is
+    A[u][0] and its row A[u][1] on its free colours while its decided
+    colours are distinct, and both are 0 once they are not.  S[x] is
+    exactly its 2r+1 fields (rows, P, squared rows), each at most D *
+    r^(2r) for D the largest degree of any member.  Every field of every
+    sum the keys form (a slot's own S, the open slots of every edge and
+    each open slot's first_near) stays within the class docstring's bound
     (r-1) * D^2 * r^(2r), so within the field mask, whose width is that
     bound's bit length; no sum carries.  The decided vertices must come
     first in the term's order."""
-    r, A = term.r, term.A
+    r, A, n = term.r, term.A, len(labels)
+    edges = [[g * n + w for w in e] for g, member in enumerate(members) for e in member]
     at = collections.defaultdict(list)
     for e in edges:
-        for w in e:
-            at[w].append(e)
+        for x in e:
+            at[x].append(e)
     top = max(map(len, at.values()), default=0)
     bound = (r - 1) * top * top * r ** (2 * r)
     assert term.fmask == (1 << bound.bit_length()) - 1
     offsets = [*term.offsets, term.p_at, *(term.sq_at + o for o in term.offsets)]
     fields = {}
-    for w, label in enumerate(labels):
-        if label != UNDECIDED:
+    for x in range(len(members) * n):
+        if labels[x % n] != UNDECIDED:
             continue
         ps, rows = [], []
-        for e in at[w]:
-            taken = [labels[x] for x in e if labels[x] != UNDECIDED]
+        for e in at[x]:
+            taken = [labels[y % n] for y in e if labels[y % n] != UNDECIDED]
             live = len(set(taken)) == len(taken)
             u = r - len(taken)
             ps.append(A[u][0] if live else 0)
             rows.append([A[u][1] if live and c not in taken else 0 for c in range(r)])
         assert max(ps, default=0) <= r ** (r - 1) and max(map(max, rows), default=0) <= r ** r
-        want = fields[w] = ([sum(row[c] for row in rows) for c in range(r)] + [sum(ps)]
+        want = fields[x] = ([sum(row[c] for row in rows) for c in range(r)] + [sum(ps)]
                             + [sum(row[c] ** 2 for row in rows) for c in range(r)])
-        assert max(want) <= top * r ** (2 * r), (w, want)
-        assert [term.S[w] >> o & term.fmask for o in offsets] == want, w
-        assert term.S[w] == sum(x << o for x, o in zip(want, offsets)), w
-    sums = [[w] for w in fields] + [[w for w in e if w in fields] for e in edges]
-    sums += [term.first_near[v] for v in fields]
-    for ws in sums:
-        near = [sum(fields[w][f] for w in ws) for f in range(2 * r + 1)]
-        assert max(near, default=0) <= bound, (ws, near)
-        assert [sum(term.S[w] for w in ws) >> o & term.fmask for o in offsets] == near, ws
+        assert max(want) <= top * r ** (2 * r), (x, want)
+        assert [term.S[x] >> o & term.fmask for o in offsets] == want, x
+        assert term.S[x] == sum(y << o for y, o in zip(want, offsets)), x
+    sums = [[x] for x in fields] + [[y for y in e if y in fields] for e in edges]
+    sums += [term.first_near[x] for x in fields]
+    for xs in sums:
+        near = [sum(fields[x][f] for x in xs) for f in range(2 * r + 1)]
+        assert max(near, default=0) <= bound, (xs, near)
+        assert [sum(term.S[x] for x in xs) >> o & term.fmask for o in offsets] == near, xs
 
 
 def _loose_rainbow(hf, i):
@@ -958,6 +997,11 @@ class TestPinnedTraces:
         # crossing specs alone at k = 2 other than thm1's, and thm1 in degree order
         "thm2-k2": (("gnm", dict(n=50, m=150, ell=2, seed=2)), "thm2", 2, None),
         "thm1-degree": (("gnm", dict(n=60, m=200, ell=3, seed=1)), "thm1", None, "degree"),
+        # hypergraph members of unequal sizes and largest degrees: the rainbow
+        # specs weigh by lcm(parts) // part != 1, and the larger member sets
+        # the packed field width
+        "hyp-unequal": (("runiform-unequal", dict(n=40, ms=(150, 60), r=4, seed=14)), "hyp", None,
+                        None),
     }
     DIGESTS = {
         "thm1": "e8f9f17abc123a15cc0a993f65ffd979e5d55f6c5d74e07f9048f56efeb1e790",
@@ -978,6 +1022,7 @@ class TestPinnedTraces:
         "thm1-unequal-permuted": "f7a39454e105c85e3a090e08f971cda7cfb2ed1f60ab483e356294256a203635",
         "thm2-k2": "60d4de630eb50200287b24959c733785f7b34fbed88070a0eebfce6b7c0d4e5a",
         "thm1-degree": "8d2797b9fb42adea85cb9ddb47a45de87b6446e90c6c389d30602deb2dc2bd79",
+        "hyp-unequal": "24d722c4406f0f730c5d99d11d335461961d88187575c7e354f5fe581ce468c6",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -995,7 +1040,8 @@ class TestPinnedTraces:
 
 def _case_family(kind, params):
     """`generate`'s family; for "gnm-unequal" one gnm member per entry of
-    ``ms``, member i drawn with seed + i; for "runiform-hub" a 4-uniform
+    ``ms``, member i drawn with seed + i, and for "runiform-unequal" one
+    r-uniform member the same way; for "runiform-hub" a 4-uniform
     family whose every hyperedge is vertex 0 and a 3-uniform hyperedge on
     vertices 1..n-1; for "two-hubs" one 3-uniform member whose hyperedges
     are {0, 1, x} for every other vertex x."""
@@ -1006,6 +1052,11 @@ def _case_family(kind, params):
         base = generate("runiform", **dict(params, n=params["n"] - 1, r=3))
         return HypergraphFamily(n=params["n"], r=4, hypergraphs=tuple(
             tuple((0, *(x + 1 for x in e)) for e in rows.tolist()) for rows in base.arrays))
+    if kind == "runiform-unequal":
+        n, r, seed = params["n"], params["r"], params["seed"]
+        return HypergraphFamily(n=n, r=r, hypergraphs=tuple(
+            generate("runiform", n=n, m=m, r=r, seed=seed + i).arrays[0]
+            for i, m in enumerate(params["ms"])))
     if kind != "gnm-unequal":
         return generate(kind, **params)
     n, seed = params["n"], params["seed"]
